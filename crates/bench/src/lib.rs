@@ -1,33 +1,24 @@
 //! # torus-bench
 //!
-//! Benchmark harness and figure-reproduction binaries for the Software-Based
+//! Figure-reproduction and verification binaries for the Software-Based
 //! fault-tolerant routing study.
 //!
-//! * `cargo run -p torus-bench --release --bin fig3` (… `fig7`) regenerates
-//!   the corresponding figure of the paper and prints its series as aligned
-//!   text tables (add `--csv <path>` to also write CSV, `--scale paper` for
-//!   the full 100,000-message methodology, `--topology mesh:8x2` /
-//!   `--routing turnmodel` to regenerate the figure on another shape or
-//!   routing algorithm).
-//! * `cargo bench -p torus-bench` runs the Criterion micro/meso benchmarks:
-//!   one small representative point per figure plus component benchmarks of
-//!   the topology, routing and simulator layers.
-//! * `cargo run -p torus-bench --release --bin bench_cycles` runs the
-//!   [`cycles`] suite and writes `BENCH_cycles.json` — the recorded
-//!   performance trajectory of the simulation engine across PRs.
-//! * `cargo run -p torus-bench --release --bin bench_wall` runs the [`wall`]
-//!   suite and writes `BENCH_wall.json` — whole-figure wall clock at
-//!   `--jobs 1` vs `--jobs N`, the recorded trajectory of the experiment
-//!   pool (and a determinism gate: both runs must be identical).
-
-pub mod cycles;
-pub mod wall;
+//! * `cargo run -p torus-bench --release --bin fig -- fig3` (… `fig7`)
+//!   regenerates the corresponding figure of the paper and prints its series
+//!   as aligned text tables (add `--csv <path>` to also write CSV,
+//!   `--scale paper` for the full 100,000-message methodology,
+//!   `--topology mesh:8x2` / `--routing turnmodel` to regenerate the figure
+//!   on another shape or routing algorithm).
+//! * `ablation`, `saturation` and `verify` are the other binaries.
+//!
+//! Performance is measured by the standalone package under `benchmark/`
+//! (see `benchmark/README.md`), not here.
 
 use std::path::PathBuf;
 use swbft_core::{Figure, FigureOptions, Jobs, RoutingChoice, Scale};
 use torus_topology::TopologySpec;
 
-/// Command-line options shared by the `fig*` binaries.
+/// Command-line options of the `fig` binary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FigureCliOptions {
     /// Measurement scale.
@@ -69,8 +60,18 @@ impl Default for FigureCliOptions {
     }
 }
 
-/// Parses the `fig*` binaries' command-line arguments.
+/// What a `fig` command line asks for.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FigureCommand {
+    /// Run this figure with these options.
+    Run(Figure, FigureCliOptions),
+    /// `--help`: print [`usage`] and exit successfully.
+    Help,
+}
+
+/// Parses the `fig` binary's command-line arguments.
 ///
+/// Exactly one positional argument names the figure (`fig3` … `fig7`).
 /// Recognised flags: `--scale smoke|quick|paper` (default `quick`),
 /// `--csv <path>`, `--topology <spec>` (a [`TopologySpec::parse`] string such
 /// as `mesh:8x2`, `hc:6`, `8x8x4o` or `ft:4,2`),
@@ -78,10 +79,9 @@ impl Default for FigureCliOptions {
 /// `--jobs N|auto`
 /// (worker threads, default all cores; results are identical for any value).
 /// Unknown flags produce an error string listing the usage.
-pub fn parse_figure_args<I: IntoIterator<Item = String>>(
-    args: I,
-) -> Result<FigureCliOptions, String> {
+pub fn parse_figure_args<I: IntoIterator<Item = String>>(args: I) -> Result<FigureCommand, String> {
     let mut opts = FigureCliOptions::default();
+    let mut figure = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -113,18 +113,20 @@ pub fn parse_figure_args<I: IntoIterator<Item = String>>(
                     .ok_or("--jobs needs a value (a positive integer or 'auto')")?;
                 opts.jobs = Jobs::parse(&value)?;
             }
-            "--help" | "-h" => {
-                return Err(usage());
-            }
-            other => return Err(format!("unknown argument '{other}'\n{}", usage())),
+            "--help" | "-h" => return Ok(FigureCommand::Help),
+            other => match Figure::from_id(other) {
+                Some(f) if figure.is_none() => figure = Some(f),
+                _ => return Err(format!("unknown argument '{other}'\n{}", usage())),
+            },
         }
     }
-    Ok(opts)
+    let figure = figure.ok_or_else(|| format!("missing figure (fig3..fig7)\n{}", usage()))?;
+    Ok(FigureCommand::Run(figure, opts))
 }
 
-/// Usage string of the `fig*` binaries.
+/// Usage string of the `fig` binary.
 pub fn usage() -> String {
-    "usage: fig<N> [--scale smoke|quick|paper] [--csv <path>] \
+    "usage: fig <fig3|fig4|fig5|fig6|fig7> [--scale smoke|quick|paper] [--csv <path>] \
      [--topology <spec>] \
      [--routing det|adaptive|turnmodel|turnmodel-det|updown|updown-det] \
      [--jobs N|auto]\n\
@@ -182,9 +184,45 @@ mod tests {
         list.iter().map(ToString::to_string).collect()
     }
 
+    /// Parses `fig3` followed by `flags` and returns the options.
+    fn parse_fig3(flags: &[&str]) -> Result<FigureCliOptions, String> {
+        let mut list = vec!["fig3"];
+        list.extend_from_slice(flags);
+        match parse_figure_args(args(&list))? {
+            FigureCommand::Run(Figure::Fig3, opts) => Ok(opts),
+            other => panic!("expected a fig3 run, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn figure_is_the_one_positional_argument() {
+        for figure in Figure::ALL {
+            assert_eq!(
+                parse_figure_args(args(&["--jobs", "2", figure.id()])),
+                Ok(FigureCommand::Run(
+                    figure,
+                    FigureCliOptions {
+                        jobs: Jobs::count(2),
+                        ..FigureCliOptions::default()
+                    }
+                ))
+            );
+        }
+        assert!(parse_figure_args(args(&[])).is_err(), "figure is required");
+        assert!(parse_figure_args(args(&["fig3", "fig4"])).is_err());
+        assert!(parse_figure_args(args(&["fig8"])).is_err());
+    }
+
+    #[test]
+    fn help_is_a_command_not_an_error() {
+        for argv in [&["--help"][..], &["fig3", "-h"]] {
+            assert_eq!(parse_figure_args(args(argv)), Ok(FigureCommand::Help));
+        }
+    }
+
     #[test]
     fn default_options() {
-        let o = parse_figure_args(args(&[])).unwrap();
+        let o = parse_fig3(&[]).unwrap();
         assert_eq!(o.scale, Scale::Quick);
         assert!(o.csv.is_none());
         assert!(o.topology.is_none());
@@ -194,22 +232,16 @@ mod tests {
 
     #[test]
     fn parses_scale_and_csv() {
-        let o = parse_figure_args(args(&["--scale", "paper", "--csv", "/tmp/out.csv"])).unwrap();
+        let o = parse_fig3(&["--scale", "paper", "--csv", "/tmp/out.csv"]).unwrap();
         assert_eq!(o.scale, Scale::Paper);
         assert_eq!(o.csv, Some(PathBuf::from("/tmp/out.csv")));
-        let o = parse_figure_args(args(&["--scale", "smoke"])).unwrap();
+        let o = parse_fig3(&["--scale", "smoke"]).unwrap();
         assert_eq!(o.scale, Scale::Smoke);
     }
 
     #[test]
     fn parses_topology_and_routing() {
-        let o = parse_figure_args(args(&[
-            "--topology",
-            "mesh:8x2",
-            "--routing",
-            "turnmodel-det",
-        ]))
-        .unwrap();
+        let o = parse_fig3(&["--topology", "mesh:8x2", "--routing", "turnmodel-det"]).unwrap();
         assert_eq!(o.topology, Some(TopologySpec::mesh(8, 2)));
         assert_eq!(o.routing, Some(RoutingChoice::TurnModelDeterministic));
         let fo = o.figure_options();
@@ -219,9 +251,9 @@ mod tests {
             Some(vec![RoutingChoice::TurnModelDeterministic])
         );
         // The CLI shorthands go straight through the spec parser.
-        let o = parse_figure_args(args(&["--topology", "hc:6"])).unwrap();
+        let o = parse_fig3(&["--topology", "hc:6"]).unwrap();
         assert_eq!(o.topology, Some(TopologySpec::hypercube(6)));
-        let o = parse_figure_args(args(&["--topology", "8x8x4o"])).unwrap();
+        let o = parse_fig3(&["--topology", "8x8x4o"]).unwrap();
         assert_eq!(
             o.topology,
             Some(TopologySpec::mixed(vec![8, 8, 4], vec![true, true, false]))
@@ -230,26 +262,25 @@ mod tests {
 
     #[test]
     fn parses_jobs() {
-        let o = parse_figure_args(args(&["--jobs", "4"])).unwrap();
+        let o = parse_fig3(&["--jobs", "4"]).unwrap();
         assert_eq!(o.jobs, Jobs::count(4));
         assert_eq!(o.figure_options().jobs, Jobs::count(4));
-        let o = parse_figure_args(args(&["--jobs", "auto"])).unwrap();
+        let o = parse_fig3(&["--jobs", "auto"]).unwrap();
         assert_eq!(o.jobs, Jobs::Auto);
-        assert!(parse_figure_args(args(&["--jobs", "0"])).is_err());
-        assert!(parse_figure_args(args(&["--jobs", "lots"])).is_err());
-        assert!(parse_figure_args(args(&["--jobs"])).is_err());
+        assert!(parse_fig3(&["--jobs", "0"]).is_err());
+        assert!(parse_fig3(&["--jobs", "lots"]).is_err());
+        assert!(parse_fig3(&["--jobs"]).is_err());
     }
 
     #[test]
     fn rejects_unknown_arguments() {
-        assert!(parse_figure_args(args(&["--bogus"])).is_err());
-        assert!(parse_figure_args(args(&["--scale", "huge"])).is_err());
-        assert!(parse_figure_args(args(&["--scale"])).is_err());
-        assert!(parse_figure_args(args(&["--topology", "ring:9"])).is_err());
-        assert!(parse_figure_args(args(&["--topology"])).is_err());
-        assert!(parse_figure_args(args(&["--routing", "magic"])).is_err());
-        assert!(parse_figure_args(args(&["--routing"])).is_err());
-        assert!(parse_figure_args(args(&["--help"])).is_err());
+        assert!(parse_fig3(&["--bogus"]).is_err());
+        assert!(parse_fig3(&["--scale", "huge"]).is_err());
+        assert!(parse_fig3(&["--scale"]).is_err());
+        assert!(parse_fig3(&["--topology", "ring:9"]).is_err());
+        assert!(parse_fig3(&["--topology"]).is_err());
+        assert!(parse_fig3(&["--routing", "magic"]).is_err());
+        assert!(parse_fig3(&["--routing"]).is_err());
     }
 
     #[test]

@@ -141,8 +141,9 @@ fn fat_tree_smoke_grid_is_pinned_and_runs_under_up_down_routing() {
 }
 
 /// The parallel-determinism guarantee of the experiment pool, on a real
-/// quick-scale figure grid: the assembled result — structure, CSV bytes and
-/// rendered text — is identical at `--jobs 1` and `--jobs 4`. The grid is
+/// quick-scale figure grid and then on all five default smoke-scale grids:
+/// the assembled result — structure, CSV bytes and rendered text — is
+/// identical at `--jobs 1` and `--jobs 4`. The quick-scale grid is
 /// deliberately small (a 4-hypercube under one routing) so the quick-scale
 /// budgets stay test-sized; the cells where the connectivity-preserving fault
 /// sampler cannot place the requested fault count become typed point
@@ -168,6 +169,15 @@ fn quick_scale_figure_is_identical_at_jobs_1_and_4() {
     assert_eq!(serial, parallel, "quick-scale fig6 diverged across --jobs");
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.render_text(), parallel.render_text());
+
+    // The suite-level gate: every figure's default grid, at smoke scale.
+    for figure in Figure::ALL {
+        let run = |jobs| figure.run_with(&FigureOptions::new(Scale::Smoke).with_jobs(jobs));
+        let (serial, parallel) = (run(Jobs::serial()).unwrap(), run(Jobs::count(4)).unwrap());
+        assert!(serial.num_points() > 0);
+        assert_eq!(serial, parallel, "{} diverged across --jobs", figure.id());
+        assert_eq!(serial.to_csv(), parallel.to_csv());
+    }
 }
 
 /// Saturation searches fanned over the pool (the `saturation` binary's

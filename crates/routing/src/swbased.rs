@@ -225,6 +225,53 @@ pub(crate) fn install_explicit_path<T: Topology + ?Sized>(
     true
 }
 
+/// The opening of every software-layer `route()`: what to do when the header
+/// has reached its current target, `None` while it is still under way.
+///
+/// A reached intermediate via host absorbs: the message is delivered to the
+/// local software layer and re-injected towards the next target (software
+/// forwarding, Section 3). Releasing every held channel there is what keeps
+/// the escape-layer dependency chains acyclic — an in-flight retarget could
+/// chain a forbidden dependency through the via node.
+pub(crate) fn arrival_decision(header: &RouteHeader, current: NodeId) -> Option<RouteDecision> {
+    if current != header.target() {
+        None
+    } else if header.pending_via() > 0 {
+        Some(RouteDecision::Absorb)
+    } else {
+        Some(RouteDecision::Deliver)
+    }
+}
+
+/// The opening of every software-layer `reroute_on_fault()`. Returns the
+/// re-route's outcome when it is settled here, `None` when the algorithm's
+/// own rules 1 and 2 must pick a detour.
+pub(crate) fn begin_reroute<T: Topology + ?Sized>(
+    net: &T,
+    faults: &FaultSet,
+    header: &mut RouteHeader,
+    at: NodeId,
+) -> Option<bool> {
+    header.absorptions += 1;
+    // Software forwarding: the message was absorbed because it reached an
+    // intermediate via host, not because of a new fault. Pop the reached
+    // target(s) and re-inject unchanged.
+    if at == header.target() && header.pending_via() > 0 {
+        while at == header.target() && header.pending_via() > 0 {
+            header.advance_target(at);
+        }
+        return Some(true);
+    }
+    header.faulted = true;
+    // Rule 3 (fallback): out of budget, or already escorted yet absorbed
+    // again (which can only happen if the fault set changed) — compute an
+    // explicit fault-free path.
+    if header.escorted || header.misroute_budget == 0 {
+        return Some(install_explicit_path(net, faults, header, at));
+    }
+    None
+}
+
 /// Dimensions to try for the orthogonal detour (rule 2), preferring the
 /// partner dimension of the blocked dimension's pair as in the SW-Based-nD
 /// formulation of Fig. 2. Shared with the turn-model software layer.
@@ -281,20 +328,8 @@ impl RoutingAlgorithm for SwBasedRouting {
         v: usize,
     ) -> RouteDecision {
         let net = expect_grid(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via host: the message is delivered
-                // to the local software layer and re-injected towards the
-                // next target (software forwarding, Section 3). Releasing
-                // every held channel here is what keeps the escape-layer
-                // dependency chains acyclic — an in-flight retarget could
-                // chain a forbidden turn through the via node.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
+        if let Some(decision) = arrival_decision(header, current) {
+            return decision;
         }
         if header.is_deterministic() {
             return self.route_deterministic(net, faults, header, current, v);
@@ -332,25 +367,8 @@ impl RoutingAlgorithm for SwBasedRouting {
         blocked: (usize, Direction),
     ) -> bool {
         let net = expect_grid(net);
-        // Software forwarding: the message was absorbed because it reached an
-        // intermediate via host, not because of a new fault. Pop the reached
-        // target(s) and re-inject unchanged.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
-        }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again (which can only happen if the fault set changed) — compute an
-        // explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(net, faults, header, at);
+        if let Some(settled) = begin_reroute(net, faults, header, at) {
+            return settled;
         }
         header.misroute_budget -= 1;
 

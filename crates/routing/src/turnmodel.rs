@@ -57,7 +57,10 @@ use crate::adaptive::productive_outputs;
 use crate::cdg::TurnRule;
 use crate::decision::{OutputCandidate, RouteDecision};
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::swbased::{expect_grid, install_explicit_path, orthogonal_order, RoutingAlgorithm};
+use crate::swbased::{
+    arrival_decision, begin_reroute, expect_grid, install_explicit_path, orthogonal_order,
+    RoutingAlgorithm,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_faults::FaultSet;
@@ -354,19 +357,11 @@ impl RoutingAlgorithm for TurnModelRouting {
         v: usize,
     ) -> RouteDecision {
         let net = expect_grid(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via host: software forwarding, as
-                // in the SW-Based scheme — absorb, release every held
-                // channel, re-inject towards the next target. An in-flight
-                // retarget here could chain a forbidden (second-phase →
-                // first-phase) turn through the via node on the escape VC.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
+        // At a via host an in-flight retarget could chain a forbidden
+        // (second-phase → first-phase) turn on the escape VC; absorbing there
+        // releases every held channel first.
+        if let Some(decision) = arrival_decision(header, current) {
+            return decision;
         }
         if header.is_deterministic() {
             return self.route_deterministic(net, faults, header, current, v);
@@ -423,23 +418,8 @@ impl RoutingAlgorithm for TurnModelRouting {
         blocked: (usize, Direction),
     ) -> bool {
         let net = expect_grid(net);
-        // Software forwarding: absorbed at a reached intermediate via host,
-        // not at a new fault — pop the reached target(s) and re-inject.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
-        }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again — compute an explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(net, faults, header, at);
+        if let Some(settled) = begin_reroute(net, faults, header, at) {
+            return settled;
         }
         header.misroute_budget -= 1;
 

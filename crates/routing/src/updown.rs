@@ -48,7 +48,7 @@
 
 use crate::decision::{OutputCandidate, RouteDecision};
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::swbased::{install_explicit_path, RoutingAlgorithm};
+use crate::swbased::{arrival_decision, begin_reroute, install_explicit_path, RoutingAlgorithm};
 use crate::turnmodel::RoutingTopologyError;
 use serde::{Deserialize, Serialize};
 use torus_faults::FaultSet;
@@ -232,19 +232,11 @@ impl RoutingAlgorithm for UpDownRouting {
         v: usize,
     ) -> RouteDecision {
         let ft = expect_fat_tree(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via target: software forwarding, as
-                // in the grid schemes — absorb, release every held channel,
-                // re-inject towards the next target. The release is what lets
-                // an escorted fat-tree path alternate between descents and
-                // ascents without closing an up/down dependency cycle.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
+        // Absorbing at a via target releases every held channel, which is
+        // what lets an escorted fat-tree path alternate between descents and
+        // ascents without closing an up/down dependency cycle.
+        if let Some(decision) = arrival_decision(header, current) {
+            return decision;
         }
         if header.is_deterministic() {
             return self.route_deterministic(ft, faults, header, current, v);
@@ -301,23 +293,8 @@ impl RoutingAlgorithm for UpDownRouting {
         blocked: (usize, Direction),
     ) -> bool {
         let ft = expect_fat_tree(net);
-        // Software forwarding: absorbed at a reached intermediate via target,
-        // not at a new fault — pop the reached target(s) and re-inject.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
-        }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again — compute an explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(ft, faults, header, at);
+        if let Some(settled) = begin_reroute(ft, faults, header, at) {
+            return settled;
         }
 
         // Rule 1 (fat-tree form): a dead up-link or parent switch is survived

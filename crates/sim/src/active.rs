@@ -1,12 +1,12 @@
-//! Deterministic active-set worklists for the simulation engine.
+//! Deterministic active-set worklists for [`crate::schedule::ActiveSchedule`].
 //!
-//! The engine keeps one [`ActiveSet`] per kind of pending work (routers with
+//! The scheduler keeps one [`ActiveSet`] per kind of pending work (routers with
 //! queued injections, routers with occupied input VCs) so each pipeline stage
 //! iterates only over live state instead of the full `routers × ports × VCs`
 //! grid. The set is a fixed-size bitset: insertion, removal and membership are
 //! O(1), and iteration always yields indices in **ascending order** — the same
 //! order a full scan visits them — which is what keeps active-set scheduling
-//! bit-identical to the reference full-scan engine (RNG draws and metric
+//! bit-identical to the reference full scan (RNG draws and metric
 //! recordings happen in exactly the same sequence).
 
 /// A set of router indices with deterministic ascending iteration.

@@ -33,17 +33,25 @@
 //!   `torus-metrics`.
 //!
 //! The main entry point is [`Simulation`]: build it from a [`SimConfig`],
-//! call [`Simulation::run`] and read the resulting
-//! [`torus_metrics::SimulationReport`].
+//! call `run` and read the resulting [`torus_metrics::SimulationReport`].
 //!
-//! [`Simulation`] schedules its pipeline stages over active-set worklists and
-//! reclaims retired message-table entries (see [`network`]); the full-scan
-//! [`reference::ReferenceSimulation`] implements identical semantics in the
-//! simplest possible way and is used by the equivalence tests and benchmarks
-//! as the executable specification.
+//! # One pipeline, two schedulers
+//!
+//! [`Engine`] ([`network`]) defines the pipeline — the seven stages, the
+//! constructor, `run`/`step` and the sanitizer hooks — exactly once, generic
+//! over a [`Schedule`] ([`schedule`]) that decides *which routers each stage
+//! visits* and *how messages are stored*:
+//!
+//! * [`Simulation`] = `Engine` under [`ActiveSchedule`]: an arrival calendar,
+//!   active-set worklists with live-VC counters, a deadline-driven watchdog
+//!   and a message table that reclaims retired entries;
+//! * [`ReferenceSimulation`] = `Engine` under [`FullScan`] ([`reference`]):
+//!   every healthy source and router every cycle, an append-only table. It is
+//!   the executable specification of what the active schedule may change, and
+//!   the equivalence suite holds the two to bit-identical reports.
 //!
 //! With the `sanitizer` cargo feature (on by default; disable it for release
-//! benchmarks) both engines accept an invariant-checking observer
+//! benchmarks) the engine accepts an invariant-checking observer
 //! ([`sanitizer::Sanitizer`]) that audits conservation invariants every cycle
 //! and checks the runtime wait-for graph against a statically extracted exact
 //! channel-dependency graph.
@@ -56,13 +64,15 @@ pub mod network;
 pub mod reference;
 pub mod router;
 pub mod sanitizer;
+pub mod schedule;
 
 pub use config::{SimConfig, SimConfigError, StopCondition};
 pub use flit::{Flit, FlitKind, MessageId};
 pub use message::{MessageSlab, MessageState};
-pub use network::{RunOutcome, Simulation};
-pub use reference::ReferenceSimulation;
+pub use network::{Engine, RunOutcome, Simulation};
+pub use reference::{FullScan, ReferenceSimulation};
 pub use sanitizer::{InvariantViolation, Sanitizer};
+pub use schedule::{ActiveSchedule, MessageTable, Schedule};
 
 /// Convenience prelude re-exporting the most frequently used items.
 pub mod prelude {

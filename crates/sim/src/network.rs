@@ -1,7 +1,7 @@
-//! The cycle-driven flit-level network simulator.
+//! The cycle-driven flit-level engine: one pipeline, run under a scheduler.
 //!
-//! Every simulated cycle consists of the classical wormhole router pipeline,
-//! applied synchronously to all routers:
+//! Every simulated cycle is the classical wormhole router pipeline, applied
+//! synchronously:
 //!
 //! 1. **Traffic generation** — healthy PEs draw new messages from their
 //!    Poisson sources into the node's source queue.
@@ -14,8 +14,10 @@
 //!    at most one flit per cycle (round-robin among requesting input VCs with
 //!    downstream credit); flits routed to the local node (delivery or
 //!    absorption) drain without bandwidth limit (paper assumption (d)).
-//! 5. **Credit return / arrival application** — movements become visible to
+//! 5. **Arrival application / credit return** — movements become visible to
 //!    the downstream routers at the start of the next cycle.
+//! 6. **Stall watchdog** — a safety valve that never fires with the
+//!    deadlock-free algorithms shipped here.
 //!
 //! Absorption (the Software-Based mechanism) drains the whole worm into the
 //! local node; once the tail flit has arrived the message-passing software
@@ -23,53 +25,31 @@
 //! and places the message in the node's re-injection queue, which is served
 //! with priority over locally generated messages.
 //!
-//! # Active-set scheduling
-//!
-//! The stages above iterate **worklists of live state** instead of the full
-//! `routers × ports × VCs` grid:
-//!
-//! * traffic generation pops an *arrival calendar* (a min-heap of per-node
-//!   next-arrival cycles) so idle sources are never polled — safe because
-//!   [`torus_workloads::TrafficSource::next_due_cycle`] guarantees skipped
-//!   polls draw nothing from the RNG;
-//! * injection iterates only routers with non-empty source/re-injection
-//!   queues ([`crate::active::ActiveSet`]);
-//! * routing, switching and the stall watchdog iterate only routers with at
-//!   least one occupied input VC (tracked by a per-router live-VC counter).
-//!
-//! All worklists iterate in ascending router order — the order a full scan
-//! visits them — so RNG draws and metric recordings happen in exactly the
-//! same sequence and fixed-seed results are **bit-identical** to the
-//! straightforward full-scan engine ([`crate::reference::ReferenceSimulation`],
-//! enforced by the equivalence test suite).
-//!
-//! The message table is a reclaiming slab ([`MessageSlab`]): delivered and
-//! dropped entries are retired after their metrics have been folded into the
-//! collector, so table memory is bounded by the peak in-flight population
-//! rather than by the total traffic of the run.
+//! [`Engine`] defines these stages exactly once. What varies is the
+//! [`Schedule`] it is instantiated with — which routers each stage visits and
+//! which table stores the messages (see [`crate::schedule`]). [`Simulation`]
+//! is the engine under [`ActiveSchedule`]: worklists of live state, an
+//! arrival calendar, a reclaiming message table.
+//! [`crate::ReferenceSimulation`] is the same engine under
+//! [`crate::reference::FullScan`]. Worklists always come back in ascending
+//! router order, so RNG draws and metric recordings happen in the same
+//! sequence and fixed-seed reports are **bit-identical** under both (enforced
+//! by the equivalence test suite).
 
-use crate::active::ActiveSet;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::Flit;
-use crate::message::{MessagePhase, MessageSlab, MessageState};
+use crate::message::{MessagePhase, MessageState};
 use crate::router::{InputVc, OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
 use crate::sanitizer::Sanitizer;
+use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use torus_faults::FaultSet;
 use torus_metrics::{MetricsCollector, SimulationReport, WarmupPolicy};
 use torus_routing::{RouteDecision, RoutingAlgorithm};
 use torus_topology::{AnyTopology, Direction};
 use torus_workloads::TrafficSource;
-
-/// Legacy scan stride of the stall watchdog, kept as an upper bound on the
-/// interval between scans. Within a stride the watchdog wakes exactly at the
-/// earliest pending stall deadline, so `stall_absorb_threshold` is honored to
-/// the cycle instead of being quantized to the stride.
-const WATCHDOG_STRIDE: u64 = 128;
 
 /// Result of running a simulation to its stop condition.
 #[derive(Clone, Debug)]
@@ -85,20 +65,25 @@ pub struct RunOutcome {
     /// Messages dropped because no fault-free path to their destination
     /// existed (always 0 when faults preserve connectivity).
     pub dropped_messages: u64,
-    /// Peak number of simultaneously live entries in the message table.
-    /// Bounded by the in-flight population (the table reclaims retired
-    /// entries), not by the total number of messages delivered.
+    /// Peak number of entries the message table held at once. Under
+    /// [`ActiveSchedule`] that is bounded by the in-flight population (the
+    /// table reclaims retired entries); under the append-only reference table
+    /// it is the total number of messages generated.
     pub message_table_peak: u64,
 }
 
-/// A flit-level wormhole simulation of one network configuration.
-pub struct Simulation<A: RoutingAlgorithm> {
+/// A flit-level wormhole simulation of one network configuration under the
+/// production scheduler.
+pub type Simulation<A> = Engine<A, ActiveSchedule>;
+
+/// The pipeline, generic over the routing algorithm and the scheduler.
+pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
     net: AnyTopology,
     faults: FaultSet,
     algo: A,
     config: SimConfig,
     routers: Vec<RouterState>,
-    messages: MessageSlab,
+    messages: S::Messages,
     sources: Vec<TrafficSource>,
     collector: MetricsCollector,
     rng: StdRng,
@@ -109,25 +94,17 @@ pub struct Simulation<A: RoutingAlgorithm> {
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
     arrivals: Vec<(usize, usize, usize, Flit)>,
     credit_returns: Vec<(usize, usize, usize)>,
-    // Active-set scheduling state.
-    /// Min-heap of `(next_arrival_cycle, node)` for every healthy source.
-    arrival_calendar: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Routers with a non-empty source or re-injection queue.
-    inject_set: ActiveSet,
-    /// Routers with at least one non-idle input VC.
-    busy_set: ActiveSet,
-    /// Per-router count of non-idle input VCs (backs `busy_set` membership).
-    live_input_vcs: Vec<u32>,
-    /// Reusable snapshot buffer for per-stage worklist iteration.
-    stage_scratch: Vec<usize>,
-    /// Next cycle the stall watchdog must scan at.
-    watchdog_next: u64,
+    schedule: S,
+    /// The current stage's worklist. Stages snapshot it before processing so
+    /// that notifications sent *during* the stage (downstream arrivals,
+    /// queues draining) take effect from the next stage onwards.
+    worklist: Vec<usize>,
     /// Optional invariant-checking observer (attached by tests; the hooks
     /// that feed it are compiled only with the `sanitizer` feature).
     sanitizer: Option<Box<Sanitizer>>,
 }
 
-impl<A: RoutingAlgorithm> Simulation<A> {
+impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     /// Builds a simulation from a configuration, a fault set and a routing
     /// algorithm.
     pub fn new(config: SimConfig, faults: FaultSet, algo: A) -> Result<Self, SimConfigError> {
@@ -173,22 +150,15 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             WarmupPolicy::Messages(config.warmup_messages),
         );
         let rng = StdRng::seed_from_u64(config.seed);
-        let num_nodes = net.num_nodes();
-        // Every healthy source is due for its very first poll at cycle 0 (the
-        // poll that draws its initial inter-arrival gap).
-        let mut arrival_calendar = BinaryHeap::with_capacity(net.num_endpoints());
-        for (idx, router) in routers.iter().enumerate().take(net.num_endpoints()) {
-            if !router.is_faulty {
-                arrival_calendar.push(Reverse((0u64, idx)));
-            }
-        }
-        Ok(Simulation {
+        let schedule = S::new(&routers, net.num_endpoints());
+        let worklist = Vec::with_capacity(routers.len());
+        Ok(Engine {
             net,
             faults,
             algo,
             config,
             routers,
-            messages: MessageSlab::new(),
+            messages: S::Messages::default(),
             sources,
             collector,
             rng,
@@ -198,12 +168,8 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             forced_absorptions: 0,
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
-            arrival_calendar,
-            inject_set: ActiveSet::new(num_nodes),
-            busy_set: ActiveSet::new(num_nodes),
-            live_input_vcs: vec![0; num_nodes],
-            stage_scratch: Vec::with_capacity(num_nodes),
-            watchdog_next: 0,
+            schedule,
+            worklist,
             sanitizer: None,
         })
     }
@@ -259,25 +225,9 @@ impl<A: RoutingAlgorithm> Simulation<A> {
         self.dropped
     }
 
-    /// Read-only iterator over the live (not yet retired) messages, in table
-    /// slot order (used by tests and examples).
-    pub fn live_messages(&self) -> impl Iterator<Item = &MessageState> {
-        self.messages.iter_live()
-    }
-
-    /// Current number of live entries in the message table.
-    pub fn message_table_live(&self) -> usize {
-        self.messages.live()
-    }
-
-    /// Peak number of simultaneously live entries the message table has held.
+    /// Peak number of entries the message table has held at once.
     pub fn message_table_peak(&self) -> usize {
-        self.messages.peak_live()
-    }
-
-    /// Number of slots the message table has grown to (its memory footprint).
-    pub fn message_table_capacity(&self) -> usize {
-        self.messages.capacity()
+        self.messages.peak()
     }
 
     /// The current metrics report.
@@ -304,7 +254,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             hit_max_cycles,
             forced_absorptions: self.forced_absorptions,
             dropped_messages: self.dropped,
-            message_table_peak: self.messages.peak_live() as u64,
+            message_table_peak: self.messages.peak() as u64,
         }
     }
 
@@ -324,7 +274,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
         self.switch_and_traverse(now);
         self.apply_arrivals(now);
         self.apply_credit_returns();
-        if self.config.stall_absorb_threshold > 0 && now >= self.watchdog_next {
+        if self.config.stall_absorb_threshold > 0 && self.schedule.watchdog_due(now) {
             self.stall_watchdog(now);
         }
         #[cfg(feature = "sanitizer")]
@@ -348,7 +298,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     // ---------------------------------------------------------------- stages
 
     fn generate_traffic(&mut self, now: u64) {
-        let Simulation {
+        let Engine {
             net,
             faults,
             algo,
@@ -358,19 +308,12 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             collector,
             rng,
             in_flight,
-            arrival_calendar,
-            inject_set,
+            schedule,
+            worklist,
             ..
         } = self;
-        // Entries pop in (cycle, node) order, so sources due at the same
-        // cycle are polled in ascending node order — exactly the order the
-        // full scan polls them — and skipped (not-yet-due) sources would have
-        // drawn nothing from the RNG anyway.
-        while let Some(&Reverse((due, idx))) = arrival_calendar.peek() {
-            if due > now {
-                break;
-            }
-            arrival_calendar.pop();
+        schedule.due_sources(now, worklist);
+        for &idx in worklist.iter() {
             debug_assert!(!routers[idx].is_faulty, "faulty nodes are never scheduled");
             let source = &mut sources[idx];
             let mut queued_any = false;
@@ -384,27 +327,25 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 queued_any = true;
             }
             if queued_any {
-                inject_set.insert(idx);
+                schedule.note_queued(idx);
             }
             if let Some(next_due) = source.next_due_cycle() {
-                arrival_calendar.push(Reverse((next_due.max(now + 1), idx)));
+                schedule.note_next_arrival(idx, next_due.max(now + 1));
             }
         }
     }
 
     fn assign_injection_vcs(&mut self, now: u64) {
-        let Simulation {
+        let Engine {
             routers,
             messages,
             config,
-            inject_set,
-            busy_set,
-            live_input_vcs,
-            stage_scratch,
+            schedule,
+            worklist,
             ..
         } = self;
-        inject_set.collect_into(stage_scratch);
-        for &idx in stage_scratch.iter() {
+        schedule.injecting(worklist);
+        for &idx in worklist.iter() {
             let router = &mut routers[idx];
             let port = router.injection_port();
             for vc in 0..config.virtual_channels {
@@ -431,11 +372,10 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 ivc.buffer.extend(Flit::all_of(msg_id, msg.length));
                 ivc.route = None;
                 ivc.last_progress = now;
-                live_input_vcs[idx] += 1;
-                busy_set.insert(idx);
+                schedule.note_vc_occupied(idx);
             }
             if router.source_queue.is_empty() && router.reinjection_queue.is_empty() {
-                inject_set.remove(idx);
+                schedule.note_queues_empty(idx);
             }
         }
     }
@@ -443,7 +383,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     fn route_and_allocate(&mut self, now: u64) {
         #[cfg(feature = "sanitizer")]
         let mut sanitizer = self.sanitizer.take();
-        let Simulation {
+        let Engine {
             net,
             faults,
             algo,
@@ -451,13 +391,13 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             messages,
             config,
             rng,
-            busy_set,
-            stage_scratch,
+            schedule,
+            worklist,
             ..
         } = self;
         let v = config.virtual_channels;
-        busy_set.collect_into(stage_scratch);
-        for &idx in stage_scratch.iter() {
+        schedule.busy(worklist);
+        for &idx in worklist.iter() {
             let router = &mut routers[idx];
             let node = router.node;
             let num_ports = router.injection_port() + 1;
@@ -548,7 +488,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     fn switch_and_traverse(&mut self, now: u64) {
         #[cfg(feature = "sanitizer")]
         let mut sanitizer = self.sanitizer.take();
-        let Simulation {
+        let Engine {
             net,
             faults,
             algo,
@@ -560,18 +500,16 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             dropped,
             arrivals,
             credit_returns,
-            inject_set,
-            busy_set,
-            live_input_vcs,
-            stage_scratch,
+            schedule,
+            worklist,
             ..
         } = self;
         let v = config.virtual_channels;
         arrivals.clear();
         credit_returns.clear();
 
-        busy_set.collect_into(stage_scratch);
-        for &idx in stage_scratch.iter() {
+        schedule.busy(worklist);
+        for &idx in worklist.iter() {
             let router = &mut routers[idx];
             let node = router.node;
             let injection_port = router.injection_port();
@@ -612,11 +550,11 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                     if let Some(s) = sanitizer.as_deref_mut() {
                         s.on_release(flit.msg);
                     }
+                    let msg = &mut messages[flit.msg];
                     match route.target {
                         RouteTarget::Deliver => {
                             // Fold-on-retire: fold the metrics into the
-                            // collector, then reclaim the table slot.
-                            let mut msg = messages.remove(flit.msg);
+                            // collector, then let the table reclaim the entry.
                             msg.note_delivered(now);
                             collector.on_delivered(
                                 msg.generated_at,
@@ -626,32 +564,28 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                                 msg.header.hops,
                                 msg.measured,
                             );
+                            messages.retire(flit.msg);
                             *in_flight -= 1;
                         }
                         RouteTarget::Absorb => {
-                            collector.on_absorbed(messages[flit.msg].measured);
+                            collector.on_absorbed(msg.measured);
                             let blocked = algo
-                                .deterministic_output(net, &messages[flit.msg].header, node)
+                                .deterministic_output(net, &msg.header, node)
                                 .unwrap_or((0, Direction::Plus));
-                            let rerouted = algo.reroute_on_fault(
-                                net,
-                                faults,
-                                &mut messages[flit.msg].header,
-                                node,
-                                blocked,
-                            );
+                            let rerouted =
+                                algo.reroute_on_fault(net, faults, &mut msg.header, node, blocked);
                             if rerouted {
-                                messages[flit.msg].phase = MessagePhase::Queued;
+                                msg.phase = MessagePhase::Queued;
                                 router.reinjection_queue.push_back(ReinjectionEntry {
                                     msg: flit.msg,
                                     ready_at: now + config.reinjection_delay as u64,
                                 });
                                 collector
                                     .on_reinjection_queue_depth(router.reinjection_queue.len());
-                                inject_set.insert(idx);
+                                schedule.note_queued(idx);
                             } else {
-                                let mut msg = messages.remove(flit.msg);
                                 msg.note_dropped();
+                                messages.retire(flit.msg);
                                 *dropped += 1;
                                 *in_flight -= 1;
                             }
@@ -659,10 +593,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                         RouteTarget::Network { .. } => unreachable!("local sink"),
                     }
                     if router.inputs[port][vc].is_idle() {
-                        live_input_vcs[idx] -= 1;
-                        if live_input_vcs[idx] == 0 {
-                            busy_set.remove(idx);
-                        }
+                        schedule.note_vc_idle(idx);
                     }
                 }
             }
@@ -733,10 +664,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                     router.inputs[in_port][in_vc].route = None;
                     router.outputs[out_port][out_vc].draining = true;
                     if router.inputs[in_port][in_vc].is_idle() {
-                        live_input_vcs[idx] -= 1;
-                        if live_input_vcs[idx] == 0 {
-                            busy_set.remove(idx);
-                        }
+                        schedule.note_vc_idle(idx);
                     }
                 }
                 router.sa_pointer[out_port] = (flat + 1) % total_slots;
@@ -749,12 +677,11 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     }
 
     fn apply_arrivals(&mut self, now: u64) {
-        let Simulation {
+        let Engine {
             routers,
             arrivals,
             config,
-            busy_set,
-            live_input_vcs,
+            schedule,
             ..
         } = self;
         for (node_idx, in_port, vc, flit) in arrivals.drain(..) {
@@ -764,8 +691,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 "flit arrived at a full buffer (credit accounting violated)"
             );
             if ivc.is_idle() {
-                live_input_vcs[node_idx] += 1;
-                busy_set.insert(node_idx);
+                schedule.note_vc_occupied(node_idx);
             }
             if ivc.buffer.is_empty() {
                 ivc.last_progress = now;
@@ -775,7 +701,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     }
 
     fn apply_credit_returns(&mut self) {
-        let Simulation {
+        let Engine {
             routers,
             credit_returns,
             config,
@@ -796,27 +722,24 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     /// had hit a fault. Never triggers with the deadlock-free algorithms in
     /// this repository (asserted by the integration tests).
     ///
-    /// Scans wake exactly at the earliest pending stall deadline
-    /// (`last_progress + threshold`), so the configured threshold is honored
-    /// to the cycle; the legacy [`WATCHDOG_STRIDE`] caps the interval between
-    /// scans as a safety net. Deadlines created after a scan (every progress
-    /// event refreshes `last_progress`) are at least `now + threshold`, which
-    /// the next scheduled scan always precedes or meets, so no expiry can
-    /// slip between scans.
+    /// A scan absorbs every stalled head flit whose deadline
+    /// (`last_progress + threshold`) has expired and reports the earliest
+    /// cycle another one can expire at, so a scheduler may skip the cycles in
+    /// between: deadlines created after a scan (every progress event
+    /// refreshes `last_progress`) are at least `now + threshold`.
     fn stall_watchdog(&mut self, now: u64) {
         let threshold = self.config.stall_absorb_threshold;
         let v = self.config.virtual_channels;
-        let Simulation {
+        let Engine {
             routers,
             forced_absorptions,
-            busy_set,
-            stage_scratch,
-            watchdog_next,
+            schedule,
+            worklist,
             ..
         } = self;
-        let mut next = now + threshold.min(WATCHDOG_STRIDE);
-        busy_set.collect_into(stage_scratch);
-        for &idx in stage_scratch.iter() {
+        let mut next_expiry = now + threshold;
+        schedule.busy(worklist);
+        for &idx in worklist.iter() {
             let router = &mut routers[idx];
             let num_inputs = router.injection_port() + 1;
             for port in 0..num_inputs {
@@ -833,7 +756,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                     }
                     let deadline = ivc.last_progress + threshold;
                     if deadline > now {
-                        next = next.min(deadline);
+                        next_expiry = next_expiry.min(deadline);
                         continue;
                     }
                     ivc.route = Some(VcRoute {
@@ -845,7 +768,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 }
             }
         }
-        *watchdog_next = next;
+        schedule.note_watchdog_scan(now, next_expiry);
     }
 }
 
@@ -991,9 +914,10 @@ mod tests {
             out.report.generated_messages
         );
         assert_eq!(out.message_table_peak, sim.message_table_peak() as u64);
-        assert!(sim.message_table_capacity() <= sim.message_table_peak());
-        assert_eq!(sim.message_table_live() as u64, sim.in_flight());
-        assert_eq!(sim.live_messages().count(), sim.message_table_live());
+        let table = &sim.messages;
+        assert!(table.capacity() <= table.peak_live());
+        assert_eq!(table.live() as u64, sim.in_flight());
+        assert_eq!(table.iter_live().count(), table.live());
     }
 
     #[test]

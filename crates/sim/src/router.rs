@@ -117,7 +117,7 @@ pub struct RouterState {
     /// Which of the `2n` network ports physically exist. On a torus every
     /// port is present; at the edge of an open (mesh) dimension the outward
     /// port is absent — its VC state is allocated but never used (the VC
-    /// allocation stage of both engines debug-asserts that no routing
+    /// allocation stage debug-asserts that no routing
     /// candidate targets an absent port).
     pub port_present: Vec<bool>,
     /// Input ports: `2n` network ports followed by the injection port. Each

@@ -1,5 +1,5 @@
-//! The simulation sanitizer: an invariant-checking observer for both
-//! engines.
+//! The simulation sanitizer: an invariant-checking observer for the engine,
+//! under either scheduler.
 //!
 //! The sanitizer audits a running simulation on two levels:
 //!
@@ -20,7 +20,7 @@
 //!    `held → requested` dependency is an edge of the statically extracted
 //!    exact CDG for this (topology, routing, VC, fault) case. This is the
 //!    refinement check tying the static verifier (`swbft-verify`,
-//!    `extract_exact_cdg`) to the real engines: the static graph records
+//!    `extract_exact_cdg`) to the real engine: the static graph records
 //!    `held × requested` over *all* candidate VCs of every reachable header
 //!    state, so every dependency a correct engine can create is predicted,
 //!    and a divergence (reported with cycle, message, held and requested
@@ -34,7 +34,7 @@
 //! Violations are recorded, not panicked on, so tests can assert both
 //! directions: the equivalence suite asserts a clean run, the mutation tests
 //! assert a seeded bug is flagged. The module is always compiled (it has its
-//! own unit tests); the *hooks* in the engines are gated behind the
+//! own unit tests); the *hooks* in the engine are gated behind the
 //! `sanitizer` cargo feature so release benchmarks pay zero cost.
 
 use crate::flit::MessageId;
@@ -59,8 +59,8 @@ pub struct InvariantViolation {
     pub detail: String,
 }
 
-/// Read-only view over a message store, implemented by both engines' tables
-/// (the reclaiming [`MessageSlab`] and the reference engine's append-only
+/// Read-only view over a message store, implemented by both schedulers'
+/// tables (the reclaiming [`MessageSlab`] and the reference's append-only
 /// `Vec`). `lookup` must return `None` for stale or retired identifiers
 /// rather than panicking.
 pub trait MessageLookup {

@@ -17,12 +17,20 @@
 //! [`OutcomePin`], asserted against a constant captured while the two engines
 //! were still independently written copies that agreed. A pin may only change
 //! in a PR that *intends* to change simulated outcomes.
+//!
+//! One seeded-bug test closes the loop in the other direction: a scheduler
+//! that hands its worklists back in descending order must be told apart from
+//! [`FullScan`], proving the suite can catch a scheduling defect.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torus_faults::{FaultScenario, FaultSet};
 use torus_routing::{RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting};
-use torus_sim::{ReferenceSimulation, SimConfig, Simulation, StopCondition};
+use torus_sim::router::RouterState;
+use torus_sim::{
+    Engine, FullScan, MessageState, ReferenceSimulation, Schedule, SimConfig, Simulation,
+    StopCondition,
+};
 use torus_topology::{AnyTopology, Direction, TopologySpec};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -499,4 +507,48 @@ fn turn_model_rejected_identically_by_both_engines_on_wrapped_dimensions() {
             SimConfigError::UnsupportedRouting { .. }
         ));
     }
+}
+
+/// Seeded scheduling defect: [`FullScan`] with every worklist reversed, which
+/// breaks the one ordering rule a [`Schedule`] must keep.
+struct Descending(FullScan);
+
+impl Schedule for Descending {
+    type Messages = Vec<MessageState>;
+
+    fn new(routers: &[RouterState], num_endpoints: usize) -> Self {
+        Descending(FullScan::new(routers, num_endpoints))
+    }
+
+    fn due_sources(&mut self, now: u64, out: &mut Vec<usize>) {
+        self.0.due_sources(now, out);
+        out.reverse();
+    }
+
+    fn injecting(&self, out: &mut Vec<usize>) {
+        self.0.injecting(out);
+        out.reverse();
+    }
+
+    fn busy(&self, out: &mut Vec<usize>) {
+        self.0.busy(out);
+        out.reverse();
+    }
+
+    fn watchdog_due(&self, now: u64) -> bool {
+        self.0.watchdog_due(now)
+    }
+}
+
+#[test]
+fn descending_worklists_are_caught_by_the_oracle() {
+    let config = quick(4, 2, 4, 8, 0.02, 1);
+    let algo = SwBasedRouting::adaptive();
+    let mut buggy = Engine::<_, Descending>::new(config.clone(), FaultSet::new(), algo).unwrap();
+    let mut reference = ReferenceSimulation::new(config, FaultSet::new(), algo).unwrap();
+    #[cfg(feature = "sanitizer")]
+    buggy.attach_sanitizer(None);
+    let flagged = buggy.run().report != reference.run().report
+        || buggy.sanitizer().is_some_and(|s| !s.is_clean());
+    assert!(flagged, "a descending visit order went unnoticed");
 }

@@ -1,18 +1,26 @@
 //! The topology contract: the trait every backend implements, and the
 //! closed enum the rest of the stack dispatches through.
 //!
-//! [`Topology`] captures what routing, the fault model, both simulator
-//! engines and the verifier need from *any* interconnect: a dense node-id
+//! [`Topology`] captures what routing, the fault model, the simulator
+//! engine and the verifier need from *any* interconnect: a dense node-id
 //! space with endpoints first, per-node `(dim, dir)` port slots with a dense
 //! channel-id encoding, neighbour arithmetic, and hop distances. The direct
 //! [`Network`] grid and the indirect [`FatTree`] both implement it.
 //!
 //! [`AnyTopology`] mirrors `AnyRouting` in the routing crate: a
-//! zero-allocation closed enum that keeps the simulator engines
+//! zero-allocation closed enum that keeps the simulator engine
 //! monomorphised while configuration picks the backend at runtime. Backend
 //! specific consumers (e-cube offsets, dateline policies, fault regions)
 //! downcast through [`AnyTopology::grid`] / [`AnyTopology::fat_tree`], which
 //! construction-time `supported_on` checks guarantee to succeed.
+//!
+//! **Which one to take:** a function that needs only the contract (fault
+//! sets and schedules, random placement, healthy-graph queries, header
+//! set-up) is generic over `T: Topology + ?Sized`, so a backend-specific
+//! caller can hand it `&Network` or `&FatTree` directly; whatever stores a
+//! topology picked at runtime or may have to downcast to a backend (the
+//! engine, `RoutingAlgorithm` and everything that calls it — the verifier's
+//! walks included —, configuration) takes `&AnyTopology`.
 
 use crate::channel::{ChannelId, DirectedChannel, Direction};
 use crate::coords::NodeId;
