@@ -57,6 +57,7 @@
 //! channel-dependency graph.
 
 pub mod active;
+pub mod arbiter;
 pub mod config;
 pub mod flit;
 pub mod message;

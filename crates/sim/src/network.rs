@@ -36,6 +36,7 @@
 //! sequence and fixed-seed reports are **bit-identical** under both (enforced
 //! by the equivalence test suite).
 
+use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::Flit;
 use crate::message::{MessagePhase, MessageState};
@@ -99,6 +100,9 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
     /// that notifications sent *during* the stage (downstream arrivals,
     /// queues draining) take effect from the next stage onwards.
     worklist: Vec<usize>,
+    /// The switch allocator's per-output-port request sets, rebuilt for each
+    /// router it visits.
+    requests: SwitchRequests,
     /// Optional invariant-checking observer (attached by tests; the hooks
     /// that feed it are compiled only with the `sanitizer` feature).
     sanitizer: Option<Box<Sanitizer>>,
@@ -170,6 +174,7 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             credit_returns: Vec::new(),
             schedule,
             worklist,
+            requests: SwitchRequests::new(2 * n, (2 * n + 1) * v),
             sanitizer: None,
         })
     }
@@ -486,193 +491,191 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     }
 
     fn switch_and_traverse(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
-        let Engine {
-            net,
-            faults,
-            algo,
-            routers,
-            messages,
-            collector,
-            config,
-            in_flight,
-            dropped,
-            arrivals,
-            credit_returns,
-            schedule,
-            worklist,
-            ..
-        } = self;
-        let v = config.virtual_channels;
-        arrivals.clear();
-        credit_returns.clear();
-
-        schedule.busy(worklist);
-        for &idx in worklist.iter() {
-            let router = &mut routers[idx];
-            let node = router.node;
-            let injection_port = router.injection_port();
-            let num_inputs = injection_port + 1;
-
-            // ---- local sinks: delivery and absorption (unbounded bandwidth)
+        self.arrivals.clear();
+        self.credit_returns.clear();
+        let v = self.config.virtual_channels;
+        let mut worklist = std::mem::take(&mut self.worklist);
+        self.schedule.busy(&mut worklist);
+        for &idx in &worklist {
+            // One pass over the router's input VCs: local sinks drain
+            // (unbounded bandwidth), network-bound VCs that could move a flit
+            // post a request for their output port. An input VC is bound to
+            // one output port and a traversal touches only its own VC pair,
+            // so the requests are what a probe per port would have found.
+            self.requests.clear();
+            let num_inputs = self.routers[idx].injection_port() + 1;
             for port in 0..num_inputs {
                 for vc in 0..v {
-                    let Some(route) = router.inputs[port][vc].route else {
+                    let router = &self.routers[idx];
+                    let ivc = &router.inputs[port][vc];
+                    let Some(route) = ivc.route else {
                         continue;
                     };
-                    let local = matches!(route.target, RouteTarget::Deliver | RouteTarget::Absorb);
-                    if !local || route.ready_at > now {
+                    if route.ready_at > now || ivc.buffer.is_empty() {
                         continue;
                     }
-                    let Some(flit) = router.inputs[port][vc].buffer.pop_front() else {
-                        continue;
-                    };
-                    router.inputs[port][vc].last_progress = now;
-                    if port != injection_port {
-                        let (dim, dir) = RouterState::port_dim_dir(port);
-                        let upstream = net
-                            .neighbor(node, dim, dir.opposite())
-                            .expect("flits only arrive over existing channels");
-                        credit_returns.push((upstream.index(), port, vc));
-                    }
-                    let entry = router.local_assembly.entry(flit.msg).or_insert(0);
-                    *entry += 1;
-                    if !flit.kind.is_tail() {
-                        continue;
-                    }
-                    // Whole message has arrived locally.
-                    router.local_assembly.remove(&flit.msg);
-                    router.inputs[port][vc].route = None;
-                    // Delivery, absorption and drop all release every channel
-                    // the worm held, clearing its wait-for state.
-                    #[cfg(feature = "sanitizer")]
-                    if let Some(s) = sanitizer.as_deref_mut() {
-                        s.on_release(flit.msg);
-                    }
-                    let msg = &mut messages[flit.msg];
                     match route.target {
-                        RouteTarget::Deliver => {
-                            // Fold-on-retire: fold the metrics into the
-                            // collector, then let the table reclaim the entry.
-                            msg.note_delivered(now);
-                            collector.on_delivered(
-                                msg.generated_at,
-                                msg.first_injected_at.unwrap_or(msg.generated_at),
-                                now,
-                                msg.length,
-                                msg.header.hops,
-                                msg.measured,
-                            );
-                            messages.retire(flit.msg);
-                            *in_flight -= 1;
-                        }
-                        RouteTarget::Absorb => {
-                            collector.on_absorbed(msg.measured);
-                            let blocked = algo
-                                .deterministic_output(net, &msg.header, node)
-                                .unwrap_or((0, Direction::Plus));
-                            let rerouted =
-                                algo.reroute_on_fault(net, faults, &mut msg.header, node, blocked);
-                            if rerouted {
-                                msg.phase = MessagePhase::Queued;
-                                router.reinjection_queue.push_back(ReinjectionEntry {
-                                    msg: flit.msg,
-                                    ready_at: now + config.reinjection_delay as u64,
-                                });
-                                collector
-                                    .on_reinjection_queue_depth(router.reinjection_queue.len());
-                                schedule.note_queued(idx);
-                            } else {
-                                msg.note_dropped();
-                                messages.retire(flit.msg);
-                                *dropped += 1;
-                                *in_flight -= 1;
+                        RouteTarget::Network { out_port, out_vc } => {
+                            if router.outputs[out_port][out_vc].credits > 0 {
+                                self.requests.request(out_port, port * v + vc);
                             }
                         }
-                        RouteTarget::Network { .. } => unreachable!("local sink"),
-                    }
-                    if router.inputs[port][vc].is_idle() {
-                        schedule.note_vc_idle(idx);
+                        RouteTarget::Deliver | RouteTarget::Absorb => {
+                            self.sink_local_flit(now, idx, port, vc, route.target);
+                        }
                     }
                 }
             }
-
-            // ---- network output ports: one flit per physical channel per cycle
+            if !self.requests.any() {
+                continue;
+            }
+            // Network output ports: one flit per physical channel per cycle,
+            // round-robin from the port's pointer.
             let total_slots = num_inputs * v;
-            for out_port in 0..router.num_net_ports() {
-                let start = router.sa_pointer[out_port];
-                let mut winner: Option<usize> = None;
-                for offset in 0..total_slots {
-                    let flat = (start + offset) % total_slots;
-                    let (in_port, in_vc) = (flat / v, flat % v);
-                    let Some(route) = router.inputs[in_port][in_vc].route else {
-                        continue;
-                    };
-                    if route.ready_at > now {
-                        continue;
-                    }
-                    let RouteTarget::Network {
-                        out_port: op,
-                        out_vc,
-                    } = route.target
-                    else {
-                        continue;
-                    };
-                    if op != out_port || router.inputs[in_port][in_vc].buffer.is_empty() {
-                        continue;
-                    }
-                    if router.outputs[out_port][out_vc].credits == 0 {
-                        continue;
-                    }
-                    winner = Some(flat);
-                    break;
-                }
-                let Some(flat) = winner else {
+            for out_port in 0..self.routers[idx].num_net_ports() {
+                let start = self.routers[idx].sa_pointer[out_port];
+                let Some(slot) = self.requests.winner(out_port, start) else {
                     continue;
                 };
-                let (in_port, in_vc) = (flat / v, flat % v);
-                let route = router.inputs[in_port][in_vc]
-                    .route
-                    .expect("winner has a route");
-                let RouteTarget::Network { out_vc, .. } = route.target else {
-                    unreachable!()
-                };
-                let flit = router.inputs[in_port][in_vc]
-                    .buffer
-                    .pop_front()
-                    .expect("winner has a flit");
-                router.inputs[in_port][in_vc].last_progress = now;
-                router.outputs[out_port][out_vc].credits -= 1;
-                if in_port != injection_port {
-                    let (dim, dir) = RouterState::port_dim_dir(in_port);
-                    let upstream = net
-                        .neighbor(node, dim, dir.opposite())
-                        .expect("flits only arrive over existing channels");
-                    credit_returns.push((upstream.index(), in_port, in_vc));
-                }
-                let (dim, dir) = RouterState::port_dim_dir(out_port);
-                if flit.kind.is_head() {
-                    let header = &mut messages[flit.msg].header;
-                    algo.note_hop(net, header, node, dim, dir);
-                }
-                let dest = net
-                    .neighbor(node, dim, dir)
-                    .expect("routing only targets existing channels");
-                arrivals.push((dest.index(), out_port, out_vc, flit));
-                if flit.kind.is_tail() {
-                    router.inputs[in_port][in_vc].route = None;
-                    router.outputs[out_port][out_vc].draining = true;
-                    if router.inputs[in_port][in_vc].is_idle() {
-                        schedule.note_vc_idle(idx);
-                    }
-                }
-                router.sa_pointer[out_port] = (flat + 1) % total_slots;
+                self.traverse(now, idx, slot / v, slot % v);
+                self.routers[idx].sa_pointer[out_port] = (slot + 1) % total_slots;
             }
         }
+        self.worklist = worklist;
+    }
+
+    /// Drains one flit of input VC `(port, vc)` of router `idx` into the
+    /// local node; the tail flit completes the delivery or absorption.
+    fn sink_local_flit(
+        &mut self,
+        now: u64,
+        idx: usize,
+        port: usize,
+        vc: usize,
+        target: RouteTarget,
+    ) {
+        let router = &mut self.routers[idx];
+        let node = router.node;
+        let Some(flit) = router.inputs[port][vc].buffer.pop_front() else {
+            return;
+        };
+        router.inputs[port][vc].last_progress = now;
+        if port != router.injection_port() {
+            let (dim, dir) = RouterState::port_dim_dir(port);
+            let upstream = self
+                .net
+                .neighbor(node, dim, dir.opposite())
+                .expect("flits only arrive over existing channels");
+            self.credit_returns.push((upstream.index(), port, vc));
+        }
+        let entry = router.local_assembly.entry(flit.msg).or_insert(0);
+        *entry += 1;
+        if !flit.kind.is_tail() {
+            return;
+        }
+        // Whole message has arrived locally.
+        router.local_assembly.remove(&flit.msg);
+        router.inputs[port][vc].route = None;
+        // Delivery, absorption and drop all release every channel the worm
+        // held, clearing its wait-for state.
         #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
+        if let Some(s) = self.sanitizer.as_deref_mut() {
+            s.on_release(flit.msg);
+        }
+        let msg = &mut self.messages[flit.msg];
+        match target {
+            RouteTarget::Deliver => {
+                // Fold-on-retire: fold the metrics into the collector, then
+                // let the table reclaim the entry.
+                msg.note_delivered(now);
+                self.collector.on_delivered(
+                    msg.generated_at,
+                    msg.first_injected_at.unwrap_or(msg.generated_at),
+                    now,
+                    msg.length,
+                    msg.header.hops,
+                    msg.measured,
+                );
+                self.messages.retire(flit.msg);
+                self.in_flight -= 1;
+            }
+            RouteTarget::Absorb => {
+                self.collector.on_absorbed(msg.measured);
+                let blocked = self
+                    .algo
+                    .deterministic_output(&self.net, &msg.header, node)
+                    .unwrap_or((0, Direction::Plus));
+                let rerouted = self.algo.reroute_on_fault(
+                    &self.net,
+                    &self.faults,
+                    &mut msg.header,
+                    node,
+                    blocked,
+                );
+                if rerouted {
+                    msg.phase = MessagePhase::Queued;
+                    router.reinjection_queue.push_back(ReinjectionEntry {
+                        msg: flit.msg,
+                        ready_at: now + self.config.reinjection_delay as u64,
+                    });
+                    self.collector
+                        .on_reinjection_queue_depth(router.reinjection_queue.len());
+                    self.schedule.note_queued(idx);
+                } else {
+                    msg.note_dropped();
+                    self.messages.retire(flit.msg);
+                    self.dropped += 1;
+                    self.in_flight -= 1;
+                }
+            }
+            RouteTarget::Network { .. } => unreachable!("local sink"),
+        }
+        if router.inputs[port][vc].is_idle() {
+            self.schedule.note_vc_idle(idx);
+        }
+    }
+
+    /// Moves the front flit of input VC `(in_port, in_vc)` of router `idx`,
+    /// the switch-allocation winner of its output port, across the link.
+    fn traverse(&mut self, now: u64, idx: usize, in_port: usize, in_vc: usize) {
+        let router = &mut self.routers[idx];
+        let node = router.node;
+        let route = router.inputs[in_port][in_vc]
+            .route
+            .expect("winner has a route");
+        let RouteTarget::Network { out_port, out_vc } = route.target else {
+            unreachable!("only network-bound VCs post requests")
+        };
+        let flit = router.inputs[in_port][in_vc]
+            .buffer
+            .pop_front()
+            .expect("winner has a flit");
+        router.inputs[in_port][in_vc].last_progress = now;
+        router.outputs[out_port][out_vc].credits -= 1;
+        if in_port != router.injection_port() {
+            let (dim, dir) = RouterState::port_dim_dir(in_port);
+            let upstream = self
+                .net
+                .neighbor(node, dim, dir.opposite())
+                .expect("flits only arrive over existing channels");
+            self.credit_returns.push((upstream.index(), in_port, in_vc));
+        }
+        let (dim, dir) = RouterState::port_dim_dir(out_port);
+        if flit.kind.is_head() {
+            let header = &mut self.messages[flit.msg].header;
+            self.algo.note_hop(&self.net, header, node, dim, dir);
+        }
+        let dest = self
+            .net
+            .neighbor(node, dim, dir)
+            .expect("routing only targets existing channels");
+        self.arrivals.push((dest.index(), out_port, out_vc, flit));
+        if flit.kind.is_tail() {
+            router.inputs[in_port][in_vc].route = None;
+            router.outputs[out_port][out_vc].draining = true;
+            if router.inputs[in_port][in_vc].is_idle() {
+                self.schedule.note_vc_idle(idx);
+            }
         }
     }
 
