@@ -103,6 +103,10 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
     /// The switch allocator's per-output-port request sets, rebuilt for each
     /// router it visits.
     requests: SwitchRequests,
+    /// VC allocation's scratch: the shuffled candidate order of the head
+    /// being allocated and the free VCs of the candidate being tried.
+    candidate_order: Vec<usize>,
+    free_vcs: Vec<usize>,
     /// Optional invariant-checking observer (attached by tests; the hooks
     /// that feed it are compiled only with the `sanitizer` feature).
     sanitizer: Option<Box<Sanitizer>>,
@@ -175,6 +179,8 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             schedule,
             worklist,
             requests: SwitchRequests::new(2 * n, (2 * n + 1) * v),
+            candidate_order: Vec::new(),
+            free_vcs: Vec::with_capacity(v),
             sanitizer: None,
         })
     }
@@ -386,108 +392,127 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     }
 
     fn route_and_allocate(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
-        let Engine {
-            net,
-            faults,
-            algo,
-            routers,
-            messages,
-            config,
-            rng,
-            schedule,
-            worklist,
-            ..
-        } = self;
-        let v = config.virtual_channels;
-        schedule.busy(worklist);
-        for &idx in worklist.iter() {
-            let router = &mut routers[idx];
-            let node = router.node;
-            let num_ports = router.injection_port() + 1;
-            for port in 0..num_ports {
+        let v = self.config.virtual_channels;
+        let mut worklist = std::mem::take(&mut self.worklist);
+        self.schedule.busy(&mut worklist);
+        for &idx in &worklist {
+            let num_inputs = self.routers[idx].injection_port() + 1;
+            for port in 0..num_inputs {
                 for vc in 0..v {
-                    if router.inputs[port][vc].route.is_some() {
-                        continue;
-                    }
-                    let Some(front) = router.inputs[port][vc].buffer.front() else {
-                        continue;
-                    };
-                    if !front.kind.is_head() {
-                        continue;
-                    }
-                    let msg_id = front.msg;
-                    let header = &mut messages[msg_id].header;
-                    let decision = algo.route(net, faults, header, node, v);
-                    let ready_at = now + config.router_delay as u64;
-                    match decision {
-                        RouteDecision::Deliver => {
-                            router.inputs[port][vc].route = Some(VcRoute {
-                                msg: msg_id,
-                                target: RouteTarget::Deliver,
-                                ready_at,
-                            });
-                        }
-                        RouteDecision::Absorb => {
-                            router.inputs[port][vc].route = Some(VcRoute {
-                                msg: msg_id,
-                                target: RouteTarget::Absorb,
-                                ready_at,
-                            });
-                        }
-                        RouteDecision::Forward(mut candidates) => {
-                            // The paper's assumption (e): pick randomly among
-                            // the available VCs of the profitable physical
-                            // channels; escape channels are only considered
-                            // when no adaptive candidate has a free VC.
-                            candidates[..].shuffle(rng);
-                            candidates.sort_by_key(|c| c.is_escape);
-                            let mut chosen: Option<(usize, usize, bool)> = None;
-                            for cand in &candidates {
-                                let out_port = RouterState::out_port(cand.dim, cand.dir);
-                                debug_assert!(
-                                    router.port_present[out_port],
-                                    "routing candidate targets an absent mesh-edge port"
-                                );
-                                let free: Vec<usize> = cand
-                                    .vcs
-                                    .iter()
-                                    .copied()
-                                    .filter(|&ovc| {
-                                        router.outputs[out_port][ovc].available(config.buffer_depth)
-                                    })
-                                    .collect();
-                                if let Some(&ovc) = free.choose(rng) {
-                                    chosen = Some((out_port, ovc, cand.is_escape));
-                                    break;
-                                }
-                            }
-                            if let Some((out_port, out_vc, _is_escape)) = chosen {
-                                router.outputs[out_port][out_vc].owner = Some(msg_id);
-                                router.outputs[out_port][out_vc].draining = false;
-                                router.inputs[port][vc].route = Some(VcRoute {
-                                    msg: msg_id,
-                                    target: RouteTarget::Network { out_port, out_vc },
-                                    ready_at,
-                                });
-                                #[cfg(feature = "sanitizer")]
-                                if let Some(s) = sanitizer.as_deref_mut() {
-                                    let (dim, dir) = RouterState::port_dim_dir(out_port);
-                                    s.on_allocate(
-                                        now, net, msg_id, node, dim, dir, out_vc, _is_escape,
-                                    );
-                                }
-                            }
-                        }
+                    let ivc = &self.routers[idx].inputs[port][vc];
+                    if ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head()) {
+                        self.route_head(now, idx, port, vc);
                     }
                 }
             }
         }
-        #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
+        self.worklist = worklist;
+    }
+
+    /// Routing computation and VC allocation for the unrouted head flit at
+    /// the front of input VC `(port, vc)` of router `idx`.
+    fn route_head(&mut self, now: u64, idx: usize, port: usize, vc: usize) {
+        let v = self.config.virtual_channels;
+        let router = &mut self.routers[idx];
+        let node = router.node;
+        let msg_id = router.inputs[port][vc]
+            .buffer
+            .front()
+            .expect("caller saw a head flit")
+            .msg;
+        let ready_at = now + self.config.router_delay as u64;
+        // A head that failed VC allocation keeps its candidates: `route()` is
+        // a pure function of (header, node, fault set), the header of a
+        // blocked head does not change and the fault set is frozen for the
+        // run. Runtime fault schedules (ROADMAP item 2) are the event that
+        // must invalidate this cache.
+        let candidates = match router.inputs[port][vc].blocked.take() {
+            Some(cached) => {
+                #[cfg(debug_assertions)]
+                {
+                    let header = &mut self.messages[msg_id].header;
+                    let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
+                    assert!(
+                        matches!(&fresh, RouteDecision::Forward(c) if *c == cached),
+                        "route() is not pure: blocked head {msg_id:?} at {node:?} cached \
+                         {cached:?}, now routes {fresh:?}"
+                    );
+                }
+                cached
+            }
+            None => {
+                let header = &mut self.messages[msg_id].header;
+                let local = match self.algo.route(&self.net, &self.faults, header, node, v) {
+                    RouteDecision::Forward(candidates) => Err(candidates),
+                    RouteDecision::Deliver => Ok(RouteTarget::Deliver),
+                    RouteDecision::Absorb => Ok(RouteTarget::Absorb),
+                };
+                match local {
+                    Err(candidates) => candidates,
+                    Ok(target) => {
+                        router.inputs[port][vc].route = Some(VcRoute {
+                            msg: msg_id,
+                            target,
+                            ready_at,
+                        });
+                        return;
+                    }
+                }
+            }
+        };
+        // The paper's assumption (e): pick randomly among the available VCs
+        // of the profitable physical channels; escape channels are only
+        // considered when no adaptive candidate has a free VC. The RNG
+        // sequence is observable, so a reused decision is shuffled and drawn
+        // from exactly like a fresh one: Fisher–Yates over the original
+        // candidate order (as an index permutation), escapes stably sorted
+        // last, `available` — whose lazy release is a side effect — asked of
+        // the same VCs in the same order, one `choose` over the free ones.
+        let order = &mut self.candidate_order;
+        order.clear();
+        order.extend(0..candidates.len());
+        order.shuffle(&mut self.rng);
+        order.sort_by_key(|&c| candidates[c].is_escape);
+        let free = &mut self.free_vcs;
+        for &c in order.iter() {
+            let cand = &candidates[c];
+            let out_port = RouterState::out_port(cand.dim, cand.dir);
+            debug_assert!(
+                router.port_present[out_port],
+                "routing candidate targets an absent mesh-edge port"
+            );
+            free.clear();
+            free.extend(
+                cand.vcs.iter().copied().filter(|&ovc| {
+                    router.outputs[out_port][ovc].available(self.config.buffer_depth)
+                }),
+            );
+            let Some(&out_vc) = free.choose(&mut self.rng) else {
+                continue;
+            };
+            router.outputs[out_port][out_vc].owner = Some(msg_id);
+            router.outputs[out_port][out_vc].draining = false;
+            router.inputs[port][vc].route = Some(VcRoute {
+                msg: msg_id,
+                target: RouteTarget::Network { out_port, out_vc },
+                ready_at,
+            });
+            #[cfg(feature = "sanitizer")]
+            if let Some(s) = self.sanitizer.as_deref_mut() {
+                s.on_allocate(
+                    now,
+                    &self.net,
+                    msg_id,
+                    node,
+                    cand.dim,
+                    cand.dir,
+                    out_vc,
+                    cand.is_escape,
+                );
+            }
+            return;
         }
+        router.inputs[port][vc].blocked = Some(candidates);
     }
 
     fn switch_and_traverse(&mut self, now: u64) {
@@ -767,6 +792,7 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                         target: RouteTarget::Absorb,
                         ready_at: now,
                     });
+                    ivc.blocked = None;
                     *forced_absorptions += 1;
                 }
             }

@@ -14,6 +14,7 @@
 
 use crate::flit::{Flit, MessageId};
 use std::collections::{HashMap, VecDeque};
+use torus_routing::OutputCandidate;
 use torus_topology::{Direction, NodeId};
 
 /// Where an input virtual channel is currently forwarding its flits.
@@ -55,6 +56,11 @@ pub struct InputVc {
     pub route: Option<VcRoute>,
     /// Cycle of the last forward progress (used by the stall watchdog).
     pub last_progress: u64,
+    /// The `Forward` candidates of a front head flit that failed VC
+    /// allocation, kept so the head is not re-routed every cycle it stays
+    /// blocked. `None` once it wins, is absorbed by the watchdog, or the VC
+    /// holds no waiting head.
+    pub blocked: Option<Vec<OutputCandidate>>,
 }
 
 impl InputVc {
