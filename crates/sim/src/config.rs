@@ -169,6 +169,12 @@ impl SimConfig {
     /// required by a routing algorithm on this topology.
     pub fn validate(&self, min_vcs: usize) -> Result<(), SimConfigError> {
         self.topology.build().map_err(SimConfigError::Topology)?;
+        self.validate_parameters(min_vcs)
+    }
+
+    /// [`validate`](SimConfig::validate) for a caller that has already built
+    /// the topology (and so knows it is valid): everything but the build.
+    pub(crate) fn validate_parameters(&self, min_vcs: usize) -> Result<(), SimConfigError> {
         if self.buffer_depth == 0 {
             return Err(SimConfigError::ZeroBufferDepth);
         }

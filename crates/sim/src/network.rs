@@ -40,7 +40,7 @@ use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::Flit;
 use crate::message::{MessagePhase, MessageState};
-use crate::router::{InputVc, OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
+use crate::router::{OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
 use crate::sanitizer::Sanitizer;
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
@@ -93,8 +93,11 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
     dropped: u64,
     forced_absorptions: u64,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
-    arrivals: Vec<(usize, usize, usize, Flit)>,
-    credit_returns: Vec<(usize, usize, usize)>,
+    /// Flits that crossed a link this cycle: `(router, input slot, flit)`.
+    arrivals: Vec<(usize, usize, Flit)>,
+    /// Credits owed for the buffer slots freed this cycle:
+    /// `(upstream router, output slot)`.
+    credit_returns: Vec<(usize, usize)>,
     schedule: S,
     /// The current stage's worklist. Stages snapshot it before processing so
     /// that notifications sent *during* the stage (downstream arrivals,
@@ -123,26 +126,14 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                 routing: algo.name(),
                 error,
             })?;
-        config.validate(algo.min_virtual_channels(&net))?;
+        config.validate_parameters(algo.min_virtual_channels(&net))?;
         let n = net.dims();
         let v = config.virtual_channels;
         let routers: Vec<RouterState> = net
             .nodes()
             .map(|node| {
-                let port_present = (0..2 * n)
-                    .map(|port| {
-                        let (dim, dir) = RouterState::port_dim_dir(port);
-                        net.has_channel(node, dim, dir)
-                    })
-                    .collect();
-                RouterState::new(
-                    node,
-                    n,
-                    v,
-                    config.buffer_depth,
-                    faults.is_node_faulty(node),
-                    port_present,
-                )
+                let is_faulty = faults.is_node_faulty(node);
+                RouterState::new(&net, node, v, config.buffer_depth, is_faulty)
             })
             .collect();
         // Traffic originates at endpoints only: on grids that is every node,
@@ -281,27 +272,32 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         let now = self.cycle;
         self.generate_traffic(now);
         self.assign_injection_vcs(now);
-        self.route_and_allocate(now);
-        self.switch_and_traverse(now);
+        // One snapshot of the busy routers serves the rest of the cycle.
+        // Routing sends no scheduler notification, so the set is unchanged
+        // when switching starts; the watchdog, which runs after this cycle's
+        // arrivals, only misses routers whose every occupied VC received its
+        // first flit this cycle — `last_progress == now`, a deadline no
+        // earlier than the scan's own default.
+        let mut busy = std::mem::take(&mut self.worklist);
+        self.schedule.busy(&mut busy);
+        self.route_and_allocate(now, &busy);
+        self.switch_and_traverse(now, &busy);
         self.apply_arrivals(now);
         self.apply_credit_returns();
         if self.config.stall_absorb_threshold > 0 && self.schedule.watchdog_due(now) {
-            self.stall_watchdog(now);
+            self.stall_watchdog(now, &busy);
         }
+        self.worklist = busy;
         #[cfg(feature = "sanitizer")]
-        {
-            let mut sanitizer = self.sanitizer.take();
-            if let Some(s) = sanitizer.as_deref_mut() {
-                s.check_cycle(
-                    now,
-                    &self.net,
-                    &self.faults,
-                    &self.routers,
-                    &self.messages,
-                    self.in_flight,
-                );
-            }
-            self.sanitizer = sanitizer;
+        if let Some(s) = self.sanitizer.as_deref_mut() {
+            s.check_cycle(
+                now,
+                &self.net,
+                &self.faults,
+                &self.routers,
+                &self.messages,
+                self.in_flight,
+            );
         }
         self.cycle = now + 1;
     }
@@ -350,7 +346,6 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         let Engine {
             routers,
             messages,
-            config,
             schedule,
             worklist,
             ..
@@ -358,9 +353,8 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         schedule.injecting(worklist);
         for &idx in worklist.iter() {
             let router = &mut routers[idx];
-            let port = router.injection_port();
-            for vc in 0..config.virtual_channels {
-                if !router.inputs[port][vc].is_idle() {
+            for slot in router.injection_slots() {
+                if !router.inputs[slot].is_idle() {
                     continue;
                 }
                 // Re-injected (absorbed) messages have priority over new ones.
@@ -379,7 +373,7 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                 let msg = &mut messages[msg_id];
                 msg.header.reset_for_injection();
                 msg.note_injected(now);
-                let ivc = &mut router.inputs[port][vc];
+                let ivc = &mut router.inputs[slot];
                 ivc.buffer.extend(Flit::all_of(msg_id, msg.length));
                 ivc.route = None;
                 ivc.last_progress = now;
@@ -391,42 +385,32 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         }
     }
 
-    fn route_and_allocate(&mut self, now: u64) {
-        let v = self.config.virtual_channels;
-        let mut worklist = std::mem::take(&mut self.worklist);
-        self.schedule.busy(&mut worklist);
-        for &idx in &worklist {
-            let num_inputs = self.routers[idx].injection_port() + 1;
-            for port in 0..num_inputs {
-                for vc in 0..v {
-                    let ivc = &self.routers[idx].inputs[port][vc];
-                    if ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head()) {
-                        self.route_head(now, idx, port, vc);
-                    }
+    fn route_and_allocate(&mut self, now: u64, busy: &[usize]) {
+        for &idx in busy {
+            for slot in 0..self.routers[idx].inputs.len() {
+                let ivc = &self.routers[idx].inputs[slot];
+                if ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head()) {
+                    self.route_head(now, idx, slot);
                 }
             }
         }
-        self.worklist = worklist;
     }
 
     /// Routing computation and VC allocation for the unrouted head flit at
-    /// the front of input VC `(port, vc)` of router `idx`.
-    fn route_head(&mut self, now: u64, idx: usize, port: usize, vc: usize) {
+    /// the front of input slot `slot` of router `idx`.
+    fn route_head(&mut self, now: u64, idx: usize, slot: usize) {
         let v = self.config.virtual_channels;
         let router = &mut self.routers[idx];
         let node = router.node;
-        let msg_id = router.inputs[port][vc]
-            .buffer
-            .front()
-            .expect("caller saw a head flit")
-            .msg;
+        let ivc = &mut router.inputs[slot];
+        let msg_id = ivc.buffer.front().expect("caller saw a head flit").msg;
         let ready_at = now + self.config.router_delay as u64;
         // A head that failed VC allocation keeps its candidates: `route()` is
         // a pure function of (header, node, fault set), the header of a
         // blocked head does not change and the fault set is frozen for the
         // run. Runtime fault schedules (ROADMAP item 2) are the event that
         // must invalidate this cache.
-        let candidates = match router.inputs[port][vc].blocked.take() {
+        let candidates = match ivc.blocked.take() {
             Some(cached) => {
                 #[cfg(debug_assertions)]
                 {
@@ -450,7 +434,7 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                 match local {
                     Err(candidates) => candidates,
                     Ok(target) => {
-                        router.inputs[port][vc].route = Some(VcRoute {
+                        ivc.route = Some(VcRoute {
                             msg: msg_id,
                             target,
                             ready_at,
@@ -478,21 +462,23 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             let cand = &candidates[c];
             let out_port = RouterState::out_port(cand.dim, cand.dir);
             debug_assert!(
-                router.port_present[out_port],
+                router.neighbors[out_port].is_some(),
                 "routing candidate targets an absent mesh-edge port"
             );
+            let port_vcs = &mut router.outputs[out_port * v..][..v];
             free.clear();
             free.extend(
-                cand.vcs.iter().copied().filter(|&ovc| {
-                    router.outputs[out_port][ovc].available(self.config.buffer_depth)
-                }),
+                cand.vcs
+                    .iter()
+                    .copied()
+                    .filter(|&ovc| port_vcs[ovc].available(self.config.buffer_depth)),
             );
             let Some(&out_vc) = free.choose(&mut self.rng) else {
                 continue;
             };
-            router.outputs[out_port][out_vc].owner = Some(msg_id);
-            router.outputs[out_port][out_vc].draining = false;
-            router.inputs[port][vc].route = Some(VcRoute {
+            port_vcs[out_vc].owner = Some(msg_id);
+            port_vcs[out_vc].draining = false;
+            ivc.route = Some(VcRoute {
                 msg: msg_id,
                 target: RouteTarget::Network { out_port, out_vc },
                 ready_at,
@@ -512,42 +498,37 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             }
             return;
         }
-        router.inputs[port][vc].blocked = Some(candidates);
+        ivc.blocked = Some(candidates);
     }
 
-    fn switch_and_traverse(&mut self, now: u64) {
+    fn switch_and_traverse(&mut self, now: u64, busy: &[usize]) {
         self.arrivals.clear();
         self.credit_returns.clear();
         let v = self.config.virtual_channels;
-        let mut worklist = std::mem::take(&mut self.worklist);
-        self.schedule.busy(&mut worklist);
-        for &idx in &worklist {
+        for &idx in busy {
             // One pass over the router's input VCs: local sinks drain
             // (unbounded bandwidth), network-bound VCs that could move a flit
             // post a request for their output port. An input VC is bound to
             // one output port and a traversal touches only its own VC pair,
             // so the requests are what a probe per port would have found.
             self.requests.clear();
-            let num_inputs = self.routers[idx].injection_port() + 1;
-            for port in 0..num_inputs {
-                for vc in 0..v {
-                    let router = &self.routers[idx];
-                    let ivc = &router.inputs[port][vc];
-                    let Some(route) = ivc.route else {
-                        continue;
-                    };
-                    if route.ready_at > now || ivc.buffer.is_empty() {
-                        continue;
+            for slot in 0..self.routers[idx].inputs.len() {
+                let router = &self.routers[idx];
+                let ivc = &router.inputs[slot];
+                let Some(route) = ivc.route else {
+                    continue;
+                };
+                if route.ready_at > now || ivc.buffer.is_empty() {
+                    continue;
+                }
+                match route.target {
+                    RouteTarget::Network { out_port, out_vc } => {
+                        if router.outputs[out_port * v + out_vc].credits > 0 {
+                            self.requests.request(out_port, slot);
+                        }
                     }
-                    match route.target {
-                        RouteTarget::Network { out_port, out_vc } => {
-                            if router.outputs[out_port][out_vc].credits > 0 {
-                                self.requests.request(out_port, port * v + vc);
-                            }
-                        }
-                        RouteTarget::Deliver | RouteTarget::Absorb => {
-                            self.sink_local_flit(now, idx, port, vc, route.target);
-                        }
+                    RouteTarget::Deliver | RouteTarget::Absorb => {
+                        self.sink_local_flit(now, idx, slot, route.target);
                     }
                 }
             }
@@ -556,51 +537,41 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             }
             // Network output ports: one flit per physical channel per cycle,
             // round-robin from the port's pointer.
-            let total_slots = num_inputs * v;
             for out_port in 0..self.routers[idx].num_net_ports() {
                 let start = self.routers[idx].sa_pointer[out_port];
-                let Some(slot) = self.requests.winner(out_port, start) else {
-                    continue;
-                };
-                self.traverse(now, idx, slot / v, slot % v);
-                self.routers[idx].sa_pointer[out_port] = (slot + 1) % total_slots;
+                if let Some(slot) = self.requests.winner(out_port, start) {
+                    self.traverse(now, idx, slot);
+                }
             }
         }
-        self.worklist = worklist;
     }
 
-    /// Drains one flit of input VC `(port, vc)` of router `idx` into the
+    /// Drains the front flit of input slot `slot` of router `idx` into the
     /// local node; the tail flit completes the delivery or absorption.
-    fn sink_local_flit(
-        &mut self,
-        now: u64,
-        idx: usize,
-        port: usize,
-        vc: usize,
-        target: RouteTarget,
-    ) {
+    fn sink_local_flit(&mut self, now: u64, idx: usize, slot: usize, target: RouteTarget) {
         let router = &mut self.routers[idx];
         let node = router.node;
-        let Some(flit) = router.inputs[port][vc].buffer.pop_front() else {
-            return;
-        };
-        router.inputs[port][vc].last_progress = now;
-        if port != router.injection_port() {
-            let (dim, dir) = RouterState::port_dim_dir(port);
-            let upstream = self
-                .net
-                .neighbor(node, dim, dir.opposite())
+        let ivc = &mut router.inputs[slot];
+        let flit = ivc.buffer.pop_front().expect("caller saw a flit");
+        ivc.last_progress = now;
+        if slot < router.injection_slots().start {
+            let upstream = router
+                .upstream(slot / router.vcs())
                 .expect("flits only arrive over existing channels");
-            self.credit_returns.push((upstream.index(), port, vc));
+            self.credit_returns.push((upstream, slot));
         }
-        let entry = router.local_assembly.entry(flit.msg).or_insert(0);
-        *entry += 1;
+        let ivc = &mut router.inputs[slot];
         if !flit.kind.is_tail() {
+            ivc.sunk += 1;
             return;
         }
-        // Whole message has arrived locally.
-        router.local_assembly.remove(&flit.msg);
-        router.inputs[port][vc].route = None;
+        // A worm's flits are consecutive on one input VC, so the tail means
+        // the whole message has arrived locally.
+        ivc.sunk = 0;
+        ivc.route = None;
+        if ivc.is_idle() {
+            self.schedule.note_vc_idle(idx);
+        }
         // Delivery, absorption and drop all release every channel the worm
         // held, clearing its wait-for state.
         #[cfg(feature = "sanitizer")]
@@ -655,53 +626,46 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             }
             RouteTarget::Network { .. } => unreachable!("local sink"),
         }
-        if router.inputs[port][vc].is_idle() {
-            self.schedule.note_vc_idle(idx);
-        }
     }
 
-    /// Moves the front flit of input VC `(in_port, in_vc)` of router `idx`,
-    /// the switch-allocation winner of its output port, across the link.
-    fn traverse(&mut self, now: u64, idx: usize, in_port: usize, in_vc: usize) {
+    /// Moves the front flit of input slot `slot` of router `idx`, the
+    /// switch-allocation winner of its output port, across the link.
+    fn traverse(&mut self, now: u64, idx: usize, slot: usize) {
+        let v = self.config.virtual_channels;
         let router = &mut self.routers[idx];
         let node = router.node;
-        let route = router.inputs[in_port][in_vc]
-            .route
-            .expect("winner has a route");
+        let ivc = &mut router.inputs[slot];
+        let route = ivc.route.expect("winner has a route");
         let RouteTarget::Network { out_port, out_vc } = route.target else {
             unreachable!("only network-bound VCs post requests")
         };
-        let flit = router.inputs[in_port][in_vc]
-            .buffer
-            .pop_front()
-            .expect("winner has a flit");
-        router.inputs[in_port][in_vc].last_progress = now;
-        router.outputs[out_port][out_vc].credits -= 1;
-        if in_port != router.injection_port() {
-            let (dim, dir) = RouterState::port_dim_dir(in_port);
-            let upstream = self
-                .net
-                .neighbor(node, dim, dir.opposite())
-                .expect("flits only arrive over existing channels");
-            self.credit_returns.push((upstream.index(), in_port, in_vc));
-        }
-        let (dim, dir) = RouterState::port_dim_dir(out_port);
-        if flit.kind.is_head() {
-            let header = &mut self.messages[flit.msg].header;
-            self.algo.note_hop(&self.net, header, node, dim, dir);
-        }
-        let dest = self
-            .net
-            .neighbor(node, dim, dir)
-            .expect("routing only targets existing channels");
-        self.arrivals.push((dest.index(), out_port, out_vc, flit));
+        let out_slot = out_port * v + out_vc;
+        let flit = ivc.buffer.pop_front().expect("winner has a flit");
+        ivc.last_progress = now;
         if flit.kind.is_tail() {
-            router.inputs[in_port][in_vc].route = None;
-            router.outputs[out_port][out_vc].draining = true;
-            if router.inputs[in_port][in_vc].is_idle() {
+            ivc.route = None;
+            router.outputs[out_slot].draining = true;
+            if ivc.is_idle() {
                 self.schedule.note_vc_idle(idx);
             }
         }
+        router.outputs[out_slot].credits -= 1;
+        router.sa_pointer[out_port] = (slot + 1) % router.inputs.len();
+        if slot < router.injection_slots().start {
+            let upstream = router
+                .upstream(slot / v)
+                .expect("flits only arrive over existing channels");
+            self.credit_returns.push((upstream, slot));
+        }
+        if flit.kind.is_head() {
+            let (dim, dir) = RouterState::port_dim_dir(out_port);
+            let header = &mut self.messages[flit.msg].header;
+            self.algo.note_hop(&self.net, header, node, dim, dir);
+        }
+        let downstream = router
+            .downstream(out_port)
+            .expect("routing only targets existing channels");
+        self.arrivals.push((downstream, out_slot, flit));
     }
 
     fn apply_arrivals(&mut self, now: u64) {
@@ -712,8 +676,8 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             schedule,
             ..
         } = self;
-        for (node_idx, in_port, vc, flit) in arrivals.drain(..) {
-            let ivc = &mut routers[node_idx].inputs[in_port][vc];
+        for (node_idx, slot, flit) in arrivals.drain(..) {
+            let ivc = &mut routers[node_idx].inputs[slot];
             debug_assert!(
                 ivc.buffer.len() < config.buffer_depth,
                 "flit arrived at a full buffer (credit accounting violated)"
@@ -735,8 +699,8 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             config,
             ..
         } = self;
-        for (node_idx, out_port, vc) in credit_returns.drain(..) {
-            let ovc: &mut OutputVc = &mut routers[node_idx].outputs[out_port][vc];
+        for (node_idx, slot) in credit_returns.drain(..) {
+            let ovc: &mut OutputVc = &mut routers[node_idx].outputs[slot];
             ovc.credits += 1;
             debug_assert!(
                 ovc.credits <= config.buffer_depth,
@@ -755,49 +719,37 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     /// cycle another one can expire at, so a scheduler may skip the cycles in
     /// between: deadlines created after a scan (every progress event
     /// refreshes `last_progress`) are at least `now + threshold`.
-    fn stall_watchdog(&mut self, now: u64) {
+    fn stall_watchdog(&mut self, now: u64, busy: &[usize]) {
         let threshold = self.config.stall_absorb_threshold;
-        let v = self.config.virtual_channels;
-        let Engine {
-            routers,
-            forced_absorptions,
-            schedule,
-            worklist,
-            ..
-        } = self;
         let mut next_expiry = now + threshold;
-        schedule.busy(worklist);
-        for &idx in worklist.iter() {
-            let router = &mut routers[idx];
-            let num_inputs = router.injection_port() + 1;
-            for port in 0..num_inputs {
-                for vc in 0..v {
-                    let ivc: &mut InputVc = &mut router.inputs[port][vc];
-                    if ivc.route.is_some() || ivc.buffer.is_empty() {
-                        continue;
-                    }
-                    let Some(front) = ivc.buffer.front() else {
-                        continue;
-                    };
-                    if !front.kind.is_head() {
-                        continue;
-                    }
-                    let deadline = ivc.last_progress + threshold;
-                    if deadline > now {
-                        next_expiry = next_expiry.min(deadline);
-                        continue;
-                    }
-                    ivc.route = Some(VcRoute {
-                        msg: front.msg,
-                        target: RouteTarget::Absorb,
-                        ready_at: now,
-                    });
-                    ivc.blocked = None;
-                    *forced_absorptions += 1;
+        for &idx in busy {
+            for ivc in &mut self.routers[idx].inputs {
+                if ivc.route.is_some() {
+                    continue;
                 }
+                let Some(front) = ivc.buffer.front() else {
+                    continue;
+                };
+                if !front.kind.is_head() {
+                    continue;
+                }
+                let deadline = ivc.last_progress + threshold;
+                if deadline > now {
+                    next_expiry = next_expiry.min(deadline);
+                    continue;
+                }
+                ivc.route = Some(VcRoute {
+                    msg: front.msg,
+                    target: RouteTarget::Absorb,
+                    ready_at: now,
+                });
+                // The forced absorption overrides any routing decision the
+                // head was waiting on.
+                ivc.blocked = None;
+                self.forced_absorptions += 1;
             }
         }
-        schedule.note_watchdog_scan(now, next_expiry);
+        self.schedule.note_watchdog_scan(now, next_expiry);
     }
 }
 

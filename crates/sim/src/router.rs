@@ -1,5 +1,5 @@
-//! Per-node router state: input/output virtual channels, source and
-//! re-injection queues, local assembly buffers.
+//! Per-node router state: input/output virtual channels, the neighbour
+//! table, source and re-injection queues.
 //!
 //! Port numbering convention:
 //!
@@ -11,11 +11,31 @@
 //!   ([`RouterState::injection_port`]); ejection/absorption is not a port but
 //!   an unconstrained local sink (paper assumption (d): messages are
 //!   transferred to the PE as soon as they arrive).
+//!
+//! Slot numbering: a router's virtual channels live in two flat arrays,
+//! indexed `port * V + vc` ([`RouterState::slot`]). [`RouterState::inputs`]
+//! has `(2n + 1) * V` slots, the injection port's last;
+//! [`RouterState::outputs`] has `2n * V`. A flit leaving through output slot
+//! `s` arrives in input slot `s` of the downstream router, and the credit for
+//! a flit leaving input slot `s` goes back to output slot `s` of the upstream
+//! router — the slot index is the same at both ends of a link. The switch
+//! allocator's round-robin pointers and request sets count input slots the
+//! same way.
+//!
+//! Neighbour table: [`RouterState::neighbors`] holds, per network port, the
+//! index of the router over that port's channel — the **downstream** router
+//! of output port `p`, and (the topology's `neighbor` being involutive) the
+//! **upstream** router of input port `p ^ 1`
+//! ([`RouterState::downstream`], [`RouterState::upstream`]). It is read from
+//! the topology once, when the engine is built; a `None` entry is a port that
+//! does not physically exist (the outward ports at the edge of an open
+//! dimension, a leaf's missing children), whose VC state is allocated but
+//! never used.
 
 use crate::flit::{Flit, MessageId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use torus_routing::OutputCandidate;
-use torus_topology::{Direction, NodeId};
+use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// Where an input virtual channel is currently forwarding its flits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,6 +81,11 @@ pub struct InputVc {
     /// blocked. `None` once it wins, is absorbed by the watchdog, or the VC
     /// holds no waiting head.
     pub blocked: Option<Vec<OutputCandidate>>,
+    /// Flits of the worm being delivered or absorbed here that have already
+    /// drained into the local node. A worm's flits are consecutive on one
+    /// input VC, so the tail flit alone completes the message; the count is
+    /// kept for the sanitizer's flit-conservation audit.
+    pub sunk: u32,
 }
 
 impl InputVc {
@@ -120,71 +145,97 @@ pub struct RouterState {
     /// True when the node (PE + router) is faulty; a faulty router neither
     /// generates, forwards nor accepts flits.
     pub is_faulty: bool,
-    /// Which of the `2n` network ports physically exist. On a torus every
-    /// port is present; at the edge of an open (mesh) dimension the outward
-    /// port is absent — its VC state is allocated but never used (the VC
-    /// allocation stage debug-asserts that no routing
-    /// candidate targets an absent port).
-    pub port_present: Vec<bool>,
-    /// Input ports: `2n` network ports followed by the injection port. Each
-    /// has `V` virtual channels.
-    pub inputs: Vec<Vec<InputVc>>,
-    /// Output virtual channels of the `2n` network output ports.
-    pub outputs: Vec<Vec<OutputVc>>,
+    /// Virtual channels per port (`V`, the slot stride).
+    vcs: usize,
+    /// Per network port, the index of the router over that port's channel,
+    /// or `None` where the port does not physically exist (see the module
+    /// docs).
+    pub neighbors: Vec<Option<usize>>,
+    /// Input virtual channels, slot `port * V + vc`: the `2n` network ports
+    /// followed by the injection port.
+    pub inputs: Vec<InputVc>,
+    /// Output virtual channels of the `2n` network output ports, slot
+    /// `port * V + vc`.
+    pub outputs: Vec<OutputVc>,
     /// Locally generated messages waiting to enter the network.
     pub source_queue: VecDeque<MessageId>,
     /// Absorbed messages re-routed by the software layer, waiting to re-enter
     /// the network; always served before `source_queue`.
     pub reinjection_queue: VecDeque<ReinjectionEntry>,
-    /// Flits received locally per in-flight message (delivery / absorption
-    /// assembly buffers).
-    pub local_assembly: HashMap<MessageId, u32>,
-    /// Round-robin pointers of the switch allocator, one per output port.
+    /// Round-robin pointers of the switch allocator, one per output port,
+    /// each an input slot.
     pub sa_pointer: Vec<usize>,
 }
 
 impl RouterState {
-    /// Creates the router of `node` for an `n`-dimensional network with `v`
-    /// virtual channels per physical channel and the given flit-buffer depth.
-    /// `port_present[p]` records whether network port `p` physically exists
-    /// (pass `vec![true; 2 * n]` for a torus).
+    /// Creates the router of `node` in `net` with `v` virtual channels per
+    /// physical channel and the given flit-buffer depth, reading its
+    /// neighbour table from the topology.
     pub fn new(
+        net: &AnyTopology,
         node: NodeId,
-        n: usize,
         v: usize,
         buffer_depth: usize,
         is_faulty: bool,
-        port_present: Vec<bool>,
     ) -> Self {
-        let num_net_ports = 2 * n;
-        debug_assert_eq!(port_present.len(), num_net_ports);
-        let inputs = (0..=num_net_ports)
-            .map(|_| (0..v).map(|_| InputVc::default()).collect())
-            .collect();
-        let outputs = (0..num_net_ports)
-            .map(|_| (0..v).map(|_| OutputVc::new(buffer_depth)).collect())
+        let num_net_ports = 2 * net.dims();
+        let neighbors = (0..num_net_ports)
+            .map(|port| {
+                let (dim, dir) = Self::port_dim_dir(port);
+                net.neighbor(node, dim, dir).map(NodeId::index)
+            })
             .collect();
         RouterState {
             node,
             is_faulty,
-            port_present,
-            inputs,
-            outputs,
+            vcs: v,
+            neighbors,
+            inputs: vec![InputVc::default(); (num_net_ports + 1) * v],
+            outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
             source_queue: VecDeque::new(),
             reinjection_queue: VecDeque::new(),
-            local_assembly: HashMap::new(),
             sa_pointer: vec![0; num_net_ports],
         }
     }
 
     /// Number of network ports (`2n`).
     pub fn num_net_ports(&self) -> usize {
-        self.outputs.len()
+        self.neighbors.len()
     }
 
     /// Index of the injection input port.
     pub fn injection_port(&self) -> usize {
         self.num_net_ports()
+    }
+
+    /// Virtual channels per port (`V`).
+    pub fn vcs(&self) -> usize {
+        self.vcs
+    }
+
+    /// The flat slot of virtual channel `vc` of `port`.
+    #[inline]
+    pub fn slot(&self, port: usize, vc: usize) -> usize {
+        port * self.vcs + vc
+    }
+
+    /// The slots of the injection port's virtual channels.
+    pub fn injection_slots(&self) -> std::ops::Range<usize> {
+        self.injection_port() * self.vcs..self.inputs.len()
+    }
+
+    /// The router a flit leaving through network output port `port` arrives
+    /// at, or `None` where the port does not exist.
+    #[inline]
+    pub fn downstream(&self, port: usize) -> Option<usize> {
+        self.neighbors[port]
+    }
+
+    /// The router that feeds network input port `port` (and holds its
+    /// credits): the neighbour in the opposite direction.
+    #[inline]
+    pub fn upstream(&self, port: usize) -> Option<usize> {
+        self.neighbors[port ^ 1]
     }
 
     /// Output port index for a hop along `dim` in direction `dir`.
@@ -199,20 +250,17 @@ impl RouterState {
 
     /// Total flits currently buffered in this router (all input VCs).
     pub fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|port| port.iter())
-            .map(|vc| vc.buffer.len())
-            .sum()
+        self.inputs.iter().map(|vc| vc.buffer.len()).sum()
     }
 
-    /// True when the router holds no flits, no queued messages and no
-    /// in-flight local assembly.
+    /// True when the router holds no flits, no queued messages and no worm
+    /// part-way into the local node.
     pub fn is_quiescent(&self) -> bool {
-        self.buffered_flits() == 0
+        self.inputs
+            .iter()
+            .all(|vc| vc.buffer.is_empty() && vc.sunk == 0)
             && self.source_queue.is_empty()
             && self.reinjection_queue.is_empty()
-            && self.local_assembly.is_empty()
     }
 }
 
@@ -220,17 +268,56 @@ impl RouterState {
 mod tests {
     use super::*;
 
+    fn router(net: &AnyTopology, node: u32, v: usize, depth: usize) -> RouterState {
+        RouterState::new(net, NodeId(node), v, depth, false)
+    }
+
     #[test]
-    fn construction_and_port_layout() {
-        let r = RouterState::new(NodeId(3), 2, 4, 2, false, vec![true; 4]);
+    fn construction_and_slot_layout() {
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let r = router(&torus, 3, 4, 2);
         assert_eq!(r.num_net_ports(), 4);
         assert_eq!(r.injection_port(), 4);
-        assert_eq!(r.inputs.len(), 5);
-        assert_eq!(r.inputs[0].len(), 4);
-        assert_eq!(r.outputs.len(), 4);
+        assert_eq!(r.vcs(), 4);
+        assert_eq!(r.inputs.len(), 5 * 4);
+        assert_eq!(r.outputs.len(), 4 * 4);
+        assert_eq!(r.slot(0, 0), 0);
+        assert_eq!(r.slot(2, 3), 11);
+        assert_eq!(r.injection_slots(), 16..20);
         assert!(!r.is_faulty);
-        assert!(r.port_present.iter().all(|&p| p));
         assert!(r.is_quiescent());
+    }
+
+    #[test]
+    fn neighbour_table_matches_the_topology() {
+        for net in [
+            AnyTopology::torus(4, 2).unwrap(),
+            AnyTopology::mesh(4, 2).unwrap(),
+            AnyTopology::fat_tree_new(2, 3).unwrap(),
+        ] {
+            let routers: Vec<RouterState> = net
+                .nodes()
+                .map(|node| RouterState::new(&net, node, 1, 1, false))
+                .collect();
+            for r in &routers {
+                for port in 0..r.num_net_ports() {
+                    let (dim, dir) = RouterState::port_dim_dir(port);
+                    let over = net.neighbor(r.node, dim, dir).map(NodeId::index);
+                    let back = net.neighbor(r.node, dim, dir.opposite()).map(NodeId::index);
+                    assert_eq!(r.downstream(port), over);
+                    assert_eq!(r.upstream(port), back);
+                    assert_eq!(over.is_some(), net.has_channel(r.node, dim, dir));
+                    // The slot index is shared by both ends of a link.
+                    if let Some(down) = over {
+                        assert_eq!(routers[down].upstream(port), Some(r.node.index()));
+                    }
+                }
+            }
+        }
+        // A mesh corner lacks its two outward ports.
+        let mesh = AnyTopology::mesh(4, 2).unwrap();
+        let corner = router(&mesh, 0, 1, 1);
+        assert_eq!(corner.neighbors.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -239,6 +326,11 @@ mod tests {
             for dir in Direction::BOTH {
                 let p = RouterState::out_port(dim, dir);
                 assert_eq!(RouterState::port_dim_dir(p), (dim, dir));
+                assert_eq!(
+                    RouterState::port_dim_dir(p ^ 1),
+                    (dim, dir.opposite()),
+                    "flipping the low bit reverses the direction"
+                );
             }
         }
     }
@@ -277,14 +369,25 @@ mod tests {
 
     #[test]
     fn buffered_flit_count() {
-        let mut r = RouterState::new(NodeId(0), 2, 2, 4, false, vec![true; 4]);
-        r.inputs[0][1]
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let mut r = router(&torus, 0, 2, 4);
+        let (net_slot, injection_slot) = (r.slot(0, 1), r.slot(4, 0));
+        r.inputs[net_slot]
             .buffer
             .push_back(Flit::nth_of(MessageId(0), 0, 2));
-        r.inputs[4][0]
+        r.inputs[injection_slot]
             .buffer
             .push_back(Flit::nth_of(MessageId(1), 0, 1));
         assert_eq!(r.buffered_flits(), 2);
+        assert!(!r.is_quiescent());
+    }
+
+    #[test]
+    fn a_part_sunk_worm_is_not_quiescent() {
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let mut r = router(&torus, 0, 2, 4);
+        r.inputs[3].sunk = 5;
+        assert_eq!(r.buffered_flits(), 0);
         assert!(!r.is_quiescent());
     }
 }

@@ -6,7 +6,7 @@
 //! 1. **Conservation invariants**, checked at the end of every cycle over the
 //!    full router/message state: no flit is created or destroyed outside
 //!    injection and local absorption/delivery (every in-network message has
-//!    exactly `length` flits across all buffers and assembly counters), every
+//!    exactly `length` flits across all buffers and locally-sunk counters), every
 //!    credit counter is the exact complement of its downstream buffer
 //!    occupancy, faulty routers and faulty channels stay quiescent, every
 //!    message reference (buffers, routes, output owners, queues) resolves to
@@ -283,7 +283,7 @@ impl Sanitizer {
     }
 
     /// Every live in-network message has exactly `length` flits across all
-    /// input buffers and local assembly counters; queued messages have none;
+    /// input buffers and locally-sunk counters; queued messages have none;
     /// every buffered flit belongs to a live message; each input buffer holds
     /// flits of a single message with consecutive sequence numbers.
     fn check_flit_conservation(
@@ -294,30 +294,43 @@ impl Sanitizer {
     ) {
         let mut counts: HashMap<MessageId, u32> = HashMap::new();
         for router in routers {
-            for port in &router.inputs {
-                for ivc in port {
-                    let mut prev: Option<(MessageId, u32)> = None;
-                    for flit in &ivc.buffer {
-                        *counts.entry(flit.msg).or_insert(0) += 1;
-                        if let Some((pmsg, pseq)) = prev {
-                            if pmsg != flit.msg || flit.seq != pseq + 1 {
-                                self.record(
-                                    cycle,
-                                    "buffer-interleaving",
-                                    format!(
-                                        "router {:?} buffer interleaves {pmsg:?}#{pseq} \
-                                         with {:?}#{}",
-                                        router.node, flit.msg, flit.seq
-                                    ),
-                                );
-                            }
+            for ivc in &router.inputs {
+                let mut prev: Option<(MessageId, u32)> = None;
+                for flit in &ivc.buffer {
+                    *counts.entry(flit.msg).or_insert(0) += 1;
+                    if let Some((pmsg, pseq)) = prev {
+                        if pmsg != flit.msg || flit.seq != pseq + 1 {
+                            self.record(
+                                cycle,
+                                "buffer-interleaving",
+                                format!(
+                                    "router {:?} buffer interleaves {pmsg:?}#{pseq} \
+                                     with {:?}#{}",
+                                    router.node, flit.msg, flit.seq
+                                ),
+                            );
                         }
-                        prev = Some((flit.msg, flit.seq));
+                    }
+                    prev = Some((flit.msg, flit.seq));
+                }
+                // Flits already drained into the local node still belong to
+                // the worm being delivered or absorbed on this VC.
+                if ivc.sunk > 0 {
+                    match ivc.route {
+                        Some(route) if !matches!(route.target, RouteTarget::Network { .. }) => {
+                            *counts.entry(route.msg).or_insert(0) += ivc.sunk;
+                        }
+                        _ => self.record(
+                            cycle,
+                            "flit-conservation",
+                            format!(
+                                "router {:?} counts {} locally sunk flit(s) on a VC with \
+                                 no local route",
+                                router.node, ivc.sunk
+                            ),
+                        ),
                     }
                 }
-            }
-            for (&msg, &n) in &router.local_assembly {
-                *counts.entry(msg).or_insert(0) += n;
             }
         }
         for (&msg, &n) in &counts {
@@ -376,20 +389,18 @@ impl Sanitizer {
                 );
             }
             for out_port in 0..router.num_net_ports() {
-                if !router.port_present[out_port] {
-                    continue;
-                }
                 let (dim, dir) = RouterState::port_dim_dir(out_port);
-                let downstream = net
-                    .neighbor(node, dim, dir)
-                    .expect("present ports lead to existing neighbours");
+                // Asked of the topology, not of the router's own neighbour
+                // table, so the audit stays independent of it.
+                let Some(downstream) = net.neighbor(node, dim, dir) else {
+                    continue;
+                };
                 let faulty_channel =
                     faults.is_channel_faulty(net, DirectedChannel::new(node, dim, dir));
                 for vc in 0..self.v {
-                    let ovc = &router.outputs[out_port][vc];
-                    let down_buf = routers[downstream.index()].inputs[out_port][vc]
-                        .buffer
-                        .len();
+                    let slot = out_port * self.v + vc;
+                    let ovc = &router.outputs[slot];
+                    let down_buf = routers[downstream.index()].inputs[slot].buffer.len();
                     if ovc.credits > self.buffer_depth
                         || ovc.credits + down_buf != self.buffer_depth
                     {
@@ -440,61 +451,58 @@ impl Sanitizer {
         let live = |id: MessageId| messages.lookup(id).is_some_and(|m| !m.is_done());
         for router in routers {
             let node = router.node;
-            // Map of this router's claimed (out_port, out_vc) -> message.
-            let mut claimed: HashMap<(usize, usize), MessageId> = HashMap::new();
-            for port in &router.inputs {
-                for ivc in port {
-                    let Some(route) = ivc.route else { continue };
-                    if !live(route.msg) {
+            // Map of this router's claimed output slot -> message.
+            let mut claimed: HashMap<usize, MessageId> = HashMap::new();
+            for ivc in &router.inputs {
+                let Some(route) = ivc.route else { continue };
+                if !live(route.msg) {
+                    self.record(
+                        cycle,
+                        "stale-route",
+                        format!("router {node:?} route references retired {:?}", route.msg),
+                    );
+                }
+                if let Some(front) = ivc.buffer.front() {
+                    if front.msg != route.msg {
                         self.record(
                             cycle,
-                            "stale-route",
-                            format!("router {node:?} route references retired {:?}", route.msg),
+                            "route-mismatch",
+                            format!(
+                                "router {node:?} buffers {:?} on a VC routed for {:?}",
+                                front.msg, route.msg
+                            ),
                         );
-                    }
-                    if let Some(front) = ivc.buffer.front() {
-                        if front.msg != route.msg {
-                            self.record(
-                                cycle,
-                                "route-mismatch",
-                                format!(
-                                    "router {node:?} buffers {:?} on a VC routed for {:?}",
-                                    front.msg, route.msg
-                                ),
-                            );
-                        }
-                    }
-                    if let RouteTarget::Network { out_port, out_vc } = route.target {
-                        claimed.insert((out_port, out_vc), route.msg);
                     }
                 }
+                if let RouteTarget::Network { out_port, out_vc } = route.target {
+                    claimed.insert(out_port * self.v + out_vc, route.msg);
+                }
             }
-            for (out_port, port_vcs) in router.outputs.iter().enumerate() {
-                for (vc, ovc) in port_vcs.iter().enumerate() {
-                    let Some(owner) = ovc.owner else { continue };
-                    if ovc.draining {
-                        continue; // lazy release: the owner may be retired
-                    }
-                    if !live(owner) {
-                        self.record(
-                            cycle,
-                            "stale-owner",
-                            format!(
-                                "router {node:?} output p{out_port} vc{vc} owned by \
-                                 retired {owner:?}"
-                            ),
-                        );
-                    }
-                    if claimed.get(&(out_port, vc)) != Some(&owner) {
-                        self.record(
-                            cycle,
-                            "owner-without-route",
-                            format!(
-                                "router {node:?} output p{out_port} vc{vc} owned by \
-                                 {owner:?} without a matching input route"
-                            ),
-                        );
-                    }
+            for (slot, ovc) in router.outputs.iter().enumerate() {
+                let Some(owner) = ovc.owner else { continue };
+                if ovc.draining {
+                    continue; // lazy release: the owner may be retired
+                }
+                let (out_port, vc) = (slot / self.v, slot % self.v);
+                if !live(owner) {
+                    self.record(
+                        cycle,
+                        "stale-owner",
+                        format!(
+                            "router {node:?} output p{out_port} vc{vc} owned by \
+                             retired {owner:?}"
+                        ),
+                    );
+                }
+                if claimed.get(&slot) != Some(&owner) {
+                    self.record(
+                        cycle,
+                        "owner-without-route",
+                        format!(
+                            "router {node:?} output p{out_port} vc{vc} owned by \
+                             {owner:?} without a matching input route"
+                        ),
+                    );
                 }
             }
             for &id in &router.source_queue {
@@ -554,15 +562,7 @@ mod tests {
 
     fn routers_for(net: &AnyTopology, v: usize, depth: usize) -> Vec<RouterState> {
         net.nodes()
-            .map(|node| {
-                let port_present = (0..2 * net.dims())
-                    .map(|port| {
-                        let (dim, dir) = RouterState::port_dim_dir(port);
-                        net.has_channel(node, dim, dir)
-                    })
-                    .collect();
-                RouterState::new(node, net.dims(), v, depth, false, port_present)
-            })
+            .map(|node| RouterState::new(net, node, v, depth, false))
             .collect()
     }
 
@@ -601,12 +601,12 @@ mod tests {
         let net = mesh();
         let mut routers = routers_for(&net, 2, 4);
         // A flit referencing a message the table does not know.
-        routers[0].inputs[0][0]
+        routers[0].inputs[0]
             .buffer
             .push_back(Flit::nth_of(MessageId(9), 0, 1));
         // A credit counter that lost a credit with no downstream flit
         // (port 0 = dim 0 towards +x, the one port node 0 of a mesh has).
-        routers[0].outputs[0][0].credits = 3;
+        routers[0].outputs[0].credits = 3;
         let messages: Vec<MessageState> = Vec::new();
         let mut s = Sanitizer::new(2, 4, true, None);
         s.check_cycle(2, &net, &FaultSet::new(), &routers, &messages, 0);
@@ -622,13 +622,14 @@ mod tests {
         faults.fail_link(&net, NodeId(0), 0, Direction::Plus);
         let mut routers = routers_for(&net, 2, 4);
         let port = RouterState::out_port(0, Direction::Plus);
-        routers[0].outputs[port][1].owner = Some(MessageId(3));
+        let slot = routers[0].slot(port, 1);
+        routers[0].outputs[slot].owner = Some(MessageId(3));
         let mut m = message(&net, MessageId(3), 1);
         m.note_injected(0);
         // Give the owner a matching route so only the fault check fires
         // (plus the flit-conservation check for the missing flit, which we
         // tolerate here).
-        routers[0].inputs[0][0].route = Some(VcRoute {
+        routers[0].inputs[0].route = Some(VcRoute {
             msg: MessageId(3),
             target: RouteTarget::Network {
                 out_port: port,
