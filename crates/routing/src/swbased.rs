@@ -88,6 +88,19 @@ pub trait RoutingAlgorithm {
 
     /// Routing decision for a header flit of `header` currently at `current`,
     /// with `v` virtual channels per physical channel.
+    ///
+    /// **Purity contract.** The decision is a function of
+    /// `(header, current, faults, v)` alone, and `header` is left unchanged:
+    /// the `&mut` in the signature is historical, no implementation writes
+    /// through it (header bookkeeping belongs to [`note_hop`] and
+    /// [`reroute_on_fault`]). Two consecutive calls therefore return equal
+    /// decisions. The static verifier's walks assume this, and the simulator
+    /// relies on it to keep a blocked head's decision instead of re-routing
+    /// it every cycle (and re-checks it in debug builds); an implementation
+    /// with hidden state, or one that mutates the header here, breaks both.
+    ///
+    /// [`note_hop`]: RoutingAlgorithm::note_hop
+    /// [`reroute_on_fault`]: RoutingAlgorithm::reroute_on_fault
     fn route(
         &self,
         net: &AnyTopology,
@@ -169,8 +182,10 @@ impl SwBasedRouting {
         v: usize,
     ) -> RouteDecision {
         let Some((dim, dir)) = ecube_output(net, header, current) else {
-            // No remaining offset towards the current target; `route` already
-            // handled target advancement, so this is the final destination.
+            // No remaining offset: `current` is the header's target. `route`
+            // answers that case first (`arrival_decision`), so this arm is a
+            // total-function fallback, not a path it takes. Nothing on the
+            // `route` side advances targets — `reroute_on_fault` does.
             return RouteDecision::Deliver;
         };
         if !faults.output_usable(net, current, dim, dir) {

@@ -1,0 +1,186 @@
+//! The purity contract of [`RoutingAlgorithm::route`]: the decision depends
+//! on `(header, current, faults, v)` alone and the header is left unchanged,
+//! so two consecutive calls agree. The simulator keeps a blocked head's
+//! decision on the strength of this, and the static verifier's walks assume
+//! it.
+//!
+//! Each case drives one message from a sampled source to a sampled
+//! destination through a sampled fault set the way the engine would — `route`,
+//! then `note_hop` over a sampled candidate, or `reroute_on_fault` and
+//! re-injection after an absorb — and checks the contract at every header
+//! state it passes through, which is how faulted and escorted headers and
+//! intermediate `current` nodes get covered.
+
+use proptest::prelude::*;
+use torus_faults::FaultSet;
+use torus_routing::{
+    RouteDecision, RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting,
+};
+use torus_topology::{AnyTopology, Direction, NodeId};
+
+/// What one walk passed through.
+#[derive(Default)]
+struct Walk {
+    states: u32,
+    absorbs: u32,
+    escorted_states: u32,
+}
+
+/// Walks one message and asserts the purity contract at every state.
+fn assert_pure_along_walk<A: RoutingAlgorithm>(
+    algo: &A,
+    net: &AnyTopology,
+    faults: &FaultSet,
+    (src, dest): (NodeId, NodeId),
+    mut choice: u64,
+) -> Walk {
+    let v = algo.min_virtual_channels(net) + 1;
+    let mut walk = Walk::default();
+    let mut header = algo.make_header(net, src, dest);
+    let mut current = src;
+    // Far more steps than any route the software layer can produce.
+    for _ in 0..16 * net.num_nodes() {
+        let before = header.clone();
+        let first = algo.route(net, faults, &mut header, current, v);
+        let second = algo.route(net, faults, &mut header, current, v);
+        assert_eq!(
+            first,
+            second,
+            "{}: two route() calls disagree at {current:?} for {before:?}",
+            algo.name()
+        );
+        assert_eq!(
+            header,
+            before,
+            "{}: route() changed the header at {current:?}",
+            algo.name()
+        );
+        walk.states += 1;
+        walk.escorted_states += u32::from(header.escorted);
+        match first {
+            RouteDecision::Deliver => {
+                assert_eq!(current, dest, "delivered away from the destination");
+                return walk;
+            }
+            RouteDecision::Absorb => {
+                walk.absorbs += 1;
+                let blocked = algo
+                    .deterministic_output(net, &header, current)
+                    .unwrap_or((0, Direction::Plus));
+                if !algo.reroute_on_fault(net, faults, &mut header, current, blocked) {
+                    return walk; // unreachable destination: dropped
+                }
+                header.reset_for_injection();
+            }
+            RouteDecision::Forward(candidates) => {
+                let cand = &candidates[(choice % candidates.len() as u64) as usize];
+                choice = choice.rotate_left(7) ^ 0x9E37_79B9_7F4A_7C15;
+                assert!(!cand.vcs.is_empty() && cand.vcs.iter().all(|&vc| vc < v));
+                algo.note_hop(net, &mut header, current, cand.dim, cand.dir);
+                current = net
+                    .neighbor(current, cand.dim, cand.dir)
+                    .expect("candidates use existing channels");
+            }
+        }
+    }
+    panic!("{}: walk from {src:?} to {dest:?} did not end", algo.name());
+}
+
+/// How many node faults a case may draw: enough, on these small networks, to
+/// exhaust misroute budgets and force explicit (escorted) paths.
+const MAX_FAULTS: u64 = 6;
+
+/// Runs `cases` sampled walks of `algo` on `net`; returns what they covered.
+fn check<A: RoutingAlgorithm>(algo: &A, net: &AnyTopology, seed: u64, cases: u32) -> Walk {
+    algo.supported_on(net).expect("algorithm fits the topology");
+    let mut total = Walk::default();
+    // SplitMix64: the vendored proptest samples one seed per case; the rest
+    // is derived here so every algorithm sees the same endpoints and faults.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let (nodes, endpoints) = (net.num_nodes() as u64, net.num_endpoints() as u64);
+    for _ in 0..cases {
+        let src = NodeId((next() % endpoints) as u32);
+        let dest = NodeId((next() % endpoints) as u32);
+        if src == dest {
+            continue;
+        }
+        // Node faults away from the walk's endpoints, each kept only while
+        // the healthy part stays connected.
+        let mut faults = FaultSet::new();
+        for _ in 0..next() % (MAX_FAULTS + 1) {
+            let node = NodeId((next() % nodes) as u32);
+            let mut with = faults.clone();
+            with.fail_node(node);
+            if node != src && node != dest && with.preserves_connectivity(net) {
+                faults = with;
+            }
+        }
+        let walk = assert_pure_along_walk(algo, net, &faults, (src, dest), next());
+        total.states += walk.states;
+        total.absorbs += walk.absorbs;
+        total.escorted_states += walk.escorted_states;
+    }
+    total
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn sw_based_route_is_pure(seed in any::<u64>()) {
+        for net in [AnyTopology::torus(5, 2).unwrap(), AnyTopology::mesh(4, 3).unwrap()] {
+            for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+                let walked = check(&algo, &net, seed, 40);
+                prop_assert!(walked.states > 40);
+            }
+        }
+    }
+
+    #[test]
+    fn turn_model_route_is_pure_under_all_three_rules(seed in any::<u64>()) {
+        let net = AnyTopology::mesh(5, 2).unwrap();
+        for algo in [
+            TurnModelRouting::deterministic(),
+            TurnModelRouting::adaptive(),
+            TurnModelRouting::west_first_deterministic(),
+            TurnModelRouting::west_first_adaptive(),
+            TurnModelRouting::north_last_deterministic(),
+            TurnModelRouting::north_last_adaptive(),
+        ] {
+            let walked = check(&algo, &net, seed, 40);
+            prop_assert!(walked.states > 40);
+        }
+    }
+
+    #[test]
+    fn up_down_route_is_pure(seed in any::<u64>()) {
+        let net = AnyTopology::fat_tree_new(3, 3).unwrap();
+        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
+            let walked = check(&algo, &net, seed, 40);
+            prop_assert!(walked.states > 40);
+        }
+    }
+}
+
+/// The sampled walks are only worth something if they reach the states the
+/// cache will meet: absorbed-and-rerouted (faulted) and escorted headers.
+#[test]
+fn sampled_walks_cover_faulted_and_escorted_headers() {
+    let torus = AnyTopology::torus(5, 2).unwrap();
+    let mesh = AnyTopology::mesh(5, 2).unwrap();
+    let tree = AnyTopology::fat_tree_new(3, 3).unwrap();
+    let mut covered = [
+        check(&SwBasedRouting::deterministic(), &torus, 1, 300),
+        check(&TurnModelRouting::deterministic(), &mesh, 2, 300),
+        check(&UpDownRouting::deterministic(), &tree, 3, 300),
+    ]
+    .into_iter();
+    assert!(covered.all(|walk| walk.absorbs > 0 && walk.escorted_states > 0));
+}

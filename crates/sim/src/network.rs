@@ -934,6 +934,102 @@ mod tests {
         assert!(out.report.generated_messages > out.report.delivered_messages);
     }
 
+    #[cfg(feature = "sanitizer")]
+    #[test]
+    fn watchdog_absorption_drops_the_kept_decision() {
+        // Past saturation with a threshold of a few cycles the watchdog keeps
+        // absorbing heads that were blocked on VC allocation. Their kept
+        // candidates must go with them: the sanitizer flags a decision left
+        // on a bound VC, and in debug builds the next head to block there
+        // would fail the purity re-check against the stale list.
+        let mut config = quick_config(4, 2, 4, 8, 0.9);
+        config.stall_absorb_threshold = 5;
+        config.max_cycles = 2_000;
+        config.stop = StopCondition::MeasuredMessages(u64::MAX);
+        let mut sim = Simulation::new(config, FaultSet::new(), SwBasedRouting::adaptive()).unwrap();
+        sim.attach_sanitizer(None);
+        let out = sim.run();
+        assert!(out.forced_absorptions > 100, "{}", out.forced_absorptions);
+        let sanitizer = sim.sanitizer().unwrap();
+        assert!(sanitizer.is_clean(), "{:?}", sanitizer.violations().first());
+    }
+
+    /// A routing algorithm that breaks the purity contract: every other call
+    /// hands its candidates back in reverse order.
+    #[cfg(debug_assertions)]
+    struct Fickle(SwBasedRouting, std::cell::Cell<bool>);
+
+    #[cfg(debug_assertions)]
+    impl RoutingAlgorithm for Fickle {
+        fn flavor(&self) -> torus_routing::RoutingFlavor {
+            self.0.flavor()
+        }
+        fn min_virtual_channels(&self, net: &AnyTopology) -> usize {
+            self.0.min_virtual_channels(net)
+        }
+        fn make_header(
+            &self,
+            net: &AnyTopology,
+            src: torus_topology::NodeId,
+            dest: torus_topology::NodeId,
+        ) -> torus_routing::RouteHeader {
+            self.0.make_header(net, src, dest)
+        }
+        fn route(
+            &self,
+            net: &AnyTopology,
+            faults: &FaultSet,
+            header: &mut torus_routing::RouteHeader,
+            current: torus_topology::NodeId,
+            v: usize,
+        ) -> RouteDecision {
+            self.1.set(!self.1.get());
+            match self.0.route(net, faults, header, current, v) {
+                RouteDecision::Forward(mut candidates) if self.1.get() => {
+                    candidates.reverse();
+                    RouteDecision::Forward(candidates)
+                }
+                decision => decision,
+            }
+        }
+        fn note_hop(
+            &self,
+            net: &AnyTopology,
+            header: &mut torus_routing::RouteHeader,
+            from: torus_topology::NodeId,
+            dim: usize,
+            dir: Direction,
+        ) {
+            self.0.note_hop(net, header, from, dim, dir);
+        }
+        fn reroute_on_fault(
+            &self,
+            net: &AnyTopology,
+            faults: &FaultSet,
+            header: &mut torus_routing::RouteHeader,
+            at: torus_topology::NodeId,
+            blocked: (usize, Direction),
+        ) -> bool {
+            self.0.reroute_on_fault(net, faults, header, at, blocked)
+        }
+        fn name(&self) -> String {
+            "fickle".into()
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "route() is not pure")]
+    fn debug_builds_catch_an_impure_routing_function() {
+        let mut config = quick_config(4, 2, 4, 8, 0.9);
+        config.max_cycles = 2_000;
+        config.stop = StopCondition::MeasuredMessages(u64::MAX);
+        let algo = Fickle(SwBasedRouting::adaptive(), std::cell::Cell::new(false));
+        Simulation::new(config, FaultSet::new(), algo)
+            .unwrap()
+            .run();
+    }
+
     #[test]
     fn higher_load_increases_latency() {
         let low = {

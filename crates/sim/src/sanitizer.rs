@@ -441,7 +441,8 @@ impl Sanitizer {
     /// Every message reference held by router state resolves to a live
     /// message, with the lazily released `draining` owner as the one allowed
     /// exception; non-draining output owners are backed by a matching input
-    /// route of the same router.
+    /// route of the same router; a kept routing decision sits only on a VC
+    /// whose head still awaits VC allocation.
     fn check_references(
         &mut self,
         cycle: u64,
@@ -454,6 +455,21 @@ impl Sanitizer {
             // Map of this router's claimed output slot -> message.
             let mut claimed: HashMap<usize, MessageId> = HashMap::new();
             for ivc in &router.inputs {
+                // A kept routing decision belongs to a head still waiting for
+                // an output VC; once the VC is bound (or emptied) it is stale.
+                let awaits_allocation =
+                    ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head());
+                if ivc.blocked.is_some() && !awaits_allocation {
+                    self.record(
+                        cycle,
+                        "stale-decision",
+                        format!(
+                            "router {node:?} keeps a blocked head's routing decision on a \
+                             VC that is not awaiting VC allocation (route {:?})",
+                            ivc.route
+                        ),
+                    );
+                }
                 let Some(route) = ivc.route else { continue };
                 if !live(route.msg) {
                     self.record(
@@ -594,6 +610,46 @@ mod tests {
         s.check_cycle(1, &net, &FaultSet::new(), &routers, &messages, 1);
         assert!(!s.is_clean());
         assert!(s.violations().iter().any(|v| v.kind == "flit-conservation"));
+    }
+
+    #[test]
+    fn locally_sunk_flits_count_towards_conservation() {
+        // A 4-flit worm being delivered at node 5: the head has drained into
+        // the PE, the other three flits wait on input slot 0, fed by node 4.
+        let net = mesh();
+        let mut routers = routers_for(&net, 2, 4);
+        let mut m = message(&net, MessageId(0), 4);
+        m.note_injected(0);
+        let messages = vec![m];
+        let deliver = VcRoute {
+            msg: MessageId(0),
+            target: RouteTarget::Deliver,
+            ready_at: 0,
+        };
+        let ivc = &mut routers[5].inputs[0];
+        ivc.buffer
+            .extend((1..4).map(|seq| Flit::nth_of(MessageId(0), seq, 4)));
+        ivc.route = Some(deliver);
+        ivc.sunk = 1;
+        routers[4].outputs[0].credits = 1;
+        let audit = |routers: &[RouterState]| {
+            let mut s = Sanitizer::new(2, 4, true, None);
+            s.check_cycle(5, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        assert!(audit(&routers).is_clean());
+        // Losing the count loses a flit.
+        routers[5].inputs[0].sunk = 0;
+        let s = audit(&routers);
+        assert_eq!(s.violation_count(), 1);
+        assert_eq!(s.violations()[0].kind, "flit-conservation");
+        // A count with no local route to attribute it to is flagged as well.
+        routers[5].inputs[0].sunk = 1;
+        routers[5].inputs[0].route = None;
+        assert!(audit(&routers)
+            .violations()
+            .iter()
+            .any(|v| v.detail.contains("no local route")));
     }
 
     #[test]

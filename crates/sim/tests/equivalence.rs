@@ -341,6 +341,23 @@ fn mixed_radix_network_matches() {
 }
 
 #[test]
+fn routers_wider_than_one_and_two_machine_words_match() {
+    // The switch allocator's request sets are bit sets over a router's input
+    // slots: torus:4x3 with V=10 has 70 (two words), hc:7 with V=10 has 150
+    // (three). Loaded enough that output ports see competing requests, both
+    // flavours, both schedulers, sanitizer attached. The pin was captured on
+    // the engine that still probed every slot per output port.
+    let mut pin = OutcomePin::new();
+    for adaptive in [false, true] {
+        let config = quick_topology(TopologySpec::torus(4, 3), 10, 8, 0.04, 41);
+        pin.equivalent(config, FaultSet::new(), adaptive);
+        let config = quick_topology(TopologySpec::hypercube(7), 10, 8, 0.03, 42);
+        pin.equivalent(config, FaultSet::new(), adaptive);
+    }
+    pin.assert_is(0x9028a3aa37017c22);
+}
+
+#[test]
 fn turn_model_mesh_fault_free_across_seeds_and_loads() {
     // The negative-first turn model exercises a different deterministic
     // output and phase-restricted adaptive candidates; both engines must stay
