@@ -409,40 +409,33 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         // a pure function of (header, node, fault set), the header of a
         // blocked head does not change and the fault set is frozen for the
         // run. Runtime fault schedules (ROADMAP item 2) are the event that
-        // must invalidate this cache.
-        let candidates = match ivc.blocked.take() {
-            Some(cached) => {
+        // must invalidate this cache. Debug builds re-route and compare.
+        let candidates = 'decision: {
+            if let Some(kept) = ivc.blocked.take() {
                 #[cfg(debug_assertions)]
                 {
                     let header = &mut self.messages[msg_id].header;
                     let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
                     assert!(
-                        matches!(&fresh, RouteDecision::Forward(c) if *c == cached),
-                        "route() is not pure: blocked head {msg_id:?} at {node:?} cached \
-                         {cached:?}, now routes {fresh:?}"
+                        matches!(&fresh, RouteDecision::Forward(c) if *c == kept),
+                        "route() is not pure: blocked head {msg_id:?} at {node:?} kept \
+                         {kept:?}, now routes {fresh:?}"
                     );
                 }
-                cached
+                break 'decision kept;
             }
-            None => {
-                let header = &mut self.messages[msg_id].header;
-                let local = match self.algo.route(&self.net, &self.faults, header, node, v) {
-                    RouteDecision::Forward(candidates) => Err(candidates),
-                    RouteDecision::Deliver => Ok(RouteTarget::Deliver),
-                    RouteDecision::Absorb => Ok(RouteTarget::Absorb),
-                };
-                match local {
-                    Err(candidates) => candidates,
-                    Ok(target) => {
-                        ivc.route = Some(VcRoute {
-                            msg: msg_id,
-                            target,
-                            ready_at,
-                        });
-                        return;
-                    }
-                }
-            }
+            let header = &mut self.messages[msg_id].header;
+            let target = match self.algo.route(&self.net, &self.faults, header, node, v) {
+                RouteDecision::Forward(candidates) => break 'decision candidates,
+                RouteDecision::Deliver => RouteTarget::Deliver,
+                RouteDecision::Absorb => RouteTarget::Absorb,
+            };
+            ivc.route = Some(VcRoute {
+                msg: msg_id,
+                target,
+                ready_at,
+            });
+            return;
         };
         // The paper's assumption (e): pick randomly among the available VCs
         // of the profitable physical channels; escape channels are only
@@ -551,16 +544,12 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     fn sink_local_flit(&mut self, now: u64, idx: usize, slot: usize, target: RouteTarget) {
         let router = &mut self.routers[idx];
         let node = router.node;
-        let ivc = &mut router.inputs[slot];
-        let flit = ivc.buffer.pop_front().expect("caller saw a flit");
-        ivc.last_progress = now;
-        if slot < router.injection_slots().start {
-            let upstream = router
-                .upstream(slot / router.vcs())
-                .expect("flits only arrive over existing channels");
+        if let Some(upstream) = router.upstream_of_slot(slot) {
             self.credit_returns.push((upstream, slot));
         }
         let ivc = &mut router.inputs[slot];
+        let flit = ivc.buffer.pop_front().expect("caller saw a flit");
+        ivc.last_progress = now;
         if !flit.kind.is_tail() {
             ivc.sunk += 1;
             return;
@@ -631,15 +620,17 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     /// Moves the front flit of input slot `slot` of router `idx`, the
     /// switch-allocation winner of its output port, across the link.
     fn traverse(&mut self, now: u64, idx: usize, slot: usize) {
-        let v = self.config.virtual_channels;
         let router = &mut self.routers[idx];
         let node = router.node;
+        if let Some(upstream) = router.upstream_of_slot(slot) {
+            self.credit_returns.push((upstream, slot));
+        }
         let ivc = &mut router.inputs[slot];
         let route = ivc.route.expect("winner has a route");
         let RouteTarget::Network { out_port, out_vc } = route.target else {
             unreachable!("only network-bound VCs post requests")
         };
-        let out_slot = out_port * v + out_vc;
+        let out_slot = out_port * self.config.virtual_channels + out_vc;
         let flit = ivc.buffer.pop_front().expect("winner has a flit");
         ivc.last_progress = now;
         if flit.kind.is_tail() {
@@ -651,12 +642,6 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         }
         router.outputs[out_slot].credits -= 1;
         router.sa_pointer[out_port] = (slot + 1) % router.inputs.len();
-        if slot < router.injection_slots().start {
-            let upstream = router
-                .upstream(slot / v)
-                .expect("flits only arrive over existing channels");
-            self.credit_returns.push((upstream, slot));
-        }
         if flit.kind.is_head() {
             let (dim, dir) = RouterState::port_dim_dir(out_port);
             let header = &mut self.messages[flit.msg].header;

@@ -29,8 +29,7 @@
 //! ([`RouterState::downstream`], [`RouterState::upstream`]). It is read from
 //! the topology once, when the engine is built; a `None` entry is a port that
 //! does not physically exist (the outward ports at the edge of an open
-//! dimension, a leaf's missing children), whose VC state is allocated but
-//! never used.
+//! dimension), whose VC state is allocated but never used.
 
 use crate::flit::{Flit, MessageId};
 use std::collections::VecDeque;
@@ -236,6 +235,18 @@ impl RouterState {
     #[inline]
     pub fn upstream(&self, port: usize) -> Option<usize> {
         self.neighbors[port ^ 1]
+    }
+
+    /// The router owed a credit when a flit leaves input slot `slot`: the
+    /// slot's upstream router, or `None` for an injection slot, which no
+    /// link feeds.
+    #[inline]
+    pub fn upstream_of_slot(&self, slot: usize) -> Option<usize> {
+        let port = slot / self.vcs;
+        (port != self.injection_port()).then(|| {
+            self.upstream(port)
+                .expect("flits only arrive over existing channels")
+        })
     }
 
     /// Output port index for a hop along `dim` in direction `dir`.
