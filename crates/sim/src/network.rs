@@ -9,11 +9,17 @@
 //!    from the software re-injection queue (priority) or the source queue.
 //! 3. **Routing computation + virtual-channel allocation** — head flits at the
 //!    front of an input VC obtain a routing decision from the routing
-//!    algorithm and try to claim a permitted output VC.
+//!    algorithm and try to claim a permitted output VC. A head that finds no
+//!    free VC keeps its decision (routing is a pure function of header, node
+//!    and the frozen fault set) and only repeats the allocation — shuffle,
+//!    availability checks, random choice, the same RNG draws — each cycle
+//!    until it wins.
 //! 4. **Switch allocation + traversal** — each output physical channel moves
 //!    at most one flit per cycle (round-robin among requesting input VCs with
-//!    downstream credit); flits routed to the local node (delivery or
-//!    absorption) drain without bandwidth limit (paper assumption (d)).
+//!    downstream credit): one pass over a router's input VCs posts the
+//!    requests ([`crate::arbiter`]), each port then bit-scans for its winner.
+//!    Flits routed to the local node (delivery or absorption) drain in the
+//!    same pass without bandwidth limit (paper assumption (d)).
 //! 5. **Arrival application / credit return** — movements become visible to
 //!    the downstream routers at the start of the next cycle.
 //! 6. **Stall watchdog** — a safety valve that never fires with the
@@ -38,7 +44,7 @@
 
 use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
-use crate::flit::Flit;
+use crate::flit::{Flit, MessageId};
 use crate::message::{MessagePhase, MessageState};
 use crate::router::{OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
 use crate::sanitizer::Sanitizer;
@@ -388,22 +394,21 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     fn route_and_allocate(&mut self, now: u64, busy: &[usize]) {
         for &idx in busy {
             for slot in 0..self.routers[idx].inputs.len() {
-                let ivc = &self.routers[idx].inputs[slot];
-                if ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head()) {
-                    self.route_head(now, idx, slot);
+                if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
+                    self.route_head(now, idx, slot, msg_id);
                 }
             }
         }
     }
 
-    /// Routing computation and VC allocation for the unrouted head flit at
-    /// the front of input slot `slot` of router `idx`.
-    fn route_head(&mut self, now: u64, idx: usize, slot: usize) {
+    /// Routing computation and VC allocation for message `msg_id`, whose
+    /// unrouted head flit is at the front of input slot `slot` of router
+    /// `idx`.
+    fn route_head(&mut self, now: u64, idx: usize, slot: usize, msg_id: MessageId) {
         let v = self.config.virtual_channels;
         let router = &mut self.routers[idx];
         let node = router.node;
         let ivc = &mut router.inputs[slot];
-        let msg_id = ivc.buffer.front().expect("caller saw a head flit").msg;
         let ready_at = now + self.config.router_delay as u64;
         // A head that failed VC allocation keeps its candidates: `route()` is
         // a pure function of (header, node, fault set), the header of a
@@ -497,7 +502,6 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     fn switch_and_traverse(&mut self, now: u64, busy: &[usize]) {
         self.arrivals.clear();
         self.credit_returns.clear();
-        let v = self.config.virtual_channels;
         for &idx in busy {
             // One pass over the router's input VCs: local sinks drain
             // (unbounded bandwidth), network-bound VCs that could move a flit
@@ -516,7 +520,7 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                 }
                 match route.target {
                     RouteTarget::Network { out_port, out_vc } => {
-                        if router.outputs[out_port * v + out_vc].credits > 0 {
+                        if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
                             self.requests.request(out_port, slot);
                         }
                     }
@@ -625,12 +629,12 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         if let Some(upstream) = router.upstream_of_slot(slot) {
             self.credit_returns.push((upstream, slot));
         }
-        let ivc = &mut router.inputs[slot];
-        let route = ivc.route.expect("winner has a route");
+        let route = router.inputs[slot].route.expect("winner has a route");
         let RouteTarget::Network { out_port, out_vc } = route.target else {
             unreachable!("only network-bound VCs post requests")
         };
-        let out_slot = out_port * self.config.virtual_channels + out_vc;
+        let out_slot = router.slot(out_port, out_vc);
+        let ivc = &mut router.inputs[slot];
         let flit = ivc.buffer.pop_front().expect("winner has a flit");
         ivc.last_progress = now;
         if flit.kind.is_tail() {
@@ -709,22 +713,16 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
         let mut next_expiry = now + threshold;
         for &idx in busy {
             for ivc in &mut self.routers[idx].inputs {
-                if ivc.route.is_some() {
-                    continue;
-                }
-                let Some(front) = ivc.buffer.front() else {
+                let Some(msg) = ivc.waiting_head() else {
                     continue;
                 };
-                if !front.kind.is_head() {
-                    continue;
-                }
                 let deadline = ivc.last_progress + threshold;
                 if deadline > now {
                     next_expiry = next_expiry.min(deadline);
                     continue;
                 }
                 ivc.route = Some(VcRoute {
-                    msg: front.msg,
+                    msg,
                     target: RouteTarget::Absorb,
                     ready_at: now,
                 });

@@ -92,6 +92,16 @@ impl InputVc {
     pub fn is_idle(&self) -> bool {
         self.buffer.is_empty() && self.route.is_none()
     }
+
+    /// The message whose head flit sits at the front of this channel still
+    /// awaiting routing / VC allocation, if there is one.
+    #[inline]
+    pub fn waiting_head(&self) -> Option<MessageId> {
+        match (self.route, self.buffer.front()) {
+            (None, Some(front)) if front.kind.is_head() => Some(front.msg),
+            _ => None,
+        }
+    }
 }
 
 /// Ownership state of one output virtual channel (the credit counter tracks
@@ -367,8 +377,11 @@ mod tests {
     fn input_vc_idle_tracking() {
         let mut vc = InputVc::default();
         assert!(vc.is_idle());
-        vc.buffer.push_back(Flit::nth_of(MessageId(0), 0, 1));
+        vc.buffer.push_back(Flit::nth_of(MessageId(0), 0, 2));
         assert!(!vc.is_idle());
+        assert_eq!(vc.waiting_head(), Some(MessageId(0)));
+        vc.buffer[0] = Flit::nth_of(MessageId(0), 1, 2);
+        assert_eq!(vc.waiting_head(), None, "a tail flit is not a head");
         vc.buffer.clear();
         vc.route = Some(VcRoute {
             msg: MessageId(0),
@@ -376,6 +389,8 @@ mod tests {
             ready_at: 0,
         });
         assert!(!vc.is_idle());
+        vc.buffer.push_back(Flit::nth_of(MessageId(0), 0, 2));
+        assert_eq!(vc.waiting_head(), None, "a routed head no longer waits");
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl Sanitizer {
                 let faulty_channel =
                     faults.is_channel_faulty(net, DirectedChannel::new(node, dim, dir));
                 for vc in 0..self.v {
-                    let slot = out_port * self.v + vc;
+                    let slot = router.slot(out_port, vc);
                     let ovc = &router.outputs[slot];
                     let down_buf = routers[downstream.index()].inputs[slot].buffer.len();
                     if ovc.credits > self.buffer_depth
@@ -457,9 +457,7 @@ impl Sanitizer {
             for ivc in &router.inputs {
                 // A kept routing decision belongs to a head still waiting for
                 // an output VC; once the VC is bound (or emptied) it is stale.
-                let awaits_allocation =
-                    ivc.route.is_none() && ivc.buffer.front().is_some_and(|f| f.kind.is_head());
-                if ivc.blocked.is_some() && !awaits_allocation {
+                if ivc.blocked.is_some() && ivc.waiting_head().is_none() {
                     self.record(
                         cycle,
                         "stale-decision",
@@ -491,7 +489,7 @@ impl Sanitizer {
                     }
                 }
                 if let RouteTarget::Network { out_port, out_vc } = route.target {
-                    claimed.insert(out_port * self.v + out_vc, route.msg);
+                    claimed.insert(router.slot(out_port, out_vc), route.msg);
                 }
             }
             for (slot, ovc) in router.outputs.iter().enumerate() {
