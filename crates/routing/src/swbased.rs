@@ -99,6 +99,15 @@ pub trait RoutingAlgorithm {
     /// it every cycle (and re-checks it in debug builds); an implementation
     /// with hidden state, or one that mutates the header here, breaks both.
     ///
+    /// **Source independence.** Within the header, neither this method nor
+    /// [`deterministic_output`], [`note_hop`] and [`reroute_on_fault`] read
+    /// `source`, `hops` or `absorptions`: where a message came from and how
+    /// long it has travelled do not enter where it goes next. The static
+    /// verifier shares one state graph per destination between all sources on
+    /// the strength of this; `tests/route_purity.rs` checks it for every
+    /// shipped algorithm.
+    ///
+    /// [`deterministic_output`]: RoutingAlgorithm::deterministic_output
     /// [`note_hop`]: RoutingAlgorithm::note_hop
     /// [`reroute_on_fault`]: RoutingAlgorithm::reroute_on_fault
     fn route(

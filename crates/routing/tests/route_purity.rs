@@ -1,4 +1,4 @@
-//! The purity contract of [`RoutingAlgorithm::route`]: the decision depends
+//! The contracts of [`RoutingAlgorithm::route`]. Purity: the decision depends
 //! on `(header, current, faults, v)` alone and the header is left unchanged,
 //! so two consecutive calls agree. The simulator keeps a blocked head's
 //! decision on the strength of this, and the static verifier's walks assume
@@ -10,11 +10,17 @@
 //! re-injection after an absorb — and checks the contract at every header
 //! state it passes through, which is how faulted and escorted headers and
 //! intermediate `current` nodes get covered.
+//!
+//! The same walks check the second contract on that method, source
+//! independence: a twin header that differs only in `source` is carried
+//! through every step and must be routed, steered, advanced and rewritten
+//! exactly alike. The static verifier shares one state graph per destination
+//! between all sources on the strength of it.
 
 use proptest::prelude::*;
 use torus_faults::FaultSet;
 use torus_routing::{
-    RouteDecision, RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting,
+    RouteDecision, RouteHeader, RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting,
 };
 use torus_topology::{AnyTopology, Direction, NodeId};
 
@@ -25,6 +31,9 @@ struct Walk {
     absorbs: u32,
     escorted_states: u32,
 }
+
+/// How one sampled message is walked: the contract under test.
+type WalkCheck<A> = fn(&A, &AnyTopology, &FaultSet, (NodeId, NodeId), u64) -> Walk;
 
 /// Walks one message and asserts the purity contract at every state.
 fn assert_pure_along_walk<A: RoutingAlgorithm>(
@@ -86,12 +95,97 @@ fn assert_pure_along_walk<A: RoutingAlgorithm>(
     panic!("{}: walk from {src:?} to {dest:?} did not end", algo.name());
 }
 
+/// Walks one message together with a twin whose header differs only in
+/// `source` and asserts that nothing tells them apart: equal `route()`
+/// decisions, equal `deterministic_output`, equal `reroute_on_fault` results
+/// and — `source` aside — equal headers after every hop and every rewrite.
+fn assert_source_blind_along_walk<A: RoutingAlgorithm>(
+    algo: &A,
+    net: &AnyTopology,
+    faults: &FaultSet,
+    (src, dest): (NodeId, NodeId),
+    mut choice: u64,
+) -> Walk {
+    let v = algo.min_virtual_channels(net) + 1;
+    let mut walk = Walk::default();
+    let mut header = algo.make_header(net, src, dest);
+    // Any other endpoint will do as the twin's claimed origin.
+    let elsewhere = NodeId(
+        (src.0 + 1 + (choice % (net.num_endpoints() as u64 - 1)) as u32)
+            % net.num_endpoints() as u32,
+    );
+    let mut twin = header.clone();
+    twin.source = elsewhere;
+    let same_but_for_source = |header: &RouteHeader, twin: &RouteHeader| {
+        let mut relabelled = twin.clone();
+        relabelled.source = header.source;
+        *header == relabelled && twin.source == elsewhere
+    };
+    let mut current = src;
+    for _ in 0..16 * net.num_nodes() {
+        let at = format!("{}: at {current:?} for {header:?}", algo.name());
+        let decision = algo.route(net, faults, &mut header, current, v);
+        assert_eq!(
+            decision,
+            algo.route(net, faults, &mut twin, current, v),
+            "{at}: route() depends on the source"
+        );
+        let steered = algo.deterministic_output(net, &header, current);
+        assert_eq!(
+            steered,
+            algo.deterministic_output(net, &twin, current),
+            "{at}: deterministic_output() depends on the source"
+        );
+        walk.states += 1;
+        walk.escorted_states += u32::from(header.escorted);
+        match decision {
+            RouteDecision::Deliver => return walk,
+            RouteDecision::Absorb => {
+                walk.absorbs += 1;
+                let blocked = steered.unwrap_or((0, Direction::Plus));
+                let rerouted = algo.reroute_on_fault(net, faults, &mut header, current, blocked);
+                assert_eq!(
+                    rerouted,
+                    algo.reroute_on_fault(net, faults, &mut twin, current, blocked),
+                    "{at}: reroute_on_fault() depends on the source"
+                );
+                if !rerouted {
+                    return walk;
+                }
+                header.reset_for_injection();
+                twin.reset_for_injection();
+            }
+            RouteDecision::Forward(candidates) => {
+                let cand = &candidates[(choice % candidates.len() as u64) as usize];
+                choice = choice.rotate_left(7) ^ 0x9E37_79B9_7F4A_7C15;
+                algo.note_hop(net, &mut header, current, cand.dim, cand.dir);
+                algo.note_hop(net, &mut twin, current, cand.dim, cand.dir);
+                current = net
+                    .neighbor(current, cand.dim, cand.dir)
+                    .expect("candidates use existing channels");
+            }
+        }
+        assert!(
+            same_but_for_source(&header, &twin),
+            "{at}: the headers drifted apart: {header:?} vs {twin:?}"
+        );
+    }
+    panic!("{}: walk from {src:?} to {dest:?} did not end", algo.name());
+}
+
 /// How many node faults a case may draw: enough, on these small networks, to
 /// exhaust misroute budgets and force explicit (escorted) paths.
 const MAX_FAULTS: u64 = 6;
 
-/// Runs `cases` sampled walks of `algo` on `net`; returns what they covered.
-fn check<A: RoutingAlgorithm>(algo: &A, net: &AnyTopology, seed: u64, cases: u32) -> Walk {
+/// Runs `cases` sampled walks of `algo` on `net` under `contract`; returns
+/// what they covered.
+fn check<A: RoutingAlgorithm>(
+    algo: &A,
+    net: &AnyTopology,
+    seed: u64,
+    cases: u32,
+    contract: WalkCheck<A>,
+) -> Walk {
     algo.supported_on(net).expect("algorithm fits the topology");
     let mut total = Walk::default();
     // SplitMix64: the vendored proptest samples one seed per case; the rest
@@ -122,7 +216,7 @@ fn check<A: RoutingAlgorithm>(algo: &A, net: &AnyTopology, seed: u64, cases: u32
                 faults = with;
             }
         }
-        let walk = assert_pure_along_walk(algo, net, &faults, (src, dest), next());
+        let walk = contract(algo, net, &faults, (src, dest), next());
         total.states += walk.states;
         total.absorbs += walk.absorbs;
         total.escorted_states += walk.escorted_states;
@@ -137,7 +231,7 @@ proptest! {
     fn sw_based_route_is_pure(seed in any::<u64>()) {
         for net in [AnyTopology::torus(5, 2).unwrap(), AnyTopology::mesh(4, 3).unwrap()] {
             for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
-                let walked = check(&algo, &net, seed, 40);
+                let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
                 prop_assert!(walked.states > 40);
             }
         }
@@ -154,7 +248,7 @@ proptest! {
             TurnModelRouting::north_last_deterministic(),
             TurnModelRouting::north_last_adaptive(),
         ] {
-            let walked = check(&algo, &net, seed, 40);
+            let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
             prop_assert!(walked.states > 40);
         }
     }
@@ -163,24 +257,96 @@ proptest! {
     fn up_down_route_is_pure(seed in any::<u64>()) {
         let net = AnyTopology::fat_tree_new(3, 3).unwrap();
         for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
-            let walked = check(&algo, &net, seed, 40);
+            let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
+            prop_assert!(walked.states > 40);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn no_shipped_algorithm_reads_the_header_source(seed in any::<u64>()) {
+        for net in [AnyTopology::torus(5, 2).unwrap(), AnyTopology::mesh(4, 3).unwrap()] {
+            for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+                let walked = check(&algo, &net, seed, 40, assert_source_blind_along_walk);
+                prop_assert!(walked.states > 40);
+            }
+        }
+        let mesh = AnyTopology::mesh(5, 2).unwrap();
+        for algo in [
+            TurnModelRouting::deterministic(),
+            TurnModelRouting::adaptive(),
+            TurnModelRouting::west_first_deterministic(),
+            TurnModelRouting::west_first_adaptive(),
+            TurnModelRouting::north_last_deterministic(),
+            TurnModelRouting::north_last_adaptive(),
+        ] {
+            let walked = check(&algo, &mesh, seed, 40, assert_source_blind_along_walk);
+            prop_assert!(walked.states > 40);
+        }
+        let tree = AnyTopology::fat_tree_new(3, 3).unwrap();
+        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
+            let walked = check(&algo, &tree, seed, 40, assert_source_blind_along_walk);
             prop_assert!(walked.states > 40);
         }
     }
 }
 
 /// The sampled walks are only worth something if they reach the states the
-/// cache will meet: absorbed-and-rerouted (faulted) and escorted headers.
+/// cache and the verifier's shared graphs will meet: absorbed-and-rerouted
+/// (faulted) and escorted headers — under either contract.
 #[test]
 fn sampled_walks_cover_faulted_and_escorted_headers() {
     let torus = AnyTopology::torus(5, 2).unwrap();
     let mesh = AnyTopology::mesh(5, 2).unwrap();
     let tree = AnyTopology::fat_tree_new(3, 3).unwrap();
-    let mut covered = [
-        check(&SwBasedRouting::deterministic(), &torus, 1, 300),
-        check(&TurnModelRouting::deterministic(), &mesh, 2, 300),
-        check(&UpDownRouting::deterministic(), &tree, 3, 300),
-    ]
-    .into_iter();
-    assert!(covered.all(|walk| walk.absorbs > 0 && walk.escorted_states > 0));
+    let covered = [
+        check(
+            &SwBasedRouting::deterministic(),
+            &torus,
+            1,
+            300,
+            assert_pure_along_walk,
+        ),
+        check(
+            &TurnModelRouting::deterministic(),
+            &mesh,
+            2,
+            300,
+            assert_pure_along_walk,
+        ),
+        check(
+            &UpDownRouting::deterministic(),
+            &tree,
+            3,
+            300,
+            assert_pure_along_walk,
+        ),
+        check(
+            &SwBasedRouting::deterministic(),
+            &torus,
+            1,
+            300,
+            assert_source_blind_along_walk,
+        ),
+        check(
+            &TurnModelRouting::deterministic(),
+            &mesh,
+            2,
+            300,
+            assert_source_blind_along_walk,
+        ),
+        check(
+            &UpDownRouting::deterministic(),
+            &tree,
+            3,
+            300,
+            assert_source_blind_along_walk,
+        ),
+    ];
+    assert!(covered
+        .iter()
+        .all(|walk| walk.absorbs > 0 && walk.escorted_states > 0));
 }

@@ -30,17 +30,27 @@
 //! * a newly failed link has a visited endpoint.
 //!
 //! Pairs whose endpoints fail are removed from the universe (fault sets only
-//! grow, so the pair universe shrinks monotonically). The `paranoid` mode
-//! recomputes every epoch from scratch and diffs fates, CDG edge sets and
-//! acyclicity against the differential result; any divergence fails the
-//! case. The per-epoch reports record pairs re-walked vs reused, so the
-//! differential speedup is itself a reported metric.
+//! grow, so the pair universe shrinks monotonically). The per-epoch reports
+//! record pairs re-walked vs reused, so the differential speedup is itself a
+//! reported metric.
+//!
+//! The differential pass walks pair by pair with [`walk_pair`], one `route()`
+//! call per state it reports: its records are per pair (a fragment and a
+//! footprint each), and a later epoch re-walks single pairs, which a graph
+//! shared per destination has nothing to offer. The `paranoid` mode
+//! recomputes every epoch from scratch with the destination-major sweep of
+//! [`crate::sweep`] and diffs the pair universe, every pair's fate and state
+//! count, and every destination's CDG edge set against the differential
+//! result; any divergence fails the case. Since the two sides share no
+//! walker, each paranoid run also cross-checks the shared walker against the
+//! per-pair one.
 
-use crate::exact::{accumulate_cdg, resource_count, Granularity};
+use crate::exact::{dependency_edges, resource_count, Granularity};
 use crate::reach::{check_pair, PairVerdict};
 use crate::relation::{walk_pair, StateBudgetExceeded, Step};
+use crate::sweep::{sweep_destinations, DestinationOutcome};
 use crate::witness::{describe_cycle, describe_pair_verdict};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Instant;
 use torus_faults::{FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
@@ -92,7 +102,8 @@ struct PairRecord {
     /// Such walks depend on a global shortest-path query and must be
     /// re-walked on any fault change.
     global: bool,
-    /// Tracked-layer CDG edges contributed by this pair's walk.
+    /// Tracked-layer CDG edges contributed by this pair's walk (sorted,
+    /// deduplicated).
     edges: Vec<(usize, usize)>,
     /// Nodes visited by any state of the walk (sorted, deduplicated).
     visited: Vec<NodeId>,
@@ -100,18 +111,19 @@ struct PairRecord {
     states: usize,
 }
 
+/// The fate of a pair with the given verdict whose state graph does
+/// (`reinjects`) or does not contain a re-injection.
+fn fate_of(verdict: &PairVerdict, reinjects: bool) -> PairFate {
+    match verdict {
+        PairVerdict::Delivers if reinjects => PairFate::Rerouted,
+        PairVerdict::Delivers => PairFate::Routable,
+        PairVerdict::DeadEnd { .. } | PairVerdict::Livelock { .. } => PairFate::Disconnected,
+    }
+}
+
 impl PairRecord {
     fn fate(&self) -> PairFate {
-        match self.verdict {
-            PairVerdict::Delivers => {
-                if self.global {
-                    PairFate::Rerouted
-                } else {
-                    PairFate::Routable
-                }
-            }
-            PairVerdict::DeadEnd { .. } | PairVerdict::Livelock { .. } => PairFate::Disconnected,
-        }
+        fate_of(&self.verdict, self.global)
     }
 }
 
@@ -270,11 +282,8 @@ fn walk_record<A: RoutingAlgorithm>(
     dest: NodeId,
     state_budget: usize,
     granularity: Granularity,
-    resources: usize,
 ) -> Result<PairRecord, StateBudgetExceeded> {
     let walk = walk_pair(net, algo, faults, v, src, dest, state_budget)?;
-    let mut fragment = DependencyGraph::new(resources);
-    accumulate_cdg(net, &walk, v, granularity, &mut fragment);
     let mut visited: Vec<NodeId> = walk.iter().map(|(_, s)| s.node).collect();
     visited.sort_unstable();
     visited.dedup();
@@ -284,7 +293,7 @@ fn walk_record<A: RoutingAlgorithm>(
     Ok(PairRecord {
         verdict: check_pair(&walk),
         global,
-        edges: fragment.iter_edges().collect(),
+        edges: dependency_edges(net, walk.states(), [walk.start()], v, granularity),
         visited,
         states: walk.len(),
     })
@@ -328,7 +337,8 @@ fn component_labels(net: &AnyTopology, faults: &FaultSet) -> Vec<usize> {
     labels
 }
 
-/// Walks every healthy pair of `faults` from scratch into a record map.
+/// Walks every healthy pair of `faults`, one at a time, into the record map
+/// the differential pass starts from.
 fn walk_all_pairs<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
@@ -336,7 +346,6 @@ fn walk_all_pairs<A: RoutingAlgorithm>(
     v: usize,
     state_budget: usize,
     granularity: Granularity,
-    resources: usize,
 ) -> Result<BTreeMap<(NodeId, NodeId), PairRecord>, StateBudgetExceeded> {
     let mut records = BTreeMap::new();
     for src in net.endpoints() {
@@ -347,17 +356,7 @@ fn walk_all_pairs<A: RoutingAlgorithm>(
             if dest == src || faults.is_node_faulty(dest) {
                 continue;
             }
-            let rec = walk_record(
-                net,
-                algo,
-                faults,
-                v,
-                src,
-                dest,
-                state_budget,
-                granularity,
-                resources,
-            )?;
+            let rec = walk_record(net, algo, faults, v, src, dest, state_budget, granularity)?;
             records.insert((src, dest), rec);
         }
     }
@@ -474,12 +473,6 @@ fn fates_of(records: &BTreeMap<(NodeId, NodeId), PairRecord>) -> Vec<PairFateEnt
         .collect()
 }
 
-fn sorted_edges(rec: &PairRecord) -> Vec<(usize, usize)> {
-    let mut e = rec.edges.clone();
-    e.sort_unstable();
-    e
-}
-
 /// Verifies a fault schedule epoch by epoch: epoch 0 from scratch, later
 /// epochs differentially (see the module docs for the soundness argument).
 /// With `paranoid` every epoch is additionally recomputed from scratch and
@@ -506,15 +499,7 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
         let mut reused = 0usize;
         let mut states = 0usize;
         if ei == 0 {
-            records = walk_all_pairs(
-                net,
-                algo,
-                &epoch.faults,
-                v,
-                state_budget,
-                granularity,
-                resources,
-            )?;
+            records = walk_all_pairs(net, algo, &epoch.faults, v, state_budget, granularity)?;
             rewalked = records.len();
             states = records.values().map(|r| r.states).sum();
         } else {
@@ -542,7 +527,6 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
                         key.1,
                         state_budget,
                         granularity,
-                        resources,
                     )?;
                     states += rec.states;
                     records.insert(key, rec);
@@ -565,16 +549,16 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
             started,
         );
         if paranoid {
-            let scratch = walk_all_pairs(
+            diff_against_scratch(
                 net,
                 algo,
-                &epoch.faults,
+                epoch,
                 v,
                 state_budget,
                 granularity,
-                resources,
+                &records,
+                &mut divergences,
             )?;
-            diff_against_scratch(net, epoch, &records, &scratch, &mut divergences);
         }
         if report.failure.is_none() {
             if let Some(d) = divergences.first() {
@@ -593,52 +577,80 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
     })
 }
 
-/// Diffs the differential record map against a from-scratch recomputation
-/// of the same epoch: same pair universe, same fates, same CDG fragments.
-fn diff_against_scratch(
+/// Recomputes `epoch` from scratch with the destination-major sweep and
+/// diffs the differential record map against it: same pair universe, same
+/// fates and state counts, same CDG edges into every destination.
+#[allow(clippy::too_many_arguments)]
+fn diff_against_scratch<A: RoutingAlgorithm>(
     net: &AnyTopology,
+    algo: &A,
     epoch: &ScheduleEpoch,
+    v: usize,
+    state_budget: usize,
+    granularity: Granularity,
     differential: &BTreeMap<(NodeId, NodeId), PairRecord>,
-    scratch: &BTreeMap<(NodeId, NodeId), PairRecord>,
     divergences: &mut Vec<String>,
-) {
+) -> Result<(), StateBudgetExceeded> {
+    let cycle = epoch.cycle;
     let at =
         |key: &(NodeId, NodeId)| format!("{} -> {}", net.node_label(key.0), net.node_label(key.1));
-    for key in differential.keys() {
-        if !scratch.contains_key(key) {
+    let mut fresh: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    let diff_destination = |scratch: DestinationOutcome| {
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for pair in &scratch.pairs {
+            let key = (pair.src, scratch.dest);
+            fresh.insert(key);
+            let Some(diff) = differential.get(&key) else {
+                divergences.push(format!(
+                    "cycle {cycle}: differential lost pair {}",
+                    at(&key)
+                ));
+                continue;
+            };
+            edges.extend(&diff.edges);
+            let fate = fate_of(&pair.verdict, pair.reinjects);
+            if diff.fate() != fate {
+                divergences.push(format!(
+                    "cycle {cycle}: pair {} fate {} differentially but {} from scratch",
+                    at(&key),
+                    diff.fate().name(),
+                    fate.name()
+                ));
+            }
+            if diff.states != pair.states {
+                divergences.push(format!(
+                    "cycle {cycle}: pair {} has {} states differentially but {} from scratch",
+                    at(&key),
+                    diff.states,
+                    pair.states
+                ));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        if edges != scratch.edges {
             divergences.push(format!(
-                "cycle {}: differential kept pair {} that a scratch walk excludes",
-                epoch.cycle,
-                at(key)
+                "cycle {cycle}: CDG edges into {} differ ({} differentially, {} from scratch)",
+                net.node_label(scratch.dest),
+                edges.len(),
+                scratch.edges.len()
             ));
         }
+    };
+    sweep_destinations(
+        net,
+        algo,
+        &epoch.faults,
+        v,
+        granularity,
+        state_budget,
+        diff_destination,
+    )?;
+    for key in differential.keys().filter(|key| !fresh.contains(key)) {
+        divergences.push(format!(
+            "cycle {cycle}: differential kept pair {} that a scratch sweep excludes",
+            at(key)
+        ));
     }
-    for (key, fresh) in scratch {
-        let Some(diff) = differential.get(key) else {
-            divergences.push(format!(
-                "cycle {}: differential lost pair {}",
-                epoch.cycle,
-                at(key)
-            ));
-            continue;
-        };
-        if diff.fate() != fresh.fate() {
-            divergences.push(format!(
-                "cycle {}: pair {} fate {} differentially but {} from scratch",
-                epoch.cycle,
-                at(key),
-                diff.fate().name(),
-                fresh.fate().name()
-            ));
-        }
-        if sorted_edges(diff) != sorted_edges(fresh) {
-            divergences.push(format!(
-                "cycle {}: pair {} CDG fragment differs ({} edges differentially, {} from scratch)",
-                epoch.cycle,
-                at(key),
-                diff.edges.len(),
-                fresh.edges.len()
-            ));
-        }
-    }
+    Ok(())
 }

@@ -3,9 +3,9 @@
 //! Unlike the hand-derived graphs in `torus_routing::cdg` — which re-encode
 //! what the routing functions *should* do — this module extracts the
 //! dependency graph from the actual `(channel held, header state) → channel
-//! requested` transitions of a [`RoutingAlgorithm`], as enumerated by
-//! [`walk_pair`]. The analysed resources are the virtual channels of the
-//! deterministic / escape layer:
+//! requested` transitions of a [`RoutingAlgorithm`], as enumerated by the
+//! walkers of [`crate::relation`]. The analysed resources are the virtual
+//! channels of the deterministic / escape layer:
 //!
 //! * for a **deterministic-flavour** algorithm every candidate is tracked —
 //!   the whole VC pool belongs to the layer whose acyclicity proves deadlock
@@ -30,8 +30,9 @@
 //! reproduces the classic dateline cycle from the *real* routing relation —
 //! the negative control the `verify` binary demonstrates.
 
-use crate::relation::{walk_pair, RelationWalk, StateBudgetExceeded, Step};
-use std::collections::{HashSet, VecDeque};
+use crate::relation::{RelationWalk, StateBudgetExceeded, StateId, StateNode, Step};
+use crate::sweep::sweep_case;
+use std::collections::VecDeque;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
 use torus_routing::RoutingAlgorithm;
@@ -58,9 +59,11 @@ pub struct ExactCdg {
     pub virtual_channels: usize,
     /// Resource granularity of the graph's vertex space.
     pub granularity: Granularity,
-    /// Total states enumerated across all pairs.
+    /// States reachable from each pair's injection state, summed over the
+    /// pairs — what per-pair walks enumerate, however many of those states
+    /// the shared walker actually had to expand.
     pub states_explored: usize,
-    /// Number of (source, destination) pairs walked.
+    /// Number of (source, destination) pairs covered.
     pub pairs: usize,
 }
 
@@ -93,11 +96,92 @@ pub fn resource_id(
     }
 }
 
-/// Folds one pair's [`RelationWalk`] into `graph`: a worklist dataflow over
-/// the sets of tracked resources possibly held on arrival in each state.
-/// Monotone (sets only grow), so it terminates at the least fixpoint; edge
-/// emission is re-run whenever a state's set grows, and the graph
-/// deduplicates.
+/// The dependency dataflow over a state graph, seeded at `starts`: a worklist
+/// over the sets of tracked resources possibly held on arrival in each state,
+/// calling `emit(held, requested)` for every dependency it finds (repeats
+/// included). Monotone (sets only grow), so it terminates at the least
+/// fixpoint; emission is re-run whenever a state's set grows.
+///
+/// It is a may-analysis whose transfer functions distribute over union, so
+/// seeding several start states at once yields exactly the union of the
+/// dependencies found from each alone.
+fn fold_dependencies(
+    net: &AnyTopology,
+    states: &[StateNode],
+    starts: impl IntoIterator<Item = StateId>,
+    v: usize,
+    granularity: Granularity,
+    mut emit: impl FnMut(usize, usize),
+) {
+    let n = states.len();
+    // The sets are small (the VCs of the tracked hops that can precede a
+    // state), so an insertion-ordered vector with a linear membership test is
+    // both smaller and faster than a hash set — and makes the emission order
+    // a function of the state graph alone.
+    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut visited = vec![false; n];
+    let mut queued = vec![false; n];
+    let mut work: VecDeque<usize> = VecDeque::new();
+    for start in starts {
+        if !visited[start] {
+            visited[start] = true;
+            queued[start] = true;
+            work.push_back(start);
+        }
+    }
+
+    let mut requested: Vec<usize> = Vec::new();
+    while let Some(s) = work.pop_front() {
+        queued[s] = false;
+        let state = &states[s];
+        let held = incoming[s].clone();
+        for step in &state.steps {
+            let next = step.next();
+            let mut changed = !visited[next];
+            visited[next] = true;
+            // What the message may hold on arrival in `next`.
+            let propagated: &[usize] =
+                match step {
+                    Step::Hop {
+                        dim,
+                        dir,
+                        vcs,
+                        tracked: true,
+                        ..
+                    } => {
+                        requested.clear();
+                        requested.extend(vcs.iter().map(|&vc| {
+                            resource_id(net, state.node, *dim, *dir, vc, v, granularity)
+                        }));
+                        for &h in &held {
+                            for &r in &requested {
+                                emit(h, r);
+                            }
+                        }
+                        // After the hop the message holds one of `requested`.
+                        &requested
+                    }
+                    // Adaptive hop: the tracked resources stay held while the
+                    // head advances — Duato's indirect dependencies.
+                    Step::Hop { tracked: false, .. } => &held,
+                    // Absorption releases every held channel.
+                    Step::Reinject { .. } => &[],
+                };
+            for &r in propagated {
+                if !incoming[next].contains(&r) {
+                    incoming[next].push(r);
+                    changed = true;
+                }
+            }
+            if changed && !queued[next] {
+                queued[next] = true;
+                work.push_back(next);
+            }
+        }
+    }
+}
+
+/// Folds one pair's [`RelationWalk`] into `graph` (the graph deduplicates).
 pub fn accumulate_cdg(
     net: &AnyTopology,
     walk: &RelationWalk,
@@ -105,74 +189,44 @@ pub fn accumulate_cdg(
     granularity: Granularity,
     graph: &mut DependencyGraph,
 ) {
-    let n = walk.len();
-    let mut incoming: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-    let mut visited = vec![false; n];
-    let mut queued = vec![false; n];
-    let mut work: VecDeque<usize> = VecDeque::new();
-    visited[walk.start()] = true;
-    queued[walk.start()] = true;
-    work.push_back(walk.start());
-
-    while let Some(s) = work.pop_front() {
-        queued[s] = false;
-        let state = walk.state(s);
-        let held: Vec<usize> = incoming[s].iter().copied().collect();
-        for step in &state.steps {
-            match step {
-                Step::Hop {
-                    dim,
-                    dir,
-                    vcs,
-                    tracked,
-                    next,
-                } => {
-                    let (next, propagated): (usize, Vec<usize>) = if *tracked {
-                        let requested: Vec<usize> = vcs
-                            .iter()
-                            .map(|&vc| resource_id(net, state.node, *dim, *dir, vc, v, granularity))
-                            .collect();
-                        for &h in &held {
-                            for &r in &requested {
-                                graph.add_edge(h, r);
-                            }
-                        }
-                        // After the hop the message holds one of `requested`.
-                        (*next, requested)
-                    } else {
-                        // Adaptive hop: the tracked resources stay held while
-                        // the head advances — Duato's indirect dependencies.
-                        (*next, held.clone())
-                    };
-                    let mut changed = !visited[next];
-                    visited[next] = true;
-                    for r in propagated {
-                        changed |= incoming[next].insert(r);
-                    }
-                    if changed && !queued[next] {
-                        queued[next] = true;
-                        work.push_back(next);
-                    }
-                }
-                Step::Reinject { next } => {
-                    // Absorption releases every held channel.
-                    if !visited[*next] {
-                        visited[*next] = true;
-                        if !queued[*next] {
-                            queued[*next] = true;
-                            work.push_back(*next);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    fold_dependencies(
+        net,
+        walk.states(),
+        [walk.start()],
+        v,
+        granularity,
+        |held, requested| graph.add_edge(held, requested),
+    );
 }
 
-/// Extracts the exact dependency graph of `algo` on `net` under `faults`,
-/// walking every ordered pair of healthy endpoints (the only nodes that
-/// inject traffic — switches of an indirect topology are transit-only).
-/// `state_budget` bounds the states of any single pair's walk.
+/// The dependencies of every message injected at one of `starts`, as a
+/// sorted, deduplicated edge list without self-loops: what
+/// [`accumulate_cdg`] would add to an empty graph for each start in turn.
+/// Adding such lists to a graph in order fixes its adjacency order — and so
+/// the cycle [`DependencyGraph::find_cycle`] reports — whatever order the
+/// dataflow happened to visit states in.
+pub(crate) fn dependency_edges(
+    net: &AnyTopology,
+    states: &[StateNode],
+    starts: impl IntoIterator<Item = StateId>,
+    v: usize,
+    granularity: Granularity,
+) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    fold_dependencies(net, states, starts, v, granularity, |held, requested| {
+        if held != requested {
+            edges.push((held, requested));
+        }
+    });
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Extracts the exact dependency graph of `algo` on `net` under `faults`
+/// from every ordered pair of healthy endpoints (the only nodes that inject
+/// traffic — switches of an indirect topology are transit-only).
+/// `state_budget` bounds the states of any single pair.
 pub fn extract_exact_cdg<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
@@ -181,28 +235,5 @@ pub fn extract_exact_cdg<A: RoutingAlgorithm>(
     granularity: Granularity,
     state_budget: usize,
 ) -> Result<ExactCdg, StateBudgetExceeded> {
-    let mut graph = DependencyGraph::new(resource_count(net, v, granularity));
-    let mut states_explored = 0;
-    let mut pairs = 0;
-    for src in net.endpoints() {
-        if faults.is_node_faulty(src) {
-            continue;
-        }
-        for dest in net.endpoints() {
-            if dest == src || faults.is_node_faulty(dest) {
-                continue;
-            }
-            let walk = walk_pair(net, algo, faults, v, src, dest, state_budget)?;
-            states_explored += walk.len();
-            pairs += 1;
-            accumulate_cdg(net, &walk, v, granularity, &mut graph);
-        }
-    }
-    Ok(ExactCdg {
-        graph,
-        virtual_channels: v,
-        granularity,
-        states_explored,
-        pairs,
-    })
+    sweep_case(net, algo, faults, v, granularity, state_budget).map(|(cdg, _)| cdg)
 }

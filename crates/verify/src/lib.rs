@@ -5,19 +5,33 @@
 //!
 //! The crate is organised as a small pipeline:
 //!
-//! * [`relation`] — walks a [`torus_routing::RoutingAlgorithm`] exhaustively
-//!   for one (source, destination) pair, materialising the finite state
-//!   graph of every `(node, header) → candidate` transition, including the
-//!   software-layer absorb/reroute/re-inject loop under a fault set;
-//! * [`exact`] — folds walks into an exact per-VC channel dependency graph
-//!   (escape-layer resources only for adaptive algorithms, with Duato-style
-//!   indirect dependencies), whose acyclicity proves deadlock freedom;
+//! * [`relation`] — walks a [`torus_routing::RoutingAlgorithm`] exhaustively,
+//!   materialising the finite state graph of every `(node, header) →
+//!   candidate` transition, including the software-layer
+//!   absorb/reroute/re-inject loop under a fault set. Two walkers: `walk_pair`
+//!   for one (source, destination) pair from scratch, and `SharedRelation`,
+//!   which memoises the relation per destination (no routing function reads
+//!   the header's source) and serves each pair as a breadth-first *view* that
+//!   numbers states exactly as `walk_pair` does;
+//! * [`exact`] — folds state graphs into an exact per-VC channel dependency
+//!   graph (escape-layer resources only for adaptive algorithms, with
+//!   Duato-style indirect dependencies), whose acyclicity proves deadlock
+//!   freedom;
 //! * [`reach`] — proves deliver-under-every-schedule per pair, or produces a
 //!   dead-end / livelock witness path;
+//! * [`sweep`] — the from-scratch loop behind `verify_case`,
+//!   `extract_exact_cdg`, `check_reachability` and the paranoid epoch
+//!   recomputation: per destination one shared graph, one multi-source
+//!   dependency dataflow and one dead-end/cycle pass, with per-pair
+//!   traversals only where that pass finds something. Reported `states` stay
+//!   Σ over pairs of each pair's reachable states (its view), not the several
+//!   times fewer states the shared walker expands;
 //! * [`epochs`] — verifies dynamic fault schedules epoch by epoch,
 //!   differentially re-walking only pairs whose footprint a new fault
 //!   touches and classifying every pair's fate (routable / rerouted /
-//!   disconnected) per epoch;
+//!   disconnected) per epoch. This pass stays per pair (`walk_pair`, one
+//!   `route()` call per reported state): its records and re-walks are per
+//!   pair, and it doubles as the oracle the paranoid sweep is diffed against;
 //! * [`witness`] — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)
@@ -32,6 +46,7 @@ pub mod matrix;
 pub mod reach;
 pub mod relation;
 pub mod report;
+pub mod sweep;
 pub mod witness;
 
 pub use epochs::{verify_schedule, EpochReport, PairFate, ScheduleOutcome, ScheduleVerifyError};

@@ -21,14 +21,13 @@
 //!   end/livelock).
 
 use crate::epochs::{verify_schedule, EpochReport};
-use crate::exact::{accumulate_cdg, resource_count, ExactCdg, Granularity};
-use crate::reach::{record_pair, ReachReport};
-use crate::relation::walk_pair;
+use crate::exact::{ExactCdg, Granularity};
+use crate::reach::ReachReport;
+use crate::sweep::sweep_case;
 use crate::witness::{describe_cycle, describe_pair_verdict};
 use std::time::Instant;
 use swbft_core::{run_pool, Jobs, RoutingChoice};
 use torus_faults::{FaultEvent, FaultRegion, FaultSchedule, FaultSet, RegionShape};
-use torus_routing::cdg::DependencyGraph;
 use torus_routing::{AnyRouting, RoutingAlgorithm, TurnModelRouting};
 use torus_topology::{AnyTopology, Direction, FatTree, Network, NodeId, TopologySpec};
 
@@ -569,43 +568,16 @@ pub fn matrix_schedule_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String
     out
 }
 
-/// Runs both static checks for one fully specified case, sharing a single
-/// relation walk per pair between the CDG accumulation and the reachability
-/// verdicts.
+/// Runs both static checks for one fully specified case: the
+/// destination-major sweep of [`crate::sweep`] at per-VC granularity under
+/// the default [`STATE_BUDGET`].
 pub fn verify_case<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
     faults: &FaultSet,
     v: usize,
 ) -> Result<(ExactCdg, ReachReport), crate::relation::StateBudgetExceeded> {
-    let granularity = Granularity::PerVc;
-    let mut graph = DependencyGraph::new(resource_count(net, v, granularity));
-    let mut reach = ReachReport::default();
-    let mut states_explored = 0;
-    let mut pairs = 0;
-    for src in net.endpoints() {
-        if faults.is_node_faulty(src) {
-            continue;
-        }
-        for dest in net.endpoints() {
-            if dest == src || faults.is_node_faulty(dest) {
-                continue;
-            }
-            let walk = walk_pair(net, algo, faults, v, src, dest, STATE_BUDGET)?;
-            states_explored += walk.len();
-            pairs += 1;
-            accumulate_cdg(net, &walk, v, granularity, &mut graph);
-            record_pair(&mut reach, &walk, src, dest);
-        }
-    }
-    let cdg = ExactCdg {
-        graph,
-        virtual_channels: v,
-        granularity,
-        states_explored,
-        pairs,
-    };
-    Ok((cdg, reach))
+    sweep_case(net, algo, faults, v, Granularity::PerVc, STATE_BUDGET)
 }
 
 fn case_from_checks(

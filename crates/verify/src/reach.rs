@@ -1,7 +1,8 @@
 //! Static reachability and progress checking over the routing relation.
 //!
 //! For every (source, destination) pair the checker inspects the pair's
-//! complete state graph ([`RelationWalk`]) and proves one of:
+//! complete state graph ([`RelationWalk`]: a per-pair walk, or a pair's view
+//! of its destination's shared graph) and proves one of:
 //!
 //! * **Delivers** — every maximal path through the relation ends in delivery
 //!   at the final destination, regardless of which permitted candidate the
@@ -20,7 +21,9 @@
 //! acyclic state graph whose sinks are all deliveries *proves* progress for
 //! the pair.
 
-use crate::relation::{walk_pair, RelationWalk, StateBudgetExceeded, Step, Terminal};
+use crate::exact::Granularity;
+use crate::relation::{RelationWalk, StateBudgetExceeded, StateId, StateNode, Step, Terminal};
+use crate::sweep::sweep_case;
 use torus_faults::FaultSet;
 use torus_routing::RoutingAlgorithm;
 use torus_topology::{AnyTopology, NodeId};
@@ -66,19 +69,63 @@ pub struct ReachReport {
     pub dead_ends: usize,
     /// Pairs with a reachable livelock cycle.
     pub livelocks: usize,
-    /// Total states enumerated.
+    /// States reachable from each pair's injection state, summed over the
+    /// pairs (see [`crate::exact::ExactCdg::states_explored`]).
     pub states_explored: usize,
     /// Largest single-pair state graph.
     pub max_states_per_pair: usize,
-    /// First failure encountered, with its witness.
+    /// The failing pair with the smallest `(src, dest)`, with its witness.
     pub first_failure: Option<PairFailure>,
 }
 
-/// Returns each step's successor state ids.
-fn successors(steps: &[Step]) -> impl Iterator<Item = usize> + '_ {
-    steps.iter().map(|s| match s {
-        Step::Hop { next, .. } | Step::Reinject { next } => *next,
-    })
+/// Three-colour depth-first search from `roots` in turn (colours shared
+/// between them): the first cycle met among the states reachable from a root,
+/// as the run of states on the search stack that the closing transition
+/// re-enters.
+pub(crate) fn find_state_cycle(
+    states: &[StateNode],
+    roots: impl IntoIterator<Item = StateId>,
+) -> Option<Vec<StateId>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Colour {
+        White,
+        Grey,
+        Black,
+    }
+    let mut colour = vec![Colour::White; states.len()];
+    // Stack of (state, next-step-index).
+    let mut stack: Vec<(StateId, usize)> = Vec::new();
+    for root in roots {
+        if colour[root] != Colour::White {
+            continue;
+        }
+        colour[root] = Colour::Grey;
+        stack.push((root, 0));
+        while let Some(&mut (s, ref mut idx)) = stack.last_mut() {
+            let Some(step) = states[s].steps.get(*idx) else {
+                colour[s] = Colour::Black;
+                stack.pop();
+                continue;
+            };
+            *idx += 1;
+            let child = step.next();
+            match colour[child] {
+                Colour::Grey => {
+                    let pos = stack
+                        .iter()
+                        .position(|&(u, _)| u == child)
+                        .expect("grey states are always on the DFS stack");
+                    return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
+                }
+                Colour::White => {
+                    colour[child] = Colour::Grey;
+                    stack.push((child, 0));
+                }
+                Colour::Black => {}
+            }
+        }
+    }
+    None
 }
 
 /// Classifies one pair's state graph. Dead ends take precedence over
@@ -103,7 +150,7 @@ pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
             path.reverse();
             return PairVerdict::DeadEnd { path };
         }
-        for next in successors(&state.steps) {
+        for next in state.steps.iter().map(Step::next) {
             if !seen[next] {
                 seen[next] = true;
                 parent[next] = Some(s);
@@ -112,48 +159,16 @@ pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
         }
     }
 
-    // Three-colour DFS: find a cycle (livelock) and extract its node run.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
+    // A reachable cycle is a livelock; the witness is its node run.
+    match find_state_cycle(walk.states(), [walk.start()]) {
+        Some(cycle) => PairVerdict::Livelock {
+            cycle: cycle.iter().map(|&s| walk.state(s).node).collect(),
+        },
+        None => PairVerdict::Delivers,
     }
-    let mut colour = vec![Colour::White; walk.len()];
-    let mut stack: Vec<(usize, usize)> = vec![(walk.start(), 0)];
-    colour[walk.start()] = Colour::Grey;
-    while let Some(&mut (s, ref mut idx)) = stack.last_mut() {
-        let succs: Vec<usize> = successors(&walk.state(s).steps).collect();
-        if *idx < succs.len() {
-            let child = succs[*idx];
-            *idx += 1;
-            match colour[child] {
-                Colour::Grey => {
-                    let pos = stack
-                        .iter()
-                        .position(|&(u, _)| u == child)
-                        .expect("grey states are always on the DFS stack");
-                    let cycle = stack[pos..]
-                        .iter()
-                        .map(|&(u, _)| walk.state(u).node)
-                        .collect();
-                    return PairVerdict::Livelock { cycle };
-                }
-                Colour::White => {
-                    colour[child] = Colour::Grey;
-                    stack.push((child, 0));
-                }
-                Colour::Black => {}
-            }
-        } else {
-            colour[s] = Colour::Black;
-            stack.pop();
-        }
-    }
-    PairVerdict::Delivers
 }
 
-/// Sweeps every ordered pair of healthy endpoints (on a grid every node is
+/// Checks every ordered pair of healthy endpoints (on a grid every node is
 /// an endpoint; on a fat-tree switches neither inject nor consume), proving
 /// delivery or collecting the first witnessed failure.
 pub fn check_reachability<A: RoutingAlgorithm>(
@@ -163,42 +178,37 @@ pub fn check_reachability<A: RoutingAlgorithm>(
     v: usize,
     state_budget: usize,
 ) -> Result<ReachReport, StateBudgetExceeded> {
-    let mut report = ReachReport::default();
-    for src in net.endpoints() {
-        if faults.is_node_faulty(src) {
-            continue;
-        }
-        for dest in net.endpoints() {
-            if dest == src || faults.is_node_faulty(dest) {
-                continue;
-            }
-            let walk = walk_pair(net, algo, faults, v, src, dest, state_budget)?;
-            record_pair(&mut report, &walk, src, dest);
-        }
-    }
-    Ok(report)
+    sweep_case(net, algo, faults, v, Granularity::PerVc, state_budget).map(|(_, reach)| reach)
 }
 
-/// Folds one pair's verdict into a sweep report (shared with the matrix
-/// driver, which interleaves reachability with CDG accumulation over a
-/// single walk per pair).
+/// Folds one walked pair's verdict into a sweep report.
 pub fn record_pair(report: &mut ReachReport, walk: &RelationWalk, src: NodeId, dest: NodeId) {
+    record_verdict(report, walk.len(), check_pair(walk), src, dest);
+}
+
+/// Folds the verdict of a pair with `states` reachable states into a sweep
+/// report. Pairs may arrive in any order: the failure kept is the smallest
+/// `(src, dest)`, which is the first one a source-major loop meets.
+pub(crate) fn record_verdict(
+    report: &mut ReachReport,
+    states: usize,
+    verdict: PairVerdict,
+    src: NodeId,
+    dest: NodeId,
+) {
     report.pairs += 1;
-    report.states_explored += walk.len();
-    report.max_states_per_pair = report.max_states_per_pair.max(walk.len());
-    match check_pair(walk) {
-        PairVerdict::Delivers => report.delivered += 1,
-        verdict @ PairVerdict::DeadEnd { .. } => {
-            report.dead_ends += 1;
-            if report.first_failure.is_none() {
-                report.first_failure = Some(PairFailure { src, dest, verdict });
-            }
+    report.states_explored += states;
+    report.max_states_per_pair = report.max_states_per_pair.max(states);
+    match verdict {
+        PairVerdict::Delivers => {
+            report.delivered += 1;
+            return;
         }
-        verdict @ PairVerdict::Livelock { .. } => {
-            report.livelocks += 1;
-            if report.first_failure.is_none() {
-                report.first_failure = Some(PairFailure { src, dest, verdict });
-            }
-        }
+        PairVerdict::DeadEnd { .. } => report.dead_ends += 1,
+        PairVerdict::Livelock { .. } => report.livelocks += 1,
+    }
+    let earlier = |f: &PairFailure| (f.src, f.dest) < (src, dest);
+    if !report.first_failure.as_ref().is_some_and(earlier) {
+        report.first_failure = Some(PairFailure { src, dest, verdict });
     }
 }

@@ -6,19 +6,35 @@
 //! chain, the forced-direction overrides, the dateline flags, the shrinking
 //! misroute budget), the set of states reachable from one injection is
 //! finite, and the whole relation can be walked exactly: no simulation, no
-//! sampling, no hand-derived model. [`walk_pair`] drives the real
+//! sampling, no hand-derived model. Both walkers here drive the real
 //! [`RoutingAlgorithm`] implementation — `route`, `note_hop`,
 //! `deterministic_output` and the software-layer `reroute_on_fault`, exactly
-//! as the simulator engines do — and materialises every transition the
-//! algorithm can take for one (source, destination) pair under a fixed fault
-//! set.
+//! as the simulator engines do — and materialise every transition the
+//! algorithm can take under a fixed fault set.
 //!
-//! The resulting [`RelationWalk`] is the common substrate of the two static
-//! checks: exact channel-dependency-graph extraction
-//! ([`crate::exact`]) and reachability/progress verification
-//! ([`crate::reach`]).
+//! * [`walk_pair`] walks one (source, destination) pair from scratch. It is
+//!   the slow, obviously-correct oracle: one `route()` call per state of the
+//!   pair, nothing remembered between pairs. The differential pass of
+//!   [`crate::epochs`] re-walks single pairs with it.
+//! * [`SharedRelation`] memoises the relation per (destination, fault set).
+//!   No routing function reads `header.source` (nor the hop and absorption
+//!   counters), so every source's walk to one destination re-derives the
+//!   suffix states the other sources already derived; the shared walker
+//!   interns states with `source` projected out as well and expands each at
+//!   most once. An ordered pair is then a breadth-first *view* of the shared
+//!   graph from the pair's injection state. The view discovers states in
+//!   exactly the order `walk_pair` numbers them, so per-pair state counts,
+//!   the state budget and the witnesses [`crate::reach::check_pair`] reads
+//!   off a materialised view ([`SharedRelation::walk`]) are those of the
+//!   per-pair walk.
+//!
+//! The resulting state graphs are the common substrate of the two static
+//! checks: exact channel-dependency-graph extraction ([`crate::exact`]) and
+//! reachability/progress verification ([`crate::reach`]);
+//! [`crate::sweep`] runs both over every destination's shared graph.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use torus_faults::FaultSet;
 use torus_routing::{RouteDecision, RouteHeader, RoutingAlgorithm};
 use torus_topology::{AnyTopology, Direction, NodeId};
@@ -54,6 +70,15 @@ pub enum Step {
     },
 }
 
+impl Step {
+    /// The state this transition leads to.
+    pub fn next(&self) -> StateId {
+        match self {
+            Step::Hop { next, .. } | Step::Reinject { next } => *next,
+        }
+    }
+}
+
 /// Terminal classification of a state without outgoing transitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Terminal {
@@ -65,13 +90,13 @@ pub enum Terminal {
 }
 
 /// One state of the walk: the routing-relevant part of a (node, header)
-/// pair. The stored header is the representative first reached; hop and
-/// absorption counters are ignored when states are identified.
+/// pair.
 #[derive(Clone, Debug)]
 pub struct StateNode {
     /// Node the message head occupies.
     pub node: NodeId,
-    /// Representative header (counters not normalised).
+    /// The header, projected onto what identifies the state: hop and
+    /// absorption counters zeroed (and, in a [`SharedRelation`], the source).
     pub header: RouteHeader,
     /// Every transition the algorithm permits from this state.
     pub steps: Vec<Step>,
@@ -111,6 +136,11 @@ impl RelationWalk {
     pub fn iter(&self) -> impl Iterator<Item = (StateId, &StateNode)> {
         self.states.iter().enumerate()
     }
+
+    /// Every state, indexed by [`StateId`].
+    pub(crate) fn states(&self) -> &[StateNode] {
+        &self.states
+    }
 }
 
 /// The per-pair walk exceeded its state budget — the configuration is too
@@ -134,43 +164,190 @@ impl std::fmt::Display for StateBudgetExceeded {
 
 impl std::error::Error for StateBudgetExceeded {}
 
-/// Normalises a header into a state key: hop and absorption counters do not
-/// influence any routing decision, so folding them together keeps the state
-/// space finite without losing exactness.
-fn state_key(header: &RouteHeader) -> RouteHeader {
-    let mut key = header.clone();
-    key.hops = 0;
-    key.absorptions = 0;
-    key
+/// Projects a header onto the state key of a per-pair walk: hop and
+/// absorption counters do not influence any routing decision, so folding them
+/// together keeps the state space finite without losing exactness.
+fn project_counters(header: &mut RouteHeader) {
+    header.hops = 0;
+    header.absorptions = 0;
 }
 
-fn intern(
-    states: &mut Vec<StateNode>,
-    ids: &mut HashMap<(NodeId, RouteHeader), StateId>,
-    node: NodeId,
-    header: RouteHeader,
-) -> StateId {
-    *ids.entry((node, state_key(&header))).or_insert_with(|| {
-        states.push(StateNode {
-            node,
-            header,
-            steps: Vec::new(),
-            terminal: None,
-        });
-        states.len() - 1
-    })
+/// The state key of a [`SharedRelation`]: [`project_counters`] with `source`
+/// projected out too, so walks from different sources meet in one state.
+/// `crates/routing/tests/route_purity.rs` checks that no shipped algorithm
+/// reads the field.
+fn project_counters_and_source(header: &mut RouteHeader) {
+    project_counters(header);
+    header.source = NodeId(0);
+}
+
+/// The hasher of the intern table: a multiply-rotate word hash (the "Fx"
+/// function rustc uses for its own tables). Interning hashes a whole header,
+/// field by field, per transition; under the default SipHash that measured a
+/// fifth of a walk. The keys are produced by the routing functions, not read
+/// from outside the program, so collision resistance buys nothing here.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl StateHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+}
+
+/// The interned states of a walk and the routing context that expands them.
+struct Walker<'a, A> {
+    net: &'a AnyTopology,
+    algo: &'a A,
+    faults: &'a FaultSet,
+    v: usize,
+    all_tracked: bool,
+    project: fn(&mut RouteHeader),
+    states: Vec<StateNode>,
+    ids: HashMap<(NodeId, RouteHeader), StateId, BuildHasherDefault<StateHasher>>,
+}
+
+impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
+    fn new(
+        net: &'a AnyTopology,
+        algo: &'a A,
+        faults: &'a FaultSet,
+        v: usize,
+        project: fn(&mut RouteHeader),
+    ) -> Self {
+        Walker {
+            net,
+            algo,
+            faults,
+            v,
+            all_tracked: algo.flavor() == torus_routing::RoutingFlavor::Deterministic,
+            project,
+            states: Vec::new(),
+            ids: HashMap::default(),
+        }
+    }
+
+    /// The id of the state `(node, header)` under the walk's projection,
+    /// created unexpanded when new.
+    fn intern(&mut self, node: NodeId, mut header: RouteHeader) -> StateId {
+        (self.project)(&mut header);
+        match self.ids.entry((node, header)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let id = self.states.len();
+                self.states.push(StateNode {
+                    node,
+                    header: new.key().1.clone(),
+                    steps: Vec::new(),
+                    terminal: None,
+                });
+                *new.insert(id)
+            }
+        }
+    }
+
+    /// Whether [`Walker::expand`] has run on `id`: it leaves every state with
+    /// a transition or a terminal classification.
+    fn is_expanded(&self, id: StateId) -> bool {
+        let state = &self.states[id];
+        state.terminal.is_some() || !state.steps.is_empty()
+    }
+
+    /// Asks the algorithm what it does in state `id` (one `route()` call) and
+    /// records the transitions, interning their successors in candidate order.
+    ///
+    /// Absorption is handled exactly as in the simulator engines: the blocked
+    /// output reported to `reroute_on_fault` is the algorithm's deterministic
+    /// output (falling back to `(0, Plus)` when the header is already at its
+    /// target), and a successful reroute re-injects the rewritten header at
+    /// the same node with its per-traversal dateline flags reset.
+    fn expand(&mut self, id: StateId) {
+        let (net, algo, faults) = (self.net, self.algo, self.faults);
+        let node = self.states[id].node;
+        // `route` takes the header mutably but leaves it as it found it (the
+        // purity contract on `RoutingAlgorithm::route`), so the stored
+        // representative can be lent out instead of cloned.
+        let decision = algo.route(net, faults, &mut self.states[id].header, node, self.v);
+        match decision {
+            RouteDecision::Deliver => {
+                self.states[id].terminal = Some(Terminal::Delivered);
+            }
+            RouteDecision::Forward(cands) => {
+                if cands.is_empty() {
+                    // Defensive: the algorithms absorb instead of returning an
+                    // empty candidate list, but an empty Forward would be a
+                    // dead end all the same.
+                    self.states[id].terminal = Some(Terminal::Dead);
+                } else {
+                    let mut steps = Vec::with_capacity(cands.len());
+                    for c in cands {
+                        let mut next_header = self.states[id].header.clone();
+                        algo.note_hop(net, &mut next_header, node, c.dim, c.dir);
+                        let next_node = net
+                            .neighbor(node, c.dim, c.dir)
+                            .expect("routing candidates cross existing channels");
+                        let next = self.intern(next_node, next_header);
+                        steps.push(Step::Hop {
+                            dim: c.dim,
+                            dir: c.dir,
+                            vcs: c.vcs,
+                            tracked: self.all_tracked || c.is_escape,
+                            next,
+                        });
+                    }
+                    self.states[id].steps = steps;
+                }
+            }
+            RouteDecision::Absorb => {
+                // Mirror the engines' absorption handling bit for bit.
+                let mut rewritten = self.states[id].header.clone();
+                let blocked = algo
+                    .deterministic_output(net, &rewritten, node)
+                    .unwrap_or((0, Direction::Plus));
+                if algo.reroute_on_fault(net, faults, &mut rewritten, node, blocked) {
+                    rewritten.reset_for_injection();
+                    let next = self.intern(node, rewritten);
+                    self.states[id].steps = vec![Step::Reinject { next }];
+                } else {
+                    self.states[id].terminal = Some(Terminal::Dead);
+                }
+            }
+        }
+    }
 }
 
 /// Walks the routing relation of `algo` for one (source, destination) pair
 /// under `faults`, enumerating every reachable (node, header) state and every
 /// transition out of it. `v` is the number of virtual channels per physical
 /// channel.
-///
-/// Absorption is handled exactly as in the simulator engines: the blocked
-/// output reported to `reroute_on_fault` is the algorithm's deterministic
-/// output (falling back to `(0, Plus)` when the header is already at its
-/// target), and a successful reroute re-injects the rewritten header at the
-/// same node with its per-traversal dateline flags reset.
 pub fn walk_pair<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
@@ -180,66 +357,156 @@ pub fn walk_pair<A: RoutingAlgorithm>(
     dest: NodeId,
     state_budget: usize,
 ) -> Result<RelationWalk, StateBudgetExceeded> {
-    let mut states: Vec<StateNode> = Vec::new();
-    let mut ids: HashMap<(NodeId, RouteHeader), StateId> = HashMap::new();
-    let start = intern(&mut states, &mut ids, src, algo.make_header(net, src, dest));
-    let all_tracked = algo.flavor() == torus_routing::RoutingFlavor::Deterministic;
-
+    let mut walker = Walker::new(net, algo, faults, v, project_counters);
+    let start = walker.intern(src, algo.make_header(net, src, dest));
     let mut cursor = 0;
-    while cursor < states.len() {
-        if states.len() > state_budget {
+    while cursor < walker.states.len() {
+        if walker.states.len() > state_budget {
             return Err(StateBudgetExceeded {
                 limit: state_budget,
             });
         }
-        let node = states[cursor].node;
-        let mut header = states[cursor].header.clone();
-        match algo.route(net, faults, &mut header, node, v) {
-            RouteDecision::Deliver => {
-                states[cursor].terminal = Some(Terminal::Delivered);
-            }
-            RouteDecision::Forward(cands) => {
-                if cands.is_empty() {
-                    // Defensive: the algorithms absorb instead of returning an
-                    // empty candidate list, but an empty Forward would be a
-                    // dead end all the same.
-                    states[cursor].terminal = Some(Terminal::Dead);
-                } else {
-                    let mut steps = Vec::with_capacity(cands.len());
-                    for c in &cands {
-                        let mut next_header = header.clone();
-                        algo.note_hop(net, &mut next_header, node, c.dim, c.dir);
-                        let next_node = net
-                            .neighbor(node, c.dim, c.dir)
-                            .expect("routing candidates cross existing channels");
-                        let next = intern(&mut states, &mut ids, next_node, next_header);
-                        steps.push(Step::Hop {
-                            dim: c.dim,
-                            dir: c.dir,
-                            vcs: c.vcs.clone(),
-                            tracked: all_tracked || c.is_escape,
-                            next,
-                        });
-                    }
-                    states[cursor].steps = steps;
-                }
-            }
-            RouteDecision::Absorb => {
-                // Mirror the engines' absorption handling bit for bit.
-                let blocked = algo
-                    .deterministic_output(net, &header, node)
-                    .unwrap_or((0, Direction::Plus));
-                let mut rewritten = header.clone();
-                if algo.reroute_on_fault(net, faults, &mut rewritten, node, blocked) {
-                    rewritten.reset_for_injection();
-                    let next = intern(&mut states, &mut ids, node, rewritten);
-                    states[cursor].steps = vec![Step::Reinject { next }];
-                } else {
-                    states[cursor].terminal = Some(Terminal::Dead);
-                }
-            }
-        }
+        walker.expand(cursor);
         cursor += 1;
     }
-    Ok(RelationWalk { states, start })
+    Ok(RelationWalk {
+        states: walker.states,
+        start,
+    })
+}
+
+/// What one ordered pair's view of a [`SharedRelation`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairView {
+    /// Source of the pair.
+    pub src: NodeId,
+    /// The pair's injection state in the shared graph.
+    pub start: StateId,
+    /// States reachable from the injection state: what
+    /// [`walk_pair`]`(src, dest).len()` returns.
+    pub len: usize,
+    /// Whether a reachable state absorbs and re-injects the message.
+    pub reinjects: bool,
+}
+
+/// The routing relation towards one destination under one fault set, shared
+/// by every source: each state is expanded (one `route()` call) at most once,
+/// whichever pair's view reaches it first.
+pub struct SharedRelation<'a, A> {
+    walker: Walker<'a, A>,
+    dest: NodeId,
+    /// `seen[s] == stamp` marks `s` as discovered by the view in progress.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Discovery order of the latest view (shared ids).
+    order: Vec<StateId>,
+}
+
+impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
+    /// An empty relation towards `dest`; views fill it in.
+    pub fn new(
+        net: &'a AnyTopology,
+        algo: &'a A,
+        faults: &'a FaultSet,
+        v: usize,
+        dest: NodeId,
+    ) -> Self {
+        SharedRelation {
+            walker: Walker::new(net, algo, faults, v, project_counters_and_source),
+            dest,
+            seen: Vec::new(),
+            stamp: 0,
+            order: Vec::new(),
+        }
+    }
+
+    /// Every state any view has discovered so far. Each is reachable from
+    /// some viewed source, and expanded once its view returned `Ok`.
+    pub(crate) fn states(&self) -> &[StateNode] {
+        &self.walker.states
+    }
+
+    /// Views the pair `(src, dest)`: a breadth-first traversal from its
+    /// injection state that expands the states no earlier view reached. It
+    /// numbers states in [`walk_pair`]'s order and applies `state_budget` at
+    /// the same points, so it fails exactly when the per-pair walk does.
+    pub fn view(
+        &mut self,
+        src: NodeId,
+        state_budget: usize,
+    ) -> Result<PairView, StateBudgetExceeded> {
+        let header = self
+            .walker
+            .algo
+            .make_header(self.walker.net, src, self.dest);
+        let start = self.walker.intern(src, header);
+        self.stamp += 1;
+        self.order.clear();
+        self.discover(start);
+        let mut reinjects = false;
+        let mut cursor = 0;
+        while cursor < self.order.len() {
+            if self.order.len() > state_budget {
+                return Err(StateBudgetExceeded {
+                    limit: state_budget,
+                });
+            }
+            let id = self.order[cursor];
+            if !self.walker.is_expanded(id) {
+                self.walker.expand(id);
+            }
+            for i in 0..self.walker.states[id].steps.len() {
+                let step = &self.walker.states[id].steps[i];
+                reinjects |= matches!(step, Step::Reinject { .. });
+                self.discover(step.next());
+            }
+            cursor += 1;
+        }
+        Ok(PairView {
+            src,
+            start,
+            len: self.order.len(),
+            reinjects,
+        })
+    }
+
+    /// Appends `id` to the view in progress unless it is already part of it.
+    fn discover(&mut self, id: StateId) {
+        if self.seen.len() < self.walker.states.len() {
+            self.seen.resize(self.walker.states.len(), 0);
+        }
+        if self.seen[id] != self.stamp {
+            self.seen[id] = self.stamp;
+            self.order.push(id);
+        }
+    }
+
+    /// Materialises the view of `(src, dest)` as the [`RelationWalk`]
+    /// [`walk_pair`] returns for the pair: same numbering, same transitions
+    /// (the headers carry the shared projection, so no source).
+    pub fn walk(
+        &mut self,
+        src: NodeId,
+        state_budget: usize,
+    ) -> Result<RelationWalk, StateBudgetExceeded> {
+        self.view(src, state_budget)?;
+        let mut local = vec![usize::MAX; self.walker.states.len()];
+        for (i, &id) in self.order.iter().enumerate() {
+            local[id] = i;
+        }
+        let states = self
+            .order
+            .iter()
+            .map(|&id| {
+                let mut state = self.walker.states[id].clone();
+                for step in &mut state.steps {
+                    match step {
+                        Step::Hop { next, .. } | Step::Reinject { next } => *next = local[*next],
+                    }
+                }
+                state
+            })
+            .collect();
+        Ok(RelationWalk { states, start: 0 })
+    }
 }

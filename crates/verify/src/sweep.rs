@@ -1,0 +1,152 @@
+//! The from-scratch sweep: both static checks over every ordered pair of
+//! healthy endpoints, one destination at a time.
+//!
+//! For each destination the sweep fills one [`SharedRelation`] by viewing it
+//! from every source, then reads everything off that shared graph:
+//!
+//! * **per-pair state counts** are the sizes of the views, so the `states`
+//!   totals reported everywhere keep meaning "Σ over pairs of the states
+//!   reachable from the pair's injection state" — the number per-pair walks
+//!   enumerate — not the (several times smaller) number of states expanded;
+//! * **the dependency edges** come from *one* dataflow seeded at every
+//!   source's injection state (`exact::dependency_edges`), which finds the
+//!   union of what the per-pair dataflows find;
+//! * **reachability** is decided by one pass over the shared graph: with no
+//!   dead state and no cycle in it, every view is acyclic with delivering
+//!   sinks only. Only a destination where that pass finds something pays for
+//!   the per-pair [`check_pair`] traversals, which then yield the same
+//!   witnesses as per-pair walks because the views number states alike.
+//!
+//! The graph is dropped before the next destination starts, so memory stays
+//! that of one destination. [`crate::matrix::verify_case`],
+//! [`crate::exact::extract_exact_cdg`], [`crate::reach::check_reachability`]
+//! and the paranoid recomputation of [`crate::epochs`] are all this one loop;
+//! the per-pair `walk_pair → accumulate_cdg → record_pair` pipeline survives
+//! as the oracle the sweep is tested against and as the differential pass's
+//! single-pair re-walk.
+
+use crate::exact::{dependency_edges, resource_count, ExactCdg, Granularity};
+use crate::reach::{check_pair, find_state_cycle, record_verdict, PairVerdict, ReachReport};
+use crate::relation::{SharedRelation, StateBudgetExceeded, Terminal};
+use torus_faults::FaultSet;
+use torus_routing::cdg::DependencyGraph;
+use torus_routing::RoutingAlgorithm;
+use torus_topology::{AnyTopology, NodeId};
+
+/// What the sweep proved about one ordered pair.
+#[derive(Clone, Debug)]
+pub struct PairOutcome {
+    /// Source of the pair.
+    pub src: NodeId,
+    /// States reachable from the pair's injection state.
+    pub states: usize,
+    /// Whether some schedule absorbs and re-injects the message.
+    pub reinjects: bool,
+    /// The pair's reachability verdict, with its witness on failure.
+    pub verdict: PairVerdict,
+}
+
+/// What the sweep proved about every pair into one destination.
+#[derive(Clone, Debug)]
+pub struct DestinationOutcome {
+    /// The destination.
+    pub dest: NodeId,
+    /// Tracked-layer dependency edges of all pairs into `dest`, sorted and
+    /// deduplicated.
+    pub edges: Vec<(usize, usize)>,
+    /// One outcome per healthy source, in endpoint order.
+    pub pairs: Vec<PairOutcome>,
+}
+
+/// Runs both checks for every ordered pair of healthy endpoints of `net`
+/// under `faults`, destination-major, handing each destination's outcome to
+/// `visit` as soon as it is complete. Fails when any pair has more than
+/// `state_budget` reachable states.
+pub fn sweep_destinations<A: RoutingAlgorithm>(
+    net: &AnyTopology,
+    algo: &A,
+    faults: &FaultSet,
+    v: usize,
+    granularity: Granularity,
+    state_budget: usize,
+    mut visit: impl FnMut(DestinationOutcome),
+) -> Result<(), StateBudgetExceeded> {
+    let endpoints: Vec<NodeId> = net
+        .endpoints()
+        .filter(|&n| !faults.is_node_faulty(n))
+        .collect();
+    for &dest in &endpoints {
+        let mut shared = SharedRelation::new(net, algo, faults, v, dest);
+        let mut views = Vec::with_capacity(endpoints.len());
+        for &src in endpoints.iter().filter(|&&src| src != dest) {
+            views.push(shared.view(src, state_budget)?);
+        }
+        let states = shared.states();
+        let edges = dependency_edges(
+            net,
+            states,
+            views.iter().map(|view| view.start),
+            v,
+            granularity,
+        );
+        let all_deliver = states
+            .iter()
+            .all(|state| state.terminal != Some(Terminal::Dead))
+            && find_state_cycle(states, 0..states.len()).is_none();
+        let mut pairs = Vec::with_capacity(views.len());
+        for view in views {
+            let verdict = if all_deliver {
+                PairVerdict::Delivers
+            } else {
+                check_pair(&shared.walk(view.src, state_budget)?)
+            };
+            pairs.push(PairOutcome {
+                src: view.src,
+                states: view.len,
+                reinjects: view.reinjects,
+                verdict,
+            });
+        }
+        visit(DestinationOutcome { dest, edges, pairs });
+    }
+    Ok(())
+}
+
+/// Sweeps one fully specified case into its exact dependency graph and its
+/// reachability report. Each destination's edges enter the graph in sorted
+/// order, so the graph — and any cycle witness read off it — is the same on
+/// every run.
+pub fn sweep_case<A: RoutingAlgorithm>(
+    net: &AnyTopology,
+    algo: &A,
+    faults: &FaultSet,
+    v: usize,
+    granularity: Granularity,
+    state_budget: usize,
+) -> Result<(ExactCdg, ReachReport), StateBudgetExceeded> {
+    let mut graph = DependencyGraph::new(resource_count(net, v, granularity));
+    let mut reach = ReachReport::default();
+    let outcome = |destination: DestinationOutcome| {
+        for (from, to) in destination.edges {
+            graph.add_edge(from, to);
+        }
+        for pair in destination.pairs {
+            record_verdict(
+                &mut reach,
+                pair.states,
+                pair.verdict,
+                pair.src,
+                destination.dest,
+            );
+        }
+    };
+    sweep_destinations(net, algo, faults, v, granularity, state_budget, outcome)?;
+    let cdg = ExactCdg {
+        graph,
+        virtual_channels: v,
+        granularity,
+        states_explored: reach.states_explored,
+        pairs: reach.pairs,
+    };
+    Ok((cdg, reach))
+}
