@@ -493,6 +493,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_traffic_rate_is_reported_as_a_sim_error() {
+        let point = ExperimentConfig::paper_point(4, 2, 4, 8, f64::NAN).quick(300, 100);
+        assert!(matches!(
+            point.run(),
+            Err(ExperimentError::Sim(
+                torus_sim::SimConfigError::InvalidTrafficRate { .. }
+            ))
+        ));
+    }
+
+    #[test]
     fn routing_choice_all_covers_every_variant() {
         assert_eq!(RoutingChoice::ALL.len(), 6);
         assert_eq!(RoutingChoice::TurnModel.label(), "turn-model");

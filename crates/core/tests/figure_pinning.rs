@@ -149,8 +149,8 @@ fn fat_tree_smoke_grid_is_pinned_and_runs_under_up_down_routing() {
 /// sampler cannot place the requested fault count become typed point
 /// failures, which must be identically ordered too.
 ///
-/// Ignored by default: quick-scale budgets take minutes in debug builds with
-/// the sanitizer on. CI runs it in release
+/// Ignored by default: quick-scale budgets take minutes in debug builds. CI
+/// runs it in release
 /// (`cargo test --release -p swbft-core --test figure_pinning -- --ignored`);
 /// the smoke-scale determinism tests below cover the same code path in the
 /// default test run.

@@ -33,6 +33,12 @@ pub enum SimConfigError {
     /// at least its header flit; rather than silently clamping the length to
     /// one flit at generation time, the configuration is rejected up front.
     ZeroMessageLength,
+    /// The traffic rate is negative, infinite or not a number.
+    InvalidTrafficRate {
+        /// The offending rate as written (`SimConfigError` is `Eq`; an `f64`
+        /// field, and `NaN` in particular, is not).
+        rate: String,
+    },
     /// The topology parameters are invalid.
     Topology(torus_topology::NetworkError),
     /// The routing algorithm cannot operate on this topology (e.g. a turn
@@ -58,6 +64,10 @@ impl fmt::Display for SimConfigError {
             SimConfigError::ZeroMessageLength => write!(
                 f,
                 "the workload is configured with zero-length messages (every message needs at least its header flit)"
+            ),
+            SimConfigError::InvalidTrafficRate { rate } => write!(
+                f,
+                "traffic rate {rate} is not a finite, non-negative number of messages/node/cycle"
             ),
             SimConfigError::Topology(e) => write!(f, "invalid topology: {e}"),
             SimConfigError::UnsupportedRouting {
@@ -181,6 +191,12 @@ impl SimConfig {
         if self.traffic.length.min_flits() == 0 {
             return Err(SimConfigError::ZeroMessageLength);
         }
+        let rate = self.traffic.rate;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(SimConfigError::InvalidTrafficRate {
+                rate: rate.to_string(),
+            });
+        }
         if self.virtual_channels < min_vcs {
             return Err(SimConfigError::TooFewVirtualChannels {
                 requested: self.virtual_channels,
@@ -259,6 +275,19 @@ mod tests {
         assert_eq!(c.validate(2), Err(SimConfigError::ZeroMessageLength));
         c.traffic.length = MessageLength::Fixed(1);
         assert!(c.validate(2).is_ok());
+    }
+
+    #[test]
+    fn bad_traffic_rates_are_rejected() {
+        for (rate, written) in [(f64::NAN, "NaN"), (-0.1, "-0.1"), (f64::INFINITY, "inf")] {
+            let c = SimConfig::paper(4, 2, 4, 8, rate);
+            let e = SimConfigError::InvalidTrafficRate {
+                rate: written.into(),
+            };
+            assert_eq!(c.validate(2), Err(e.clone()));
+            assert!(format!("{e}").contains(written));
+        }
+        assert!(SimConfig::paper(4, 2, 4, 8, 0.0).validate(2).is_ok());
     }
 
     #[test]

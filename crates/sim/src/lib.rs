@@ -38,9 +38,9 @@
 //! # One pipeline, two schedulers
 //!
 //! [`Engine`] ([`network`]) defines the pipeline — the seven stages, the
-//! constructor, `run`/`step` and the sanitizer hooks — exactly once, generic
-//! over a [`Schedule`] ([`schedule`]) that decides *which routers each stage
-//! visits* and *how messages are stored*:
+//! constructor and `run`/`step` — exactly once, generic over a [`Schedule`]
+//! ([`schedule`]) that decides *which routers each stage visits* and *how
+//! messages are stored*:
 //!
 //! * [`Simulation`] = `Engine` under [`ActiveSchedule`]: an arrival calendar,
 //!   active-set worklists with live-VC counters, a deadline-driven watchdog
@@ -50,11 +50,12 @@
 //!   the executable specification of what the active schedule may change, and
 //!   the equivalence suite holds the two to bit-identical reports.
 //!
-//! With the `sanitizer` cargo feature (on by default; disable it for release
-//! benchmarks) the engine accepts an invariant-checking observer
-//! ([`sanitizer::Sanitizer`]) that audits conservation invariants every cycle
-//! and checks the runtime wait-for graph against a statically extracted exact
-//! channel-dependency graph.
+//! The engine's second static seam is its [`Observer`] ([`observer`]):
+//! `Engine::new` builds it under [`NoObserver`], which costs nothing;
+//! `Engine::with_observer` takes any other. The one that ships is the
+//! invariant-checking [`sanitizer::Sanitizer`], which audits conservation
+//! invariants every cycle and checks the runtime wait-for graph against a
+//! statically extracted exact channel-dependency graph.
 
 pub mod active;
 pub mod arbiter;
@@ -62,6 +63,7 @@ pub mod config;
 pub mod flit;
 pub mod message;
 pub mod network;
+pub mod observer;
 pub mod reference;
 pub mod router;
 pub mod sanitizer;
@@ -69,8 +71,9 @@ pub mod schedule;
 
 pub use config::{SimConfig, SimConfigError, StopCondition};
 pub use flit::{Flit, FlitKind, MessageId};
-pub use message::{MessageSlab, MessageState};
+pub use message::{MessageLookup, MessageSlab, MessageState};
 pub use network::{Engine, RunOutcome, Simulation};
+pub use observer::{Allocation, NoObserver, Observer};
 pub use reference::{FullScan, ReferenceSimulation};
 pub use sanitizer::{InvariantViolation, Sanitizer};
 pub use schedule::{ActiveSchedule, MessageTable, Schedule};

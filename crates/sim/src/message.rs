@@ -259,6 +259,48 @@ impl IndexMut<MessageId> for MessageSlab {
     }
 }
 
+/// Read-only view over a message store, implemented by both schedulers'
+/// tables (the reclaiming [`MessageSlab`] and the reference's append-only
+/// `Vec`). `lookup` must return `None` for stale or retired identifiers
+/// rather than panicking.
+pub trait MessageLookup {
+    /// Resolves an identifier to its message, if the identifier is current.
+    fn lookup(&self, id: MessageId) -> Option<&MessageState>;
+    /// Visits every live (not delivered/dropped) message.
+    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState));
+}
+
+impl MessageLookup for MessageSlab {
+    fn lookup(&self, id: MessageId) -> Option<&MessageState> {
+        self.get(id)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState)) {
+        for m in self.iter_live() {
+            if !m.is_done() {
+                f(m);
+            }
+        }
+    }
+}
+
+impl MessageLookup for Vec<MessageState> {
+    fn lookup(&self, id: MessageId) -> Option<&MessageState> {
+        if id.generation() != 0 {
+            return None;
+        }
+        self.get(id.slot())
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState)) {
+        for m in self {
+            if !m.is_done() {
+                f(m);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,8 @@
 //!
 //! [`Engine`] defines these stages exactly once. What varies is the
 //! [`Schedule`] it is instantiated with — which routers each stage visits and
-//! which table stores the messages (see [`crate::schedule`]). [`Simulation`]
+//! which table stores the messages (see [`crate::schedule`]) — and the
+//! [`Observer`] that watches it (see [`crate::observer`]). [`Simulation`]
 //! is the engine under [`ActiveSchedule`]: worklists of live state, an
 //! arrival calendar, a reclaiming message table.
 //! [`crate::ReferenceSimulation`] is the same engine under
@@ -46,8 +47,8 @@ use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::{Flit, MessageId};
 use crate::message::{MessagePhase, MessageState};
+use crate::observer::{Allocation, NoObserver, Observer};
 use crate::router::{OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
-use crate::sanitizer::Sanitizer;
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -81,10 +82,11 @@ pub struct RunOutcome {
 
 /// A flit-level wormhole simulation of one network configuration under the
 /// production scheduler.
-pub type Simulation<A> = Engine<A, ActiveSchedule>;
+pub type Simulation<A, O = NoObserver> = Engine<A, ActiveSchedule, O>;
 
-/// The pipeline, generic over the routing algorithm and the scheduler.
-pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
+/// The pipeline, generic over the routing algorithm, the scheduler and the
+/// observer.
+pub struct Engine<A: RoutingAlgorithm, S: Schedule, O: Observer = NoObserver> {
     net: AnyTopology,
     faults: FaultSet,
     algo: A,
@@ -116,15 +118,25 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule> {
     /// being allocated and the free VCs of the candidate being tried.
     candidate_order: Vec<usize>,
     free_vcs: Vec<usize>,
-    /// Optional invariant-checking observer (attached by tests; the hooks
-    /// that feed it are compiled only with the `sanitizer` feature).
-    sanitizer: Option<Box<Sanitizer>>,
+    observer: O,
 }
 
 impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
     /// Builds a simulation from a configuration, a fault set and a routing
-    /// algorithm.
+    /// algorithm, with nothing observing it.
     pub fn new(config: SimConfig, faults: FaultSet, algo: A) -> Result<Self, SimConfigError> {
+        Self::with_observer(config, faults, algo, NoObserver)
+    }
+}
+
+impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
+    /// [`Engine::new`] with `observer` watching the run.
+    pub fn with_observer(
+        config: SimConfig,
+        faults: FaultSet,
+        algo: A,
+        observer: O,
+    ) -> Result<Self, SimConfigError> {
         let net = config.topology.build().map_err(SimConfigError::Topology)?;
         algo.supported_on(&net)
             .map_err(|error| SimConfigError::UnsupportedRouting {
@@ -178,29 +190,18 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             requests: SwitchRequests::new(2 * n, (2 * n + 1) * v),
             candidate_order: Vec::new(),
             free_vcs: Vec::with_capacity(v),
-            sanitizer: None,
+            observer,
         })
     }
 
-    /// Attaches an invariant sanitizer to this engine. Pass the statically
-    /// extracted exact CDG (per-VC granularity, matching this configuration's
-    /// topology, routing, VC count and fault set) to additionally enforce
-    /// runtime wait-for conformance, or `None` for conservation checks only.
-    #[cfg(feature = "sanitizer")]
-    pub fn attach_sanitizer(&mut self, cdg: Option<torus_routing::cdg::DependencyGraph>) {
-        let all_tracked = self.algo.flavor() == torus_routing::RoutingFlavor::Deterministic;
-        self.sanitizer = Some(Box::new(Sanitizer::new(
-            self.config.virtual_channels,
-            self.config.buffer_depth,
-            all_tracked,
-            cdg,
-        )));
+    /// The observer watching this engine.
+    pub fn observer(&self) -> &O {
+        &self.observer
     }
 
-    /// The attached sanitizer, if any (always `None` unless
-    /// `attach_sanitizer` was called under the `sanitizer` feature).
-    pub fn sanitizer(&self) -> Option<&Sanitizer> {
-        self.sanitizer.as_deref()
+    /// Ends the simulation, keeping what the observer recorded.
+    pub fn into_observer(self) -> O {
+        self.observer
     }
 
     /// The topology being simulated.
@@ -294,17 +295,14 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             self.stall_watchdog(now, &busy);
         }
         self.worklist = busy;
-        #[cfg(feature = "sanitizer")]
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            s.check_cycle(
-                now,
-                &self.net,
-                &self.faults,
-                &self.routers,
-                &self.messages,
-                self.in_flight,
-            );
-        }
+        self.observer.end_of_cycle(
+            now,
+            &self.net,
+            &self.faults,
+            &self.routers,
+            &self.messages,
+            self.in_flight,
+        );
         self.cycle = now + 1;
     }
 
@@ -481,19 +479,16 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
                 target: RouteTarget::Network { out_port, out_vc },
                 ready_at,
             });
-            #[cfg(feature = "sanitizer")]
-            if let Some(s) = self.sanitizer.as_deref_mut() {
-                s.on_allocate(
-                    now,
-                    &self.net,
-                    msg_id,
-                    node,
-                    cand.dim,
-                    cand.dir,
-                    out_vc,
-                    cand.is_escape,
-                );
-            }
+            let event = Allocation {
+                cycle: now,
+                msg: msg_id,
+                node,
+                dim: cand.dim,
+                dir: cand.dir,
+                vc: out_vc,
+                is_escape: cand.is_escape,
+            };
+            self.observer.on_allocate(&self.net, &event);
             return;
         }
         ivc.blocked = Some(candidates);
@@ -566,11 +561,8 @@ impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
             self.schedule.note_vc_idle(idx);
         }
         // Delivery, absorption and drop all release every channel the worm
-        // held, clearing its wait-for state.
-        #[cfg(feature = "sanitizer")]
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            s.on_release(flit.msg);
-        }
+        // held.
+        self.observer.on_release(flit.msg);
         let msg = &mut self.messages[flit.msg];
         match target {
             RouteTarget::Deliver => {
@@ -917,26 +909,6 @@ mod tests {
         assert!(out.report.generated_messages > out.report.delivered_messages);
     }
 
-    #[cfg(feature = "sanitizer")]
-    #[test]
-    fn watchdog_absorption_drops_the_kept_decision() {
-        // Past saturation with a threshold of a few cycles the watchdog keeps
-        // absorbing heads that were blocked on VC allocation. Their kept
-        // candidates must go with them: the sanitizer flags a decision left
-        // on a bound VC, and in debug builds the next head to block there
-        // would fail the purity re-check against the stale list.
-        let mut config = quick_config(4, 2, 4, 8, 0.9);
-        config.stall_absorb_threshold = 5;
-        config.max_cycles = 2_000;
-        config.stop = StopCondition::MeasuredMessages(u64::MAX);
-        let mut sim = Simulation::new(config, FaultSet::new(), SwBasedRouting::adaptive()).unwrap();
-        sim.attach_sanitizer(None);
-        let out = sim.run();
-        assert!(out.forced_absorptions > 100, "{}", out.forced_absorptions);
-        let sanitizer = sim.sanitizer().unwrap();
-        assert!(sanitizer.is_clean(), "{:?}", sanitizer.violations().first());
-    }
-
     /// A routing algorithm that breaks the purity contract: every other call
     /// hands its candidates back in reverse order.
     #[cfg(debug_assertions)]
@@ -1166,6 +1138,26 @@ mod tests {
             Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).err(),
             Some(SimConfigError::ZeroMessageLength)
         );
+    }
+
+    #[test]
+    fn bad_traffic_rate_is_an_error_not_a_panic() {
+        use crate::ReferenceSimulation;
+        for rate in [f64::NAN, -0.1, f64::INFINITY] {
+            let config = quick_config(4, 2, 4, 8, rate);
+            let algo = SwBasedRouting::deterministic();
+            let expected = Some(SimConfigError::InvalidTrafficRate {
+                rate: rate.to_string(),
+            });
+            assert_eq!(
+                Simulation::new(config.clone(), FaultSet::new(), algo).err(),
+                expected
+            );
+            assert_eq!(
+                ReferenceSimulation::new(config, FaultSet::new(), algo).err(),
+                expected
+            );
+        }
     }
 
     #[test]

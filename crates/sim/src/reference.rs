@@ -15,12 +15,13 @@
 use crate::flit::MessageId;
 use crate::message::MessageState;
 use crate::network::Engine;
+use crate::observer::NoObserver;
 use crate::router::RouterState;
 use crate::schedule::{MessageTable, Schedule};
 use std::ops::{Index, IndexMut};
 
 /// The pipeline under the [`FullScan`] scheduler.
-pub type ReferenceSimulation<A> = Engine<A, FullScan>;
+pub type ReferenceSimulation<A, O = NoObserver> = Engine<A, FullScan, O>;
 
 /// Visits every healthy source and router, every stage, every cycle.
 #[derive(Clone, Debug)]

@@ -1,5 +1,5 @@
-//! The simulation sanitizer: an invariant-checking observer for the engine,
-//! under either scheduler.
+//! The simulation sanitizer: an invariant-checking [`Observer`] for the
+//! engine, under either scheduler.
 //!
 //! The sanitizer audits a running simulation on two levels:
 //!
@@ -33,16 +33,19 @@
 //!
 //! Violations are recorded, not panicked on, so tests can assert both
 //! directions: the equivalence suite asserts a clean run, the mutation tests
-//! assert a seeded bug is flagged. The module is always compiled (it has its
-//! own unit tests); the *hooks* in the engine are gated behind the
-//! `sanitizer` cargo feature so release benchmarks pay zero cost.
+//! assert a seeded bug is flagged. The engine does not know this module: it
+//! is generic over its observer, and a run pays for the audit only when it is
+//! built with [`crate::Engine::with_observer`] around a [`Sanitizer`].
 
+use crate::config::SimConfig;
 use crate::flit::MessageId;
-use crate::message::{MessagePhase, MessageSlab, MessageState};
+use crate::message::{MessageLookup, MessagePhase};
+use crate::observer::{Allocation, Observer};
 use crate::router::{RouteTarget, RouterState};
 use std::collections::HashMap;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
+use torus_routing::{RoutingAlgorithm, RoutingFlavor};
 use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
 /// Upper bound on stored violation reports (the total count keeps growing).
@@ -59,51 +62,9 @@ pub struct InvariantViolation {
     pub detail: String,
 }
 
-/// Read-only view over a message store, implemented by both schedulers'
-/// tables (the reclaiming [`MessageSlab`] and the reference's append-only
-/// `Vec`). `lookup` must return `None` for stale or retired identifiers
-/// rather than panicking.
-pub trait MessageLookup {
-    /// Resolves an identifier to its message, if the identifier is current.
-    fn lookup(&self, id: MessageId) -> Option<&MessageState>;
-    /// Visits every live (not delivered/dropped) message.
-    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState));
-}
-
-impl MessageLookup for MessageSlab {
-    fn lookup(&self, id: MessageId) -> Option<&MessageState> {
-        self.get(id)
-    }
-
-    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState)) {
-        for m in self.iter_live() {
-            if !m.is_done() {
-                f(m);
-            }
-        }
-    }
-}
-
-impl MessageLookup for Vec<MessageState> {
-    fn lookup(&self, id: MessageId) -> Option<&MessageState> {
-        if id.generation() != 0 {
-            return None;
-        }
-        self.get(id.slot())
-    }
-
-    fn for_each_live(&self, f: &mut dyn FnMut(&MessageState)) {
-        for m in self {
-            if !m.is_done() {
-                f(m);
-            }
-        }
-    }
-}
-
-/// The invariant-checking observer. Attach one to an engine with
-/// `attach_sanitizer` (requires the `sanitizer` cargo feature), run the
-/// simulation, then inspect [`Sanitizer::violations`].
+/// The invariant-checking observer. Hand one to
+/// [`crate::Engine::with_observer`], run the simulation, then inspect
+/// [`Sanitizer::violations`] through the engine's `observer()`.
 #[derive(Clone, Debug)]
 pub struct Sanitizer {
     /// Virtual channels per physical channel (the resource-id stride).
@@ -130,21 +91,21 @@ pub struct Sanitizer {
 }
 
 impl Sanitizer {
-    /// Creates a sanitizer for an engine with `v` virtual channels and the
-    /// given buffer depth. `all_tracked` selects the tracked layer (true for
-    /// deterministic-flavour routing, false to track escape allocations
-    /// only); `allowed` is the exact CDG to enforce, or `None` for
-    /// conservation checks alone.
-    pub fn new(
-        v: usize,
-        buffer_depth: usize,
-        all_tracked: bool,
+    /// Creates a sanitizer for an engine built from `config` and `algo`.
+    /// Every hop is tracked under deterministic-flavour routing, escape
+    /// allocations only otherwise. `allowed` is the statically extracted
+    /// exact CDG to enforce (per-VC granularity, matching the engine's
+    /// topology, routing, VC count and fault set), or `None` for conservation
+    /// checks alone.
+    pub fn new<A: RoutingAlgorithm>(
+        config: &SimConfig,
+        algo: &A,
         allowed: Option<DependencyGraph>,
     ) -> Self {
         Sanitizer {
-            v,
-            buffer_depth,
-            all_tracked,
+            v: config.virtual_channels,
+            buffer_depth: config.buffer_depth,
+            all_tracked: algo.flavor() == RoutingFlavor::Deterministic,
             allowed,
             held: HashMap::new(),
             recorded: Vec::new(),
@@ -192,19 +153,6 @@ impl Sanitizer {
         }
     }
 
-    /// The per-VC resource id of `(node, dim, dir, vc)` — identical to the
-    /// `Granularity::PerVc` id space of `swbft_verify::exact`.
-    fn resource_id(
-        &self,
-        net: &AnyTopology,
-        node: NodeId,
-        dim: usize,
-        dir: Direction,
-        vc: usize,
-    ) -> usize {
-        net.channel_id(DirectedChannel::new(node, dim, dir)).index() * self.v + vc
-    }
-
     fn describe(node: NodeId, dim: usize, dir: Direction, vc: usize) -> String {
         let sign = match dir {
             Direction::Plus => '+',
@@ -212,31 +160,23 @@ impl Sanitizer {
         };
         format!("channel {node:?} d{dim}{sign} vc{vc}")
     }
+}
 
-    // ------------------------------------------------------------- hooks
-
-    /// Called by the engines when a head flit is granted output VC `vc`
-    /// towards `(dim, dir)` at `node`. Tracked allocations (every allocation
-    /// under `all_tracked`, escape allocations otherwise) are checked against
-    /// the exact CDG and update the message's wait-for state; untracked
+impl Observer for Sanitizer {
+    /// Tracked allocations (every allocation under deterministic-flavour
+    /// routing, escape allocations otherwise) are checked against the exact
+    /// CDG and update the message's wait-for state; untracked
     /// (adaptive-layer) allocations leave it unchanged, mirroring Duato-style
     /// indirect dependencies in the static extraction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_allocate(
-        &mut self,
-        cycle: u64,
-        net: &AnyTopology,
-        msg: MessageId,
-        node: NodeId,
-        dim: usize,
-        dir: Direction,
-        vc: usize,
-        is_escape: bool,
-    ) {
-        if !(self.all_tracked || is_escape) {
+    fn on_allocate(&mut self, net: &AnyTopology, e: &Allocation) {
+        if !(self.all_tracked || e.is_escape) {
             return;
         }
-        let requested = self.resource_id(net, node, dim, dir, vc);
+        // The per-VC resource id — identical to the `Granularity::PerVc` id
+        // space of `swbft_verify::exact`.
+        let channel = DirectedChannel::new(e.node, e.dim, e.dir);
+        let requested = net.channel_id(channel).index() * self.v + e.vc;
+        let msg = e.msg;
         if let Some(&held) = self.held.get(&msg) {
             self.edges_checked += 1;
             let allowed = match &self.allowed {
@@ -248,25 +188,21 @@ impl Sanitizer {
                     "message {msg:?} holds resource {held} while being granted \
                      {requested} ({}): the dependency {held} -> {requested} is \
                      not an edge of the exact CDG",
-                    Self::describe(node, dim, dir, vc)
+                    Self::describe(e.node, e.dim, e.dir, e.vc)
                 );
-                self.record(cycle, "cdg-divergence", detail);
+                self.record(e.cycle, "cdg-divergence", detail);
             }
         }
         self.held.insert(msg, requested);
     }
 
-    /// Called by the engines when a message leaves the network: delivery,
-    /// absorption (which releases every held channel before software
-    /// re-injection) or drop.
-    pub fn on_release(&mut self, msg: MessageId) {
+    /// Leaving the network clears the message's wait-for state.
+    fn on_release(&mut self, msg: MessageId) {
         self.held.remove(&msg);
     }
 
-    // ------------------------------------------- end-of-cycle conservation
-
     /// Audits the full router/message state at the end of a cycle.
-    pub fn check_cycle(
+    fn end_of_cycle(
         &mut self,
         cycle: u64,
         net: &AnyTopology,
@@ -281,7 +217,9 @@ impl Sanitizer {
         self.check_references(cycle, routers, messages);
         self.check_in_flight(cycle, messages, in_flight);
     }
+}
 
+impl Sanitizer {
     /// Every live in-network message has exactly `length` flits across all
     /// input buffers and locally-sunk counters; queued messages have none;
     /// every buffered flit belongs to a live message; each input buffer holds
@@ -567,11 +505,43 @@ impl Sanitizer {
 mod tests {
     use super::*;
     use crate::flit::Flit;
+    use crate::message::MessageState;
     use crate::router::VcRoute;
-    use torus_routing::{RoutingAlgorithm, SwBasedRouting};
+    use crate::{Simulation, StopCondition};
+    use torus_routing::SwBasedRouting;
+    use torus_topology::TopologySpec;
 
     fn mesh() -> AnyTopology {
         AnyTopology::mesh(4, 2).unwrap()
+    }
+
+    /// A sanitizer for `v` VCs of the given depth on [`mesh`], tracking every
+    /// hop (deterministic flavour) or escape hops only (adaptive).
+    fn sanitizer(
+        v: usize,
+        depth: usize,
+        all_tracked: bool,
+        cdg: Option<DependencyGraph>,
+    ) -> Sanitizer {
+        let mut config = SimConfig::paper_topology(TopologySpec::mesh(4, 2), v, 8, 0.01);
+        config.buffer_depth = depth;
+        if all_tracked {
+            Sanitizer::new(&config, &SwBasedRouting::deterministic(), cdg)
+        } else {
+            Sanitizer::new(&config, &SwBasedRouting::adaptive(), cdg)
+        }
+    }
+
+    fn grant(cycle: u64, node: NodeId, dim: usize, is_escape: bool) -> Allocation {
+        Allocation {
+            cycle,
+            msg: MessageId(0),
+            node,
+            dim,
+            dir: Direction::Plus,
+            vc: 0,
+            is_escape,
+        }
     }
 
     fn routers_for(net: &AnyTopology, v: usize, depth: usize) -> Vec<RouterState> {
@@ -591,8 +561,8 @@ mod tests {
         let net = mesh();
         let routers = routers_for(&net, 2, 4);
         let messages: Vec<MessageState> = Vec::new();
-        let mut s = Sanitizer::new(2, 4, true, None);
-        s.check_cycle(0, &net, &FaultSet::new(), &routers, &messages, 0);
+        let mut s = sanitizer(2, 4, true, None);
+        s.end_of_cycle(0, &net, &FaultSet::new(), &routers, &messages, 0);
         assert!(s.is_clean());
         assert_eq!(s.cycles_checked(), 1);
     }
@@ -604,8 +574,8 @@ mod tests {
         let mut m = message(&net, MessageId(0), 4);
         m.note_injected(1); // InNetwork, but no flits buffered anywhere
         let messages = vec![m];
-        let mut s = Sanitizer::new(2, 4, true, None);
-        s.check_cycle(1, &net, &FaultSet::new(), &routers, &messages, 1);
+        let mut s = sanitizer(2, 4, true, None);
+        s.end_of_cycle(1, &net, &FaultSet::new(), &routers, &messages, 1);
         assert!(!s.is_clean());
         assert!(s.violations().iter().any(|v| v.kind == "flit-conservation"));
     }
@@ -631,8 +601,8 @@ mod tests {
         ivc.sunk = 1;
         routers[4].outputs[0].credits = 1;
         let audit = |routers: &[RouterState]| {
-            let mut s = Sanitizer::new(2, 4, true, None);
-            s.check_cycle(5, &net, &FaultSet::new(), routers, &messages, 1);
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(5, &net, &FaultSet::new(), routers, &messages, 1);
             s
         };
         assert!(audit(&routers).is_clean());
@@ -662,8 +632,8 @@ mod tests {
         // (port 0 = dim 0 towards +x, the one port node 0 of a mesh has).
         routers[0].outputs[0].credits = 3;
         let messages: Vec<MessageState> = Vec::new();
-        let mut s = Sanitizer::new(2, 4, true, None);
-        s.check_cycle(2, &net, &FaultSet::new(), &routers, &messages, 0);
+        let mut s = sanitizer(2, 4, true, None);
+        s.end_of_cycle(2, &net, &FaultSet::new(), &routers, &messages, 0);
         let kinds: Vec<&str> = s.violations().iter().map(|v| v.kind).collect();
         assert!(kinds.contains(&"stale-flit"), "{kinds:?}");
         assert!(kinds.contains(&"credit-mismatch"), "{kinds:?}");
@@ -692,8 +662,8 @@ mod tests {
             ready_at: 0,
         });
         let messages = vec![m];
-        let mut s = Sanitizer::new(2, 4, true, None);
-        s.check_cycle(3, &net, &faults, &routers, &messages, 1);
+        let mut s = sanitizer(2, 4, true, None);
+        s.end_of_cycle(3, &net, &faults, &routers, &messages, 1);
         assert!(s
             .violations()
             .iter()
@@ -717,17 +687,17 @@ mod tests {
             .index()
             * v;
         cdg.add_edge(ra, rb);
-        let mut s = Sanitizer::new(v, 4, true, Some(cdg));
+        let mut s = sanitizer(v, 4, true, Some(cdg));
         let msg = MessageId(0);
         // First allocation: no held resource yet, always fine.
-        s.on_allocate(0, &net, msg, a, 0, Direction::Plus, 0, false);
+        s.on_allocate(&net, &grant(0, a, 0, false));
         // Allowed edge.
-        s.on_allocate(1, &net, msg, b, 0, Direction::Plus, 0, false);
+        s.on_allocate(&net, &grant(1, b, 0, false));
         assert!(s.is_clean());
         assert_eq!(s.edges_checked(), 1);
         // A turn the CDG does not contain is a divergence.
         let c = net.neighbor(b, 0, Direction::Plus).unwrap();
-        s.on_allocate(2, &net, msg, c, 1, Direction::Plus, 0, false);
+        s.on_allocate(&net, &grant(2, c, 1, false));
         assert_eq!(s.violation_count(), 1);
         let v0 = &s.violations()[0];
         assert_eq!(v0.kind, "cdg-divergence");
@@ -735,33 +705,52 @@ mod tests {
         assert!(v0.detail.contains("not an edge of the exact CDG"));
         // Release clears the wait-for state: the next allocation is fresh.
         s.on_release(msg);
-        s.on_allocate(3, &net, msg, c, 1, Direction::Plus, 0, false);
+        s.on_allocate(&net, &grant(3, c, 1, false));
         assert_eq!(s.violation_count(), 1);
     }
 
     #[test]
     fn untracked_allocations_are_ignored_without_all_tracked() {
         let net = mesh();
-        let mut s = Sanitizer::new(1, 4, false, Some(DependencyGraph::new(net.channel_slots())));
-        let msg = MessageId(0);
+        let mut s = sanitizer(1, 4, false, Some(DependencyGraph::new(net.channel_slots())));
         // Adaptive-layer (non-escape) hops never touch the wait-for state.
-        s.on_allocate(0, &net, msg, NodeId(0), 0, Direction::Plus, 0, false);
-        s.on_allocate(1, &net, msg, NodeId(1), 1, Direction::Plus, 0, false);
+        s.on_allocate(&net, &grant(0, NodeId(0), 0, false));
+        s.on_allocate(&net, &grant(1, NodeId(1), 1, false));
         assert!(s.is_clean());
         assert_eq!(s.edges_checked(), 0);
         // Escape hops do: with an edge-free CDG the second one diverges.
-        s.on_allocate(2, &net, msg, NodeId(0), 0, Direction::Plus, 0, true);
-        s.on_allocate(3, &net, msg, NodeId(1), 1, Direction::Plus, 0, true);
+        s.on_allocate(&net, &grant(2, NodeId(0), 0, true));
+        s.on_allocate(&net, &grant(3, NodeId(1), 1, true));
         assert_eq!(s.violation_count(), 1);
     }
 
     #[test]
     fn recording_is_capped_but_counting_is_not() {
-        let mut s = Sanitizer::new(1, 1, true, None);
+        let mut s = sanitizer(1, 1, true, None);
         for i in 0..(MAX_RECORDED as u64 + 10) {
             s.record(i, "test", String::new());
         }
         assert_eq!(s.violations().len(), MAX_RECORDED);
         assert_eq!(s.violation_count(), MAX_RECORDED as u64 + 10);
+    }
+
+    #[test]
+    fn watchdog_absorption_drops_the_kept_decision() {
+        // Past saturation with a threshold of a few cycles the watchdog keeps
+        // absorbing heads that were blocked on VC allocation. Their kept
+        // candidates must go with them: the sanitizer flags a decision left
+        // on a bound VC, and in debug builds the next head to block there
+        // would fail the purity re-check against the stale list.
+        let mut config = SimConfig::paper(4, 2, 4, 8, 0.9);
+        config.stall_absorb_threshold = 5;
+        config.max_cycles = 2_000;
+        config.stop = StopCondition::MeasuredMessages(u64::MAX);
+        let algo = SwBasedRouting::adaptive();
+        let sanitizer = Sanitizer::new(&config, &algo, None);
+        let mut sim = Simulation::with_observer(config, FaultSet::new(), algo, sanitizer).unwrap();
+        let out = sim.run();
+        assert!(out.forced_absorptions > 100, "{}", out.forced_absorptions);
+        let sanitizer = sim.into_observer();
+        assert!(sanitizer.is_clean(), "{:?}", sanitizer.violations().first());
     }
 }

@@ -19,9 +19,8 @@
 
 use crate::active::ActiveSet;
 use crate::flit::MessageId;
-use crate::message::{MessageSlab, MessageState};
+use crate::message::{MessageLookup, MessageSlab, MessageState};
 use crate::router::RouterState;
-use crate::sanitizer::MessageLookup;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::IndexMut;

@@ -4,8 +4,8 @@
 //! floating-point accumulation order, same RNG stream — for every seed, load
 //! and fault scenario.
 //!
-//! With the `sanitizer` feature (the default) every case additionally runs
-//! both engines under the conservation sanitizer and asserts a clean audit:
+//! Every case runs both engines under the conservation sanitizer and asserts
+//! a clean audit:
 //! no flit created or destroyed outside inject/absorb, credit counters the
 //! exact complement of downstream occupancy, faulty components quiescent, no
 //! stale message references. (CDG-conformance runs, which need the static
@@ -28,8 +28,8 @@ use torus_faults::{FaultScenario, FaultSet};
 use torus_routing::{RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting};
 use torus_sim::router::RouterState;
 use torus_sim::{
-    Engine, FullScan, MessageState, ReferenceSimulation, Schedule, SimConfig, Simulation,
-    StopCondition,
+    Engine, FullScan, MessageState, ReferenceSimulation, Sanitizer, Schedule, SimConfig,
+    Simulation, StopCondition,
 };
 use torus_topology::{AnyTopology, Direction, TopologySpec};
 
@@ -90,26 +90,21 @@ fn assert_equivalent_with<A: RoutingAlgorithm + Clone>(
     faults: FaultSet,
     algo: A,
 ) -> (u64, u64, u64) {
-    let mut a = Simulation::new(config.clone(), faults.clone(), algo.clone())
-        .expect("valid config for the active engine");
-    let mut r = ReferenceSimulation::new(config, faults, algo.clone())
+    let audit = Sanitizer::new(&config, &algo, None);
+    let mut a =
+        Simulation::with_observer(config.clone(), faults.clone(), algo.clone(), audit.clone())
+            .expect("valid config for the active engine");
+    let mut r = ReferenceSimulation::with_observer(config, faults, algo.clone(), audit)
         .expect("valid config for the reference engine");
-    #[cfg(feature = "sanitizer")]
-    {
-        a.attach_sanitizer(None);
-        r.attach_sanitizer(None);
-    }
     let (active, reference) = (a.run(), r.run());
-    for (engine, sanitizer) in [("active", a.sanitizer()), ("reference", r.sanitizer())] {
-        if let Some(s) = sanitizer {
-            assert!(
-                s.is_clean(),
-                "{engine} engine violated {} invariant(s) under {}; first: {:?}",
-                s.violation_count(),
-                algo.name(),
-                s.violations().first()
-            );
-        }
+    for (engine, s) in [("active", a.observer()), ("reference", r.observer())] {
+        assert!(
+            s.is_clean(),
+            "{engine} engine violated {} invariant(s) under {}; first: {:?}",
+            s.violation_count(),
+            algo.name(),
+            s.violations().first()
+        );
     }
     assert_eq!(
         active.report,
@@ -561,11 +556,11 @@ impl Schedule for Descending {
 fn descending_worklists_are_caught_by_the_oracle() {
     let config = quick(4, 2, 4, 8, 0.02, 1);
     let algo = SwBasedRouting::adaptive();
-    let mut buggy = Engine::<_, Descending>::new(config.clone(), FaultSet::new(), algo).unwrap();
+    let audit = Sanitizer::new(&config, &algo, None);
+    let mut buggy =
+        Engine::<_, Descending, _>::with_observer(config.clone(), FaultSet::new(), algo, audit)
+            .unwrap();
     let mut reference = ReferenceSimulation::new(config, FaultSet::new(), algo).unwrap();
-    #[cfg(feature = "sanitizer")]
-    buggy.attach_sanitizer(None);
-    let flagged = buggy.run().report != reference.run().report
-        || buggy.sanitizer().is_some_and(|s| !s.is_clean());
+    let flagged = buggy.run().report != reference.run().report || !buggy.observer().is_clean();
     assert!(flagged, "a descending visit order went unnoticed");
 }

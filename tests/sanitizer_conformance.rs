@@ -10,15 +10,13 @@
 //! with a concrete `cdg-divergence` report — proving the check can actually
 //! catch real protocol violations, not just vacuously pass.
 
-#![cfg(feature = "sanitizer")]
-
 use swbft::faults::{FaultRegion, FaultSet, RegionShape};
 use swbft::routing::cdg::DependencyGraph;
 use swbft::routing::{
     RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, RoutingTopologyError,
     SwBasedRouting, TurnModelRouting,
 };
-use swbft::sim::{ReferenceSimulation, SimConfig, Simulation, StopCondition};
+use swbft::sim::{ReferenceSimulation, Sanitizer, SimConfig, Simulation, StopCondition};
 use swbft::topology::{AnyTopology, Direction, NodeId, TopologySpec};
 use swbft::verify::{extract_exact_cdg, Granularity};
 
@@ -54,24 +52,26 @@ fn exact_cdg<A: RoutingAlgorithm>(
     .graph
 }
 
-/// Runs both engines under the sanitizer with `cdg` attached and returns the
-/// two sanitizer summaries as (edges_checked, violations-of-kind) extractors
-/// via the engines themselves.
+/// Runs both engines under a sanitizer enforcing `cdg` and returns the two
+/// audits, active engine first.
 fn run_both_with_cdg<A: RoutingAlgorithm + Clone>(
     config: SimConfig,
     faults: FaultSet,
     algo: A,
     cdg: DependencyGraph,
-) -> (Simulation<A>, ReferenceSimulation<A>) {
-    let mut a = Simulation::new(config.clone(), faults.clone(), algo.clone())
-        .expect("valid config for the active engine");
-    let mut r =
-        ReferenceSimulation::new(config, faults, algo).expect("valid config for the reference");
-    a.attach_sanitizer(Some(cdg.clone()));
-    r.attach_sanitizer(Some(cdg));
+) -> [(&'static str, Sanitizer); 2] {
+    let audit = Sanitizer::new(&config, &algo, Some(cdg));
+    let mut a =
+        Simulation::with_observer(config.clone(), faults.clone(), algo.clone(), audit.clone())
+            .expect("valid config for the active engine");
+    let mut r = ReferenceSimulation::with_observer(config, faults, algo, audit)
+        .expect("valid config for the reference");
     a.run();
     r.run();
-    (a, r)
+    [
+        ("active", a.into_observer()),
+        ("reference", r.into_observer()),
+    ]
 }
 
 /// Asserts that a run of `algo` conforms to its own exact CDG on both
@@ -79,9 +79,7 @@ fn run_both_with_cdg<A: RoutingAlgorithm + Clone>(
 fn assert_conformant<A: RoutingAlgorithm + Clone>(config: SimConfig, faults: FaultSet, algo: A) {
     let name = algo.name();
     let cdg = exact_cdg(&config, &algo, &faults);
-    let (a, r) = run_both_with_cdg(config, faults, algo, cdg);
-    for (engine, sanitizer) in [("active", a.sanitizer()), ("reference", r.sanitizer())] {
-        let s = sanitizer.expect("sanitizer attached");
+    for (engine, s) in run_both_with_cdg(config, faults, algo, cdg) {
         assert!(
             s.edges_checked() > 0,
             "{engine} engine under {name}: no wait-for dependencies were checked"
@@ -169,9 +167,7 @@ fn adaptive_escape_allocations_conform() {
     let config = quick("torus:4x2", 3, 0.05, 17);
     let algo = SwBasedRouting::adaptive();
     let cdg = exact_cdg(&config, &algo, &faults);
-    let (a, r) = run_both_with_cdg(config, faults, algo, cdg);
-    for (engine, sanitizer) in [("active", a.sanitizer()), ("reference", r.sanitizer())] {
-        let s = sanitizer.expect("sanitizer attached");
+    for (engine, s) in run_both_with_cdg(config, faults, algo, cdg) {
         assert!(
             s.is_clean(),
             "{engine} engine (adaptive): {} violation(s); first: {:?}",
@@ -262,14 +258,9 @@ impl RoutingAlgorithm for SkipViaHostAbsorb {
 
 /// Asserts that at least one engine reported a `cdg-divergence` whose detail
 /// carries the concrete (cycle, message, held, requested) context.
-fn assert_divergence_flagged<A: RoutingAlgorithm + Clone>(
-    a: &Simulation<A>,
-    r: &ReferenceSimulation<A>,
-    what: &str,
-) {
+fn assert_divergence_flagged(audits: [(&'static str, Sanitizer); 2], what: &str) {
     let mut flagged = false;
-    for sanitizer in [a.sanitizer(), r.sanitizer()] {
-        let s = sanitizer.expect("sanitizer attached");
+    for (_, s) in &audits {
         if let Some(v) = s.violations().iter().find(|v| v.kind == "cdg-divergence") {
             flagged = true;
             assert!(
@@ -296,8 +287,8 @@ fn skipping_the_via_host_absorb_is_caught_as_cdg_divergence() {
     // not change which channels exist, only which dependencies the worm may
     // chain through a via host.
     let cdg = exact_cdg(&config, &correct, &faults);
-    let (a, r) = run_both_with_cdg(config, faults, buggy, cdg);
-    assert_divergence_flagged(&a, &r, "skip-via-absorb");
+    let audits = run_both_with_cdg(config, faults, buggy, cdg);
+    assert_divergence_flagged(audits, "skip-via-absorb");
 }
 
 #[test]
@@ -310,11 +301,11 @@ fn forbidden_turn_dependency_is_caught_as_cdg_divergence() {
     let faults = FaultSet::new();
     let negative_first = TurnModelRouting::deterministic();
     let cdg = exact_cdg(&config, &negative_first, &faults);
-    let (a, r) = run_both_with_cdg(
+    let audits = run_both_with_cdg(
         config,
         faults,
         TurnModelRouting::north_last_deterministic(),
         cdg,
     );
-    assert_divergence_flagged(&a, &r, "forbidden-turn mutation");
+    assert_divergence_flagged(audits, "forbidden-turn mutation");
 }
