@@ -25,11 +25,13 @@
 //! ```
 //!
 //! Exit status: 0 when every case is proved or rejected, 1 on a usage or
-//! I/O error, 2 when any case fails verification.
+//! I/O error (including a `--schedule` configuration the simulator would
+//! reject: a routing the topology does not support, or `--vc` below the
+//! routing's minimum), 2 when any case fails verification.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use swbft_verify::epochs::verify_schedule;
+use swbft_verify::epochs::{verify_schedule, ScheduleVerifyError};
 use swbft_verify::matrix::{
     matrix_routings, naive_torus_demo, run_matrix_with_options, MatrixKind, STATE_BUDGET,
 };
@@ -66,10 +68,6 @@ fn run_schedule(
         eprintln!("unknown --routing '{routing}' (known: {known})");
         return ExitCode::FAILURE;
     };
-    if let Err(e) = algo.supported_on(&net) {
-        eprintln!("{label} rejects {topology}: {e}");
-        return ExitCode::FAILURE;
-    }
     let schedule = match FaultSchedule::parse(spec) {
         Ok(s) => s,
         Err(e) => {
@@ -91,6 +89,14 @@ fn run_schedule(
             } else {
                 ExitCode::SUCCESS
             }
+        }
+        // A configuration the simulator would reject is a usage error.
+        Err(
+            e @ (ScheduleVerifyError::Unsupported(_)
+            | ScheduleVerifyError::TooFewVirtualChannels { .. }),
+        ) => {
+            eprintln!("{label} on {topology} (v={v}): {e}");
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("schedule verification error: {e}");

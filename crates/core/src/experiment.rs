@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_faults::{FaultScenario, FaultScenarioError};
 use torus_metrics::SimulationReport;
-use torus_routing::{AnyRouting, SwBasedRouting, TurnModelRouting, UpDownRouting};
+use torus_routing::{AnyRouting, Substrate, TurnRule};
 use torus_sim::{SimConfig, SimConfigError, Simulation, StopCondition};
 use torus_topology::TopologySpec;
 
@@ -43,16 +43,16 @@ impl RoutingChoice {
     /// The routing algorithm object for this choice.
     pub fn algorithm(&self) -> AnyRouting {
         match self {
-            RoutingChoice::Deterministic => AnyRouting::SwBased(SwBasedRouting::deterministic()),
-            RoutingChoice::Adaptive => AnyRouting::SwBased(SwBasedRouting::adaptive()),
-            RoutingChoice::TurnModel => AnyRouting::TurnModel(TurnModelRouting::adaptive()),
+            RoutingChoice::Deterministic => AnyRouting::deterministic(Substrate::DimensionOrder),
+            RoutingChoice::Adaptive => AnyRouting::adaptive(Substrate::DimensionOrder),
+            RoutingChoice::TurnModel => {
+                AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst))
+            }
             RoutingChoice::TurnModelDeterministic => {
-                AnyRouting::TurnModel(TurnModelRouting::deterministic())
+                AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst))
             }
-            RoutingChoice::UpDownDeterministic => {
-                AnyRouting::UpDown(UpDownRouting::deterministic())
-            }
-            RoutingChoice::UpDownAdaptive => AnyRouting::UpDown(UpDownRouting::adaptive()),
+            RoutingChoice::UpDownDeterministic => AnyRouting::deterministic(Substrate::UpDown),
+            RoutingChoice::UpDownAdaptive => AnyRouting::adaptive(Substrate::UpDown),
         }
     }
 
@@ -511,7 +511,7 @@ mod tests {
         assert_eq!(RoutingChoice::UpDownAdaptive.label(), "updown");
         assert_eq!(
             RoutingChoice::UpDownDeterministic.algorithm(),
-            torus_routing::AnyRouting::UpDown(torus_routing::UpDownRouting::deterministic())
+            AnyRouting::deterministic(Substrate::UpDown)
         );
         assert_eq!(
             RoutingChoice::TurnModelDeterministic.label(),
@@ -519,11 +519,11 @@ mod tests {
         );
         assert_eq!(
             RoutingChoice::TurnModel.algorithm(),
-            torus_routing::AnyRouting::TurnModel(torus_routing::TurnModelRouting::adaptive())
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst))
         );
         assert_eq!(
             RoutingChoice::TurnModelDeterministic.algorithm(),
-            torus_routing::AnyRouting::TurnModel(torus_routing::TurnModelRouting::deterministic())
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst))
         );
     }
 

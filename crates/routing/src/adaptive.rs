@@ -11,63 +11,28 @@
 //! The escape layer is wrap-aware: wrapped dimensions reserve two escape
 //! channels (one per dateline class) while a pure mesh needs only one, which
 //! leaves one more channel in the adaptive pool.
+//!
+//! The candidate list itself is built by the software layer
+//! ([`crate::swbased`]), which writes the adaptive step once for every
+//! substrate; this module supplies Duato's legal set, the productive outputs.
 
-use crate::decision::OutputCandidate;
-use crate::ecube::{ecube_output, ecube_vc_class};
 use crate::header::RouteHeader;
-use torus_topology::{DatelinePolicy, Direction, Network, NodeId};
+use torus_topology::{Direction, Network, NodeId};
 
 /// All minimal (productive) outputs towards the header's current target:
-/// one `(dim, dir)` pair per dimension with a non-zero offset. Minimal hops
-/// never leave an open dimension's extent, so every productive output is an
-/// existing channel on meshes too.
-pub fn productive_outputs(
-    net: &Network,
+/// one `(dim, dir)` pair per dimension with a non-zero offset, in increasing
+/// dimension order. Minimal hops never leave an open dimension's extent, so
+/// every productive output is an existing channel on meshes too.
+pub fn productive_outputs<'a>(
+    net: &'a Network,
     header: &RouteHeader,
     current: NodeId,
-) -> Vec<(usize, Direction)> {
+) -> impl Iterator<Item = (usize, Direction)> + 'a {
     let target = header.target();
-    (0..net.dims())
-        .filter_map(|dim| {
-            let off = net.offset(current, target, dim);
-            Direction::from_offset(off).map(|dir| (dim, dir))
-        })
-        .collect()
-}
-
-/// The adaptive-routing candidate list for a header at `current` under
-/// Duato's Protocol with `v` virtual channels per physical channel:
-/// every healthy productive output with the adaptive VC pool, followed by the
-/// e-cube escape output (if healthy) restricted to its dateline-class escape
-/// VC.
-///
-/// The `healthy` predicate decides whether the output channel `(dim, dir)` of
-/// `current` is usable; candidates whose channel is faulty are omitted.
-pub fn adaptive_candidates<F>(
-    net: &Network,
-    header: &RouteHeader,
-    current: NodeId,
-    v: usize,
-    healthy: F,
-) -> Vec<OutputCandidate>
-where
-    F: Fn(usize, Direction) -> bool,
-{
-    let policy = DatelinePolicy::new(net);
-    let adaptive_vcs: Vec<usize> = policy.adaptive_range(v).collect();
-    let mut candidates = Vec::new();
-    for (dim, dir) in productive_outputs(net, header, current) {
-        if healthy(dim, dir) {
-            candidates.push(OutputCandidate::new(dim, dir, adaptive_vcs.clone()));
-        }
-    }
-    if let Some((dim, dir)) = ecube_output(net, header, current) {
-        if healthy(dim, dir) {
-            let escape_vc = policy.escape_vc(dim, ecube_vc_class(header, dim));
-            candidates.push(OutputCandidate::escape(dim, dir, escape_vc));
-        }
-    }
-    candidates
+    (0..net.dims()).filter_map(move |dim| {
+        let off = net.offset(current, target, dim);
+        Direction::from_offset(off).map(|dir| (dim, dir))
+    })
 }
 
 #[cfg(test)]
@@ -85,7 +50,7 @@ mod tests {
         let src = t.node_from_digits(&[0, 0, 0]).unwrap();
         let dest = t.node_from_digits(&[2, 0, 6]).unwrap();
         let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Adaptive);
-        let prods = productive_outputs(&t, &h, src);
+        let prods: Vec<_> = productive_outputs(&t, &h, src).collect();
         assert_eq!(prods.len(), 2);
         assert!(prods.contains(&(0, Direction::Plus)));
         assert!(prods.contains(&(2, Direction::Minus)));
@@ -96,7 +61,7 @@ mod tests {
         let t = torus();
         let dest = t.node_from_digits(&[1, 2, 3]).unwrap();
         let h = RouteHeader::new(&t, dest, dest, RoutingFlavor::Adaptive);
-        assert!(productive_outputs(&t, &h, dest).is_empty());
+        assert_eq!(productive_outputs(&t, &h, dest).count(), 0);
     }
 
     #[test]
@@ -112,73 +77,5 @@ mod tests {
         for (dim, dir) in productive_outputs(&m, &h, far) {
             assert!(m.has_channel(far, dim, dir));
         }
-    }
-
-    #[test]
-    fn candidates_include_adaptive_and_escape() {
-        let t = torus();
-        let src = t.node_from_digits(&[0, 0, 0]).unwrap();
-        let dest = t.node_from_digits(&[3, 2, 0]).unwrap();
-        let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Adaptive);
-        let cands = adaptive_candidates(&t, &h, src, 6, |_, _| true);
-        // two productive dims -> two adaptive candidates + one escape
-        assert_eq!(cands.len(), 3);
-        assert_eq!(cands.iter().filter(|c| c.is_escape).count(), 1);
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        // escape follows e-cube: lowest unresolved dimension
-        assert_eq!(escape.dim, 0);
-        assert_eq!(escape.vcs, vec![0]);
-        for c in cands.iter().filter(|c| !c.is_escape) {
-            assert_eq!(c.vcs, vec![2, 3, 4, 5]);
-        }
-    }
-
-    #[test]
-    fn mesh_reserves_a_single_escape_channel() {
-        // A pure mesh needs only one escape class, so with the same v the
-        // adaptive pool is one channel larger than on a torus.
-        let m = Network::mesh(8, 2).unwrap();
-        let src = m.node_from_digits(&[0, 0]).unwrap();
-        let dest = m.node_from_digits(&[3, 2]).unwrap();
-        let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Adaptive);
-        let cands = adaptive_candidates(&m, &h, src, 6, |_, _| true);
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![0]);
-        for c in cands.iter().filter(|c| !c.is_escape) {
-            assert_eq!(c.vcs, vec![1, 2, 3, 4, 5]);
-        }
-        // Two VCs suffice for Duato's protocol on a mesh.
-        let cands = adaptive_candidates(&m, &h, src, 2, |_, _| true);
-        assert!(!cands.is_empty());
-    }
-
-    #[test]
-    fn escape_vc_switches_after_dateline() {
-        let t = torus();
-        let src = t.node_from_digits(&[0, 0, 0]).unwrap();
-        let dest = t.node_from_digits(&[3, 0, 0]).unwrap();
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Adaptive);
-        h.crossed_dateline[0] = true;
-        let cands = adaptive_candidates(&t, &h, src, 4, |_, _| true);
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![1]);
-    }
-
-    #[test]
-    fn faulty_outputs_are_filtered() {
-        let t = torus();
-        let src = t.node_from_digits(&[0, 0, 0]).unwrap();
-        let dest = t.node_from_digits(&[2, 3, 0]).unwrap();
-        let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Adaptive);
-        // Dimension 0 plus is faulty: only the dimension 1 adaptive candidate
-        // and no escape (escape would have been dim 0) ... the escape layer
-        // follows e-cube, which is dim 0, so it disappears as well.
-        let cands = adaptive_candidates(&t, &h, src, 6, |dim, _| dim != 0);
-        assert_eq!(cands.len(), 1);
-        assert!(!cands[0].is_escape);
-        assert_eq!(cands[0].dim, 1);
-        // Nothing healthy at all -> empty list (the caller absorbs).
-        let none = adaptive_candidates(&t, &h, src, 6, |_, _| false);
-        assert!(none.is_empty());
     }
 }

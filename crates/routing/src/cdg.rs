@@ -89,48 +89,15 @@ impl DependencyGraph {
             .flat_map(|(from, succs)| succs.iter().map(move |&to| (from, to)))
     }
 
-    /// True if the graph contains no directed cycle (iterative three-colour
-    /// DFS).
+    /// True if the graph contains no directed cycle.
     pub fn is_acyclic(&self) -> bool {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour = vec![Colour::White; self.num_vertices];
-        for start in 0..self.num_vertices {
-            if colour[start] != Colour::White {
-                continue;
-            }
-            // Stack of (vertex, next-child-index).
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = Colour::Grey;
-            while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-                if *idx < self.edges[v].len() {
-                    let child = self.edges[v][*idx];
-                    *idx += 1;
-                    match colour[child] {
-                        Colour::Grey => return false,
-                        Colour::White => {
-                            colour[child] = Colour::Grey;
-                            stack.push((child, 0));
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour[v] = Colour::Black;
-                    stack.pop();
-                }
-            }
-        }
-        true
+        self.find_cycle().is_none()
     }
 
     /// Returns a directed cycle as a witness, or `None` if the graph is
-    /// acyclic. The returned vertices `v0, v1, .., vk` are a closed walk:
-    /// every consecutive pair `(vi, vi+1)` is a recorded edge, as is
-    /// `(vk, v0)`.
+    /// acyclic (iterative three-colour DFS). The returned vertices
+    /// `v0, v1, .., vk` are a closed walk: every consecutive pair
+    /// `(vi, vi+1)` is a recorded edge, as is `(vk, v0)`.
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {
@@ -240,16 +207,15 @@ pub fn build_ecube_cdg(net: &Network, model: VcModel) -> DependencyGraph {
     graph
 }
 
-/// Turn rule used by [`build_turn_cdg`] and the turn-model routing flavours.
+/// Turn rule used by [`build_turn_cdg`] and the turn-model substrates.
 ///
-/// Every restricted rule is a *per-dimension direction priority*: each
-/// dimension names a "first" direction, and a hop against a dimension's first
-/// direction (the second phase) may never be followed by a hop *in* any
-/// dimension's first direction. Negative-first is the special case where
-/// every dimension's first direction is Minus; west-first flips dimension 0.
-/// Any such rule is a reflection (per-dimension relabelling of Plus/Minus) of
-/// negative-first, so its turn CDG is acyclic on open shapes for exactly the
-/// same reason.
+/// Every rule is a *per-dimension direction priority*: each dimension names a
+/// "first" direction, and a hop against a dimension's first direction (the
+/// second phase) may never be followed by a hop *in* any dimension's first
+/// direction. Negative-first is the special case where every dimension's
+/// first direction is Minus; west-first flips dimension 0. Any such rule is a
+/// reflection (per-dimension relabelling of Plus/Minus) of negative-first, so
+/// its turn CDG is acyclic on open shapes for exactly the same reason.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TurnRule {
     /// Negative-first: a hop in the Minus direction may never follow a hop in
@@ -264,29 +230,18 @@ pub enum TurnRule {
     /// hop in the higher dimensions happens in the closing phase — the exact
     /// mirror of west-first, and another reflection of negative-first.
     NorthLast,
-    /// Every turn is permitted (except U-turns) — the unrestricted adaptive
-    /// baseline, cyclic on any mesh with at least two dimensions.
-    Unrestricted,
 }
 
 impl TurnRule {
-    /// The direction `dim` routes during the first phase, or `None` when the
-    /// rule imposes no ordering (unrestricted).
+    /// The direction `dim` routes during the first phase.
     #[inline]
-    pub fn first_direction(self, dim: usize) -> Option<Direction> {
+    pub fn first_direction(self, dim: usize) -> Direction {
         match self {
-            TurnRule::NegativeFirst => Some(Direction::Minus),
-            TurnRule::WestFirst => Some(if dim == 0 {
-                Direction::Minus
-            } else {
-                Direction::Plus
-            }),
-            TurnRule::NorthLast => Some(if dim == 0 {
-                Direction::Plus
-            } else {
-                Direction::Minus
-            }),
-            TurnRule::Unrestricted => None,
+            TurnRule::NegativeFirst => Direction::Minus,
+            TurnRule::WestFirst if dim == 0 => Direction::Minus,
+            TurnRule::WestFirst => Direction::Plus,
+            TurnRule::NorthLast if dim == 0 => Direction::Plus,
+            TurnRule::NorthLast => Direction::Minus,
         }
     }
 
@@ -295,28 +250,24 @@ impl TurnRule {
     /// second-phase hop may never be followed by a first-phase hop.
     #[inline]
     pub fn permits(self, held: (usize, Direction), next: (usize, Direction)) -> bool {
-        let Some(held_first) = self.first_direction(held.0) else {
-            return true;
-        };
-        let next_first = self
-            .first_direction(next.0)
-            .expect("restricted rules order every dimension");
-        !(held.1 == held_first.opposite() && next.1 == next_first)
+        !(held.1 != self.first_direction(held.0) && next.1 == self.first_direction(next.0))
     }
 }
 
 /// Builds the single-VC-class channel dependency graph of **all** routes
 /// permitted by `rule`: one edge per pair of channels `(held, requested)`
 /// such that `requested` starts where `held` ends, is not the U-turn back
-/// along `held`, and the turn is legal under the rule.
+/// along `held`, and the turn is legal under the rule. `None` permits every
+/// turn (except U-turns) — the unrestricted adaptive baseline, cyclic on any
+/// mesh with at least two dimensions.
 ///
 /// This over-approximates every concrete routing function obeying the rule
 /// (minimal or not), so acyclicity here implies deadlock freedom for the
-/// negative-first subsystem with one virtual channel. Conversely, on a
-/// wrapped dimension the same-direction dependency chain around the ring
-/// closes a cycle no turn prohibition can break — which is exactly why the
-/// turn model is rejected on wrapped dimensions.
-pub fn build_turn_cdg(net: &Network, rule: TurnRule) -> DependencyGraph {
+/// turn-model substrates with one virtual channel. Conversely, on a wrapped
+/// dimension the same-direction dependency chain around the ring closes a
+/// cycle no turn prohibition can break — which is exactly why the turn model
+/// is rejected on wrapped dimensions.
+pub fn build_turn_cdg(net: &Network, rule: Option<TurnRule>) -> DependencyGraph {
     let mut graph = DependencyGraph::new(net.channel_slots());
     for held in net.channels() {
         let mid = net
@@ -328,7 +279,7 @@ pub fn build_turn_cdg(net: &Network, rule: TurnRule) -> DependencyGraph {
                 if dim == held.dim && dir == held.dir.opposite() {
                     continue; // U-turn
                 }
-                if !rule.permits((held.dim, held.dir), (dim, dir)) {
+                if rule.is_some_and(|r| !r.permits((held.dim, held.dir), (dim, dir))) {
                     continue;
                 }
                 if !net.has_channel(mid, dim, dir) {
@@ -462,7 +413,7 @@ mod tests {
                 TurnRule::WestFirst,
                 TurnRule::NorthLast,
             ] {
-                let g = build_turn_cdg(&net, rule);
+                let g = build_turn_cdg(&net, Some(rule));
                 assert!(g.num_edges() > 0);
                 assert!(g.is_acyclic(), "{rule:?} turn CDG must be acyclic on {net}");
             }
@@ -479,7 +430,7 @@ mod tests {
             Network::mesh(4, 2).unwrap(),
             Network::hypercube(3).unwrap(),
         ] {
-            let g = build_turn_cdg(&net, TurnRule::Unrestricted);
+            let g = build_turn_cdg(&net, None);
             assert!(
                 !g.is_acyclic(),
                 "unrestricted turn CDG on {net} must contain cycles"
@@ -487,7 +438,7 @@ mod tests {
         }
         // A 1-D line has no turns at all; even unrestricted it is acyclic.
         let line = Network::mesh(8, 1).unwrap();
-        assert!(build_turn_cdg(&line, TurnRule::Unrestricted).is_acyclic());
+        assert!(build_turn_cdg(&line, None).is_acyclic());
     }
 
     #[test]
@@ -504,7 +455,7 @@ mod tests {
                 TurnRule::WestFirst,
                 TurnRule::NorthLast,
             ] {
-                let g = build_turn_cdg(&net, rule);
+                let g = build_turn_cdg(&net, Some(rule));
                 assert!(
                     !g.is_acyclic(),
                     "{rule:?} turn CDG on wrapped {net} must contain cycles"
@@ -526,9 +477,9 @@ mod tests {
         }
         // West-first flips dimension 0: its first phase is Minus (west) while
         // every higher dimension routes Plus first.
-        assert_eq!(TurnRule::WestFirst.first_direction(0), Some(Minus));
-        assert_eq!(TurnRule::WestFirst.first_direction(1), Some(Plus));
-        assert_eq!(TurnRule::WestFirst.first_direction(5), Some(Plus));
+        assert_eq!(TurnRule::WestFirst.first_direction(0), Minus);
+        assert_eq!(TurnRule::WestFirst.first_direction(1), Plus);
+        assert_eq!(TurnRule::WestFirst.first_direction(5), Plus);
         // East (second phase of dim 0) may not be followed by west or north.
         assert!(!TurnRule::WestFirst.permits((0, Plus), (0, Minus)));
         assert!(!TurnRule::WestFirst.permits((0, Plus), (1, Plus)));
@@ -542,9 +493,9 @@ mod tests {
         // North-last mirrors west-first: dimension 0 routes Plus (east) first
         // while every higher dimension routes Minus first, so northward (Plus)
         // hops in the higher dimensions come last.
-        assert_eq!(TurnRule::NorthLast.first_direction(0), Some(Plus));
-        assert_eq!(TurnRule::NorthLast.first_direction(1), Some(Minus));
-        assert_eq!(TurnRule::NorthLast.first_direction(5), Some(Minus));
+        assert_eq!(TurnRule::NorthLast.first_direction(0), Plus);
+        assert_eq!(TurnRule::NorthLast.first_direction(1), Minus);
+        assert_eq!(TurnRule::NorthLast.first_direction(5), Minus);
         // West (second phase of dim 0) may not be followed by east or south.
         assert!(!TurnRule::NorthLast.permits((0, Minus), (0, Plus)));
         assert!(!TurnRule::NorthLast.permits((0, Minus), (1, Minus)));
@@ -555,20 +506,15 @@ mod tests {
         assert!(TurnRule::NorthLast.permits((0, Plus), (1, Plus)));
         assert!(TurnRule::NorthLast.permits((1, Minus), (0, Minus)));
         assert!(TurnRule::NorthLast.permits((1, Minus), (2, Plus)));
-        for held in Direction::BOTH {
-            for next in Direction::BOTH {
-                assert!(TurnRule::Unrestricted.permits((0, held), (1, next)));
-            }
-        }
     }
 
     #[test]
     fn turn_cdg_vertex_space_matches_channel_slots() {
         let m = Network::mesh(4, 2).unwrap();
-        let g = build_turn_cdg(&m, TurnRule::NegativeFirst);
+        let g = build_turn_cdg(&m, Some(TurnRule::NegativeFirst));
         assert_eq!(g.num_vertices(), m.channel_slots());
         // The restricted graph is a strict subgraph of the unrestricted one.
-        let u = build_turn_cdg(&m, TurnRule::Unrestricted);
+        let u = build_turn_cdg(&m, None);
         assert!(g.num_edges() < u.num_edges());
     }
 

@@ -8,8 +8,9 @@
 //! message the "wrong way" around a ring.
 //!
 //! Virtual-channel classes are wrap-aware: a hop in a wrapped dimension must
-//! use the dateline class the header has earned, while a hop in an open
-//! (mesh) dimension needs no dateline split and may use the whole VC pool.
+//! use the dateline class the header has earned ([`ecube_vc_class`]), while a
+//! hop in an open (mesh) dimension needs no dateline split and may use the
+//! whole VC pool.
 
 use crate::header::RouteHeader;
 use torus_topology::{Direction, Network, NodeId, VcClass};
@@ -55,22 +56,19 @@ pub fn ecube_vc_class(header: &RouteHeader, dim: usize) -> VcClass {
     }
 }
 
-/// Permitted virtual channels for a deterministic hop in `dim` when `v`
-/// virtual channels are configured per physical channel: on a wrapped
-/// dimension, the half of the VC pool assigned to the header's current
-/// dateline class; on an open dimension, the whole pool (no dateline exists,
-/// so no split is needed).
-pub fn deterministic_vcs(net: &Network, header: &RouteHeader, dim: usize, v: usize) -> Vec<usize> {
-    let policy = torus_topology::DatelinePolicy::new(net);
-    policy
-        .deterministic_range(v, dim, ecube_vc_class(header, dim))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::header::RoutingFlavor;
+    use torus_topology::DatelinePolicy;
+
+    /// The deterministic VCs of a hop in `dim`: the header's dateline class
+    /// of the pool.
+    fn deterministic_vcs(net: &Network, header: &RouteHeader, dim: usize, v: usize) -> Vec<usize> {
+        DatelinePolicy::new(net)
+            .deterministic_range(v, dim, ecube_vc_class(header, dim))
+            .collect()
+    }
 
     fn torus() -> Network {
         Network::torus(8, 2).unwrap()

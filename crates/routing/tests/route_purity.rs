@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use torus_faults::FaultSet;
 use torus_routing::{
-    RouteDecision, RouteHeader, RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting,
+    AnyRouting, RouteDecision, RouteHeader, RoutingAlgorithm, Substrate, TurnRule,
 };
 use torus_topology::{AnyTopology, Direction, NodeId};
 
@@ -230,7 +230,10 @@ proptest! {
     #[test]
     fn sw_based_route_is_pure(seed in any::<u64>()) {
         for net in [AnyTopology::torus(5, 2).unwrap(), AnyTopology::mesh(4, 3).unwrap()] {
-            for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+            for algo in [
+                AnyRouting::deterministic(Substrate::DimensionOrder),
+                AnyRouting::adaptive(Substrate::DimensionOrder),
+            ] {
                 let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
                 prop_assert!(walked.states > 40);
             }
@@ -241,12 +244,12 @@ proptest! {
     fn turn_model_route_is_pure_under_all_three_rules(seed in any::<u64>()) {
         let net = AnyTopology::mesh(5, 2).unwrap();
         for algo in [
-            TurnModelRouting::deterministic(),
-            TurnModelRouting::adaptive(),
-            TurnModelRouting::west_first_deterministic(),
-            TurnModelRouting::west_first_adaptive(),
-            TurnModelRouting::north_last_deterministic(),
-            TurnModelRouting::north_last_adaptive(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::WestFirst)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::WestFirst)),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NorthLast)),
         ] {
             let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
             prop_assert!(walked.states > 40);
@@ -256,7 +259,10 @@ proptest! {
     #[test]
     fn up_down_route_is_pure(seed in any::<u64>()) {
         let net = AnyTopology::fat_tree_new(3, 3).unwrap();
-        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
+        for algo in [
+            AnyRouting::deterministic(Substrate::UpDown),
+            AnyRouting::adaptive(Substrate::UpDown),
+        ] {
             let walked = check(&algo, &net, seed, 40, assert_pure_along_walk);
             prop_assert!(walked.states > 40);
         }
@@ -269,25 +275,31 @@ proptest! {
     #[test]
     fn no_shipped_algorithm_reads_the_header_source(seed in any::<u64>()) {
         for net in [AnyTopology::torus(5, 2).unwrap(), AnyTopology::mesh(4, 3).unwrap()] {
-            for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+            for algo in [
+                AnyRouting::deterministic(Substrate::DimensionOrder),
+                AnyRouting::adaptive(Substrate::DimensionOrder),
+            ] {
                 let walked = check(&algo, &net, seed, 40, assert_source_blind_along_walk);
                 prop_assert!(walked.states > 40);
             }
         }
         let mesh = AnyTopology::mesh(5, 2).unwrap();
         for algo in [
-            TurnModelRouting::deterministic(),
-            TurnModelRouting::adaptive(),
-            TurnModelRouting::west_first_deterministic(),
-            TurnModelRouting::west_first_adaptive(),
-            TurnModelRouting::north_last_deterministic(),
-            TurnModelRouting::north_last_adaptive(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::WestFirst)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::WestFirst)),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NorthLast)),
         ] {
             let walked = check(&algo, &mesh, seed, 40, assert_source_blind_along_walk);
             prop_assert!(walked.states > 40);
         }
         let tree = AnyTopology::fat_tree_new(3, 3).unwrap();
-        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
+        for algo in [
+            AnyRouting::deterministic(Substrate::UpDown),
+            AnyRouting::adaptive(Substrate::UpDown),
+        ] {
             let walked = check(&algo, &tree, seed, 40, assert_source_blind_along_walk);
             prop_assert!(walked.states > 40);
         }
@@ -304,42 +316,42 @@ fn sampled_walks_cover_faulted_and_escorted_headers() {
     let tree = AnyTopology::fat_tree_new(3, 3).unwrap();
     let covered = [
         check(
-            &SwBasedRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::DimensionOrder),
             &torus,
             1,
             300,
             assert_pure_along_walk,
         ),
         check(
-            &TurnModelRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
             &mesh,
             2,
             300,
             assert_pure_along_walk,
         ),
         check(
-            &UpDownRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::UpDown),
             &tree,
             3,
             300,
             assert_pure_along_walk,
         ),
         check(
-            &SwBasedRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::DimensionOrder),
             &torus,
             1,
             300,
             assert_source_blind_along_walk,
         ),
         check(
-            &TurnModelRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
             &mesh,
             2,
             300,
             assert_source_blind_along_walk,
         ),
         check(
-            &UpDownRouting::deterministic(),
+            &AnyRouting::deterministic(Substrate::UpDown),
             &tree,
             3,
             300,

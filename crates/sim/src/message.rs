@@ -304,12 +304,12 @@ impl MessageLookup for Vec<MessageState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torus_routing::{RoutingAlgorithm, SwBasedRouting};
+    use torus_routing::{AnyRouting, RoutingAlgorithm, Substrate};
     use torus_topology::AnyTopology;
 
     fn make(id: u64) -> MessageState {
         let t = AnyTopology::torus(8, 2).unwrap();
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let header = algo.make_header(&t, NodeId(0), NodeId(12));
         MessageState::new(MessageId(id), header, 32, 100, true)
     }
@@ -343,7 +343,7 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "zero-length"))]
     fn zero_length_is_a_bug_not_a_clamp() {
         let t = AnyTopology::torus(4, 2).unwrap();
-        let algo = SwBasedRouting::adaptive();
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
         let header = algo.make_header(&t, NodeId(1), NodeId(2));
         // Config validation rejects zero-length workloads before any message
         // is built; constructing one anyway is a debug-assertion failure, not
@@ -356,7 +356,7 @@ mod tests {
     fn slab_reuses_slots_with_fresh_generations() {
         let mut slab = MessageSlab::new();
         let t = AnyTopology::torus(8, 2).unwrap();
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let mk = |slab: &mut MessageSlab| {
             let header = algo.make_header(&t, NodeId(0), NodeId(12));
             slab.insert_with(|id| MessageState::new(id, header, 4, 0, false))
@@ -389,7 +389,7 @@ mod tests {
     fn slab_rejects_stale_ids() {
         let mut slab = MessageSlab::new();
         let t = AnyTopology::torus(8, 2).unwrap();
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let header = algo.make_header(&t, NodeId(0), NodeId(3));
         let a = slab.insert_with(|id| MessageState::new(id, header, 4, 0, false));
         slab.remove(a);

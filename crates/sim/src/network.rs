@@ -732,7 +732,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
 mod tests {
     use super::*;
     use torus_faults::{random_node_faults, FaultScenario};
-    use torus_routing::SwBasedRouting;
+    use torus_routing::{AnyRouting, Substrate};
     use torus_topology::Network;
     use torus_workloads::TrafficSpec;
 
@@ -747,8 +747,12 @@ mod tests {
     #[test]
     fn fault_free_deterministic_delivers_everything() {
         let config = quick_config(4, 2, 4, 8, 0.01);
-        let mut sim =
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(
             !out.hit_max_cycles,
@@ -774,7 +778,12 @@ mod tests {
     #[test]
     fn fault_free_adaptive_delivers_everything() {
         let config = quick_config(4, 2, 4, 8, 0.01);
-        let mut sim = Simulation::new(config, FaultSet::new(), SwBasedRouting::adaptive()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::adaptive(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(!out.hit_max_cycles);
         assert_eq!(out.report.messages_queued, 0);
@@ -790,7 +799,12 @@ mod tests {
         let torus = Network::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let faults = random_node_faults(&torus, 5, &mut rng).unwrap();
-        let mut sim = Simulation::new(config, faults, SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            faults,
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(!out.hit_max_cycles);
         assert_eq!(out.dropped_messages, 0);
@@ -813,13 +827,17 @@ mod tests {
         let det = Simulation::new(
             config.clone(),
             faults.clone(),
-            SwBasedRouting::deterministic(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
         )
         .unwrap()
         .run();
-        let ada = Simulation::new(config, faults, SwBasedRouting::adaptive())
-            .unwrap()
-            .run();
+        let ada = Simulation::new(
+            config,
+            faults,
+            AnyRouting::adaptive(Substrate::DimensionOrder),
+        )
+        .unwrap()
+        .run();
         assert!(det.report.messages_queued > 0);
         assert!(
             ada.report.messages_queued < det.report.messages_queued,
@@ -835,10 +853,14 @@ mod tests {
         let run = |seed: u64| {
             let mut c = config.clone();
             c.seed = seed;
-            Simulation::new(c, FaultSet::new(), SwBasedRouting::adaptive())
-                .unwrap()
-                .run()
-                .report
+            Simulation::new(
+                c,
+                FaultSet::new(),
+                AnyRouting::adaptive(Substrate::DimensionOrder),
+            )
+            .unwrap()
+            .run()
+            .report
         };
         let a = run(11);
         let b = run(11);
@@ -855,8 +877,12 @@ mod tests {
         let mut config = quick_config(4, 2, 4, 8, 0.02);
         config.stop = StopCondition::Cycles(60_000);
         config.max_cycles = 60_000;
-        let mut sim =
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(
             out.report.generated_messages > 5_000,
@@ -887,7 +913,12 @@ mod tests {
         let faults = scenario.realize(&torus, &mut rng).unwrap();
         let mut config = quick_config(8, 2, 4, 16, 0.003);
         config.stop = StopCondition::MeasuredMessages(600);
-        let mut sim = Simulation::new(config, faults, SwBasedRouting::adaptive()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            faults,
+            AnyRouting::adaptive(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(!out.hit_max_cycles);
         assert_eq!(out.dropped_messages, 0);
@@ -901,8 +932,12 @@ mod tests {
         let mut config = quick_config(4, 2, 4, 8, 0.9);
         config.max_cycles = 3_000;
         config.stop = StopCondition::MeasuredMessages(u64::MAX);
-        let mut sim =
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(out.hit_max_cycles);
         assert!(out.report.delivered_messages > 0);
@@ -912,7 +947,7 @@ mod tests {
     /// A routing algorithm that breaks the purity contract: every other call
     /// hands its candidates back in reverse order.
     #[cfg(debug_assertions)]
-    struct Fickle(SwBasedRouting, std::cell::Cell<bool>);
+    struct Fickle(AnyRouting, std::cell::Cell<bool>);
 
     #[cfg(debug_assertions)]
     impl RoutingAlgorithm for Fickle {
@@ -979,7 +1014,10 @@ mod tests {
         let mut config = quick_config(4, 2, 4, 8, 0.9);
         config.max_cycles = 2_000;
         config.stop = StopCondition::MeasuredMessages(u64::MAX);
-        let algo = Fickle(SwBasedRouting::adaptive(), std::cell::Cell::new(false));
+        let algo = Fickle(
+            AnyRouting::adaptive(Substrate::DimensionOrder),
+            std::cell::Cell::new(false),
+        );
         Simulation::new(config, FaultSet::new(), algo)
             .unwrap()
             .run();
@@ -991,7 +1029,7 @@ mod tests {
             let mut sim = Simulation::new(
                 quick_config(4, 2, 4, 8, 0.005),
                 FaultSet::new(),
-                SwBasedRouting::deterministic(),
+                AnyRouting::deterministic(Substrate::DimensionOrder),
             )
             .unwrap();
             sim.run().report.mean_latency
@@ -1000,7 +1038,7 @@ mod tests {
             let mut sim = Simulation::new(
                 quick_config(4, 2, 4, 8, 0.06),
                 FaultSet::new(),
-                SwBasedRouting::deterministic(),
+                AnyRouting::deterministic(Substrate::DimensionOrder),
             )
             .unwrap();
             sim.run().report.mean_latency
@@ -1017,7 +1055,7 @@ mod tests {
             let mut sim = Simulation::new(
                 quick_config(4, 2, 4, 8, 0.01),
                 FaultSet::new(),
-                SwBasedRouting::deterministic(),
+                AnyRouting::deterministic(Substrate::DimensionOrder),
             )
             .unwrap();
             sim.run().report.mean_latency
@@ -1026,7 +1064,7 @@ mod tests {
             let mut sim = Simulation::new(
                 quick_config(4, 2, 4, 32, 0.01),
                 FaultSet::new(),
-                SwBasedRouting::deterministic(),
+                AnyRouting::deterministic(Substrate::DimensionOrder),
             )
             .unwrap();
             sim.run().report.mean_latency
@@ -1040,11 +1078,15 @@ mod tests {
             let mut config = quick_config(4, 2, 4, 8, 0.005);
             config.router_delay = td;
             config.stop = StopCondition::MeasuredMessages(600);
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic())
-                .unwrap()
-                .run()
-                .report
-                .mean_latency
+            Simulation::new(
+                config,
+                FaultSet::new(),
+                AnyRouting::deterministic(Substrate::DimensionOrder),
+            )
+            .unwrap()
+            .run()
+            .report
+            .mean_latency
         };
         let fast = run(0);
         let slow = run(3);
@@ -1065,10 +1107,14 @@ mod tests {
             let mut config = quick_config(8, 2, 4, 16, 0.003);
             config.reinjection_delay = delta;
             config.stop = StopCondition::MeasuredMessages(800);
-            Simulation::new(config, faults, SwBasedRouting::deterministic())
-                .unwrap()
-                .run()
-                .report
+            Simulation::new(
+                config,
+                faults,
+                AnyRouting::deterministic(Substrate::DimensionOrder),
+            )
+            .unwrap()
+            .run()
+            .report
         };
         // Without faults the knob has no effect at all.
         let clean_zero = run(0, FaultSet::new());
@@ -1088,7 +1134,7 @@ mod tests {
 
     #[test]
     fn turn_model_runs_on_meshes_and_is_rejected_on_wrapped_dimensions() {
-        use torus_routing::{RoutingTopologyError, TurnModelRouting};
+        use torus_routing::{RoutingTopologyError, TurnRule};
         use torus_topology::TopologySpec;
         // Two VCs (1 escape + 1 adaptive) are enough for the turn model on a
         // mesh — one less than Duato-over-e-cube needs on the torus.
@@ -1098,8 +1144,12 @@ mod tests {
         let mesh = Network::mesh(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(23);
         let faults = random_node_faults(&mesh, 4, &mut rng).unwrap();
-        let mut sim = Simulation::new(config.clone(), faults, TurnModelRouting::adaptive())
-            .expect("turn model is valid on meshes");
+        let mut sim = Simulation::new(
+            config.clone(),
+            faults,
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+        )
+        .expect("turn model is valid on meshes");
         let out = sim.run();
         assert!(!out.hit_max_cycles);
         assert_eq!(out.dropped_messages, 0);
@@ -1108,9 +1158,13 @@ mod tests {
 
         // The same configuration on a torus is rejected with the typed error.
         config.topology = TopologySpec::torus(8, 2);
-        let err = Simulation::new(config, FaultSet::new(), TurnModelRouting::adaptive())
-            .err()
-            .expect("turn model must be rejected on wrapped dimensions");
+        let err = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+        )
+        .err()
+        .expect("turn model must be rejected on wrapped dimensions");
         assert!(matches!(
             err,
             SimConfigError::UnsupportedRouting {
@@ -1128,14 +1182,24 @@ mod tests {
     fn invalid_config_is_rejected() {
         let mut config = quick_config(4, 2, 2, 8, 0.01);
         config.virtual_channels = 2;
-        assert!(Simulation::new(config, FaultSet::new(), SwBasedRouting::adaptive()).is_err());
+        assert!(Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::adaptive(Substrate::DimensionOrder)
+        )
+        .is_err());
     }
 
     #[test]
     fn zero_length_workload_is_rejected() {
         let config = quick_config(4, 2, 4, 0, 0.01);
         assert_eq!(
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).err(),
+            Simulation::new(
+                config,
+                FaultSet::new(),
+                AnyRouting::deterministic(Substrate::DimensionOrder)
+            )
+            .err(),
             Some(SimConfigError::ZeroMessageLength)
         );
     }
@@ -1145,7 +1209,7 @@ mod tests {
         use crate::ReferenceSimulation;
         for rate in [f64::NAN, -0.1, f64::INFINITY] {
             let config = quick_config(4, 2, 4, 8, rate);
-            let algo = SwBasedRouting::deterministic();
+            let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
             let expected = Some(SimConfigError::InvalidTrafficRate {
                 rate: rate.to_string(),
             });
@@ -1167,7 +1231,12 @@ mod tests {
         let torus = Network::torus(4, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let faults = random_node_faults(&torus, 3, &mut rng).unwrap();
-        let mut sim = Simulation::new(config, faults, SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            faults,
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         assert!(!out.hit_max_cycles);
         assert_eq!(out.dropped_messages, 0);
@@ -1180,8 +1249,12 @@ mod tests {
         assert!((spec.rate - 0.02).abs() < 1e-12);
         let mut config = quick_config(4, 2, 4, 8, 0.02);
         config.stop = StopCondition::Cycles(20_000);
-        let mut sim =
-            Simulation::new(config, FaultSet::new(), SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+        )
+        .unwrap();
         let out = sim.run();
         let offered_rate =
             out.report.generated_messages as f64 / (20_000.0 * sim.network().num_nodes() as f64);

@@ -508,7 +508,7 @@ mod tests {
     use crate::message::MessageState;
     use crate::router::VcRoute;
     use crate::{Simulation, StopCondition};
-    use torus_routing::SwBasedRouting;
+    use torus_routing::{AnyRouting, Substrate};
     use torus_topology::TopologySpec;
 
     fn mesh() -> AnyTopology {
@@ -526,9 +526,17 @@ mod tests {
         let mut config = SimConfig::paper_topology(TopologySpec::mesh(4, 2), v, 8, 0.01);
         config.buffer_depth = depth;
         if all_tracked {
-            Sanitizer::new(&config, &SwBasedRouting::deterministic(), cdg)
+            Sanitizer::new(
+                &config,
+                &AnyRouting::deterministic(Substrate::DimensionOrder),
+                cdg,
+            )
         } else {
-            Sanitizer::new(&config, &SwBasedRouting::adaptive(), cdg)
+            Sanitizer::new(
+                &config,
+                &AnyRouting::adaptive(Substrate::DimensionOrder),
+                cdg,
+            )
         }
     }
 
@@ -551,7 +559,7 @@ mod tests {
     }
 
     fn message(net: &AnyTopology, id: MessageId, length: u32) -> MessageState {
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let header = algo.make_header(net, NodeId(0), NodeId(5));
         MessageState::new(id, header, length, 0, false)
     }
@@ -745,7 +753,7 @@ mod tests {
         config.stall_absorb_threshold = 5;
         config.max_cycles = 2_000;
         config.stop = StopCondition::MeasuredMessages(u64::MAX);
-        let algo = SwBasedRouting::adaptive();
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
         let sanitizer = Sanitizer::new(&config, &algo, None);
         let mut sim = Simulation::with_observer(config, FaultSet::new(), algo, sanitizer).unwrap();
         let out = sim.run();

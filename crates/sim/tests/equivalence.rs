@@ -25,7 +25,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torus_faults::{FaultScenario, FaultSet};
-use torus_routing::{RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRouting};
+use torus_routing::{AnyRouting, RoutingAlgorithm, Substrate, TurnRule};
 use torus_sim::router::RouterState;
 use torus_sim::{
     Engine, FullScan, MessageState, ReferenceSimulation, Sanitizer, Schedule, SimConfig,
@@ -67,9 +67,17 @@ impl OutcomePin {
     /// Legacy SW-Based entry point used by the torus/mesh baseline cases.
     fn equivalent(&mut self, config: SimConfig, faults: FaultSet, adaptive: bool) -> (u64, u64) {
         if adaptive {
-            self.equivalent_with(config, faults, SwBasedRouting::adaptive())
+            self.equivalent_with(
+                config,
+                faults,
+                AnyRouting::adaptive(Substrate::DimensionOrder),
+            )
         } else {
-            self.equivalent_with(config, faults, SwBasedRouting::deterministic())
+            self.equivalent_with(
+                config,
+                faults,
+                AnyRouting::deterministic(Substrate::DimensionOrder),
+            )
         }
     }
 
@@ -364,9 +372,13 @@ fn turn_model_mesh_fault_free_across_seeds_and_loads() {
             pin.equivalent_with(
                 config.clone(),
                 FaultSet::new(),
-                TurnModelRouting::adaptive(),
+                AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
             );
-            pin.equivalent_with(config, FaultSet::new(), TurnModelRouting::deterministic());
+            pin.equivalent_with(
+                config,
+                FaultSet::new(),
+                AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+            );
         }
     }
     pin.assert_is(0x6e3130c91ac99769);
@@ -379,8 +391,16 @@ fn turn_model_mesh_random_node_faults_match() {
     let scenario = FaultScenario::RandomNodes { count: 4 };
     let faults = faults_for(&scenario, &mesh, 0x3E5);
     let config = quick_topology(TopologySpec::mesh(8, 2), 4, 16, 0.003, 15);
-    pin.equivalent_with(config.clone(), faults.clone(), TurnModelRouting::adaptive());
-    pin.equivalent_with(config, faults, TurnModelRouting::deterministic());
+    pin.equivalent_with(
+        config.clone(),
+        faults.clone(),
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
+    pin.equivalent_with(
+        config,
+        faults,
+        AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
     pin.assert_is(0xb1ec093bdcadff11);
 }
 
@@ -392,10 +412,14 @@ fn turn_model_hypercube_matches() {
     pin.equivalent_with(
         config.clone(),
         FaultSet::new(),
-        TurnModelRouting::adaptive(),
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
     );
     let faults = faults_for(&FaultScenario::RandomNodes { count: 2 }, &cube, 77);
-    pin.equivalent_with(config, faults, TurnModelRouting::adaptive());
+    pin.equivalent_with(
+        config,
+        faults,
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
     pin.assert_is(0x229e8303627e954f);
 }
 
@@ -408,7 +432,11 @@ fn turn_model_mixed_radix_open_mesh_matches() {
     let net = spec.build().unwrap();
     let config = quick_topology(spec, 2, 8, 0.004, 19);
     let faults = faults_for(&FaultScenario::RandomNodes { count: 2 }, &net, 53);
-    pin.equivalent_with(config, faults, TurnModelRouting::adaptive());
+    pin.equivalent_with(
+        config,
+        faults,
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
     pin.assert_is(0x70628cf638a7fe3c);
 }
 
@@ -418,9 +446,17 @@ fn turn_model_minimum_vc_configurations_match() {
     // two (1 escape + 1 adaptive) for the adaptive flavour.
     let mut pin = OutcomePin::new();
     let config = quick_topology(TopologySpec::mesh(4, 2), 1, 8, 0.01, 5);
-    pin.equivalent_with(config, FaultSet::new(), TurnModelRouting::deterministic());
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
     let config = quick_topology(TopologySpec::mesh(4, 2), 2, 8, 0.01, 6);
-    pin.equivalent_with(config, FaultSet::new(), TurnModelRouting::adaptive());
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+    );
     pin.assert_is(0xcf5f01fdcc4d6be5);
 }
 
@@ -433,8 +469,16 @@ fn fat_tree_fault_free_across_seeds_and_loads() {
     for seed in [1, 2] {
         for rate in [0.003, 0.02] {
             let config = quick_topology(TopologySpec::fat_tree(4, 2), 2, 8, rate, seed);
-            pin.equivalent_with(config.clone(), FaultSet::new(), UpDownRouting::adaptive());
-            pin.equivalent_with(config, FaultSet::new(), UpDownRouting::deterministic());
+            pin.equivalent_with(
+                config.clone(),
+                FaultSet::new(),
+                AnyRouting::adaptive(Substrate::UpDown),
+            );
+            pin.equivalent_with(
+                config,
+                FaultSet::new(),
+                AnyRouting::deterministic(Substrate::UpDown),
+            );
         }
     }
     pin.assert_is(0x7a549c505e37c45f);
@@ -457,9 +501,13 @@ fn fat_tree_switch_and_uplink_faults_match() {
     assert!(faults.num_faulty_links() > 0);
     assert!(faults.preserves_connectivity(&net));
     let config = quick_topology(TopologySpec::fat_tree(4, 2), 2, 8, 0.01, 33);
-    pin.equivalent_with(config, faults.clone(), UpDownRouting::adaptive());
+    pin.equivalent_with(
+        config,
+        faults.clone(),
+        AnyRouting::adaptive(Substrate::UpDown),
+    );
     let config = quick_topology(TopologySpec::fat_tree(4, 2), 1, 8, 0.01, 34);
-    pin.equivalent_with(config, faults, UpDownRouting::deterministic());
+    pin.equivalent_with(config, faults, AnyRouting::deterministic(Substrate::UpDown));
     pin.assert_is(0xf416caf0d5e01157);
 }
 
@@ -470,9 +518,17 @@ fn fat_tree_minimum_vc_configurations_match() {
     // adaptive one — on a deeper 2-ary 3-level tree.
     let mut pin = OutcomePin::new();
     let config = quick_topology(TopologySpec::fat_tree(2, 3), 1, 8, 0.01, 5);
-    pin.equivalent_with(config, FaultSet::new(), UpDownRouting::deterministic());
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::deterministic(Substrate::UpDown),
+    );
     let config = quick_topology(TopologySpec::fat_tree(2, 3), 2, 8, 0.01, 6);
-    pin.equivalent_with(config, FaultSet::new(), UpDownRouting::adaptive());
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::adaptive(Substrate::UpDown),
+    );
     pin.assert_is(0xd6e1ca222088e917);
 }
 
@@ -480,13 +536,20 @@ fn fat_tree_minimum_vc_configurations_match() {
 fn up_down_rejected_identically_by_both_engines_on_grids() {
     use torus_sim::SimConfigError;
     let config = quick_topology(TopologySpec::torus(4, 2), 2, 8, 0.003, 1);
-    let active = Simulation::new(config.clone(), FaultSet::new(), UpDownRouting::adaptive())
-        .err()
-        .expect("active engine must reject up/down routing on a torus");
-    let reference =
-        ReferenceSimulation::new(config, FaultSet::new(), UpDownRouting::deterministic())
-            .err()
-            .expect("reference engine must reject up/down routing on a torus");
+    let active = Simulation::new(
+        config.clone(),
+        FaultSet::new(),
+        AnyRouting::adaptive(Substrate::UpDown),
+    )
+    .err()
+    .expect("active engine must reject up/down routing on a torus");
+    let reference = ReferenceSimulation::new(
+        config,
+        FaultSet::new(),
+        AnyRouting::deterministic(Substrate::UpDown),
+    )
+    .err()
+    .expect("reference engine must reject up/down routing on a torus");
     assert!(matches!(active, SimConfigError::UnsupportedRouting { .. }));
     assert!(matches!(
         reference,
@@ -505,14 +568,17 @@ fn turn_model_rejected_identically_by_both_engines_on_wrapped_dimensions() {
         let active = Simulation::new(
             config.clone(),
             FaultSet::new(),
-            TurnModelRouting::adaptive(),
+            AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
         )
         .err()
         .expect("active engine must reject the turn model on wrapped dims");
-        let reference =
-            ReferenceSimulation::new(config, FaultSet::new(), TurnModelRouting::deterministic())
-                .err()
-                .expect("reference engine must reject the turn model on wrapped dims");
+        let reference = ReferenceSimulation::new(
+            config,
+            FaultSet::new(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+        )
+        .err()
+        .expect("reference engine must reject the turn model on wrapped dims");
         assert!(matches!(active, SimConfigError::UnsupportedRouting { .. }));
         assert!(matches!(
             reference,
@@ -555,7 +621,7 @@ impl Schedule for Descending {
 #[test]
 fn descending_worklists_are_caught_by_the_oracle() {
     let config = quick(4, 2, 4, 8, 0.02, 1);
-    let algo = SwBasedRouting::adaptive();
+    let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
     let audit = Sanitizer::new(&config, &algo, None);
     let mut buggy =
         Engine::<_, Descending, _>::with_observer(config.clone(), FaultSet::new(), algo, audit)

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use torus_faults::{FaultScenario, FaultSet};
-use torus_routing::{RoutingAlgorithm, SwBasedRouting};
+use torus_routing::{AnyRouting, RoutingAlgorithm, Substrate};
 use torus_sim::router::RouterState;
 use torus_sim::{
     ActiveSchedule, Allocation, Engine, FullScan, MessageId, MessageLookup, NoObserver, Observer,
@@ -68,7 +68,7 @@ fn config(spec: TopologySpec, rate: f64, seed: u64) -> SimConfig {
 
 /// Steps an engine under scheduler `S` to its stop condition with a [`Tally`]
 /// watching, checking after every step that exactly one cycle was reported.
-fn tally<S: Schedule>(config: &SimConfig, faults: &FaultSet, algo: SwBasedRouting) -> Tally {
+fn tally<S: Schedule>(config: &SimConfig, faults: &FaultSet, algo: AnyRouting) -> Tally {
     let mut sim =
         Engine::<_, S, _>::with_observer(config.clone(), faults.clone(), algo, Tally::default())
             .expect("valid config");
@@ -82,7 +82,7 @@ fn tally<S: Schedule>(config: &SimConfig, faults: &FaultSet, algo: SwBasedRoutin
 }
 
 /// Returns the (shared) stream.
-fn assert_same_stream(config: &SimConfig, faults: &FaultSet, algo: SwBasedRouting) -> Tally {
+fn assert_same_stream(config: &SimConfig, faults: &FaultSet, algo: AnyRouting) -> Tally {
     let active = tally::<ActiveSchedule>(config, faults, algo);
     let reference = tally::<FullScan>(config, faults, algo);
     assert!(active.releases > 100, "{} releases", active.releases);
@@ -112,13 +112,21 @@ fn faulted_torus() -> (SimConfig, FaultSet) {
 #[test]
 fn allocation_stream_is_identical_under_both_schedulers() {
     let fault_free = config(TopologySpec::torus(4, 2), 0.02, 3);
-    let adaptive = assert_same_stream(&fault_free, &FaultSet::new(), SwBasedRouting::adaptive());
+    let adaptive = assert_same_stream(
+        &fault_free,
+        &FaultSet::new(),
+        AnyRouting::adaptive(Substrate::DimensionOrder),
+    );
     // The escape flag carries information: a loaded adaptive run grants both
     // kinds of channel.
     assert!(adaptive.allocations.iter().any(|grant| grant.5));
     assert!(adaptive.allocations.iter().any(|grant| !grant.5));
     let (config, faults) = faulted_torus();
-    assert_same_stream(&config, &faults, SwBasedRouting::deterministic());
+    assert_same_stream(
+        &config,
+        &faults,
+        AnyRouting::deterministic(Substrate::DimensionOrder),
+    );
 }
 
 #[test]
@@ -129,7 +137,7 @@ fn no_observer_is_zero_sized() {
 #[test]
 fn a_sanitizer_does_not_change_the_report() {
     let (config, faults) = faulted_torus();
-    let algo = SwBasedRouting::deterministic();
+    let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
     let audit = Sanitizer::new(&config, &algo, None);
     let mut plain = Simulation::new(config.clone(), faults.clone(), algo).unwrap();
     let mut audited = Simulation::with_observer(config, faults, algo, audit).unwrap();

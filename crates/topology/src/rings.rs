@@ -18,10 +18,13 @@
 //! how a pool of `V` virtual channels is partitioned between the classes (and,
 //! for Duato's protocol, how many channels remain available as fully adaptive
 //! channels). All partition queries are wrap-aware: they take the dimension of
-//! the hop and collapse to a single class on open dimensions.
+//! the hop and collapse to a single class on open dimensions. Fat-trees have
+//! no rings at all, so [`DatelinePolicy::of`] treats them as the one-class
+//! case throughout.
 
 use crate::channel::Direction;
 use crate::network::Network;
+use crate::topo::AnyTopology;
 
 use serde::{Deserialize, Serialize};
 
@@ -53,22 +56,35 @@ impl VcClass {
 /// dimensions carry no dateline.
 ///
 /// The policy borrows the network (it is built on every routing decision in
-/// the simulator's hot path, so it must stay allocation-free).
+/// the simulator's hot path, so it must stay allocation-free). A policy
+/// without a grid (a fat-tree's) has no wrapped dimension anywhere.
 #[derive(Clone, Copy, Debug)]
 pub struct DatelinePolicy<'a> {
-    net: &'a Network,
+    net: Option<&'a Network>,
 }
 
 impl<'a> DatelinePolicy<'a> {
     /// Creates the dateline policy for a network.
     pub fn new(net: &'a Network) -> Self {
-        DatelinePolicy { net }
+        DatelinePolicy { net: Some(net) }
+    }
+
+    /// The dateline policy of either topology backend: a grid's own, and the
+    /// one-class policy on a fat-tree, which has no rings.
+    pub fn of(net: &'a AnyTopology) -> Self {
+        DatelinePolicy { net: net.grid() }
+    }
+
+    /// True if dimension `dim` wraps (and so carries a dateline).
+    #[inline]
+    fn wraps(&self, dim: usize) -> bool {
+        self.net.is_some_and(|net| net.wraps(dim))
     }
 
     /// True if at least one dimension wraps (the network needs two dateline
     /// classes somewhere).
     pub fn any_wrap(&self) -> bool {
-        self.net.any_wrap()
+        self.net.is_some_and(Network::any_wrap)
     }
 
     /// Class a message must use when routing in a ring it has (`crossed`) or
@@ -86,7 +102,8 @@ impl<'a> DatelinePolicy<'a> {
     /// direction `dir` crosses the dateline. Always false on open dimensions.
     #[inline]
     pub fn hop_crosses(&self, dim: usize, from_pos: u16, dir: Direction) -> bool {
-        self.net.crosses_dateline(dim, from_pos, dir)
+        self.net
+            .is_some_and(|net| net.crosses_dateline(dim, from_pos, dir))
     }
 
     /// Number of dateline classes the deterministic / escape layer needs:
@@ -143,7 +160,7 @@ impl<'a> DatelinePolicy<'a> {
         dim: usize,
         class: VcClass,
     ) -> std::ops::Range<usize> {
-        if !self.net.wraps(dim) {
+        if !self.wraps(dim) {
             assert!(
                 v >= 1,
                 "deterministic routing needs at least 1 virtual channel"
@@ -178,7 +195,7 @@ impl<'a> DatelinePolicy<'a> {
     /// under Duato's protocol. On open dimensions there is only one escape
     /// class, so the escape VC is always channel 0.
     pub fn escape_vc(&self, dim: usize, class: VcClass) -> usize {
-        if self.net.wraps(dim) {
+        if self.wraps(dim) {
             class.index()
         } else {
             0

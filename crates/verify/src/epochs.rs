@@ -55,7 +55,7 @@ use std::fmt;
 use std::time::Instant;
 use torus_faults::{FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
 use torus_routing::cdg::DependencyGraph;
-use torus_routing::RoutingAlgorithm;
+use torus_routing::{RoutingAlgorithm, RoutingTopologyError};
 use torus_topology::{AnyTopology, HealthyGraph, NodeId};
 
 /// Per-epoch fate of one (source, destination) pair.
@@ -237,10 +237,20 @@ impl ScheduleOutcome {
     }
 }
 
-/// Errors of a schedule verification: an invalid schedule or a blown state
-/// budget.
+/// Errors of a schedule verification: a configuration the simulator would
+/// reject, an invalid schedule or a blown state budget.
 #[derive(Clone, Debug)]
 pub enum ScheduleVerifyError {
+    /// The routing algorithm cannot operate on the topology.
+    Unsupported(RoutingTopologyError),
+    /// Fewer virtual channels than the routing algorithm needs for deadlock
+    /// freedom on the topology.
+    TooFewVirtualChannels {
+        /// Requested V.
+        requested: usize,
+        /// Minimum required by the routing algorithm on this topology.
+        minimum: usize,
+    },
     /// The schedule failed validation against the network.
     Schedule(FaultScheduleError),
     /// A pair walk exceeded the state budget.
@@ -250,6 +260,11 @@ pub enum ScheduleVerifyError {
 impl fmt::Display for ScheduleVerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ScheduleVerifyError::Unsupported(e) => write!(f, "{e}"),
+            ScheduleVerifyError::TooFewVirtualChannels { requested, minimum } => write!(
+                f,
+                "{requested} virtual channels requested but the routing algorithm needs at least {minimum} on this topology"
+            ),
             ScheduleVerifyError::Schedule(e) => write!(f, "invalid fault schedule: {e}"),
             ScheduleVerifyError::Budget(e) => write!(f, "{e}"),
         }
@@ -476,7 +491,9 @@ fn fates_of(records: &BTreeMap<(NodeId, NodeId), PairRecord>) -> Vec<PairFateEnt
 /// Verifies a fault schedule epoch by epoch: epoch 0 from scratch, later
 /// epochs differentially (see the module docs for the soundness argument).
 /// With `paranoid` every epoch is additionally recomputed from scratch and
-/// diffed against the differential result.
+/// diffed against the differential result. A configuration the simulator
+/// would reject (`algo` unsupported on `net`, or `v` below its minimum) is a
+/// typed error, not a proof.
 pub fn verify_schedule<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
@@ -485,6 +502,15 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
     state_budget: usize,
     paranoid: bool,
 ) -> Result<ScheduleOutcome, ScheduleVerifyError> {
+    algo.supported_on(net)
+        .map_err(ScheduleVerifyError::Unsupported)?;
+    let minimum = algo.min_virtual_channels(net);
+    if v < minimum {
+        return Err(ScheduleVerifyError::TooFewVirtualChannels {
+            requested: v,
+            minimum,
+        });
+    }
     let granularity = Granularity::PerVc;
     let resources = resource_count(net, v, granularity);
     let epochs_spec = schedule.epochs(net)?;

@@ -70,8 +70,8 @@ mod tests {
     use super::*;
     use torus_faults::FaultSet;
     use torus_routing::{
-        RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, SwBasedRouting,
-        TurnModelRouting, UpDownRouting,
+        AnyRouting, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, Substrate,
+        TurnRule,
     };
     use torus_topology::{AnyTopology, Direction, NodeId, TopologySpec};
 
@@ -87,8 +87,8 @@ mod tests {
         for spec in ["torus:4x2", "torus:5x2", "torus:4x3"] {
             let n = net(spec);
             for (label, algo) in [
-                ("det", SwBasedRouting::deterministic()),
-                ("adaptive", SwBasedRouting::adaptive()),
+                ("det", AnyRouting::deterministic(Substrate::DimensionOrder)),
+                ("adaptive", AnyRouting::adaptive(Substrate::DimensionOrder)),
             ] {
                 let v = algo.min_virtual_channels(&n);
                 let cdg = extract_exact_cdg(
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn merged_channel_projection_is_cyclic_on_a_torus_and_witness_is_genuine() {
         let n = net("torus:8x2");
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let v = algo.min_virtual_channels(&n);
         let cdg = extract_exact_cdg(
             &n,
@@ -182,7 +182,10 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_node(NodeId(5));
         assert!(faults.preserves_connectivity(&n));
-        for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+        for algo in [
+            AnyRouting::deterministic(Substrate::DimensionOrder),
+            AnyRouting::adaptive(Substrate::DimensionOrder),
+        ] {
             let v = algo.min_virtual_channels(&n);
             let (cdg, reach) =
                 matrix::verify_case(&n, &algo, &faults, v).expect("walk fits budget");
@@ -198,7 +201,7 @@ mod tests {
         let n = net("mesh:3x1");
         let mut faults = FaultSet::new();
         faults.fail_node(NodeId(1));
-        let algo = SwBasedRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
         let v = algo.min_virtual_channels(&n);
         let walk = walk_pair(&n, &algo, &faults, v, NodeId(0), NodeId(2), 1 << 12)
             .expect("tiny walk fits budget");
@@ -230,7 +233,7 @@ mod tests {
         }
 
         fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-            SwBasedRouting::deterministic().make_header(net, src, dest)
+            AnyRouting::deterministic(Substrate::DimensionOrder).make_header(net, src, dest)
         }
 
         fn min_virtual_channels(&self, _net: &AnyTopology) -> usize {
@@ -312,12 +315,12 @@ mod tests {
         for spec in ["mesh:4x2", "mesh:3x3", "hypercube:3", "mixed:4o,3o"] {
             let n = net(spec);
             for algo in [
-                TurnModelRouting::deterministic(),
-                TurnModelRouting::adaptive(),
-                TurnModelRouting::west_first_deterministic(),
-                TurnModelRouting::west_first_adaptive(),
-                TurnModelRouting::north_last_deterministic(),
-                TurnModelRouting::north_last_adaptive(),
+                AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+                AnyRouting::adaptive(Substrate::Turn(TurnRule::NegativeFirst)),
+                AnyRouting::deterministic(Substrate::Turn(TurnRule::WestFirst)),
+                AnyRouting::adaptive(Substrate::Turn(TurnRule::WestFirst)),
+                AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
+                AnyRouting::adaptive(Substrate::Turn(TurnRule::NorthLast)),
             ] {
                 let v = algo.min_virtual_channels(&n);
                 let cdg = extract_exact_cdg(
@@ -343,8 +346,8 @@ mod tests {
         for spec in ["ft:4,2", "ft:2,3"] {
             let n = net(spec);
             for (label, algo) in [
-                ("det", UpDownRouting::deterministic()),
-                ("adaptive", UpDownRouting::adaptive()),
+                ("det", AnyRouting::deterministic(Substrate::UpDown)),
+                ("adaptive", AnyRouting::adaptive(Substrate::UpDown)),
             ] {
                 let v = algo.min_virtual_channels(&n);
                 let cdg = extract_exact_cdg(
@@ -387,7 +390,10 @@ mod tests {
         let (port, _) = ft.parents(ft.switch_id(0, 1))[1];
         faults.fail_link(&n, ft.switch_id(0, 1), port, Direction::Plus);
         assert!(faults.preserves_connectivity(&n));
-        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
+        for algo in [
+            AnyRouting::deterministic(Substrate::UpDown),
+            AnyRouting::adaptive(Substrate::UpDown),
+        ] {
             let v = algo.min_virtual_channels(&n);
             let (cdg, reach) =
                 matrix::verify_case(&n, &algo, &faults, v).expect("walk fits budget");
@@ -399,7 +405,7 @@ mod tests {
     #[test]
     fn fat_tree_witnesses_render_role_labels() {
         let n = net("ft:4,2");
-        let algo = UpDownRouting::deterministic();
+        let algo = AnyRouting::deterministic(Substrate::UpDown);
         let cdg = extract_exact_cdg(
             &n,
             &algo,

@@ -28,7 +28,7 @@ use crate::witness::{describe_cycle, describe_pair_verdict};
 use std::time::Instant;
 use swbft_core::{run_pool, Jobs, RoutingChoice};
 use torus_faults::{FaultEvent, FaultRegion, FaultSchedule, FaultSet, RegionShape};
-use torus_routing::{AnyRouting, RoutingAlgorithm, TurnModelRouting};
+use torus_routing::{AnyRouting, RoutingAlgorithm, Substrate, TurnRule};
 use torus_topology::{AnyTopology, Direction, FatTree, Network, NodeId, TopologySpec};
 
 /// Default per-pair state budget. Far above anything the supported shapes
@@ -197,19 +197,19 @@ pub fn matrix_routings() -> Vec<(String, AnyRouting)> {
         .collect();
     out.push((
         "west-first".to_string(),
-        AnyRouting::TurnModel(TurnModelRouting::west_first_adaptive()),
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::WestFirst)),
     ));
     out.push((
         "west-first-det".to_string(),
-        AnyRouting::TurnModel(TurnModelRouting::west_first_deterministic()),
+        AnyRouting::deterministic(Substrate::Turn(TurnRule::WestFirst)),
     ));
     out.push((
         "north-last".to_string(),
-        AnyRouting::TurnModel(TurnModelRouting::north_last_adaptive()),
+        AnyRouting::adaptive(Substrate::Turn(TurnRule::NorthLast)),
     ));
     out.push((
         "north-last-det".to_string(),
-        AnyRouting::TurnModel(TurnModelRouting::north_last_deterministic()),
+        AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
     ));
     out
 }
@@ -901,7 +901,7 @@ pub fn run_matrix(kind: MatrixKind) -> MatrixReport {
 pub fn naive_torus_demo() -> CaseResult {
     let spec = TopologySpec::parse("torus:8x2").expect("valid spec");
     let net = spec.build().expect("torus builds");
-    let algo = torus_routing::SwBasedRouting::deterministic();
+    let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
     let v = algo.min_virtual_channels(&net);
     let faults = FaultSet::new();
     let cdg = crate::exact::extract_exact_cdg(

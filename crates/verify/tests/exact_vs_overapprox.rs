@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use swbft_verify::{extract_exact_cdg, Granularity};
 use torus_faults::FaultSet;
 use torus_routing::cdg::{build_turn_cdg, TurnRule};
-use torus_routing::TurnModelRouting;
+use torus_routing::{AnyRouting, Substrate};
 use torus_topology::{AnyTopology, Direction, Network, NodeId};
 
 /// Random open shapes: 1..=3 dimensions with mixed radices, no wraps.
@@ -19,16 +19,19 @@ fn arb_mesh() -> impl Strategy<Value = Network> {
     })
 }
 
-fn rules() -> Vec<(TurnRule, TurnModelRouting)> {
+fn rules() -> Vec<(TurnRule, AnyRouting)> {
     vec![
-        (TurnRule::NegativeFirst, TurnModelRouting::deterministic()),
+        (
+            TurnRule::NegativeFirst,
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst)),
+        ),
         (
             TurnRule::WestFirst,
-            TurnModelRouting::west_first_deterministic(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::WestFirst)),
         ),
         (
             TurnRule::NorthLast,
-            TurnModelRouting::north_last_deterministic(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
         ),
     ]
 }
@@ -52,7 +55,7 @@ proptest! {
                 1 << 20,
             )
             .expect("open-shape walks are tiny");
-            let over = build_turn_cdg(&net, rule);
+            let over = build_turn_cdg(&net, Some(rule));
             prop_assert_eq!(exact.graph.num_vertices(), over.num_vertices());
             for (from, to) in exact.graph.iter_edges() {
                 prop_assert!(
@@ -99,7 +102,7 @@ proptest! {
                 1 << 20,
             )
             .expect("open-shape walks are tiny");
-            let over = build_turn_cdg(&net, rule);
+            let over = build_turn_cdg(&net, Some(rule));
             for (from, to) in exact.graph.iter_edges() {
                 prop_assert!(
                     over.has_edge(from, to),

@@ -20,7 +20,8 @@ use swbft_verify::walk_pair;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
 use torus_routing::{
-    OutputCandidate, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, SwBasedRouting,
+    AnyRouting, OutputCandidate, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor,
+    Substrate,
 };
 use torus_topology::{AnyTopology, Direction, NodeId, TopologySpec};
 
@@ -229,7 +230,10 @@ fn dead_ends_come_out_with_the_oracles_counts_and_witness() {
     let n = net("mesh:3x1");
     let mut faults = FaultSet::new();
     faults.fail_node(NodeId(1));
-    for algo in [SwBasedRouting::deterministic(), SwBasedRouting::adaptive()] {
+    for algo in [
+        AnyRouting::deterministic(Substrate::DimensionOrder),
+        AnyRouting::adaptive(Substrate::DimensionOrder),
+    ] {
         let v = algo.min_virtual_channels(&n);
         let sweep = sweep_case(&n, &algo, &faults, v, Granularity::PerVc, STATE_BUDGET);
         let oracle = per_pair_oracle(&n, &algo, &faults, v, Granularity::PerVc, STATE_BUDGET);
@@ -258,7 +262,7 @@ impl RoutingAlgorithm for SpinForever {
     }
 
     fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        SwBasedRouting::deterministic().make_header(net, src, dest)
+        AnyRouting::deterministic(Substrate::DimensionOrder).make_header(net, src, dest)
     }
 
     fn min_virtual_channels(&self, _net: &AnyTopology) -> usize {
@@ -341,7 +345,7 @@ fn the_state_budget_is_per_pair_and_trips_at_the_same_limit() {
     let n = net("torus:4x2");
     let mut faults = FaultSet::new();
     faults.fail_node(NodeId(5));
-    let algo = SwBasedRouting::deterministic();
+    let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
     let v = algo.min_virtual_channels(&n);
     let (_, reach) =
         per_pair_oracle(&n, &algo, &faults, v, Granularity::PerVc, STATE_BUDGET).expect("fits");

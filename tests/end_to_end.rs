@@ -5,7 +5,7 @@
 use swbft::faults::{random_node_faults, FaultSet, RegionShape};
 use swbft::prelude::*;
 use swbft::routing::cdg::{build_ecube_cdg, build_turn_cdg, TurnRule, VcModel};
-use swbft::routing::SwBasedRouting;
+use swbft::routing::{AnyRouting, Substrate};
 use swbft::sim::{SimConfig, Simulation, StopCondition};
 use swbft::topology::{Network, TopologySpec};
 
@@ -161,16 +161,16 @@ fn turn_model_deadlock_freedom_argument_holds_for_open_topologies() {
     // route) is acyclic on the open shapes we simulate, with a single VC —
     // and cyclic on the torus, which is why the choice is rejected there.
     for net in [Network::mesh(8, 2).unwrap(), Network::hypercube(6).unwrap()] {
-        let cdg = build_turn_cdg(&net, TurnRule::NegativeFirst);
+        let cdg = build_turn_cdg(&net, Some(TurnRule::NegativeFirst));
         assert!(cdg.is_acyclic(), "negative-first CDG must be acyclic");
-        let unrestricted = build_turn_cdg(&net, TurnRule::Unrestricted);
+        let unrestricted = build_turn_cdg(&net, None);
         assert!(
             !unrestricted.is_acyclic(),
             "without the turn prohibition the mesh CDG has cycles"
         );
     }
     let torus = Network::torus(8, 2).unwrap();
-    assert!(!build_turn_cdg(&torus, TurnRule::NegativeFirst).is_acyclic());
+    assert!(!build_turn_cdg(&torus, Some(TurnRule::NegativeFirst)).is_acyclic());
 }
 
 #[test]
@@ -219,7 +219,12 @@ fn direct_simulator_usage_with_link_faults() {
     let mut cfg = SimConfig::paper(4, 2, 4, 8, 0.01);
     cfg.warmup_messages = 100;
     cfg.stop = StopCondition::MeasuredMessages(500);
-    let mut sim = Simulation::new(cfg, faults, SwBasedRouting::deterministic()).unwrap();
+    let mut sim = Simulation::new(
+        cfg,
+        faults,
+        AnyRouting::deterministic(Substrate::DimensionOrder),
+    )
+    .unwrap();
     let out = sim.run();
     assert!(!out.hit_max_cycles);
     assert_eq!(out.dropped_messages, 0);

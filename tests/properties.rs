@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use swbft::faults::FaultSet;
-use swbft::routing::{RouteDecision, RoutingAlgorithm, SwBasedRouting};
+use swbft::routing::{AnyRouting, RouteDecision, RoutingAlgorithm, Substrate};
 use swbft::sim::{SimConfig, Simulation, StopCondition};
 use swbft::topology::{AnyTopology, NodeId, TopologySpec};
 
@@ -16,7 +16,7 @@ use swbft::topology::{AnyTopology, NodeId, TopologySpec};
 fn deliver_one_message(
     net: &AnyTopology,
     faults: &FaultSet,
-    algo: &SwBasedRouting,
+    algo: &AnyRouting,
     src: NodeId,
     dest: NodeId,
 ) -> u32 {
@@ -95,9 +95,9 @@ proptest! {
             .find_map(|n| swbft::faults::random_node_faults(&net, n, &mut rng).ok())
             .expect("nf = 0 always succeeds");
         let algo = if adaptive {
-            SwBasedRouting::adaptive()
+            AnyRouting::adaptive(Substrate::DimensionOrder)
         } else {
-            SwBasedRouting::deterministic()
+            AnyRouting::deterministic(Substrate::DimensionOrder)
         };
         // Sample a handful of healthy pairs rather than all N^2.
         let healthy: Vec<NodeId> = faults.healthy_nodes(&net).collect();
@@ -138,9 +138,9 @@ proptest! {
         cfg.stop = StopCondition::MeasuredMessages(300);
         cfg.max_cycles = 60_000;
         let algo = if adaptive {
-            SwBasedRouting::adaptive()
+            AnyRouting::adaptive(Substrate::DimensionOrder)
         } else {
-            SwBasedRouting::deterministic()
+            AnyRouting::deterministic(Substrate::DimensionOrder)
         };
         let mut sim = Simulation::new(cfg, faults, algo).unwrap();
         let out = sim.run();
@@ -165,7 +165,7 @@ proptest! {
         cfg.seed = seed;
         cfg.warmup_messages = 0;
         cfg.stop = StopCondition::MeasuredMessages(200);
-        let mut sim = Simulation::new(cfg, FaultSet::new(), SwBasedRouting::deterministic()).unwrap();
+        let mut sim = Simulation::new(cfg, FaultSet::new(), AnyRouting::deterministic(Substrate::DimensionOrder)).unwrap();
         let out = sim.run();
         prop_assert!(out.report.mean_latency >= 12.0);
         prop_assert!(out.report.mean_hops >= 1.0);

@@ -13,8 +13,8 @@
 use swbft::faults::{FaultRegion, FaultSet, RegionShape};
 use swbft::routing::cdg::DependencyGraph;
 use swbft::routing::{
-    RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, RoutingTopologyError,
-    SwBasedRouting, TurnModelRouting,
+    AnyRouting, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor, RoutingTopologyError,
+    Substrate, TurnRule,
 };
 use swbft::sim::{ReferenceSimulation, Sanitizer, SimConfig, Simulation, StopCondition};
 use swbft::topology::{AnyTopology, Direction, NodeId, TopologySpec};
@@ -99,7 +99,7 @@ fn fault_free_deterministic_conforms_on_torus_and_mesh() {
         assert_conformant(
             quick(spec, 2, 0.01, 11),
             FaultSet::new(),
-            SwBasedRouting::deterministic(),
+            AnyRouting::deterministic(Substrate::DimensionOrder),
         );
     }
 }
@@ -114,7 +114,7 @@ fn node_faulted_deterministic_conforms() {
     assert_conformant(
         quick("mesh:4x2", 2, 0.01, 12),
         faults,
-        SwBasedRouting::deterministic(),
+        AnyRouting::deterministic(Substrate::DimensionOrder),
     );
 }
 
@@ -125,7 +125,11 @@ fn link_faulted_deterministic_conforms() {
     let mut faults = FaultSet::new();
     faults.fail_link(&net, NodeId(3), 0, Direction::Plus);
     assert!(faults.num_faulty_links() > 0);
-    assert_conformant(config, faults, SwBasedRouting::deterministic());
+    assert_conformant(
+        config,
+        faults,
+        AnyRouting::deterministic(Substrate::DimensionOrder),
+    );
 }
 
 #[test]
@@ -142,7 +146,11 @@ fn region_faulted_deterministic_conforms() {
         .to_fault_set(grid)
         .expect("region realises");
     assert!(faults.num_faulty_nodes() == 3);
-    assert_conformant(config, faults, SwBasedRouting::deterministic());
+    assert_conformant(
+        config,
+        faults,
+        AnyRouting::deterministic(Substrate::DimensionOrder),
+    );
 }
 
 #[test]
@@ -151,7 +159,7 @@ fn north_last_turn_model_conforms_on_meshes() {
         assert_conformant(
             quick(spec, 1, 0.01, seed),
             FaultSet::new(),
-            TurnModelRouting::north_last_deterministic(),
+            AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
         );
     }
 }
@@ -165,7 +173,7 @@ fn adaptive_escape_allocations_conform() {
     faults.fail_node(NodeId(3));
     // Congestion high enough that escape channels actually get used.
     let config = quick("torus:4x2", 3, 0.05, 17);
-    let algo = SwBasedRouting::adaptive();
+    let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
     let cdg = exact_cdg(&config, &algo, &faults);
     for (engine, s) in run_both_with_cdg(config, faults, algo, cdg) {
         assert!(
@@ -184,7 +192,7 @@ fn adaptive_escape_allocations_conform() {
 /// one) that the correct algorithm's exact CDG — where absorption releases
 /// everything — cannot contain.
 #[derive(Clone)]
-struct SkipViaHostAbsorb(SwBasedRouting);
+struct SkipViaHostAbsorb(AnyRouting);
 
 impl RoutingAlgorithm for SkipViaHostAbsorb {
     fn flavor(&self) -> RoutingFlavor {
@@ -278,7 +286,7 @@ fn assert_divergence_flagged(audits: [(&'static str, Sanitizer); 2], what: &str)
 
 #[test]
 fn skipping_the_via_host_absorb_is_caught_as_cdg_divergence() {
-    let correct = SwBasedRouting::deterministic();
+    let correct = AnyRouting::deterministic(Substrate::DimensionOrder);
     let buggy = SkipViaHostAbsorb(correct);
     let mut faults = FaultSet::new();
     faults.fail_node(NodeId(5));
@@ -299,12 +307,12 @@ fn forbidden_turn_dependency_is_caught_as_cdg_divergence() {
     // channels must be reported as a divergence.
     let config = quick("mesh:4x2", 1, 0.02, 19);
     let faults = FaultSet::new();
-    let negative_first = TurnModelRouting::deterministic();
+    let negative_first = AnyRouting::deterministic(Substrate::Turn(TurnRule::NegativeFirst));
     let cdg = exact_cdg(&config, &negative_first, &faults);
     let audits = run_both_with_cdg(
         config,
         faults,
-        TurnModelRouting::north_last_deterministic(),
+        AnyRouting::deterministic(Substrate::Turn(TurnRule::NorthLast)),
         cdg,
     );
     assert_divergence_flagged(audits, "forbidden-turn mutation");

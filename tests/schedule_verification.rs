@@ -7,7 +7,7 @@ use swbft::routing::RoutingAlgorithm;
 use swbft::topology::TopologySpec;
 use swbft::verify::matrix::{matrix_routings, run_matrix, MatrixKind, Verdict, STATE_BUDGET};
 use swbft::verify::report::to_json;
-use swbft::verify::{verify_schedule, PairFate};
+use swbft::verify::{verify_schedule, PairFate, ScheduleVerifyError};
 
 #[test]
 fn parsed_schedule_round_trips_and_verifies() {
@@ -61,6 +61,51 @@ fn invalid_schedules_are_rejected_with_typed_errors() {
     assert!(FaultSchedule::parse("200:node@1,100:node@2").is_err());
     // An unknown event shape is a parse error, not a panic.
     assert!(FaultSchedule::parse("100:router@1").is_err());
+}
+
+#[test]
+fn configurations_the_simulator_rejects_are_typed_errors_not_proofs() {
+    let schedule = FaultSchedule::parse("100:node@5").unwrap();
+    let routing = |label: &str| {
+        let (_, algo) = matrix_routings()
+            .into_iter()
+            .find(|(l, _)| l == label)
+            .unwrap();
+        algo
+    };
+    // Below the minimum VC count: two of these used to panic in the dateline
+    // partition, the other two reported `proved`.
+    for (spec, label, v, minimum) in [
+        ("torus:4x2", "adaptive", 2, 3),
+        ("torus:4x2", "deterministic", 1, 2),
+        ("mesh:4x2", "turn-model", 1, 2),
+        ("ft:4,2", "updown", 1, 2),
+    ] {
+        let net = TopologySpec::parse(spec).unwrap().build().unwrap();
+        let err = verify_schedule(&net, &routing(label), &schedule, v, STATE_BUDGET, false)
+            .expect_err(label);
+        assert!(
+            matches!(
+                err,
+                ScheduleVerifyError::TooFewVirtualChannels { requested, minimum: m }
+                    if requested == v && m == minimum
+            ),
+            "{spec}/{label}: {err}"
+        );
+        assert!(err.to_string().contains(&format!("at least {minimum}")));
+    }
+    // A routing the topology does not support.
+    let torus = TopologySpec::parse("torus:4x2").unwrap().build().unwrap();
+    let err = verify_schedule(
+        &torus,
+        &routing("updown"),
+        &schedule,
+        2,
+        STATE_BUDGET,
+        false,
+    )
+    .expect_err("up/down rejects grids");
+    assert!(matches!(err, ScheduleVerifyError::Unsupported(_)), "{err}");
 }
 
 #[test]
