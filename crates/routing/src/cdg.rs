@@ -22,7 +22,7 @@
 //! phase-adaptive variant alike — with a single virtual channel per physical
 //! channel.
 
-use crate::ecube::ecube_output;
+use crate::ecube::{ecube_output, ecube_vc_class};
 use crate::header::{RouteHeader, RoutingFlavor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -185,13 +185,8 @@ pub fn build_ecube_cdg(net: &Network, model: VcModel) -> DependencyGraph {
             let mut current = src;
             let mut previous: Option<usize> = None;
             while let Some((dim, dir)) = ecube_output(net, &header, current) {
-                let class = if header.crossed_dateline[dim] {
-                    VcClass::AfterDateline
-                } else {
-                    VcClass::BeforeDateline
-                };
                 let ch = DirectedChannel::new(current, dim, dir);
-                let resource = resource_id(net, model, ch, class);
+                let resource = resource_id(net, model, ch, ecube_vc_class(&header, dim));
                 if let Some(prev) = previous {
                     graph.add_edge(prev, resource);
                 }

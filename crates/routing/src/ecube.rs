@@ -27,7 +27,7 @@ pub fn ecube_output(
     let target = header.target();
     for dim in 0..net.dims() {
         let off = net.offset(current, target, dim);
-        if let Some(forced) = header.forced_dir[dim] {
+        if let Some(forced) = header.forced_dir(dim) {
             // A forced dimension is routed (possibly non-minimally) in the
             // stored direction until its offset is nullified.
             if off != 0 {
@@ -49,7 +49,7 @@ pub fn ecube_output(
 /// record a crossing in an open dimension, so the class is always
 /// [`VcClass::BeforeDateline`] there.)
 pub fn ecube_vc_class(header: &RouteHeader, dim: usize) -> VcClass {
-    if header.crossed_dateline[dim] {
+    if header.crossed_dateline(dim) {
         VcClass::AfterDateline
     } else {
         VcClass::BeforeDateline
@@ -113,7 +113,7 @@ mod tests {
         let src = t.node_from_digits(&[1, 0]).unwrap();
         let dest = t.node_from_digits(&[3, 0]).unwrap();
         let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
-        h.forced_dir[0] = Some(Direction::Minus);
+        h.set_forced_dir(0, Some(Direction::Minus));
         assert_eq!(ecube_output(&t, &h, src), Some((0, Direction::Minus)));
         // With the offset nullified the forced dimension is skipped.
         assert_eq!(ecube_output(&t, &h, dest), None);
@@ -125,7 +125,7 @@ mod tests {
         let src = t.node_from_digits(&[2, 1]).unwrap();
         let dest = t.node_from_digits(&[2, 5]).unwrap();
         let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
-        h.forced_dir[0] = Some(Direction::Plus);
+        h.set_forced_dir(0, Some(Direction::Plus));
         // Dimension 0 has no offset, so routing proceeds in dimension 1.
         assert_eq!(ecube_output(&t, &h, src), Some((1, Direction::Plus)));
     }
@@ -149,7 +149,7 @@ mod tests {
         let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
         assert_eq!(ecube_vc_class(&h, 0), VcClass::BeforeDateline);
         assert_eq!(deterministic_vcs(&t, &h, 0, 4), vec![0, 1]);
-        h.crossed_dateline[0] = true;
+        h.set_crossed_dateline(0);
         assert_eq!(ecube_vc_class(&h, 0), VcClass::AfterDateline);
         assert_eq!(deterministic_vcs(&t, &h, 0, 4), vec![2, 3]);
         // other dimensions are unaffected

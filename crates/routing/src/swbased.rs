@@ -441,11 +441,11 @@ fn grid_detour(
     // wrapped dimension can reach the target the "wrong way round"; on an
     // open dimension the opposite direction walks away from the target and
     // dead-ends at the edge, so the rule is skipped there.
-    if net.wraps(dim) && header.forced_dir[dim].is_none() {
+    if net.wraps(dim) && header.forced_dir(dim).is_none() {
         let opposite = dir.opposite();
         if faults.output_usable(net, at, dim, opposite) && net.offset(at, header.target(), dim) != 0
         {
-            header.forced_dir[dim] = Some(opposite);
+            header.set_forced_dir(dim, Some(opposite));
             return true;
         }
     }
@@ -459,7 +459,7 @@ fn grid_detour(
                 let via = net
                     .neighbor(at, o, cand_dir)
                     .expect("usable output leads to an existing neighbour");
-                header.forced_dir[dim] = None;
+                header.set_forced_dir(dim, None);
                 header.push_intermediate(via);
                 return true;
             }
@@ -508,30 +508,24 @@ fn install_explicit_path(
         return false;
     };
     let nodes = path.nodes(net);
-    header.set_via_chain(nodes.into_iter().skip(1));
+    header.set_via_chain(&nodes[1..]);
     header.escorted = true;
-    for forced in &mut header.forced_dir {
-        *forced = None;
-    }
+    header.clear_forced();
     true
 }
 
 /// Dimensions to try for the orthogonal detour (rule 2), preferring the
 /// partner dimension of the blocked dimension's pair as in the SW-Based-nD
 /// formulation of Fig. 2.
-fn orthogonal_order(dims: usize, blocked_dim: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(dims.saturating_sub(1));
-    if blocked_dim + 1 < dims {
-        order.push(blocked_dim + 1);
-    } else if blocked_dim > 0 {
-        order.push(blocked_dim - 1);
-    }
-    for d in 0..dims {
-        if d != blocked_dim && !order.contains(&d) {
-            order.push(d);
-        }
-    }
-    order
+fn orthogonal_order(dims: usize, blocked_dim: usize) -> impl Iterator<Item = usize> {
+    let partner = if blocked_dim + 1 < dims {
+        Some(blocked_dim + 1)
+    } else {
+        blocked_dim.checked_sub(1)
+    };
+    partner
+        .into_iter()
+        .chain((0..dims).filter(move |&d| d != blocked_dim && Some(d) != partner))
 }
 
 impl RoutingAlgorithm for AnyRouting {
@@ -871,7 +865,7 @@ mod tests {
         let algo = AnyRouting::adaptive(DIMENSION_ORDER);
         let src = node(&t, &[0, 0, 0]);
         let mut h = algo.make_header(&t, src, node(&t, &[3, 0, 0]));
-        h.crossed_dateline[0] = true;
+        h.set_crossed_dateline(0);
         let d = algo.route(&t, &no_faults(), &mut h, src, 4);
         let escape = d.candidates().iter().find(|c| c.is_escape).unwrap();
         assert_eq!(escape.vcs, vec![1]);
@@ -907,7 +901,7 @@ mod tests {
         assert!(algo.reroute_on_fault(&t, &faults, &mut header, src, (0, Direction::Plus)));
         assert!(header.faulted);
         assert_eq!(header.absorptions, 1);
-        assert_eq!(header.forced_dir[0], Some(Direction::Minus));
+        assert_eq!(header.forced_dir(0), Some(Direction::Minus));
     }
 
     #[test]
@@ -922,7 +916,7 @@ mod tests {
         let dest = node(&m, &[4, 0]);
         let mut header = algo.make_header(&m, at, dest);
         assert!(algo.reroute_on_fault(&m, &faults, &mut header, at, (0, Direction::Plus)));
-        assert!(header.forced_dir.iter().all(Option::is_none));
+        assert!((0..2).all(|dim| header.forced_dir(dim).is_none()));
         assert_eq!(header.pending_via(), 1);
         // The orthogonal via node sits one hop away in dimension 1 (the only
         // open direction from row 0 is Plus).
@@ -963,7 +957,7 @@ mod tests {
         let mut header = algo.make_header(&t, at, node(&t, &[1, 4]));
         // Dimension 0 offset to the target is zero.
         assert!(algo.reroute_on_fault(&t, &faults, &mut header, at, (0, Direction::Plus)));
-        assert!(header.forced_dir.iter().all(Option::is_none));
+        assert!((0..2).all(|dim| header.forced_dir(dim).is_none()));
         assert_eq!(header.pending_via(), 1);
         // The orthogonal detour avoids the faulty node [1,1].
         assert_ne!(header.target(), node(&t, &[1, 1]));
@@ -1149,10 +1143,12 @@ mod tests {
 
     #[test]
     fn orthogonal_order_prefers_pair_partner() {
-        assert_eq!(orthogonal_order(3, 0), vec![1, 2]);
-        assert_eq!(orthogonal_order(3, 1), vec![2, 0]);
-        assert_eq!(orthogonal_order(3, 2), vec![1, 0]);
-        assert_eq!(orthogonal_order(2, 1), vec![0]);
-        assert_eq!(orthogonal_order(1, 0), Vec::<usize>::new());
+        let order = |dims, blocked| orthogonal_order(dims, blocked).collect::<Vec<_>>();
+        assert_eq!(order(3, 0), vec![1, 2]);
+        assert_eq!(order(3, 1), vec![2, 0]);
+        assert_eq!(order(3, 2), vec![1, 0]);
+        assert_eq!(order(2, 1), vec![0]);
+        assert_eq!(order(1, 0), Vec::<usize>::new());
+        assert_eq!(order(4, 3), vec![2, 0, 1]);
     }
 }

@@ -245,7 +245,7 @@ mod tests {
         assert!(header.faulted);
         assert_eq!(header.absorptions, 1);
         // No rule-1 forced direction is ever installed on open dimensions.
-        assert!(header.forced_dir.iter().all(Option::is_none));
+        assert!((0..2).all(|dim| header.forced_dir(dim).is_none()));
         assert_eq!(header.pending_via(), 1);
         // From row 0 the only open orthogonal direction is Plus in dim 1.
         assert_eq!(header.target(), node(&m, &[1, 1]));

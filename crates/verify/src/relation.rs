@@ -183,9 +183,11 @@ fn project_counters_and_source(header: &mut RouteHeader) {
 
 /// The hasher of the intern table: a multiply-rotate word hash (the "Fx"
 /// function rustc uses for its own tables). Interning hashes a whole header,
-/// field by field, per transition; under the default SipHash that measured a
-/// fifth of a walk. The keys are produced by the routing functions, not read
-/// from outside the program, so collision resistance buys nothing here.
+/// field by field, per transition — about a dozen words, since the per-dimension
+/// fields are bitmasks and the via chain hashes as its logical sequence;
+/// under the default SipHash that measured a fifth of a walk. The keys are
+/// produced by the routing functions, not read from outside the program, so
+/// collision resistance buys nothing here.
 #[derive(Default)]
 struct StateHasher(u64);
 
@@ -256,7 +258,9 @@ impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
     }
 
     /// The id of the state `(node, header)` under the walk's projection,
-    /// created unexpanded when new.
+    /// created unexpanded when new. A header is fixed-size unless its via
+    /// chain outgrew `torus_routing::header::VIA_INLINE`, so neither the key
+    /// moved into the table nor the copy kept in the state list allocates.
     fn intern(&mut self, node: NodeId, mut header: RouteHeader) -> StateId {
         (self.project)(&mut header);
         match self.ids.entry((node, header)) {
