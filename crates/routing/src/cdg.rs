@@ -23,6 +23,7 @@
 //! channel.
 
 use crate::ecube::{ecube_output, ecube_vc_class};
+use crate::hash::BuildWordHasher;
 use crate::header::{RouteHeader, RoutingFlavor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -34,11 +35,12 @@ pub struct DependencyGraph {
     /// Number of resource vertices.
     num_vertices: usize,
     /// Adjacency list: `edges[a]` holds every `b` such that a message can hold
-    /// resource `a` while requesting resource `b`.
+    /// resource `a` while requesting resource `b`, in insertion order (which
+    /// fixes the cycle [`DependencyGraph::find_cycle`] reports).
     edges: Vec<Vec<usize>>,
     num_edges: usize,
     /// Dedup set so repeated [`DependencyGraph::add_edge`] calls are idempotent.
-    seen: HashSet<(usize, usize)>,
+    seen: HashSet<(usize, usize), BuildWordHasher>,
 }
 
 impl DependencyGraph {
@@ -48,7 +50,7 @@ impl DependencyGraph {
             num_vertices,
             edges: vec![Vec::new(); num_vertices],
             num_edges: 0,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
         }
     }
 

@@ -54,6 +54,7 @@ pub mod adaptive;
 pub mod cdg;
 pub mod decision;
 pub mod ecube;
+pub mod hash;
 pub mod header;
 pub mod swbased;
 #[cfg(test)]

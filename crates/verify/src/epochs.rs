@@ -34,10 +34,13 @@
 //! record pairs re-walked vs reused, so the differential speedup is itself a
 //! reported metric.
 //!
-//! The differential pass walks pair by pair with [`walk_pair`], one `route()`
-//! call per state it reports: its records are per pair (a fragment and a
-//! footprint each), and a later epoch re-walks single pairs, which a graph
-//! shared per destination has nothing to offer. The `paranoid` mode
+//! The differential pass walks pair by pair, one `route()` call per state it
+//! reports: its records are per pair (a fragment and a footprint each), and a
+//! later epoch re-walks single pairs, which a graph shared per destination
+//! has nothing to offer. The walks are [`crate::walk_pair`]'s, made by one
+//! [`PairWalker`] per epoch, and the dependency dataflow runs in buffers that
+//! [`verify_schedule`] owns for the whole schedule; both are cleared, not
+//! reallocated, between pairs. The `paranoid` mode
 //! recomputes every epoch from scratch with the destination-major sweep of
 //! [`crate::sweep`] and diffs the pair universe, every pair's fate and state
 //! count, and every destination's CDG edge set against the differential
@@ -45,9 +48,9 @@
 //! walker, each paranoid run also cross-checks the shared walker against the
 //! per-pair one.
 
-use crate::exact::{dependency_edges, resource_count, Granularity};
+use crate::exact::{dependency_edges, resource_count, FoldScratch, Granularity};
 use crate::reach::{check_pair, PairVerdict};
-use crate::relation::{walk_pair, StateBudgetExceeded, Step};
+use crate::relation::{PairWalker, StateBudgetExceeded, Step};
 use crate::sweep::{sweep_destinations, DestinationOutcome};
 use crate::witness::{describe_cycle, describe_pair_verdict};
 use std::collections::{BTreeMap, BTreeSet};
@@ -285,33 +288,47 @@ impl From<StateBudgetExceeded> for ScheduleVerifyError {
     }
 }
 
-/// Walks one pair under `faults` and distils the record the differential
-/// pass needs: verdict, global flag, CDG fragment, visited-node footprint.
-#[allow(clippy::too_many_arguments)]
-fn walk_record<A: RoutingAlgorithm>(
-    net: &AnyTopology,
-    algo: &A,
-    faults: &FaultSet,
+/// The record loop's per-pair machinery for one epoch: a [`PairWalker`]
+/// under the epoch's faults and the dependency dataflow's buffers, both
+/// cleared and reused from one pair to the next. The buffers outlive the
+/// epoch: [`verify_schedule`] owns them.
+struct Recorder<'a, A> {
+    net: &'a AnyTopology,
     v: usize,
-    src: NodeId,
-    dest: NodeId,
-    state_budget: usize,
     granularity: Granularity,
-) -> Result<PairRecord, StateBudgetExceeded> {
-    let walk = walk_pair(net, algo, faults, v, src, dest, state_budget)?;
-    let mut visited: Vec<NodeId> = walk.iter().map(|(_, s)| s.node).collect();
-    visited.sort_unstable();
-    visited.dedup();
-    let global = walk
-        .iter()
-        .any(|(_, s)| s.steps.iter().any(|st| matches!(st, Step::Reinject { .. })));
-    Ok(PairRecord {
-        verdict: check_pair(&walk),
-        global,
-        edges: dependency_edges(net, walk.states(), [walk.start()], v, granularity),
-        visited,
-        states: walk.len(),
-    })
+    state_budget: usize,
+    pairs: PairWalker<'a, A>,
+    fold: &'a mut FoldScratch,
+}
+
+impl<A: RoutingAlgorithm> Recorder<'_, A> {
+    /// Walks one pair under the epoch's faults and distils the record the
+    /// differential pass needs: verdict, global flag, CDG fragment,
+    /// visited-node footprint.
+    fn record(&mut self, src: NodeId, dest: NodeId) -> Result<PairRecord, StateBudgetExceeded> {
+        let walk = self.pairs.walk(src, dest, self.state_budget)?;
+        let mut visited: Vec<NodeId> = walk.iter().map(|(_, s)| s.node).collect();
+        visited.sort_unstable();
+        visited.dedup();
+        let global = walk
+            .iter()
+            .any(|(_, s)| s.steps.iter().any(|st| matches!(st, Step::Reinject { .. })));
+        let edges = dependency_edges(
+            self.net,
+            walk.states(),
+            [walk.start()],
+            self.v,
+            self.granularity,
+            self.fold,
+        );
+        Ok(PairRecord {
+            verdict: check_pair(&walk),
+            global,
+            edges,
+            visited,
+            states: walk.len(),
+        })
+    }
 }
 
 /// True when a new fault event can influence the recorded walk: routing
@@ -355,13 +372,10 @@ fn component_labels(net: &AnyTopology, faults: &FaultSet) -> Vec<usize> {
 /// Walks every healthy pair of `faults`, one at a time, into the record map
 /// the differential pass starts from.
 fn walk_all_pairs<A: RoutingAlgorithm>(
-    net: &AnyTopology,
-    algo: &A,
+    recorder: &mut Recorder<'_, A>,
     faults: &FaultSet,
-    v: usize,
-    state_budget: usize,
-    granularity: Granularity,
 ) -> Result<BTreeMap<(NodeId, NodeId), PairRecord>, StateBudgetExceeded> {
+    let net = recorder.net;
     let mut records = BTreeMap::new();
     for src in net.endpoints() {
         if faults.is_node_faulty(src) {
@@ -371,8 +385,7 @@ fn walk_all_pairs<A: RoutingAlgorithm>(
             if dest == src || faults.is_node_faulty(dest) {
                 continue;
             }
-            let rec = walk_record(net, algo, faults, v, src, dest, state_budget, granularity)?;
-            records.insert((src, dest), rec);
+            records.insert((src, dest), recorder.record(src, dest)?);
         }
     }
     Ok(records)
@@ -518,14 +531,23 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
     let mut epochs = Vec::with_capacity(epochs_spec.len());
     let mut fates = Vec::with_capacity(epochs_spec.len());
     let mut divergences = Vec::new();
+    let mut fold = FoldScratch::default();
 
     for (ei, epoch) in epochs_spec.iter().enumerate() {
         let started = Instant::now();
         let mut rewalked = 0usize;
         let mut reused = 0usize;
         let mut states = 0usize;
+        let mut recorder = Recorder {
+            net,
+            v,
+            granularity,
+            state_budget,
+            pairs: PairWalker::new(net, algo, &epoch.faults, v),
+            fold: &mut fold,
+        };
         if ei == 0 {
-            records = walk_all_pairs(net, algo, &epoch.faults, v, state_budget, granularity)?;
+            records = walk_all_pairs(&mut recorder, &epoch.faults)?;
             rewalked = records.len();
             states = records.values().map(|r| r.states).sum();
         } else {
@@ -544,16 +566,7 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
                             .any(|ev| event_touches(net, rec, ev))
                 };
                 if needs_rewalk {
-                    let rec = walk_record(
-                        net,
-                        algo,
-                        &epoch.faults,
-                        v,
-                        key.0,
-                        key.1,
-                        state_budget,
-                        granularity,
-                    )?;
+                    let rec = recorder.record(key.0, key.1)?;
                     states += rec.states;
                     records.insert(key, rec);
                     rewalked += 1;

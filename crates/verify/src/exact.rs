@@ -25,6 +25,13 @@
 //! every channel before re-injection — exactly why the paper's Section 4
 //! argument survives faults).
 //!
+//! The dataflow propagates *deltas*: a state's set only ever grows, so when
+//! it grows the state passes on, and emits edges for, only the resources
+//! added since it was last processed. Every transfer function distributes
+//! over union, so the edges emitted over all deltas are exactly the
+//! `held × requested` of the final sets. Emission order is still a function
+//! of the state graph alone.
+//!
 //! With [`Granularity::PerChannel`] the same walk is projected onto whole
 //! physical channels, ignoring the virtual-channel split. On a torus this
 //! reproduces the classic dateline cycle from the *real* routing relation —
@@ -96,11 +103,59 @@ pub fn resource_id(
     }
 }
 
+/// The dataflow's record of one state.
+#[derive(Debug, Default)]
+struct FoldState {
+    /// Tracked resources the message may hold on arrival, in insertion
+    /// order. Append-only: the sets are small (the VCs of the tracked hops
+    /// that can precede a state), so a vector with a linear membership test
+    /// is both smaller and faster than a hash set.
+    held: Vec<usize>,
+    /// `held[..pushed]` has been propagated to the successors and emitted.
+    pushed: usize,
+    /// Whether the state has been processed at least once.
+    processed: bool,
+    /// Whether the state is on the worklist.
+    queued: bool,
+}
+
+/// The buffers of the dependency dataflow, cleared and reused from one call
+/// to the next. Their owner is the caller's loop: the destination loop of
+/// [`crate::sweep::sweep_destinations`] and the pair records of
+/// [`crate::epochs`]. [`accumulate_cdg`] uses a fresh one per call.
+#[derive(Debug, Default)]
+pub(crate) struct FoldScratch {
+    states: Vec<FoldState>,
+    work: VecDeque<StateId>,
+    requested: Vec<usize>,
+    /// [`dependency_edges`]' emissions before sorting and deduplication.
+    edges: Vec<(usize, usize)>,
+}
+
+/// Adds `r` to `set` unless present; true if the set grew.
+fn insert(set: &mut Vec<usize>, r: usize) -> bool {
+    let grows = !set.contains(&r);
+    if grows {
+        set.push(r);
+    }
+    grows
+}
+
 /// The dependency dataflow over a state graph, seeded at `starts`: a worklist
 /// over the sets of tracked resources possibly held on arrival in each state,
 /// calling `emit(held, requested)` for every dependency it finds (repeats
 /// included). Monotone (sets only grow), so it terminates at the least
-/// fixpoint; emission is re-run whenever a state's set grows.
+/// fixpoint.
+///
+/// Each pass over a state handles only its *delta*, the resources added to
+/// its set since the previous pass: adaptive hops propagate the delta, and
+/// tracked hops emit `delta × requested`. A tracked hop's own `requested`
+/// set does not depend on what is held, so it is pushed to the successor
+/// once, on the state's first pass, which also enqueues every successor not
+/// yet discovered. The union of the emissions over all passes is
+/// `held × requested` over the final sets, the edges a pass over each final
+/// set would emit; the order of emission is a function of the state graph
+/// alone.
 ///
 /// It is a may-analysis whose transfer functions distribute over union, so
 /// seeding several start states at once yields exactly the union of the
@@ -111,70 +166,85 @@ fn fold_dependencies(
     starts: impl IntoIterator<Item = StateId>,
     v: usize,
     granularity: Granularity,
+    scratch: &mut FoldScratch,
     mut emit: impl FnMut(usize, usize),
 ) {
+    let FoldScratch {
+        states: fold,
+        work,
+        requested,
+        ..
+    } = scratch;
     let n = states.len();
-    // The sets are small (the VCs of the tracked hops that can precede a
-    // state), so an insertion-ordered vector with a linear membership test is
-    // both smaller and faster than a hash set — and makes the emission order
-    // a function of the state graph alone.
-    let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut visited = vec![false; n];
-    let mut queued = vec![false; n];
-    let mut work: VecDeque<usize> = VecDeque::new();
+    for state in fold.iter_mut().take(n) {
+        state.held.clear();
+        state.pushed = 0;
+        state.processed = false;
+        state.queued = false;
+    }
+    if fold.len() < n {
+        fold.resize_with(n, FoldState::default);
+    }
+    work.clear();
     for start in starts {
-        if !visited[start] {
-            visited[start] = true;
-            queued[start] = true;
+        if !fold[start].queued && !fold[start].processed {
+            fold[start].queued = true;
             work.push_back(start);
         }
     }
 
-    let mut requested: Vec<usize> = Vec::new();
     while let Some(s) = work.pop_front() {
-        queued[s] = false;
+        let first = !fold[s].processed;
+        let (from, to) = (fold[s].pushed, fold[s].held.len());
+        fold[s].queued = false;
+        fold[s].processed = true;
+        fold[s].pushed = to;
         let state = &states[s];
-        let held = incoming[s].clone();
         for step in &state.steps {
             let next = step.next();
-            let mut changed = !visited[next];
-            visited[next] = true;
-            // What the message may hold on arrival in `next`.
-            let propagated: &[usize] =
-                match step {
-                    Step::Hop {
-                        dim,
-                        dir,
-                        vcs,
-                        tracked: true,
-                        ..
-                    } => {
-                        requested.clear();
-                        requested.extend(vcs.iter().map(|&vc| {
+            // Whether what the message may hold on arrival in `next` grew.
+            let mut grew = false;
+            match step {
+                Step::Hop {
+                    dim,
+                    dir,
+                    vcs,
+                    tracked: true,
+                    ..
+                } => {
+                    requested.clear();
+                    requested.extend(
+                        vcs.iter().map(|&vc| {
                             resource_id(net, state.node, *dim, *dir, vc, v, granularity)
-                        }));
-                        for &h in &held {
-                            for &r in &requested {
-                                emit(h, r);
-                            }
+                        }),
+                    );
+                    for i in from..to {
+                        let h = fold[s].held[i];
+                        for &r in requested.iter() {
+                            emit(h, r);
                         }
-                        // After the hop the message holds one of `requested`.
-                        &requested
                     }
-                    // Adaptive hop: the tracked resources stay held while the
-                    // head advances — Duato's indirect dependencies.
-                    Step::Hop { tracked: false, .. } => &held,
-                    // Absorption releases every held channel.
-                    Step::Reinject { .. } => &[],
-                };
-            for &r in propagated {
-                if !incoming[next].contains(&r) {
-                    incoming[next].push(r);
-                    changed = true;
+                    // After the hop the message holds one of `requested`.
+                    if first {
+                        for &r in requested.iter() {
+                            grew |= insert(&mut fold[next].held, r);
+                        }
+                    }
                 }
+                // Adaptive hop: the tracked resources stay held while the
+                // head advances — Duato's indirect dependencies.
+                Step::Hop { tracked: false, .. } => {
+                    for i in from..to {
+                        let h = fold[s].held[i];
+                        grew |= insert(&mut fold[next].held, h);
+                    }
+                }
+                // Absorption releases every held channel.
+                Step::Reinject { .. } => {}
             }
-            if changed && !queued[next] {
-                queued[next] = true;
+            let successor = &mut fold[next];
+            if (grew || !successor.processed) && !successor.queued {
+                successor.queued = true;
                 work.push_back(next);
             }
         }
@@ -195,6 +265,7 @@ pub fn accumulate_cdg(
         [walk.start()],
         v,
         granularity,
+        &mut FoldScratch::default(),
         |held, requested| graph.add_edge(held, requested),
     );
 }
@@ -211,16 +282,28 @@ pub(crate) fn dependency_edges(
     starts: impl IntoIterator<Item = StateId>,
     v: usize,
     granularity: Granularity,
+    scratch: &mut FoldScratch,
 ) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    fold_dependencies(net, states, starts, v, granularity, |held, requested| {
-        if held != requested {
-            edges.push((held, requested));
-        }
-    });
+    let mut edges = std::mem::take(&mut scratch.edges);
+    edges.clear();
+    fold_dependencies(
+        net,
+        states,
+        starts,
+        v,
+        granularity,
+        scratch,
+        |held, requested| {
+            if held != requested {
+                edges.push((held, requested));
+            }
+        },
+    );
     edges.sort_unstable();
     edges.dedup();
-    edges
+    let deduplicated = edges.clone();
+    scratch.edges = edges;
+    deduplicated
 }
 
 /// Extracts the exact dependency graph of `algo` on `net` under `faults`
@@ -236,4 +319,257 @@ pub fn extract_exact_cdg<A: RoutingAlgorithm>(
     state_budget: usize,
 ) -> Result<ExactCdg, StateBudgetExceeded> {
     sweep_case(net, algo, faults, v, granularity, state_budget).map(|(cdg, _)| cdg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::matrix::{
+        matrix_fault_cases, matrix_routings, matrix_topologies, MatrixKind, STATE_BUDGET,
+    };
+    use crate::relation::{walk_pair, SharedRelation};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use torus_routing::{AnyRouting, Substrate};
+    use torus_topology::TopologySpec;
+
+    /// The dataflow before it propagated deltas: every pass over a state
+    /// clones its whole set, re-emits `held × requested` and re-propagates
+    /// everything. Kept as the reference [`fold_dependencies`] must match.
+    fn reference_fold(
+        net: &AnyTopology,
+        states: &[StateNode],
+        starts: &[StateId],
+        v: usize,
+        granularity: Granularity,
+    ) -> BTreeSet<(usize, usize)> {
+        let n = states.len();
+        let mut emitted = BTreeSet::new();
+        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut visited = vec![false; n];
+        let mut queued = vec![false; n];
+        let mut work: VecDeque<usize> = VecDeque::new();
+        for &start in starts {
+            if !visited[start] {
+                visited[start] = true;
+                queued[start] = true;
+                work.push_back(start);
+            }
+        }
+        let mut requested: Vec<usize> = Vec::new();
+        while let Some(s) = work.pop_front() {
+            queued[s] = false;
+            let state = &states[s];
+            let held = incoming[s].clone();
+            for step in &state.steps {
+                let next = step.next();
+                let mut changed = !visited[next];
+                visited[next] = true;
+                let propagated: &[usize] = match step {
+                    Step::Hop {
+                        dim,
+                        dir,
+                        vcs,
+                        tracked: true,
+                        ..
+                    } => {
+                        requested.clear();
+                        requested.extend(vcs.iter().map(|&vc| {
+                            resource_id(net, state.node, *dim, *dir, vc, v, granularity)
+                        }));
+                        for &h in &held {
+                            for &r in &requested {
+                                emitted.insert((h, r));
+                            }
+                        }
+                        &requested
+                    }
+                    Step::Hop { tracked: false, .. } => &held,
+                    Step::Reinject { .. } => &[],
+                };
+                for &r in propagated {
+                    if !incoming[next].contains(&r) {
+                        incoming[next].push(r);
+                        changed = true;
+                    }
+                }
+                if changed && !queued[next] {
+                    queued[next] = true;
+                    work.push_back(next);
+                }
+            }
+        }
+        emitted
+    }
+
+    /// Every pair `fold_dependencies` emits, self-loops and repeats merged.
+    fn delta_fold(
+        net: &AnyTopology,
+        states: &[StateNode],
+        starts: &[StateId],
+        v: usize,
+        granularity: Granularity,
+        scratch: &mut FoldScratch,
+    ) -> BTreeSet<(usize, usize)> {
+        let mut emitted = BTreeSet::new();
+        fold_dependencies(
+            net,
+            states,
+            starts.iter().copied(),
+            v,
+            granularity,
+            scratch,
+            |h, r| {
+                emitted.insert((h, r));
+            },
+        );
+        emitted
+    }
+
+    fn net(spec: &str) -> AnyTopology {
+        TopologySpec::parse(spec)
+            .expect("valid spec")
+            .build()
+            .expect("topology builds")
+    }
+
+    /// SplitMix64: the synthetic graphs' random source, seeded per case.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// A random state graph over `net`'s channels: tracked and adaptive hops
+    /// requesting one or several of `v` VCs, `Reinject` steps, self-loops and
+    /// cycles, and one to three start states. Which headers the states carry
+    /// does not matter to the dataflow.
+    fn synthetic_graph(net: &AnyTopology, v: usize, seed: u64) -> (Vec<StateNode>, Vec<StateId>) {
+        let mut rng = SplitMix(seed);
+        let header = AnyRouting::deterministic(Substrate::DimensionOrder).make_header(
+            net,
+            NodeId(0),
+            NodeId(1),
+        );
+        let n = 1 + rng.below(24);
+        let states = (0..n)
+            .map(|_| {
+                let steps = (0..rng.below(4))
+                    .map(|_| {
+                        let next = rng.below(n);
+                        if rng.below(6) == 0 {
+                            return Step::Reinject { next };
+                        }
+                        let mut vcs: Vec<usize> = (0..v).filter(|_| rng.below(2) == 0).collect();
+                        if vcs.is_empty() {
+                            vcs.push(rng.below(v));
+                        }
+                        Step::Hop {
+                            dim: rng.below(net.dims()),
+                            dir: Direction::BOTH[rng.below(2)],
+                            vcs,
+                            tracked: rng.below(2) == 0,
+                            next,
+                        }
+                    })
+                    .collect();
+                StateNode {
+                    node: NodeId(rng.below(net.num_nodes()) as u32),
+                    header: header.clone(),
+                    steps,
+                    terminal: None,
+                }
+            })
+            .collect();
+        let starts = (0..1 + rng.below(3)).map(|_| rng.below(n)).collect();
+        (states, starts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The delta fold emits exactly the pairs the reference fold does,
+        /// on arbitrary state graphs, with its buffers dirty from the
+        /// previous graph.
+        #[test]
+        fn delta_fold_matches_the_reference_on_synthetic_graphs(
+            seed in any::<u64>(),
+            v in 1usize..4,
+            per_vc in any::<bool>(),
+        ) {
+            let net = net("torus:4x2");
+            let granularity = if per_vc { Granularity::PerVc } else { Granularity::PerChannel };
+            let mut scratch = FoldScratch::default();
+            for round in 0..2u64 {
+                let (states, starts) = synthetic_graph(&net, v, seed.wrapping_add(round));
+                prop_assert_eq!(
+                    delta_fold(&net, &states, &starts, v, granularity, &mut scratch),
+                    reference_fold(&net, &states, &starts, v, granularity),
+                    "seed {} round {}", seed, round
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delta_fold_matches_the_reference_on_every_smoke_walk() {
+        let mut scratch = FoldScratch::default();
+        let mut walks = 0;
+        for spec in matrix_topologies(MatrixKind::Smoke) {
+            let net = spec.build().expect("matrix topologies build");
+            for (routing, algo) in matrix_routings() {
+                if algo.supported_on(&net).is_err() {
+                    continue;
+                }
+                let v = algo.min_virtual_channels(&net);
+                for (fault_label, faults) in matrix_fault_cases(&net, MatrixKind::Smoke) {
+                    let label = format!("{}/{routing}/{fault_label}", spec.to_spec_string());
+                    let endpoints: Vec<NodeId> = net
+                        .endpoints()
+                        .filter(|&n| !faults.is_node_faulty(n))
+                        .collect();
+                    for &dest in &endpoints {
+                        let mut shared = SharedRelation::new(&net, &algo, &faults, v, dest);
+                        let mut starts = Vec::new();
+                        for &src in endpoints.iter().filter(|&&src| src != dest) {
+                            let walk = walk_pair(&net, &algo, &faults, v, src, dest, STATE_BUDGET)
+                                .expect("fits");
+                            starts.push(shared.view(src, STATE_BUDGET).expect("fits").start);
+                            for granularity in [Granularity::PerVc, Granularity::PerChannel] {
+                                let start = [walk.start()];
+                                assert_eq!(
+                                    delta_fold(
+                                        &net,
+                                        walk.states(),
+                                        &start,
+                                        v,
+                                        granularity,
+                                        &mut scratch
+                                    ),
+                                    reference_fold(&net, walk.states(), &start, v, granularity),
+                                    "{label}: {src:?} -> {dest:?} at {granularity:?}"
+                                );
+                            }
+                            walks += 1;
+                        }
+                        for granularity in [Granularity::PerVc, Granularity::PerChannel] {
+                            let states = shared.states();
+                            assert_eq!(
+                                delta_fold(&net, states, &starts, v, granularity, &mut scratch),
+                                reference_fold(&net, states, &starts, v, granularity),
+                                "{label}: shared graph into {dest:?} at {granularity:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(walks > 10_000, "the smoke matrix has {walks} pair walks");
+    }
 }

@@ -9,14 +9,16 @@
 //!   materialising the finite state graph of every `(node, header) →
 //!   candidate` transition, including the software-layer
 //!   absorb/reroute/re-inject loop under a fault set. Two walkers: `walk_pair`
-//!   for one (source, destination) pair from scratch, and `SharedRelation`,
-//!   which memoises the relation per destination (no routing function reads
-//!   the header's source) and serves each pair as a breadth-first *view* that
-//!   numbers states exactly as `walk_pair` does;
+//!   for one (source, destination) pair from scratch (`PairWalker` is the
+//!   same walk for pair after pair, reusing its intern table), and
+//!   `SharedRelation`, which memoises the relation per destination (no
+//!   routing function reads the header's source) and serves each pair as a
+//!   breadth-first *view* that numbers states exactly as `walk_pair` does;
 //! * [`exact`] — folds state graphs into an exact per-VC channel dependency
 //!   graph (escape-layer resources only for adaptive algorithms, with
 //!   Duato-style indirect dependencies), whose acyclicity proves deadlock
-//!   freedom;
+//!   freedom. The fold propagates only what each state's held set gained
+//!   since its last pass, in buffers its caller's loop owns and reuses;
 //! * [`reach`] — proves deliver-under-every-schedule per pair, or produces a
 //!   dead-end / livelock witness path;
 //! * [`sweep`] — the from-scratch loop behind `verify_case`,
@@ -25,13 +27,16 @@
 //!   dependency dataflow and one dead-end/cycle pass, with per-pair
 //!   traversals only where that pass finds something. Reported `states` stay
 //!   Σ over pairs of each pair's reachable states (its view), not the several
-//!   times fewer states the shared walker expands;
+//!   times fewer states the shared walker expands. The destination loop owns
+//!   the dependency fold's buffers for the whole sweep;
 //! * [`epochs`] — verifies dynamic fault schedules epoch by epoch,
 //!   differentially re-walking only pairs whose footprint a new fault
 //!   touches and classifying every pair's fate (routable / rerouted /
-//!   disconnected) per epoch. This pass stays per pair (`walk_pair`, one
-//!   `route()` call per reported state): its records and re-walks are per
-//!   pair, and it doubles as the oracle the paranoid sweep is diffed against;
+//!   disconnected) per epoch. This pass stays per pair (`walk_pair`'s walk,
+//!   one `route()` call per reported state): its records and re-walks are per
+//!   pair, and it doubles as the oracle the paranoid sweep is diffed against.
+//!   Its record loop owns the reused scratch: one `PairWalker` per epoch and
+//!   the fold's buffers for the whole schedule;
 //! * [`witness`] — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)
@@ -533,16 +538,20 @@ mod tests {
         }
     }
 
+    /// The whole witness is pinned, not just its closing line: the cycle
+    /// `find_cycle` reports follows the graph's edge-insertion order, so a
+    /// change to that order must show up here as a reviewed diff.
     #[test]
     fn naive_demo_fails_with_a_channel_cycle_witness() {
         let case = matrix::naive_torus_demo();
         assert_eq!(case.verdict, Verdict::Failed);
-        assert!(!case.witness.is_empty());
-        assert!(case
-            .witness
-            .last()
-            .expect("non-empty")
-            .contains("back to c0"));
+        assert_eq!(case.cdg_edges, 512);
+        assert_eq!(case.states, 20_416);
+        let mut expected: Vec<String> = (0..8)
+            .map(|x| format!("c{x}: ({x},0) -d0+-> ({},0)", (x + 1) % 8))
+            .collect();
+        expected.push("-> back to c0 (cycle of 8 channels)".to_string());
+        assert_eq!(case.witness, expected);
     }
 
     #[test]

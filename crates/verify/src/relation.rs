@@ -14,8 +14,10 @@
 //!
 //! * [`walk_pair`] walks one (source, destination) pair from scratch. It is
 //!   the slow, obviously-correct oracle: one `route()` call per state of the
-//!   pair, nothing remembered between pairs. The differential pass of
-//!   [`crate::epochs`] re-walks single pairs with it.
+//!   pair, nothing remembered between pairs. [`PairWalker`] is the same walk
+//!   for pair after pair, clearing its intern table between them instead of
+//!   reallocating it; the differential pass of [`crate::epochs`] owns one per
+//!   epoch and still makes one `route()` call per state it reports.
 //! * [`SharedRelation`] memoises the relation per (destination, fault set).
 //!   No routing function reads `header.source` (nor the hop and absorption
 //!   counters), so every source's walk to one destination re-derives the
@@ -34,8 +36,8 @@
 //! [`crate::sweep`] runs both over every destination's shared graph.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use torus_faults::FaultSet;
+use torus_routing::hash::BuildWordHasher;
 use torus_routing::{RouteDecision, RouteHeader, RoutingAlgorithm};
 use torus_topology::{AnyTopology, Direction, NodeId};
 
@@ -181,51 +183,9 @@ fn project_counters_and_source(header: &mut RouteHeader) {
     header.source = NodeId(0);
 }
 
-/// The hasher of the intern table: a multiply-rotate word hash (the "Fx"
-/// function rustc uses for its own tables). Interning hashes a whole header,
-/// field by field, per transition — about a dozen words, since the per-dimension
-/// fields are bitmasks and the via chain hashes as its logical sequence;
-/// under the default SipHash that measured a fifth of a walk. The keys are
-/// produced by the routing functions, not read from outside the program, so
-/// collision resistance buys nothing here.
-#[derive(Default)]
-struct StateHasher(u64);
-
-impl StateHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for StateHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.mix(u64::from(byte));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
-
 /// The interned states of a walk and the routing context that expands them.
+/// Interning hashes a whole header per transition, so the table uses the
+/// routing crate's word hasher rather than SipHash.
 struct Walker<'a, A> {
     net: &'a AnyTopology,
     algo: &'a A,
@@ -234,7 +194,7 @@ struct Walker<'a, A> {
     all_tracked: bool,
     project: fn(&mut RouteHeader),
     states: Vec<StateNode>,
-    ids: HashMap<(NodeId, RouteHeader), StateId, BuildHasherDefault<StateHasher>>,
+    ids: HashMap<(NodeId, RouteHeader), StateId, BuildWordHasher>,
 }
 
 impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
@@ -361,22 +321,53 @@ pub fn walk_pair<A: RoutingAlgorithm>(
     dest: NodeId,
     state_budget: usize,
 ) -> Result<RelationWalk, StateBudgetExceeded> {
-    let mut walker = Walker::new(net, algo, faults, v, project_counters);
-    let start = walker.intern(src, algo.make_header(net, src, dest));
-    let mut cursor = 0;
-    while cursor < walker.states.len() {
-        if walker.states.len() > state_budget {
-            return Err(StateBudgetExceeded {
-                limit: state_budget,
-            });
+    PairWalker::new(net, algo, faults, v).walk(src, dest, state_budget)
+}
+
+/// [`walk_pair`] for many pairs in a row under one fault set: the intern
+/// table is cleared, not reallocated, between walks. Each walk starts from
+/// an empty table, so it returns exactly what a fresh [`walk_pair`] call
+/// returns. Its owner is the caller's pair loop — the differential pass of
+/// [`crate::epochs`] keeps one per epoch.
+pub struct PairWalker<'a, A> {
+    walker: Walker<'a, A>,
+}
+
+impl<'a, A: RoutingAlgorithm> PairWalker<'a, A> {
+    /// A walker of `algo`'s relation on `net` under `faults` with `v`
+    /// virtual channels per physical channel.
+    pub fn new(net: &'a AnyTopology, algo: &'a A, faults: &'a FaultSet, v: usize) -> Self {
+        PairWalker {
+            walker: Walker::new(net, algo, faults, v, project_counters),
         }
-        walker.expand(cursor);
-        cursor += 1;
     }
-    Ok(RelationWalk {
-        states: walker.states,
-        start,
-    })
+
+    /// Walks the pair `(src, dest)`: what [`walk_pair`] returns for it.
+    pub fn walk(
+        &mut self,
+        src: NodeId,
+        dest: NodeId,
+        state_budget: usize,
+    ) -> Result<RelationWalk, StateBudgetExceeded> {
+        let walker = &mut self.walker;
+        walker.ids.clear();
+        walker.states.clear();
+        let start = walker.intern(src, walker.algo.make_header(walker.net, src, dest));
+        let mut cursor = 0;
+        while cursor < walker.states.len() {
+            if walker.states.len() > state_budget {
+                return Err(StateBudgetExceeded {
+                    limit: state_budget,
+                });
+            }
+            walker.expand(cursor);
+            cursor += 1;
+        }
+        Ok(RelationWalk {
+            states: std::mem::take(&mut walker.states),
+            start,
+        })
+    }
 }
 
 /// What one ordered pair's view of a [`SharedRelation`] found.

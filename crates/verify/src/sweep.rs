@@ -18,14 +18,16 @@
 //!   witnesses as per-pair walks because the views number states alike.
 //!
 //! The graph is dropped before the next destination starts, so memory stays
-//! that of one destination. [`crate::matrix::verify_case`],
+//! that of one destination. The dataflow's buffers are not: the destination
+//! loop owns them and hands them to every destination's dataflow, which
+//! clears them first. [`crate::matrix::verify_case`],
 //! [`crate::exact::extract_exact_cdg`], [`crate::reach::check_reachability`]
 //! and the paranoid recomputation of [`crate::epochs`] are all this one loop;
 //! the per-pair `walk_pair → accumulate_cdg → record_pair` pipeline survives
 //! as the oracle the sweep is tested against and as the differential pass's
 //! single-pair re-walk.
 
-use crate::exact::{dependency_edges, resource_count, ExactCdg, Granularity};
+use crate::exact::{dependency_edges, resource_count, ExactCdg, FoldScratch, Granularity};
 use crate::reach::{check_pair, find_state_cycle, record_verdict, PairVerdict, ReachReport};
 use crate::relation::{SharedRelation, StateBudgetExceeded, Terminal};
 use torus_faults::FaultSet;
@@ -75,6 +77,7 @@ pub fn sweep_destinations<A: RoutingAlgorithm>(
         .endpoints()
         .filter(|&n| !faults.is_node_faulty(n))
         .collect();
+    let mut fold = FoldScratch::default();
     for &dest in &endpoints {
         let mut shared = SharedRelation::new(net, algo, faults, v, dest);
         let mut views = Vec::with_capacity(endpoints.len());
@@ -88,6 +91,7 @@ pub fn sweep_destinations<A: RoutingAlgorithm>(
             views.iter().map(|view| view.start),
             v,
             granularity,
+            &mut fold,
         );
         let all_deliver = states
             .iter()
