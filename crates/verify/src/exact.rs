@@ -121,8 +121,9 @@ struct FoldState {
 
 /// The buffers of the dependency dataflow, cleared and reused from one call
 /// to the next. Their owner is the caller's loop: the destination loop of
-/// [`crate::sweep::sweep_destinations`] and the pair records of
-/// [`crate::epochs`]. [`accumulate_cdg`] uses a fresh one per call.
+/// [`crate::sweep::sweep_destinations`] and the record loop of
+/// [`crate::epochs::verify_schedule`]. [`accumulate_cdg`] uses a fresh one
+/// per call.
 #[derive(Debug, Default)]
 pub(crate) struct FoldScratch {
     states: Vec<FoldState>,
@@ -187,7 +188,7 @@ fn fold_dependencies(
     }
     work.clear();
     for start in starts {
-        if !fold[start].queued && !fold[start].processed {
+        if !fold[start].queued {
             fold[start].queued = true;
             work.push_back(start);
         }
