@@ -216,9 +216,11 @@ impl RouteHeader {
     }
 
     /// Whether the current network traversal crossed the dateline of `dim`;
-    /// selects the dateline virtual-channel class.
+    /// selects the dateline virtual-channel class. False past the grid bound:
+    /// a fat-tree's port index `dim` reaches its arity, and no crossing is
+    /// ever recorded there.
     pub fn crossed_dateline(&self, dim: usize) -> bool {
-        (self.crossed >> dim) & 1 != 0
+        dim < MAX_GRID_DIMS && (self.crossed >> dim) & 1 != 0
     }
 
     /// Records that the current traversal crossed the dateline of the grid
@@ -551,6 +553,14 @@ mod tests {
         assert_eq!(h.forced_dir(30), None);
         h.reset_for_injection();
         assert!(!h.crossed_dateline(30));
+    }
+
+    #[test]
+    fn fat_tree_ports_past_the_grid_bound_never_crossed_a_dateline() {
+        // ft:33,1 has port indices 0..33, two past the mask's 31 dimensions.
+        let ft = AnyTopology::fat_tree_new(33, 1).unwrap();
+        let h = RouteHeader::new(&ft, NodeId(0), NodeId(32), RoutingFlavor::Deterministic);
+        assert!((0..33).all(|port| !h.crossed_dateline(port)));
     }
 
     #[test]

@@ -361,6 +361,30 @@ fn routers_wider_than_one_and_two_machine_words_match() {
 }
 
 #[test]
+fn routers_wider_than_one_port_word_match() {
+    // Every grid has at most 62 network ports; ft:33,1 has 66 (one switch
+    // over 33 endpoints), so the switch allocator's set of requested ports
+    // spans two words. Up*/down*, deterministic at V=1 and adaptive at V=2,
+    // both schedulers, sanitizer attached. The pin was captured on the engine
+    // that still probed every output port for a winner.
+    let mut pin = OutcomePin::new();
+    let spec = TopologySpec::fat_tree(33, 1);
+    let config = quick_topology(spec.clone(), 1, 8, 0.04, 43);
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::deterministic(Substrate::UpDown),
+    );
+    let config = quick_topology(spec, 2, 8, 0.04, 44);
+    pin.equivalent_with(
+        config,
+        FaultSet::new(),
+        AnyRouting::adaptive(Substrate::UpDown),
+    );
+    pin.assert_is(0xdc3c2ec6f2f2a784);
+}
+
+#[test]
 fn turn_model_mesh_fault_free_across_seeds_and_loads() {
     // The negative-first turn model exercises a different deterministic
     // output and phase-restricted adaptive candidates; both engines must stay
