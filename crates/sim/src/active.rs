@@ -1,15 +1,18 @@
-//! Deterministic active-set worklists for [`crate::schedule::ActiveSchedule`].
+//! Deterministic active sets: which routers, slots and ports have work.
 //!
-//! The scheduler keeps one [`ActiveSet`] per kind of pending work (routers with
-//! queued injections, routers with occupied input VCs) so each pipeline stage
-//! iterates only over live state instead of the full `routers × ports × VCs`
-//! grid. The set is a fixed-size bitset: insertion, removal and membership are
-//! O(1), and iteration always yields indices in **ascending order** — the same
-//! order a full scan visits them — which is what keeps active-set scheduling
-//! bit-identical to the reference full scan (RNG draws and metric
-//! recordings happen in exactly the same sequence).
+//! [`crate::schedule::ActiveSchedule`] keeps one [`ActiveSet`] per kind of
+//! pending work (routers with queued injections, routers with occupied input
+//! slots), each router keeps one over its input slots (the occupancy mask of
+//! [`crate::router::RouterState`]) and the switch allocator one over the
+//! output ports with a request ([`crate::arbiter::SwitchRequests`]). So each
+//! pipeline stage iterates only over live state instead of the full
+//! `routers × ports × VCs` grid. The set is a fixed-size bitset: insertion,
+//! removal and membership are O(1), and iteration always yields indices in
+//! **ascending order** — the same order a full scan visits them — which is
+//! what keeps active-set scheduling bit-identical to the reference full scan
+//! (RNG draws and metric recordings happen in exactly the same sequence).
 
-/// A set of router indices with deterministic ascending iteration.
+/// A set of indices with deterministic ascending iteration.
 #[derive(Clone, Debug)]
 pub struct ActiveSet {
     words: Vec<u64>,
@@ -47,8 +50,36 @@ impl ActiveSet {
     }
 
     /// True when the set holds no indices.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of 64-index words the set spans.
+    #[inline]
+    pub fn num_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The indices in word `w` (`64 * w ..`), ascending.
+    ///
+    /// The iterator owns a copy of the word, so it borrows nothing: the loop
+    /// body may change the set (and what owns it). `for w in
+    /// 0..set.num_words() { for i in set.word_indices(w) { .. } }` visits
+    /// the set in ascending order; a change the body makes to the word being
+    /// walked is not seen, to later words it is.
+    #[inline]
+    pub fn word_indices(&self, w: usize) -> WordIndices {
+        WordIndices {
+            base: w * 64,
+            bits: self.words[w],
+        }
+    }
+
+    /// Removes every index.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.words.fill(0);
     }
 
     /// Clears `out` and fills it with the set's indices in ascending order.
@@ -58,14 +89,31 @@ impl ActiveSet {
     /// take effect from the next stage onwards, exactly like a full scan.
     pub fn collect_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                out.push(w * 64 + bit);
-                bits &= bits - 1;
-            }
+        for w in 0..self.num_words() {
+            out.extend(self.word_indices(w));
         }
+    }
+}
+
+/// The indices of one word of an [`ActiveSet`], ascending
+/// ([`ActiveSet::word_indices`]).
+#[derive(Clone, Copy, Debug)]
+pub struct WordIndices {
+    base: usize,
+    bits: u64,
+}
+
+impl Iterator for WordIndices {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let index = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(index)
     }
 }
 
@@ -107,6 +155,27 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(collected(&s), vec![0, 3, 63, 64, 128, 250, 299]);
+    }
+
+    #[test]
+    fn word_indices_walk_the_set_in_ascending_order() {
+        let mut s = ActiveSet::new(300);
+        let members = [0, 3, 63, 64, 128, 250, 299];
+        for &i in members.iter().rev() {
+            s.insert(i);
+        }
+        assert_eq!(s.num_words(), 5);
+        let walked: Vec<usize> = (0..s.num_words()).flat_map(|w| s.word_indices(w)).collect();
+        assert_eq!(walked, members);
+        assert_eq!(s.word_indices(0).collect::<Vec<_>>(), [0, 3, 63]);
+        assert_eq!(s.word_indices(1).collect::<Vec<_>>(), [64]);
+        assert_eq!(s.word_indices(3).collect::<Vec<_>>(), [250]);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(
+            (0..s.num_words()).flat_map(|w| s.word_indices(w)).count(),
+            0
+        );
     }
 
     #[test]

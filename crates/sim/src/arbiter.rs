@@ -3,14 +3,22 @@
 //! The switch allocator grants each network output port to at most one input
 //! virtual channel per cycle, round-robin from a per-port pointer. Every
 //! input VC is bound to at most one output port, so one pass over a router's
-//! input slots can post all requests ([`SwitchRequests::request`]) and each
-//! port then finds its winner with a cyclic bit-scan from its pointer
-//! ([`SwitchRequests::winner`]) — the same slot a probe of every slot in
-//! rotating order would find, at a fraction of the work.
+//! occupied input slots can post all requests ([`SwitchRequests::request`])
+//! and each requested port then finds its winner with a cyclic bit-scan from
+//! its pointer ([`SwitchRequests::winner`]) — the same slot a probe of every
+//! slot in rotating order would find, at a fraction of the work.
+//!
+//! The set of requested ports is kept beside the requests
+//! ([`SwitchRequests::requested_ports_in`]), so granting and clearing touch
+//! only the ports that were asked for: below the knee that is one or two of a
+//! router's `2n`.
 //!
 //! A port's requests are a run of `u64` words sized for the router's slot
-//! count, so nothing here assumes the slots fit one machine word (a 3-D
-//! router with 10 VCs has 70 slots, a 7-cube with 10 VCs has 150).
+//! count, and the port set is sized for the port count, so nothing here
+//! assumes either fits one machine word (a 3-D router with 10 VCs has 70
+//! slots, a 7-cube with 10 VCs has 150; `ft:33,1`'s switch has 66 ports).
+
+use crate::active::{ActiveSet, WordIndices};
 
 /// The request sets of one router, one per network output port. Built once
 /// per engine and reused for every router and cycle.
@@ -18,7 +26,8 @@
 pub struct SwitchRequests {
     words_per_port: usize,
     bits: Vec<u64>,
-    any: bool,
+    /// The ports with at least one request.
+    ports: ActiveSet,
 }
 
 impl SwitchRequests {
@@ -29,31 +38,39 @@ impl SwitchRequests {
         SwitchRequests {
             words_per_port,
             bits: vec![0; num_ports * words_per_port],
-            any: false,
+            ports: ActiveSet::new(num_ports),
         }
     }
 
-    /// Withdraws every request.
+    /// Withdraws every request, zeroing only the ports that were requested.
     #[inline]
     pub fn clear(&mut self) {
-        if self.any {
-            self.bits.fill(0);
-            self.any = false;
+        for w in 0..self.ports.num_words() {
+            for port in self.ports.word_indices(w) {
+                self.bits[port * self.words_per_port..][..self.words_per_port].fill(0);
+            }
         }
+        self.ports.clear();
     }
 
     /// Input slot `slot` requests output port `port`.
     #[inline]
     pub fn request(&mut self, port: usize, slot: usize) {
         self.bits[port * self.words_per_port + slot / 64] |= 1u64 << (slot % 64);
-        self.any = true;
+        self.ports.insert(port);
     }
 
-    /// True when at least one request has been posted since the last
-    /// [`clear`](SwitchRequests::clear).
+    /// Number of 64-port words of the requested-port set.
     #[inline]
-    pub fn any(&self) -> bool {
-        self.any
+    pub fn port_words(&self) -> usize {
+        self.ports.num_words()
+    }
+
+    /// The requested ports of word `w` of the port set, ascending; the grant
+    /// loop walks every word (see [`ActiveSet::word_indices`]).
+    #[inline]
+    pub fn requested_ports_in(&self, w: usize) -> WordIndices {
+        self.ports.word_indices(w)
     }
 
     /// The first slot requesting `port` at or after `start`, wrapping around
@@ -86,13 +103,27 @@ mod tests {
             .find(|&flat| requesting[flat])
     }
 
+    /// The requested ports, in the order the grant loop visits them.
+    fn requested_ports(requests: &SwitchRequests) -> Vec<usize> {
+        (0..requests.port_words())
+            .flat_map(|w| requests.requested_ports_in(w))
+            .collect()
+    }
+
+    /// True when `requests` holds no request at all.
+    fn withdrawn(requests: &SwitchRequests, num_ports: usize, num_slots: usize) -> bool {
+        requested_ports(requests).is_empty()
+            && (0..num_ports).all(|port| (0..num_slots).all(|s| requests.winner(port, s).is_none()))
+    }
+
     #[test]
     fn bit_scan_agrees_with_the_rotating_probe() {
-        // 2-D V=4 (20 slots), 3-D V=4 (28), 3-D V=10 (70: two words) and the
-        // 7-cube with V=10 (150: three words).
+        // (ports, slots): 2-D V=4 (20 slots), 3-D V=4 (28), 3-D V=10 (70: two
+        // words) and the 7-cube with V=10 (150: three words) over four
+        // ports; then ft:33,1's switch, whose 66 ports span two words, at V=1
+        // (67 slots) and V=2 (134).
         let mut rng = StdRng::seed_from_u64(0xA5B1);
-        for num_slots in [20usize, 28, 70, 150] {
-            let num_ports = 4;
+        for (num_ports, num_slots) in [(4, 20), (4, 28), (4, 70), (4, 150), (66, 67), (66, 134)] {
             let mut requests = SwitchRequests::new(num_ports, num_slots);
             for round in 0..400 {
                 // Sweep the density from empty to nearly full.
@@ -101,7 +132,6 @@ mod tests {
                 let wanted: Vec<Option<usize>> = (0..num_slots)
                     .map(|_| rng.gen_bool(density).then(|| rng.gen_range(0..num_ports)))
                     .collect();
-                requests.clear();
                 for (slot, port) in wanted.iter().enumerate() {
                     if let Some(port) = *port {
                         requests.request(port, slot);
@@ -110,7 +140,14 @@ mod tests {
                 let requesting: Vec<Vec<bool>> = (0..num_ports)
                     .map(|port| wanted.iter().map(|&w| w == Some(port)).collect())
                     .collect();
-                assert_eq!(requests.any(), requesting.iter().flatten().any(|&r| r));
+                let expected_ports: Vec<usize> = (0..num_ports)
+                    .filter(|&port| requesting[port].contains(&true))
+                    .collect();
+                assert_eq!(
+                    requested_ports(&requests),
+                    expected_ports,
+                    "{num_ports} ports"
+                );
                 for (port, requesting) in requesting.iter().enumerate() {
                     for start in [0, 1, 63, 64, 65, num_slots / 2, num_slots - 1] {
                         let start = start.min(num_slots - 1);
@@ -126,6 +163,11 @@ mod tests {
                         rotating_probe_winner(requesting, start)
                     );
                 }
+                requests.clear();
+                assert!(
+                    withdrawn(&requests, num_ports, num_slots),
+                    "{num_ports} ports, {num_slots} slots, round {round}"
+                );
             }
         }
     }
@@ -146,15 +188,15 @@ mod tests {
 
     #[test]
     fn clear_withdraws_requests() {
-        let mut requests = SwitchRequests::new(2, 70);
-        assert!(!requests.any());
-        assert_eq!(requests.winner(1, 5), None);
+        let mut requests = SwitchRequests::new(66, 70);
+        assert!(withdrawn(&requests, 66, 70));
         requests.request(1, 69);
-        assert!(requests.any());
+        requests.request(65, 3);
+        assert_eq!(requested_ports(&requests), [1, 65]);
         assert_eq!(requests.winner(1, 5), Some(69));
+        assert_eq!(requests.winner(65, 5), Some(3));
         assert_eq!(requests.winner(0, 5), None);
         requests.clear();
-        assert!(!requests.any());
-        assert_eq!(requests.winner(1, 5), None);
+        assert!(withdrawn(&requests, 66, 70));
     }
 }

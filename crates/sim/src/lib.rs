@@ -43,8 +43,9 @@
 //! messages are stored*:
 //!
 //! * [`Simulation`] = `Engine` under [`ActiveSchedule`]: an arrival calendar,
-//!   active-set worklists with live-VC counters, a deadline-driven watchdog
-//!   and a message table that reclaims retired entries;
+//!   active-set worklists keyed on each router's input-occupancy mask, a
+//!   deadline-driven watchdog and a message table that reclaims retired
+//!   entries;
 //! * [`ReferenceSimulation`] = `Engine` under [`FullScan`] ([`reference`]):
 //!   every healthy source and router every cycle, an append-only table. It is
 //!   the executable specification of what the active schedule may change, and

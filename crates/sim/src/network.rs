@@ -17,9 +17,9 @@
 //! 4. **Switch allocation + traversal** — each output physical channel moves
 //!    at most one flit per cycle (round-robin among requesting input VCs with
 //!    downstream credit): one pass over a router's input VCs posts the
-//!    requests ([`crate::arbiter`]), each port then bit-scans for its winner.
-//!    Flits routed to the local node (delivery or absorption) drain in the
-//!    same pass without bandwidth limit (paper assumption (d)).
+//!    requests ([`crate::arbiter`]), each requested port then bit-scans for
+//!    its winner. Flits routed to the local node (delivery or absorption)
+//!    drain in the same pass without bandwidth limit (paper assumption (d)).
 //! 5. **Arrival application / credit return** — movements become visible to
 //!    the downstream routers at the start of the next cycle.
 //! 6. **Stall watchdog** — a safety valve that never fires with the
@@ -42,6 +42,13 @@
 //! router order, so RNG draws and metric recordings happen in the same
 //! sequence and fixed-seed reports are **bit-identical** under both (enforced
 //! by the equivalence test suite).
+//!
+//! Within a router, stages 3, 4 and 6 visit only the input slots whose buffer
+//! holds a flit (the router's occupancy mask, see [`crate::router`]) and the
+//! grant loop only the output ports with a request: each of them acts on a
+//! flit at the front of an input VC, so an empty slot or an unrequested port
+//! has nothing for it. Slots and ports are still visited in ascending order,
+//! under either scheduler, so skipping them changes no RNG draw or recording.
 
 use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
@@ -280,11 +287,12 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         self.generate_traffic(now);
         self.assign_injection_vcs(now);
         // One snapshot of the busy routers serves the rest of the cycle.
-        // Routing sends no scheduler notification, so the set is unchanged
-        // when switching starts; the watchdog, which runs after this cycle's
-        // arrivals, only misses routers whose every occupied VC received its
-        // first flit this cycle — `last_progress == now`, a deadline no
-        // earlier than the scan's own default.
+        // Routing fills or drains no buffer, so no router's occupancy changes
+        // before switching starts; the watchdog, which runs after this
+        // cycle's arrivals, only misses routers whose input buffers were all
+        // empty when the snapshot was taken. Every slot occupied there now
+        // received its first flit this cycle — `last_progress == now`, a
+        // deadline no earlier than the scan's own default.
         let mut busy = std::mem::take(&mut self.worklist);
         self.schedule.busy(&mut busy);
         self.route_and_allocate(now, &busy);
@@ -378,10 +386,11 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 msg.header.reset_for_injection();
                 msg.note_injected(now);
                 let ivc = &mut router.inputs[slot];
-                ivc.buffer.extend(Flit::all_of(msg_id, msg.length));
                 ivc.route = None;
                 ivc.last_progress = now;
-                schedule.note_vc_occupied(idx);
+                if router.push_flits(slot, Flit::all_of(msg_id, msg.length)) {
+                    schedule.note_router_occupied(idx);
+                }
             }
             if router.source_queue.is_empty() && router.reinjection_queue.is_empty() {
                 schedule.note_queues_empty(idx);
@@ -391,9 +400,11 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
 
     fn route_and_allocate(&mut self, now: u64, busy: &[usize]) {
         for &idx in busy {
-            for slot in 0..self.routers[idx].inputs.len() {
-                if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
-                    self.route_head(now, idx, slot, msg_id);
+            for w in 0..self.routers[idx].occupancy_words() {
+                for slot in self.routers[idx].occupied_slots_in(w) {
+                    if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
+                        self.route_head(now, idx, slot, msg_id);
+                    }
                 }
             }
         }
@@ -498,40 +509,46 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         self.arrivals.clear();
         self.credit_returns.clear();
         for &idx in busy {
-            // One pass over the router's input VCs: local sinks drain
-            // (unbounded bandwidth), network-bound VCs that could move a flit
-            // post a request for their output port. An input VC is bound to
-            // one output port and a traversal touches only its own VC pair,
-            // so the requests are what a probe per port would have found.
+            // One pass over the router's occupied input VCs: local sinks
+            // drain (unbounded bandwidth), network-bound VCs that could move
+            // a flit post a request for their output port. An input VC is
+            // bound to one output port and a traversal touches only its own
+            // VC pair, so the requests are what a probe per port would have
+            // found. A sink empties at most its own slot, which the walk has
+            // passed.
             self.requests.clear();
-            for slot in 0..self.routers[idx].inputs.len() {
-                let router = &self.routers[idx];
-                let ivc = &router.inputs[slot];
-                let Some(route) = ivc.route else {
-                    continue;
-                };
-                if route.ready_at > now || ivc.buffer.is_empty() {
-                    continue;
-                }
-                match route.target {
-                    RouteTarget::Network { out_port, out_vc } => {
-                        if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
-                            self.requests.request(out_port, slot);
+            for w in 0..self.routers[idx].occupancy_words() {
+                for slot in self.routers[idx].occupied_slots_in(w) {
+                    let router = &self.routers[idx];
+                    let ivc = &router.inputs[slot];
+                    let Some(route) = ivc.route else {
+                        continue;
+                    };
+                    if route.ready_at > now || ivc.buffer.is_empty() {
+                        continue;
+                    }
+                    match route.target {
+                        RouteTarget::Network { out_port, out_vc } => {
+                            if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
+                                self.requests.request(out_port, slot);
+                            }
+                        }
+                        RouteTarget::Deliver | RouteTarget::Absorb => {
+                            self.sink_local_flit(now, idx, slot, route.target);
                         }
                     }
-                    RouteTarget::Deliver | RouteTarget::Absorb => {
-                        self.sink_local_flit(now, idx, slot, route.target);
-                    }
                 }
             }
-            if !self.requests.any() {
-                continue;
-            }
-            // Network output ports: one flit per physical channel per cycle,
-            // round-robin from the port's pointer.
-            for out_port in 0..self.routers[idx].num_net_ports() {
-                let start = self.routers[idx].sa_pointer[out_port];
-                if let Some(slot) = self.requests.winner(out_port, start) {
+            // Requested network output ports, ascending: one flit per
+            // physical channel per cycle, round-robin from the port's
+            // pointer.
+            for w in 0..self.requests.port_words() {
+                for out_port in self.requests.requested_ports_in(w) {
+                    let start = self.routers[idx].sa_pointer[out_port];
+                    let slot = self
+                        .requests
+                        .winner(out_port, start)
+                        .expect("a requested port has a requesting slot");
                     self.traverse(now, idx, slot);
                 }
             }
@@ -546,8 +563,11 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         if let Some(upstream) = router.upstream_of_slot(slot) {
             self.credit_returns.push((upstream, slot));
         }
+        let (flit, emptied) = router.pop_flit(slot).expect("caller saw a flit");
+        if emptied {
+            self.schedule.note_router_empty(idx);
+        }
         let ivc = &mut router.inputs[slot];
-        let flit = ivc.buffer.pop_front().expect("caller saw a flit");
         ivc.last_progress = now;
         if !flit.kind.is_tail() {
             ivc.sunk += 1;
@@ -557,9 +577,6 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // the whole message has arrived locally.
         ivc.sunk = 0;
         ivc.route = None;
-        if ivc.is_idle() {
-            self.schedule.note_vc_idle(idx);
-        }
         // Delivery, absorption and drop all release every channel the worm
         // held.
         self.observer.on_release(flit.msg);
@@ -626,15 +643,15 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             unreachable!("only network-bound VCs post requests")
         };
         let out_slot = router.slot(out_port, out_vc);
+        let (flit, emptied) = router.pop_flit(slot).expect("winner has a flit");
+        if emptied {
+            self.schedule.note_router_empty(idx);
+        }
         let ivc = &mut router.inputs[slot];
-        let flit = ivc.buffer.pop_front().expect("winner has a flit");
         ivc.last_progress = now;
         if flit.kind.is_tail() {
             ivc.route = None;
             router.outputs[out_slot].draining = true;
-            if ivc.is_idle() {
-                self.schedule.note_vc_idle(idx);
-            }
         }
         router.outputs[out_slot].credits -= 1;
         router.sa_pointer[out_port] = (slot + 1) % router.inputs.len();
@@ -658,18 +675,18 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             ..
         } = self;
         for (node_idx, slot, flit) in arrivals.drain(..) {
-            let ivc = &mut routers[node_idx].inputs[slot];
+            let router = &mut routers[node_idx];
+            let ivc = &mut router.inputs[slot];
             debug_assert!(
                 ivc.buffer.len() < config.buffer_depth,
                 "flit arrived at a full buffer (credit accounting violated)"
             );
-            if ivc.is_idle() {
-                schedule.note_vc_occupied(node_idx);
-            }
             if ivc.buffer.is_empty() {
                 ivc.last_progress = now;
             }
-            ivc.buffer.push_back(flit);
+            if router.push_flits(slot, [flit]) {
+                schedule.note_router_occupied(node_idx);
+            }
         }
     }
 
@@ -704,24 +721,28 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         let threshold = self.config.stall_absorb_threshold;
         let mut next_expiry = now + threshold;
         for &idx in busy {
-            for ivc in &mut self.routers[idx].inputs {
-                let Some(msg) = ivc.waiting_head() else {
-                    continue;
-                };
-                let deadline = ivc.last_progress + threshold;
-                if deadline > now {
-                    next_expiry = next_expiry.min(deadline);
-                    continue;
+            let router = &mut self.routers[idx];
+            for w in 0..router.occupancy_words() {
+                for slot in router.occupied_slots_in(w) {
+                    let ivc = &mut router.inputs[slot];
+                    let Some(msg) = ivc.waiting_head() else {
+                        continue;
+                    };
+                    let deadline = ivc.last_progress + threshold;
+                    if deadline > now {
+                        next_expiry = next_expiry.min(deadline);
+                        continue;
+                    }
+                    ivc.route = Some(VcRoute {
+                        msg,
+                        target: RouteTarget::Absorb,
+                        ready_at: now,
+                    });
+                    // The forced absorption overrides any routing decision
+                    // the head was waiting on.
+                    ivc.blocked = None;
+                    self.forced_absorptions += 1;
                 }
-                ivc.route = Some(VcRoute {
-                    msg,
-                    target: RouteTarget::Absorb,
-                    ready_at: now,
-                });
-                // The forced absorption overrides any routing decision the
-                // head was waiting on.
-                ivc.blocked = None;
-                self.forced_absorptions += 1;
             }
         }
         self.schedule.note_watchdog_scan(now, next_expiry);

@@ -30,7 +30,18 @@
 //! the topology once, when the engine is built; a `None` entry is a port that
 //! does not physically exist (the outward ports at the edge of an open
 //! dimension), whose VC state is allocated but never used.
+//!
+//! Occupancy mask: each router keeps the set of its input slots whose buffer
+//! holds a flit ([`RouterState::occupied_slots_in`]), so the stages that need a
+//! flit at the front of an input VC — routing, switch requests, the stall
+//! watchdog — visit those slots only. Bit `s` is set iff
+//! `inputs[s].buffer` is non-empty. The engine fills and drains buffers only
+//! through [`RouterState::push_flits`] (injection, link arrival) and
+//! [`RouterState::pop_flit`] (switch traversal, local sink), which keep that
+//! true and report when the router's first slot fills or its last drains;
+//! the sanitizer checks it every cycle.
 
+use crate::active::{ActiveSet, WordIndices};
 use crate::flit::{Flit, MessageId};
 use std::collections::VecDeque;
 use torus_routing::OutputCandidate;
@@ -163,6 +174,8 @@ pub struct RouterState {
     /// Input virtual channels, slot `port * V + vc`: the `2n` network ports
     /// followed by the injection port.
     pub inputs: Vec<InputVc>,
+    /// The occupancy mask: the input slots whose buffer is non-empty.
+    occupied: ActiveSet,
     /// Output virtual channels of the `2n` network output ports, slot
     /// `port * V + vc`.
     pub outputs: Vec<OutputVc>,
@@ -194,12 +207,14 @@ impl RouterState {
                 net.neighbor(node, dim, dir).map(NodeId::index)
             })
             .collect();
+        let num_slots = (num_net_ports + 1) * v;
         RouterState {
             node,
             is_faulty,
             vcs: v,
             neighbors,
-            inputs: vec![InputVc::default(); (num_net_ports + 1) * v],
+            inputs: vec![InputVc::default(); num_slots],
+            occupied: ActiveSet::new(num_slots),
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
             source_queue: VecDeque::new(),
             reinjection_queue: VecDeque::new(),
@@ -257,6 +272,57 @@ impl RouterState {
             self.upstream(port)
                 .expect("flits only arrive over existing channels")
         })
+    }
+
+    /// Number of 64-slot words of the occupancy mask.
+    #[inline]
+    pub fn occupancy_words(&self) -> usize {
+        self.occupied.num_words()
+    }
+
+    /// The occupied input slots of mask word `w`, ascending. Walking every
+    /// word visits the occupied slots in ascending slot order, like a scan
+    /// of every slot; the iterator borrows nothing (see
+    /// [`ActiveSet::word_indices`]).
+    #[inline]
+    pub fn occupied_slots_in(&self, w: usize) -> WordIndices {
+        self.occupied.word_indices(w)
+    }
+
+    /// True when input slot `slot` is in the occupancy mask.
+    #[inline]
+    pub fn is_occupied(&self, slot: usize) -> bool {
+        self.occupied.contains(slot)
+    }
+
+    /// Appends `flits` to the buffer of input slot `slot`, keeping the
+    /// occupancy mask. Returns true when the router had no occupied slot
+    /// before: it just became busy.
+    #[inline]
+    pub fn push_flits(&mut self, slot: usize, flits: impl IntoIterator<Item = Flit>) -> bool {
+        let buffer = &mut self.inputs[slot].buffer;
+        let was_empty = buffer.is_empty();
+        buffer.extend(flits);
+        if !was_empty || buffer.is_empty() {
+            return false;
+        }
+        let was_idle = self.occupied.is_empty();
+        self.occupied.insert(slot);
+        was_idle
+    }
+
+    /// Takes the front flit of input slot `slot`, keeping the occupancy
+    /// mask. The flag is true when that drained the router's last occupied
+    /// slot: it just became idle.
+    #[inline]
+    pub fn pop_flit(&mut self, slot: usize) -> Option<(Flit, bool)> {
+        let buffer = &mut self.inputs[slot].buffer;
+        let flit = buffer.pop_front()?;
+        if !buffer.is_empty() {
+            return Some((flit, false));
+        }
+        self.occupied.remove(slot);
+        Some((flit, self.occupied.is_empty()))
     }
 
     /// Output port index for a hop along `dim` in direction `dir`.
@@ -406,6 +472,39 @@ mod tests {
             .push_back(Flit::nth_of(MessageId(1), 0, 1));
         assert_eq!(r.buffered_flits(), 2);
         assert!(!r.is_quiescent());
+    }
+
+    #[test]
+    fn occupancy_mask_tracks_the_buffers() {
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let mut r = router(&torus, 0, 2, 4);
+        let head = Flit::nth_of(MessageId(1), 0, 1);
+        let occupied = |r: &RouterState| -> Vec<usize> {
+            (0..r.occupancy_words())
+                .flat_map(|w| r.occupied_slots_in(w))
+                .collect()
+        };
+        assert!(occupied(&r).is_empty());
+        // The first slot to fill makes the router busy, a second does not.
+        assert!(r.push_flits(7, Flit::all_of(MessageId(0), 2)));
+        assert!(!r.push_flits(3, [head]));
+        assert!(!r.push_flits(3, []), "nothing pushed, nothing to report");
+        assert_eq!(occupied(&r), [3, 7]);
+        assert!(r.is_occupied(7) && !r.is_occupied(4));
+        // A slot leaves the mask with its last flit; the last slot to drain
+        // makes the router idle.
+        assert_eq!(
+            r.pop_flit(7).map(|(f, idle)| (f.seq, idle)),
+            Some((0, false))
+        );
+        assert!(r.is_occupied(7));
+        assert_eq!(r.pop_flit(3), Some((head, false)));
+        assert_eq!(
+            r.pop_flit(7).map(|(f, idle)| (f.seq, idle)),
+            Some((1, true))
+        );
+        assert!(occupied(&r).is_empty());
+        assert_eq!(r.pop_flit(7), None);
     }
 
     #[test]

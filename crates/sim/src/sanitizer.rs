@@ -12,7 +12,10 @@
 //!    message reference (buffers, routes, output owners, queues) resolves to
 //!    a live message — stale generation-tagged identifiers are caught, with
 //!    the lazy `draining` owner of an already-retired message as the single
-//!    documented exception.
+//!    documented exception — and every router's occupancy mask marks exactly
+//!    its non-empty input buffers. Both schedulers share the mask, so engine
+//!    equivalence cannot catch a mask bug, and a stale set bit only costs
+//!    time, so no outcome pin can either: this audit is its oracle.
 //! 2. **Channel-dependency-graph conformance**: the sanitizer maintains the
 //!    runtime *wait-for* state of every message — the last tracked (escape or
 //!    deterministic-layer) virtual-channel resource it was granted — and on
@@ -216,6 +219,7 @@ impl Observer for Sanitizer {
         self.check_credits_and_faulty_channels(cycle, net, faults, routers);
         self.check_references(cycle, routers, messages);
         self.check_in_flight(cycle, messages, in_flight);
+        self.check_occupancy(cycle, routers);
     }
 }
 
@@ -487,6 +491,29 @@ impl Sanitizer {
         }
     }
 
+    /// Every router's occupancy mask holds exactly the input slots whose
+    /// buffer is non-empty.
+    fn check_occupancy(&mut self, cycle: u64, routers: &[RouterState]) {
+        for router in routers {
+            for (slot, ivc) in router.inputs.iter().enumerate() {
+                let occupied = !ivc.buffer.is_empty();
+                if router.is_occupied(slot) != occupied {
+                    self.record(
+                        cycle,
+                        "occupancy-mismatch",
+                        format!(
+                            "router {:?} input slot {slot} holds {} flit(s) but its \
+                             occupancy bit is {}",
+                            router.node,
+                            ivc.buffer.len(),
+                            if occupied { "clear" } else { "set" }
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
     /// The engine's `in_flight` counter equals the live message population.
     fn check_in_flight(&mut self, cycle: u64, messages: &dyn MessageLookup, in_flight: u64) {
         let mut live = 0u64;
@@ -602,9 +629,8 @@ mod tests {
             target: RouteTarget::Deliver,
             ready_at: 0,
         };
+        routers[5].push_flits(0, (1..4).map(|seq| Flit::nth_of(MessageId(0), seq, 4)));
         let ivc = &mut routers[5].inputs[0];
-        ivc.buffer
-            .extend((1..4).map(|seq| Flit::nth_of(MessageId(0), seq, 4)));
         ivc.route = Some(deliver);
         ivc.sunk = 1;
         routers[4].outputs[0].credits = 1;
@@ -633,9 +659,7 @@ mod tests {
         let net = mesh();
         let mut routers = routers_for(&net, 2, 4);
         // A flit referencing a message the table does not know.
-        routers[0].inputs[0]
-            .buffer
-            .push_back(Flit::nth_of(MessageId(9), 0, 1));
+        routers[0].push_flits(0, [Flit::nth_of(MessageId(9), 0, 1)]);
         // A credit counter that lost a credit with no downstream flit
         // (port 0 = dim 0 towards +x, the one port node 0 of a mesh has).
         routers[0].outputs[0].credits = 3;
@@ -645,6 +669,41 @@ mod tests {
         let kinds: Vec<&str> = s.violations().iter().map(|v| v.kind).collect();
         assert!(kinds.contains(&"stale-flit"), "{kinds:?}");
         assert!(kinds.contains(&"credit-mismatch"), "{kinds:?}");
+    }
+
+    #[test]
+    fn occupancy_mask_mismatch_is_detected_in_both_directions() {
+        // A one-flit message buffered on node 5's injection slot: clean while
+        // the mask agrees, flagged when a set bit outlives its flit (the
+        // stages would visit an empty slot) and when a flit sits behind a
+        // clear bit (they would never visit it).
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 1);
+        m.note_injected(0);
+        let messages = vec![m];
+        let head = Flit::nth_of(MessageId(0), 0, 1);
+        let slot = routers_for(&net, 2, 4)[5].injection_slots().start;
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        let mut routers = routers_for(&net, 2, 4);
+        routers[5].push_flits(slot, [head]);
+        assert!(audit(&routers).is_clean());
+        // The flit moves to the next slot behind the mask's back.
+        routers[5].inputs[slot].buffer.clear();
+        routers[5].push_flits(slot + 1, [head]);
+        let s = audit(&routers);
+        assert_eq!(s.violation_count(), 1);
+        assert_eq!(s.violations()[0].kind, "occupancy-mismatch");
+        assert!(s.violations()[0].detail.contains("bit is set"));
+        let mut routers = routers_for(&net, 2, 4);
+        routers[5].inputs[slot].buffer.push_back(head);
+        let s = audit(&routers);
+        assert_eq!(s.violation_count(), 1);
+        assert_eq!(s.violations()[0].kind, "occupancy-mismatch");
+        assert!(s.violations()[0].detail.contains("bit is clear"));
     }
 
     #[test]

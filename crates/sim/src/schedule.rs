@@ -4,13 +4,13 @@
 //! [`crate::Engine`] defines the pipeline once. Before each stage it asks its
 //! [`Schedule`] to fill a worklist of router (or source) indices, and it tells
 //! the scheduler about every event that can change a later worklist: a queue
-//! gaining or losing its last message, an input VC becoming occupied or idle,
-//! a source's next arrival, the watchdog's next deadline. A worklist must come
-//! back in **ascending** order and must contain every index that has work of
-//! the stage's kind; it may contain more (the stages skip routers with
-//! nothing to do). Under those two rules RNG draws and metric recordings
-//! happen in the same sequence whatever the scheduler, so reports are
-//! bit-identical.
+//! gaining or losing its last message, a router gaining its first occupied
+//! input slot or losing its last, a source's next arrival, the watchdog's
+//! next deadline. A worklist must come back in **ascending** order and must
+//! contain every index that has work of the stage's kind; it may contain more
+//! (the stages skip routers with nothing to do). Under those two rules RNG
+//! draws and metric recordings happen in the same sequence whatever the
+//! scheduler, so reports are bit-identical.
 //!
 //! Two schedulers ship: [`ActiveSchedule`] (this module) visits live state
 //! only and stores messages in the reclaiming [`MessageSlab`];
@@ -86,7 +86,11 @@ pub trait Schedule: Sized {
     /// Fills `out` with the routers that may hold a queued message.
     fn injecting(&self, out: &mut Vec<usize>);
 
-    /// Fills `out` with the routers that may hold a non-idle input VC.
+    /// Fills `out` with the routers that may hold an occupied input slot (a
+    /// non-empty input buffer). Routing, switching and the stall watchdog act
+    /// only on a flit at the front of an input VC, so a router whose input
+    /// buffers are all empty has nothing for them, even with VCs still bound
+    /// to a worm.
     fn busy(&self, out: &mut Vec<usize>);
 
     /// True when the stall watchdog must scan at cycle `now`.
@@ -104,13 +108,13 @@ pub trait Schedule: Sized {
     #[inline]
     fn note_queues_empty(&mut self, _idx: usize) {}
 
-    /// An idle input VC of router `idx` received its first flit.
+    /// Router `idx`, whose input buffers were all empty, received a flit.
     #[inline]
-    fn note_vc_occupied(&mut self, _idx: usize) {}
+    fn note_router_occupied(&mut self, _idx: usize) {}
 
-    /// An input VC of router `idx` became idle.
+    /// The last non-empty input buffer of router `idx` drained.
     #[inline]
-    fn note_vc_idle(&mut self, _idx: usize) {}
+    fn note_router_empty(&mut self, _idx: usize) {}
 
     /// The watchdog scanned at cycle `now`; no stalled head flit can reach its
     /// deadline before cycle `next_expiry`.
@@ -125,7 +129,9 @@ pub trait Schedule: Sized {
 /// * Injection visits only routers with a non-empty source or re-injection
 ///   queue.
 /// * Routing, switching and the stall watchdog visit only routers with at
-///   least one occupied input VC, tracked by a per-router live-VC counter.
+///   least one occupied input slot: the routers whose occupancy mask
+///   ([`RouterState::occupied_slots_in`]) is non-empty, kept current by the
+///   engine's notifications when a mask becomes non-empty or empty.
 /// * The watchdog sleeps until the earliest cycle a stall deadline can expire
 ///   at, so the configured threshold is honored to the cycle.
 #[derive(Clone, Debug)]
@@ -134,10 +140,8 @@ pub struct ActiveSchedule {
     arrival_calendar: BinaryHeap<Reverse<(u64, usize)>>,
     /// Routers with a non-empty source or re-injection queue.
     inject_set: ActiveSet,
-    /// Routers with at least one non-idle input VC.
+    /// Routers with at least one occupied input slot.
     busy_set: ActiveSet,
-    /// Per-router count of non-idle input VCs (backs `busy_set` membership).
-    live_input_vcs: Vec<u32>,
     /// Next cycle the stall watchdog must scan at.
     watchdog_next: u64,
 }
@@ -158,7 +162,6 @@ impl Schedule for ActiveSchedule {
             arrival_calendar,
             inject_set: ActiveSet::new(routers.len()),
             busy_set: ActiveSet::new(routers.len()),
-            live_input_vcs: vec![0; routers.len()],
             watchdog_next: 0,
         }
     }
@@ -209,17 +212,13 @@ impl Schedule for ActiveSchedule {
     }
 
     #[inline]
-    fn note_vc_occupied(&mut self, idx: usize) {
-        self.live_input_vcs[idx] += 1;
+    fn note_router_occupied(&mut self, idx: usize) {
         self.busy_set.insert(idx);
     }
 
     #[inline]
-    fn note_vc_idle(&mut self, idx: usize) {
-        self.live_input_vcs[idx] -= 1;
-        if self.live_input_vcs[idx] == 0 {
-            self.busy_set.remove(idx);
-        }
+    fn note_router_empty(&mut self, idx: usize) {
+        self.busy_set.remove(idx);
     }
 
     #[inline]
