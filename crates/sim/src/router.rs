@@ -32,14 +32,15 @@
 //! dimension), whose VC state is allocated but never used.
 //!
 //! Occupancy mask: each router keeps the set of its input slots whose buffer
-//! holds a flit ([`RouterState::occupied_slots_in`]), so the stages that need a
-//! flit at the front of an input VC — routing, switch requests, the stall
-//! watchdog — visit those slots only. Bit `s` is set iff
-//! `inputs[s].buffer` is non-empty. The engine fills and drains buffers only
-//! through [`RouterState::push_flits`] (injection, link arrival) and
-//! [`RouterState::pop_flit`] (switch traversal, local sink), which keep that
-//! true and report when the router's first slot fills or its last drains;
-//! the sanitizer checks it every cycle.
+//! holds a flit ([`RouterState::occupied_slots_in`]), in `u64` words sized
+//! for its slot count, so the stages that need a flit at the front of an
+//! input VC — routing, switch requests, the stall watchdog — visit those
+//! slots only. The invariant: bit `s` is set iff `inputs[s].buffer` is
+//! non-empty. The engine fills and drains buffers only through the
+//! crate-private `push_flits` (injection, link arrival) and `pop_flit`
+//! (switch traversal, local sink), which keep it and report when the
+//! router's first slot fills or its last drains; the sanitizer checks it
+//! every cycle.
 
 use crate::active::{ActiveSet, WordIndices};
 use crate::flit::{Flit, MessageId};
@@ -299,7 +300,11 @@ impl RouterState {
     /// occupancy mask. Returns true when the router had no occupied slot
     /// before: it just became busy.
     #[inline]
-    pub fn push_flits(&mut self, slot: usize, flits: impl IntoIterator<Item = Flit>) -> bool {
+    pub(crate) fn push_flits(
+        &mut self,
+        slot: usize,
+        flits: impl IntoIterator<Item = Flit>,
+    ) -> bool {
         let buffer = &mut self.inputs[slot].buffer;
         let was_empty = buffer.is_empty();
         buffer.extend(flits);
@@ -315,7 +320,7 @@ impl RouterState {
     /// mask. The flag is true when that drained the router's last occupied
     /// slot: it just became idle.
     #[inline]
-    pub fn pop_flit(&mut self, slot: usize) -> Option<(Flit, bool)> {
+    pub(crate) fn pop_flit(&mut self, slot: usize) -> Option<(Flit, bool)> {
         let buffer = &mut self.inputs[slot].buffer;
         let flit = buffer.pop_front()?;
         if !buffer.is_empty() {
