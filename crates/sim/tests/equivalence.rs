@@ -216,6 +216,28 @@ fn near_saturation_cycle_capped_match() {
 }
 
 #[test]
+fn saturated_adaptive_heads_match() {
+    // Far past saturation under adaptive routing, most heads stay blocked on
+    // several candidates for many cycles: kept decisions, their re-allocation
+    // and its RNG draws, under shallow buffers, a router delay and a watchdog
+    // that fires.
+    let mut pin = OutcomePin::new();
+    for variant in 0..4 {
+        let mut config = quick(4, 2, 4, 8, 0.2, 17);
+        config.stop = StopCondition::Cycles(4_000);
+        config.max_cycles = 4_000;
+        match variant {
+            1 => config.buffer_depth = 1,
+            2 => config.router_delay = 2,
+            3 => config.stall_absorb_threshold = 37,
+            _ => {}
+        }
+        pin.equivalent(config, FaultSet::new(), true);
+    }
+    pin.assert_is(0x837df881d3a5fbe7);
+}
+
+#[test]
 fn nonzero_delays_match() {
     // Router decision time and re-injection overhead shift `ready_at`
     // schedules; both engines must agree cycle for cycle.
