@@ -2,9 +2,10 @@
 //!
 //! [`crate::schedule::ActiveSchedule`] keeps one [`ActiveSet`] per kind of
 //! pending work (routers with queued injections, routers with occupied input
-//! slots), each router keeps one over its input slots (the occupancy mask of
-//! [`crate::router::RouterState`]) and the switch allocator one over the
-//! output ports with a request ([`crate::arbiter::SwitchRequests`]). So each
+//! slots) and the switch allocator one over the output ports with a request
+//! ([`crate::arbiter::SwitchRequests`]); each router walks its input slots'
+//! occupancy and waiting-head masks ([`crate::router::RouterState`]) word by
+//! word through the same [`WordIndices`]. So each
 //! pipeline stage iterates only over live state instead of the full
 //! `routers × ports × VCs` grid. The set is a fixed-size bitset: insertion,
 //! removal and membership are O(1), and iteration always yields indices in
@@ -70,10 +71,7 @@ impl ActiveSet {
     /// walked is not seen, to later words it is.
     #[inline]
     pub fn word_indices(&self, w: usize) -> WordIndices {
-        WordIndices {
-            base: w * 64,
-            bits: self.words[w],
-        }
+        WordIndices::new(w, self.words[w])
     }
 
     /// Removes every index.
@@ -101,6 +99,15 @@ impl ActiveSet {
 pub struct WordIndices {
     base: usize,
     bits: u64,
+}
+
+impl WordIndices {
+    /// The indices of the set bits of `bits`, read as word `w` of a bitset
+    /// (so bit `i` is index `64 * w + i`), ascending.
+    #[inline]
+    pub fn new(w: usize, bits: u64) -> Self {
+        WordIndices { base: w * 64, bits }
+    }
 }
 
 impl Iterator for WordIndices {

@@ -11,9 +11,12 @@
 //!    front of an input VC obtain a routing decision from the routing
 //!    algorithm and try to claim a permitted output VC. A head that finds no
 //!    free VC keeps its decision (routing is a pure function of header, node
-//!    and the frozen fault set) and only repeats the allocation — shuffle,
-//!    availability checks, random choice, the same RNG draws — each cycle
-//!    until it wins.
+//!    and the frozen fault set) and retries each cycle until it wins. It
+//!    repeats the full allocation — shuffle, availability checks, random
+//!    choice — only once an output VC of its router has become claimable
+//!    since its last attempt (the router's release epoch moved); otherwise
+//!    the attempt must fail again, and the head makes only the shuffle's
+//!    draws, so the RNG sequence is the same.
 //! 4. **Switch allocation + traversal** — each output physical channel moves
 //!    at most one flit per cycle (round-robin among requesting input VCs with
 //!    downstream credit): one pass over a router's input VCs posts the
@@ -43,19 +46,21 @@
 //! sequence and fixed-seed reports are **bit-identical** under both (enforced
 //! by the equivalence test suite).
 //!
-//! Within a router, stages 3, 4 and 6 visit only the input slots whose buffer
-//! holds a flit (the router's occupancy mask, see [`crate::router`]) and the
-//! grant loop only the output ports with a request: each of them acts on a
-//! flit at the front of an input VC, so an empty slot or an unrequested port
-//! has nothing for it. Slots and ports are still visited in ascending order,
-//! under either scheduler, so skipping them changes no RNG draw or recording.
+//! Within a router, each stage visits only the input slots it can act on
+//! (the router's slot masks, see [`crate::router`]): stages 3 and 6 the
+//! slots whose front head flit awaits routing (the waiting-head mask), the
+//! request pass of stage 4 the occupied slots whose front flit is bound to a
+//! route, and its grant loop only the output ports with a request. An empty
+//! slot, a waiting head in the switch or a bound one in routing has nothing
+//! for the stage. Slots and ports are still visited in ascending order, under
+//! either scheduler, so skipping them changes no RNG draw or recording.
 
 use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::{Flit, MessageId};
 use crate::message::{MessagePhase, MessageState};
 use crate::observer::{Allocation, NoObserver, Observer};
-use crate::router::{OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
+use crate::router::{KeptDecision, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -385,9 +390,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 let msg = &mut messages[msg_id];
                 msg.header.reset_for_injection();
                 msg.note_injected(now);
-                let ivc = &mut router.inputs[slot];
-                ivc.route = None;
-                ivc.last_progress = now;
+                router.inputs[slot].last_progress = now;
                 if router.push_flits(slot, Flit::all_of(msg_id, msg.length)) {
                     schedule.note_router_occupied(idx);
                 }
@@ -401,7 +404,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     fn route_and_allocate(&mut self, now: u64, busy: &[usize]) {
         for &idx in busy {
             for w in 0..self.routers[idx].occupancy_words() {
-                for slot in self.routers[idx].occupied_slots_in(w) {
+                for slot in self.routers[idx].waiting_slots_in(w) {
                     if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
                         self.route_head(now, idx, slot, msg_id);
                     }
@@ -415,9 +418,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// `idx`.
     fn route_head(&mut self, now: u64, idx: usize, slot: usize, msg_id: MessageId) {
         let v = self.config.virtual_channels;
+        let depth = self.config.buffer_depth;
         let router = &mut self.routers[idx];
         let node = router.node;
-        let ivc = &mut router.inputs[slot];
+        let epoch = router.release_epoch();
         let ready_at = now + self.config.router_delay as u64;
         // A head that failed VC allocation keeps its candidates: `route()` is
         // a pure function of (header, node, fault set), the header of a
@@ -425,18 +429,41 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // run. Runtime fault schedules (ROADMAP item 2) are the event that
         // must invalidate this cache. Debug builds re-route and compare.
         let candidates = 'decision: {
-            if let Some(kept) = ivc.blocked.take() {
+            if let Some(kept) = router.inputs[slot].blocked.take() {
                 #[cfg(debug_assertions)]
                 {
                     let header = &mut self.messages[msg_id].header;
                     let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
                     assert!(
-                        matches!(&fresh, RouteDecision::Forward(c) if *c == kept),
+                        matches!(&fresh, RouteDecision::Forward(c) if *c == kept.candidates),
                         "route() is not pure: blocked head {msg_id:?} at {node:?} kept \
-                         {kept:?}, now routes {fresh:?}"
+                         {:?}, now routes {fresh:?}",
+                        kept.candidates
                     );
                 }
-                break 'decision kept;
+                if kept.epoch != epoch {
+                    break 'decision kept.candidates;
+                }
+                // No output VC of this router has become claimable since the
+                // failed attempt, so this one must fail too. Its only
+                // observable part is the shuffle's draws (`choose` draws
+                // nothing from an empty list): make them and stay blocked.
+                let order = &mut self.candidate_order;
+                order.clear();
+                order.extend(0..kept.candidates.len());
+                order.shuffle(&mut self.rng);
+                debug_assert!(
+                    kept.candidates.iter().all(|cand| {
+                        let out_port = RouterState::out_port(cand.dim, cand.dir);
+                        cand.vcs.iter().all(|&ovc| {
+                            !router.outputs[router.slot(out_port, ovc)].claimable(depth)
+                        })
+                    }),
+                    "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
+                     {msg_id:?} at {node:?} is claimable"
+                );
+                router.inputs[slot].blocked = Some(kept);
+                return;
             }
             let header = &mut self.messages[msg_id].header;
             let target = match self.algo.route(&self.net, &self.faults, header, node, v) {
@@ -444,11 +471,14 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 RouteDecision::Deliver => RouteTarget::Deliver,
                 RouteDecision::Absorb => RouteTarget::Absorb,
             };
-            ivc.route = Some(VcRoute {
-                msg: msg_id,
-                target,
-                ready_at,
-            });
+            router.bind(
+                slot,
+                VcRoute {
+                    msg: msg_id,
+                    target,
+                    ready_at,
+                },
+            );
             return;
         };
         // The paper's assumption (e): pick randomly among the available VCs
@@ -478,18 +508,21 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 cand.vcs
                     .iter()
                     .copied()
-                    .filter(|&ovc| port_vcs[ovc].available(self.config.buffer_depth)),
+                    .filter(|&ovc| port_vcs[ovc].available(depth)),
             );
             let Some(&out_vc) = free.choose(&mut self.rng) else {
                 continue;
             };
             port_vcs[out_vc].owner = Some(msg_id);
             port_vcs[out_vc].draining = false;
-            ivc.route = Some(VcRoute {
-                msg: msg_id,
-                target: RouteTarget::Network { out_port, out_vc },
-                ready_at,
-            });
+            router.bind(
+                slot,
+                VcRoute {
+                    msg: msg_id,
+                    target: RouteTarget::Network { out_port, out_vc },
+                    ready_at,
+                },
+            );
             let event = Allocation {
                 cycle: now,
                 msg: msg_id,
@@ -502,23 +535,23 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             self.observer.on_allocate(&self.net, &event);
             return;
         }
-        ivc.blocked = Some(candidates);
+        router.inputs[slot].blocked = Some(KeptDecision { candidates, epoch });
     }
 
     fn switch_and_traverse(&mut self, now: u64, busy: &[usize]) {
         self.arrivals.clear();
         self.credit_returns.clear();
         for &idx in busy {
-            // One pass over the router's occupied input VCs: local sinks
-            // drain (unbounded bandwidth), network-bound VCs that could move
-            // a flit post a request for their output port. An input VC is
-            // bound to one output port and a traversal touches only its own
-            // VC pair, so the requests are what a probe per port would have
-            // found. A sink empties at most its own slot, which the walk has
-            // passed.
+            // One pass over the router's routed input VCs (occupied, head not
+            // waiting): local sinks drain (unbounded bandwidth), network-bound
+            // VCs that could move a flit post a request for their output
+            // port. An input VC is bound to one output port and a traversal
+            // touches only its own VC pair, so the requests are what a probe
+            // per port would have found. A sink empties at most its own slot,
+            // which the walk has passed.
             self.requests.clear();
             for w in 0..self.routers[idx].occupancy_words() {
-                for slot in self.routers[idx].occupied_slots_in(w) {
+                for slot in self.routers[idx].routed_slots_in(w) {
                     let router = &self.routers[idx];
                     let ivc = &router.inputs[slot];
                     let Some(route) = ivc.route else {
@@ -576,7 +609,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // A worm's flits are consecutive on one input VC, so the tail means
         // the whole message has arrived locally.
         ivc.sunk = 0;
-        ivc.route = None;
+        router.unbind(slot);
         // Delivery, absorption and drop all release every channel the worm
         // held.
         self.observer.on_release(flit.msg);
@@ -647,10 +680,9 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         if emptied {
             self.schedule.note_router_empty(idx);
         }
-        let ivc = &mut router.inputs[slot];
-        ivc.last_progress = now;
+        router.inputs[slot].last_progress = now;
         if flit.kind.is_tail() {
-            ivc.route = None;
+            router.unbind(slot);
             router.outputs[out_slot].draining = true;
         }
         router.outputs[out_slot].credits -= 1;
@@ -698,12 +730,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             ..
         } = self;
         for (node_idx, slot) in credit_returns.drain(..) {
-            let ovc: &mut OutputVc = &mut routers[node_idx].outputs[slot];
-            ovc.credits += 1;
-            debug_assert!(
-                ovc.credits <= config.buffer_depth,
-                "credit counter exceeded the buffer depth"
-            );
+            routers[node_idx].return_credit(slot, config.buffer_depth);
         }
     }
 
@@ -723,8 +750,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         for &idx in busy {
             let router = &mut self.routers[idx];
             for w in 0..router.occupancy_words() {
-                for slot in router.occupied_slots_in(w) {
-                    let ivc = &mut router.inputs[slot];
+                for slot in router.waiting_slots_in(w) {
+                    let ivc = &router.inputs[slot];
                     let Some(msg) = ivc.waiting_head() else {
                         continue;
                     };
@@ -733,14 +760,16 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                         next_expiry = next_expiry.min(deadline);
                         continue;
                     }
-                    ivc.route = Some(VcRoute {
-                        msg,
-                        target: RouteTarget::Absorb,
-                        ready_at: now,
-                    });
                     // The forced absorption overrides any routing decision
-                    // the head was waiting on.
-                    ivc.blocked = None;
+                    // the head was waiting on: binding drops it.
+                    router.bind(
+                        slot,
+                        VcRoute {
+                            msg,
+                            target: RouteTarget::Absorb,
+                            ready_at: now,
+                        },
+                    );
                     self.forced_absorptions += 1;
                 }
             }
@@ -1042,6 +1071,49 @@ mod tests {
         Simulation::new(config, FaultSet::new(), algo)
             .unwrap()
             .run();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "yet a candidate VC of blocked head")]
+    fn debug_builds_catch_a_release_the_epoch_missed() {
+        // Saturate a 4x2 torus until some router's waiting heads all keep a
+        // decision from its current release epoch. Make a candidate VC of the
+        // first one claimable without advancing the epoch, then step: that
+        // head is the router's first to retry, and the skipped attempt could
+        // now win.
+        let mut config = quick_config(4, 2, 4, 8, 0.9);
+        config.max_cycles = 2_000;
+        config.stop = StopCondition::MeasuredMessages(u64::MAX);
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
+        let mut sim = Simulation::new(config, FaultSet::new(), algo).unwrap();
+        for _ in 0..2_000 {
+            sim.step();
+            let released = sim.routers.iter_mut().any(|router| {
+                let epoch = router.release_epoch();
+                let mut waiting = router
+                    .inputs
+                    .iter()
+                    .filter(|ivc| ivc.waiting_head().is_some());
+                let Some(first) = waiting.clone().next() else {
+                    return false;
+                };
+                if !waiting.all(|ivc| ivc.blocked.as_ref().is_some_and(|k| k.epoch == epoch)) {
+                    return false;
+                }
+                let cand = &first.blocked.as_ref().unwrap().candidates[0];
+                let out_port = RouterState::out_port(cand.dim, cand.dir);
+                let out_slot = router.slot(out_port, cand.vcs[0]);
+                let ovc = &mut router.outputs[out_slot];
+                ovc.owner = None;
+                ovc.draining = false;
+                true
+            });
+            if released {
+                sim.step();
+                return;
+            }
+        }
     }
 
     #[test]

@@ -31,22 +31,47 @@
 //! does not physically exist (the outward ports at the edge of an open
 //! dimension), whose VC state is allocated but never used.
 //!
-//! Occupancy mask: each router keeps the set of its input slots whose buffer
-//! holds a flit ([`RouterState::occupied_slots_in`]), in `u64` words sized
-//! for its slot count, so the stages that need a flit at the front of an
-//! input VC — routing, switch requests, the stall watchdog — visit those
-//! slots only. The invariant: bit `s` is set iff `inputs[s].buffer` is
-//! non-empty. The engine fills and drains buffers only through the
-//! crate-private `push_flits` (injection, link arrival) and `pop_flit`
-//! (switch traversal, local sink), which keep it and report when the
-//! router's first slot fills or its last drains; the sanitizer checks it
+//! Slot masks: each router keeps two sets of its input slots in `u64` words
+//! sized for its slot count, stored as one `[occupied, waiting]` pair per
+//! word so that one load serves both.
+//!
+//! * The **occupancy mask** ([`RouterState::occupied_slots_in`]): bit `s` is
+//!   set iff `inputs[s].buffer` is non-empty. The engine fills and drains
+//!   buffers only through the crate-private `push_flits` (injection, link
+//!   arrival) and `pop_flit` (switch traversal, local sink), which keep it
+//!   and report when the router's first slot fills or its last drains.
+//! * The **waiting-head mask** ([`RouterState::waiting_slots_in`]): bit `s`
+//!   is set iff `inputs[s].waiting_head()` is `Some` — an unrouted head flit
+//!   at the front. It is set when a head lands in an empty slot (a VC
+//!   carries one worm at a time, so such a slot has no route) and cleared
+//!   when the head is bound. The engine binds and unbinds routes only through
+//!   the crate-private `bind` (a routing decision, a won VC, the watchdog's
+//!   forced absorption) and `unbind` (the tail flit left), never by assigning
+//!   [`InputVc::route`].
+//!
+//! Routing and the stall watchdog visit the waiting slots only, switch
+//! requests the occupied slots that are not waiting
+//! ([`RouterState::routed_slots_in`]). The sanitizer checks both invariants
 //! every cycle.
+//!
+//! Release epoch: [`RouterState::release_epoch`] counts the router's output
+//! VCs that became claimable. The only event that makes one claimable is a
+//! draining VC getting its last credit back (`return_credit`); claiming one,
+//! or failing to, releases none. A blocked head records the epoch of its
+//! failed allocation in its [`KeptDecision`]; while the epoch is unchanged
+//! none of its candidate VCs can have become claimable, so the engine only
+//! replays the attempt's RNG draws instead of repeating it.
 
-use crate::active::{ActiveSet, WordIndices};
+use crate::active::WordIndices;
 use crate::flit::{Flit, MessageId};
 use std::collections::VecDeque;
 use torus_routing::OutputCandidate;
 use torus_topology::{AnyTopology, Direction, NodeId};
+
+/// Index of the occupancy mask in a slot-mask word pair.
+const OCCUPIED: usize = 0;
+/// Index of the waiting-head mask in a slot-mask word pair.
+const WAITING: usize = 1;
 
 /// Where an input virtual channel is currently forwarding its flits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,11 +112,11 @@ pub struct InputVc {
     pub route: Option<VcRoute>,
     /// Cycle of the last forward progress (used by the stall watchdog).
     pub last_progress: u64,
-    /// The `Forward` candidates of a front head flit that failed VC
-    /// allocation, kept so the head is not re-routed every cycle it stays
-    /// blocked. `None` once it wins, is absorbed by the watchdog, or the VC
-    /// holds no waiting head.
-    pub blocked: Option<Vec<OutputCandidate>>,
+    /// The routing decision of a front head flit that failed VC allocation,
+    /// kept so the head is not re-routed every cycle it stays blocked.
+    /// `None` once it wins, is absorbed by the watchdog, or the VC holds no
+    /// waiting head.
+    pub blocked: Option<KeptDecision>,
     /// Flits of the worm being delivered or absorbed here that have already
     /// drained into the local node. A worm's flits are consecutive on one
     /// input VC, so the tail flit alone completes the message; the count is
@@ -114,6 +139,17 @@ impl InputVc {
             _ => None,
         }
     }
+}
+
+/// A blocked head's routing decision, kept on its input VC while it waits
+/// for an output VC.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KeptDecision {
+    /// The `Forward` candidates `route()` returned.
+    pub candidates: Vec<OutputCandidate>,
+    /// The router's [`RouterState::release_epoch`] at the failed allocation
+    /// attempt. While it is unchanged, no candidate VC is claimable.
+    pub epoch: u64,
 }
 
 /// Ownership state of one output virtual channel (the credit counter tracks
@@ -139,13 +175,27 @@ impl OutputVc {
         }
     }
 
-    /// True if a new message may claim this VC, releasing a drained VC lazily.
+    /// True if a new message may claim this VC: it is unowned, or its last
+    /// owner's tail has been sent and every credit has come back.
+    #[inline]
+    pub fn claimable(&self, buffer_depth: usize) -> bool {
+        if self.draining {
+            self.credits == buffer_depth
+        } else {
+            self.owner.is_none()
+        }
+    }
+
+    /// [`OutputVc::claimable`], releasing a drained VC lazily. A VC that is
+    /// not claimable is left untouched.
+    #[inline]
     pub fn available(&mut self, buffer_depth: usize) -> bool {
-        if self.draining && self.credits == buffer_depth {
+        let claimable = self.claimable(buffer_depth);
+        if claimable {
             self.owner = None;
             self.draining = false;
         }
-        self.owner.is_none() && !self.draining
+        claimable
     }
 }
 
@@ -175,11 +225,14 @@ pub struct RouterState {
     /// Input virtual channels, slot `port * V + vc`: the `2n` network ports
     /// followed by the injection port.
     pub inputs: Vec<InputVc>,
-    /// The occupancy mask: the input slots whose buffer is non-empty.
-    occupied: ActiveSet,
+    /// The occupancy and waiting-head masks, one `[OCCUPIED, WAITING]` pair
+    /// per 64-slot word (see the module docs).
+    slot_masks: Vec<[u64; 2]>,
     /// Output virtual channels of the `2n` network output ports, slot
     /// `port * V + vc`.
     pub outputs: Vec<OutputVc>,
+    /// Output VCs that have become claimable so far (see the module docs).
+    release_epoch: u64,
     /// Locally generated messages waiting to enter the network.
     pub source_queue: VecDeque<MessageId>,
     /// Absorbed messages re-routed by the software layer, waiting to re-enter
@@ -215,8 +268,9 @@ impl RouterState {
             vcs: v,
             neighbors,
             inputs: vec![InputVc::default(); num_slots],
-            occupied: ActiveSet::new(num_slots),
+            slot_masks: vec![[0; 2]; num_slots.div_ceil(64)],
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
+            release_epoch: 0,
             source_queue: VecDeque::new(),
             reinjection_queue: VecDeque::new(),
             sa_pointer: vec![0; num_net_ports],
@@ -275,59 +329,127 @@ impl RouterState {
         })
     }
 
-    /// Number of 64-slot words of the occupancy mask.
+    /// Number of 64-slot words of the slot masks.
     #[inline]
     pub fn occupancy_words(&self) -> usize {
-        self.occupied.num_words()
+        self.slot_masks.len()
     }
 
     /// The occupied input slots of mask word `w`, ascending. Walking every
     /// word visits the occupied slots in ascending slot order, like a scan
     /// of every slot; the iterator borrows nothing (see
-    /// [`ActiveSet::word_indices`]).
+    /// [`crate::active::ActiveSet::word_indices`]).
     #[inline]
     pub fn occupied_slots_in(&self, w: usize) -> WordIndices {
-        self.occupied.word_indices(w)
+        WordIndices::new(w, self.slot_masks[w][OCCUPIED])
+    }
+
+    /// The input slots of mask word `w` whose front head flit awaits routing
+    /// and VC allocation, ascending.
+    #[inline]
+    pub fn waiting_slots_in(&self, w: usize) -> WordIndices {
+        WordIndices::new(w, self.slot_masks[w][WAITING])
+    }
+
+    /// The occupied input slots of mask word `w` that are not waiting: their
+    /// front flit is bound to a route. Ascending.
+    #[inline]
+    pub fn routed_slots_in(&self, w: usize) -> WordIndices {
+        let [occupied, waiting] = self.slot_masks[w];
+        WordIndices::new(w, occupied & !waiting)
     }
 
     /// True when input slot `slot` is in the occupancy mask.
     #[inline]
     pub fn is_occupied(&self, slot: usize) -> bool {
-        self.occupied.contains(slot)
+        self.slot_masks[slot / 64][OCCUPIED] & (1 << (slot % 64)) != 0
     }
 
-    /// Appends `flits` to the buffer of input slot `slot`, keeping the
-    /// occupancy mask. Returns true when the router had no occupied slot
-    /// before: it just became busy.
+    /// True when input slot `slot` is in the waiting-head mask.
+    #[inline]
+    pub fn is_waiting(&self, slot: usize) -> bool {
+        self.slot_masks[slot / 64][WAITING] & (1 << (slot % 64)) != 0
+    }
+
+    /// Output VCs of this router that have become claimable so far: a
+    /// blocked head whose failed attempt saw the same count cannot win.
+    #[inline]
+    pub fn release_epoch(&self) -> u64 {
+        self.release_epoch
+    }
+
+    /// Appends `flits` to the buffer of input slot `slot`, keeping the slot
+    /// masks. Returns true when the router had no occupied slot before: it
+    /// just became busy.
     #[inline]
     pub(crate) fn push_flits(
         &mut self,
         slot: usize,
         flits: impl IntoIterator<Item = Flit>,
     ) -> bool {
-        let buffer = &mut self.inputs[slot].buffer;
-        let was_empty = buffer.is_empty();
-        buffer.extend(flits);
-        if !was_empty || buffer.is_empty() {
+        let ivc = &mut self.inputs[slot];
+        let was_empty = ivc.buffer.is_empty();
+        ivc.buffer.extend(flits);
+        if !was_empty || ivc.buffer.is_empty() {
             return false;
         }
-        let was_idle = self.occupied.is_empty();
-        self.occupied.insert(slot);
+        let was_idle = self.slot_masks.iter().all(|m| m[OCCUPIED] == 0);
+        let bit = 1 << (slot % 64);
+        let masks = &mut self.slot_masks[slot / 64];
+        masks[OCCUPIED] |= bit;
+        if ivc.waiting_head().is_some() {
+            masks[WAITING] |= bit;
+        }
         was_idle
     }
 
     /// Takes the front flit of input slot `slot`, keeping the occupancy
     /// mask. The flag is true when that drained the router's last occupied
-    /// slot: it just became idle.
+    /// slot: it just became idle. Only a routed flit moves, so a waiting
+    /// head is never taken.
     #[inline]
     pub(crate) fn pop_flit(&mut self, slot: usize) -> Option<(Flit, bool)> {
+        debug_assert!(!self.is_waiting(slot), "a waiting head does not move");
         let buffer = &mut self.inputs[slot].buffer;
         let flit = buffer.pop_front()?;
         if !buffer.is_empty() {
             return Some((flit, false));
         }
-        self.occupied.remove(slot);
-        Some((flit, self.occupied.is_empty()))
+        self.slot_masks[slot / 64][OCCUPIED] &= !(1 << (slot % 64));
+        Some((flit, self.slot_masks.iter().all(|m| m[OCCUPIED] == 0)))
+    }
+
+    /// Binds input slot `slot`, whose head flit was waiting, to `route`: the
+    /// head leaves the waiting-head mask and its kept decision, if any, goes.
+    #[inline]
+    pub(crate) fn bind(&mut self, slot: usize, route: VcRoute) {
+        let ivc = &mut self.inputs[slot];
+        ivc.route = Some(route);
+        ivc.blocked = None;
+        self.slot_masks[slot / 64][WAITING] &= !(1 << (slot % 64));
+    }
+
+    /// Unbinds input slot `slot` once its worm's tail flit has left it.
+    #[inline]
+    pub(crate) fn unbind(&mut self, slot: usize) {
+        let ivc = &mut self.inputs[slot];
+        debug_assert!(ivc.buffer.is_empty(), "the tail is its worm's last flit");
+        ivc.route = None;
+    }
+
+    /// Returns one credit to output slot `slot`. A draining VC that gets its
+    /// last credit back has become claimable: the release epoch advances.
+    #[inline]
+    pub(crate) fn return_credit(&mut self, slot: usize, buffer_depth: usize) {
+        let ovc = &mut self.outputs[slot];
+        ovc.credits += 1;
+        debug_assert!(
+            ovc.credits <= buffer_depth,
+            "credit counter exceeded the buffer depth"
+        );
+        if ovc.draining && ovc.credits == buffer_depth {
+            self.release_epoch += 1;
+        }
     }
 
     /// Output port index for a hop along `dim` in direction `dir`.
@@ -430,15 +552,20 @@ mod tests {
     #[test]
     fn output_vc_lazy_release() {
         let mut vc = OutputVc::new(2);
-        assert!(vc.available(2));
+        assert!(vc.claimable(2) && vc.available(2));
         vc.owner = Some(MessageId(1));
-        assert!(!vc.available(2));
-        // Tail sent, one credit still outstanding: not yet available.
+        assert!(!vc.claimable(2) && !vc.available(2));
+        // Tail sent, one credit still outstanding: not yet available, and
+        // asking changes nothing.
         vc.draining = true;
         vc.credits = 1;
         assert!(!vc.available(2));
-        // All credits back: released lazily.
+        assert_eq!(vc.owner, Some(MessageId(1)));
+        assert!(vc.draining);
+        // All credits back: claimable, and released lazily when asked.
         vc.credits = 2;
+        assert!(vc.claimable(2));
+        assert_eq!(vc.owner, Some(MessageId(1)), "claimable() is pure");
         assert!(vc.available(2));
         assert_eq!(vc.owner, None);
         assert!(!vc.draining);
@@ -484,18 +611,34 @@ mod tests {
         let torus = AnyTopology::torus(4, 2).unwrap();
         let mut r = router(&torus, 0, 2, 4);
         let head = Flit::nth_of(MessageId(1), 0, 1);
-        let occupied = |r: &RouterState| -> Vec<usize> {
+        let walk = |r: &RouterState, slots_in: fn(&RouterState, usize) -> WordIndices| {
             (0..r.occupancy_words())
-                .flat_map(|w| r.occupied_slots_in(w))
-                .collect()
+                .flat_map(|w| slots_in(r, w))
+                .collect::<Vec<usize>>()
+        };
+        let occupied = |r: &RouterState| walk(r, RouterState::occupied_slots_in);
+        let bind = |r: &mut RouterState, slot: usize, msg: u64| {
+            let route = VcRoute {
+                msg: MessageId(msg),
+                target: RouteTarget::Deliver,
+                ready_at: 0,
+            };
+            r.bind(slot, route);
         };
         assert!(occupied(&r).is_empty());
         // The first slot to fill makes the router busy, a second does not.
+        // A head landing in an empty slot waits for routing.
         assert!(r.push_flits(7, Flit::all_of(MessageId(0), 2)));
         assert!(!r.push_flits(3, [head]));
         assert!(!r.push_flits(3, []), "nothing pushed, nothing to report");
         assert_eq!(occupied(&r), [3, 7]);
         assert!(r.is_occupied(7) && !r.is_occupied(4));
+        assert_eq!(walk(&r, RouterState::waiting_slots_in), [3, 7]);
+        assert!(walk(&r, RouterState::routed_slots_in).is_empty());
+        // Binding a head takes it out of the waiting mask only.
+        bind(&mut r, 7, 0);
+        assert!(r.is_waiting(3) && !r.is_waiting(7));
+        assert_eq!(walk(&r, RouterState::routed_slots_in), [7]);
         // A slot leaves the mask with its last flit; the last slot to drain
         // makes the router idle.
         assert_eq!(
@@ -503,13 +646,38 @@ mod tests {
             Some((0, false))
         );
         assert!(r.is_occupied(7));
+        bind(&mut r, 3, 1);
         assert_eq!(r.pop_flit(3), Some((head, false)));
         assert_eq!(
             r.pop_flit(7).map(|(f, idle)| (f.seq, idle)),
             Some((1, true))
         );
+        r.unbind(7);
         assert!(occupied(&r).is_empty());
+        assert!(walk(&r, RouterState::waiting_slots_in).is_empty());
+        assert!(r.inputs[7].is_idle());
         assert_eq!(r.pop_flit(7), None);
+        // Body flits landing on a bound slot never wait.
+        bind(&mut r, 5, 2);
+        r.push_flits(5, [Flit::nth_of(MessageId(2), 1, 3)]);
+        assert!(r.is_occupied(5) && !r.is_waiting(5));
+    }
+
+    #[test]
+    fn release_epoch_counts_vcs_that_become_claimable() {
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let mut r = router(&torus, 0, 2, 2);
+        let slot = r.slot(1, 1);
+        r.outputs[slot].owner = Some(MessageId(4));
+        r.outputs[slot].credits = 0;
+        // Credits returning to an owned VC release nothing.
+        r.return_credit(slot, 2);
+        assert_eq!(r.release_epoch(), 0);
+        // Once the tail is sent, the last credit makes the VC claimable.
+        r.outputs[slot].draining = true;
+        r.return_credit(slot, 2);
+        assert!(r.outputs[slot].claimable(2));
+        assert_eq!(r.release_epoch(), 1);
     }
 
     #[test]

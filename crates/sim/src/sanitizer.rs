@@ -13,9 +13,11 @@
 //!    a live message — stale generation-tagged identifiers are caught, with
 //!    the lazy `draining` owner of an already-retired message as the single
 //!    documented exception — and every router's occupancy mask marks exactly
-//!    its non-empty input buffers. Both schedulers share the mask, so engine
-//!    equivalence cannot catch a mask bug, and a stale set bit only costs
-//!    time, so no outcome pin can either: this audit is its oracle.
+//!    its non-empty input buffers and its waiting-head mask exactly the
+//!    slots with an unrouted head flit at the front. Both schedulers share
+//!    the masks, so engine equivalence cannot catch a mask bug, and a stale
+//!    set bit only costs time, so no outcome pin can either: this audit is
+//!    their oracle.
 //! 2. **Channel-dependency-graph conformance**: the sanitizer maintains the
 //!    runtime *wait-for* state of every message — the last tracked (escape or
 //!    deterministic-layer) virtual-channel resource it was granted — and on
@@ -492,8 +494,10 @@ impl Sanitizer {
     }
 
     /// Every router's occupancy mask holds exactly the input slots whose
-    /// buffer is non-empty.
+    /// buffer is non-empty, and its waiting-head mask exactly the slots with
+    /// an unrouted head flit at the front.
     fn check_occupancy(&mut self, cycle: u64, routers: &[RouterState]) {
+        let state = |set: bool| if set { "set" } else { "clear" };
         for router in routers {
             for (slot, ivc) in router.inputs.iter().enumerate() {
                 let occupied = !ivc.buffer.is_empty();
@@ -506,7 +510,21 @@ impl Sanitizer {
                              occupancy bit is {}",
                             router.node,
                             ivc.buffer.len(),
-                            if occupied { "clear" } else { "set" }
+                            state(!occupied)
+                        ),
+                    );
+                }
+                let waiting = ivc.waiting_head();
+                if router.is_waiting(slot) != waiting.is_some() {
+                    self.record(
+                        cycle,
+                        "waiting-mismatch",
+                        format!(
+                            "router {:?} input slot {slot} has waiting head {waiting:?} \
+                             (route {:?}) but its waiting bit is {}",
+                            router.node,
+                            ivc.route,
+                            state(waiting.is_none())
                         ),
                     );
                 }
@@ -688,21 +706,69 @@ mod tests {
             s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
             s
         };
+        let occupancy = |s: &Sanitizer| -> Vec<String> {
+            s.violations()
+                .iter()
+                .filter(|v| v.kind == "occupancy-mismatch")
+                .map(|v| v.detail.clone())
+                .collect()
+        };
         let mut routers = routers_for(&net, 2, 4);
         routers[5].push_flits(slot, [head]);
         assert!(audit(&routers).is_clean());
         // The flit moves to the next slot behind the mask's back.
         routers[5].inputs[slot].buffer.clear();
         routers[5].push_flits(slot + 1, [head]);
-        let s = audit(&routers);
-        assert_eq!(s.violation_count(), 1);
-        assert_eq!(s.violations()[0].kind, "occupancy-mismatch");
-        assert!(s.violations()[0].detail.contains("bit is set"));
+        let found = occupancy(&audit(&routers));
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("bit is set"));
         let mut routers = routers_for(&net, 2, 4);
         routers[5].inputs[slot].buffer.push_back(head);
+        let found = occupancy(&audit(&routers));
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("bit is clear"));
+    }
+
+    #[test]
+    fn waiting_mask_mismatch_is_detected_in_both_directions() {
+        // A one-flit message waiting for routing on node 5's injection slot:
+        // clean while the waiting bit agrees, flagged when the bit outlives
+        // the wait (routing would visit a bound head) and when a waiting head
+        // sits behind a clear bit (routing would never visit it).
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 1);
+        m.note_injected(0);
+        let messages = vec![m];
+        let slot = routers_for(&net, 2, 4)[5].injection_slots().start;
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        let mut routers = routers_for(&net, 2, 4);
+        routers[5].push_flits(slot, [Flit::nth_of(MessageId(0), 0, 1)]);
+        assert!(routers[5].is_waiting(slot));
+        assert!(audit(&routers).is_clean());
+        let route = VcRoute {
+            msg: MessageId(0),
+            target: RouteTarget::Deliver,
+            ready_at: 0,
+        };
+        // Bound behind the mask's back: the bit stays set.
+        let mut stale = routers.clone();
+        stale[5].inputs[slot].route = Some(route);
+        let s = audit(&stale);
+        assert_eq!(s.violation_count(), 1);
+        assert_eq!(s.violations()[0].kind, "waiting-mismatch");
+        assert!(s.violations()[0].detail.contains("bit is set"));
+        // Bound through the router, then unbound behind its back: the head
+        // waits again with a clear bit.
+        routers[5].bind(slot, route);
+        assert!(audit(&routers).is_clean());
+        routers[5].inputs[slot].route = None;
         let s = audit(&routers);
         assert_eq!(s.violation_count(), 1);
-        assert_eq!(s.violations()[0].kind, "occupancy-mismatch");
+        assert_eq!(s.violations()[0].kind, "waiting-mismatch");
         assert!(s.violations()[0].detail.contains("bit is clear"));
     }
 

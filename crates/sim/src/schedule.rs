@@ -87,10 +87,10 @@ pub trait Schedule: Sized {
     fn injecting(&self, out: &mut Vec<usize>);
 
     /// Fills `out` with the routers that may hold an occupied input slot (a
-    /// non-empty input buffer). Routing, switching and the stall watchdog act
-    /// only on a flit at the front of an input VC, so a router whose input
-    /// buffers are all empty has nothing for them, even with VCs still bound
-    /// to a worm.
+    /// non-empty input buffer). Routing and the stall watchdog act only on a
+    /// waiting head flit at the front of an input VC, switching only on a
+    /// routed flit there, so a router whose input buffers are all empty has
+    /// nothing for them, even with VCs still bound to a worm.
     fn busy(&self, out: &mut Vec<usize>);
 
     /// True when the stall watchdog must scan at cycle `now`.
