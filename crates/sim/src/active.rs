@@ -105,7 +105,7 @@ impl WordIndices {
     /// The indices of the set bits of `bits`, read as word `w` of a bitset
     /// (so bit `i` is index `64 * w + i`), ascending.
     #[inline]
-    pub fn new(w: usize, bits: u64) -> Self {
+    pub(crate) fn new(w: usize, bits: u64) -> Self {
         WordIndices { base: w * 64, bits }
     }
 }

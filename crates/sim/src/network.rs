@@ -428,7 +428,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // blocked head does not change and the fault set is frozen for the
         // run. Runtime fault schedules (ROADMAP item 2) are the event that
         // must invalidate this cache. Debug builds re-route and compare.
-        let candidates = 'decision: {
+        let (candidates, must_fail) = 'decision: {
             if let Some(kept) = router.inputs[slot].blocked.take() {
                 #[cfg(debug_assertions)]
                 {
@@ -441,33 +441,13 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                         kept.candidates
                     );
                 }
-                if kept.epoch != epoch {
-                    break 'decision kept.candidates;
-                }
                 // No output VC of this router has become claimable since the
-                // failed attempt, so this one must fail too. Its only
-                // observable part is the shuffle's draws (`choose` draws
-                // nothing from an empty list): make them and stay blocked.
-                let order = &mut self.candidate_order;
-                order.clear();
-                order.extend(0..kept.candidates.len());
-                order.shuffle(&mut self.rng);
-                debug_assert!(
-                    kept.candidates.iter().all(|cand| {
-                        let out_port = RouterState::out_port(cand.dim, cand.dir);
-                        cand.vcs.iter().all(|&ovc| {
-                            !router.outputs[router.slot(out_port, ovc)].claimable(depth)
-                        })
-                    }),
-                    "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
-                     {msg_id:?} at {node:?} is claimable"
-                );
-                router.inputs[slot].blocked = Some(kept);
-                return;
+                // failed attempt: this one must fail too.
+                break 'decision (kept.candidates, kept.epoch == epoch);
             }
             let header = &mut self.messages[msg_id].header;
             let target = match self.algo.route(&self.net, &self.faults, header, node, v) {
-                RouteDecision::Forward(candidates) => break 'decision candidates,
+                RouteDecision::Forward(candidates) => break 'decision (candidates, false),
                 RouteDecision::Deliver => RouteTarget::Deliver,
                 RouteDecision::Absorb => RouteTarget::Absorb,
             };
@@ -493,6 +473,23 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         order.clear();
         order.extend(0..candidates.len());
         order.shuffle(&mut self.rng);
+        if must_fail {
+            // An attempt that finds no VC asks `available` only of VCs it
+            // leaves untouched and `choose` only of empty lists, which draw
+            // nothing: the shuffle was all of it anyone could observe.
+            debug_assert!(
+                candidates.iter().all(|cand| {
+                    let out_port = RouterState::out_port(cand.dim, cand.dir);
+                    cand.vcs
+                        .iter()
+                        .all(|&ovc| !router.outputs[router.slot(out_port, ovc)].claimable(depth))
+                }),
+                "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
+                 {msg_id:?} at {node:?} is claimable"
+            );
+            router.inputs[slot].blocked = Some(KeptDecision { candidates, epoch });
+            return;
+        }
         order.sort_by_key(|&c| candidates[c].is_escape);
         let free = &mut self.free_vcs;
         for &c in order.iter() {
