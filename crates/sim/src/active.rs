@@ -39,23 +39,6 @@ impl ActiveSet {
         self.words[index / 64] &= !(1u64 << (index % 64));
     }
 
-    /// True when `index` is in the set.
-    #[inline]
-    pub fn contains(&self, index: usize) -> bool {
-        self.words[index / 64] & (1u64 << (index % 64)) != 0
-    }
-
-    /// Number of indices in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when the set holds no indices.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Number of 64-index words the set spans.
     #[inline]
     pub fn num_words(&self) -> usize {
@@ -135,24 +118,19 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_contains() {
+    fn insert_and_remove() {
         let mut s = ActiveSet::new(200);
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        assert!(collected(&s).is_empty());
         s.insert(0);
         s.insert(63);
         s.insert(64);
         s.insert(199);
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(199));
-        assert!(!s.contains(1) && !s.contains(65));
-        assert_eq!(s.len(), 4);
+        assert_eq!(collected(&s), [0, 63, 64, 199]);
         s.remove(63);
-        assert!(!s.contains(63));
-        assert_eq!(s.len(), 3);
+        assert_eq!(collected(&s), [0, 64, 199]);
         s.remove(63); // double-remove is a no-op
-        assert_eq!(s.len(), 3);
         s.insert(64); // double-insert is a no-op
-        assert_eq!(s.len(), 3);
+        assert_eq!(collected(&s), [0, 64, 199]);
     }
 
     #[test]
@@ -178,7 +156,6 @@ mod tests {
         assert_eq!(s.word_indices(1).collect::<Vec<_>>(), [64]);
         assert_eq!(s.word_indices(3).collect::<Vec<_>>(), [250]);
         s.clear();
-        assert!(s.is_empty());
         assert_eq!(
             (0..s.num_words()).flat_map(|w| s.word_indices(w)).count(),
             0
@@ -195,16 +172,15 @@ mod tests {
         s.remove(5);
         s.collect_into(&mut buf);
         assert!(buf.is_empty());
-        assert!(s.is_empty());
     }
 
     #[test]
     fn capacity_rounds_up_to_word() {
         let mut s = ActiveSet::new(65);
         s.insert(64);
-        assert!(s.contains(64));
         assert_eq!(collected(&s), vec![64]);
         let empty = ActiveSet::new(0);
-        assert!(empty.is_empty());
+        assert_eq!(empty.num_words(), 0);
+        assert!(collected(&empty).is_empty());
     }
 }

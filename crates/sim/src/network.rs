@@ -441,8 +441,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                         kept.candidates
                     );
                 }
-                // No output VC of this router has become claimable since the
-                // failed attempt: this one must fail too.
+                // If no output VC of this router has become claimable since
+                // the failed attempt, this one must fail too.
                 break 'decision (kept.candidates, kept.epoch == epoch);
             }
             let header = &mut self.messages[msg_id].header;
