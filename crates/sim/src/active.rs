@@ -39,6 +39,12 @@ impl ActiveSet {
         self.words[index / 64] &= !(1u64 << (index % 64));
     }
 
+    /// True when `index` is in the set.
+    #[inline]
+    pub fn contains(&self, index: usize) -> bool {
+        self.words[index / 64] & (1u64 << (index % 64)) != 0
+    }
+
     /// Number of 64-index words the set spans.
     #[inline]
     pub fn num_words(&self) -> usize {
@@ -57,10 +63,16 @@ impl ActiveSet {
         WordIndices::new(w, self.words[w])
     }
 
-    /// Removes every index.
+    /// Removes every index, writing only the words that hold one. The switch
+    /// allocator clears its port set for every router it visits, usually a
+    /// single word, so this skips the `memset` call a fill would make.
     #[inline]
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        for word in &mut self.words {
+            if *word != 0 {
+                *word = 0;
+            }
+        }
     }
 
     /// Clears `out` and fills it with the set's indices in ascending order.
@@ -128,6 +140,7 @@ mod tests {
         assert_eq!(collected(&s), [0, 63, 64, 199]);
         s.remove(63);
         assert_eq!(collected(&s), [0, 64, 199]);
+        assert!(s.contains(64) && s.contains(199) && !s.contains(63) && !s.contains(1));
         s.remove(63); // double-remove is a no-op
         s.insert(64); // double-insert is a no-op
         assert_eq!(collected(&s), [0, 64, 199]);

@@ -1,63 +1,83 @@
-//! Switch-allocation request sets: which input slots want which output port.
+//! Switch allocation: which input slot each output port grants this cycle.
 //!
 //! The switch allocator grants each network output port to at most one input
-//! virtual channel per cycle, round-robin from a per-port pointer. Every
-//! input VC is bound to at most one output port, so one pass over a router's
-//! occupied input slots can post all requests ([`SwitchRequests::request`])
-//! and each requested port then finds its winner with a cyclic bit-scan from
-//! its pointer ([`SwitchRequests::winner`]) — the same slot a probe of every
-//! slot in rotating order would find, at a fraction of the work.
+//! virtual channel per cycle, round-robin from a per-port pointer: the winner
+//! is the first requesting slot at or after the pointer or, when there is
+//! none, the first requesting slot. Every input VC is bound to at most one
+//! output port, so one pass over a router's routed input slots posts all
+//! requests ([`SwitchRequests::request`]).
 //!
-//! The set of requested ports is kept beside the requests
+//! That pass visits the slots in ascending order, so each port's winner is
+//! chosen as its requests arrive: the port's first request wins, and a later
+//! one takes over only when it is the first at or after the pointer while the
+//! winner so far lies below it. The result is the slot a probe of every slot
+//! in rotating order from the pointer would find, and no per-port request set
+//! is stored, cleared or scanned. Requests must therefore arrive in ascending
+//! slot order; debug builds assert it.
+//!
+//! The set of requested ports is kept beside the winners
 //! ([`SwitchRequests::requested_ports_in`]), so granting and clearing touch
 //! only the ports that were asked for: below the knee that is one or two of a
-//! router's `2n`.
-//!
-//! A port's requests are a run of `u64` words sized for the router's slot
-//! count, and the port set is sized for the port count, so nothing here
-//! assumes either fits one machine word (a 3-D router with 10 VCs has 70
-//! slots, a 7-cube with 10 VCs has 150; `ft:33,1`'s switch has 66 ports).
+//! router's `2n`. The port set is sized for the port count, so nothing here
+//! assumes it fits one machine word (`ft:33,1`'s switch has 66 ports).
 
 use crate::active::{ActiveSet, WordIndices};
 
-/// The request sets of one router, one per network output port. Built once
-/// per engine and reused for every router and cycle.
+/// The switch requests of one router: the requested output ports and each
+/// one's winner. Built once per engine and reused for every router and cycle.
 #[derive(Clone, Debug)]
 pub struct SwitchRequests {
-    words_per_port: usize,
-    bits: Vec<u64>,
     /// The ports with at least one request.
     ports: ActiveSet,
+    /// Per port, the winning input slot so far; meaningful for requested
+    /// ports only.
+    winners: Vec<usize>,
+    /// The slot of the latest request since the last clear.
+    #[cfg(debug_assertions)]
+    last_slot: Option<usize>,
 }
 
 impl SwitchRequests {
-    /// Empty request sets for `num_ports` output ports over `num_slots` input
-    /// slots.
-    pub fn new(num_ports: usize, num_slots: usize) -> Self {
-        let words_per_port = num_slots.div_ceil(64);
+    /// No requests, for `num_ports` output ports.
+    pub fn new(num_ports: usize) -> Self {
         SwitchRequests {
-            words_per_port,
-            bits: vec![0; num_ports * words_per_port],
             ports: ActiveSet::new(num_ports),
+            winners: vec![0; num_ports],
+            #[cfg(debug_assertions)]
+            last_slot: None,
         }
     }
 
-    /// Withdraws every request, zeroing only the ports that were requested.
+    /// Withdraws every request.
     #[inline]
     pub fn clear(&mut self) {
-        for w in 0..self.ports.num_words() {
-            for port in self.ports.word_indices(w) {
-                self.bits[port * self.words_per_port..][..self.words_per_port].fill(0);
-            }
-        }
         self.ports.clear();
+        #[cfg(debug_assertions)]
+        {
+            self.last_slot = None;
+        }
     }
 
-    /// Input slot `slot` requests output port `port`.
+    /// Input slot `slot` requests output port `port`, whose round-robin
+    /// pointer is `pointer`. Slots must request in ascending order.
     #[inline]
-    pub fn request(&mut self, port: usize, slot: usize) {
-        self.bits[port * self.words_per_port + slot / 64] |= 1u64 << (slot % 64);
-        self.ports.insert(port);
+    pub fn request(&mut self, port: usize, slot: usize, pointer: usize) {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                !matches!(self.last_slot, Some(last) if last >= slot),
+                "switch requests must arrive in ascending slot order: slot {slot} after {:?}",
+                self.last_slot
+            );
+            self.last_slot = Some(slot);
+        }
+        let winner = &mut self.winners[port];
+        if !self.ports.contains(port) {
+            self.ports.insert(port);
+            *winner = slot;
+        } else if *winner < pointer && slot >= pointer {
+            *winner = slot;
+        }
     }
 
     /// Number of 64-port words of the requested-port set.
@@ -73,18 +93,13 @@ impl SwitchRequests {
         self.ports.word_indices(w)
     }
 
-    /// The first slot requesting `port` at or after `start`, wrapping around
-    /// to the slots below `start`.
+    /// The slot requested port `port` grants: its first requesting slot at or
+    /// after the pointer it was requested with, wrapping around to the slots
+    /// below it.
     #[inline]
-    pub fn winner(&self, port: usize, start: usize) -> Option<usize> {
-        let words = &self.bits[port * self.words_per_port..][..self.words_per_port];
-        let (first, below_start) = (start / 64, (1u64 << (start % 64)) - 1);
-        let lowest =
-            |w: usize, word: u64| (word != 0).then(|| w * 64 + word.trailing_zeros() as usize);
-        lowest(first, words[first] & !below_start)
-            .or_else(|| (first + 1..words.len()).find_map(|w| lowest(w, words[w])))
-            .or_else(|| (0..first).find_map(|w| lowest(w, words[w])))
-            .or_else(|| lowest(first, words[first] & below_start))
+    pub fn winner(&self, port: usize) -> usize {
+        debug_assert!(self.ports.contains(port), "port {port} has no request");
+        self.winners[port]
     }
 }
 
@@ -110,21 +125,25 @@ mod tests {
             .collect()
     }
 
-    /// True when `requests` holds no request at all.
-    fn withdrawn(requests: &SwitchRequests, num_ports: usize, num_slots: usize) -> bool {
-        requested_ports(requests).is_empty()
-            && (0..num_ports).all(|port| (0..num_slots).all(|s| requests.winner(port, s).is_none()))
+    /// Clears `requests` and posts `wanted` (per slot, the port it requests)
+    /// in ascending slot order, each request with its port's pointer.
+    fn post(requests: &mut SwitchRequests, wanted: &[Option<usize>], pointers: &[usize]) {
+        requests.clear();
+        for (slot, port) in wanted.iter().enumerate() {
+            if let Some(port) = *port {
+                requests.request(port, slot, pointers[port]);
+            }
+        }
     }
 
     #[test]
-    fn bit_scan_agrees_with_the_rotating_probe() {
-        // (ports, slots): 2-D V=4 (20 slots), 3-D V=4 (28), 3-D V=10 (70: two
-        // words) and the 7-cube with V=10 (150: three words) over four
-        // ports; then ft:33,1's switch, whose 66 ports span two words, at V=1
-        // (67 slots) and V=2 (134).
+    fn winner_on_arrival_agrees_with_the_rotating_probe() {
+        // (ports, slots): 2-D V=4 (20 slots), 3-D V=4 (28), 3-D V=10 (70) and
+        // the 7-cube with V=10 (150) over four ports; then ft:33,1's switch,
+        // whose 66 ports span two words, at V=1 (67 slots) and V=2 (134).
         let mut rng = StdRng::seed_from_u64(0xA5B1);
         for (num_ports, num_slots) in [(4, 20), (4, 28), (4, 70), (4, 150), (66, 67), (66, 134)] {
-            let mut requests = SwitchRequests::new(num_ports, num_slots);
+            let mut requests = SwitchRequests::new(num_ports);
             for round in 0..400 {
                 // Sweep the density from empty to nearly full.
                 let density = f64::from(round % 20) / 20.0;
@@ -132,40 +151,38 @@ mod tests {
                 let wanted: Vec<Option<usize>> = (0..num_slots)
                     .map(|_| rng.gen_bool(density).then(|| rng.gen_range(0..num_ports)))
                     .collect();
-                for (slot, port) in wanted.iter().enumerate() {
-                    if let Some(port) = *port {
-                        requests.request(port, slot);
-                    }
-                }
                 let requesting: Vec<Vec<bool>> = (0..num_ports)
                     .map(|port| wanted.iter().map(|&w| w == Some(port)).collect())
                     .collect();
                 let expected_ports: Vec<usize> = (0..num_ports)
                     .filter(|&port| requesting[port].contains(&true))
                     .collect();
-                assert_eq!(
-                    requested_ports(&requests),
-                    expected_ports,
-                    "{num_ports} ports"
-                );
-                for (port, requesting) in requesting.iter().enumerate() {
-                    for start in [0, 1, 63, 64, 65, num_slots / 2, num_slots - 1] {
-                        let start = start.min(num_slots - 1);
+                // Every port's pointer at one of the word edges, then each
+                // port at a pointer of its own.
+                let shared = [0, 1, 63, 64, 65, num_slots / 2, num_slots - 1]
+                    .map(|start| vec![start.min(num_slots - 1); num_ports]);
+                let own: Vec<usize> = (0..num_ports)
+                    .map(|_| rng.gen_range(0..num_slots))
+                    .collect();
+                for pointers in shared.into_iter().chain([own]) {
+                    post(&mut requests, &wanted, &pointers);
+                    assert_eq!(
+                        requested_ports(&requests),
+                        expected_ports,
+                        "{num_ports} ports"
+                    );
+                    for &port in &expected_ports {
                         assert_eq!(
-                            requests.winner(port, start),
-                            rotating_probe_winner(requesting, start),
-                            "{num_slots} slots, port {port}, start {start}"
+                            Some(requests.winner(port)),
+                            rotating_probe_winner(&requesting[port], pointers[port]),
+                            "{num_slots} slots, port {port}, pointer {}",
+                            pointers[port]
                         );
                     }
-                    let start = rng.gen_range(0..num_slots);
-                    assert_eq!(
-                        requests.winner(port, start),
-                        rotating_probe_winner(requesting, start)
-                    );
                 }
                 requests.clear();
                 assert!(
-                    withdrawn(&requests, num_ports, num_slots),
+                    requested_ports(&requests).is_empty(),
                     "{num_ports} ports, {num_slots} slots, round {round}"
                 );
             }
@@ -173,14 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn every_single_request_is_found_from_every_start() {
+    fn every_single_request_is_found_from_every_pointer() {
         for num_slots in [1usize, 20, 64, 70, 128, 150] {
-            let mut requests = SwitchRequests::new(1, num_slots);
+            let mut requests = SwitchRequests::new(1);
             for slot in 0..num_slots {
-                requests.clear();
-                requests.request(0, slot);
-                for start in 0..num_slots {
-                    assert_eq!(requests.winner(0, start), Some(slot));
+                for pointer in 0..num_slots {
+                    requests.clear();
+                    requests.request(0, slot, pointer);
+                    assert_eq!(requests.winner(0), slot);
                 }
             }
         }
@@ -188,15 +205,27 @@ mod tests {
 
     #[test]
     fn clear_withdraws_requests() {
-        let mut requests = SwitchRequests::new(66, 70);
-        assert!(withdrawn(&requests, 66, 70));
-        requests.request(1, 69);
-        requests.request(65, 3);
+        let mut requests = SwitchRequests::new(66);
+        assert!(requested_ports(&requests).is_empty());
+        requests.request(65, 3, 5);
+        requests.request(1, 69, 5);
         assert_eq!(requested_ports(&requests), [1, 65]);
-        assert_eq!(requests.winner(1, 5), Some(69));
-        assert_eq!(requests.winner(65, 5), Some(3));
-        assert_eq!(requests.winner(0, 5), None);
+        assert_eq!(requests.winner(1), 69);
+        assert_eq!(requests.winner(65), 3);
         requests.clear();
-        assert!(withdrawn(&requests, 66, 70));
+        assert!(requested_ports(&requests).is_empty());
+        // A port requested again starts afresh: the old winner, below the
+        // pointer, does not outlive the clear.
+        requests.request(65, 1, 5);
+        assert_eq!(requests.winner(65), 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ascending slot order")]
+    fn requests_out_of_slot_order_are_caught() {
+        let mut requests = SwitchRequests::new(4);
+        requests.request(0, 7, 0);
+        requests.request(2, 5, 0);
     }
 }

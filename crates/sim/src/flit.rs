@@ -104,10 +104,143 @@ impl Flit {
         };
         Flit { msg, seq, kind }
     }
+}
 
-    /// Materialises all flits of a message, header first.
-    pub fn all_of(msg: MessageId, length: u32) -> impl Iterator<Item = Flit> {
-        (0..length.max(1)).map(move |seq| Flit::nth_of(msg, seq, length.max(1)))
+/// The flits an input virtual channel holds: consecutive flits of one worm,
+/// front first. Fixed-size and heap-free — a message id, the front flit's
+/// sequence number, the flit count and whether the worm's tail is among them.
+///
+/// The kinds are derived, not stored: the front flit is a head iff its
+/// sequence number is 0, and a tail iff it is the last flit held and the tail
+/// has arrived. That a buffer only ever holds one worm's run is an engine
+/// invariant (see [`crate::router`]); [`WormRun::push`] debug-asserts it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WormRun {
+    msg: MessageId,
+    front: u32,
+    len: u32,
+    tail_in: bool,
+}
+
+impl Default for WormRun {
+    fn default() -> Self {
+        WormRun {
+            msg: MessageId(0),
+            front: 0,
+            len: 0,
+            tail_in: false,
+        }
+    }
+}
+
+impl From<Flit> for WormRun {
+    /// The run holding `flit` alone.
+    #[inline]
+    fn from(flit: Flit) -> Self {
+        WormRun {
+            msg: flit.msg,
+            front: flit.seq,
+            len: 1,
+            tail_in: flit.kind.is_tail(),
+        }
+    }
+}
+
+impl WormRun {
+    /// Every flit of a message of `length` flits, header first (a length of
+    /// 0 counts as 1).
+    pub fn whole(msg: MessageId, length: u32) -> Self {
+        WormRun {
+            msg,
+            front: 0,
+            len: length.max(1),
+            tail_in: true,
+        }
+    }
+
+    /// Number of flits held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when no flit is held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The message the held flits belong to, or `None` when empty.
+    #[inline]
+    pub fn msg(&self) -> Option<MessageId> {
+        (self.len > 0).then_some(self.msg)
+    }
+
+    /// The front flit, or `None` when empty.
+    #[inline]
+    pub fn front(&self) -> Option<Flit> {
+        (self.len > 0).then(|| self.flit(self.front))
+    }
+
+    /// The held flits, front first.
+    pub fn iter(&self) -> impl Iterator<Item = Flit> {
+        let run = *self;
+        (run.front..run.front + run.len).map(move |seq| run.flit(seq))
+    }
+
+    /// Appends the flits of `run`, which must continue this one: the same
+    /// worm, the next sequence number, and no flit after the tail.
+    #[inline]
+    pub fn extend(&mut self, run: WormRun) {
+        if self.len == 0 {
+            *self = run;
+            return;
+        }
+        debug_assert!(
+            run.len == 0
+                || (run.msg == self.msg && run.front == self.front + self.len && !self.tail_in),
+            "flits {run:?} do not continue the buffered run {self:?}"
+        );
+        self.len += run.len;
+        self.tail_in |= run.tail_in;
+    }
+
+    /// Appends `flit`, which must continue the run.
+    #[inline]
+    pub fn push(&mut self, flit: Flit) {
+        self.extend(flit.into());
+    }
+
+    /// Takes the front flit.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Flit> {
+        let flit = self.front()?;
+        self.front += 1;
+        self.len -= 1;
+        Some(flit)
+    }
+
+    /// Drops every flit.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The held flit with sequence number `seq`.
+    #[inline]
+    fn flit(&self, seq: u32) -> Flit {
+        let is_tail = self.tail_in && seq + 1 == self.front + self.len;
+        let kind = match (seq == 0, is_tail) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        };
+        Flit {
+            msg: self.msg,
+            seq,
+            kind,
+        }
     }
 }
 
@@ -115,9 +248,14 @@ impl Flit {
 mod tests {
     use super::*;
 
+    /// Every flit of a worm of `length` flits, header first.
+    fn all_of(msg: MessageId, length: u32) -> Vec<Flit> {
+        WormRun::whole(msg, length).iter().collect()
+    }
+
     #[test]
     fn flit_kinds_by_position() {
-        let flits: Vec<Flit> = Flit::all_of(MessageId(3), 4).collect();
+        let flits = all_of(MessageId(3), 4);
         assert_eq!(flits.len(), 4);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Body);
@@ -132,7 +270,7 @@ mod tests {
 
     #[test]
     fn single_flit_message_is_head_and_tail() {
-        let flits: Vec<Flit> = Flit::all_of(MessageId(0), 1).collect();
+        let flits = all_of(MessageId(0), 1);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
@@ -141,15 +279,68 @@ mod tests {
 
     #[test]
     fn zero_length_clamps_to_one() {
-        let flits: Vec<Flit> = Flit::all_of(MessageId(0), 0).collect();
-        assert_eq!(flits.len(), 1);
+        assert_eq!(all_of(MessageId(0), 0), all_of(MessageId(0), 1));
     }
 
     #[test]
     fn two_flit_message() {
-        let flits: Vec<Flit> = Flit::all_of(MessageId(7), 2).collect();
+        let flits = all_of(MessageId(7), 2);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Tail);
+    }
+
+    #[test]
+    fn worm_runs_derive_the_kinds_nth_of_assigns() {
+        for length in [1u32, 2, 32] {
+            let msg = MessageId(4);
+            let expected: Vec<Flit> = (0..length).map(|s| Flit::nth_of(msg, s, length)).collect();
+            // Whole-worm injection, read front first and popped to empty.
+            let mut run = WormRun::whole(msg, length);
+            assert_eq!(run.len(), length as usize);
+            assert_eq!(run.msg(), Some(msg));
+            assert_eq!(run.iter().collect::<Vec<_>>(), expected);
+            let mut popped = Vec::new();
+            while let Some(front) = run.front() {
+                assert_eq!(run.pop(), Some(front));
+                popped.push(front);
+                // What is left still yields consecutive sequence numbers.
+                let seqs: Vec<u32> = run.iter().map(|f| f.seq).collect();
+                assert_eq!(seqs, (front.seq + 1..length).collect::<Vec<_>>());
+            }
+            assert_eq!(popped, expected);
+            assert!(run.is_empty() && run.msg().is_none() && run.pop().is_none());
+            // Flit by flit, as a link delivers them, the front kind follows
+            // what has arrived: a head or body flit is a tail only once the
+            // tail is behind nothing.
+            let mut run = WormRun::default();
+            for (i, &flit) in expected.iter().enumerate() {
+                run.push(flit);
+                assert_eq!(run.front(), Some(expected[0]), "{length} flits, {i} pushed");
+                assert_eq!(run.iter().last(), Some(flit));
+            }
+            assert_eq!(run, WormRun::whole(msg, length));
+            // The emptied run takes the next worm.
+            run.clear();
+            let next = Flit::nth_of(MessageId(5), 0, 3);
+            run.push(next);
+            assert_eq!(run.front(), Some(next));
+            assert_eq!(run.front().unwrap().kind, FlitKind::Head);
+        }
+        // A run whose tail has not arrived never shows a tail.
+        let mut run = WormRun::from(Flit::nth_of(MessageId(6), 1, 32));
+        run.push(Flit::nth_of(MessageId(6), 2, 32));
+        assert_eq!(run.front().unwrap().kind, FlitKind::Body);
+        run.pop();
+        assert_eq!(run.front().unwrap().kind, FlitKind::Body);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "do not continue the buffered run")]
+    fn pushing_a_flit_that_does_not_continue_the_run_panics() {
+        let mut run = WormRun::whole(MessageId(1), 4);
+        run.pop();
+        run.push(Flit::nth_of(MessageId(2), 0, 4));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod sanitizer;
 pub mod schedule;
 
 pub use config::{SimConfig, SimConfigError, StopCondition};
-pub use flit::{Flit, FlitKind, MessageId};
+pub use flit::{Flit, FlitKind, MessageId, WormRun};
 pub use message::{MessageLookup, MessageSlab, MessageState};
 pub use network::{Engine, RunOutcome, Simulation};
 pub use observer::{Allocation, NoObserver, Observer};

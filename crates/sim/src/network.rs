@@ -19,9 +19,10 @@
 //!    draws, so the RNG sequence is the same.
 //! 4. **Switch allocation + traversal** — each output physical channel moves
 //!    at most one flit per cycle (round-robin among requesting input VCs with
-//!    downstream credit): one pass over a router's input VCs posts the
-//!    requests ([`crate::arbiter`]), each requested port then bit-scans for
-//!    its winner. Flits routed to the local node (delivery or absorption)
+//!    downstream credit): one pass over a router's input VCs, in ascending
+//!    slot order, posts the requests and settles each port's winner as they
+//!    arrive ([`crate::arbiter`]); each requested port then moves its
+//!    winner's flit. Flits routed to the local node (delivery or absorption)
 //!    drain in the same pass without bandwidth limit (paper assumption (d)).
 //! 5. **Arrival application / credit return** — movements become visible to
 //!    the downstream routers at the start of the next cycle.
@@ -54,10 +55,28 @@
 //! slot, a waiting head in the switch or a bound one in routing has nothing
 //! for the stage. Slots and ports are still visited in ascending order, under
 //! either scheduler, so skipping them changes no RNG draw or recording.
+//!
+//! Stages 3 and 4 run per router: `step` walks the busy routers once, and at
+//! each one routes the waiting heads, then switches. That is the order of two
+//! full passes — every router routed, then every router switched — because
+//! neither stage at one router can see the other at another:
+//!
+//! * switching at router A changes only A's state, the deferred arrival and
+//!   credit lists (applied after the walk) and the messages whose head or
+//!   tail leaves A, and it draws nothing from the RNG;
+//! * routing at a later router B reads only B's state and the headers of
+//!   the heads waiting at B, none of which switching at A touched (a worm
+//!   whose head waits at B moves only body flits at A, and those leave its
+//!   header alone).
+//!
+//! So every RNG draw, collector recording and VC allocation happens in the
+//! same order as with two passes. Only the interleaving of one router's
+//! releases ([`Observer::on_release`]) with a later router's allocations
+//! differs, and those concern different messages.
 
 use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
-use crate::flit::{Flit, MessageId};
+use crate::flit::{Flit, MessageId, WormRun};
 use crate::message::{MessagePhase, MessageState};
 use crate::observer::{Allocation, NoObserver, Observer};
 use crate::router::{KeptDecision, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
@@ -123,8 +142,8 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule, O: Observer = NoObserver> {
     /// that notifications sent *during* the stage (downstream arrivals,
     /// queues draining) take effect from the next stage onwards.
     worklist: Vec<usize>,
-    /// The switch allocator's per-output-port request sets, rebuilt for each
-    /// router it visits.
+    /// The switch allocator's requested ports and their winners, rebuilt for
+    /// each router it visits.
     requests: SwitchRequests,
     /// VC allocation's scratch: the shuffled candidate order of the head
     /// being allocated and the free VCs of the candidate being tried.
@@ -199,7 +218,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             credit_returns: Vec::new(),
             schedule,
             worklist,
-            requests: SwitchRequests::new(2 * n, (2 * n + 1) * v),
+            requests: SwitchRequests::new(2 * n),
             candidate_order: Vec::new(),
             free_vcs: Vec::with_capacity(v),
             observer,
@@ -292,16 +311,21 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         self.generate_traffic(now);
         self.assign_injection_vcs(now);
         // One snapshot of the busy routers serves the rest of the cycle.
-        // Routing fills or drains no buffer, so no router's occupancy changes
-        // before switching starts; the watchdog, which runs after this
-        // cycle's arrivals, only misses routers whose input buffers were all
-        // empty when the snapshot was taken. Every slot occupied there now
-        // received its first flit this cycle — `last_progress == now`, a
-        // deadline no earlier than the scan's own default.
+        // Routing fills or drains no buffer, switching drains only the router
+        // it visits and arrivals wait until every router has been visited, so
+        // no router's occupancy changes before its own visit; the watchdog,
+        // which runs after this cycle's arrivals, only misses routers whose
+        // input buffers were all empty when the snapshot was taken. Every
+        // slot occupied there now received its first flit this cycle —
+        // `last_progress == now`, a deadline no earlier than the scan's own
+        // default.
         let mut busy = std::mem::take(&mut self.worklist);
         self.schedule.busy(&mut busy);
-        self.route_and_allocate(now, &busy);
-        self.switch_and_traverse(now, &busy);
+        // Stages 3 and 4, one router at a time (see the module docs).
+        for &idx in &busy {
+            self.route_and_allocate(now, idx);
+            self.switch_and_traverse(now, idx);
+        }
         self.apply_arrivals(now);
         self.apply_credit_returns();
         if self.config.stall_absorb_threshold > 0 && self.schedule.watchdog_due(now) {
@@ -391,7 +415,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 msg.header.reset_for_injection();
                 msg.note_injected(now);
                 router.inputs[slot].last_progress = now;
-                if router.push_flits(slot, Flit::all_of(msg_id, msg.length)) {
+                if router.push_flits(slot, WormRun::whole(msg_id, msg.length)) {
                     schedule.note_router_occupied(idx);
                 }
             }
@@ -401,13 +425,12 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         }
     }
 
-    fn route_and_allocate(&mut self, now: u64, busy: &[usize]) {
-        for &idx in busy {
-            for w in 0..self.routers[idx].occupancy_words() {
-                for slot in self.routers[idx].waiting_slots_in(w) {
-                    if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
-                        self.route_head(now, idx, slot, msg_id);
-                    }
+    /// Stage 3 at router `idx`: every waiting head, in ascending slot order.
+    fn route_and_allocate(&mut self, now: u64, idx: usize) {
+        for w in 0..self.routers[idx].occupancy_words() {
+            for slot in self.routers[idx].waiting_slots_in(w) {
+                if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
+                    self.route_head(now, idx, slot, msg_id);
                 }
             }
         }
@@ -429,7 +452,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // run. Runtime fault schedules (ROADMAP item 2) are the event that
         // must invalidate this cache. Debug builds re-route and compare.
         let (candidates, must_fail) = 'decision: {
-            if let Some(kept) = router.inputs[slot].blocked.take() {
+            if let Some(kept) = router.blocked[slot].take() {
                 #[cfg(debug_assertions)]
                 {
                     let header = &mut self.messages[msg_id].header;
@@ -487,7 +510,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
                  {msg_id:?} at {node:?} is claimable"
             );
-            router.inputs[slot].blocked = Some(KeptDecision { candidates, epoch });
+            router.blocked[slot] = Some(KeptDecision { candidates, epoch });
             return;
         }
         order.sort_by_key(|&c| candidates[c].is_escape);
@@ -532,55 +555,50 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             self.observer.on_allocate(&self.net, &event);
             return;
         }
-        router.inputs[slot].blocked = Some(KeptDecision { candidates, epoch });
+        router.blocked[slot] = Some(KeptDecision { candidates, epoch });
     }
 
-    fn switch_and_traverse(&mut self, now: u64, busy: &[usize]) {
-        self.arrivals.clear();
-        self.credit_returns.clear();
-        for &idx in busy {
-            // One pass over the router's routed input VCs (occupied, head not
-            // waiting): local sinks drain (unbounded bandwidth), network-bound
-            // VCs that could move a flit post a request for their output
-            // port. An input VC is bound to one output port and a traversal
-            // touches only its own VC pair, so the requests are what a probe
-            // per port would have found. A sink empties at most its own slot,
-            // which the walk has passed.
-            self.requests.clear();
-            for w in 0..self.routers[idx].occupancy_words() {
-                for slot in self.routers[idx].routed_slots_in(w) {
-                    let router = &self.routers[idx];
-                    let ivc = &router.inputs[slot];
-                    let Some(route) = ivc.route else {
-                        continue;
-                    };
-                    if route.ready_at > now || ivc.buffer.is_empty() {
-                        continue;
+    /// Stage 4 at router `idx`. Its moves become visible downstream only
+    /// when the cycle's arrivals and credits are applied.
+    fn switch_and_traverse(&mut self, now: u64, idx: usize) {
+        // One pass over the router's routed input VCs (occupied, head not
+        // waiting), in ascending slot order: local sinks drain (unbounded
+        // bandwidth), network-bound VCs that could move a flit post a
+        // request for their output port, which settles the port's winner
+        // against its pointer. An input VC is bound to one output port and a
+        // traversal touches only its own VC pair, so the winners are what a
+        // probe per port would have found. A sink empties at most its own
+        // slot, which the walk has passed, and moves no pointer.
+        self.requests.clear();
+        for w in 0..self.routers[idx].occupancy_words() {
+            for slot in self.routers[idx].routed_slots_in(w) {
+                let router = &self.routers[idx];
+                let ivc = &router.inputs[slot];
+                let Some(route) = ivc.route else {
+                    continue;
+                };
+                if route.ready_at > now || ivc.buffer.is_empty() {
+                    continue;
+                }
+                match route.target {
+                    RouteTarget::Network { out_port, out_vc } => {
+                        if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
+                            let pointer = router.sa_pointer[out_port];
+                            self.requests.request(out_port, slot, pointer);
+                        }
                     }
-                    match route.target {
-                        RouteTarget::Network { out_port, out_vc } => {
-                            if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
-                                self.requests.request(out_port, slot);
-                            }
-                        }
-                        RouteTarget::Deliver | RouteTarget::Absorb => {
-                            self.sink_local_flit(now, idx, slot, route.target);
-                        }
+                    RouteTarget::Deliver | RouteTarget::Absorb => {
+                        self.sink_local_flit(now, idx, slot, route.target);
                     }
                 }
             }
-            // Requested network output ports, ascending: one flit per
-            // physical channel per cycle, round-robin from the port's
-            // pointer.
-            for w in 0..self.requests.port_words() {
-                for out_port in self.requests.requested_ports_in(w) {
-                    let start = self.routers[idx].sa_pointer[out_port];
-                    let slot = self
-                        .requests
-                        .winner(out_port, start)
-                        .expect("a requested port has a requesting slot");
-                    self.traverse(now, idx, slot);
-                }
+        }
+        // Requested network output ports, ascending: one flit per physical
+        // channel per cycle.
+        for w in 0..self.requests.port_words() {
+            for out_port in self.requests.requested_ports_in(w) {
+                let slot = self.requests.winner(out_port);
+                self.traverse(now, idx, slot);
             }
         }
     }
@@ -713,7 +731,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             if ivc.buffer.is_empty() {
                 ivc.last_progress = now;
             }
-            if router.push_flits(slot, [flit]) {
+            if router.push_flits(slot, flit.into()) {
                 schedule.note_router_occupied(node_idx);
             }
         }
@@ -1088,17 +1106,16 @@ mod tests {
             sim.step();
             let released = sim.routers.iter_mut().any(|router| {
                 let epoch = router.release_epoch();
-                let mut waiting = router
-                    .inputs
-                    .iter()
-                    .filter(|ivc| ivc.waiting_head().is_some());
+                let mut waiting = (0..router.inputs.len())
+                    .filter(|&slot| router.inputs[slot].waiting_head().is_some())
+                    .map(|slot| &router.blocked[slot]);
                 let Some(first) = waiting.clone().next() else {
                     return false;
                 };
-                if !waiting.all(|ivc| ivc.blocked.as_ref().is_some_and(|k| k.epoch == epoch)) {
+                if !waiting.all(|kept| kept.as_ref().is_some_and(|k| k.epoch == epoch)) {
                     return false;
                 }
-                let cand = &first.blocked.as_ref().unwrap().candidates[0];
+                let cand = &first.as_ref().unwrap().candidates[0];
                 let out_port = RouterState::out_port(cand.dim, cand.dir);
                 let out_slot = router.slot(out_port, cand.vcs[0]);
                 let ovc = &mut router.outputs[out_slot];

@@ -22,6 +22,21 @@
 //! allocator's round-robin pointers and request sets count input slots the
 //! same way.
 //!
+//! Worm runs: an input VC's buffer is a [`WormRun`] — the message id, the
+//! front flit's sequence number, the flit count and whether the tail has
+//! arrived — not a queue of flits. That is exact because a VC only ever holds
+//! consecutive flits of one worm, front first:
+//!
+//! * a network input VC is fed by one upstream output VC, which moves its
+//!   owner's flits in order and becomes claimable by another worm only once
+//!   every credit is back, i.e. once this buffer has drained (the sanitizer's
+//!   `credit-mismatch` invariant);
+//! * an injection VC takes a new message only when idle, and then takes the
+//!   whole worm at once ([`WormRun::whole`]).
+//!
+//! Links still carry [`Flit`]s; a buffer appends them with
+//! [`WormRun::extend`], which debug-asserts that they continue its run.
+//!
 //! Neighbour table: [`RouterState::neighbors`] holds, per network port, the
 //! index of the router over that port's channel — the **downstream** router
 //! of output port `p`, and (the topology's `neighbor` being involutive) the
@@ -54,6 +69,12 @@
 //! ([`RouterState::routed_slots_in`]). The sanitizer checks both invariants
 //! every cycle.
 //!
+//! Kept decisions: a head that fails VC allocation keeps its routing decision
+//! ([`KeptDecision`]) in the router's table [`RouterState::blocked`], indexed
+//! by input slot like [`RouterState::inputs`]. Only blocked heads have one, so
+//! the table stays off the slot state every stage reads; `bind` clears the
+//! slot's entry.
+//!
 //! Release epoch: [`RouterState::release_epoch`] counts the router's output
 //! VCs that became claimable. The only event that makes one claimable is a
 //! draining VC getting its last credit back (`return_credit`); claiming one,
@@ -63,7 +84,7 @@
 //! replays the attempt's RNG draws instead of repeating it.
 
 use crate::active::WordIndices;
-use crate::flit::{Flit, MessageId};
+use crate::flit::{Flit, MessageId, WormRun};
 use std::collections::VecDeque;
 use torus_routing::OutputCandidate;
 use torus_topology::{AnyTopology, Direction, NodeId};
@@ -105,18 +126,13 @@ pub struct VcRoute {
 /// State of one input virtual channel.
 #[derive(Clone, Debug, Default)]
 pub struct InputVc {
-    /// Flit FIFO (depth-bounded for network ports, unbounded for the injection
-    /// port, which holds the whole message being injected).
-    pub buffer: VecDeque<Flit>,
+    /// The buffered flits (depth-bounded for network ports, unbounded for the
+    /// injection port, which holds the whole message being injected).
+    pub buffer: WormRun,
     /// Current binding, `None` while idle or awaiting routing/VC allocation.
     pub route: Option<VcRoute>,
     /// Cycle of the last forward progress (used by the stall watchdog).
     pub last_progress: u64,
-    /// The routing decision of a front head flit that failed VC allocation,
-    /// kept so the head is not re-routed every cycle it stays blocked.
-    /// `None` once it wins, is absorbed by the watchdog, or the VC holds no
-    /// waiting head.
-    pub blocked: Option<KeptDecision>,
     /// Flits of the worm being delivered or absorbed here that have already
     /// drained into the local node. A worm's flits are consecutive on one
     /// input VC, so the tail flit alone completes the message; the count is
@@ -141,8 +157,8 @@ impl InputVc {
     }
 }
 
-/// A blocked head's routing decision, kept on its input VC while it waits
-/// for an output VC.
+/// A blocked head's routing decision, kept in [`RouterState::blocked`] while
+/// it waits for an output VC.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeptDecision {
     /// The `Forward` candidates `route()` returned.
@@ -225,6 +241,11 @@ pub struct RouterState {
     /// Input virtual channels, slot `port * V + vc`: the `2n` network ports
     /// followed by the injection port.
     pub inputs: Vec<InputVc>,
+    /// Per input slot, the routing decision of a front head flit that failed
+    /// VC allocation, kept so the head is not re-routed every cycle it stays
+    /// blocked. `None` once it wins, is absorbed by the watchdog, or the slot
+    /// holds no waiting head.
+    pub blocked: Vec<Option<KeptDecision>>,
     /// The occupancy and waiting-head masks, one `[OCCUPIED, WAITING]` pair
     /// per 64-slot word (see the module docs).
     slot_masks: Vec<[u64; 2]>,
@@ -268,6 +289,7 @@ impl RouterState {
             vcs: v,
             neighbors,
             inputs: vec![InputVc::default(); num_slots],
+            blocked: vec![None; num_slots],
             slot_masks: vec![[0; 2]; num_slots.div_ceil(64)],
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
             release_epoch: 0,
@@ -382,11 +404,7 @@ impl RouterState {
     /// masks. Returns true when the router had no occupied slot before: it
     /// just became busy.
     #[inline]
-    pub(crate) fn push_flits(
-        &mut self,
-        slot: usize,
-        flits: impl IntoIterator<Item = Flit>,
-    ) -> bool {
+    pub(crate) fn push_flits(&mut self, slot: usize, flits: WormRun) -> bool {
         let ivc = &mut self.inputs[slot];
         let was_empty = ivc.buffer.is_empty();
         ivc.buffer.extend(flits);
@@ -411,7 +429,7 @@ impl RouterState {
     pub(crate) fn pop_flit(&mut self, slot: usize) -> Option<(Flit, bool)> {
         debug_assert!(!self.is_waiting(slot), "a waiting head does not move");
         let buffer = &mut self.inputs[slot].buffer;
-        let flit = buffer.pop_front()?;
+        let flit = buffer.pop()?;
         if !buffer.is_empty() {
             return Some((flit, false));
         }
@@ -423,9 +441,8 @@ impl RouterState {
     /// head leaves the waiting-head mask and its kept decision, if any, goes.
     #[inline]
     pub(crate) fn bind(&mut self, slot: usize, route: VcRoute) {
-        let ivc = &mut self.inputs[slot];
-        ivc.route = Some(route);
-        ivc.blocked = None;
+        self.inputs[slot].route = Some(route);
+        self.blocked[slot] = None;
         self.slot_masks[slot / 64][WAITING] &= !(1 << (slot % 64));
     }
 
@@ -575,10 +592,11 @@ mod tests {
     fn input_vc_idle_tracking() {
         let mut vc = InputVc::default();
         assert!(vc.is_idle());
-        vc.buffer.push_back(Flit::nth_of(MessageId(0), 0, 2));
+        vc.buffer.push(Flit::nth_of(MessageId(0), 0, 2));
         assert!(!vc.is_idle());
         assert_eq!(vc.waiting_head(), Some(MessageId(0)));
-        vc.buffer[0] = Flit::nth_of(MessageId(0), 1, 2);
+        vc.buffer.push(Flit::nth_of(MessageId(0), 1, 2));
+        vc.buffer.pop();
         assert_eq!(vc.waiting_head(), None, "a tail flit is not a head");
         vc.buffer.clear();
         vc.route = Some(VcRoute {
@@ -587,8 +605,19 @@ mod tests {
             ready_at: 0,
         });
         assert!(!vc.is_idle());
-        vc.buffer.push_back(Flit::nth_of(MessageId(0), 0, 2));
+        vc.buffer.push(Flit::nth_of(MessageId(0), 0, 2));
         assert_eq!(vc.waiting_head(), None, "a routed head no longer waits");
+    }
+
+    #[test]
+    fn input_vc_stays_off_the_heap_and_small() {
+        // Every stage reads input VCs; the buffer is a fixed-size worm run and
+        // a blocked head's candidates live in the router's kept-decision
+        // table, so a slot is 80 bytes on a 64-bit target.
+        if cfg!(target_pointer_width = "64") {
+            assert_eq!(std::mem::size_of::<WormRun>(), 24);
+            assert_eq!(std::mem::size_of::<InputVc>(), 80);
+        }
     }
 
     #[test]
@@ -598,11 +627,9 @@ mod tests {
         let (net_slot, injection_slot) = (r.slot(0, 1), r.slot(4, 0));
         r.inputs[net_slot]
             .buffer
-            .push_back(Flit::nth_of(MessageId(0), 0, 2));
-        r.inputs[injection_slot]
-            .buffer
-            .push_back(Flit::nth_of(MessageId(1), 0, 1));
-        assert_eq!(r.buffered_flits(), 2);
+            .push(Flit::nth_of(MessageId(0), 0, 2));
+        r.inputs[injection_slot].buffer = WormRun::whole(MessageId(1), 3);
+        assert_eq!(r.buffered_flits(), 4);
         assert!(!r.is_quiescent());
     }
 
@@ -628,9 +655,12 @@ mod tests {
         assert!(occupied(&r).is_empty());
         // The first slot to fill makes the router busy, a second does not.
         // A head landing in an empty slot waits for routing.
-        assert!(r.push_flits(7, Flit::all_of(MessageId(0), 2)));
-        assert!(!r.push_flits(3, [head]));
-        assert!(!r.push_flits(3, []), "nothing pushed, nothing to report");
+        assert!(r.push_flits(7, WormRun::whole(MessageId(0), 2)));
+        assert!(!r.push_flits(3, head.into()));
+        assert!(
+            !r.push_flits(4, WormRun::default()),
+            "nothing pushed, nothing to report"
+        );
         assert_eq!(occupied(&r), [3, 7]);
         assert!(r.is_occupied(7) && !r.is_occupied(4));
         assert_eq!(walk(&r, RouterState::waiting_slots_in), [3, 7]);
@@ -659,7 +689,7 @@ mod tests {
         assert_eq!(r.pop_flit(7), None);
         // Body flits landing on a bound slot never wait.
         bind(&mut r, 5, 2);
-        r.push_flits(5, [Flit::nth_of(MessageId(2), 1, 3)]);
+        r.push_flits(5, Flit::nth_of(MessageId(2), 1, 3).into());
         assert!(r.is_occupied(5) && !r.is_waiting(5));
     }
 

@@ -228,8 +228,9 @@ impl Observer for Sanitizer {
 impl Sanitizer {
     /// Every live in-network message has exactly `length` flits across all
     /// input buffers and locally-sunk counters; queued messages have none;
-    /// every buffered flit belongs to a live message; each input buffer holds
-    /// flits of a single message with consecutive sequence numbers.
+    /// every buffered flit belongs to a live message. (A buffer is one
+    /// worm's run of consecutive flits by construction, so a flit delivered
+    /// to the wrong buffer shows up here as a worm with too few or too many.)
     fn check_flit_conservation(
         &mut self,
         cycle: u64,
@@ -239,23 +240,8 @@ impl Sanitizer {
         let mut counts: HashMap<MessageId, u32> = HashMap::new();
         for router in routers {
             for ivc in &router.inputs {
-                let mut prev: Option<(MessageId, u32)> = None;
-                for flit in &ivc.buffer {
-                    *counts.entry(flit.msg).or_insert(0) += 1;
-                    if let Some((pmsg, pseq)) = prev {
-                        if pmsg != flit.msg || flit.seq != pseq + 1 {
-                            self.record(
-                                cycle,
-                                "buffer-interleaving",
-                                format!(
-                                    "router {:?} buffer interleaves {pmsg:?}#{pseq} \
-                                     with {:?}#{}",
-                                    router.node, flit.msg, flit.seq
-                                ),
-                            );
-                        }
-                    }
-                    prev = Some((flit.msg, flit.seq));
+                if let Some(msg) = ivc.buffer.msg() {
+                    *counts.entry(msg).or_insert(0) += ivc.buffer.len() as u32;
                 }
                 // Flits already drained into the local node still belong to
                 // the worm being delivered or absorbed on this VC.
@@ -398,10 +384,10 @@ impl Sanitizer {
             let node = router.node;
             // Map of this router's claimed output slot -> message.
             let mut claimed: HashMap<usize, MessageId> = HashMap::new();
-            for ivc in &router.inputs {
+            for (ivc, kept) in router.inputs.iter().zip(&router.blocked) {
                 // A kept routing decision belongs to a head still waiting for
                 // an output VC; once the VC is bound (or emptied) it is stale.
-                if ivc.blocked.is_some() && ivc.waiting_head().is_none() {
+                if kept.is_some() && ivc.waiting_head().is_none() {
                     self.record(
                         cycle,
                         "stale-decision",
@@ -420,14 +406,14 @@ impl Sanitizer {
                         format!("router {node:?} route references retired {:?}", route.msg),
                     );
                 }
-                if let Some(front) = ivc.buffer.front() {
-                    if front.msg != route.msg {
+                if let Some(msg) = ivc.buffer.msg() {
+                    if msg != route.msg {
                         self.record(
                             cycle,
                             "route-mismatch",
                             format!(
-                                "router {node:?} buffers {:?} on a VC routed for {:?}",
-                                front.msg, route.msg
+                                "router {node:?} buffers {msg:?} on a VC routed for {:?}",
+                                route.msg
                             ),
                         );
                     }
@@ -549,9 +535,9 @@ impl Sanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::Flit;
+    use crate::flit::{Flit, WormRun};
     use crate::message::MessageState;
-    use crate::router::VcRoute;
+    use crate::router::{KeptDecision, VcRoute};
     use crate::{Simulation, StopCondition};
     use torus_routing::{AnyRouting, Substrate};
     use torus_topology::TopologySpec;
@@ -647,7 +633,9 @@ mod tests {
             target: RouteTarget::Deliver,
             ready_at: 0,
         };
-        routers[5].push_flits(0, (1..4).map(|seq| Flit::nth_of(MessageId(0), seq, 4)));
+        let mut rest = WormRun::whole(MessageId(0), 4);
+        rest.pop();
+        routers[5].push_flits(0, rest);
         let ivc = &mut routers[5].inputs[0];
         ivc.route = Some(deliver);
         ivc.sunk = 1;
@@ -677,7 +665,7 @@ mod tests {
         let net = mesh();
         let mut routers = routers_for(&net, 2, 4);
         // A flit referencing a message the table does not know.
-        routers[0].push_flits(0, [Flit::nth_of(MessageId(9), 0, 1)]);
+        routers[0].push_flits(0, Flit::nth_of(MessageId(9), 0, 1).into());
         // A credit counter that lost a credit with no downstream flit
         // (port 0 = dim 0 towards +x, the one port node 0 of a mesh has).
         routers[0].outputs[0].credits = 3;
@@ -714,16 +702,16 @@ mod tests {
                 .collect()
         };
         let mut routers = routers_for(&net, 2, 4);
-        routers[5].push_flits(slot, [head]);
+        routers[5].push_flits(slot, head.into());
         assert!(audit(&routers).is_clean());
         // The flit moves to the next slot behind the mask's back.
         routers[5].inputs[slot].buffer.clear();
-        routers[5].push_flits(slot + 1, [head]);
+        routers[5].push_flits(slot + 1, head.into());
         let found = occupancy(&audit(&routers));
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("bit is set"));
         let mut routers = routers_for(&net, 2, 4);
-        routers[5].inputs[slot].buffer.push_back(head);
+        routers[5].inputs[slot].buffer.push(head);
         let found = occupancy(&audit(&routers));
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("bit is clear"));
@@ -746,7 +734,7 @@ mod tests {
             s
         };
         let mut routers = routers_for(&net, 2, 4);
-        routers[5].push_flits(slot, [Flit::nth_of(MessageId(0), 0, 1)]);
+        routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
         assert!(routers[5].is_waiting(slot));
         assert!(audit(&routers).is_clean());
         let route = VcRoute {
@@ -770,6 +758,34 @@ mod tests {
         assert_eq!(s.violation_count(), 1);
         assert_eq!(s.violations()[0].kind, "waiting-mismatch");
         assert!(s.violations()[0].detail.contains("bit is clear"));
+    }
+
+    #[test]
+    fn a_kept_decision_beside_no_waiting_head_is_stale() {
+        // The router's kept-decision table holds a blocked head's candidates
+        // at the head's own slot; an entry at any other slot is stale.
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 1);
+        m.note_injected(0);
+        let messages = vec![m];
+        let mut routers = routers_for(&net, 2, 4);
+        let slot = routers[5].injection_slots().start;
+        routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
+        let kept = KeptDecision {
+            candidates: Vec::new(),
+            epoch: 0,
+        };
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        routers[5].blocked[slot] = Some(kept.clone());
+        assert!(audit(&routers).is_clean());
+        routers[5].blocked[slot - 1] = Some(kept);
+        let s = audit(&routers);
+        assert_eq!(s.violation_count(), 1);
+        assert_eq!(s.violations()[0].kind, "stale-decision");
     }
 
     #[test]
