@@ -19,8 +19,8 @@
 //! `s` arrives in input slot `s` of the downstream router, and the credit for
 //! a flit leaving input slot `s` goes back to output slot `s` of the upstream
 //! router — the slot index is the same at both ends of a link. The switch
-//! allocator's round-robin pointers and request sets count input slots the
-//! same way.
+//! allocator's round-robin pointers and winners count input slots the same
+//! way.
 //!
 //! Worm runs: an input VC's buffer is a [`WormRun`] — the message id, the
 //! front flit's sequence number, the flit count and whether the tail has

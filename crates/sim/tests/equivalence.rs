@@ -367,9 +367,10 @@ fn mixed_radix_network_matches() {
 
 #[test]
 fn routers_wider_than_one_and_two_machine_words_match() {
-    // The switch allocator's request sets are bit sets over a router's input
-    // slots: torus:4x3 with V=10 has 70 (two words), hc:7 with V=10 has 150
-    // (three). Loaded enough that output ports see competing requests, both
+    // A router's slot masks are bit sets over its input slots: torus:4x3
+    // with V=10 has 70 (two words), hc:7 with V=10 has 150 (three), and
+    // switch requests arrive from every word. Loaded enough that output
+    // ports see competing requests, both
     // flavours, both schedulers, sanitizer attached. The pin was captured on
     // the engine that still probed every slot per output port.
     let mut pin = OutcomePin::new();
