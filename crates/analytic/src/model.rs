@@ -168,15 +168,6 @@ impl AnalyticModel {
     pub fn mean_latency(&self, rate: f64) -> Option<f64> {
         self.latency_breakdown(rate).map(|b| b.total())
     }
-
-    /// Predicted latency curve over a grid of offered loads (saturated points
-    /// are omitted).
-    pub fn latency_curve(&self, rates: &[f64]) -> Vec<(f64, f64)> {
-        rates
-            .iter()
-            .filter_map(|&r| self.mean_latency(r).map(|l| (r, l)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -201,9 +192,10 @@ mod tests {
     #[test]
     fn latency_is_monotonic_in_load() {
         let m = model(6, 32, 0);
-        let rates: Vec<f64> = (0..20).map(|i| i as f64 * 0.0005).collect();
-        let curve = m.latency_curve(&rates);
-        assert!(curve.windows(2).all(|w| w[1].1 >= w[0].1));
+        let curve: Vec<f64> = (0..20)
+            .filter_map(|i| m.mean_latency(i as f64 * 0.0005))
+            .collect();
+        assert!(curve.windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! Exit status: 0 when every case is proved or rejected, 1 on a usage or
 //! I/O error (including a `--schedule` configuration the simulator would
 //! reject: a routing the topology does not support, or `--vc` below the
-//! routing's minimum), 2 when any case fails verification.
+//! routing's minimum; and a schedule that parses but does not fit the
+//! topology), 2 when any case fails verification.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,10 +91,12 @@ fn run_schedule(
                 ExitCode::SUCCESS
             }
         }
-        // A configuration the simulator would reject is a usage error.
+        // A configuration the simulator would reject, or a schedule that
+        // does not fit the network, is a usage error.
         Err(
             e @ (ScheduleVerifyError::Unsupported(_)
-            | ScheduleVerifyError::TooFewVirtualChannels { .. }),
+            | ScheduleVerifyError::TooFewVirtualChannels { .. }
+            | ScheduleVerifyError::Schedule(_)),
         ) => {
             eprintln!("{label} on {topology} (v={v}): {e}");
             ExitCode::FAILURE

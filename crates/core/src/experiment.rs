@@ -259,15 +259,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Switches to the paper's full measurement budget: 10,000 warm-up
-    /// messages and 90,000 measured messages per point.
-    pub fn paper_scale(mut self) -> Self {
-        self.warmup_messages = 10_000;
-        self.measured_messages = 90_000;
-        self.max_cycles = 2_000_000;
-        self
-    }
-
     /// Number of nodes of the configured topology.
     pub fn num_nodes(&self) -> usize {
         self.topology.num_nodes()
@@ -335,14 +326,6 @@ pub struct ExperimentOutcome {
     pub message_table_peak: u64,
 }
 
-impl ExperimentOutcome {
-    /// Short label combining message length and fault count, the curve legend
-    /// format used by Figs. 3 and 4 ("M=32, nf=5").
-    pub fn curve_label(&self) -> String {
-        format!("M={}, nf={}", self.config.message_length, self.fault_count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,13 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_budget() {
-        let cfg = ExperimentConfig::paper_point(8, 2, 4, 32, 0.004).paper_scale();
-        assert_eq!(cfg.warmup_messages, 10_000);
-        assert_eq!(cfg.measured_messages, 90_000);
-    }
-
-    #[test]
     fn run_fault_free_point() {
         let cfg = ExperimentConfig::paper_point(4, 2, 4, 8, 0.01).quick(400, 100);
         let out = cfg.run().unwrap();
@@ -380,7 +356,6 @@ mod tests {
         assert!(!out.hit_max_cycles);
         assert!(out.report.mean_latency >= 8.0);
         assert_eq!(out.report.messages_queued, 0);
-        assert_eq!(out.curve_label(), "M=8, nf=0");
         assert!(out.message_table_peak > 0);
         assert!(
             out.message_table_peak < out.report.generated_messages,

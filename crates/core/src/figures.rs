@@ -164,12 +164,6 @@ impl FigureOptions {
         self
     }
 
-    /// Overrides the full routing comparison set.
-    pub fn with_routings(mut self, routings: Vec<RoutingChoice>) -> Self {
-        self.routings = Some(routings);
-        self
-    }
-
     /// Sets the worker-thread count the figure's points run on.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
@@ -1006,7 +1000,8 @@ mod tests {
         assert!(matches!(err, FigureError::UnsupportedRouting { .. }));
         assert!(format!("{err}").contains("turn-model"));
         // And an empty routing set is rejected too.
-        let opts = FigureOptions::new(Scale::Smoke).with_routings(Vec::new());
+        let mut opts = FigureOptions::new(Scale::Smoke);
+        opts.routings = Some(Vec::new());
         assert!(matches!(
             Figure::Fig3.plan(&opts),
             Err(FigureError::NoRoutings)

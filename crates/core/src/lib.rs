@@ -12,12 +12,11 @@
 //!   execution of many experiment points across a caller-controlled number of
 //!   worker threads ([`Jobs`], the binaries' `--jobs N`), with results
 //!   reassembled into input order so any thread count is bit-identical;
-//! * [`sweep`] — the `Jobs::Auto` convenience wrapper over the pool;
 //! * [`figures`] — the exact parameter grids of Figs. 3–7 of Safaei et al.
 //!   (IPDPS 2006), at `Scale::Quick` (reduced message budget, default) or
 //!   `Scale::Paper` (the full 100,000-message methodology);
-//! * [`results`] — structured figure results with text-table, CSV and ASCII
-//!   plot rendering, used by the `fig3`..`fig7` binaries in `torus-bench`;
+//! * [`results`] — structured figure results with text-table and CSV
+//!   rendering, used by the `fig3`..`fig7` binaries in `torus-bench`;
 //! * [`saturation`] — direct estimation of a configuration's saturation rate
 //!   (doubling + bisection), used by the `saturation` binary to tabulate how
 //!   the saturation point moves with V, the routing flavour and the fault
@@ -39,14 +38,12 @@ pub mod figures;
 pub mod pool;
 pub mod results;
 pub mod saturation;
-pub mod sweep;
 
 pub use experiment::{ExperimentConfig, ExperimentError, ExperimentOutcome, RoutingChoice};
 pub use figures::{Figure, FigureError, FigureOptions, Scale};
 pub use pool::{run_pool, Jobs};
 pub use results::{CurveResult, FigureResult, PanelResult, PointFailure, PointResult};
 pub use saturation::{estimate_saturation_rate, SaturationEstimate, SaturationSearch};
-pub use sweep::run_parallel;
 
 /// Convenience prelude re-exporting the most frequently used items.
 pub mod prelude {
@@ -54,7 +51,6 @@ pub mod prelude {
     pub use crate::figures::{Figure, FigureOptions, Scale};
     pub use crate::pool::{run_pool, Jobs};
     pub use crate::results::{CurveResult, FigureResult, PanelResult, PointResult};
-    pub use crate::sweep::run_parallel;
     pub use torus_faults::{FaultScenario, RegionShape};
     pub use torus_metrics::SimulationReport;
 }

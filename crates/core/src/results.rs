@@ -58,18 +58,6 @@ pub struct CurveResult {
     pub points: Vec<PointResult>,
 }
 
-impl CurveResult {
-    /// The largest x whose point is not saturated — an estimate of the
-    /// saturation rate of this configuration.
-    pub fn last_unsaturated_x(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| !p.saturated)
-            .map(|p| p.x)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-}
-
 /// One panel of a figure (one sub-plot, e.g. "Deterministic routing, V=4").
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PanelResult {
@@ -178,75 +166,6 @@ impl FigureResult {
         out
     }
 
-    /// Renders each panel as a rough ASCII scatter plot (x → y, one symbol per
-    /// curve), handy for eyeballing the curve shapes in a terminal without any
-    /// plotting dependency.
-    pub fn render_ascii_plot(&self, width: usize, height: usize) -> String {
-        const SYMBOLS: &[char] = &['o', 'x', '+', '*', '#', '@', '%', '&', '$', '~'];
-        let width = width.max(16);
-        let height = height.max(6);
-        let mut out = String::new();
-        for panel in &self.panels {
-            out.push_str(&format!("\n{} — {}\n", panel.title, panel.metric.label()));
-            let all_points: Vec<(f64, f64)> = panel
-                .curves
-                .iter()
-                .flat_map(|c| c.points.iter().map(|p| (p.x, p.y(panel.metric))))
-                .collect();
-            if all_points.is_empty() {
-                out.push_str("  (no points)\n");
-                continue;
-            }
-            let (mut x_min, mut x_max, mut y_min, mut y_max) = (
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-            );
-            for &(x, y) in &all_points {
-                x_min = x_min.min(x);
-                x_max = x_max.max(x);
-                y_min = y_min.min(y);
-                y_max = y_max.max(y);
-            }
-            let x_span = (x_max - x_min).max(f64::MIN_POSITIVE);
-            let y_span = (y_max - y_min).max(f64::MIN_POSITIVE);
-            let mut grid = vec![vec![' '; width]; height];
-            for (ci, curve) in panel.curves.iter().enumerate() {
-                let symbol = SYMBOLS[ci % SYMBOLS.len()];
-                for p in &curve.points {
-                    let col = ((p.x - x_min) / x_span * (width - 1) as f64).round() as usize;
-                    let row = ((p.y(panel.metric) - y_min) / y_span * (height - 1) as f64).round()
-                        as usize;
-                    let row = height - 1 - row.min(height - 1);
-                    grid[row][col.min(width - 1)] = symbol;
-                }
-            }
-            for (i, row) in grid.iter().enumerate() {
-                let y_val = y_max - y_span * i as f64 / (height - 1) as f64;
-                out.push_str(&format!("{y_val:>12.1} |"));
-                out.extend(row.iter());
-                out.push('\n');
-            }
-            out.push_str(&format!("{:>12} +{}\n", "", "-".repeat(width)));
-            out.push_str(&format!(
-                "{:>12}  {:<width$.5}{:>8.5}\n",
-                "",
-                x_min,
-                x_max,
-                width = width - 7
-            ));
-            for (ci, curve) in panel.curves.iter().enumerate() {
-                out.push_str(&format!(
-                    "{:>14} = {}\n",
-                    SYMBOLS[ci % SYMBOLS.len()],
-                    curve.label
-                ));
-            }
-        }
-        out
-    }
-
     /// Renders every point of the figure as CSV rows.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -326,10 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn num_points_and_saturation() {
-        let f = dummy_figure();
-        assert_eq!(f.num_points(), 3);
-        assert_eq!(f.panels[0].curves[0].last_unsaturated_x(), Some(0.001));
+    fn num_points() {
+        assert_eq!(dummy_figure().num_points(), 3);
     }
 
     #[test]
@@ -342,38 +259,6 @@ mod tests {
         assert!(text.contains("0.00100"));
         assert!(text.contains("*"), "saturated points are marked");
         assert!(text.contains("-"), "missing points are dashed");
-    }
-
-    #[test]
-    fn ascii_plot_contains_all_curves_and_axes() {
-        let plot = dummy_figure().render_ascii_plot(40, 10);
-        assert!(plot.contains("panel A"));
-        assert!(plot.contains("o = M=32, nf=0"));
-        assert!(plot.contains("x = M=64, nf=0"));
-        assert!(plot.contains('|'));
-        assert!(plot.contains('+'));
-        // Both curve symbols appear somewhere on the canvas.
-        assert!(plot.matches('o').count() >= 1);
-        assert!(
-            plot.matches('x').count() >= 2,
-            "legend + at least one point"
-        );
-    }
-
-    #[test]
-    fn ascii_plot_handles_empty_panels() {
-        let fig = FigureResult {
-            id: "empty".into(),
-            title: "empty".into(),
-            panels: vec![PanelResult {
-                title: "nothing".into(),
-                x_label: "x".into(),
-                metric: Metric::MeanLatency,
-                curves: vec![],
-            }],
-            failures: Vec::new(),
-        };
-        assert!(fig.render_ascii_plot(20, 8).contains("(no points)"));
     }
 
     #[test]

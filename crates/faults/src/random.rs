@@ -256,20 +256,6 @@ pub fn clustered_node_faults<R: Rng + ?Sized>(
     sample_connected(net, ids, nf, rng)
 }
 
-/// Samples `count` independent fault placements of `nf` nodes each (used by
-/// the Fig. 6 experiment, which averages over several random placements per
-/// fault count to make results independent of relative fault positions).
-pub fn random_fault_ensembles<T: Topology + ?Sized, R: Rng + ?Sized>(
-    net: &T,
-    nf: usize,
-    count: usize,
-    rng: &mut R,
-) -> Result<Vec<FaultSet>, RandomFaultError> {
-    (0..count)
-        .map(|_| random_node_faults(net, nf, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,23 +434,5 @@ mod tests {
         for n in f.faulty_nodes_sorted() {
             assert!(ft.is_endpoint(n), "fault {n:?} is not an endpoint");
         }
-    }
-
-    #[test]
-    fn ensembles_produce_independent_placements() {
-        let t = Network::torus(16, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let ensembles = random_fault_ensembles(&t, 6, 5, &mut rng).unwrap();
-        assert_eq!(ensembles.len(), 5);
-        for f in &ensembles {
-            assert_eq!(f.num_faulty_nodes(), 6);
-            assert!(f.preserves_connectivity(&t));
-        }
-        // overwhelmingly likely that at least two placements differ
-        let distinct: std::collections::HashSet<Vec<NodeId>> = ensembles
-            .iter()
-            .map(FaultSet::faulty_nodes_sorted)
-            .collect();
-        assert!(distinct.len() > 1);
     }
 }

@@ -220,11 +220,6 @@ impl FaultSchedule {
         &self.events
     }
 
-    /// Number of scheduled events.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// True when the schedule injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -530,7 +525,7 @@ mod tests {
     fn spec_round_trips() {
         let spec = "10:node@4,20:link@2:d0+,30:link@7:d1-";
         let sched = FaultSchedule::parse(spec).unwrap();
-        assert_eq!(sched.num_events(), 3);
+        assert_eq!(sched.events().len(), 3);
         assert_eq!(sched.spec_string(), spec);
         let reparsed = FaultSchedule::parse(&sched.spec_string()).unwrap();
         assert_eq!(reparsed, sched);
@@ -556,6 +551,6 @@ mod tests {
         }
         // Whitespace and empty tokens are tolerated around well-formed ones.
         let ok = FaultSchedule::parse(" 5:node@1 , ,7:node@2 ").unwrap();
-        assert_eq!(ok.num_events(), 2);
+        assert_eq!(ok.events().len(), 2);
     }
 }

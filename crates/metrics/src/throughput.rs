@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputMeter {
     window_start: Option<u64>,
-    window_end: Option<u64>,
     delivered_messages: u64,
     delivered_flits: u64,
     offered_messages: u64,
@@ -24,23 +23,18 @@ impl ThroughputMeter {
         Self::default()
     }
 
-    /// Marks the beginning of the measurement window.
+    /// Marks the beginning of the measurement window, which stays open for
+    /// the rest of the run.
     pub fn start_window(&mut self, cycle: u64) {
         self.window_start = Some(cycle);
-        self.window_end = None;
         self.delivered_messages = 0;
         self.delivered_flits = 0;
         self.offered_messages = 0;
     }
 
-    /// Marks the end of the measurement window.
-    pub fn end_window(&mut self, cycle: u64) {
-        self.window_end = Some(cycle);
-    }
-
     /// Records a message offered to the network during the window.
     pub fn record_offered(&mut self) {
-        if self.window_start.is_some() && self.window_end.is_none() {
+        if self.window_start.is_some() {
             self.offered_messages += 1;
         }
     }
@@ -48,7 +42,7 @@ impl ThroughputMeter {
     /// Records a delivered message of `flits` flits at `cycle`.
     pub fn record_delivery(&mut self, cycle: u64, flits: u32) {
         if let Some(start) = self.window_start {
-            if cycle >= start && self.window_end.is_none_or(|end| cycle < end) {
+            if cycle >= start {
                 self.delivered_messages += 1;
                 self.delivered_flits += flits as u64;
             }
@@ -70,13 +64,9 @@ impl ThroughputMeter {
         self.offered_messages
     }
 
-    /// Length of the (closed) measurement window in cycles.
+    /// Length of the measurement window in cycles, up to `now`.
     pub fn window_cycles(&self, now: u64) -> u64 {
-        match (self.window_start, self.window_end) {
-            (Some(s), Some(e)) => e.saturating_sub(s),
-            (Some(s), None) => now.saturating_sub(s),
-            _ => 0,
-        }
+        self.window_start.map_or(0, |s| now.saturating_sub(s))
     }
 
     /// Delivered messages per node per cycle.
@@ -121,7 +111,6 @@ mod tests {
                 m.record_delivery(c, 32);
             }
         }
-        m.end_window(2000);
         // 100 messages over 1000 cycles and 64 nodes
         assert_eq!(m.delivered_messages(), 100);
         assert_eq!(m.delivered_flits(), 3200);
@@ -138,8 +127,6 @@ mod tests {
         m.start_window(10);
         m.record_delivery(9, 8); // before window: ignored
         m.record_delivery(10, 8);
-        m.end_window(20);
-        m.record_delivery(25, 8); // after window: ignored
         assert_eq!(m.delivered_messages(), 1);
     }
 
@@ -162,7 +149,6 @@ mod tests {
         for c in 0..7 {
             m.record_delivery(c, 1);
         }
-        m.end_window(100);
         assert!((m.acceptance_ratio() - 0.7).abs() < 1e-12);
         assert_eq!(ThroughputMeter::new().acceptance_ratio(), 1.0);
     }

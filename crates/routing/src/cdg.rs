@@ -78,11 +78,6 @@ impl DependencyGraph {
         self.seen.contains(&(from, to))
     }
 
-    /// The recorded successors of `vertex` (resources it may be held against).
-    pub fn edges_from(&self, vertex: usize) -> &[usize] {
-        &self.edges[vertex]
-    }
-
     /// Iterates over every recorded `(from, to)` dependency edge.
     pub fn iter_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges
@@ -620,7 +615,6 @@ mod tests {
         g.add_edge(0, 1); // duplicate ignored
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
-        assert_eq!(g.edges_from(0), &[1]);
         let all: Vec<(usize, usize)> = g.iter_edges().collect();
         assert_eq!(all, vec![(0, 1), (1, 2)]);
     }

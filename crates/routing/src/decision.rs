@@ -67,11 +67,6 @@ impl RouteDecision {
         }
     }
 
-    /// True if the decision is to deliver locally.
-    pub fn is_deliver(&self) -> bool {
-        matches!(self, RouteDecision::Deliver)
-    }
-
     /// True if the decision is to absorb the message.
     pub fn is_absorb(&self) -> bool {
         matches!(self, RouteDecision::Absorb)
@@ -96,9 +91,7 @@ mod tests {
     fn decision_accessors() {
         let d = RouteDecision::Forward(vec![OutputCandidate::new(0, Direction::Plus, vec![0])]);
         assert_eq!(d.candidates().len(), 1);
-        assert!(!d.is_deliver());
         assert!(!d.is_absorb());
-        assert!(RouteDecision::Deliver.is_deliver());
         assert!(RouteDecision::Absorb.is_absorb());
         assert!(RouteDecision::Deliver.candidates().is_empty());
     }

@@ -155,15 +155,6 @@ impl SimConfig {
         }
     }
 
-    /// Switches to the paper's full message budget (10,000 warm-up messages,
-    /// 90,000 measured messages).
-    pub fn with_paper_scale(mut self) -> Self {
-        self.warmup_messages = 10_000;
-        self.stop = StopCondition::MeasuredMessages(90_000);
-        self.max_cycles = 2_000_000;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -188,7 +179,7 @@ impl SimConfig {
         if self.buffer_depth == 0 {
             return Err(SimConfigError::ZeroBufferDepth);
         }
-        if self.traffic.length.min_flits() == 0 {
+        if self.traffic.length == 0 {
             return Err(SimConfigError::ZeroMessageLength);
         }
         let rate = self.traffic.rate;
@@ -224,14 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_increases_budget() {
-        let c = SimConfig::paper(8, 3, 10, 64, 0.004).with_paper_scale();
-        assert_eq!(c.warmup_messages, 10_000);
-        assert_eq!(c.stop, StopCondition::MeasuredMessages(90_000));
-        assert_eq!(c.num_nodes(), 512);
-    }
-
-    #[test]
     fn mesh_and_hypercube_configs() {
         let m = SimConfig::paper_topology(TopologySpec::mesh(8, 2), 4, 32, 0.004);
         assert_eq!(m.num_nodes(), 64);
@@ -261,19 +244,10 @@ mod tests {
 
     #[test]
     fn zero_length_messages_are_rejected() {
-        use torus_workloads::MessageLength;
         let mut c = SimConfig::paper(8, 2, 4, 0, 0.001);
         assert_eq!(c.validate(2), Err(SimConfigError::ZeroMessageLength));
         assert!(format!("{}", SimConfigError::ZeroMessageLength).contains("zero-length"));
-        c.traffic.length = MessageLength::Uniform { min: 0, max: 8 };
-        assert_eq!(c.validate(2), Err(SimConfigError::ZeroMessageLength));
-        c.traffic.length = MessageLength::Bimodal {
-            short: 0,
-            long: 32,
-            short_fraction: 0.5,
-        };
-        assert_eq!(c.validate(2), Err(SimConfigError::ZeroMessageLength));
-        c.traffic.length = MessageLength::Fixed(1);
+        c.traffic.length = 1;
         assert!(c.validate(2).is_ok());
     }
 

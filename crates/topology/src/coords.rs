@@ -73,12 +73,6 @@ impl Coord {
         &self.digits
     }
 
-    /// Mutable access to the digits.
-    #[inline]
-    pub fn digits_mut(&mut self) -> &mut [u16] {
-        &mut self.digits
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
@@ -102,15 +96,6 @@ impl Coord {
         let mut c = self.clone();
         c.set(dim, value);
         c
-    }
-
-    /// True if `self` and `other` differ only in dimension `dim` (or not at all).
-    pub fn differs_only_in(&self, other: &Coord, dim: usize) -> bool {
-        self.digits
-            .iter()
-            .zip(other.digits.iter())
-            .enumerate()
-            .all(|(d, (a, b))| d == dim || a == b)
     }
 
     /// Set of dimensions in which the two coordinates differ.
@@ -181,12 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn coord_differs_only_in() {
+    fn coord_differing_dims() {
         let a = Coord::new(vec![1, 2, 3]);
         let b = Coord::new(vec![1, 9, 3]);
-        assert!(a.differs_only_in(&b, 1));
-        assert!(!a.differs_only_in(&b, 0));
-        assert!(a.differs_only_in(&a, 0));
         assert_eq!(a.differing_dims(&b), vec![1]);
         assert!(a.differing_dims(&a).is_empty());
     }

@@ -6,7 +6,7 @@
 //! of options. Both needs are served by [`HealthyGraph`], a thin view over any
 //! [`Topology`] plus a predicate marking nodes/channels unusable.
 
-use crate::channel::{DirectedChannel, Direction};
+use crate::channel::DirectedChannel;
 use crate::coords::NodeId;
 use crate::path::Path;
 use crate::topo::Topology;
@@ -166,58 +166,6 @@ impl<'a, T: Topology + ?Sized, F: NodeFilter> HealthyGraph<'a, T, F> {
         hops.reverse();
         Some(Path { src, dest, hops })
     }
-
-    /// Shortest fault-free path restricted to moves inside the given set of
-    /// dimensions (used by the SW-Based n-D scheme, which detours inside one
-    /// dimension pair at a time). Falls back to `None` if no such path exists.
-    pub fn shortest_path_in_dims(&self, src: NodeId, dest: NodeId, dims: &[usize]) -> Option<Path> {
-        if self.filter.node_blocked(src) || self.filter.node_blocked(dest) {
-            return None;
-        }
-        if src == dest {
-            return Some(Path {
-                src,
-                dest,
-                hops: Vec::new(),
-            });
-        }
-        let mut prev: Vec<Option<DirectedChannel>> = vec![None; self.net.num_nodes()];
-        let mut seen = vec![false; self.net.num_nodes()];
-        let mut queue = VecDeque::new();
-        seen[src.index()] = true;
-        queue.push_back(src);
-        while let Some(cur) = queue.pop_front() {
-            for dim in dims.iter().copied() {
-                for dir in Direction::BOTH {
-                    let ch = DirectedChannel::new(cur, dim, dir);
-                    let Some(next) = self.net.channel_dest(ch) else {
-                        continue;
-                    };
-                    if self.filter.node_blocked(next)
-                        || self.filter.channel_blocked(self.net, ch)
-                        || seen[next.index()]
-                    {
-                        continue;
-                    }
-                    seen[next.index()] = true;
-                    prev[next.index()] = Some(ch);
-                    queue.push_back(next);
-                }
-            }
-        }
-        if !seen[dest.index()] {
-            return None;
-        }
-        let mut hops = Vec::new();
-        let mut cur = dest;
-        while cur != src {
-            let ch = prev[cur.index()].expect("breadcrumb must exist on reconstructed path");
-            hops.push(ch);
-            cur = ch.from;
-        }
-        hops.reverse();
-        Some(Path { src, dest, hops })
-    }
 }
 
 #[cfg(test)]
@@ -338,22 +286,6 @@ mod tests {
         assert!(g
             .shortest_path(a, t.node_from_digits(&[0, 0]).unwrap())
             .is_none());
-    }
-
-    #[test]
-    fn shortest_path_in_dims_respects_dimension_restriction() {
-        for net in [Network::torus(4, 3).unwrap(), Network::mesh(4, 3).unwrap()] {
-            let f = NoFaults;
-            let g = HealthyGraph::new(&net, &f);
-            let src = net.node_from_digits(&[0, 0, 0]).unwrap();
-            let dest = net.node_from_digits(&[2, 1, 0]).unwrap();
-            let p = g.shortest_path_in_dims(src, dest, &[0, 1]).unwrap();
-            assert!(p.is_well_formed(&net));
-            assert!(p.hops.iter().all(|h| h.dim < 2));
-            // destination differing in an excluded dimension is unreachable
-            let dest2 = net.node_from_digits(&[0, 0, 1]).unwrap();
-            assert!(g.shortest_path_in_dims(src, dest2, &[0, 1]).is_none());
-        }
     }
 
     #[test]

@@ -129,18 +129,25 @@ impl Network {
 
     /// Creates a k-ary n-cube (uniform radix, every dimension wraps).
     pub fn torus(k: u16, n: u32) -> Result<Self, NetworkError> {
-        if n < 1 {
-            return Err(NetworkError::DimensionTooSmall(n));
-        }
-        Network::new(vec![k; n as usize], vec![true; n as usize])
+        Network::uniform(k, n, true)
     }
 
     /// Creates a k-ary n-mesh (uniform radix, no dimension wraps).
     pub fn mesh(k: u16, n: u32) -> Result<Self, NetworkError> {
+        Network::uniform(k, n, false)
+    }
+
+    /// `n` dimensions of radix `k`, all wrapped or all open.
+    fn uniform(k: u16, n: u32, wrap: bool) -> Result<Self, NetworkError> {
         if n < 1 {
             return Err(NetworkError::DimensionTooSmall(n));
         }
-        Network::new(vec![k; n as usize], vec![false; n as usize])
+        // 33 dimensions of radix 2 or more already overflow the u32 node-id
+        // space, so `new` returns the same error for the first 33 as for all
+        // `n`, without first allocating per-dimension vectors of length `n`
+        // (a `--topology torus:2x4000000000` would otherwise ask for 12 GB).
+        let n = n.min(u32::BITS + 1) as usize;
+        Network::new(vec![k; n], vec![wrap; n])
     }
 
     /// Creates a binary n-cube (hypercube): radix 2 in every dimension,
@@ -165,12 +172,6 @@ impl Network {
     #[inline]
     pub fn wraps(&self, dim: usize) -> bool {
         self.wraps[dim]
-    }
-
-    /// The per-dimension wrap flags.
-    #[inline]
-    pub fn wrap_flags(&self) -> &[bool] {
-        &self.wraps
     }
 
     /// True if at least one dimension wraps (the network embeds a ring and
@@ -395,30 +396,6 @@ impl Network {
             .sum()
     }
 
-    /// Distance along dimension `dim` when travelling in a fixed direction,
-    /// or `None` when `to` is unreachable that way (open dimension, wrong
-    /// side). On rings the result is always `Some` and lies in `0..k`.
-    pub fn directed_line_distance(
-        &self,
-        dim: usize,
-        from: u16,
-        to: u16,
-        dir: Direction,
-    ) -> Option<u16> {
-        let k = self.radices[dim] as i32;
-        let d = match dir {
-            Direction::Plus => to as i32 - from as i32,
-            Direction::Minus => from as i32 - to as i32,
-        };
-        if self.wraps[dim] {
-            Some(d.rem_euclid(k) as u16)
-        } else if d >= 0 {
-            Some(d as u16)
-        } else {
-            None
-        }
-    }
-
     /// Whether travelling one hop from position `from` in direction `dir`
     /// crosses the dateline of the ring in dimension `dim`.
     ///
@@ -549,6 +526,17 @@ mod tests {
             Network::torus(u16::MAX, 4).unwrap_err(),
             NetworkError::TooManyNodes
         );
+        // Absurd dimension counts fail like any overflow, without
+        // allocating per-dimension vectors that long.
+        assert_eq!(
+            Network::mesh(2, u32::MAX).unwrap_err(),
+            NetworkError::TooManyNodes
+        );
+        assert_eq!(
+            Network::torus(1, u32::MAX).unwrap_err(),
+            NetworkError::RadixTooSmall { dim: 0, radix: 1 }
+        );
+        assert_eq!(Network::mesh(2, 31).unwrap().num_nodes(), 1 << 31);
         assert_eq!(
             Network::new(vec![4, 4], vec![true]).unwrap_err(),
             NetworkError::MismatchedWraps {
@@ -703,18 +691,6 @@ mod tests {
         let b = t.node_from_digits(&[4]).unwrap();
         assert_eq!(t.offset(a, b, 0), 4);
         assert_eq!(t.offset(b, a, 0), 4);
-    }
-
-    #[test]
-    fn directed_line_distance_matches_direction() {
-        let t = Network::torus(8, 1).unwrap();
-        assert_eq!(t.directed_line_distance(0, 1, 6, Direction::Plus), Some(5));
-        assert_eq!(t.directed_line_distance(0, 1, 6, Direction::Minus), Some(3));
-        assert_eq!(t.directed_line_distance(0, 3, 3, Direction::Plus), Some(0));
-        let m = Network::mesh(8, 1).unwrap();
-        assert_eq!(m.directed_line_distance(0, 1, 6, Direction::Plus), Some(5));
-        assert_eq!(m.directed_line_distance(0, 1, 6, Direction::Minus), None);
-        assert_eq!(m.directed_line_distance(0, 6, 1, Direction::Minus), Some(5));
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //! pool on such a dimension, and a pure mesh needs no dateline split at all
 //! (verified explicitly by the CDG acyclicity tests in `torus-routing`).
 //!
-//! [`DatelinePolicy`] computes which class a message must use on each hop and
-//! how a pool of `V` virtual channels is partitioned between the classes (and,
+//! [`DatelinePolicy`] computes how a pool of `V` virtual channels is
+//! partitioned between the classes (and,
 //! for Duato's protocol, how many channels remain available as fully adaptive
 //! channels). All partition queries are wrap-aware: they take the dimension of
 //! the hop and collapse to a single class on open dimensions. Fat-trees have
 //! no rings at all, so [`DatelinePolicy::of`] treats them as the one-class
 //! case throughout.
 
-use crate::channel::Direction;
 use crate::network::Network;
 use crate::topo::AnyTopology;
 
@@ -85,25 +84,6 @@ impl<'a> DatelinePolicy<'a> {
     /// classes somewhere).
     pub fn any_wrap(&self) -> bool {
         self.net.is_some_and(Network::any_wrap)
-    }
-
-    /// Class a message must use when routing in a ring it has (`crossed`) or
-    /// has not crossed the dateline of.
-    #[inline]
-    pub fn class_for(&self, crossed: bool) -> VcClass {
-        if crossed {
-            VcClass::AfterDateline
-        } else {
-            VcClass::BeforeDateline
-        }
-    }
-
-    /// Whether a hop in dimension `dim` departing from position `from_pos` in
-    /// direction `dir` crosses the dateline. Always false on open dimensions.
-    #[inline]
-    pub fn hop_crosses(&self, dim: usize, from_pos: u16, dir: Direction) -> bool {
-        self.net
-            .is_some_and(|net| net.crosses_dateline(dim, from_pos, dir))
     }
 
     /// Number of dateline classes the deterministic / escape layer needs:
@@ -218,29 +198,6 @@ mod tests {
 
     fn mesh(k: u16) -> Network {
         Network::mesh(k, 2).unwrap()
-    }
-
-    #[test]
-    fn class_tracking() {
-        let net = torus(8);
-        let p = DatelinePolicy::new(&net);
-        assert_eq!(p.class_for(false), VcClass::BeforeDateline);
-        assert_eq!(p.class_for(true), VcClass::AfterDateline);
-    }
-
-    #[test]
-    fn hop_crossing_matches_wraparound() {
-        let net = torus(8);
-        let p = DatelinePolicy::new(&net);
-        assert!(p.hop_crosses(0, 7, Direction::Plus));
-        assert!(!p.hop_crosses(0, 3, Direction::Plus));
-        assert!(p.hop_crosses(1, 0, Direction::Minus));
-        assert!(!p.hop_crosses(1, 5, Direction::Minus));
-        // Open dimensions never cross a dateline.
-        let net_m = mesh(8);
-        let m = DatelinePolicy::new(&net_m);
-        assert!(!m.hop_crosses(0, 7, Direction::Plus));
-        assert!(!m.hop_crosses(0, 0, Direction::Minus));
     }
 
     #[test]

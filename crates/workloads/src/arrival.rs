@@ -2,30 +2,14 @@
 //!
 //! The paper assumes a Poisson arrival process with mean rate λ
 //! messages/node/cycle (assumption (a)). In a cycle-driven simulator a Poisson
-//! process is realised by sampling exponential inter-arrival times; we also
-//! provide a Bernoulli approximation (at most one message per cycle, the
-//! standard approximation for small λ) and a deterministic periodic process
-//! used by a few tests.
+//! process is realised by sampling exponential inter-arrival times.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// A per-node message arrival process.
-///
-/// The simulator asks, once per node per cycle, how many messages are
-/// generated during that cycle.
-pub trait ArrivalProcess {
-    /// Number of messages generated in the given cycle.
-    fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, rng: &mut R) -> u32;
-
-    /// Mean offered rate in messages per cycle.
-    fn mean_rate(&self) -> f64;
-}
 
 /// Poisson arrivals with mean rate λ messages/cycle, realised by sampling
 /// exponential inter-arrival gaps (so several messages may arrive in one cycle
 /// when λ is large).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PoissonArrivals {
     lambda: f64,
     /// Absolute time of the next arrival, in (fractional) cycles.
@@ -58,7 +42,7 @@ impl PoissonArrivals {
     /// Earliest cycle at which this process can produce its next arrival, or
     /// `None` when it never fires again (zero rate).
     ///
-    /// Polling [`ArrivalProcess::arrivals_in_cycle`] for any cycle before the
+    /// Polling [`PoissonArrivals::arrivals_in_cycle`] for any cycle before the
     /// returned one is guaranteed to generate nothing *and to draw nothing
     /// from the RNG*, so an event-driven scheduler may skip those cycles
     /// without perturbing the random stream. An uninitialised process (never
@@ -74,10 +58,9 @@ impl PoissonArrivals {
         // time) and saturates at u64::MAX if the arrival time overflowed.
         Some(self.next_arrival as u64)
     }
-}
 
-impl ArrivalProcess for PoissonArrivals {
-    fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, rng: &mut R) -> u32 {
+    /// Number of messages generated in `cycle`.
+    pub fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, rng: &mut R) -> u32 {
         if self.lambda <= 0.0 {
             return 0;
         }
@@ -93,63 +76,6 @@ impl ArrivalProcess for PoissonArrivals {
             self.next_arrival += gap;
         }
         count
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.lambda
-    }
-}
-
-/// Bernoulli arrivals: at most one message per cycle, generated with
-/// probability `p`. For `p ≪ 1` this is the standard discrete approximation of
-/// a Poisson process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BernoulliArrivals {
-    p: f64,
-}
-
-impl BernoulliArrivals {
-    /// Creates a Bernoulli arrival process with per-cycle probability `p`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        BernoulliArrivals { p }
-    }
-}
-
-impl ArrivalProcess for BernoulliArrivals {
-    fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, _cycle: u64, rng: &mut R) -> u32 {
-        u32::from(rng.gen_bool(self.p))
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.p
-    }
-}
-
-/// Deterministic periodic arrivals: exactly one message every `period` cycles
-/// (starting at `offset`). Useful for tests that need a predictable load.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PeriodicArrivals {
-    period: u64,
-    offset: u64,
-}
-
-impl PeriodicArrivals {
-    /// Creates a periodic process generating one message every `period`
-    /// cycles, first at cycle `offset`.
-    pub fn new(period: u64, offset: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        PeriodicArrivals { period, offset }
-    }
-}
-
-impl ArrivalProcess for PeriodicArrivals {
-    fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, _rng: &mut R) -> u32 {
-        u32::from(cycle >= self.offset && (cycle - self.offset).is_multiple_of(self.period))
-    }
-
-    fn mean_rate(&self) -> f64 {
-        1.0 / self.period as f64
     }
 }
 
@@ -179,7 +105,6 @@ mod tests {
                 rel_err < tolerance,
                 "lambda={lambda}, measured={measured}, rel_err={rel_err}, tolerance={tolerance}"
             );
-            assert!((p.mean_rate() - lambda).abs() < 1e-12);
         }
     }
 
@@ -263,35 +188,5 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn poisson_rejects_negative_rate() {
         PoissonArrivals::new(-0.1);
-    }
-
-    #[test]
-    fn bernoulli_rate() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut b = BernoulliArrivals::new(0.05);
-        let cycles = 100_000u64;
-        let total: u64 = (0..cycles)
-            .map(|c| b.arrivals_in_cycle(c, &mut rng) as u64)
-            .sum();
-        let measured = total as f64 / cycles as f64;
-        assert!((measured - 0.05).abs() < 0.005);
-        assert!((b.mean_rate() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bernoulli_rejects_invalid_probability() {
-        BernoulliArrivals::new(1.5);
-    }
-
-    #[test]
-    fn periodic_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut p = PeriodicArrivals::new(10, 3);
-        let fired: Vec<u64> = (0..40)
-            .filter(|&c| p.arrivals_in_cycle(c, &mut rng) == 1)
-            .collect();
-        assert_eq!(fired, vec![3, 13, 23, 33]);
-        assert!((p.mean_rate() - 0.1).abs() < 1e-12);
     }
 }

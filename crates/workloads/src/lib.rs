@@ -1,34 +1,20 @@
 //! # torus-workloads
 //!
-//! Synthetic traffic generation for torus network simulation, implementing the
-//! workload assumptions of Safaei et al. (IPDPS 2006), Section 5.1:
+//! The traffic model of Safaei et al. (IPDPS 2006), Section 5.1, and nothing
+//! else:
 //!
 //! * nodes generate traffic independently of each other following a Poisson
 //!   process with mean rate λ messages/node/cycle (assumption (a)),
-//! * message length is fixed (assumption (c)) — though alternative length
-//!   distributions are provided for extended studies,
-//! * destinations are drawn uniformly at random among the healthy nodes
-//!   (the traffic pattern used throughout the paper's evaluation); additional
-//!   classical patterns (transpose, bit-complement, hotspot, nearest
-//!   neighbour) are provided for the example programs and extension studies.
+//! * destinations are drawn uniformly at random among the healthy endpoints
+//!   other than the source (assumption (b)),
+//! * every message has the same fixed length in flits (assumption (c)).
 //!
-//! The main entry point is [`TrafficSource`], one per node, which the
-//! simulator polls every cycle for newly generated messages.
+//! [`TrafficSpec`] (`rate`, `length`) describes that workload; its
+//! [`TrafficSpec::source_for`] builds a [`TrafficSource`], one per node, which
+//! the simulator polls at the cycles its arrival process is due.
 
 pub mod arrival;
-pub mod lengths;
-pub mod patterns;
 pub mod source;
 
-pub use arrival::{ArrivalProcess, BernoulliArrivals, PeriodicArrivals, PoissonArrivals};
-pub use lengths::MessageLength;
-pub use patterns::DestinationPattern;
+pub use arrival::PoissonArrivals;
 pub use source::{GeneratedMessage, TrafficSource, TrafficSpec};
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::arrival::{ArrivalProcess, PoissonArrivals};
-    pub use crate::lengths::MessageLength;
-    pub use crate::patterns::DestinationPattern;
-    pub use crate::source::{GeneratedMessage, TrafficSource, TrafficSpec};
-}

@@ -7,7 +7,8 @@
 //! * [`topology`] — mixed-radix multidimensional networks (torus / mesh /
 //!   hypercube / mixed shapes) and their channel structure,
 //! * [`faults`] — fault models and fault-region generators,
-//! * [`workloads`] — traffic generation (Poisson arrivals, destination patterns),
+//! * [`workloads`] — the paper's traffic model: Poisson arrivals, uniformly
+//!   chosen healthy destinations, fixed message length,
 //! * [`metrics`] — latency/throughput statistics and collectors,
 //! * [`routing`] — e-cube, Duato's protocol and the Software-Based
 //!   fault-tolerant routing algorithm (2-D and n-D),
