@@ -96,6 +96,7 @@ fn run_schedule(
         Err(
             e @ (ScheduleVerifyError::Unsupported(_)
             | ScheduleVerifyError::TooFewVirtualChannels { .. }
+            | ScheduleVerifyError::TooManyVirtualChannels { .. }
             | ScheduleVerifyError::Schedule(_)),
         ) => {
             eprintln!("{label} on {topology} (v={v}): {e}");

@@ -1,7 +1,7 @@
 //! The fault set: which nodes and channels are faulty.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::fmt;
 use torus_topology::{DirectedChannel, Direction, NodeFilter, NodeId, Topology};
 
 /// The two kinds of permanent static component failure considered by the
@@ -27,12 +27,34 @@ pub enum FaultKind {
 /// Channels that do not physically exist (the outward channels of mesh edge
 /// nodes) are reported as unusable by every query, so routing layers can
 /// treat "missing" and "faulty" uniformly.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every routing decision asks it about each output it considers, so both
+/// answers are dense lookups: faulty nodes are a bitset indexed by [`NodeId`], grown
+/// as nodes fail, and link faults a sorted list searched by bisection.
+/// Equality compares the faults, not how the storage grew.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct FaultSet {
-    faulty_nodes: HashSet<NodeId>,
+    /// Bit `n % 64` of word `n / 64` is set iff node `n` is faulty.
+    faulty_nodes: Vec<u64>,
+    /// Number of set bits in `faulty_nodes`.
+    num_faulty_nodes: usize,
     /// Faulty directed channels not implied by node faults (genuine link
-    /// faults). Stored per direction; [`FaultSet::fail_link`] inserts both.
-    faulty_channels: HashSet<(NodeId, usize, u8)>,
+    /// faults), as sorted, distinct [`channel_key`]s. Stored per direction;
+    /// [`FaultSet::fail_link`] inserts both.
+    faulty_channels: Vec<u64>,
+}
+
+/// The sort key of the directed channel leaving `from` along `dim`/`dir`:
+/// node-major, so one node's channels are adjacent.
+fn channel_key(from: NodeId, dim: usize, dir: Direction) -> u64 {
+    (u64::from(from.0) << 32) | ((dim as u64) << 1) | dir.index() as u64
+}
+
+/// Where node `node`'s bit lives: (word, mask).
+#[inline]
+fn node_bit(node: NodeId) -> (usize, u64) {
+    let i = node.index();
+    (i / 64, 1 << (i % 64))
 }
 
 impl FaultSet {
@@ -43,7 +65,14 @@ impl FaultSet {
 
     /// Marks a node (PE + router) as faulty.
     pub fn fail_node(&mut self, node: NodeId) {
-        self.faulty_nodes.insert(node);
+        let (word, mask) = node_bit(node);
+        if self.faulty_nodes.len() <= word {
+            self.faulty_nodes.resize(word + 1, 0);
+        }
+        if self.faulty_nodes[word] & mask == 0 {
+            self.faulty_nodes[word] |= mask;
+            self.num_faulty_nodes += 1;
+        }
     }
 
     /// Marks several nodes as faulty.
@@ -68,15 +97,23 @@ impl FaultSet {
         let Some(to) = net.neighbor(from, dim, dir) else {
             return;
         };
-        self.faulty_channels.insert((from, dim, dir.index() as u8));
-        self.faulty_channels
-            .insert((to, dim, dir.opposite().index() as u8));
+        for key in [
+            channel_key(from, dim, dir),
+            channel_key(to, dim, dir.opposite()),
+        ] {
+            if let Err(at) = self.faulty_channels.binary_search(&key) {
+                self.faulty_channels.insert(at, key);
+            }
+        }
     }
 
     /// True if the node itself (PE + router) is faulty.
     #[inline]
     pub fn is_node_faulty(&self, node: NodeId) -> bool {
-        self.faulty_nodes.contains(&node)
+        let (word, mask) = node_bit(node);
+        self.faulty_nodes
+            .get(word)
+            .is_some_and(|&bits| bits & mask != 0)
     }
 
     /// True if the directed channel is unusable: it does not exist (mesh
@@ -86,11 +123,13 @@ impl FaultSet {
         let Some(dest) = net.channel_dest(ch) else {
             return true;
         };
-        self.faulty_nodes.contains(&ch.from)
-            || self.faulty_nodes.contains(&dest)
-            || self
-                .faulty_channels
-                .contains(&(ch.from, ch.dim, ch.dir.index() as u8))
+        self.is_node_faulty(ch.from)
+            || self.is_node_faulty(dest)
+            || (!self.faulty_channels.is_empty()
+                && self
+                    .faulty_channels
+                    .binary_search(&channel_key(ch.from, ch.dim, ch.dir))
+                    .is_ok())
     }
 
     /// Convenience query used by the routers: is the output channel of `node`
@@ -108,7 +147,7 @@ impl FaultSet {
 
     /// Number of faulty nodes.
     pub fn num_faulty_nodes(&self) -> usize {
-        self.faulty_nodes.len()
+        self.num_faulty_nodes
     }
 
     /// Number of explicitly failed directed channels (not counting channels
@@ -117,21 +156,29 @@ impl FaultSet {
         self.faulty_channels.len() / 2
     }
 
-    /// Iterator over the faulty nodes (unspecified order).
+    /// Iterator over the faulty nodes, in ascending id order.
     pub fn faulty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.faulty_nodes.iter().copied()
+        self.faulty_nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(word, &bits)| {
+                let mut rest = bits;
+                std::iter::from_fn(move || {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest.wrapping_sub(1);
+                    (bit < 64).then(|| NodeId::from_index(word * 64 + bit))
+                })
+            })
     }
 
     /// Sorted list of faulty nodes (deterministic order for reports/tests).
     pub fn faulty_nodes_sorted(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.faulty_nodes.iter().copied().collect();
-        v.sort();
-        v
+        self.faulty_nodes().collect()
     }
 
     /// True if there are no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.faulty_nodes.is_empty() && self.faulty_channels.is_empty()
+        self.num_faulty_nodes == 0 && self.faulty_channels.is_empty()
     }
 
     /// True if all healthy nodes remain mutually reachable over healthy
@@ -153,9 +200,53 @@ impl FaultSet {
 
     /// Merges another fault set into this one.
     pub fn merge(&mut self, other: &FaultSet) {
-        self.faulty_nodes.extend(other.faulty_nodes.iter().copied());
+        if self.faulty_nodes.len() < other.faulty_nodes.len() {
+            self.faulty_nodes.resize(other.faulty_nodes.len(), 0);
+        }
+        for (mine, &theirs) in self.faulty_nodes.iter_mut().zip(&other.faulty_nodes) {
+            *mine |= theirs;
+        }
+        self.num_faulty_nodes = self
+            .faulty_nodes
+            .iter()
+            .map(|bits| bits.count_ones() as usize)
+            .sum();
         self.faulty_channels
-            .extend(other.faulty_channels.iter().copied());
+            .extend_from_slice(&other.faulty_channels);
+        self.faulty_channels.sort_unstable();
+        self.faulty_channels.dedup();
+    }
+
+    /// The node bitset without trailing empty words.
+    fn node_words(&self) -> &[u64] {
+        let used = self
+            .faulty_nodes
+            .iter()
+            .rposition(|&bits| bits != 0)
+            .map_or(0, |last| last + 1);
+        &self.faulty_nodes[..used]
+    }
+}
+
+impl PartialEq for FaultSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_words() == other.node_words() && self.faulty_channels == other.faulty_channels
+    }
+}
+
+impl Eq for FaultSet {}
+
+impl fmt::Debug for FaultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let channels: Vec<(u32, u32, u8)> = self
+            .faulty_channels
+            .iter()
+            .map(|&key| ((key >> 32) as u32, (key as u32) >> 1, (key & 1) as u8))
+            .collect();
+        f.debug_struct("FaultSet")
+            .field("faulty_nodes", &self.faulty_nodes_sorted())
+            .field("faulty_channels", &channels)
+            .finish()
     }
 }
 
@@ -298,6 +389,18 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.num_faulty_nodes(), 2);
         assert_eq!(a.num_faulty_links(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_trailing_empty_node_words() {
+        let mut direct = FaultSet::new();
+        direct.fail_node(NodeId(3));
+        let mut padded = direct.clone();
+        padded.faulty_nodes.resize(12, 0);
+        assert_eq!(padded, direct);
+        padded.fail_node(NodeId(700));
+        assert_ne!(padded, direct);
+        assert_eq!(padded.faulty_nodes_sorted(), vec![NodeId(3), NodeId(700)]);
     }
 
     #[test]

@@ -63,14 +63,16 @@ pub mod turnmodel;
 pub mod updown;
 
 pub use cdg::{DependencyGraph, TurnRule};
-pub use decision::{OutputCandidate, RouteDecision};
+pub use decision::{
+    Candidates, OutputCandidate, RouteDecision, VcRange, CANDIDATES_INLINE, MAX_VIRTUAL_CHANNELS,
+};
 pub use header::{RouteHeader, RoutingFlavor};
 pub use swbased::{AnyRouting, RoutingAlgorithm, RoutingTopologyError, Substrate};
 
 /// Convenience prelude re-exporting the most frequently used items.
 pub mod prelude {
     pub use crate::cdg::{DependencyGraph, TurnRule};
-    pub use crate::decision::{OutputCandidate, RouteDecision};
+    pub use crate::decision::{Candidates, OutputCandidate, RouteDecision, VcRange};
     pub use crate::header::{RouteHeader, RoutingFlavor};
     pub use crate::swbased::{AnyRouting, RoutingAlgorithm, RoutingTopologyError, Substrate};
 }

@@ -51,7 +51,7 @@
 
 use crate::adaptive::productive_outputs;
 use crate::cdg::TurnRule;
-use crate::decision::{OutputCandidate, RouteDecision};
+use crate::decision::{Candidates, OutputCandidate, RouteDecision};
 use crate::ecube::{ecube_output, ecube_vc_class};
 use crate::header::{RouteHeader, RoutingFlavor};
 use crate::turnmodel::turn_rule_output;
@@ -370,11 +370,9 @@ fn deterministic_candidate(
 ) -> OutputCandidate {
     let class = ecube_vc_class(header, dim);
     match header.flavor {
-        RoutingFlavor::Deterministic => OutputCandidate::new(
-            dim,
-            dir,
-            policy.deterministic_range(v, dim, class).collect(),
-        ),
+        RoutingFlavor::Deterministic => {
+            OutputCandidate::new(dim, dir, policy.deterministic_range(v, dim, class))
+        }
         RoutingFlavor::Adaptive => OutputCandidate::escape(dim, dir, policy.escape_vc(dim, class)),
     }
 }
@@ -612,9 +610,11 @@ impl RoutingAlgorithm for AnyRouting {
                 // advances targets — `reroute_on_fault` does.
                 None => RouteDecision::Deliver,
                 Some(hop) if !usable(hop) => RouteDecision::Absorb,
-                Some(hop) => {
-                    RouteDecision::Forward(vec![deterministic_candidate(&policy, header, hop, v)])
-                }
+                Some(hop) => RouteDecision::Forward(
+                    [deterministic_candidate(&policy, header, hop, v)]
+                        .into_iter()
+                        .collect(),
+                ),
             };
         }
         // Adaptive flavour, not yet faulted: the substrate's legal outputs on
@@ -622,8 +622,8 @@ impl RoutingAlgorithm for AnyRouting {
         // candidate. The message is absorbed only when *all* of them lead to
         // faults (Section 5: "a message is delivered to current node when all
         // available paths are faulty").
-        let adaptive_vcs: Vec<usize> = policy.adaptive_range(v).collect();
-        let mut candidates = Vec::new();
+        let adaptive_vcs = policy.adaptive_range(v);
+        let mut candidates = Candidates::new();
         substrate.adaptive_outputs(header, current, |(dim, dir)| {
             if usable((dim, dir)) {
                 candidates.push(OutputCandidate::new(dim, dir, adaptive_vcs.clone()));
@@ -790,7 +790,7 @@ mod tests {
             RouteDecision::Forward(cands) => {
                 assert!(cands
                     .iter()
-                    .all(|c| !(c.dim == 0 && c.dir == Direction::Plus)));
+                    .all(|c| !(c.dim() == 0 && c.dir() == Direction::Plus)));
                 assert!(!cands.is_empty());
             }
             other => panic!("expected Forward, got {other:?}"),
@@ -834,13 +834,13 @@ mod tests {
         let cands = duato_candidates(&t, &no_faults(), &[0, 0, 0], &[3, 2, 0], 6);
         // two productive dims -> two adaptive candidates + one escape
         assert_eq!(cands.len(), 3);
-        assert_eq!(cands.iter().filter(|c| c.is_escape).count(), 1);
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
+        assert_eq!(cands.iter().filter(|c| c.is_escape()).count(), 1);
+        let escape = cands.iter().find(|c| c.is_escape()).unwrap();
         // escape follows e-cube: lowest unresolved dimension
-        assert_eq!(escape.dim, 0);
-        assert_eq!(escape.vcs, vec![0]);
-        for c in cands.iter().filter(|c| !c.is_escape) {
-            assert_eq!(c.vcs, vec![2, 3, 4, 5]);
+        assert_eq!(escape.dim(), 0);
+        assert_eq!(escape.vcs().range(), 0..1);
+        for c in cands.iter().filter(|c| !c.is_escape()) {
+            assert_eq!(c.vcs().range(), 2..6);
         }
     }
 
@@ -850,10 +850,10 @@ mod tests {
         // adaptive pool is one channel larger than on a torus.
         let m = AnyTopology::mesh(8, 2).unwrap();
         let cands = duato_candidates(&m, &no_faults(), &[0, 0], &[3, 2], 6);
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![0]);
-        for c in cands.iter().filter(|c| !c.is_escape) {
-            assert_eq!(c.vcs, vec![1, 2, 3, 4, 5]);
+        let escape = cands.iter().find(|c| c.is_escape()).unwrap();
+        assert_eq!(escape.vcs().range(), 0..1);
+        for c in cands.iter().filter(|c| !c.is_escape()) {
+            assert_eq!(c.vcs().range(), 1..6);
         }
         // Two VCs suffice for Duato's protocol on a mesh.
         assert!(!duato_candidates(&m, &no_faults(), &[0, 0], &[3, 2], 2).is_empty());
@@ -867,8 +867,8 @@ mod tests {
         let mut h = algo.make_header(&t, src, node(&t, &[3, 0, 0]));
         h.set_crossed_dateline(0);
         let d = algo.route(&t, &no_faults(), &mut h, src, 4);
-        let escape = d.candidates().iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![1]);
+        let escape = d.candidates().iter().find(|c| c.is_escape()).unwrap();
+        assert_eq!(escape.vcs().range(), 1..2);
     }
 
     #[test]
@@ -882,8 +882,8 @@ mod tests {
         faults.fail_link(&t, src, 0, Direction::Plus);
         let cands = duato_candidates(&t, &faults, &[0, 0, 0], &[2, 3, 0], 6);
         assert_eq!(cands.len(), 1);
-        assert!(!cands[0].is_escape);
-        assert_eq!(cands[0].dim, 1);
+        assert!(!cands[0].is_escape());
+        assert_eq!(cands[0].dim(), 1);
         // Nothing healthy at all -> the message is absorbed.
         faults.fail_link(&t, src, 1, Direction::Plus);
         assert!(duato_candidates(&t, &faults, &[0, 0, 0], &[2, 3, 0], 6).is_empty());
@@ -1011,8 +1011,8 @@ mod tests {
         match d {
             RouteDecision::Forward(cands) => {
                 assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
+                assert_eq!(cands[0].vcs().range(), 0..1);
+                assert!(cands[0].is_escape());
             }
             other => panic!("expected Forward, got {other:?}"),
         }

@@ -29,8 +29,10 @@ pub(crate) fn walk(
             RouteDecision::Absorb => panic!("unexpected absorption at {current:?}"),
             RouteDecision::Forward(cands) => {
                 let c = &cands[0];
-                algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
+                algo.note_hop(net, &mut header, current, c.dim(), c.dir());
+                current = net
+                    .neighbor(current, c.dim(), c.dir())
+                    .expect("existing hop");
                 visited.push(current);
             }
         }
@@ -77,8 +79,10 @@ pub(crate) fn drive(
             }
             RouteDecision::Forward(cands) => {
                 let c = &cands[0];
-                algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
+                algo.note_hop(net, &mut header, current, c.dim(), c.dir());
+                current = net
+                    .neighbor(current, c.dim(), c.dir())
+                    .expect("existing hop");
                 assert!(!faults.is_node_faulty(current));
             }
             RouteDecision::Absorb => {

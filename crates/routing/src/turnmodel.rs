@@ -160,11 +160,11 @@ mod tests {
         // Plus hop in dimension 0 is forbidden.
         assert!(cands
             .iter()
-            .all(|c| c.dim == 1 && c.dir == Direction::Minus));
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![0]);
-        for c in cands.iter().filter(|c| !c.is_escape) {
-            assert_eq!(c.vcs, vec![1, 2]);
+            .all(|c| c.dim() == 1 && c.dir() == Direction::Minus));
+        let escape = cands.iter().find(|c| c.is_escape()).unwrap();
+        assert_eq!(escape.vcs().range(), 0..1);
+        for c in cands.iter().filter(|c| !c.is_escape()) {
+            assert_eq!(c.vcs().range(), 1..3);
         }
         // Once the negative phase is done, Plus hops open up.
         let mid = node(&m, &[3, 2]);
@@ -172,7 +172,7 @@ mod tests {
         assert!(d
             .candidates()
             .iter()
-            .all(|c| c.dim == 0 && c.dir == Direction::Plus));
+            .all(|c| c.dim() == 0 && c.dir() == Direction::Plus));
     }
 
     #[test]
@@ -185,8 +185,8 @@ mod tests {
         let d = algo.route(&m, &no_faults(), &mut h, src, 4);
         let cands = d.candidates();
         assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0].vcs, vec![0, 1, 2, 3]);
-        assert!(!cands[0].is_escape);
+        assert_eq!(cands[0].vcs().range(), 0..4);
+        assert!(!cands[0].is_escape());
     }
 
     #[test]
@@ -201,8 +201,8 @@ mod tests {
         match d {
             RouteDecision::Forward(cands) => {
                 assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
+                assert_eq!(cands[0].vcs().range(), 0..1);
+                assert!(cands[0].is_escape());
             }
             other => panic!("expected Forward, got {other:?}"),
         }
@@ -229,7 +229,7 @@ mod tests {
         assert!(d
             .candidates()
             .iter()
-            .all(|c| !(c.dim == 0 && c.dir == Direction::Plus && !c.is_escape)));
+            .all(|c| !(c.dim() == 0 && c.dir() == Direction::Plus && !c.is_escape())));
     }
 
     #[test]

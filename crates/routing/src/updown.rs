@@ -92,7 +92,9 @@ pub fn updown_output(
 mod tests {
     use super::*;
     use crate::testkit::{deliver, walk};
-    use crate::{AnyRouting, RouteDecision, RoutingAlgorithm, RoutingFlavor, Substrate};
+    use crate::{
+        AnyRouting, OutputCandidate, RouteDecision, RoutingAlgorithm, RoutingFlavor, Substrate,
+    };
     use torus_faults::FaultSet;
     use torus_topology::AnyTopology;
 
@@ -163,23 +165,23 @@ mod tests {
         let leaf = ft.leaf_of(src);
         let d = algo.route(&net, &no_faults(), &mut h, leaf, 3);
         let cands = d.candidates();
-        let adaptive: Vec<_> = cands.iter().filter(|c| !c.is_escape).collect();
+        let adaptive: Vec<_> = cands.iter().filter(|c| !c.is_escape()).collect();
         assert_eq!(adaptive.len(), 4);
         for c in &adaptive {
-            assert_eq!(c.dir, Direction::Plus);
-            assert_eq!(c.vcs, vec![1, 2]);
+            assert_eq!(c.dir(), Direction::Plus);
+            assert_eq!(c.vcs().range(), 1..3);
         }
-        let escape = cands.iter().find(|c| c.is_escape).unwrap();
-        assert_eq!(escape.vcs, vec![0]);
-        assert_eq!(escape.dir, Direction::Plus);
+        let escape = cands.iter().find(|c| c.is_escape()).unwrap();
+        assert_eq!(escape.vcs().range(), 0..1);
+        assert_eq!(escape.dir(), Direction::Plus);
         // On the descent the choice collapses to the unique down-port.
         let top = ft
-            .neighbor(leaf, escape.dim, Direction::Plus)
+            .neighbor(leaf, escape.dim(), Direction::Plus)
             .expect("escape ascends to a top switch");
         let d = algo.route(&net, &no_faults(), &mut h, top, 3);
         let cands = d.candidates();
-        assert!(cands.iter().all(|c| c.dir == Direction::Minus));
-        let dims: Vec<_> = cands.iter().map(|c| c.dim).collect();
+        assert!(cands.iter().all(|c| c.dir() == Direction::Minus));
+        let dims: Vec<_> = cands.iter().map(OutputCandidate::dim).collect();
         assert_eq!(dims.len(), 2); // one adaptive + one escape, same port
         assert_eq!(dims[0], dims[1]);
     }
@@ -194,8 +196,8 @@ mod tests {
         match d {
             RouteDecision::Forward(cands) => {
                 assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
+                assert_eq!(cands[0].vcs().range(), 0..1);
+                assert!(cands[0].is_escape());
             }
             other => panic!("expected Forward, got {other:?}"),
         }

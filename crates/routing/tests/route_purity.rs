@@ -11,6 +11,10 @@
 //! state it passes through, which is how faulted and escorted headers and
 //! intermediate `current` nodes get covered.
 //!
+//! Along the way every candidate's VC set is checked against the dateline
+//! rule: the engine's allocator draws over the set in listed order, so its
+//! bit-identical replay rests on that order being the class range's.
+//!
 //! The same walks check the second contract on that method, source
 //! independence: a twin header that differs only in `source` is carried
 //! through every step and must be routed, steered, advanced and rewritten
@@ -19,10 +23,12 @@
 
 use proptest::prelude::*;
 use torus_faults::FaultSet;
+use torus_routing::ecube::ecube_vc_class;
 use torus_routing::{
-    AnyRouting, RouteDecision, RouteHeader, RoutingAlgorithm, Substrate, TurnRule,
+    AnyRouting, OutputCandidate, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor,
+    Substrate, TurnRule,
 };
-use torus_topology::{AnyTopology, Direction, NodeId};
+use torus_topology::{AnyTopology, DatelinePolicy, Direction, NodeId};
 
 /// What one walk passed through.
 #[derive(Default)]
@@ -82,17 +88,49 @@ fn assert_pure_along_walk<A: RoutingAlgorithm>(
                 header.reset_for_injection();
             }
             RouteDecision::Forward(candidates) => {
+                for cand in &candidates {
+                    assert_dateline_vcs(algo, net, &header, cand, v);
+                }
                 let cand = &candidates[(choice % candidates.len() as u64) as usize];
                 choice = choice.rotate_left(7) ^ 0x9E37_79B9_7F4A_7C15;
-                assert!(!cand.vcs.is_empty() && cand.vcs.iter().all(|&vc| vc < v));
-                algo.note_hop(net, &mut header, current, cand.dim, cand.dir);
+                algo.note_hop(net, &mut header, current, cand.dim(), cand.dir());
                 current = net
-                    .neighbor(current, cand.dim, cand.dir)
+                    .neighbor(current, cand.dim(), cand.dir())
                     .expect("candidates use existing channels");
             }
         }
     }
     panic!("{}: walk from {src:?} to {dest:?} did not end", algo.name());
+}
+
+/// The engine's VC allocator draws over a candidate's channels in the order
+/// they are listed, so the simulated outcomes rest on each candidate naming
+/// exactly its dateline rule's channels, ascending: the class range of the
+/// header's dateline class (the adaptive pool for an adaptive candidate), or
+/// the class's single escape VC.
+fn assert_dateline_vcs<A: RoutingAlgorithm>(
+    algo: &A,
+    net: &AnyTopology,
+    header: &RouteHeader,
+    cand: &OutputCandidate,
+    v: usize,
+) {
+    let policy = DatelinePolicy::of(net);
+    let class = ecube_vc_class(header, cand.dim());
+    let expected = if cand.is_escape() {
+        let vc = policy.escape_vc(cand.dim(), class);
+        vc..vc + 1
+    } else if algo.flavor() == RoutingFlavor::Deterministic {
+        policy.deterministic_range(v, cand.dim(), class)
+    } else {
+        policy.adaptive_range(v)
+    };
+    assert_eq!(
+        cand.vcs().range(),
+        expected,
+        "{}: candidate {cand:?} for {header:?}",
+        algo.name()
+    );
 }
 
 /// Walks one message together with a twin whose header differs only in
@@ -158,10 +196,10 @@ fn assert_source_blind_along_walk<A: RoutingAlgorithm>(
             RouteDecision::Forward(candidates) => {
                 let cand = &candidates[(choice % candidates.len() as u64) as usize];
                 choice = choice.rotate_left(7) ^ 0x9E37_79B9_7F4A_7C15;
-                algo.note_hop(net, &mut header, current, cand.dim, cand.dir);
-                algo.note_hop(net, &mut twin, current, cand.dim, cand.dir);
+                algo.note_hop(net, &mut header, current, cand.dim(), cand.dir());
+                algo.note_hop(net, &mut twin, current, cand.dim(), cand.dir());
                 current = net
-                    .neighbor(current, cand.dim, cand.dir)
+                    .neighbor(current, cand.dim(), cand.dir())
                     .expect("candidates use existing channels");
             }
         }

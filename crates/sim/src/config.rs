@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use torus_routing::MAX_VIRTUAL_CHANNELS;
 use torus_topology::TopologySpec;
 use torus_workloads::TrafficSpec;
 
@@ -26,6 +27,14 @@ pub enum SimConfigError {
         requested: usize,
         /// Minimum required by the routing flavour on this topology.
         minimum: usize,
+    },
+    /// The requested number of virtual channels exceeds what a routing
+    /// decision can name ([`torus_routing::MAX_VIRTUAL_CHANNELS`]).
+    TooManyVirtualChannels {
+        /// Requested V.
+        requested: usize,
+        /// The largest V a routing decision can name.
+        maximum: usize,
     },
     /// Flit buffers must hold at least one flit.
     ZeroBufferDepth,
@@ -59,6 +68,10 @@ impl fmt::Display for SimConfigError {
             SimConfigError::TooFewVirtualChannels { requested, minimum } => write!(
                 f,
                 "{requested} virtual channels requested but the routing algorithm needs at least {minimum} on this topology"
+            ),
+            SimConfigError::TooManyVirtualChannels { requested, maximum } => write!(
+                f,
+                "{requested} virtual channels requested but routing decisions name at most {maximum}"
             ),
             SimConfigError::ZeroBufferDepth => write!(f, "flit buffers must hold at least one flit"),
             SimConfigError::ZeroMessageLength => write!(
@@ -194,6 +207,12 @@ impl SimConfig {
                 minimum: min_vcs,
             });
         }
+        if self.virtual_channels > MAX_VIRTUAL_CHANNELS {
+            return Err(SimConfigError::TooManyVirtualChannels {
+                requested: self.virtual_channels,
+                maximum: MAX_VIRTUAL_CHANNELS,
+            });
+        }
         Ok(())
     }
 }
@@ -234,6 +253,16 @@ mod tests {
                 minimum: 3
             })
         );
+        c.virtual_channels = MAX_VIRTUAL_CHANNELS + 1;
+        assert_eq!(
+            c.validate(3),
+            Err(SimConfigError::TooManyVirtualChannels {
+                requested: MAX_VIRTUAL_CHANNELS + 1,
+                maximum: MAX_VIRTUAL_CHANNELS
+            })
+        );
+        c.virtual_channels = MAX_VIRTUAL_CHANNELS;
+        assert!(c.validate(3).is_ok());
         c.virtual_channels = 4;
         c.buffer_depth = 0;
         assert_eq!(c.validate(2), Err(SimConfigError::ZeroBufferDepth));

@@ -502,10 +502,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             // nothing: the shuffle was all of it anyone could observe.
             debug_assert!(
                 candidates.iter().all(|cand| {
-                    let out_port = RouterState::out_port(cand.dim, cand.dir);
-                    cand.vcs
-                        .iter()
-                        .all(|&ovc| !router.outputs[router.slot(out_port, ovc)].claimable(depth))
+                    let out_port = RouterState::out_port(cand.dim(), cand.dir());
+                    cand.vcs()
+                        .range()
+                        .all(|ovc| !router.outputs[router.slot(out_port, ovc)].claimable(depth))
                 }),
                 "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
                  {msg_id:?} at {node:?} is claimable"
@@ -513,11 +513,11 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             router.blocked[slot] = Some(KeptDecision { candidates, epoch });
             return;
         }
-        order.sort_by_key(|&c| candidates[c].is_escape);
+        order.sort_by_key(|&c| candidates[c].is_escape());
         let free = &mut self.free_vcs;
         for &c in order.iter() {
             let cand = &candidates[c];
-            let out_port = RouterState::out_port(cand.dim, cand.dir);
+            let out_port = RouterState::out_port(cand.dim(), cand.dir());
             debug_assert!(
                 router.neighbors[out_port].is_some(),
                 "routing candidate targets an absent mesh-edge port"
@@ -525,9 +525,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             let port_vcs = &mut router.outputs[out_port * v..][..v];
             free.clear();
             free.extend(
-                cand.vcs
-                    .iter()
-                    .copied()
+                cand.vcs()
+                    .range()
                     .filter(|&ovc| port_vcs[ovc].available(depth)),
             );
             let Some(&out_vc) = free.choose(&mut self.rng) else {
@@ -547,10 +546,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 cycle: now,
                 msg: msg_id,
                 node,
-                dim: cand.dim,
-                dir: cand.dir,
+                dim: cand.dim(),
+                dir: cand.dir(),
                 vc: out_vc,
-                is_escape: cand.is_escape,
+                is_escape: cand.is_escape(),
             };
             self.observer.on_allocate(&self.net, &event);
             return;
@@ -1116,8 +1115,8 @@ mod tests {
                     return false;
                 }
                 let cand = &first.as_ref().unwrap().candidates[0];
-                let out_port = RouterState::out_port(cand.dim, cand.dir);
-                let out_slot = router.slot(out_port, cand.vcs[0]);
+                let out_port = RouterState::out_port(cand.dim(), cand.dir());
+                let out_slot = router.slot(out_port, cand.vcs().range().start);
                 let ovc = &mut router.outputs[out_slot];
                 ovc.owner = None;
                 ovc.draining = false;

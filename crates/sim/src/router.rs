@@ -86,7 +86,7 @@
 use crate::active::WordIndices;
 use crate::flit::{Flit, MessageId, WormRun};
 use std::collections::VecDeque;
-use torus_routing::OutputCandidate;
+use torus_routing::Candidates;
 use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// Index of the occupancy mask in a slot-mask word pair.
@@ -162,7 +162,7 @@ impl InputVc {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeptDecision {
     /// The `Forward` candidates `route()` returned.
-    pub candidates: Vec<OutputCandidate>,
+    pub candidates: Candidates,
     /// The router's [`RouterState::release_epoch`] at the failed allocation
     /// attempt. While it is unchanged, no candidate VC is claimable.
     pub epoch: u64,
@@ -493,6 +493,7 @@ impl RouterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torus_routing::OutputCandidate;
 
     fn router(net: &AnyTopology, node: u32, v: usize, depth: usize) -> RouterState {
         RouterState::new(net, NodeId(node), v, depth, false)
@@ -608,10 +609,14 @@ mod tests {
     fn input_vc_stays_off_the_heap_and_small() {
         // Every stage reads input VCs; the buffer is a fixed-size worm run and
         // a blocked head's candidates live in the router's kept-decision
-        // table, so a slot is 80 bytes on a 64-bit target.
+        // table, so a slot is 80 bytes on a 64-bit target. A kept decision
+        // holds its candidates inline at six bytes each, so a router's table
+        // of them stays at 48 bytes a slot.
+        assert!(std::mem::size_of::<OutputCandidate>() <= 8);
         if cfg!(target_pointer_width = "64") {
             assert_eq!(std::mem::size_of::<WormRun>(), 24);
             assert_eq!(std::mem::size_of::<InputVc>(), 80);
+            assert!(std::mem::size_of::<Option<KeptDecision>>() <= 48);
         }
     }
 

@@ -539,7 +539,7 @@ mod tests {
     use crate::message::MessageState;
     use crate::router::{KeptDecision, VcRoute};
     use crate::{Simulation, StopCondition};
-    use torus_routing::{AnyRouting, Substrate};
+    use torus_routing::{AnyRouting, Candidates, Substrate};
     use torus_topology::TopologySpec;
 
     fn mesh() -> AnyTopology {
@@ -772,7 +772,7 @@ mod tests {
         let slot = routers[5].injection_slots().start;
         routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
         let kept = KeptDecision {
-            candidates: Vec::new(),
+            candidates: Candidates::new(),
             epoch: 0,
         };
         let audit = |routers: &[RouterState]| {

@@ -38,7 +38,8 @@
 //! reports: its records are per pair (a fragment and a footprint each), and a
 //! later epoch re-walks single pairs, which a graph shared per destination
 //! has nothing to offer. The walks are [`crate::walk_pair`]'s, made by one
-//! [`PairWalker`] per epoch, and the dependency dataflow runs in buffers that
+//! [`PairWalker`] per epoch that gets every walk back once its record is
+//! distilled, and the dependency dataflow runs in buffers that
 //! [`verify_schedule`] owns for the whole schedule; both are cleared, not
 //! reallocated, between pairs. The `paranoid` mode
 //! recomputes every epoch from scratch with the destination-major sweep of
@@ -50,7 +51,7 @@
 
 use crate::exact::{dependency_edges, resource_count, FoldScratch, Granularity};
 use crate::reach::{check_pair, PairVerdict};
-use crate::relation::{PairWalker, StateBudgetExceeded, Step};
+use crate::relation::{PairWalker, StateBudgetExceeded};
 use crate::sweep::{sweep_destinations, DestinationOutcome};
 use crate::witness::{describe_cycle, describe_pair_verdict};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,7 +59,7 @@ use std::fmt;
 use std::time::Instant;
 use torus_faults::{FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
 use torus_routing::cdg::DependencyGraph;
-use torus_routing::{RoutingAlgorithm, RoutingTopologyError};
+use torus_routing::{RoutingAlgorithm, RoutingTopologyError, MAX_VIRTUAL_CHANNELS};
 use torus_topology::{AnyTopology, HealthyGraph, NodeId};
 
 /// Per-epoch fate of one (source, destination) pair.
@@ -254,6 +255,14 @@ pub enum ScheduleVerifyError {
         /// Minimum required by the routing algorithm on this topology.
         minimum: usize,
     },
+    /// More virtual channels than a routing decision can name
+    /// ([`torus_routing::MAX_VIRTUAL_CHANNELS`]).
+    TooManyVirtualChannels {
+        /// Requested V.
+        requested: usize,
+        /// The largest V a routing decision can name.
+        maximum: usize,
+    },
     /// The schedule failed validation against the network.
     Schedule(FaultScheduleError),
     /// A pair walk exceeded the state budget.
@@ -267,6 +276,10 @@ impl fmt::Display for ScheduleVerifyError {
             ScheduleVerifyError::TooFewVirtualChannels { requested, minimum } => write!(
                 f,
                 "{requested} virtual channels requested but the routing algorithm needs at least {minimum} on this topology"
+            ),
+            ScheduleVerifyError::TooManyVirtualChannels { requested, maximum } => write!(
+                f,
+                "{requested} virtual channels requested but routing decisions name at most {maximum}"
             ),
             ScheduleVerifyError::Schedule(e) => write!(f, "invalid fault schedule: {e}"),
             ScheduleVerifyError::Budget(e) => write!(f, "{e}"),
@@ -289,9 +302,10 @@ impl From<StateBudgetExceeded> for ScheduleVerifyError {
 }
 
 /// The record loop's per-pair machinery for one epoch: a [`PairWalker`]
-/// under the epoch's faults and the dependency dataflow's buffers, both
-/// cleared and reused from one pair to the next. The buffers outlive the
-/// epoch: [`verify_schedule`] owns them.
+/// under the epoch's faults, recycling each walk's buffers, and the
+/// dependency dataflow's buffers, both cleared and reused from one pair to
+/// the next. The dataflow's buffers outlive the epoch: [`verify_schedule`]
+/// owns them.
 struct Recorder<'a, A> {
     net: &'a AnyTopology,
     v: usize,
@@ -310,24 +324,24 @@ impl<A: RoutingAlgorithm> Recorder<'_, A> {
         let mut visited: Vec<NodeId> = walk.iter().map(|(_, s)| s.node).collect();
         visited.sort_unstable();
         visited.dedup();
-        let global = walk
-            .iter()
-            .any(|(_, s)| s.steps.iter().any(|st| matches!(st, Step::Reinject { .. })));
+        let global = walk.reinjects();
         let edges = dependency_edges(
             self.net,
-            walk.states(),
+            walk.graph(),
             [walk.start()],
             self.v,
             self.granularity,
             self.fold,
         );
-        Ok(PairRecord {
+        let record = PairRecord {
             verdict: check_pair(&walk),
             global,
             edges,
             visited,
             states: walk.len(),
-        })
+        };
+        self.pairs.recycle(walk);
+        Ok(record)
     }
 }
 
@@ -505,8 +519,8 @@ fn fates_of(records: &BTreeMap<(NodeId, NodeId), PairRecord>) -> Vec<PairFateEnt
 /// epochs differentially (see the module docs for the soundness argument).
 /// With `paranoid` every epoch is additionally recomputed from scratch and
 /// diffed against the differential result. A configuration the simulator
-/// would reject (`algo` unsupported on `net`, or `v` below its minimum) is a
-/// typed error, not a proof.
+/// would reject (`algo` unsupported on `net`, `v` below its minimum or above
+/// [`MAX_VIRTUAL_CHANNELS`]) is a typed error, not a proof.
 pub fn verify_schedule<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
@@ -522,6 +536,12 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
         return Err(ScheduleVerifyError::TooFewVirtualChannels {
             requested: v,
             minimum,
+        });
+    }
+    if v > MAX_VIRTUAL_CHANNELS {
+        return Err(ScheduleVerifyError::TooManyVirtualChannels {
+            requested: v,
+            maximum: MAX_VIRTUAL_CHANNELS,
         });
     }
     let granularity = Granularity::PerVc;

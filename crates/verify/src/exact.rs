@@ -37,7 +37,7 @@
 //! reproduces the classic dateline cycle from the *real* routing relation —
 //! the negative control the `verify` binary demonstrates.
 
-use crate::relation::{RelationWalk, StateBudgetExceeded, StateId, StateNode, Step};
+use crate::relation::{RelationWalk, StateBudgetExceeded, StateGraph, StateId, Step};
 use crate::sweep::sweep_case;
 use std::collections::VecDeque;
 use torus_faults::FaultSet;
@@ -163,7 +163,7 @@ fn insert(set: &mut Vec<usize>, r: usize) -> bool {
 /// dependencies found from each alone.
 fn fold_dependencies(
     net: &AnyTopology,
-    states: &[StateNode],
+    graph: &StateGraph,
     starts: impl IntoIterator<Item = StateId>,
     v: usize,
     granularity: Granularity,
@@ -176,7 +176,7 @@ fn fold_dependencies(
         requested,
         ..
     } = scratch;
-    let n = states.len();
+    let n = graph.len();
     for state in fold.iter_mut().take(n) {
         state.held.clear();
         state.pushed = 0;
@@ -200,8 +200,8 @@ fn fold_dependencies(
         fold[s].queued = false;
         fold[s].processed = true;
         fold[s].pushed = to;
-        let state = &states[s];
-        for step in &state.steps {
+        let node = graph.state(s).node;
+        for &step in graph.steps(s) {
             let next = step.next();
             // Whether what the message may hold on arrival in `next` grew.
             let mut grew = false;
@@ -215,9 +215,8 @@ fn fold_dependencies(
                 } => {
                     requested.clear();
                     requested.extend(
-                        vcs.iter().map(|&vc| {
-                            resource_id(net, state.node, *dim, *dir, vc, v, granularity)
-                        }),
+                        vcs.range()
+                            .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
                     );
                     for i in from..to {
                         let h = fold[s].held[i];
@@ -262,7 +261,7 @@ pub fn accumulate_cdg(
 ) {
     fold_dependencies(
         net,
-        walk.states(),
+        walk.graph(),
         [walk.start()],
         v,
         granularity,
@@ -279,7 +278,7 @@ pub fn accumulate_cdg(
 /// dataflow happened to visit states in.
 pub(crate) fn dependency_edges(
     net: &AnyTopology,
-    states: &[StateNode],
+    graph: &StateGraph,
     starts: impl IntoIterator<Item = StateId>,
     v: usize,
     granularity: Granularity,
@@ -289,7 +288,7 @@ pub(crate) fn dependency_edges(
     edges.clear();
     fold_dependencies(
         net,
-        states,
+        graph,
         starts,
         v,
         granularity,
@@ -331,7 +330,7 @@ mod tests {
     use crate::relation::{walk_pair, SharedRelation};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use torus_routing::{AnyRouting, Substrate};
+    use torus_routing::{AnyRouting, Substrate, VcRange};
     use torus_topology::TopologySpec;
 
     /// The dataflow before it propagated deltas: every pass over a state
@@ -339,12 +338,12 @@ mod tests {
     /// everything. Kept as the reference [`fold_dependencies`] must match.
     fn reference_fold(
         net: &AnyTopology,
-        states: &[StateNode],
+        graph: &StateGraph,
         starts: &[StateId],
         v: usize,
         granularity: Granularity,
     ) -> BTreeSet<(usize, usize)> {
-        let n = states.len();
+        let n = graph.len();
         let mut emitted = BTreeSet::new();
         let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut visited = vec![false; n];
@@ -360,9 +359,9 @@ mod tests {
         let mut requested: Vec<usize> = Vec::new();
         while let Some(s) = work.pop_front() {
             queued[s] = false;
-            let state = &states[s];
+            let node = graph.state(s).node;
             let held = incoming[s].clone();
-            for step in &state.steps {
+            for &step in graph.steps(s) {
                 let next = step.next();
                 let mut changed = !visited[next];
                 visited[next] = true;
@@ -375,9 +374,10 @@ mod tests {
                         ..
                     } => {
                         requested.clear();
-                        requested.extend(vcs.iter().map(|&vc| {
-                            resource_id(net, state.node, *dim, *dir, vc, v, granularity)
-                        }));
+                        requested.extend(
+                            vcs.range()
+                                .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
+                        );
                         for &h in &held {
                             for &r in &requested {
                                 emitted.insert((h, r));
@@ -406,7 +406,7 @@ mod tests {
     /// Every pair `fold_dependencies` emits, self-loops and repeats merged.
     fn delta_fold(
         net: &AnyTopology,
-        states: &[StateNode],
+        graph: &StateGraph,
         starts: &[StateId],
         v: usize,
         granularity: Granularity,
@@ -415,7 +415,7 @@ mod tests {
         let mut emitted = BTreeSet::new();
         fold_dependencies(
             net,
-            states,
+            graph,
             starts.iter().copied(),
             v,
             granularity,
@@ -448,10 +448,10 @@ mod tests {
     }
 
     /// A random state graph over `net`'s channels: tracked and adaptive hops
-    /// requesting one or several of `v` VCs, `Reinject` steps, self-loops and
-    /// cycles, and one to three start states. Which headers the states carry
-    /// does not matter to the dataflow.
-    fn synthetic_graph(net: &AnyTopology, v: usize, seed: u64) -> (Vec<StateNode>, Vec<StateId>) {
+    /// requesting one or a run of several of `v` VCs, `Reinject` steps,
+    /// self-loops and cycles, and one to three start states. Which headers
+    /// the states carry does not matter to the dataflow.
+    fn synthetic_graph(net: &AnyTopology, v: usize, seed: u64) -> (StateGraph, Vec<StateId>) {
         let mut rng = SplitMix(seed);
         let header = AnyRouting::deterministic(Substrate::DimensionOrder).make_header(
             net,
@@ -459,37 +459,30 @@ mod tests {
             NodeId(1),
         );
         let n = 1 + rng.below(24);
-        let states = (0..n)
-            .map(|_| {
-                let steps = (0..rng.below(4))
-                    .map(|_| {
-                        let next = rng.below(n);
-                        if rng.below(6) == 0 {
-                            return Step::Reinject { next };
-                        }
-                        let mut vcs: Vec<usize> = (0..v).filter(|_| rng.below(2) == 0).collect();
-                        if vcs.is_empty() {
-                            vcs.push(rng.below(v));
-                        }
-                        Step::Hop {
-                            dim: rng.below(net.dims()),
-                            dir: Direction::BOTH[rng.below(2)],
-                            vcs,
-                            tracked: rng.below(2) == 0,
-                            next,
-                        }
-                    })
-                    .collect();
-                StateNode {
-                    node: NodeId(rng.below(net.num_nodes()) as u32),
-                    header: header.clone(),
-                    steps,
-                    terminal: None,
-                }
-            })
-            .collect();
+        let mut graph = StateGraph::default();
+        for _ in 0..n {
+            let steps: Vec<Step> = (0..rng.below(4))
+                .map(|_| {
+                    let next = rng.below(n);
+                    if rng.below(6) == 0 {
+                        return Step::Reinject { next };
+                    }
+                    let first = rng.below(v);
+                    let end = first + 1 + rng.below(v - first);
+                    Step::Hop {
+                        dim: rng.below(net.dims()),
+                        dir: Direction::BOTH[rng.below(2)],
+                        vcs: VcRange::new(first..end),
+                        tracked: rng.below(2) == 0,
+                        next,
+                    }
+                })
+                .collect();
+            let node = NodeId(rng.below(net.num_nodes()) as u32);
+            graph.push_expanded(node, header.clone(), steps, None);
+        }
         let starts = (0..1 + rng.below(3)).map(|_| rng.below(n)).collect();
-        (states, starts)
+        (graph, starts)
     }
 
     proptest! {
@@ -508,10 +501,10 @@ mod tests {
             let granularity = if per_vc { Granularity::PerVc } else { Granularity::PerChannel };
             let mut scratch = FoldScratch::default();
             for round in 0..2u64 {
-                let (states, starts) = synthetic_graph(&net, v, seed.wrapping_add(round));
+                let (graph, starts) = synthetic_graph(&net, v, seed.wrapping_add(round));
                 prop_assert_eq!(
-                    delta_fold(&net, &states, &starts, v, granularity, &mut scratch),
-                    reference_fold(&net, &states, &starts, v, granularity),
+                    delta_fold(&net, &graph, &starts, v, granularity, &mut scratch),
+                    reference_fold(&net, &graph, &starts, v, granularity),
                     "seed {} round {}", seed, round
                 );
             }
@@ -547,23 +540,23 @@ mod tests {
                                 assert_eq!(
                                     delta_fold(
                                         &net,
-                                        walk.states(),
+                                        walk.graph(),
                                         &start,
                                         v,
                                         granularity,
                                         &mut scratch
                                     ),
-                                    reference_fold(&net, walk.states(), &start, v, granularity),
+                                    reference_fold(&net, walk.graph(), &start, v, granularity),
                                     "{label}: {src:?} -> {dest:?} at {granularity:?}"
                                 );
                             }
                             walks += 1;
                         }
                         for granularity in [Granularity::PerVc, Granularity::PerChannel] {
-                            let states = shared.states();
+                            let graph = shared.graph();
                             assert_eq!(
-                                delta_fold(&net, states, &starts, v, granularity, &mut scratch),
-                                reference_fold(&net, states, &starts, v, granularity),
+                                delta_fold(&net, graph, &starts, v, granularity, &mut scratch),
+                                reference_fold(&net, graph, &starts, v, granularity),
                                 "{label}: shared graph into {dest:?} at {granularity:?}"
                             );
                         }

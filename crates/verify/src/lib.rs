@@ -8,9 +8,11 @@
 //! * [`relation`] — walks a [`torus_routing::RoutingAlgorithm`] exhaustively,
 //!   materialising the finite state graph of every `(node, header) →
 //!   candidate` transition, including the software-layer
-//!   absorb/reroute/re-inject loop under a fault set. Two walkers: `walk_pair`
-//!   for one (source, destination) pair from scratch (`PairWalker` is the
-//!   same walk for pair after pair, reusing its intern table), and
+//!   absorb/reroute/re-inject loop under a fault set. A state graph is flat:
+//!   states in one vector, every state's `Copy` transitions a span of one
+//!   step arena. Two walkers: `walk_pair` for one (source, destination) pair
+//!   from scratch (`PairWalker` is the same walk for pair after pair, reusing
+//!   its intern table and the buffers of each walk handed back to it), and
 //!   `SharedRelation`, which memoises the relation per destination (no
 //!   routing function reads the header's source) and serves each pair as a
 //!   breadth-first *view* that numbers states exactly as `walk_pair` does;
@@ -28,15 +30,17 @@
 //!   traversals only where that pass finds something. Reported `states` stay
 //!   Σ over pairs of each pair's reachable states (its view), not the several
 //!   times fewer states the shared walker expands. The destination loop owns
-//!   the dependency fold's buffers for the whole sweep;
+//!   one `SharedRelation`, reset per destination, and the dependency fold's
+//!   buffers for the whole sweep;
 //! * [`epochs`] — verifies dynamic fault schedules epoch by epoch,
 //!   differentially re-walking only pairs whose footprint a new fault
 //!   touches and classifying every pair's fate (routable / rerouted /
 //!   disconnected) per epoch. This pass stays per pair (`walk_pair`'s walk,
 //!   one `route()` call per reported state): its records and re-walks are per
 //!   pair, and it doubles as the oracle the paranoid sweep is diffed against.
-//!   Its record loop owns the reused scratch: one `PairWalker` per epoch and
-//!   the fold's buffers for the whole schedule;
+//!   Its record loop owns the reused scratch: one `PairWalker` per epoch,
+//!   handed back every walk it returns, and the fold's buffers for the whole
+//!   schedule;
 //! * [`witness`] — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)
@@ -262,12 +266,15 @@ mod tests {
             _current: NodeId,
             _v: usize,
         ) -> RouteDecision {
-            RouteDecision::Forward(vec![torus_routing::OutputCandidate {
-                dim: 0,
-                dir: Direction::Plus,
-                vcs: vec![0],
-                is_escape: true,
-            }])
+            RouteDecision::Forward(
+                [torus_routing::OutputCandidate::escape(
+                    0,
+                    Direction::Plus,
+                    0,
+                )]
+                .into_iter()
+                .collect(),
+            )
         }
 
         fn note_hop(

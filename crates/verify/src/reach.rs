@@ -22,7 +22,7 @@
 //! the pair.
 
 use crate::exact::Granularity;
-use crate::relation::{RelationWalk, StateBudgetExceeded, StateId, StateNode, Step, Terminal};
+use crate::relation::{RelationWalk, StateBudgetExceeded, StateGraph, StateId, Step, Terminal};
 use crate::sweep::sweep_case;
 use torus_faults::FaultSet;
 use torus_routing::RoutingAlgorithm;
@@ -83,7 +83,7 @@ pub struct ReachReport {
 /// as the run of states on the search stack that the closing transition
 /// re-enters.
 pub(crate) fn find_state_cycle(
-    states: &[StateNode],
+    graph: &StateGraph,
     roots: impl IntoIterator<Item = StateId>,
 ) -> Option<Vec<StateId>> {
     #[derive(Clone, Copy, PartialEq)]
@@ -92,7 +92,7 @@ pub(crate) fn find_state_cycle(
         Grey,
         Black,
     }
-    let mut colour = vec![Colour::White; states.len()];
+    let mut colour = vec![Colour::White; graph.len()];
     // Stack of (state, next-step-index).
     let mut stack: Vec<(StateId, usize)> = Vec::new();
     for root in roots {
@@ -102,7 +102,7 @@ pub(crate) fn find_state_cycle(
         colour[root] = Colour::Grey;
         stack.push((root, 0));
         while let Some(&mut (s, ref mut idx)) = stack.last_mut() {
-            let Some(step) = states[s].steps.get(*idx) else {
+            let Some(step) = graph.steps(s).get(*idx) else {
                 colour[s] = Colour::Black;
                 stack.pop();
                 continue;
@@ -150,7 +150,7 @@ pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
             path.reverse();
             return PairVerdict::DeadEnd { path };
         }
-        for next in state.steps.iter().map(Step::next) {
+        for next in walk.steps(s).iter().map(Step::next) {
             if !seen[next] {
                 seen[next] = true;
                 parent[next] = Some(s);
@@ -160,7 +160,7 @@ pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
     }
 
     // A reachable cycle is a livelock; the witness is its node run.
-    match find_state_cycle(walk.states(), [walk.start()]) {
+    match find_state_cycle(walk.graph(), [walk.start()]) {
         Some(cycle) => PairVerdict::Livelock {
             cycle: cycle.iter().map(|&s| walk.state(s).node).collect(),
         },

@@ -16,9 +16,13 @@
 //!   the slow, obviously-correct oracle: one `route()` call per state of the
 //!   pair, nothing remembered between pairs. [`PairWalker`] is the same walk
 //!   for pair after pair, clearing its intern table between them instead of
-//!   reallocating it; the differential pass of [`crate::epochs`] owns one per
-//!   epoch and still makes one `route()` call per state it reports.
-//! * [`SharedRelation`] memoises the relation per (destination, fault set).
+//!   reallocating it and refilling the buffers of the walk its caller hands
+//!   back ([`PairWalker::recycle`]); the differential pass of
+//!   [`crate::epochs`] owns one per epoch and still makes one `route()` call
+//!   per state it reports.
+//! * [`SharedRelation`] memoises the relation per (destination, fault set),
+//!   and [`SharedRelation::reset`] empties it for the next destination
+//!   without giving up its buffers.
 //!   No routing function reads `header.source` (nor the hop and absorption
 //!   counters), so every source's walk to one destination re-derives the
 //!   suffix states the other sources already derived; the shared walker
@@ -30,22 +34,28 @@
 //!   off a materialised view ([`SharedRelation::walk`]) are those of the
 //!   per-pair walk.
 //!
+//! A walk's states are one flat [`StateGraph`]: a vector of [`StateNode`]s
+//! and one arena of `Copy` [`Step`]s in which each state owns a contiguous
+//! span, so expanding a state appends to two buffers and allocates nothing
+//! once they have grown.
+//!
 //! The resulting state graphs are the common substrate of the two static
 //! checks: exact channel-dependency-graph extraction ([`crate::exact`]) and
 //! reachability/progress verification ([`crate::reach`]);
 //! [`crate::sweep`] runs both over every destination's shared graph.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 use torus_faults::FaultSet;
 use torus_routing::hash::BuildWordHasher;
-use torus_routing::{RouteDecision, RouteHeader, RoutingAlgorithm};
+use torus_routing::{RouteDecision, RouteHeader, RoutingAlgorithm, VcRange};
 use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// Index of a state inside a [`RelationWalk`].
 pub type StateId = usize;
 
 /// One outgoing transition of a routing state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Step {
     /// The head flit crosses the channel `(dim, dir)` out of the state's
     /// node, riding one of the listed virtual channels.
@@ -55,7 +65,7 @@ pub enum Step {
         /// Direction of the crossed channel.
         dir: Direction,
         /// Virtual channels the algorithm permits on this candidate.
-        vcs: Vec<usize>,
+        vcs: VcRange,
         /// Whether the candidate belongs to the analysed (deterministic /
         /// escape) layer: all candidates of a deterministic-flavour
         /// algorithm, only the escape candidates of an adaptive one.
@@ -92,7 +102,8 @@ pub enum Terminal {
 }
 
 /// One state of the walk: the routing-relevant part of a (node, header)
-/// pair.
+/// pair. Its transitions live in its [`StateGraph`]'s step arena
+/// ([`StateGraph::steps`]).
 #[derive(Clone, Debug)]
 pub struct StateNode {
     /// Node the message head occupies.
@@ -100,16 +111,99 @@ pub struct StateNode {
     /// The header, projected onto what identifies the state: hop and
     /// absorption counters zeroed (and, in a [`SharedRelation`], the source).
     pub header: RouteHeader,
-    /// Every transition the algorithm permits from this state.
-    pub steps: Vec<Step>,
     /// Terminal classification, if the state has no outgoing transition.
     pub terminal: Option<Terminal>,
+    /// This state's span of the graph's step arena.
+    steps: Range<u32>,
+}
+
+/// A state graph in two flat buffers: the states, and one arena holding
+/// every state's transitions, each state's contiguous. Emptied and refilled
+/// rather than reallocated by the walkers that reuse one.
+#[derive(Clone, Debug, Default)]
+pub struct StateGraph {
+    states: Vec<StateNode>,
+    steps: Vec<Step>,
+}
+
+impl StateGraph {
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// True if the graph holds no states.
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// The state with the given id.
+    #[inline]
+    pub fn state(&self, id: StateId) -> &StateNode {
+        &self.states[id]
+    }
+
+    /// Every transition the algorithm permits from state `id`, in candidate
+    /// order.
+    #[inline]
+    pub fn steps(&self, id: StateId) -> &[Step] {
+        let span = &self.states[id].steps;
+        &self.steps[span.start as usize..span.end as usize]
+    }
+
+    /// Iterates over `(id, state)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (StateId, &StateNode)> {
+        self.states.iter().enumerate()
+    }
+
+    /// Appends an unexpanded state.
+    fn push_state(&mut self, node: NodeId, header: RouteHeader) -> StateId {
+        self.states.push(StateNode {
+            node,
+            header,
+            terminal: None,
+            steps: 0..0,
+        });
+        self.states.len() - 1
+    }
+
+    /// Appends a state with its transitions and terminal classification.
+    pub(crate) fn push_expanded(
+        &mut self,
+        node: NodeId,
+        header: RouteHeader,
+        steps: impl IntoIterator<Item = Step>,
+        terminal: Option<Terminal>,
+    ) -> StateId {
+        let id = self.push_state(node, header);
+        let first = self.arena_end();
+        self.steps.extend(steps);
+        self.close_steps(id, first);
+        self.states[id].terminal = terminal;
+        id
+    }
+
+    /// The arena index the next pushed step gets.
+    fn arena_end(&self) -> u32 {
+        u32::try_from(self.steps.len()).expect("step arena fits in 32-bit indices")
+    }
+
+    /// Gives state `id` the steps pushed since the arena ended at `first`.
+    fn close_steps(&mut self, id: StateId, first: u32) {
+        self.states[id].steps = first..self.arena_end();
+    }
+
+    /// Empties the graph, keeping its buffers' capacity.
+    fn clear(&mut self) {
+        self.states.clear();
+        self.steps.clear();
+    }
 }
 
 /// The complete reachable state graph of one (source, destination) pair.
 #[derive(Clone, Debug)]
 pub struct RelationWalk {
-    states: Vec<StateNode>,
+    graph: StateGraph,
     start: StateId,
 }
 
@@ -121,27 +215,40 @@ impl RelationWalk {
 
     /// Number of reachable states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.graph.len()
     }
 
     /// True if the walk holds no states (never produced by [`walk_pair`]).
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.graph.is_empty()
     }
 
     /// The state with the given id.
     pub fn state(&self, id: StateId) -> &StateNode {
-        &self.states[id]
+        self.graph.state(id)
+    }
+
+    /// The transitions out of state `id`.
+    pub fn steps(&self, id: StateId) -> &[Step] {
+        self.graph.steps(id)
     }
 
     /// Iterates over `(id, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (StateId, &StateNode)> {
-        self.states.iter().enumerate()
+        self.graph.iter()
     }
 
-    /// Every state, indexed by [`StateId`].
-    pub(crate) fn states(&self) -> &[StateNode] {
-        &self.states
+    /// Whether some state absorbs and re-injects the message.
+    pub fn reinjects(&self) -> bool {
+        self.graph
+            .steps
+            .iter()
+            .any(|step| matches!(step, Step::Reinject { .. }))
+    }
+
+    /// The state graph, indexed by [`StateId`].
+    pub fn graph(&self) -> &StateGraph {
+        &self.graph
     }
 }
 
@@ -193,7 +300,7 @@ struct Walker<'a, A> {
     v: usize,
     all_tracked: bool,
     project: fn(&mut RouteHeader),
-    states: Vec<StateNode>,
+    graph: StateGraph,
     ids: HashMap<(NodeId, RouteHeader), StateId, BuildWordHasher>,
 }
 
@@ -212,9 +319,15 @@ impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
             v,
             all_tracked: algo.flavor() == torus_routing::RoutingFlavor::Deterministic,
             project,
-            states: Vec::new(),
+            graph: StateGraph::default(),
             ids: HashMap::default(),
         }
+    }
+
+    /// Forgets every state, keeping the table's and the graph's capacity.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.graph.clear();
     }
 
     /// The id of the state `(node, header)` under the walk's projection,
@@ -226,13 +339,7 @@ impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
         match self.ids.entry((node, header)) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(new) => {
-                let id = self.states.len();
-                self.states.push(StateNode {
-                    node,
-                    header: new.key().1.clone(),
-                    steps: Vec::new(),
-                    terminal: None,
-                });
+                let id = self.graph.push_state(node, new.key().1.clone());
                 *new.insert(id)
             }
         }
@@ -241,12 +348,13 @@ impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
     /// Whether [`Walker::expand`] has run on `id`: it leaves every state with
     /// a transition or a terminal classification.
     fn is_expanded(&self, id: StateId) -> bool {
-        let state = &self.states[id];
+        let state = self.graph.state(id);
         state.terminal.is_some() || !state.steps.is_empty()
     }
 
     /// Asks the algorithm what it does in state `id` (one `route()` call) and
-    /// records the transitions, interning their successors in candidate order.
+    /// records the transitions at the end of the step arena, interning their
+    /// successors in candidate order.
     ///
     /// Absorption is handled exactly as in the simulator engines: the blocked
     /// output reported to `reroute_on_fault` is the algorithm's deterministic
@@ -255,56 +363,56 @@ impl<'a, A: RoutingAlgorithm> Walker<'a, A> {
     /// the same node with its per-traversal dateline flags reset.
     fn expand(&mut self, id: StateId) {
         let (net, algo, faults) = (self.net, self.algo, self.faults);
-        let node = self.states[id].node;
+        let node = self.graph.states[id].node;
         // `route` takes the header mutably but leaves it as it found it (the
         // purity contract on `RoutingAlgorithm::route`), so the stored
         // representative can be lent out instead of cloned.
-        let decision = algo.route(net, faults, &mut self.states[id].header, node, self.v);
+        let decision = algo.route(net, faults, &mut self.graph.states[id].header, node, self.v);
+        let first = self.graph.arena_end();
         match decision {
             RouteDecision::Deliver => {
-                self.states[id].terminal = Some(Terminal::Delivered);
+                self.graph.states[id].terminal = Some(Terminal::Delivered);
+            }
+            // Defensive: the algorithms absorb instead of returning an empty
+            // candidate list, but an empty Forward would be a dead end all
+            // the same.
+            RouteDecision::Forward(cands) if cands.is_empty() => {
+                self.graph.states[id].terminal = Some(Terminal::Dead);
             }
             RouteDecision::Forward(cands) => {
-                if cands.is_empty() {
-                    // Defensive: the algorithms absorb instead of returning an
-                    // empty candidate list, but an empty Forward would be a
-                    // dead end all the same.
-                    self.states[id].terminal = Some(Terminal::Dead);
-                } else {
-                    let mut steps = Vec::with_capacity(cands.len());
-                    for c in cands {
-                        let mut next_header = self.states[id].header.clone();
-                        algo.note_hop(net, &mut next_header, node, c.dim, c.dir);
-                        let next_node = net
-                            .neighbor(node, c.dim, c.dir)
-                            .expect("routing candidates cross existing channels");
-                        let next = self.intern(next_node, next_header);
-                        steps.push(Step::Hop {
-                            dim: c.dim,
-                            dir: c.dir,
-                            vcs: c.vcs,
-                            tracked: self.all_tracked || c.is_escape,
-                            next,
-                        });
-                    }
-                    self.states[id].steps = steps;
+                for c in &cands {
+                    let (dim, dir) = (c.dim(), c.dir());
+                    let mut next_header = self.graph.states[id].header.clone();
+                    algo.note_hop(net, &mut next_header, node, dim, dir);
+                    let next_node = net
+                        .neighbor(node, dim, dir)
+                        .expect("routing candidates cross existing channels");
+                    let next = self.intern(next_node, next_header);
+                    self.graph.steps.push(Step::Hop {
+                        dim,
+                        dir,
+                        vcs: c.vcs(),
+                        tracked: self.all_tracked || c.is_escape(),
+                        next,
+                    });
                 }
             }
             RouteDecision::Absorb => {
                 // Mirror the engines' absorption handling bit for bit.
-                let mut rewritten = self.states[id].header.clone();
+                let mut rewritten = self.graph.states[id].header.clone();
                 let blocked = algo
                     .deterministic_output(net, &rewritten, node)
                     .unwrap_or((0, Direction::Plus));
                 if algo.reroute_on_fault(net, faults, &mut rewritten, node, blocked) {
                     rewritten.reset_for_injection();
                     let next = self.intern(node, rewritten);
-                    self.states[id].steps = vec![Step::Reinject { next }];
+                    self.graph.steps.push(Step::Reinject { next });
                 } else {
-                    self.states[id].terminal = Some(Terminal::Dead);
+                    self.graph.states[id].terminal = Some(Terminal::Dead);
                 }
             }
         }
+        self.graph.close_steps(id, first);
     }
 }
 
@@ -325,10 +433,11 @@ pub fn walk_pair<A: RoutingAlgorithm>(
 }
 
 /// [`walk_pair`] for many pairs in a row under one fault set: the intern
-/// table is cleared, not reallocated, between walks. Each walk starts from
-/// an empty table, so it returns exactly what a fresh [`walk_pair`] call
-/// returns. Its owner is the caller's pair loop — the differential pass of
-/// [`crate::epochs`] keeps one per epoch.
+/// table is cleared, not reallocated, between walks, and a walk handed back
+/// through [`PairWalker::recycle`] lends its buffers to the next. Each walk
+/// starts from an empty table, so it returns exactly what a fresh
+/// [`walk_pair`] call returns. Its owner is the caller's pair loop — the
+/// differential pass of [`crate::epochs`] keeps one per epoch.
 pub struct PairWalker<'a, A> {
     walker: Walker<'a, A>,
 }
@@ -350,12 +459,11 @@ impl<'a, A: RoutingAlgorithm> PairWalker<'a, A> {
         state_budget: usize,
     ) -> Result<RelationWalk, StateBudgetExceeded> {
         let walker = &mut self.walker;
-        walker.ids.clear();
-        walker.states.clear();
+        walker.clear();
         let start = walker.intern(src, walker.algo.make_header(walker.net, src, dest));
         let mut cursor = 0;
-        while cursor < walker.states.len() {
-            if walker.states.len() > state_budget {
+        while cursor < walker.graph.len() {
+            if walker.graph.len() > state_budget {
                 return Err(StateBudgetExceeded {
                     limit: state_budget,
                 });
@@ -364,9 +472,15 @@ impl<'a, A: RoutingAlgorithm> PairWalker<'a, A> {
             cursor += 1;
         }
         Ok(RelationWalk {
-            states: std::mem::take(&mut walker.states),
+            graph: std::mem::take(&mut walker.graph),
             start,
         })
+    }
+
+    /// Takes back a walk this walker returned, so the next walk fills its
+    /// buffers instead of allocating new ones.
+    pub fn recycle(&mut self, walk: RelationWalk) {
+        self.walker.graph = walk.graph;
     }
 }
 
@@ -386,7 +500,8 @@ pub struct PairView {
 
 /// The routing relation towards one destination under one fault set, shared
 /// by every source: each state is expanded (one `route()` call) at most once,
-/// whichever pair's view reaches it first.
+/// whichever pair's view reaches it first. [`SharedRelation::reset`] turns
+/// it towards another destination, keeping every buffer's capacity.
 pub struct SharedRelation<'a, A> {
     walker: Walker<'a, A>,
     dest: NodeId,
@@ -415,10 +530,19 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
         }
     }
 
+    /// Empties the relation and points it at `dest`: what
+    /// [`SharedRelation::new`] returns for `dest`, in the buffers of this one.
+    pub fn reset(&mut self, dest: NodeId) {
+        self.walker.clear();
+        self.dest = dest;
+        self.seen.clear();
+        self.order.clear();
+    }
+
     /// Every state any view has discovered so far. Each is reachable from
     /// some viewed source, and expanded once its view returned `Ok`.
-    pub(crate) fn states(&self) -> &[StateNode] {
-        &self.walker.states
+    pub(crate) fn graph(&self) -> &StateGraph {
+        &self.walker.graph
     }
 
     /// Views the pair `(src, dest)`: a breadth-first traversal from its
@@ -450,8 +574,9 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
             if !self.walker.is_expanded(id) {
                 self.walker.expand(id);
             }
-            for i in 0..self.walker.states[id].steps.len() {
-                let step = &self.walker.states[id].steps[i];
+            let span = self.walker.graph.states[id].steps.clone();
+            for i in span {
+                let step = self.walker.graph.steps[i as usize];
                 reinjects |= matches!(step, Step::Reinject { .. });
                 self.discover(step.next());
             }
@@ -467,8 +592,8 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
 
     /// Appends `id` to the view in progress unless it is already part of it.
     fn discover(&mut self, id: StateId) {
-        if self.seen.len() < self.walker.states.len() {
-            self.seen.resize(self.walker.states.len(), 0);
+        if self.seen.len() < self.walker.graph.len() {
+            self.seen.resize(self.walker.graph.len(), 0);
         }
         if self.seen[id] != self.stamp {
             self.seen[id] = self.stamp;
@@ -485,23 +610,23 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
         state_budget: usize,
     ) -> Result<RelationWalk, StateBudgetExceeded> {
         self.view(src, state_budget)?;
-        let mut local = vec![usize::MAX; self.walker.states.len()];
+        let shared = &self.walker.graph;
+        let mut local = vec![usize::MAX; shared.len()];
         for (i, &id) in self.order.iter().enumerate() {
             local[id] = i;
         }
-        let states = self
-            .order
-            .iter()
-            .map(|&id| {
-                let mut state = self.walker.states[id].clone();
-                for step in &mut state.steps {
-                    match step {
-                        Step::Hop { next, .. } | Step::Reinject { next } => *next = local[*next],
-                    }
+        let mut graph = StateGraph::default();
+        for &id in &self.order {
+            let state = shared.state(id);
+            let steps = shared.steps(id).iter().map(|&step| {
+                let mut step = step;
+                match &mut step {
+                    Step::Hop { next, .. } | Step::Reinject { next } => *next = local[*next],
                 }
-                state
-            })
-            .collect();
-        Ok(RelationWalk { states, start: 0 })
+                step
+            });
+            graph.push_expanded(state.node, state.header.clone(), steps, state.terminal);
+        }
+        Ok(RelationWalk { graph, start: 0 })
     }
 }

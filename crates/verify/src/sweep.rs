@@ -17,10 +17,12 @@
 //!   the per-pair [`check_pair`] traversals, which then yield the same
 //!   witnesses as per-pair walks because the views number states alike.
 //!
-//! The graph is dropped before the next destination starts, so memory stays
-//! that of one destination. The dataflow's buffers are not: the destination
-//! loop owns them and hands them to every destination's dataflow, which
-//! clears them first. [`crate::matrix::verify_case`],
+//! The graph is emptied before the next destination starts, so memory stays
+//! that of the largest destination: the destination loop owns one
+//! [`SharedRelation`] and [`SharedRelation::reset`]s it per destination,
+//! which clears its intern table, states, step arena and view marks but
+//! keeps their capacity. The dataflow's buffers live as long: the loop hands
+//! them to every destination's dataflow, which clears them first. [`crate::matrix::verify_case`],
 //! [`crate::exact::extract_exact_cdg`], [`crate::reach::check_reachability`]
 //! and the paranoid recomputation of [`crate::epochs`] are all this one loop;
 //! the per-pair `walk_pair → accumulate_cdg → record_pair` pipeline survives
@@ -77,28 +79,33 @@ pub fn sweep_destinations<A: RoutingAlgorithm>(
         .endpoints()
         .filter(|&n| !faults.is_node_faulty(n))
         .collect();
+    let Some(&first) = endpoints.first() else {
+        return Ok(());
+    };
+    let mut shared = SharedRelation::new(net, algo, faults, v, first);
+    let mut views = Vec::with_capacity(endpoints.len());
     let mut fold = FoldScratch::default();
     for &dest in &endpoints {
-        let mut shared = SharedRelation::new(net, algo, faults, v, dest);
-        let mut views = Vec::with_capacity(endpoints.len());
+        shared.reset(dest);
+        views.clear();
         for &src in endpoints.iter().filter(|&&src| src != dest) {
             views.push(shared.view(src, state_budget)?);
         }
-        let states = shared.states();
+        let graph = shared.graph();
         let edges = dependency_edges(
             net,
-            states,
+            graph,
             views.iter().map(|view| view.start),
             v,
             granularity,
             &mut fold,
         );
-        let all_deliver = states
+        let all_deliver = graph
             .iter()
-            .all(|state| state.terminal != Some(Terminal::Dead))
-            && find_state_cycle(states, 0..states.len()).is_none();
+            .all(|(_, state)| state.terminal != Some(Terminal::Dead))
+            && find_state_cycle(graph, 0..graph.len()).is_none();
         let mut pairs = Vec::with_capacity(views.len());
-        for view in views {
+        for view in &views {
             let verdict = if all_deliver {
                 PairVerdict::Delivers
             } else {

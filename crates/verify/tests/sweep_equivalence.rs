@@ -14,7 +14,7 @@ use swbft_verify::matrix::{
     matrix_fault_cases, matrix_routings, matrix_topologies, MatrixKind, STATE_BUDGET,
 };
 use swbft_verify::reach::{record_pair, PairVerdict, ReachReport};
-use swbft_verify::relation::{PairWalker, RelationWalk, SharedRelation, StateBudgetExceeded, Step};
+use swbft_verify::relation::{PairWalker, RelationWalk, SharedRelation, StateBudgetExceeded};
 use swbft_verify::sweep::sweep_case;
 use swbft_verify::walk_pair;
 use torus_faults::FaultSet;
@@ -161,8 +161,8 @@ fn assert_same_walk(label: &str, view: &RelationWalk, walk: &RelationWalk) {
         header.source = a.header.source;
         assert_eq!(a.header, header, "{label}: state {id} header");
         assert_eq!(
-            format!("{:?}", a.steps),
-            format!("{:?}", b.steps),
+            format!("{:?}", view.steps(id)),
+            format!("{:?}", walk.steps(id)),
             "{label}: state {id} transitions"
         );
     }
@@ -183,12 +183,11 @@ fn assert_views_match_walks<A: RoutingAlgorithm>(
             let walk = walk_pair(net, algo, faults, v, src, dest, STATE_BUDGET).expect("fits");
             let view = shared.view(src, STATE_BUDGET).expect("fits");
             assert_eq!(view.len, walk.len(), "{label} {src:?}->{dest:?}");
-            let reinjects = walk.iter().any(|(_, s)| {
-                s.steps
-                    .iter()
-                    .any(|step| matches!(step, Step::Reinject { .. }))
-            });
-            assert_eq!(view.reinjects, reinjects, "{label} {src:?}->{dest:?}");
+            assert_eq!(
+                view.reinjects,
+                walk.reinjects(),
+                "{label} {src:?}->{dest:?}"
+            );
             let materialised = shared.walk(src, STATE_BUDGET).expect("fits");
             assert_same_walk(&format!("{label} {src:?}->{dest:?}"), &materialised, &walk);
         }
@@ -224,8 +223,9 @@ fn sweep_equals_the_per_pair_oracle_on_every_static_smoke_case() {
 }
 
 /// The differential pass walks pair after pair with one `PairWalker`, whose
-/// intern table is cleared, not reallocated, between walks. Nothing may leak
-/// from one walk into the next, whichever order the pairs come in. A state
+/// intern table is cleared, not reallocated, between walks, and which gets
+/// every walk's buffers back to refill. Nothing may leak from one walk into
+/// the next, whichever order the pairs come in. A state
 /// key holds the pair's source and destination, so stale entries could only
 /// surface when a pair comes round again: one walker walks every pair
 /// forward, then every pair again in reverse.
@@ -262,12 +262,9 @@ fn a_reused_pair_walker_walks_every_pair_like_a_fresh_walk() {
                     let fresh =
                         walk_pair(&n, &algo, &faults, v, src, dest, STATE_BUDGET).expect("fits");
                     assert_same_walk(&label, &reused, &fresh);
+                    walker.recycle(reused);
                     walks += 1;
-                    reinjecting += usize::from(fresh.iter().any(|(_, s)| {
-                        s.steps
-                            .iter()
-                            .any(|step| matches!(step, Step::Reinject { .. }))
-                    }));
+                    reinjecting += usize::from(fresh.reinjects());
                 }
             }
         }
@@ -339,12 +336,11 @@ impl RoutingAlgorithm for SpinForever {
         _current: NodeId,
         _v: usize,
     ) -> RouteDecision {
-        RouteDecision::Forward(vec![OutputCandidate {
-            dim: 0,
-            dir: Direction::Plus,
-            vcs: vec![0],
-            is_escape: true,
-        }])
+        RouteDecision::Forward(
+            [OutputCandidate::escape(0, Direction::Plus, 0)]
+                .into_iter()
+                .collect(),
+        )
     }
 
     fn note_hop(

@@ -37,9 +37,9 @@ fn deliver_one_message(
             }
             RouteDecision::Forward(cands) => {
                 let c = &cands[0];
-                algo.note_hop(net, &mut header, current, c.dim, c.dir);
+                algo.note_hop(net, &mut header, current, c.dim(), c.dir());
                 current = net
-                    .neighbor(current, c.dim, c.dir)
+                    .neighbor(current, c.dim(), c.dir())
                     .expect("forwarded over an existing channel");
                 assert!(
                     !faults.is_node_faulty(current),

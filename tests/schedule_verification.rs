@@ -3,7 +3,7 @@
 //! cross-check, and render the v3 report artefacts.
 
 use swbft::faults::{FaultSchedule, FaultSet};
-use swbft::routing::RoutingAlgorithm;
+use swbft::routing::{RoutingAlgorithm, MAX_VIRTUAL_CHANNELS};
 use swbft::topology::TopologySpec;
 use swbft::verify::matrix::{matrix_routings, run_matrix, MatrixKind, Verdict, STATE_BUDGET};
 use swbft::verify::report::to_json;
@@ -106,6 +106,26 @@ fn configurations_the_simulator_rejects_are_typed_errors_not_proofs() {
     )
     .expect_err("up/down rejects grids");
     assert!(matches!(err, ScheduleVerifyError::Unsupported(_)), "{err}");
+    // More virtual channels than a routing decision can name: past the
+    // bound `route()` would panic, so the pool is rejected before any walk.
+    let too_many = MAX_VIRTUAL_CHANNELS + 1;
+    let err = verify_schedule(
+        &torus,
+        &routing("adaptive"),
+        &schedule,
+        too_many,
+        STATE_BUDGET,
+        false,
+    )
+    .expect_err("V above the bound");
+    assert!(
+        matches!(
+            err,
+            ScheduleVerifyError::TooManyVirtualChannels { requested, maximum }
+                if requested == too_many && maximum == MAX_VIRTUAL_CHANNELS
+        ),
+        "{err}"
+    );
 }
 
 #[test]
