@@ -35,30 +35,73 @@
 //! reported metric.
 //!
 //! The differential pass walks pair by pair, one `route()` call per state it
-//! reports: its records are per pair (a fragment and a footprint each), and a
-//! later epoch re-walks single pairs, which a graph shared per destination
-//! has nothing to offer. The walks are [`crate::walk_pair`]'s, made by one
-//! [`PairWalker`] per epoch that gets every walk back once its record is
-//! distilled, and the dependency dataflow runs in buffers that
-//! [`verify_schedule`] owns for the whole schedule; both are cleared, not
-//! reallocated, between pairs. The `paranoid` mode
+//! reports: its records are per pair, and a later epoch re-walks single
+//! pairs, which a graph shared per destination has nothing to offer. The
+//! walks are [`crate::walk_pair`]'s, made by one [`PairWalker`] per epoch
+//! that gets every walk back once its record is distilled, and the
+//! dependency dataflow runs in buffers that [`verify_schedule`] owns for the
+//! whole schedule; both are cleared, not reallocated, between pairs.
+//!
+//! # What a record keeps
+//!
+//! A record keeps only what a later epoch can still change. When a pair is
+//! walked at epoch `e`, the pass works out once the epoch at which it will
+//! next look at the record again:
+//!
+//! * `e + 1` when the walk re-injects;
+//! * otherwise the first later epoch with an event that touches a visited
+//!   node, by the rule above — each later epoch's touched nodes (a failed
+//!   node and its neighbours, a failed link's two endpoints) are computed
+//!   once per schedule;
+//! * or the epoch at which the pair's destination fails, if that is sooner:
+//!   a walk that dead-ends short of its destination never visits it, but the
+//!   pair leaves the universe then all the same. The source is always
+//!   visited.
+//!
+//! Before that epoch the loop above reuses the record unchanged; at it, the
+//! pair is re-walked or dropped. This is sound because fault sets only grow
+//! and a record changes only when its pair is re-walked: an epoch that does
+//! not touch a walk's footprint leaves the walk as it is, so the first
+//! touching epoch is the one the loop would re-walk it at, and a record
+//! with no such epoch is final. The footprint itself is dropped as soon as
+//! the rule has been evaluated.
+//!
+//! Only a record that will be re-walked or dropped keeps its CDG fragment,
+//! in one arena of 4- or 8-byte edges. Every other fragment is final and
+//! goes into one permanent, per-schedule edge table keyed by edge, which
+//! holds the lowest `(src, dest)` rank that contributed each edge. Records
+//! sit in a dense table indexed by that rank.
+//!
+//! Each epoch's union CDG is built once, from the permanent table plus the
+//! kept fragments, adding edges in ascending `(lowest contributing rank,
+//! from, to)` order. That is the order in which adding every pair's sorted
+//! fragment in `(src, dest)` order first meets each edge, and the graph
+//! keeps first occurrences, so the adjacency order — and the cycle
+//! [`DependencyGraph::find_cycle`] reports — is the one a graph built from
+//! every fragment would have.
+//!
+//! The `paranoid` mode
 //! recomputes every epoch from scratch with the destination-major sweep of
 //! [`crate::sweep`] and diffs the pair universe, every pair's fate and state
 //! count, and every destination's CDG edge set against the differential
 //! result; any divergence fails the case. Since the two sides share no
 //! walker, each paranoid run also cross-checks the shared walker against the
-//! per-pair one.
+//! per-pair one. Its edge-set diff needs every pair's fragment, so in
+//! paranoid mode every record keeps its fragment and the permanent table
+//! stays empty; that is the only difference in what the pass retains.
 
 use crate::exact::{dependency_edges, resource_count, FoldScratch, Granularity};
 use crate::reach::{check_pair, PairVerdict};
 use crate::relation::{PairWalker, StateBudgetExceeded};
 use crate::sweep::{sweep_destinations, DestinationOutcome};
 use crate::witness::{describe_cycle, describe_pair_verdict};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
-use torus_faults::{FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
+use torus_faults::{FaultEvent, FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
 use torus_routing::cdg::DependencyGraph;
+use torus_routing::hash::BuildWordHasher;
 use torus_routing::{RoutingAlgorithm, RoutingTopologyError, MAX_VIRTUAL_CHANNELS};
 use torus_topology::{AnyTopology, HealthyGraph, NodeId};
 
@@ -96,23 +139,190 @@ pub struct PairFateEntry {
     pub fate: PairFate,
 }
 
-/// Everything remembered about one pair's walk, enabling reuse at the next
-/// epoch.
+/// Everything remembered about one pair's walk, enabling reuse at later
+/// epochs.
 #[derive(Clone, Debug)]
 struct PairRecord {
-    /// Reachability verdict of the walk.
-    verdict: PairVerdict,
+    /// Reachability verdict of the walk, unless it delivers (most do).
+    failure: Option<Box<PairVerdict>>,
     /// Whether the walk contains a re-injection (software-layer recovery).
     /// Such walks depend on a global shortest-path query and must be
     /// re-walked on any fault change.
     global: bool,
-    /// Tracked-layer CDG edges contributed by this pair's walk (sorted,
-    /// deduplicated).
-    edges: Vec<(usize, usize)>,
-    /// Nodes visited by any state of the walk (sorted, deduplicated).
-    visited: Vec<NodeId>,
     /// States enumerated by the walk.
-    states: usize,
+    states: u32,
+    /// The epoch at which the pair is next re-walked or dropped, or
+    /// [`NEVER`].
+    next_rewalk: u32,
+    /// The tracked-layer CDG edges contributed by the walk (sorted,
+    /// deduplicated), when kept in the arena; a final fragment lives in the
+    /// permanent table instead.
+    fragment: Option<Span>,
+}
+
+/// No later epoch re-walks or drops the record.
+const NEVER: u32 = u32::MAX;
+
+/// A CDG edge between two resource ids.
+type Edge = (u32, u32);
+
+/// A fragment's words in an [`Arena`].
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// Kept CDG fragments, back to back in one buffer. An edge takes one word,
+/// `from * resources + to`, when every such number fits in 32 bits, and two
+/// words otherwise; either way a sorted fragment's words stay in
+/// `(from, to)` order.
+#[derive(Debug)]
+struct Arena {
+    words: Vec<u32>,
+    /// The resource count when an edge takes one word.
+    packed: Option<u32>,
+}
+
+impl Arena {
+    fn new(resources: usize) -> Self {
+        assert!(
+            u32::try_from(resources).is_ok(),
+            "{resources} CDG resources do not fit 32-bit ids"
+        );
+        Arena {
+            words: Vec::new(),
+            packed: u32::try_from(resources * resources)
+                .is_ok()
+                .then_some(resources as u32),
+        }
+    }
+
+    /// Moves the fragments out into the returned arena, leaving this one
+    /// empty, with the same edge width.
+    fn take(&mut self) -> Self {
+        Arena {
+            words: std::mem::take(&mut self.words),
+            packed: self.packed,
+        }
+    }
+
+    fn span_from(&self, start: usize) -> Span {
+        let word = |n: usize| u32::try_from(n).expect("the fragment arena fits 32-bit offsets");
+        Span {
+            start: word(start),
+            end: word(self.words.len()),
+        }
+    }
+
+    /// Appends a fragment.
+    fn push(&mut self, edges: &[(usize, usize)]) -> Span {
+        let start = self.words.len();
+        // Resource ids fit in 32 bits (checked in `new`).
+        for &(from, to) in edges {
+            let (from, to) = (from as u32, to as u32);
+            match self.packed {
+                Some(resources) => self.words.push(from * resources + to),
+                None => self.words.extend([from, to]),
+            }
+        }
+        self.span_from(start)
+    }
+
+    /// Appends a fragment of `old`, an arena of the same width.
+    fn copy(&mut self, old: &Arena, span: Span) -> Span {
+        let start = self.words.len();
+        self.words.extend_from_slice(&old.words[span.range()]);
+        self.span_from(start)
+    }
+
+    fn edges(&self, span: Span) -> impl Iterator<Item = Edge> + '_ {
+        let packed = self.packed;
+        let width = if packed.is_some() { 1 } else { 2 };
+        self.words[span.range()]
+            .chunks_exact(width)
+            .map(move |words| match packed {
+                Some(resources) => (words[0] / resources, words[0] % resources),
+                None => (words[0], words[1]),
+            })
+    }
+}
+
+/// Where a walk's CDG fragment goes: the arena when a later epoch re-walks
+/// or drops the pair (always, in paranoid mode), the permanent table
+/// otherwise.
+#[derive(Debug)]
+struct Fragments {
+    kept: Arena,
+    /// Every final fragment's edges, each with the lowest pair rank that
+    /// contributed it.
+    permanent: HashMap<Edge, u32, BuildWordHasher>,
+    keep_all: bool,
+}
+
+impl Fragments {
+    fn file(&mut self, rank: u32, next_rewalk: u32, edges: &[(usize, usize)]) -> Option<Span> {
+        if self.keep_all || next_rewalk != NEVER {
+            return Some(self.kept.push(edges));
+        }
+        for &(from, to) in edges {
+            let lowest = self
+                .permanent
+                .entry((from as u32, to as u32))
+                .or_insert(rank);
+            *lowest = (*lowest).min(rank);
+        }
+        None
+    }
+}
+
+/// Every pair's record, indexed by the pair's rank `src * endpoints + dest`
+/// (endpoints are the dense id prefix), which orders pairs as `(src, dest)`
+/// does. A slot is empty for `src == dest` and for a pair with a faulty
+/// endpoint.
+struct PairTable {
+    endpoints: usize,
+    slots: Vec<Option<PairRecord>>,
+}
+
+impl PairTable {
+    fn new(endpoints: usize) -> Self {
+        assert!(
+            u32::try_from(endpoints * endpoints).is_ok(),
+            "{endpoints} endpoints have more pairs than 32-bit ranks"
+        );
+        PairTable {
+            endpoints,
+            slots: vec![None; endpoints * endpoints],
+        }
+    }
+
+    fn rank(&self, src: NodeId, dest: NodeId) -> usize {
+        src.index() * self.endpoints + dest.index()
+    }
+
+    fn pair(&self, rank: usize) -> (NodeId, NodeId) {
+        let node = |i: usize| NodeId(i as u32);
+        (node(rank / self.endpoints), node(rank % self.endpoints))
+    }
+
+    fn get(&self, key: &(NodeId, NodeId)) -> Option<&PairRecord> {
+        self.slots[self.rank(key.0, key.1)].as_ref()
+    }
+
+    /// The records in `(src, dest)` order.
+    fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), &PairRecord)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, slot)| slot.as_ref().map(|rec| (self.pair(rank), rec)))
+    }
 }
 
 /// The fate of a pair with the given verdict whose state graph does
@@ -126,8 +336,13 @@ fn fate_of(verdict: &PairVerdict, reinjects: bool) -> PairFate {
 }
 
 impl PairRecord {
+    fn verdict(&self) -> &PairVerdict {
+        static DELIVERS: PairVerdict = PairVerdict::Delivers;
+        self.failure.as_deref().unwrap_or(&DELIVERS)
+    }
+
     fn fate(&self) -> PairFate {
-        fate_of(&self.verdict, self.global)
+        fate_of(self.verdict(), self.global)
     }
 }
 
@@ -301,11 +516,66 @@ impl From<StateBudgetExceeded> for ScheduleVerifyError {
     }
 }
 
+/// What the schedule's events mean for the records, computed once per
+/// schedule: the nodes whose visit by a walk makes each epoch re-walk it,
+/// and the epoch each node fails at.
+struct Touches {
+    /// Per epoch, the nodes its events touch (none at epoch 0).
+    touched: Vec<Vec<NodeId>>,
+    /// Per node, the epoch a node event fails it at, or [`NEVER`].
+    fails_at: Vec<u32>,
+}
+
+impl Touches {
+    /// Routing queries are local to the visited nodes and their incident
+    /// channels, so an event can change a walk only when it fails a visited
+    /// node, a neighbour of one, or a link with a visited endpoint.
+    fn new(net: &AnyTopology, epochs: &[ScheduleEpoch]) -> Self {
+        let mut fails_at = vec![NEVER; net.num_nodes()];
+        let touched = epochs
+            .iter()
+            .enumerate()
+            .map(|(ei, epoch)| {
+                let mut nodes = Vec::new();
+                for event in &epoch.new_events {
+                    match *event {
+                        FaultEvent::Node { node } => {
+                            let node = NodeId(node);
+                            fails_at[node.index()] = ei as u32;
+                            nodes.push(node);
+                            nodes.extend(net.neighbors(node).into_iter().map(|(_, nb)| nb));
+                        }
+                        FaultEvent::Link { node, dim, dir } => {
+                            let node = NodeId(node);
+                            nodes.push(node);
+                            nodes.extend(net.neighbor(node, dim, dir));
+                        }
+                    }
+                }
+                nodes
+            })
+            .collect();
+        Touches { touched, fails_at }
+    }
+
+    /// For each node, the first epoch after `epoch` whose events touch it,
+    /// or [`NEVER`].
+    fn next_after(&self, epoch: usize) -> Vec<u32> {
+        let mut next = vec![NEVER; self.fails_at.len()];
+        for (ei, nodes) in self.touched.iter().enumerate().skip(epoch + 1).rev() {
+            for node in nodes {
+                next[node.index()] = ei as u32;
+            }
+        }
+        next
+    }
+}
+
 /// The record loop's per-pair machinery for one epoch: a [`PairWalker`]
 /// under the epoch's faults, recycling each walk's buffers, and the
 /// dependency dataflow's buffers, both cleared and reused from one pair to
-/// the next. The dataflow's buffers outlive the epoch: [`verify_schedule`]
-/// owns them.
+/// the next. The dataflow's buffers and the fragment store outlive the
+/// epoch: [`verify_schedule`] owns them.
 struct Recorder<'a, A> {
     net: &'a AnyTopology,
     v: usize,
@@ -313,18 +583,39 @@ struct Recorder<'a, A> {
     state_budget: usize,
     pairs: PairWalker<'a, A>,
     fold: &'a mut FoldScratch,
+    fragments: &'a mut Fragments,
+    /// This epoch and the number of epochs.
+    epoch: u32,
+    epochs: u32,
+    /// [`Touches::next_after`] this epoch.
+    next_touch: Vec<u32>,
+    fails_at: &'a [u32],
 }
 
 impl<A: RoutingAlgorithm> Recorder<'_, A> {
     /// Walks one pair under the epoch's faults and distils the record the
-    /// differential pass needs: verdict, global flag, CDG fragment,
-    /// visited-node footprint.
-    fn record(&mut self, src: NodeId, dest: NodeId) -> Result<PairRecord, StateBudgetExceeded> {
+    /// differential pass needs: verdict, global flag, the epoch it is next
+    /// re-walked or dropped at, and its CDG fragment, filed by that epoch.
+    fn record(
+        &mut self,
+        rank: usize,
+        src: NodeId,
+        dest: NodeId,
+    ) -> Result<PairRecord, StateBudgetExceeded> {
         let walk = self.pairs.walk(src, dest, self.state_budget)?;
-        let mut visited: Vec<NodeId> = walk.iter().map(|(_, s)| s.node).collect();
-        visited.sort_unstable();
-        visited.dedup();
         let global = walk.reinjects();
+        let touched = if global {
+            self.epoch + 1
+        } else {
+            walk.iter()
+                .map(|(_, state)| self.next_touch[state.node.index()])
+                .min()
+                .unwrap_or(NEVER)
+        };
+        // The source is always visited; a walk that dead-ends short of its
+        // destination may never visit it.
+        let next = touched.min(self.fails_at[dest.index()]);
+        let next_rewalk = if next < self.epochs { next } else { NEVER };
         let edges = dependency_edges(
             self.net,
             walk.graph(),
@@ -333,34 +624,26 @@ impl<A: RoutingAlgorithm> Recorder<'_, A> {
             self.granularity,
             self.fold,
         );
+        let fragment = self.fragments.file(rank as u32, next_rewalk, edges);
+        let verdict = check_pair(&walk);
         let record = PairRecord {
-            verdict: check_pair(&walk),
+            failure: (verdict != PairVerdict::Delivers).then(|| Box::new(verdict)),
             global,
-            edges,
-            visited,
-            states: walk.len(),
+            states: u32::try_from(walk.len()).expect("a walk's states fit in 32 bits"),
+            next_rewalk,
+            fragment,
         };
         self.pairs.recycle(walk);
         Ok(record)
     }
 }
 
-/// True when a new fault event can influence the recorded walk: routing
-/// queries are local to the visited nodes and their incident channels, so
-/// only a fault on a visited node, a neighbour of one, or a link with a
-/// visited endpoint can change any decision along the walk.
-fn event_touches(net: &AnyTopology, record: &PairRecord, event: &torus_faults::FaultEvent) -> bool {
-    let visited = |n: NodeId| record.visited.binary_search(&n).is_ok();
-    match *event {
-        torus_faults::FaultEvent::Node { node } => {
-            let node = NodeId(node);
-            visited(node) || net.neighbors(node).iter().any(|&(_, nb)| visited(nb))
-        }
-        torus_faults::FaultEvent::Link { node, dim, dir } => {
-            let node = NodeId(node);
-            visited(node) || net.neighbor(node, dim, dir).is_some_and(visited)
-        }
-    }
+/// Pairs re-walked, pairs reused and states enumerated at one epoch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    rewalked: usize,
+    reused: usize,
+    states: usize,
 }
 
 /// Labels each healthy node with its connected component of the epoch's
@@ -383,14 +666,15 @@ fn component_labels(net: &AnyTopology, faults: &FaultSet) -> Vec<usize> {
     labels
 }
 
-/// Walks every healthy pair of `faults`, one at a time, into the record map
-/// the differential pass starts from.
+/// Walks every healthy pair of `faults`, one at a time, into the table the
+/// differential pass starts from.
 fn walk_all_pairs<A: RoutingAlgorithm>(
     recorder: &mut Recorder<'_, A>,
+    table: &mut PairTable,
     faults: &FaultSet,
-) -> Result<BTreeMap<(NodeId, NodeId), PairRecord>, StateBudgetExceeded> {
+) -> Result<Tally, StateBudgetExceeded> {
     let net = recorder.net;
-    let mut records = BTreeMap::new();
+    let mut tally = Tally::default();
     for src in net.endpoints() {
         if faults.is_node_faulty(src) {
             continue;
@@ -399,14 +683,80 @@ fn walk_all_pairs<A: RoutingAlgorithm>(
             if dest == src || faults.is_node_faulty(dest) {
                 continue;
             }
-            records.insert((src, dest), recorder.record(src, dest)?);
+            let rank = table.rank(src, dest);
+            let rec = recorder.record(rank, src, dest)?;
+            tally.rewalked += 1;
+            tally.states += rec.states as usize;
+            table.slots[rank] = Some(rec);
         }
     }
-    Ok(records)
+    Ok(tally)
 }
 
-/// Builds the epoch report from the record map: union CDG, fate counts,
+/// Brings the table to a later epoch: drops the pairs whose endpoints just
+/// failed (fault sets only grow), re-walks the pairs due at this epoch and
+/// moves every other kept fragment into a fresh arena, in rank order.
+fn rewalk_due_pairs<A: RoutingAlgorithm>(
+    recorder: &mut Recorder<'_, A>,
+    table: &mut PairTable,
+    faults: &FaultSet,
+) -> Result<Tally, StateBudgetExceeded> {
+    let old = recorder.fragments.kept.take();
+    let mut tally = Tally::default();
+    for rank in 0..table.slots.len() {
+        let (src, dest) = table.pair(rank);
+        let Some(rec) = &mut table.slots[rank] else {
+            continue;
+        };
+        if faults.is_node_faulty(src) || faults.is_node_faulty(dest) {
+            // A failing endpoint makes the pair due, so no fragment of a
+            // dropped pair is in the permanent table.
+            debug_assert_eq!(rec.next_rewalk, recorder.epoch, "dropped pair was not due");
+            table.slots[rank] = None;
+        } else if rec.next_rewalk == recorder.epoch {
+            *rec = recorder.record(rank, src, dest)?;
+            tally.rewalked += 1;
+            tally.states += rec.states as usize;
+        } else {
+            tally.reused += 1;
+            if let Some(span) = rec.fragment {
+                rec.fragment = Some(recorder.fragments.kept.copy(&old, span));
+            }
+        }
+    }
+    Ok(tally)
+}
+
+/// The epoch's union CDG: the permanent table's edges merged with the kept
+/// fragments, in ascending `(lowest contributing rank, from, to)` order (see
+/// the module docs). A permanent record keeps no fragment, so no rank is in
+/// both.
+fn union_cdg(resources: usize, table: &PairTable, fragments: &Fragments) -> DependencyGraph {
+    let mut permanent: Vec<(u32, Edge)> = fragments
+        .permanent
+        .iter()
+        .map(|(&edge, &rank)| (rank, edge))
+        .collect();
+    permanent.sort_unstable();
+    let mut permanent = permanent.into_iter().peekable();
+    let mut graph = DependencyGraph::new(resources);
+    let mut add = |(from, to): Edge| graph.add_edge(from as usize, to as usize);
+    for (rank, slot) in table.slots.iter().enumerate() {
+        let Some(span) = slot.as_ref().and_then(|rec| rec.fragment) else {
+            continue;
+        };
+        while let Some((_, edge)) = permanent.next_if(|&(lowest, _)| (lowest as usize) < rank) {
+            add(edge);
+        }
+        fragments.kept.edges(span).for_each(&mut add);
+    }
+    permanent.for_each(|(_, edge)| add(edge));
+    graph
+}
+
+/// Builds the epoch report from the record table: union CDG, fate counts,
 /// failure analysis (cyclic CDG, spurious dead end, livelock) and witnesses.
+/// Its `wall_ms` is left for the caller to take.
 #[allow(clippy::too_many_arguments)]
 fn epoch_report(
     net: &AnyTopology,
@@ -414,38 +764,31 @@ fn epoch_report(
     granularity: Granularity,
     resources: usize,
     epoch: &ScheduleEpoch,
-    records: &BTreeMap<(NodeId, NodeId), PairRecord>,
-    rewalked: usize,
-    reused: usize,
-    states: usize,
-    started: Instant,
+    table: &PairTable,
+    fragments: &Fragments,
+    tally: Tally,
 ) -> EpochReport {
-    let mut graph = DependencyGraph::new(resources);
-    for rec in records.values() {
-        for &(from, to) in &rec.edges {
-            graph.add_edge(from, to);
-        }
-    }
+    let graph = union_cdg(resources, table, fragments);
     let cdg_cycle = graph.find_cycle();
     let components = component_labels(net, &epoch.faults);
     let (mut routable, mut rerouted, mut disconnected) = (0usize, 0usize, 0usize);
     let mut failure = None;
     let mut witness = Vec::new();
     let mut first_disconnect: Option<(NodeId, NodeId)> = None;
-    for (&(src, dest), rec) in records {
+    for ((src, dest), rec) in table.iter() {
         match rec.fate() {
             PairFate::Routable => routable += 1,
             PairFate::Rerouted => rerouted += 1,
             PairFate::Disconnected => {
                 disconnected += 1;
                 let connected = components[src.index()] == components[dest.index()];
-                let spurious = connected || matches!(rec.verdict, PairVerdict::Livelock { .. });
+                let spurious = connected || matches!(rec.verdict(), PairVerdict::Livelock { .. });
                 if spurious && failure.is_none() {
                     failure = Some(format!(
                         "pair {} -> {} {} although the healthy graph {} them",
                         net.node_label(src),
                         net.node_label(dest),
-                        match rec.verdict {
+                        match rec.verdict() {
                             PairVerdict::Livelock { .. } => "livelocks",
                             _ => "dead-ends",
                         },
@@ -455,7 +798,7 @@ fn epoch_report(
                             "no longer connects"
                         },
                     ));
-                    witness = describe_pair_verdict(net, &rec.verdict);
+                    witness = describe_pair_verdict(net, rec.verdict());
                 } else if first_disconnect.is_none() {
                     first_disconnect = Some((src, dest));
                 }
@@ -469,45 +812,42 @@ fn epoch_report(
         ));
         witness = describe_cycle(net, cycle, v, granularity);
     } else if failure.is_none() {
-        if let Some((src, dest)) = first_disconnect {
+        if let Some(key) = first_disconnect {
             // Evidence (not a violation): the first legitimately
             // disconnected pair and its dead-end path.
-            if let Some(rec) = records.get(&(src, dest)) {
-                witness = describe_pair_verdict(net, &rec.verdict);
+            if let Some(rec) = table.get(&key) {
+                witness = describe_pair_verdict(net, rec.verdict());
             }
         }
     }
     let n = net.num_endpoints();
+    let pairs = routable + rerouted + disconnected;
     EpochReport {
         cycle: epoch.cycle,
-        new_faults: epoch
-            .new_events
-            .iter()
-            .map(torus_faults::FaultEvent::label)
-            .collect(),
+        new_faults: epoch.new_events.iter().map(FaultEvent::label).collect(),
         faulty_nodes: epoch.faults.num_faulty_nodes(),
         faulty_links: epoch.faults.num_faulty_links(),
-        pairs: records.len(),
+        pairs,
         routable,
         rerouted,
         disconnected,
-        endpoint_faulty: n * (n - 1) - records.len(),
-        rewalked,
-        reused,
+        endpoint_faulty: n * (n - 1) - pairs,
+        rewalked: tally.rewalked,
+        reused: tally.reused,
         cdg_vertices: graph.num_vertices(),
         cdg_edges: graph.num_edges(),
         acyclic: cdg_cycle.is_none(),
-        states,
-        wall_ms: u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX),
+        states: tally.states,
+        wall_ms: 0,
         failure,
         witness,
     }
 }
 
-fn fates_of(records: &BTreeMap<(NodeId, NodeId), PairRecord>) -> Vec<PairFateEntry> {
-    records
+fn fates_of(table: &PairTable) -> Vec<PairFateEntry> {
+    table
         .iter()
-        .map(|(&(src, dest), rec)| PairFateEntry {
+        .map(|((src, dest), rec)| PairFateEntry {
             src,
             dest,
             fate: rec.fate(),
@@ -547,7 +887,15 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
     let granularity = Granularity::PerVc;
     let resources = resource_count(net, v, granularity);
     let epochs_spec = schedule.epochs(net)?;
-    let mut records: BTreeMap<(NodeId, NodeId), PairRecord> = BTreeMap::new();
+    let epoch_count =
+        u32::try_from(epochs_spec.len()).expect("a schedule has fewer than 2^32 epochs");
+    let touches = Touches::new(net, &epochs_spec);
+    let mut table = PairTable::new(net.num_endpoints());
+    let mut fragments = Fragments {
+        kept: Arena::new(resources),
+        permanent: HashMap::default(),
+        keep_all: paranoid,
+    };
     let mut epochs = Vec::with_capacity(epochs_spec.len());
     let mut fates = Vec::with_capacity(epochs_spec.len());
     let mut divergences = Vec::new();
@@ -555,57 +903,35 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
 
     for (ei, epoch) in epochs_spec.iter().enumerate() {
         let started = Instant::now();
-        let mut rewalked = 0usize;
-        let mut reused = 0usize;
-        let mut states = 0usize;
-        let mut recorder = Recorder {
-            net,
-            v,
-            granularity,
-            state_budget,
-            pairs: PairWalker::new(net, algo, &epoch.faults, v),
-            fold: &mut fold,
-        };
-        if ei == 0 {
-            records = walk_all_pairs(&mut recorder, &epoch.faults)?;
-            rewalked = records.len();
-            states = records.values().map(|r| r.states).sum();
-        } else {
-            // Fault sets only grow: drop pairs whose endpoints just failed.
-            records.retain(|&(src, dest), _| {
-                !epoch.faults.is_node_faulty(src) && !epoch.faults.is_node_faulty(dest)
-            });
-            let keys: Vec<(NodeId, NodeId)> = records.keys().copied().collect();
-            for key in keys {
-                let needs_rewalk = {
-                    let rec = &records[&key];
-                    rec.global
-                        || epoch
-                            .new_events
-                            .iter()
-                            .any(|ev| event_touches(net, rec, ev))
-                };
-                if needs_rewalk {
-                    let rec = recorder.record(key.0, key.1)?;
-                    states += rec.states;
-                    records.insert(key, rec);
-                    rewalked += 1;
-                } else {
-                    reused += 1;
-                }
+        let tally = {
+            let mut recorder = Recorder {
+                net,
+                v,
+                granularity,
+                state_budget,
+                pairs: PairWalker::new(net, algo, &epoch.faults, v),
+                fold: &mut fold,
+                fragments: &mut fragments,
+                epoch: ei as u32,
+                epochs: epoch_count,
+                next_touch: touches.next_after(ei),
+                fails_at: &touches.fails_at,
+            };
+            if ei == 0 {
+                walk_all_pairs(&mut recorder, &mut table, &epoch.faults)?
+            } else {
+                rewalk_due_pairs(&mut recorder, &mut table, &epoch.faults)?
             }
-        }
+        };
         let mut report = epoch_report(
             net,
             v,
             granularity,
             resources,
             epoch,
-            &records,
-            rewalked,
-            reused,
-            states,
-            started,
+            &table,
+            &fragments,
+            tally,
         );
         if paranoid {
             diff_against_scratch(
@@ -615,7 +941,8 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
                 v,
                 state_budget,
                 granularity,
-                &records,
+                &table,
+                &fragments.kept,
                 &mut divergences,
             )?;
         }
@@ -624,7 +951,9 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
                 report.failure = Some(format!("paranoid cross-check diverged: {d}"));
             }
         }
-        fates.push(fates_of(&records));
+        // Taken after the paranoid diff, which is part of what the epoch costs.
+        report.wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        fates.push(fates_of(&table));
         epochs.push(report);
     }
 
@@ -637,8 +966,9 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
 }
 
 /// Recomputes `epoch` from scratch with the destination-major sweep and
-/// diffs the differential record map against it: same pair universe, same
-/// fates and state counts, same CDG edges into every destination.
+/// diffs the differential record table against it: same pair universe, same
+/// fates and state counts, same CDG edges into every destination. Paranoid
+/// mode keeps every fragment in `kept`.
 #[allow(clippy::too_many_arguments)]
 fn diff_against_scratch<A: RoutingAlgorithm>(
     net: &AnyTopology,
@@ -647,7 +977,8 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
     v: usize,
     state_budget: usize,
     granularity: Granularity,
-    differential: &BTreeMap<(NodeId, NodeId), PairRecord>,
+    differential: &PairTable,
+    kept: &Arena,
     divergences: &mut Vec<String>,
 ) -> Result<(), StateBudgetExceeded> {
     let cycle = epoch.cycle;
@@ -666,7 +997,11 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
                 ));
                 continue;
             };
-            edges.extend(&diff.edges);
+            let span = diff.fragment.expect("paranoid mode keeps every fragment");
+            edges.extend(
+                kept.edges(span)
+                    .map(|(from, to)| (from as usize, to as usize)),
+            );
             let fate = fate_of(&pair.verdict, pair.reinjects);
             if diff.fate() != fate {
                 divergences.push(format!(
@@ -676,7 +1011,7 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
                     fate.name()
                 ));
             }
-            if diff.states != pair.states {
+            if diff.states as usize != pair.states {
                 divergences.push(format!(
                     "cycle {cycle}: pair {} has {} states differentially but {} from scratch",
                     at(&key),
@@ -705,11 +1040,44 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
         state_budget,
         diff_destination,
     )?;
-    for key in differential.keys().filter(|key| !fresh.contains(key)) {
+    for (key, _) in differential.iter().filter(|(key, _)| !fresh.contains(key)) {
         divergences.push(format!(
             "cycle {cycle}: differential kept pair {} that a scratch sweep excludes",
-            at(key)
+            at(&key)
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fragments come back as pushed at both edge widths, also after a copy
+    /// into the next epoch's arena. Every resource count in the test suite's
+    /// schedules packs an edge into one word, so this is the only check of
+    /// the two-word width.
+    #[test]
+    fn arena_round_trips_fragments_at_both_widths() {
+        for resources in [9_216, 70_000] {
+            let mut arena = Arena::new(resources);
+            assert_eq!(arena.packed.is_some(), resources <= 1 << 16);
+            let top = resources - 1;
+            let first = [(0, 1), (5, top), (top, 0)];
+            let second = [(1, 2), (top, top - 1)];
+            let (a, b) = (arena.push(&first), arena.push(&second));
+            let old = arena.take();
+            let copied = arena.copy(&old, b);
+            let edges = |arena: &Arena, span| -> Vec<(usize, usize)> {
+                arena
+                    .edges(span)
+                    .map(|(from, to)| (from as usize, to as usize))
+                    .collect()
+            };
+            assert_eq!(edges(&old, a), first);
+            assert_eq!(edges(&old, b), second);
+            assert_eq!(edges(&arena, copied), second);
+            assert_eq!(arena.words.len(), old.words[b.range()].len());
+        }
+    }
 }

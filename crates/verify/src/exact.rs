@@ -129,7 +129,8 @@ pub(crate) struct FoldScratch {
     states: Vec<FoldState>,
     work: VecDeque<StateId>,
     requested: Vec<usize>,
-    /// [`dependency_edges`]' emissions before sorting and deduplication.
+    /// [`dependency_edges`]' emissions, sorted and deduplicated in place
+    /// into the list it lends out.
     edges: Vec<(usize, usize)>,
 }
 
@@ -275,15 +276,16 @@ pub fn accumulate_cdg(
 /// [`accumulate_cdg`] would add to an empty graph for each start in turn.
 /// Adding such lists to a graph in order fixes its adjacency order — and so
 /// the cycle [`DependencyGraph::find_cycle`] reports — whatever order the
-/// dataflow happened to visit states in.
-pub(crate) fn dependency_edges(
+/// dataflow happened to visit states in. The list lives in `scratch` and is
+/// overwritten by the next call.
+pub(crate) fn dependency_edges<'s>(
     net: &AnyTopology,
     graph: &StateGraph,
     starts: impl IntoIterator<Item = StateId>,
     v: usize,
     granularity: Granularity,
-    scratch: &mut FoldScratch,
-) -> Vec<(usize, usize)> {
+    scratch: &'s mut FoldScratch,
+) -> &'s [(usize, usize)] {
     let mut edges = std::mem::take(&mut scratch.edges);
     edges.clear();
     fold_dependencies(
@@ -301,9 +303,8 @@ pub(crate) fn dependency_edges(
     );
     edges.sort_unstable();
     edges.dedup();
-    let deduplicated = edges.clone();
     scratch.edges = edges;
-    deduplicated
+    &scratch.edges
 }
 
 /// Extracts the exact dependency graph of `algo` on `net` under `faults`

@@ -99,7 +99,8 @@ pub fn sweep_destinations<A: RoutingAlgorithm>(
             v,
             granularity,
             &mut fold,
-        );
+        )
+        .to_vec();
         let all_deliver = graph
             .iter()
             .all(|(_, state)| state.terminal != Some(Terminal::Dead))

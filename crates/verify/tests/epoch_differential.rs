@@ -1,16 +1,20 @@
 //! Property-based and unit checks for the epoch-differential schedule
 //! verifier: the differential pass must agree bit-for-bit with a
 //! from-scratch recomputation at every epoch (the paranoid diff is empty on
-//! random schedules), and a schedule that cuts the healthy graph must flip
-//! exactly the cut pairs to `disconnected` at exactly the epoch of the cut,
-//! with a concrete witness.
+//! random schedules), the plain pass must report what the paranoid one
+//! does, a schedule that cuts the healthy graph must flip exactly the cut
+//! pairs to `disconnected` at exactly the epoch of the cut, with a concrete
+//! witness, and a cyclic schedule must report a pinned cycle witness.
 
 use proptest::prelude::*;
 use swbft_verify::matrix::{matrix_routings, STATE_BUDGET};
-use swbft_verify::{verify_schedule, PairFate};
+use swbft_verify::{verify_schedule, EpochReport, PairFate};
 use torus_faults::{FaultEvent, FaultSchedule, FaultSet};
-use torus_routing::RoutingAlgorithm;
-use torus_topology::{AnyTopology, Direction, FatTree, Network, NodeId};
+use torus_routing::{
+    AnyRouting, OutputCandidate, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor,
+    Substrate,
+};
+use torus_topology::{AnyTopology, Direction, FatTree, Network, NodeId, TopologySpec};
 
 /// Small mixed shapes — 1..=2-dimensional grids, wrapped or open per
 /// dimension — plus small fat-trees, so the differential soundness property
@@ -78,6 +82,17 @@ fn schedule_from_picks(net: &AnyTopology, picks: &[u32]) -> FaultSchedule {
     FaultSchedule::from_events(events).expect("cycles are strictly increasing")
 }
 
+/// The reports with their wall clock zeroed: every other field must match.
+fn without_wall(epochs: &[EpochReport]) -> Vec<EpochReport> {
+    epochs
+        .iter()
+        .map(|e| EpochReport {
+            wall_ms: 0,
+            ..e.clone()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -104,6 +119,21 @@ proptest! {
                 outcome.divergences.is_empty(),
                 "{label} on {net}: differential diverged from scratch: {:?}",
                 outcome.divergences
+            );
+            // Only the paranoid run keeps every pair's CDG fragment; the plain
+            // run files final fragments in its permanent table, so this is
+            // what ties that table to the from-scratch sweep.
+            let plain = verify_schedule(&net, &algo, &schedule, v, STATE_BUDGET, false)
+                .expect("small walks fit the state budget");
+            prop_assert_eq!(
+                without_wall(&plain.epochs),
+                without_wall(&outcome.epochs),
+                "{} on {}: plain and paranoid epochs differ", label, net
+            );
+            prop_assert_eq!(
+                &plain.fates,
+                &outcome.fates,
+                "{} on {}: plain and paranoid fates differ", label, net
             );
             prop_assert_eq!(outcome.epochs.len(), outcome.fates.len());
             for (ei, e) in outcome.epochs.iter().enumerate() {
@@ -174,5 +204,112 @@ fn disconnecting_schedule_flips_pairs_at_the_cut_epoch() {
             PairFate::Disconnected,
             "no pair is disconnected before the wall completes: {entry:?}"
         );
+    }
+}
+
+/// Dimension-order routing with every candidate moved to VC 0: the torus
+/// rings lose their dateline classes, so the union CDG is cyclic at every
+/// epoch.
+struct AllOnVcZero(AnyRouting);
+
+impl RoutingAlgorithm for AllOnVcZero {
+    fn flavor(&self) -> RoutingFlavor {
+        self.0.flavor()
+    }
+
+    fn min_virtual_channels(&self, net: &AnyTopology) -> usize {
+        self.0.min_virtual_channels(net)
+    }
+
+    fn supported_on(&self, net: &AnyTopology) -> Result<(), torus_routing::RoutingTopologyError> {
+        self.0.supported_on(net)
+    }
+
+    fn deterministic_output(
+        &self,
+        net: &AnyTopology,
+        header: &RouteHeader,
+        current: NodeId,
+    ) -> Option<(usize, Direction)> {
+        self.0.deterministic_output(net, header, current)
+    }
+
+    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
+        self.0.make_header(net, src, dest)
+    }
+
+    fn route(
+        &self,
+        net: &AnyTopology,
+        faults: &FaultSet,
+        header: &mut RouteHeader,
+        current: NodeId,
+        v: usize,
+    ) -> RouteDecision {
+        match self.0.route(net, faults, header, current, v) {
+            RouteDecision::Forward(candidates) => RouteDecision::Forward(
+                candidates
+                    .iter()
+                    .map(|c| OutputCandidate::escape(c.dim(), c.dir(), 0))
+                    .collect(),
+            ),
+            decision => decision,
+        }
+    }
+
+    fn note_hop(
+        &self,
+        net: &AnyTopology,
+        header: &mut RouteHeader,
+        from: NodeId,
+        dim: usize,
+        dir: Direction,
+    ) {
+        self.0.note_hop(net, header, from, dim, dir);
+    }
+
+    fn reroute_on_fault(
+        &self,
+        net: &AnyTopology,
+        faults: &FaultSet,
+        header: &mut RouteHeader,
+        at: NodeId,
+        blocked: (usize, Direction),
+    ) -> bool {
+        self.0.reroute_on_fault(net, faults, header, at, blocked)
+    }
+
+    fn name(&self) -> String {
+        format!("{} on vc0", self.0.name())
+    }
+}
+
+/// The whole cycle witness of a failing schedule is pinned, as the naive
+/// demo's is for a static case: `find_cycle` follows the union CDG's
+/// edge-insertion order, so the plain pass must add edges in the order a
+/// graph built from every pair's fragment in `(src, dest)` order would.
+#[test]
+fn cyclic_schedule_reports_a_pinned_witness_at_every_epoch() {
+    let net = TopologySpec::parse("torus:4x2")
+        .expect("valid spec")
+        .build()
+        .expect("topology builds");
+    let algo = AllOnVcZero(AnyRouting::deterministic(Substrate::DimensionOrder));
+    let schedule = FaultSchedule::parse("100:node@4,200:link@2:d0+").expect("valid schedule");
+    let outcome = verify_schedule(&net, &algo, &schedule, 2, STATE_BUDGET, false)
+        .expect("4x2 walks fit the state budget");
+    let witness: Vec<String> = (0..4)
+        .map(|y| format!("c{y}: (2,{y}) -d1+-> (2,{}) vc0", (y + 1) % 4))
+        .chain(["-> back to c0 (cycle of 4 channels)".to_string()])
+        .collect();
+    let edges: Vec<usize> = outcome.epochs.iter().map(|e| e.cdg_edges).collect();
+    assert_eq!(edges, [96, 80, 76]);
+    for e in &outcome.epochs {
+        assert!(!e.acyclic, "epoch at cycle {} is cyclic", e.cycle);
+        assert_eq!(
+            e.failure.as_deref(),
+            Some("per-epoch union CDG has a cycle of 4 resources")
+        );
+        assert_eq!(e.witness, witness, "epoch at cycle {}", e.cycle);
     }
 }
