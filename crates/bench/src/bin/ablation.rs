@@ -1,6 +1,6 @@
-//! Ablation study over the simulator/design parameters that DESIGN.md calls
-//! out: flit-buffer depth, the software re-injection overhead Δ, the router
-//! decision time Td, and the number of virtual channels. The paper fixes
+//! Ablation study over the simulator parameters the paper fixes or leaves
+//! unreported: flit-buffer depth, the software re-injection overhead Δ, the
+//! router decision time Td, and the number of virtual channels. The paper fixes
 //! Td = Δ = 0 and does not report a buffer depth; this binary quantifies how
 //! sensitive the headline latency results are to those choices.
 //!
@@ -159,7 +159,8 @@ fn main() {
     print_section(&title, &rows);
 
     // 2. Software re-injection overhead Δ. `ExperimentConfig` has no Δ field
-    // (the paper fixes it to 0), so these points drive the simulator directly.
+    // (the paper fixes it to 0), so these points set it on the simulator
+    // configuration.
     let mut variants: Vec<(String, u32, ExperimentConfig)> = Vec::new();
     for &routing in &routings {
         for delta in [0u32, 10, 50, 200] {
@@ -171,29 +172,9 @@ fn main() {
         }
     }
     let rows = run_pool(variants, jobs, |(label, delta, cfg)| {
-        let run = || -> Result<(f64, u64, f64), String> {
-            let mut sim_cfg = cfg.sim_config();
-            sim_cfg.reinjection_delay = *delta;
-            let t = cfg.topology.build().map_err(|e| e.to_string())?;
-            let mut rng: rand::rngs::StdRng =
-                rand::SeedableRng::seed_from_u64(cfg.seed ^ 0xFA17_5EED);
-            let faults = cfg
-                .faults
-                .realize(&t, &mut rng)
-                .map_err(|e| e.to_string())?;
-            let mut sim = torus_sim::Simulation::new(sim_cfg, faults, cfg.routing.algorithm())
-                .map_err(|e| e.to_string())?;
-            let out = sim.run();
-            Ok((
-                out.report.mean_latency,
-                out.report.messages_queued,
-                out.report.throughput,
-            ))
-        };
-        Row {
-            label: label.clone(),
-            result: run(),
-        }
+        let mut sim_cfg = cfg.sim_config();
+        sim_cfg.reinjection_delay = *delta;
+        Row::from_outcome(label, cfg.run_sim(sim_cfg))
     });
     print_section("software re-injection overhead Δ", &rows);
 

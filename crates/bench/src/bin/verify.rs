@@ -3,11 +3,12 @@
 //! `VERIFY.json`.
 //!
 //! ```text
-//! usage: verify [--matrix smoke|full] [--jobs N] [--out <path>] [--naive-demo]
+//! usage: verify [--matrix smoke|full] [--jobs N|auto] [--out <path>] [--naive-demo]
 //!               [--schedule <spec> [--topology T] [--routing R] [--vc N] [--paranoid]]
 //!   --matrix M      matrix slice to verify (default: smoke)
-//!   --jobs N        worker threads for the sweep (default: 1); the case
-//!                   order in the report is deterministic for any N
+//!   --jobs N|auto   worker threads for the sweep (default: 1; `auto` uses
+//!                   every core); the case order in the report is
+//!                   deterministic for any N
 //!   --out PATH      output path (default: VERIFY.json)
 //!   --naive-demo    instead of the matrix, run the known-cyclic negative
 //!                   control (dimension-order torus routing with the dateline
@@ -32,6 +33,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use swbft_core::Jobs;
 use swbft_verify::epochs::{verify_schedule, ScheduleVerifyError};
 use swbft_verify::matrix::{
     matrix_routings, naive_torus_demo, run_matrix_with_options, MatrixKind, STATE_BUDGET,
@@ -41,7 +43,7 @@ use torus_faults::FaultSchedule;
 use torus_routing::RoutingAlgorithm;
 use torus_topology::TopologySpec;
 
-const USAGE: &str = "usage: verify [--matrix smoke|full] [--jobs N] [--out <path>] [--naive-demo]\n\
+const USAGE: &str = "usage: verify [--matrix smoke|full] [--jobs N|auto] [--out <path>] [--naive-demo]\n\
                      \x20             [--schedule <spec> [--topology T] [--routing R] [--vc N] [--paranoid]]";
 
 /// Runs the single-schedule verification path (`--schedule`).
@@ -166,12 +168,13 @@ fn main() -> ExitCode {
                 };
             }
             "--jobs" => {
-                let parsed = args.next().and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n >= 1) else {
-                    eprintln!("--jobs needs a positive integer\n{USAGE}");
-                    return ExitCode::FAILURE;
+                jobs = match Jobs::parse(&args.next().unwrap_or_default()) {
+                    Ok(j) => j.effective(),
+                    Err(e) => {
+                        eprintln!("{e}\n{USAGE}");
+                        return ExitCode::FAILURE;
+                    }
                 };
-                jobs = n;
             }
             "--out" => {
                 let Some(path) = args.next() else {

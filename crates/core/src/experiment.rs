@@ -282,6 +282,14 @@ impl ExperimentConfig {
 
     /// Runs the experiment and returns its outcome.
     pub fn run(&self) -> Result<ExperimentOutcome, ExperimentError> {
+        self.run_sim(self.sim_config())
+    }
+
+    /// Runs the experiment on a simulator configuration derived from
+    /// [`ExperimentConfig::sim_config`] with knobs this type does not carry
+    /// (the re-injection overhead Δ, say). Faults, routing and the outcome's
+    /// recorded configuration come from `self`.
+    pub fn run_sim(&self, sim_config: SimConfig) -> Result<ExperimentOutcome, ExperimentError> {
         let net = self.topology.build().map_err(ExperimentError::Topology)?;
         // Fault placement uses a dedicated RNG stream (derived from the fault
         // seed if pinned, otherwise from the run seed) so the same faults are
@@ -290,7 +298,7 @@ impl ExperimentConfig {
             StdRng::seed_from_u64(self.fault_seed.unwrap_or(self.seed) ^ 0xFA17_5EED);
         let faults = self.faults.realize(&net, &mut fault_rng)?;
         let fault_count = faults.num_faulty_nodes();
-        let mut sim = Simulation::new(self.sim_config(), faults, self.routing.algorithm())?;
+        let mut sim = Simulation::new(sim_config, faults, self.routing.algorithm())?;
         let outcome = sim.run();
         Ok(ExperimentOutcome {
             config: self.clone(),

@@ -761,7 +761,7 @@ fn fig6(scale: Scale, topology: &TopologySpec, routings: &[RoutingChoice]) -> Fi
 /// Fig. 7: messages queued (absorption events) vs number of random faulty
 /// nodes, M = 32, V = 10, for the two generation rates the paper labels "70"
 /// and "100" (interpreted as mean inter-arrival times in cycles, i.e.
-/// λ = 1/70 and 1/100 messages/node/cycle — see DESIGN.md).
+/// λ = 1/70 and 1/100 messages/node/cycle).
 fn fig7(scale: Scale, topology: &TopologySpec, routings: &[RoutingChoice]) -> FigurePlan {
     let v = 10;
     let m = 32;

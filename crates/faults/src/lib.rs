@@ -17,9 +17,9 @@
 //! The crate provides:
 //!
 //! * [`FaultSet`] — the queryable set of faulty nodes and channels used by the
-//!   routers and the routing algorithms (it implements
-//!   [`torus_topology::NodeFilter`] so it plugs directly into connectivity and
-//!   detour-path queries).
+//!   routers and the routing algorithms, with the queries over the healthy
+//!   subgraph it leaves ([`healthy`]: connectivity, BFS distances and the
+//!   shortest fault-free path of the software layer's rule 3).
 //! * [`RegionShape`] / [`FaultRegion`] — parametric generators for the shaped
 //!   fault regions evaluated in Fig. 5 of the paper, with placement validated
 //!   against the per-dimension radices (regions may wrap around rings but are
@@ -34,6 +34,7 @@
 //!   input of the static fault-schedule verifier in `swbft-verify`).
 
 pub mod classify;
+pub mod healthy;
 pub mod model;
 pub mod plan;
 pub mod random;
@@ -43,9 +44,7 @@ pub mod schedule;
 pub use classify::{classify_region, RegionClass};
 pub use model::{FaultKind, FaultSet};
 pub use plan::{FaultScenario, FaultScenarioError};
-pub use random::{
-    clustered_node_faults, random_node_faults, random_switch_faults, RandomFaultError,
-};
+pub use random::{random_node_faults, random_switch_faults, RandomFaultError};
 pub use regions::{FaultRegion, RegionPlacementError, RegionShape};
 pub use schedule::{FaultEvent, FaultSchedule, FaultScheduleError, ScheduleEpoch, ScheduledFault};
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use torus_topology::{DirectedChannel, Direction, NodeFilter, NodeId, Topology};
+use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
 /// The two kinds of permanent static component failure considered by the
 /// paper (Section 3).
@@ -19,10 +19,9 @@ pub enum FaultKind {
 ///
 /// A `FaultSet` answers the queries the routers and routing algorithms need:
 /// is this node faulty, is this outgoing channel usable, does this message
-/// destination still exist. It also implements
-/// [`torus_topology::NodeFilter`], so it can be used directly with
-/// [`torus_topology::HealthyGraph`] for connectivity checks and fault-free
-/// detour path computation.
+/// destination still exist. The queries over the healthy subgraph those
+/// answers define (connectivity, BFS distances, shortest fault-free paths)
+/// are methods too, in [`crate::healthy`].
 ///
 /// Channels that do not physically exist (the outward channels of mesh edge
 /// nodes) are reported as unusable by every query, so routing layers can
@@ -87,13 +86,7 @@ impl FaultSet {
     ///
     /// Failing a channel that does not exist (the outward edge of an open
     /// dimension) is a no-op: there is no link there to fail.
-    pub fn fail_link<T: Topology + ?Sized>(
-        &mut self,
-        net: &T,
-        from: NodeId,
-        dim: usize,
-        dir: Direction,
-    ) {
+    pub fn fail_link(&mut self, net: &AnyTopology, from: NodeId, dim: usize, dir: Direction) {
         let Some(to) = net.neighbor(from, dim, dir) else {
             return;
         };
@@ -119,7 +112,8 @@ impl FaultSet {
     /// True if the directed channel is unusable: it does not exist (mesh
     /// edge), it was failed explicitly (link fault), or one of its endpoints
     /// is a faulty node.
-    pub fn is_channel_faulty<T: Topology + ?Sized>(&self, net: &T, ch: DirectedChannel) -> bool {
+    #[inline]
+    pub fn is_channel_faulty(&self, net: &AnyTopology, ch: DirectedChannel) -> bool {
         let Some(dest) = net.channel_dest(ch) else {
             return true;
         };
@@ -135,9 +129,9 @@ impl FaultSet {
     /// Convenience query used by the routers: is the output channel of `node`
     /// along `dim`/`dir` usable?
     #[inline]
-    pub fn output_usable<T: Topology + ?Sized>(
+    pub fn output_usable(
         &self,
-        net: &T,
+        net: &AnyTopology,
         node: NodeId,
         dim: usize,
         dir: Direction,
@@ -179,23 +173,6 @@ impl FaultSet {
     /// True if there are no faults at all.
     pub fn is_empty(&self) -> bool {
         self.num_faulty_nodes == 0 && self.faulty_channels.is_empty()
-    }
-
-    /// True if all healthy nodes remain mutually reachable over healthy
-    /// channels (the paper's assumption (h)).
-    pub fn preserves_connectivity<T: Topology + ?Sized>(&self, net: &T) -> bool {
-        let g = torus_topology::HealthyGraph::new(net, self);
-        g.is_connected()
-    }
-
-    /// Healthy nodes of the network, in id order.
-    pub fn healthy_nodes<'a, T: Topology + ?Sized>(
-        &'a self,
-        net: &'a T,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        (0..net.num_nodes())
-            .map(NodeId::from_index)
-            .filter(move |n| !self.is_node_faulty(*n))
     }
 
     /// Merges another fault set into this one.
@@ -250,23 +227,16 @@ impl fmt::Debug for FaultSet {
     }
 }
 
-impl NodeFilter for FaultSet {
-    fn node_blocked(&self, node: NodeId) -> bool {
-        self.is_node_faulty(node)
-    }
-
-    fn channel_blocked<T: Topology + ?Sized>(&self, net: &T, ch: DirectedChannel) -> bool {
-        self.is_channel_faulty(net, ch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torus_topology::{HealthyGraph, Network};
 
-    fn torus8x8() -> Network {
-        Network::torus(8, 2).unwrap()
+    fn torus8x8() -> AnyTopology {
+        AnyTopology::torus(8, 2).unwrap()
+    }
+
+    fn node(net: &AnyTopology, digits: &[u16]) -> NodeId {
+        net.grid().unwrap().node_from_digits(digits).unwrap()
     }
 
     #[test]
@@ -285,7 +255,7 @@ mod tests {
     fn node_fault_marks_incident_channels() {
         let t = torus8x8();
         let mut f = FaultSet::new();
-        let bad = t.node_from_digits(&[3, 3]).unwrap();
+        let bad = node(&t, &[3, 3]);
         f.fail_node(bad);
         assert!(f.is_node_faulty(bad));
         assert_eq!(f.num_faulty_nodes(), 1);
@@ -298,7 +268,7 @@ mod tests {
             assert!(!f.output_usable(&t, next, ch.dim, ch.dir.opposite()));
         }
         // unrelated channels stay usable
-        let far = t.node_from_digits(&[0, 0]).unwrap();
+        let far = node(&t, &[0, 0]);
         assert!(f.output_usable(&t, far, 0, Direction::Plus));
     }
 
@@ -306,7 +276,7 @@ mod tests {
     fn link_fault_blocks_both_directions_only() {
         let t = torus8x8();
         let mut f = FaultSet::new();
-        let a = t.node_from_digits(&[2, 2]).unwrap();
+        let a = node(&t, &[2, 2]);
         f.fail_link(&t, a, 0, Direction::Plus);
         let b = t.neighbor(a, 0, Direction::Plus).unwrap();
         assert!(!f.is_node_faulty(a));
@@ -321,9 +291,9 @@ mod tests {
 
     #[test]
     fn missing_mesh_channels_are_unusable_but_not_link_faults() {
-        let m = Network::mesh(4, 2).unwrap();
+        let m = AnyTopology::mesh(4, 2).unwrap();
         let mut f = FaultSet::new();
-        let corner = m.node_from_digits(&[0, 0]).unwrap();
+        let corner = node(&m, &[0, 0]);
         // The outward channel of an edge node does not exist: unusable, and
         // failing it is a no-op.
         assert!(!f.output_usable(&m, corner, 0, Direction::Minus));
@@ -337,55 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_check_via_node_filter() {
-        // Blocking a full column of a 4x1 ring disconnects it; on a 2-D torus
-        // a single faulty node never disconnects.
-        let t = torus8x8();
-        let mut f = FaultSet::new();
-        f.fail_node(t.node_from_digits(&[4, 4]).unwrap());
-        assert!(f.preserves_connectivity(&t));
-
-        let ring = Network::torus(4, 1).unwrap();
-        let mut f = FaultSet::new();
-        f.fail_node(ring.node_from_digits(&[0]).unwrap());
-        f.fail_node(ring.node_from_digits(&[2]).unwrap());
-        assert!(!f.preserves_connectivity(&ring));
-    }
-
-    #[test]
-    fn healthy_graph_integration() {
-        let t = torus8x8();
-        let mut f = FaultSet::new();
-        f.fail_nodes([
-            t.node_from_digits(&[1, 0]).unwrap(),
-            t.node_from_digits(&[1, 1]).unwrap(),
-        ]);
-        let g = HealthyGraph::new(&t, &f);
-        assert_eq!(g.healthy_node_count(), 62);
-        let p = g
-            .shortest_path(
-                t.node_from_digits(&[0, 0]).unwrap(),
-                t.node_from_digits(&[2, 0]).unwrap(),
-            )
-            .unwrap();
-        for n in p.nodes(&t) {
-            assert!(!f.is_node_faulty(n));
-        }
-    }
-
-    #[test]
     fn merge_combines_faults() {
         let t = torus8x8();
         let mut a = FaultSet::new();
-        a.fail_node(t.node_from_digits(&[0, 1]).unwrap());
+        a.fail_node(node(&t, &[0, 1]));
         let mut b = FaultSet::new();
-        b.fail_node(t.node_from_digits(&[5, 5]).unwrap());
-        b.fail_link(
-            &t,
-            t.node_from_digits(&[6, 6]).unwrap(),
-            1,
-            Direction::Minus,
-        );
+        b.fail_node(node(&t, &[5, 5]));
+        b.fail_link(&t, node(&t, &[6, 6]), 1, Direction::Minus);
         a.merge(&b);
         assert_eq!(a.num_faulty_nodes(), 2);
         assert_eq!(a.num_faulty_links(), 1);

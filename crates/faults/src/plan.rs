@@ -9,7 +9,9 @@
 //! radices and wrap flags.
 
 use crate::model::FaultSet;
-use crate::random::{random_node_faults, random_switch_faults, RandomFaultError};
+use crate::random::{
+    clustered_node_faults, random_node_faults, random_switch_faults, RandomFaultError,
+};
 use crate::regions::{FaultRegion, RegionPlacementError, RegionShape};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -182,8 +184,8 @@ impl FaultScenario {
                 width,
             } => {
                 let grid = self.require_grid(net)?;
-                Ok(crate::random::clustered_node_faults(
-                    grid, *count, *dim, *plane, *width, rng,
+                Ok(clustered_node_faults(
+                    net, grid, *count, *dim, *plane, *width, rng,
                 )?)
             }
             FaultScenario::Region {

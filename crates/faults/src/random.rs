@@ -11,7 +11,7 @@ use crate::model::FaultSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
-use torus_topology::{AnyTopology, FatTreeNode, Network, NodeId, Topology};
+use torus_topology::{AnyTopology, FatTreeNode, Network, NodeId};
 
 /// Errors produced by random fault injection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,8 +100,8 @@ const MAX_ATTEMPTS: usize = 1000;
 /// Shared sampling loop: draws `nf` distinct nodes from the candidate set,
 /// resampling the whole placement until the healthy subgraph of the network
 /// stays connected (or the retry budget runs out).
-fn sample_connected<T: Topology + ?Sized, R: Rng + ?Sized>(
-    net: &T,
+fn sample_connected<R: Rng + ?Sized>(
+    net: &AnyTopology,
     mut ids: Vec<NodeId>,
     nf: usize,
     rng: &mut R,
@@ -137,8 +137,8 @@ fn sample_connected<T: Topology + ?Sized, R: Rng + ?Sized>(
 /// connectivity-preserving placement is found within an internal retry budget
 /// (practically impossible for the fault densities used in the paper — at
 /// most 20 faults in a 64..512-node net).
-pub fn random_node_faults<T: Topology + ?Sized, R: Rng + ?Sized>(
-    net: &T,
+pub fn random_node_faults<R: Rng + ?Sized>(
+    net: &AnyTopology,
     nf: usize,
     rng: &mut R,
 ) -> Result<FaultSet, RandomFaultError> {
@@ -152,7 +152,7 @@ pub fn random_node_faults<T: Topology + ?Sized, R: Rng + ?Sized>(
             nodes: n,
         });
     }
-    sample_connected(net, (0..n).map(NodeId::from_index).collect(), nf, rng)
+    sample_connected(net, net.endpoints().collect(), nf, rng)
 }
 
 /// Samples `nf` distinct faulty *switches* uniformly at random on an indirect
@@ -182,7 +182,7 @@ pub fn random_switch_faults<R: Rng + ?Sized>(
     if nf == 0 {
         return Ok(FaultSet::new());
     }
-    let ids: Vec<NodeId> = ft
+    let ids: Vec<NodeId> = net
         .nodes()
         .filter(|&n| matches!(ft.classify(n), FatTreeNode::Switch { level, .. } if level >= 1))
         .collect();
@@ -207,25 +207,29 @@ pub fn random_switch_faults<R: Rng + ?Sized>(
 /// extent exactly like a shaped fault region on an open dimension — so the
 /// same scenario denotes the same node set on a torus and the matching mesh.
 ///
+/// `grid` is `net`'s grid backend: the slab is drawn in its coordinates,
+/// and connectivity is checked on `net`.
+///
 /// # Errors
 /// Fails if `dim` is out of range, the slab exceeds the dimension's extent,
 /// the slab holds fewer than `nf` candidate nodes, or no
 /// connectivity-preserving placement is found within the retry budget.
-pub fn clustered_node_faults<R: Rng + ?Sized>(
-    net: &Network,
+pub(crate) fn clustered_node_faults<R: Rng + ?Sized>(
+    net: &AnyTopology,
+    grid: &Network,
     nf: usize,
     dim: usize,
     plane: u16,
     width: u16,
     rng: &mut R,
 ) -> Result<FaultSet, RandomFaultError> {
-    if dim >= net.dims() {
+    if dim >= grid.dims() {
         return Err(RandomFaultError::DimensionOutOfRange {
             dim,
-            dims: net.dims(),
+            dims: grid.dims(),
         });
     }
-    let radix = net.radix(dim);
+    let radix = grid.radix(dim);
     if width == 0 || plane >= radix || radix - plane < width {
         return Err(RandomFaultError::SlabOutOfRange {
             plane,
@@ -239,7 +243,7 @@ pub fn clustered_node_faults<R: Rng + ?Sized>(
     let ids: Vec<NodeId> = net
         .nodes()
         .filter(|&n| {
-            let p = net.position(n, dim);
+            let p = grid.position(n, dim);
             p >= plane && p < plane + width
         })
         .collect();
@@ -264,7 +268,7 @@ mod tests {
 
     #[test]
     fn zero_faults_is_empty() {
-        let t = Network::torus(8, 2).unwrap();
+        let t = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let f = random_node_faults(&t, 0, &mut rng).unwrap();
         assert!(f.is_empty());
@@ -272,7 +276,7 @@ mod tests {
 
     #[test]
     fn requested_count_is_honoured_and_connected() {
-        let t = Network::torus(8, 2).unwrap();
+        let t = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         for nf in [1, 3, 5, 10, 20] {
             let f = random_node_faults(&t, nf, &mut rng).unwrap();
@@ -283,7 +287,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let t = Network::torus(8, 3).unwrap();
+        let t = AnyTopology::torus(8, 3).unwrap();
         let a = random_node_faults(&t, 12, &mut StdRng::seed_from_u64(7)).unwrap();
         let b = random_node_faults(&t, 12, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a.faulty_nodes_sorted(), b.faulty_nodes_sorted());
@@ -293,7 +297,7 @@ mod tests {
 
     #[test]
     fn too_many_faults_is_an_error() {
-        let t = Network::torus(4, 1).unwrap();
+        let t = AnyTopology::torus(4, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         assert!(matches!(
             random_node_faults(&t, 4, &mut rng),
@@ -307,14 +311,15 @@ mod tests {
 
     #[test]
     fn clustered_faults_land_in_the_requested_slab() {
-        let t = Network::torus(8, 3).unwrap();
+        let t = AnyTopology::torus(8, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(21);
         for (dim, plane, width) in [(0usize, 2u16, 1u16), (1, 5, 2), (2, 0, 3)] {
-            let f = clustered_node_faults(&t, 6, dim, plane, width, &mut rng).unwrap();
+            let f = clustered_node_faults(&t, t.grid().unwrap(), 6, dim, plane, width, &mut rng)
+                .unwrap();
             assert_eq!(f.num_faulty_nodes(), 6);
             assert!(f.preserves_connectivity(&t));
             for n in f.faulty_nodes_sorted() {
-                let p = t.position(n, dim);
+                let p = t.grid().unwrap().position(n, dim);
                 assert!(
                     p >= plane && p < plane + width,
                     "fault at digit {p} outside slab [{plane}, {})",
@@ -323,36 +328,36 @@ mod tests {
             }
         }
         // Full-width slab degenerates to the uniform sampler's support.
-        let f = clustered_node_faults(&t, 4, 0, 0, 8, &mut rng).unwrap();
+        let f = clustered_node_faults(&t, t.grid().unwrap(), 4, 0, 0, 8, &mut rng).unwrap();
         assert_eq!(f.num_faulty_nodes(), 4);
     }
 
     #[test]
     fn clustered_faults_work_on_open_dimensions() {
-        let m = Network::mesh(8, 2).unwrap();
+        let m = AnyTopology::mesh(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let f = clustered_node_faults(&m, 3, 1, 6, 2, &mut rng).unwrap();
+        let f = clustered_node_faults(&m, m.grid().unwrap(), 3, 1, 6, 2, &mut rng).unwrap();
         assert_eq!(f.num_faulty_nodes(), 3);
         assert!(f.preserves_connectivity(&m));
         for n in f.faulty_nodes_sorted() {
-            assert!(m.position(n, 1) >= 6);
+            assert!(m.grid().unwrap().position(n, 1) >= 6);
         }
     }
 
     #[test]
     fn clustered_faults_validate_dim_and_slab() {
-        let m = Network::mesh(8, 2).unwrap();
+        let m = AnyTopology::mesh(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(
-            clustered_node_faults(&m, 2, 5, 0, 1, &mut rng),
+            clustered_node_faults(&m, m.grid().unwrap(), 2, 5, 0, 1, &mut rng),
             Err(RandomFaultError::DimensionOutOfRange { dim: 5, dims: 2 })
         ));
         // A slab overhanging the extent is rejected, not wrapped — even on a
         // wrapped dimension.
-        let t = Network::torus(8, 2).unwrap();
+        let t = AnyTopology::torus(8, 2).unwrap();
         for net in [&m, &t] {
             assert!(matches!(
-                clustered_node_faults(net, 2, 0, 6, 3, &mut rng),
+                clustered_node_faults(net, net.grid().unwrap(), 2, 0, 6, 3, &mut rng),
                 Err(RandomFaultError::SlabOutOfRange {
                     plane: 6,
                     width: 3,
@@ -361,37 +366,40 @@ mod tests {
             ));
         }
         assert!(matches!(
-            clustered_node_faults(&m, 2, 0, 0, 0, &mut rng),
+            clustered_node_faults(&m, m.grid().unwrap(), 2, 0, 0, 0, &mut rng),
             Err(RandomFaultError::SlabOutOfRange { .. })
         ));
         // The slab-overflow error renders without panicking even at the
         // extremes of the u16 domain.
-        let err = clustered_node_faults(&m, 1, 0, u16::MAX, 2, &mut rng).unwrap_err();
+        let err =
+            clustered_node_faults(&m, m.grid().unwrap(), 1, 0, u16::MAX, 2, &mut rng).unwrap_err();
         assert!(err.to_string().contains("exceeds the dimension's extent"));
         // More faults than slab candidates.
         assert!(matches!(
-            clustered_node_faults(&m, 9, 0, 3, 1, &mut rng),
+            clustered_node_faults(&m, m.grid().unwrap(), 9, 0, 3, 1, &mut rng),
             Err(RandomFaultError::TooManyFaults {
                 requested: 9,
                 nodes: 8
             })
         ));
-        assert!(clustered_node_faults(&m, 0, 0, 3, 1, &mut rng)
-            .unwrap()
-            .is_empty());
+        assert!(
+            clustered_node_faults(&m, m.grid().unwrap(), 0, 0, 3, 1, &mut rng)
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
     fn failing_an_entire_boundary_slab_is_allowed_when_connectivity_survives() {
         // The whole boundary column of a mesh can fail: the remaining 7
         // columns stay connected.
-        let m = Network::mesh(8, 2).unwrap();
+        let m = AnyTopology::mesh(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let f = clustered_node_faults(&m, 8, 0, 7, 1, &mut rng).unwrap();
+        let f = clustered_node_faults(&m, m.grid().unwrap(), 8, 0, 7, 1, &mut rng).unwrap();
         assert_eq!(f.num_faulty_nodes(), 8);
         assert!(f.preserves_connectivity(&m));
         for n in f.faulty_nodes_sorted() {
-            assert_eq!(m.position(n, 0), 7);
+            assert_eq!(m.grid().unwrap().position(n, 0), 7);
         }
     }
 

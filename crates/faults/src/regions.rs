@@ -555,6 +555,7 @@ impl FaultRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torus_topology::AnyTopology;
 
     #[test]
     fn paper_fig5_node_counts_match_legend() {
@@ -738,11 +739,12 @@ mod tests {
 
     #[test]
     fn to_fault_set_and_connectivity() {
-        let t = Network::torus(8, 2).unwrap();
-        let region = FaultRegion::in_default_plane(&t, RegionShape::paper_u_8(), &[2, 2]).unwrap();
-        let f = region.to_fault_set(&t).unwrap();
+        let net = AnyTopology::torus(8, 2).unwrap();
+        let t = net.grid().unwrap();
+        let region = FaultRegion::in_default_plane(t, RegionShape::paper_u_8(), &[2, 2]).unwrap();
+        let f = region.to_fault_set(t).unwrap();
         assert_eq!(f.num_faulty_nodes(), 8);
-        assert!(f.preserves_connectivity(&t));
+        assert!(f.preserves_connectivity(&net));
     }
 
     #[test]

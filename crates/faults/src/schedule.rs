@@ -19,7 +19,7 @@
 use crate::model::FaultSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use torus_topology::{Direction, NodeId, Topology};
+use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// One scheduled component failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,7 +52,7 @@ impl FaultEvent {
     }
 
     /// Applies the event to a cumulative fault set.
-    fn apply<T: Topology + ?Sized>(&self, net: &T, faults: &mut FaultSet) {
+    fn apply(&self, net: &AnyTopology, faults: &mut FaultSet) {
         match *self {
             FaultEvent::Node { node } => faults.fail_node(NodeId(node)),
             FaultEvent::Link { node, dim, dir } => faults.fail_link(net, NodeId(node), dim, dir),
@@ -229,7 +229,7 @@ impl FaultSchedule {
     /// and dimensions, physically existing links, and no component failed
     /// twice (links are identified up to direction, so naming the same link
     /// from both endpoints counts as a duplicate).
-    pub fn validate<T: Topology + ?Sized>(&self, net: &T) -> Result<(), FaultScheduleError> {
+    pub fn validate(&self, net: &AnyTopology) -> Result<(), FaultScheduleError> {
         let nodes = net.num_nodes();
         let dims = net.dims();
         let mut seen_nodes: Vec<u32> = Vec::new();
@@ -271,10 +271,7 @@ impl FaultSchedule {
     /// [`ScheduleEpoch`] per distinct injection cycle, each carrying the
     /// cumulative fault set, preceded by an explicit fault-free epoch 0
     /// when the first event arrives after cycle 0.
-    pub fn epochs<T: Topology + ?Sized>(
-        &self,
-        net: &T,
-    ) -> Result<Vec<ScheduleEpoch>, FaultScheduleError> {
+    pub fn epochs(&self, net: &AnyTopology) -> Result<Vec<ScheduleEpoch>, FaultScheduleError> {
         self.validate(net)?;
         let mut epochs = Vec::new();
         if self.events.first().is_none_or(|e| e.cycle > 0) {
@@ -370,10 +367,9 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torus_topology::Network;
 
-    fn torus4x2() -> Network {
-        Network::torus(4, 2).unwrap()
+    fn torus4x2() -> AnyTopology {
+        AnyTopology::torus(4, 2).unwrap()
     }
 
     #[test]
@@ -505,7 +501,7 @@ mod tests {
         ));
 
         // Mesh edges have no outward channel to fail.
-        let mesh = Network::mesh(4, 2).unwrap();
+        let mesh = AnyTopology::mesh(4, 2).unwrap();
         let missing = FaultSchedule::from_events(vec![(
             1,
             FaultEvent::Link {

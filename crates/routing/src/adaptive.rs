@@ -49,7 +49,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[0, 0, 0]).unwrap();
         let dest = t.node_from_digits(&[2, 0, 6]).unwrap();
-        let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Adaptive);
+        let h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Adaptive);
         let prods: Vec<_> = productive_outputs(&t, &h, src).collect();
         assert_eq!(prods.len(), 2);
         assert!(prods.contains(&(0, Direction::Plus)));
@@ -60,7 +60,7 @@ mod tests {
     fn no_productive_outputs_at_destination() {
         let t = torus();
         let dest = t.node_from_digits(&[1, 2, 3]).unwrap();
-        let h = RouteHeader::new(&t, dest, dest, RoutingFlavor::Adaptive);
+        let h = RouteHeader::new(t.dims(), dest, dest, RoutingFlavor::Adaptive);
         assert_eq!(productive_outputs(&t, &h, dest).count(), 0);
     }
 
@@ -69,11 +69,11 @@ mod tests {
         let m = Network::mesh(4, 2).unwrap();
         let corner = m.node_from_digits(&[0, 0]).unwrap();
         let far = m.node_from_digits(&[3, 3]).unwrap();
-        let h = RouteHeader::new(&m, corner, far, RoutingFlavor::Adaptive);
+        let h = RouteHeader::new(m.dims(), corner, far, RoutingFlavor::Adaptive);
         for (dim, dir) in productive_outputs(&m, &h, corner) {
             assert!(m.has_channel(corner, dim, dir));
         }
-        let h = RouteHeader::new(&m, far, corner, RoutingFlavor::Adaptive);
+        let h = RouteHeader::new(m.dims(), far, corner, RoutingFlavor::Adaptive);
         for (dim, dir) in productive_outputs(&m, &h, far) {
             assert!(m.has_channel(far, dim, dir));
         }

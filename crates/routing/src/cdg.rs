@@ -27,7 +27,9 @@ use crate::hash::BuildWordHasher;
 use crate::header::{RouteHeader, RoutingFlavor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use torus_topology::{DirectedChannel, Direction, Network, VcClass};
+use torus_topology::{
+    AnyTopology, ChannelId, DirectedChannel, Direction, Network, NodeId, VcClass,
+};
 
 /// A dependency graph over virtual-channel resources.
 #[derive(Clone, Debug, Default)]
@@ -153,18 +155,20 @@ pub enum VcModel {
 }
 
 fn resource_id(net: &Network, model: VcModel, ch: DirectedChannel, class: VcClass) -> usize {
+    let slot = ChannelId::new(ch, net.dims()).index();
     match model {
-        VcModel::DatelineClasses => net.channel_id(ch).index() * 2 + class.index(),
-        VcModel::SingleClass => net.channel_id(ch).index(),
+        VcModel::DatelineClasses => slot * 2 + class.index(),
+        VcModel::SingleClass => slot,
     }
 }
 
 /// Resource vertices are allocated per channel *slot* of the dense id space,
 /// so missing mesh-edge channels simply leave isolated (edge-free) vertices.
 fn num_resources(net: &Network, model: VcModel) -> usize {
+    let slots = ChannelId::slots(net.num_nodes(), net.dims());
     match model {
-        VcModel::DatelineClasses => net.channel_slots() * 2,
-        VcModel::SingleClass => net.channel_slots(),
+        VcModel::DatelineClasses => slots * 2,
+        VcModel::SingleClass => slots,
     }
 }
 
@@ -173,12 +177,13 @@ fn num_resources(net: &Network, model: VcModel) -> usize {
 /// recording the successive virtual-channel resources a message holds.
 pub fn build_ecube_cdg(net: &Network, model: VcModel) -> DependencyGraph {
     let mut graph = DependencyGraph::new(num_resources(net, model));
-    for src in net.nodes() {
-        for dest in net.nodes() {
+    let nodes = || (0..net.num_nodes()).map(NodeId::from_index);
+    for src in nodes() {
+        for dest in nodes() {
             if src == dest {
                 continue;
             }
-            let mut header = RouteHeader::new(net, src, dest, RoutingFlavor::Deterministic);
+            let mut header = RouteHeader::new(net.dims(), src, dest, RoutingFlavor::Deterministic);
             let mut current = src;
             let mut previous: Option<usize> = None;
             while let Some((dim, dir)) = ecube_output(net, &header, current) {
@@ -259,7 +264,7 @@ impl TurnRule {
 /// dimension the same-direction dependency chain around the ring closes a
 /// cycle no turn prohibition can break — which is exactly why the turn model
 /// is rejected on wrapped dimensions.
-pub fn build_turn_cdg(net: &Network, rule: Option<TurnRule>) -> DependencyGraph {
+pub fn build_turn_cdg(net: &AnyTopology, rule: Option<TurnRule>) -> DependencyGraph {
     let mut graph = DependencyGraph::new(net.channel_slots());
     for held in net.channels() {
         let mid = net
@@ -362,10 +367,11 @@ mod tests {
     #[test]
     fn dependency_graph_counts() {
         let t = Network::torus(4, 2).unwrap();
+        let slots = AnyTopology::Grid(t.clone()).channel_slots();
         let g = build_ecube_cdg(&t, VcModel::DatelineClasses);
-        assert_eq!(g.num_vertices(), t.channel_slots() * 2);
+        assert_eq!(g.num_vertices(), slots * 2);
         let g1 = build_ecube_cdg(&t, VcModel::SingleClass);
-        assert_eq!(g1.num_vertices(), t.channel_slots());
+        assert_eq!(g1.num_vertices(), slots);
         assert!(g1.num_edges() <= g.num_edges() * 2);
     }
 
@@ -394,11 +400,13 @@ mod tests {
         // reflections of the same rule and must stay acyclic for the same
         // reason.
         for net in [
-            Network::mesh(4, 2).unwrap(),
-            Network::mesh(8, 2).unwrap(),
-            Network::mesh(3, 3).unwrap(),
-            Network::hypercube(5).unwrap(),
-            Network::new(vec![6, 3, 2], vec![false, false, false]).unwrap(),
+            AnyTopology::mesh(4, 2).unwrap(),
+            AnyTopology::mesh(8, 2).unwrap(),
+            AnyTopology::mesh(3, 3).unwrap(),
+            AnyTopology::hypercube(5).unwrap(),
+            Network::new(vec![6, 3, 2], vec![false, false, false])
+                .unwrap()
+                .into(),
         ] {
             for rule in [
                 TurnRule::NegativeFirst,
@@ -418,9 +426,9 @@ mod tests {
         // of any 2-D plane close a cycle. This is why the adaptive flavour
         // restricts its candidates to the current negative-first phase.
         for net in [
-            Network::mesh(2, 2).unwrap(),
-            Network::mesh(4, 2).unwrap(),
-            Network::hypercube(3).unwrap(),
+            AnyTopology::mesh(2, 2).unwrap(),
+            AnyTopology::mesh(4, 2).unwrap(),
+            AnyTopology::hypercube(3).unwrap(),
         ] {
             let g = build_turn_cdg(&net, None);
             assert!(
@@ -429,7 +437,7 @@ mod tests {
             );
         }
         // A 1-D line has no turns at all; even unrestricted it is acyclic.
-        let line = Network::mesh(8, 1).unwrap();
+        let line = AnyTopology::mesh(8, 1).unwrap();
         assert!(build_turn_cdg(&line, None).is_acyclic());
     }
 
@@ -438,9 +446,9 @@ mod tests {
         // The reason the turn model is rejected on tori: a ring's
         // same-direction chain is a cycle no turn prohibition breaks.
         for net in [
-            Network::torus(4, 2).unwrap(),
-            Network::torus(8, 1).unwrap(),
-            Network::new(vec![4, 3], vec![true, false]).unwrap(),
+            AnyTopology::torus(4, 2).unwrap(),
+            AnyTopology::torus(8, 1).unwrap(),
+            Network::new(vec![4, 3], vec![true, false]).unwrap().into(),
         ] {
             for rule in [
                 TurnRule::NegativeFirst,
@@ -502,7 +510,7 @@ mod tests {
 
     #[test]
     fn turn_cdg_vertex_space_matches_channel_slots() {
-        let m = Network::mesh(4, 2).unwrap();
+        let m = AnyTopology::mesh(4, 2).unwrap();
         let g = build_turn_cdg(&m, Some(TurnRule::NegativeFirst));
         assert_eq!(g.num_vertices(), m.channel_slots());
         // The restricted graph is a strict subgraph of the unrestricted one.

@@ -79,7 +79,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[1, 1]).unwrap();
         let dest = t.node_from_digits(&[3, 5]).unwrap();
-        let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         assert_eq!(ecube_output(&t, &h, src), Some((0, Direction::Plus)));
         // Once dimension 0 is resolved, dimension 1 is routed.
         let mid = t.node_from_digits(&[3, 1]).unwrap();
@@ -92,7 +92,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[1, 0]).unwrap();
         let dest = t.node_from_digits(&[6, 0]).unwrap();
-        let h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         assert_eq!(ecube_output(&t, &h, src), Some((0, Direction::Minus)));
     }
 
@@ -101,7 +101,7 @@ mod tests {
         let m = Network::mesh(8, 2).unwrap();
         let src = m.node_from_digits(&[1, 0]).unwrap();
         let dest = m.node_from_digits(&[6, 0]).unwrap();
-        let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(m.dims(), src, dest, RoutingFlavor::Deterministic);
         // On the torus the minimal direction is Minus (3 hops over the wrap);
         // on the mesh the only way is Plus (5 hops).
         assert_eq!(ecube_output(&m, &h, src), Some((0, Direction::Plus)));
@@ -112,7 +112,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[1, 0]).unwrap();
         let dest = t.node_from_digits(&[3, 0]).unwrap();
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         h.set_forced_dir(0, Some(Direction::Minus));
         assert_eq!(ecube_output(&t, &h, src), Some((0, Direction::Minus)));
         // With the offset nullified the forced dimension is skipped.
@@ -124,7 +124,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[2, 1]).unwrap();
         let dest = t.node_from_digits(&[2, 5]).unwrap();
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         h.set_forced_dir(0, Some(Direction::Plus));
         // Dimension 0 has no offset, so routing proceeds in dimension 1.
         assert_eq!(ecube_output(&t, &h, src), Some((1, Direction::Plus)));
@@ -136,7 +136,7 @@ mod tests {
         let src = t.node_from_digits(&[0, 0]).unwrap();
         let dest = t.node_from_digits(&[4, 0]).unwrap();
         let via = t.node_from_digits(&[0, 2]).unwrap();
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         h.push_intermediate(via);
         assert_eq!(ecube_output(&t, &h, src), Some((1, Direction::Plus)));
     }
@@ -146,7 +146,7 @@ mod tests {
         let t = torus();
         let src = t.node_from_digits(&[0, 0]).unwrap();
         let dest = t.node_from_digits(&[5, 0]).unwrap();
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         assert_eq!(ecube_vc_class(&h, 0), VcClass::BeforeDateline);
         assert_eq!(deterministic_vcs(&t, &h, 0, 4), vec![0, 1]);
         h.set_crossed_dateline(0);
@@ -161,7 +161,7 @@ mod tests {
         let m = Network::mesh(8, 2).unwrap();
         let src = m.node_from_digits(&[0, 0]).unwrap();
         let dest = m.node_from_digits(&[5, 0]).unwrap();
-        let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(m.dims(), src, dest, RoutingFlavor::Deterministic);
         // No dateline split on open dimensions: every VC is permitted, and a
         // single VC suffices.
         assert_eq!(deterministic_vcs(&m, &h, 0, 4), vec![0, 1, 2, 3]);
@@ -169,7 +169,7 @@ mod tests {
         // Mixed shape: the wrapped dimension still splits.
         let mixed = Network::new(vec![8, 4], vec![true, false]).unwrap();
         let h = RouteHeader::new(
-            &mixed,
+            mixed.dims(),
             mixed.node_from_digits(&[0, 0]).unwrap(),
             mixed.node_from_digits(&[5, 3]).unwrap(),
             RoutingFlavor::Deterministic,

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use torus_topology::{AnyTopology, Direction, NodeId, Topology};
+use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// The two flavours of Software-Based routing evaluated in the paper.
 ///
@@ -114,13 +114,9 @@ pub struct RouteHeader {
 }
 
 impl RouteHeader {
-    /// Creates the header of a freshly generated message.
-    pub fn new<T: Topology + ?Sized>(
-        net: &T,
-        source: NodeId,
-        dest: NodeId,
-        flavor: RoutingFlavor,
-    ) -> Self {
+    /// Creates the header of a freshly generated message on a topology with
+    /// `dims` port pairs per node.
+    pub fn new(dims: usize, source: NodeId, dest: NodeId, flavor: RoutingFlavor) -> Self {
         RouteHeader {
             source,
             final_dest: dest,
@@ -130,7 +126,7 @@ impl RouteHeader {
             forced: 0,
             crossed: 0,
             absorptions: 0,
-            misroute_budget: default_misroute_budget(net),
+            misroute_budget: default_misroute_budget(dims),
             hops: 0,
             escorted: false,
         }
@@ -397,8 +393,8 @@ impl fmt::Debug for Stack {
 /// the fault patterns of the paper ever require, yet small enough to bound
 /// worst-case livelock tightly. (On a fat-tree `n` is the switch arity, so
 /// the budget scales with the number of alternate parents.)
-pub fn default_misroute_budget<T: Topology + ?Sized>(net: &T) -> u32 {
-    4 + 2 * net.dims() as u32
+pub fn default_misroute_budget(dims: usize) -> u32 {
+    4 + 2 * dims as u32
 }
 
 #[cfg(test)]
@@ -417,7 +413,7 @@ mod tests {
     #[test]
     fn new_header_targets_final_destination() {
         let t = torus();
-        let h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Adaptive);
+        let h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Adaptive);
         assert_eq!(h.target(), NodeId(9));
         assert_eq!(h.pending_via(), 0);
         assert!(!h.faulted);
@@ -428,9 +424,9 @@ mod tests {
     #[test]
     fn deterministic_flavor_is_always_deterministic() {
         let t = torus();
-        let h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
         assert!(h.is_deterministic());
-        let mut h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Adaptive);
+        let mut h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Adaptive);
         h.faulted = true;
         assert!(h.is_deterministic());
     }
@@ -438,7 +434,7 @@ mod tests {
     #[test]
     fn advance_target_walks_the_via_chain() {
         let t = torus();
-        let mut h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
         h.push_intermediate(NodeId(3));
         assert_eq!(h.target(), NodeId(3));
         assert_eq!(h.pending_via(), 1);
@@ -450,7 +446,7 @@ mod tests {
     #[test]
     fn push_intermediate_ignores_duplicate_target() {
         let t = torus();
-        let mut h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
         h.push_intermediate(NodeId(9));
         assert_eq!(h.pending_via(), 0);
     }
@@ -458,7 +454,7 @@ mod tests {
     #[test]
     fn set_via_chain_appends_final_destination() {
         let t = torus();
-        let mut h = RouteHeader::new(&t, NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), NodeId(0), NodeId(9), RoutingFlavor::Deterministic);
         h.set_via_chain(&[NodeId(1), NodeId(2)]);
         assert_eq!(h.target(), NodeId(1));
         assert_eq!(h.pending_via(), 2);
@@ -473,7 +469,12 @@ mod tests {
     fn note_hop_tracks_datelines_and_hops() {
         let t = torus();
         let src = node(&t, &[7, 0]);
-        let mut h = RouteHeader::new(&t, src, node(&t, &[1, 0]), RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(
+            t.dims(),
+            src,
+            node(&t, &[1, 0]),
+            RoutingFlavor::Deterministic,
+        );
         assert!(!h.crossed_dateline(0));
         h.note_hop(&t, src, 0, Direction::Plus); // 7 -> 0 crosses the dateline
         assert!(h.crossed_dateline(0));
@@ -486,7 +487,7 @@ mod tests {
         let t = torus();
         let src = node(&t, &[3, 0]);
         let dest = node(&t, &[4, 0]);
-        let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(t.dims(), src, dest, RoutingFlavor::Deterministic);
         // Force the "wrong way round" in dimension 0.
         h.set_forced_dir(0, Some(Direction::Minus));
         // Walk 3 -> 2 -> 1 -> 0 -> 7 -> 6 -> 5 -> 4 the long way (7 hops); the
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn reset_for_injection_clears_dateline_flags() {
         let t = torus();
-        let mut h = RouteHeader::new(&t, NodeId(0), NodeId(20), RoutingFlavor::Adaptive);
+        let mut h = RouteHeader::new(t.dims(), NodeId(0), NodeId(20), RoutingFlavor::Adaptive);
         h.set_crossed_dateline(1);
         h.hops = 5;
         h.reset_for_injection();
@@ -514,19 +515,11 @@ mod tests {
 
     #[test]
     fn misroute_budget_scales_with_dimensionality() {
-        assert_eq!(
-            default_misroute_budget(&AnyTopology::torus(8, 2).unwrap()),
-            8
-        );
-        assert_eq!(
-            default_misroute_budget(&AnyTopology::torus(8, 3).unwrap()),
-            10
-        );
+        let budget = |net: AnyTopology| default_misroute_budget(net.dims());
+        assert_eq!(budget(AnyTopology::torus(8, 2).unwrap()), 8);
+        assert_eq!(budget(AnyTopology::torus(8, 3).unwrap()), 10);
         // Fat-tree: dims == arity, so budget scales with parent fan-out.
-        assert_eq!(
-            default_misroute_budget(&AnyTopology::fat_tree_new(4, 2).unwrap()),
-            12
-        );
+        assert_eq!(budget(AnyTopology::fat_tree_new(4, 2).unwrap()), 12);
     }
 
     #[test]
@@ -539,7 +532,7 @@ mod tests {
         );
         let hc = AnyTopology::hypercube(31).unwrap();
         let far = NodeId(1 << 30);
-        let mut h = RouteHeader::new(&hc, NodeId(0), far, RoutingFlavor::Deterministic);
+        let mut h = RouteHeader::new(hc.dims(), NodeId(0), far, RoutingFlavor::Deterministic);
         h.set_forced_dir(30, Some(Direction::Plus));
         h.set_crossed_dateline(30);
         assert_eq!(h.forced_dir(30), Some(Direction::Plus));
@@ -559,7 +552,12 @@ mod tests {
     fn fat_tree_ports_past_the_grid_bound_never_crossed_a_dateline() {
         // ft:33,1 has port indices 0..33, two past the mask's 31 dimensions.
         let ft = AnyTopology::fat_tree_new(33, 1).unwrap();
-        let h = RouteHeader::new(&ft, NodeId(0), NodeId(32), RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(
+            ft.dims(),
+            NodeId(0),
+            NodeId(32),
+            RoutingFlavor::Deterministic,
+        );
         assert!((0..33).all(|port| !h.crossed_dateline(port)));
     }
 

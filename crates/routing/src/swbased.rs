@@ -58,9 +58,7 @@ use crate::turnmodel::turn_rule_output;
 use crate::updown::{down_port_towards, updown_output};
 use std::fmt;
 use torus_faults::FaultSet;
-use torus_topology::{
-    AnyTopology, DatelinePolicy, Direction, FatTree, HealthyGraph, Network, NodeId,
-};
+use torus_topology::{AnyTopology, DatelinePolicy, Direction, FatTree, Network, NodeId};
 
 /// Interface between the router pipeline / software layer and a routing
 /// algorithm.
@@ -426,9 +424,10 @@ fn begin_reroute(
 
 /// The detour on a grid (rules 1 and 2), spending one unit of the misroute
 /// budget. `false` when the node is walled in except for the channel the
-/// message arrived on.
+/// message arrived on. `grid` is `net`'s backend.
 fn grid_detour(
-    net: &Network,
+    net: &AnyTopology,
+    grid: &Network,
     faults: &FaultSet,
     header: &mut RouteHeader,
     at: NodeId,
@@ -439,9 +438,10 @@ fn grid_detour(
     // wrapped dimension can reach the target the "wrong way round"; on an
     // open dimension the opposite direction walks away from the target and
     // dead-ends at the edge, so the rule is skipped there.
-    if net.wraps(dim) && header.forced_dir(dim).is_none() {
+    if grid.wraps(dim) && header.forced_dir(dim).is_none() {
         let opposite = dir.opposite();
-        if faults.output_usable(net, at, dim, opposite) && net.offset(at, header.target(), dim) != 0
+        if faults.output_usable(net, at, dim, opposite)
+            && grid.offset(at, header.target(), dim) != 0
         {
             header.set_forced_dir(dim, Some(opposite));
             return true;
@@ -469,8 +469,9 @@ fn grid_detour(
 /// The detour on a fat-tree: a dead up-link or parent switch is survived by
 /// re-ascending through an alternate live parent, spending one unit of the
 /// misroute budget. A down-phase fault has no detour — re-ascending after a
-/// down-hop would break the up*/down* order.
+/// down-hop would break the up*/down* order. `ft` is `net`'s backend.
 fn fat_tree_detour(
+    net: &AnyTopology,
     ft: &FatTree,
     faults: &FaultSet,
     header: &mut RouteHeader,
@@ -484,7 +485,7 @@ fn fat_tree_detour(
     let alternate = ft
         .parents(at)
         .into_iter()
-        .find(|&(t, _)| t != blocked_dim && faults.output_usable(ft, at, t, Direction::Plus));
+        .find(|&(t, _)| t != blocked_dim && faults.output_usable(net, at, t, Direction::Plus));
     let Some((_, parent)) = alternate else {
         return false;
     };
@@ -501,8 +502,7 @@ fn install_explicit_path(
     header: &mut RouteHeader,
     at: NodeId,
 ) -> bool {
-    let graph = HealthyGraph::new(net, faults);
-    let Some(path) = graph.shortest_path(at, header.final_dest) else {
+    let Some(path) = faults.shortest_path(net, at, header.final_dest) else {
         return false;
     };
     let nodes = path.nodes(net);
@@ -585,7 +585,7 @@ impl RoutingAlgorithm for AnyRouting {
     }
 
     fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        RouteHeader::new(net, src, dest, self.flavor)
+        RouteHeader::new(net.dims(), src, dest, self.flavor)
     }
 
     fn route(
@@ -661,8 +661,8 @@ impl RoutingAlgorithm for AnyRouting {
             return settled;
         }
         let detoured = match net {
-            AnyTopology::Grid(grid) => grid_detour(grid, faults, header, at, blocked),
-            AnyTopology::FatTree(ft) => fat_tree_detour(ft, faults, header, at, blocked),
+            AnyTopology::Grid(grid) => grid_detour(net, grid, faults, header, at, blocked),
+            AnyTopology::FatTree(ft) => fat_tree_detour(net, ft, faults, header, at, blocked),
         };
         // No detour: fall back to the explicit path, which exists as long as
         // the network is connected.

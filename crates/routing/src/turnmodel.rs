@@ -114,7 +114,7 @@ mod tests {
         let g = m.grid().unwrap();
         let src = node(&m, &[3, 5]);
         let dest = node(&m, &[5, 2]);
-        let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Deterministic);
+        let h = RouteHeader::new(m.dims(), src, dest, RoutingFlavor::Deterministic);
         let output = |at| turn_rule_output(g, TurnRule::NegativeFirst, &h, at);
         // Offset is (+2, -3): the negative dimension-1 offset goes first.
         assert_eq!(output(src), Some((1, Direction::Minus)));

@@ -268,13 +268,12 @@ mod tests {
         // leaf is a single point of failure for e7).
         let mid = ft.switch_id(1, 3);
         let leaf = ft.switch_id(0, 3);
-        let (t, _) = ft
+        let (t, _) = net
             .neighbors(mid)
-            .iter()
-            .find_map(|&(ch, n)| (n == leaf).then_some((ch.dim, n)))
+            .find_map(|(ch, n)| (n == leaf).then_some((ch.dim, n)))
             .unwrap();
         let mut faults = FaultSet::new();
-        faults.fail_link(ft, mid, t, Direction::Minus);
+        faults.fail_link(&net, mid, t, Direction::Minus);
 
         let end = deliver(&net, &faults, &algo, src, dest, 1);
         assert_eq!(end.at, dest);

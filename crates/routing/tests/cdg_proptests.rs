@@ -77,7 +77,7 @@ proptest! {
     /// simulator's `min_virtual_channels` relies on.
     #[test]
     fn negative_first_turn_cdg_is_acyclic_on_meshes(net in arb_mesh()) {
-        let g = build_turn_cdg(&net, Some(TurnRule::NegativeFirst));
+        let g = build_turn_cdg(&net.clone().into(), Some(TurnRule::NegativeFirst));
         prop_assert!(
             g.is_acyclic(),
             "negative-first turn CDG must be acyclic on mesh {net}"
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn unrestricted_turns_are_cyclic_on_multidim_meshes(net in arb_mesh()) {
         prop_assume!(net.dims() >= 2);
-        let g = build_turn_cdg(&net, None);
+        let g = build_turn_cdg(&net.clone().into(), None);
         prop_assert!(
             !g.is_acyclic(),
             "unrestricted turn CDG on {net} must contain cycles"
@@ -103,7 +103,7 @@ proptest! {
     /// dimensions with a typed error.
     #[test]
     fn negative_first_turn_cdg_is_cyclic_on_wrapped_shapes(net in arb_wrapped()) {
-        let g = build_turn_cdg(&net, Some(TurnRule::NegativeFirst));
+        let g = build_turn_cdg(&net.clone().into(), Some(TurnRule::NegativeFirst));
         prop_assert!(
             !g.is_acyclic(),
             "negative-first turn CDG on wrapped {net} must contain cycles"

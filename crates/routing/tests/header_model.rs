@@ -75,7 +75,7 @@ impl Model {
 
     /// A header that never did anything but take the model's state.
     fn header(&self, net: &AnyTopology, like: &RouteHeader) -> RouteHeader {
-        let mut fresh = RouteHeader::new(net, like.source, self.final_dest, like.flavor);
+        let mut fresh = RouteHeader::new(net.dims(), like.source, self.final_dest, like.flavor);
         fresh.set_via_chain(&Vec::from(self.via.clone()));
         for (dim, &dir) in self.forced_dir.iter().enumerate() {
             fresh.set_forced_dir(dim, dir);
@@ -136,7 +136,7 @@ proptest! {
         let dims = grid.dims();
         let mut ops = Ops(seed);
         let (source, dest) = (ops.node(&grid), ops.node(&grid));
-        let mut header = RouteHeader::new(&net, source, dest, RoutingFlavor::Deterministic);
+        let mut header = RouteHeader::new(net.dims(), source, dest, RoutingFlavor::Deterministic);
         let mut model = Model::new(dims, dest);
         let mut at = source;
         let mut before = (header.clone(), model.clone());

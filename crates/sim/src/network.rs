@@ -797,7 +797,6 @@ mod tests {
     use super::*;
     use torus_faults::{random_node_faults, FaultScenario};
     use torus_routing::{AnyRouting, Substrate};
-    use torus_topology::Network;
     use torus_workloads::TrafficSpec;
 
     fn quick_config(radix: u16, dims: u32, v: usize, m: u32, rate: f64) -> SimConfig {
@@ -860,7 +859,7 @@ mod tests {
     fn faulty_network_still_delivers_with_absorptions() {
         let mut config = quick_config(8, 2, 4, 16, 0.004);
         config.stop = StopCondition::MeasuredMessages(1_000);
-        let torus = Network::torus(8, 2).unwrap();
+        let torus = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let faults = random_node_faults(&torus, 5, &mut rng).unwrap();
         let mut sim = Simulation::new(
@@ -882,7 +881,7 @@ mod tests {
 
     #[test]
     fn adaptive_absorbs_fewer_messages_than_deterministic() {
-        let torus = Network::torus(8, 2).unwrap();
+        let torus = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let faults = random_node_faults(&torus, 5, &mut rng).unwrap();
         let mut config = quick_config(8, 2, 6, 16, 0.004);
@@ -1206,7 +1205,7 @@ mod tests {
 
     #[test]
     fn reinjection_delay_penalises_absorbed_messages_only() {
-        let torus = Network::torus(8, 2).unwrap();
+        let torus = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(21);
         let faults = random_node_faults(&torus, 5, &mut rng).unwrap();
         let run = |delta: u32, faults: FaultSet| {
@@ -1247,7 +1246,7 @@ mod tests {
         let mut config = quick_config(8, 2, 2, 16, 0.003);
         config.topology = TopologySpec::mesh(8, 2);
         config.stop = StopCondition::MeasuredMessages(800);
-        let mesh = Network::mesh(8, 2).unwrap();
+        let mesh = AnyTopology::mesh(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(23);
         let faults = random_node_faults(&mesh, 4, &mut rng).unwrap();
         let mut sim = Simulation::new(
@@ -1334,7 +1333,7 @@ mod tests {
     fn three_dimensional_network_runs() {
         let mut config = quick_config(4, 3, 4, 8, 0.004);
         config.stop = StopCondition::MeasuredMessages(800);
-        let torus = Network::torus(4, 3).unwrap();
+        let torus = AnyTopology::torus(4, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let faults = random_node_faults(&torus, 3, &mut rng).unwrap();
         let mut sim = Simulation::new(

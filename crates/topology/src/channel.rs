@@ -106,18 +106,44 @@ impl fmt::Display for DirectedChannel {
     }
 }
 
-/// Dense identifier of a unidirectional physical channel.
+/// Dense identifier of a unidirectional physical channel slot.
 ///
-/// The encoding is `node * 2n + dim * 2 + dir`, so all channels leaving one
-/// node are contiguous. Use [`crate::Network::channel_id`] /
-/// [`crate::Network::channel_from_id`] for conversions. On open (mesh)
-/// dimensions some slots of the dense id space correspond to channels that do
-/// not physically exist; they are never enumerated by
-/// [`crate::Network::channels`].
+/// On a topology with `dims` `(dim, dir)` port pairs per node the encoding
+/// is `node * 2 * dims + dim * 2 + dir`, so all channels leaving one node are
+/// contiguous. Simulator tables and the verifier's resource-id space index by
+/// slot; slots of channels that do not physically exist (mesh edges,
+/// endpoint down-ports) are simply never used, and
+/// [`crate::AnyTopology::channels`] never yields them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {
+    /// The slot of `ch` on a topology with `dims` port pairs per node.
+    #[inline]
+    pub fn new(ch: DirectedChannel, dims: usize) -> Self {
+        let per_node = 2 * dims as u32;
+        ChannelId(ch.from.0 * per_node + (ch.dim as u32) * 2 + ch.dir.index() as u32)
+    }
+
+    /// The channel this slot names on a topology with `dims` port pairs per
+    /// node (inverse of [`ChannelId::new`]).
+    #[inline]
+    pub fn channel(self, dims: usize) -> DirectedChannel {
+        let per_node = 2 * dims as u32;
+        let rest = self.0 % per_node;
+        DirectedChannel::new(
+            NodeId(self.0 / per_node),
+            (rest / 2) as usize,
+            Direction::from_index((rest % 2) as usize),
+        )
+    }
+
+    /// Number of slots of `num_nodes` nodes with `dims` port pairs each.
+    #[inline]
+    pub fn slots(num_nodes: usize, dims: usize) -> usize {
+        num_nodes * 2 * dims
+    }
+
     /// Returns the identifier as a `usize` suitable for indexing.
     #[inline]
     pub fn index(self) -> usize {

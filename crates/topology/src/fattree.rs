@@ -31,7 +31,7 @@
 //! the simulator engines rely on for credit returns. An endpoint `p` owns the
 //! single up-port `p mod k`, matching the leaf's down-port for that endpoint.
 
-use crate::channel::{DirectedChannel, Direction};
+use crate::channel::Direction;
 use crate::coords::NodeId;
 use crate::network::NetworkError;
 use serde::{Deserialize, Serialize};
@@ -142,24 +142,11 @@ impl FatTree {
         self.arity as usize
     }
 
-    /// Size of the dense channel-id space, `num_nodes * 2k` (most endpoint
-    /// slots are unused, exactly like mesh-edge slots on open grids).
-    #[inline]
-    pub fn channel_slots(&self) -> usize {
-        self.num_nodes() * 2 * self.dims()
-    }
-
     /// Number of unidirectional channels that physically exist:
     /// `2 * l * k^l` (each of the `l` inter-level link stages, including the
     /// endpoint–leaf stage, has `k^l` bidirectional links).
     pub fn num_channels(&self) -> usize {
         2 * self.levels as usize * self.num_endpoints()
-    }
-
-    /// True if `node` is a compute endpoint.
-    #[inline]
-    pub fn is_endpoint(&self, node: NodeId) -> bool {
-        node.0 < self.num_endpoints
     }
 
     /// Classifies a node id into its role.
@@ -194,7 +181,7 @@ impl FatTree {
 
     /// Leaf switch an endpoint hangs off.
     pub fn leaf_of(&self, endpoint: NodeId) -> NodeId {
-        debug_assert!(self.is_endpoint(endpoint));
+        debug_assert!(endpoint.0 < self.num_endpoints);
         self.switch_id(0, endpoint.0 / self.arity as u32)
     }
 
@@ -252,29 +239,6 @@ impl FatTree {
     #[inline]
     pub fn has_channel(&self, node: NodeId, dim: usize, dir: Direction) -> bool {
         self.neighbor(node, dim, dir).is_some()
-    }
-
-    /// Iterator over all node identifiers (endpoints first).
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_nodes() as u32).map(NodeId)
-    }
-
-    /// Iterator over the endpoint identifiers, `0..k^l`.
-    pub fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_endpoints).map(NodeId)
-    }
-
-    /// All existing neighbours of a node with the channel used to reach them.
-    pub fn neighbors(&self, node: NodeId) -> Vec<(DirectedChannel, NodeId)> {
-        let mut out = Vec::with_capacity(2 * self.dims());
-        for dim in 0..self.dims() {
-            for dir in Direction::BOTH {
-                if let Some(next) = self.neighbor(node, dim, dir) {
-                    out.push((DirectedChannel::new(node, dim, dir), next));
-                }
-            }
-        }
-        out
     }
 
     /// All live parents of a node (switches one level up, or the leaf switch
@@ -351,7 +315,7 @@ impl FatTree {
         if src == dest {
             return 0;
         }
-        if self.is_endpoint(src) && self.is_endpoint(dest) {
+        if src.0 < self.num_endpoints && dest.0 < self.num_endpoints {
             // Meeting level = one above the highest differing digit
             // (position -1 compares the endpoints' indices within the leaf).
             let mut h: i32 = -2;
@@ -375,10 +339,15 @@ impl FatTree {
             if cur == dest {
                 return dist[cur.index()];
             }
-            for (_, next) in self.neighbors(cur) {
-                if dist[next.index()] == u32::MAX {
-                    dist[next.index()] = dist[cur.index()] + 1;
-                    queue.push_back(next);
+            for dim in 0..self.dims() {
+                for dir in Direction::BOTH {
+                    let Some(next) = self.neighbor(cur, dim, dir) else {
+                        continue;
+                    };
+                    if dist[next.index()] == u32::MAX {
+                        dist[next.index()] = dist[cur.index()] + 1;
+                        queue.push_back(next);
+                    }
                 }
             }
         }
@@ -423,6 +392,11 @@ impl fmt::Display for FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topo::AnyTopology;
+
+    fn any(ft: &FatTree) -> AnyTopology {
+        AnyTopology::FatTree(ft.clone())
+    }
 
     #[test]
     fn construction_and_sizes() {
@@ -432,7 +406,7 @@ mod tests {
         assert_eq!(ft.num_nodes(), 24);
         assert_eq!(ft.dims(), 4);
         assert_eq!(ft.num_channels(), 2 * 2 * 16);
-        assert_eq!(ft.channel_slots(), 24 * 8);
+        assert_eq!(any(&ft).channel_slots(), 24 * 8);
         let ft = FatTree::new(4, 3).unwrap();
         assert_eq!(ft.num_endpoints(), 64);
         assert_eq!(ft.num_nodes(), 64 + 3 * 16);
@@ -457,19 +431,19 @@ mod tests {
     #[test]
     fn classify_roundtrip() {
         let ft = FatTree::new(4, 3).unwrap();
-        for node in ft.nodes() {
+        for node in any(&ft).nodes() {
             match ft.classify(node) {
                 FatTreeNode::Endpoint(p) => {
                     assert_eq!(ft.endpoint_id(p), node);
-                    assert!(ft.is_endpoint(node));
+                    assert!(any(&ft).is_endpoint(node));
                 }
                 FatTreeNode::Switch { level, index } => {
                     assert_eq!(ft.switch_id(level, index), node);
-                    assert!(!ft.is_endpoint(node));
+                    assert!(!any(&ft).is_endpoint(node));
                 }
             }
         }
-        assert_eq!(ft.endpoints().count(), 64);
+        assert_eq!(any(&ft).endpoints().count(), 64);
     }
 
     #[test]
@@ -486,14 +460,14 @@ mod tests {
             ft.neighbor(ft.switch_id(0, 1), 2, Direction::Minus),
             Some(e)
         );
-        assert_eq!(ft.neighbors(e).len(), 1);
+        assert_eq!(any(&ft).neighbors(e).count(), 1);
     }
 
     #[test]
     fn switch_degrees() {
         let ft = FatTree::new(4, 3).unwrap();
-        for node in ft.nodes() {
-            let deg = ft.neighbors(node).len();
+        for node in any(&ft).nodes() {
+            let deg = any(&ft).neighbors(node).count();
             match ft.classify(node) {
                 FatTreeNode::Endpoint(_) => assert_eq!(deg, 1),
                 FatTreeNode::Switch { level, .. } => {
@@ -512,7 +486,7 @@ mod tests {
             FatTree::new(2, 3).unwrap(),
             FatTree::new(3, 3).unwrap(),
         ] {
-            for node in ft.nodes() {
+            for node in any(&ft).nodes() {
                 for dim in 0..ft.dims() {
                     for dir in Direction::BOTH {
                         if let Some(nb) = ft.neighbor(node, dim, dir) {
@@ -531,7 +505,7 @@ mod tests {
     #[test]
     fn channel_count_matches_enumeration() {
         for ft in [FatTree::new(4, 2).unwrap(), FatTree::new(2, 3).unwrap()] {
-            let listed: usize = ft
+            let listed: usize = any(&ft)
                 .nodes()
                 .map(|n| {
                     (0..ft.dims())
@@ -557,7 +531,7 @@ mod tests {
                 FatTreeNode::Switch { level, .. } => assert_eq!(level, 1),
                 _ => panic!("parent must be a switch"),
             }
-            assert!(ft.neighbors(p).iter().any(|&(_, n)| n == leaf));
+            assert!(any(&ft).neighbors(p).any(|(_, n)| n == leaf));
         }
         let top = ft.switch_id(2, 0);
         assert!(ft.parents(top).is_empty());
@@ -602,8 +576,8 @@ mod tests {
     #[test]
     fn distance_formula_matches_bfs_on_endpoints() {
         let ft = FatTree::new(3, 2).unwrap();
-        for a in ft.endpoints() {
-            for b in ft.endpoints() {
+        for a in any(&ft).endpoints() {
+            for b in any(&ft).endpoints() {
                 assert_eq!(ft.distance(a, b), ft.bfs_distance(a, b), "{a:?}->{b:?}");
             }
         }
@@ -624,8 +598,8 @@ mod tests {
         for ft in [FatTree::new(4, 2).unwrap(), FatTree::new(2, 3).unwrap()] {
             let mut total = 0u64;
             let mut pairs = 0u64;
-            for a in ft.endpoints() {
-                for b in ft.endpoints() {
+            for a in any(&ft).endpoints() {
+                for b in any(&ft).endpoints() {
                     if a != b {
                         total += ft.distance(a, b) as u64;
                         pairs += 1;

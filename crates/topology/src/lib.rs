@@ -3,10 +3,9 @@
 //! Mixed-radix multidimensional network topology support for the
 //! software-based fault-tolerant routing study (Safaei et al., IPDPS 2006).
 //!
-//! The topology contract is the [`Topology`] trait: node ids, endpoint vs
-//! switch roles, a dense channel-id space, neighbour arithmetic and distances.
-//! Two concrete implementations exist, unified behind the [`AnyTopology`]
-//! enum:
+//! The rest of the stack holds one topology type, [`AnyTopology`]: node
+//! ids, endpoint vs switch roles, a dense channel-id space, neighbour
+//! arithmetic and distances. It is a closed enum over two backends:
 //!
 //! * [`Network`]: an n-dimensional grid with a per-dimension radix vector and
 //!   a per-dimension wrap flag. A k-ary n-cube (torus), a k-ary n-mesh, a
@@ -23,19 +22,18 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] / [`AnyTopology`] — the topology contract and the concrete
-//!   dispatch enum used across routing, faults, simulation and verification.
+//! * [`AnyTopology`] — the topology type used across routing, faults,
+//!   simulation and verification.
 //! * [`Network`] — the grid topology: node addressing, neighbour arithmetic,
-//!   minimal offsets, distances and channel enumeration.
+//!   minimal offsets and distances.
 //! * [`FatTree`] — the indirect k-ary l-level fat-tree topology.
 //! * [`TopologySpec`] — a declarative, serialisable topology description with
 //!   a compact string form, used by configurations and CLIs.
 //! * [`Coord`] / [`NodeId`] — mixed-radix node addresses and their conversions.
-//! * [`Direction`], [`DirectedChannel`] — identification of unidirectional
-//!   physical channels.
-//! * [`path`] — dimension-order path construction and hop counting.
-//! * [`graph`] — connectivity / shortest-path queries over the healthy subgraph
-//!   (used by the fault model and by the software re-routing layer).
+//! * [`Direction`], [`DirectedChannel`], [`ChannelId`] — identification of
+//!   unidirectional physical channels and their dense slot encoding.
+//! * [`path`] — dimension-order path construction and hop counting
+//!   (shortest fault-free paths are `torus_faults::FaultSet::shortest_path`).
 //! * [`rings`] — dateline bookkeeping used for deadlock-free virtual-channel
 //!   class assignment on wrapped dimensions (open dimensions need no dateline
 //!   split, which [`DatelinePolicy`] encodes).
@@ -62,7 +60,6 @@
 pub mod channel;
 pub mod coords;
 pub mod fattree;
-pub mod graph;
 pub mod network;
 pub mod path;
 pub mod rings;
@@ -72,22 +69,20 @@ pub mod topo;
 pub use channel::{ChannelId, DirectedChannel, Direction};
 pub use coords::{Coord, NodeId};
 pub use fattree::{FatTree, FatTreeNode};
-pub use graph::{HealthyGraph, NodeFilter};
 pub use network::{Network, NetworkError};
 pub use path::{dimension_order_path, hop_count, Path};
 pub use rings::{DatelinePolicy, VcClass};
 pub use spec::TopologySpec;
-pub use topo::{AnyTopology, Topology};
+pub use topo::AnyTopology;
 
 /// Convenience prelude re-exporting the most frequently used items.
 pub mod prelude {
     pub use crate::channel::{ChannelId, DirectedChannel, Direction};
     pub use crate::coords::{Coord, NodeId};
     pub use crate::fattree::{FatTree, FatTreeNode};
-    pub use crate::graph::HealthyGraph;
     pub use crate::network::{Network, NetworkError};
     pub use crate::path::{dimension_order_path, hop_count};
     pub use crate::rings::{DatelinePolicy, VcClass};
     pub use crate::spec::TopologySpec;
-    pub use crate::topo::{AnyTopology, Topology};
+    pub use crate::topo::AnyTopology;
 }

@@ -12,7 +12,7 @@
 //! * [`Network::new`] — arbitrary mixed-radix shapes such as an `8x8x4`
 //!   network with a wrapped plane and an open third dimension.
 
-use crate::channel::{ChannelId, DirectedChannel, Direction};
+use crate::channel::{DirectedChannel, Direction};
 use crate::coords::{Coord, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -211,35 +211,6 @@ impl Network {
             .sum()
     }
 
-    /// Size of the dense channel-id space, `N * 2n`.
-    ///
-    /// [`Network::channel_id`] stays a dense per-node encoding even when some
-    /// channels do not exist (mesh edges): simulator tables index by slot, and
-    /// the slots of missing channels are simply never used. On a torus every
-    /// slot is a real channel, so `channel_slots() == num_channels()`.
-    #[inline]
-    pub fn channel_slots(&self) -> usize {
-        self.num_nodes() * 2 * self.dims()
-    }
-
-    /// Iterator over all node identifiers.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_nodes).map(NodeId)
-    }
-
-    /// Iterator over all *existing* unidirectional channels (skips the
-    /// missing outward channels of mesh edge nodes).
-    pub fn channels(&self) -> impl Iterator<Item = DirectedChannel> + '_ {
-        self.nodes().flat_map(move |node| {
-            (0..self.dims()).flat_map(move |dim| {
-                Direction::BOTH
-                    .into_iter()
-                    .filter(move |&dir| self.has_channel(node, dim, dir))
-                    .map(move |dir| DirectedChannel::new(node, dim, dir))
-            })
-        })
-    }
-
     /// Converts a node identifier to its mixed-radix coordinate.
     pub fn coord(&self, node: NodeId) -> Coord {
         debug_assert!(node.0 < self.num_nodes, "node id out of range");
@@ -319,43 +290,6 @@ impl Network {
         } as u32;
         let base = node.0 - (pos as u32) * self.strides[dim];
         Some(NodeId(base + next * self.strides[dim]))
-    }
-
-    /// All existing neighbours of a node together with the channel used to
-    /// reach them (`2n` on a torus, fewer at mesh edges).
-    pub fn neighbors(&self, node: NodeId) -> Vec<(DirectedChannel, NodeId)> {
-        let mut out = Vec::with_capacity(2 * self.dims());
-        for dim in 0..self.dims() {
-            for dir in Direction::BOTH {
-                if let Some(next) = self.neighbor(node, dim, dir) {
-                    out.push((DirectedChannel::new(node, dim, dir), next));
-                }
-            }
-        }
-        out
-    }
-
-    /// The node a channel leads to (`None` if the channel does not exist).
-    #[inline]
-    pub fn channel_dest(&self, ch: DirectedChannel) -> Option<NodeId> {
-        self.neighbor(ch.from, ch.dim, ch.dir)
-    }
-
-    /// Dense identifier of a channel slot: `node * 2n + dim * 2 + dir`.
-    #[inline]
-    pub fn channel_id(&self, ch: DirectedChannel) -> ChannelId {
-        let per_node = 2 * self.dims() as u32;
-        ChannelId(ch.from.0 * per_node + (ch.dim as u32) * 2 + ch.dir.index() as u32)
-    }
-
-    /// Inverse of [`Network::channel_id`].
-    pub fn channel_from_id(&self, id: ChannelId) -> DirectedChannel {
-        let per_node = 2 * self.dims() as u32;
-        let node = NodeId(id.0 / per_node);
-        let rest = id.0 % per_node;
-        let dim = (rest / 2) as usize;
-        let dir = Direction::from_index((rest % 2) as usize);
-        DirectedChannel::new(node, dim, dir)
     }
 
     /// Minimal signed offset from `src` to `dest` along dimension `dim`.
@@ -465,13 +399,17 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topo::AnyTopology;
+
+    fn any(net: &Network) -> AnyTopology {
+        AnyTopology::Grid(net.clone())
+    }
 
     #[test]
     fn construction_and_sizes() {
         let t = Network::torus(8, 2).unwrap();
         assert_eq!(t.num_nodes(), 64);
         assert_eq!(t.num_channels(), 64 * 4);
-        assert_eq!(t.channel_slots(), 64 * 4);
         let t = Network::torus(8, 3).unwrap();
         assert_eq!(t.num_nodes(), 512);
         assert_eq!(t.num_channels(), 512 * 6);
@@ -485,8 +423,8 @@ mod tests {
         assert_eq!(m.num_nodes(), 16);
         // each dimension: 2 * 4 lines * 3 links = 24 channels
         assert_eq!(m.num_channels(), 48);
-        assert_eq!(m.channel_slots(), 64);
-        assert_eq!(m.channels().count(), m.num_channels());
+        assert_eq!(any(&m).channel_slots(), 64);
+        assert_eq!(any(&m).channels().count(), m.num_channels());
         assert!(!m.any_wrap());
     }
 
@@ -496,8 +434,8 @@ mod tests {
         assert_eq!(h.num_nodes(), 16);
         assert_eq!(h.dims(), 4);
         // every node has exactly n neighbours
-        for node in h.nodes() {
-            assert_eq!(h.neighbors(node).len(), 4);
+        for node in any(&h).nodes() {
+            assert_eq!(any(&h).neighbors(node).count(), 4);
         }
         assert_eq!(h.num_channels(), 16 * 4);
     }
@@ -557,7 +495,7 @@ mod tests {
             Network::mesh(5, 3).unwrap(),
             Network::new(vec![3, 5, 2], vec![true, false, true]).unwrap(),
         ] {
-            for node in net.nodes() {
+            for node in any(&net).nodes() {
                 let c = net.coord(node);
                 assert_eq!(net.node(&c).unwrap(), node);
             }
@@ -612,7 +550,7 @@ mod tests {
         assert_eq!(m.neighbor(corner, 1, Direction::Minus), None);
         assert!(!m.has_channel(corner, 0, Direction::Minus));
         assert!(m.has_channel(corner, 0, Direction::Plus));
-        assert_eq!(m.neighbors(corner).len(), 2);
+        assert_eq!(any(&m).neighbors(corner).count(), 2);
         let far = m.node_from_digits(&[3, 3]).unwrap();
         assert_eq!(
             far,
@@ -621,7 +559,7 @@ mod tests {
         );
         assert_eq!(m.neighbor(far, 0, Direction::Plus), None);
         let inner = m.node_from_digits(&[1, 2]).unwrap();
-        assert_eq!(m.neighbors(inner).len(), 4);
+        assert_eq!(any(&m).neighbors(inner).count(), 4);
     }
 
     #[test]
@@ -631,7 +569,7 @@ mod tests {
             Network::mesh(4, 3).unwrap(),
             Network::new(vec![6, 3], vec![true, false]).unwrap(),
         ] {
-            for node in net.nodes() {
+            for node in any(&net).nodes() {
                 for dim in 0..net.dims() {
                     for dir in Direction::BOTH {
                         if let Some(nb) = net.neighbor(node, dim, dir) {
@@ -646,19 +584,8 @@ mod tests {
     #[test]
     fn degree_is_2n_on_tori() {
         let t = Network::torus(4, 3).unwrap();
-        for node in t.nodes().take(16) {
-            assert_eq!(t.neighbors(node).len(), 6);
-        }
-    }
-
-    #[test]
-    fn channel_id_roundtrip() {
-        for net in [Network::torus(8, 3).unwrap(), Network::mesh(4, 2).unwrap()] {
-            for ch in net.channels() {
-                let id = net.channel_id(ch);
-                assert_eq!(net.channel_from_id(id), ch);
-                assert!(id.index() < net.channel_slots());
-            }
+        for node in any(&t).nodes().take(16) {
+            assert_eq!(any(&t).neighbors(node).count(), 6);
         }
     }
 

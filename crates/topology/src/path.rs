@@ -9,7 +9,7 @@
 use crate::channel::{DirectedChannel, Direction};
 use crate::coords::NodeId;
 use crate::network::Network;
-use crate::topo::Topology;
+use crate::topo::AnyTopology;
 
 /// A hop-by-hop path through the network.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl Path {
     /// # Panics
     /// Panics if the path contains a channel that does not exist in `net`
     /// (use [`Path::is_well_formed`] to check first).
-    pub fn nodes<T: Topology + ?Sized>(&self, net: &T) -> Vec<NodeId> {
+    pub fn nodes(&self, net: &AnyTopology) -> Vec<NodeId> {
         let mut nodes = Vec::with_capacity(self.hops.len() + 1);
         nodes.push(self.src);
         for hop in &self.hops {
@@ -52,7 +52,7 @@ impl Path {
 
     /// Verifies that every hop exists, consecutive hops are adjacent and the
     /// path ends at `dest`.
-    pub fn is_well_formed<T: Topology + ?Sized>(&self, net: &T) -> bool {
+    pub fn is_well_formed(&self, net: &AnyTopology) -> bool {
         let mut cur = self.src;
         for hop in &self.hops {
             if hop.from != cur {
@@ -78,11 +78,10 @@ pub fn dimension_order_path(net: &Network, src: NodeId, dest: NodeId) -> Path {
             let Some(dir) = Direction::from_offset(off) else {
                 break;
             };
-            let ch = DirectedChannel::new(cur, dim, dir);
+            hops.push(DirectedChannel::new(cur, dim, dir));
             cur = net
-                .channel_dest(ch)
+                .neighbor(cur, dim, dir)
                 .expect("minimal hop always stays inside the network");
-            hops.push(ch);
         }
     }
     Path { src, dest, hops }
@@ -101,11 +100,12 @@ mod tests {
 
     #[test]
     fn ecube_path_is_minimal_and_well_formed() {
-        let t = Network::torus(8, 2).unwrap();
+        let any = AnyTopology::torus(8, 2).unwrap();
+        let t = any.grid().unwrap();
         let src = t.node_from_digits(&[1, 1]).unwrap();
         let dest = t.node_from_digits(&[6, 3]).unwrap();
-        let p = dimension_order_path(&t, src, dest);
-        assert!(p.is_well_formed(&t));
+        let p = dimension_order_path(t, src, dest);
+        assert!(p.is_well_formed(&any));
         assert_eq!(p.len() as u32, t.distance(src, dest));
         assert_eq!(p.len(), 5);
         // dimension order: all dim-0 hops precede dim-1 hops
@@ -116,12 +116,13 @@ mod tests {
 
     #[test]
     fn trivial_path() {
-        let t = Network::torus(4, 3).unwrap();
+        let any = AnyTopology::torus(4, 3).unwrap();
+        let t = any.grid().unwrap();
         let a = t.node_from_digits(&[2, 1, 3]).unwrap();
-        let p = dimension_order_path(&t, a, a);
+        let p = dimension_order_path(t, a, a);
         assert!(p.is_empty());
-        assert!(p.is_well_formed(&t));
-        assert_eq!(p.nodes(&t), vec![a]);
+        assert!(p.is_well_formed(&any));
+        assert_eq!(p.nodes(&any), vec![a]);
     }
 
     #[test]
@@ -137,29 +138,31 @@ mod tests {
 
     #[test]
     fn mesh_path_never_leaves_the_grid() {
-        let m = Network::mesh(8, 1).unwrap();
+        let any = AnyTopology::mesh(8, 1).unwrap();
+        let m = any.grid().unwrap();
         let a = m.node_from_digits(&[1]).unwrap();
         let b = m.node_from_digits(&[6]).unwrap();
-        let p = dimension_order_path(&m, a, b);
+        let p = dimension_order_path(m, a, b);
         // No wrap shortcut: 5 Plus hops instead of the torus's 3 Minus hops.
         assert_eq!(p.len(), 5);
         assert!(p.hops.iter().all(|h| h.dir == Direction::Plus));
-        assert!(p.is_well_formed(&m));
+        assert!(p.is_well_formed(&any));
     }
 
     #[test]
     fn all_pairs_paths_are_minimal_small_networks() {
-        for net in [
-            Network::torus(4, 3).unwrap(),
-            Network::mesh(4, 2).unwrap(),
-            Network::hypercube(4).unwrap(),
-            Network::new(vec![4, 3], vec![true, false]).unwrap(),
+        for any in [
+            AnyTopology::torus(4, 3).unwrap(),
+            AnyTopology::mesh(4, 2).unwrap(),
+            AnyTopology::hypercube(4).unwrap(),
+            Network::new(vec![4, 3], vec![true, false]).unwrap().into(),
         ] {
-            for src in net.nodes() {
-                for dest in net.nodes() {
-                    let p = dimension_order_path(&net, src, dest);
-                    assert!(p.is_well_formed(&net));
-                    assert_eq!(p.len() as u32, hop_count(&net, src, dest));
+            let net = any.grid().unwrap();
+            for src in any.nodes() {
+                for dest in any.nodes() {
+                    let p = dimension_order_path(net, src, dest);
+                    assert!(p.is_well_formed(&any));
+                    assert_eq!(p.len() as u32, hop_count(net, src, dest));
                 }
             }
         }
@@ -167,7 +170,8 @@ mod tests {
 
     #[test]
     fn ill_formed_paths_are_rejected() {
-        let m = Network::mesh(4, 1).unwrap();
+        let any = AnyTopology::mesh(4, 1).unwrap();
+        let m = any.grid().unwrap();
         let edge = m.node_from_digits(&[0]).unwrap();
         // A hop off the open edge is not well-formed.
         let p = Path {
@@ -175,6 +179,6 @@ mod tests {
             dest: m.node_from_digits(&[3]).unwrap(),
             hops: vec![DirectedChannel::new(edge, 0, Direction::Minus)],
         };
-        assert!(!p.is_well_formed(&m));
+        assert!(!p.is_well_formed(&any));
     }
 }

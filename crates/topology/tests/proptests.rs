@@ -1,8 +1,9 @@
 //! Property-based tests for the mixed-radix network topology (torus, mesh,
-//! hypercube and arbitrary mixed shapes).
+//! hypercube and arbitrary mixed shapes) and the dense channel-id encoding
+//! shared with fat-trees.
 
 use proptest::prelude::*;
-use torus_topology::{dimension_order_path, Direction, HealthyGraph, Network};
+use torus_topology::{dimension_order_path, AnyTopology, Direction, Network};
 
 /// An arbitrary uniform-radix torus (every dimension wraps).
 fn arb_torus() -> impl Strategy<Value = Network> {
@@ -23,6 +24,17 @@ fn arb_network() -> impl Strategy<Value = Network> {
             let wraps = [w0, w1, w2][..n].to_vec();
             Network::new(radices, wraps).unwrap()
         })
+}
+
+/// Any grid shape of [`arb_network`], or a small k-ary l-level fat-tree.
+fn arb_topology() -> impl Strategy<Value = AnyTopology> {
+    (arb_network(), 2u16..5, 1u32..4, any::<bool>()).prop_map(|(net, k, l, tree)| {
+        if tree {
+            AnyTopology::fat_tree_new(k, l).unwrap()
+        } else {
+            net.into()
+        }
+    })
 }
 
 proptest! {
@@ -84,7 +96,7 @@ proptest! {
         let a = torus_topology::NodeId(ra % n);
         let b = torus_topology::NodeId(rb % n);
         let p = dimension_order_path(&net, a, b);
-        prop_assert!(p.is_well_formed(&net));
+        prop_assert!(p.is_well_formed(&AnyTopology::Grid(net.clone())));
         prop_assert_eq!(p.len() as u32, net.distance(a, b));
         // dimension indices along the path never decrease
         let dims: Vec<usize> = p.hops.iter().map(|h| h.dim).collect();
@@ -118,50 +130,35 @@ proptest! {
     }
 
     #[test]
-    fn channel_id_dense_and_bijective_on_tori(t in arb_torus()) {
-        let mut seen = vec![false; t.channel_slots()];
-        for ch in t.channels() {
-            let id = t.channel_id(ch);
-            prop_assert!(!seen[id.index()]);
-            seen[id.index()] = true;
-            prop_assert_eq!(t.channel_from_id(id), ch);
-        }
-        // On a torus every slot is a real channel.
-        prop_assert!(seen.into_iter().all(|b| b));
-    }
-
-    #[test]
-    fn channel_id_injective_on_any_network(net in arb_network()) {
-        let mut seen = vec![false; net.channel_slots()];
+    fn channel_ids_are_a_dense_bijection(topo in arb_topology()) {
+        let mut seen = vec![false; topo.channel_slots()];
         let mut count = 0usize;
-        for ch in net.channels() {
-            let id = net.channel_id(ch);
+        for ch in topo.channels() {
+            let id = topo.channel_id(ch);
             prop_assert!(!seen[id.index()]);
             seen[id.index()] = true;
-            prop_assert_eq!(net.channel_from_id(id), ch);
+            prop_assert_eq!(topo.channel_from_id(id), ch);
             // Every enumerated channel exists and has a destination.
-            prop_assert!(net.channel_dest(ch).is_some());
+            prop_assert!(topo.channel_dest(ch).is_some());
             count += 1;
         }
-        prop_assert_eq!(count, net.num_channels());
-    }
-
-    #[test]
-    fn fault_free_graph_connected(net in arb_network()) {
-        let f = |_n: torus_topology::NodeId| false;
-        let g = HealthyGraph::new(&net, &f);
-        prop_assert!(g.is_connected());
+        prop_assert_eq!(count, topo.num_channels());
+        // On a torus every slot is a real channel.
+        if topo.grid().is_some_and(|g| (0..g.dims()).all(|d| g.wraps(d))) {
+            prop_assert!(seen.into_iter().all(|b| b));
+        }
     }
 
     #[test]
     fn datelines_only_on_wrapped_dimensions(net in arb_network()) {
-        for ch in net.channels() {
+        let any = AnyTopology::Grid(net.clone());
+        for ch in any.channels() {
             if net.is_wraparound(ch) {
                 prop_assert!(net.wraps(ch.dim));
             }
         }
         if !net.any_wrap() {
-            prop_assert!(net.channels().all(|ch| !net.is_wraparound(ch)));
+            prop_assert!(any.channels().all(|ch| !net.is_wraparound(ch)));
         }
     }
 }

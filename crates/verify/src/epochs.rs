@@ -103,7 +103,7 @@ use torus_faults::{FaultEvent, FaultSchedule, FaultScheduleError, FaultSet, Sche
 use torus_routing::cdg::DependencyGraph;
 use torus_routing::hash::BuildWordHasher;
 use torus_routing::{RoutingAlgorithm, RoutingTopologyError, MAX_VIRTUAL_CHANNELS};
-use torus_topology::{AnyTopology, HealthyGraph, NodeId};
+use torus_topology::{AnyTopology, NodeId};
 
 /// Per-epoch fate of one (source, destination) pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -543,7 +543,7 @@ impl Touches {
                             let node = NodeId(node);
                             fails_at[node.index()] = ei as u32;
                             nodes.push(node);
-                            nodes.extend(net.neighbors(node).into_iter().map(|(_, nb)| nb));
+                            nodes.extend(net.neighbors(node).map(|(_, nb)| nb));
                         }
                         FaultEvent::Link { node, dim, dir } => {
                             let node = NodeId(node);
@@ -649,14 +649,13 @@ struct Tally {
 /// Labels each healthy node with its connected component of the epoch's
 /// healthy graph (faulty nodes get `usize::MAX`).
 fn component_labels(net: &AnyTopology, faults: &FaultSet) -> Vec<usize> {
-    let graph = HealthyGraph::new(net, faults);
     let mut labels = vec![usize::MAX; net.num_nodes()];
     let mut next = 0;
-    for start in net.nodes() {
-        if faults.is_node_faulty(start) || labels[start.index()] != usize::MAX {
+    for start in faults.healthy_nodes(net) {
+        if labels[start.index()] != usize::MAX {
             continue;
         }
-        for (node, dist) in graph.bfs_distances(start).into_iter().enumerate() {
+        for (node, dist) in faults.bfs_distances(net, start).into_iter().enumerate() {
             if dist.is_some() {
                 labels[node] = next;
             }

@@ -241,7 +241,7 @@ pub fn matrix_fault_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String, F
         for &id in &uniq {
             faults.fail_node(NodeId(id));
         }
-        if faults.num_faulty_nodes() == 0 || !faults.preserves_connectivity(grid) {
+        if faults.num_faulty_nodes() == 0 || !faults.preserves_connectivity(net) {
             continue;
         }
         let label = format!(
@@ -255,15 +255,15 @@ pub fn matrix_fault_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String, F
             cases.push((label, faults));
         }
     }
-    push_link_cases(grid, kind, &mut cases);
-    push_region_cases(grid, kind, &mut cases);
+    push_link_cases(net, kind, &mut cases);
+    push_region_cases(net, grid, kind, &mut cases);
     cases
 }
 
 /// Pushes a fault case after the shared guards: non-empty, connectivity
 /// preserving, label not already taken.
-fn push_case<T: torus_topology::Topology + ?Sized>(
-    net: &T,
+fn push_case(
+    net: &AnyTopology,
     label: String,
     faults: FaultSet,
     cases: &mut Vec<(String, FaultSet)>,
@@ -357,7 +357,7 @@ fn push_fat_tree_cases(
 /// that do not exist (open-mesh edges), so a pick that lands on a missing
 /// channel produces no faults and is dropped by the `num_faulty_links`
 /// guard rather than mislabelled as fault-free.
-fn push_link_cases(net: &Network, kind: MatrixKind, cases: &mut Vec<(String, FaultSet)>) {
+fn push_link_cases(net: &AnyTopology, kind: MatrixKind, cases: &mut Vec<(String, FaultSet)>) {
     let n = net.num_nodes() as u32;
     let last_dim = net.dims() - 1;
     let picks: Vec<Vec<(u32, usize, Direction)>> = match kind {
@@ -402,8 +402,14 @@ fn push_link_cases(net: &Network, kind: MatrixKind, cases: &mut Vec<(String, Fau
 /// additionally re-anchors the L-shape in planes beyond the default
 /// `(0, 1)` on 3-D and higher shapes (labelled `region@L2x2@p1.2@...`), so
 /// the region machinery is proved plane-general, not `(0, 1)`-specific.
-fn push_region_cases(net: &Network, kind: MatrixKind, cases: &mut Vec<(String, FaultSet)>) {
-    if net.dims() < 2 {
+/// `grid` is `net`'s backend.
+fn push_region_cases(
+    net: &AnyTopology,
+    grid: &Network,
+    kind: MatrixKind,
+    cases: &mut Vec<(String, FaultSet)>,
+) {
+    if grid.dims() < 2 {
         return;
     }
     let l_shape = RegionShape::LShape {
@@ -425,15 +431,23 @@ fn push_region_cases(net: &Network, kind: MatrixKind, cases: &mut Vec<(String, F
     };
     let mut seen_fault_sets: Vec<Vec<NodeId>> = Vec::new();
     for (tag, shape) in shapes {
-        push_region_anchors(net, tag, shape, (0, 1), &mut seen_fault_sets, cases);
+        push_region_anchors(net, grid, tag, shape, (0, 1), &mut seen_fault_sets, cases);
     }
-    if kind == MatrixKind::Full && net.dims() >= 3 {
+    if kind == MatrixKind::Full && grid.dims() >= 3 {
         let mut planes = vec![(1, 2)];
-        if net.dims() >= 4 {
+        if grid.dims() >= 4 {
             planes.push((2, 3));
         }
         for plane in planes {
-            push_region_anchors(net, "L2x2", l_shape, plane, &mut seen_fault_sets, cases);
+            push_region_anchors(
+                net,
+                grid,
+                "L2x2",
+                l_shape,
+                plane,
+                &mut seen_fault_sets,
+                cases,
+            );
         }
     }
 }
@@ -444,7 +458,8 @@ fn push_region_cases(net: &Network, kind: MatrixKind, cases: &mut Vec<(String, F
 /// may overhang and wrap). Every valid, connectivity-preserving placement
 /// with a distinct fault set becomes a case.
 fn push_region_anchors(
-    net: &Network,
+    net: &AnyTopology,
+    grid: &Network,
     tag: &str,
     shape: RegionShape,
     plane: (usize, usize),
@@ -452,9 +467,9 @@ fn push_region_anchors(
     cases: &mut Vec<(String, FaultSet)>,
 ) {
     let (bw, bh) = shape.bounding_box();
-    let centered: Vec<u16> = (0..net.dims())
+    let centered: Vec<u16> = (0..grid.dims())
         .map(|d| {
-            let k = net.radix(d);
+            let k = grid.radix(d);
             let span = if d == plane.0 {
                 bw
             } else if d == plane.1 {
@@ -462,7 +477,7 @@ fn push_region_anchors(
             } else {
                 1
             };
-            if net.wraps(d) {
+            if grid.wraps(d) {
                 (k / 2) % k
             } else {
                 (k / 2).min(k.saturating_sub(span))
@@ -470,19 +485,19 @@ fn push_region_anchors(
         })
         .collect();
     let mut anchors: Vec<Vec<u16>> = vec![centered];
-    for ax in [0, net.radix(plane.0).saturating_sub(bw)] {
-        for ay in [0, net.radix(plane.1).saturating_sub(bh)] {
-            let mut a = vec![0u16; net.dims()];
+    for ax in [0, grid.radix(plane.0).saturating_sub(bw)] {
+        for ay in [0, grid.radix(plane.1).saturating_sub(bh)] {
+            let mut a = vec![0u16; grid.dims()];
             a[plane.0] = ax;
             a[plane.1] = ay;
             anchors.push(a);
         }
     }
     for anchor in anchors {
-        let Ok(region) = FaultRegion::in_plane(net, shape, plane, &anchor) else {
+        let Ok(region) = FaultRegion::in_plane(grid, shape, plane, &anchor) else {
             continue;
         };
-        let Ok(faults) = region.to_fault_set(net) else {
+        let Ok(faults) = region.to_fault_set(grid) else {
             continue;
         };
         if faults.num_faulty_nodes() == 0 || !faults.preserves_connectivity(net) {

@@ -12,10 +12,10 @@ use torus_routing::{AnyRouting, Substrate};
 use torus_topology::{AnyTopology, Direction, Network, NodeId};
 
 /// Random open shapes: 1..=3 dimensions with mixed radices, no wraps.
-fn arb_mesh() -> impl Strategy<Value = Network> {
+fn arb_mesh() -> impl Strategy<Value = AnyTopology> {
     (1usize..=3, (2u16..5, 2u16..5, 2u16..4)).prop_map(|(n, (k0, k1, k2))| {
         let radices = [k0, k1, k2][..n].to_vec();
-        Network::new(radices, vec![false; n]).unwrap()
+        Network::new(radices, vec![false; n]).unwrap().into()
     })
 }
 
@@ -44,10 +44,9 @@ proptest! {
     /// acyclic wherever the over-approximation is.
     #[test]
     fn exact_turn_cdg_is_a_subgraph_of_the_over_approximation(net in arb_mesh()) {
-        let topo = AnyTopology::from(net.clone());
         for (rule, algo) in rules() {
             let exact = extract_exact_cdg(
-                &topo,
+                &net,
                 &algo,
                 &FaultSet::new(),
                 1,
@@ -91,10 +90,9 @@ proptest! {
         faults.fail_link(&net, node, dim, dir);
         prop_assume!(faults.num_faulty_links() > 0);
         prop_assume!(faults.preserves_connectivity(&net));
-        let topo = AnyTopology::from(net.clone());
         for (rule, algo) in rules() {
             let exact = extract_exact_cdg(
-                &topo,
+                &net,
                 &algo,
                 &faults,
                 1,

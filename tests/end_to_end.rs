@@ -7,7 +7,7 @@ use swbft::prelude::*;
 use swbft::routing::cdg::{build_ecube_cdg, build_turn_cdg, TurnRule, VcModel};
 use swbft::routing::{AnyRouting, Substrate};
 use swbft::sim::{SimConfig, Simulation, StopCondition};
-use swbft::topology::{Network, TopologySpec};
+use swbft::topology::{AnyTopology, Network, TopologySpec};
 
 /// A small, fast experiment configuration shared by several tests.
 fn quick(radix: u16, dims: u32, v: usize, rate: f64) -> ExperimentConfig {
@@ -160,7 +160,10 @@ fn turn_model_deadlock_freedom_argument_holds_for_open_topologies() {
     // negative-first turn-rule CDG (an over-approximation of every permitted
     // route) is acyclic on the open shapes we simulate, with a single VC —
     // and cyclic on the torus, which is why the choice is rejected there.
-    for net in [Network::mesh(8, 2).unwrap(), Network::hypercube(6).unwrap()] {
+    for net in [
+        AnyTopology::mesh(8, 2).unwrap(),
+        AnyTopology::hypercube(6).unwrap(),
+    ] {
         let cdg = build_turn_cdg(&net, Some(TurnRule::NegativeFirst));
         assert!(cdg.is_acyclic(), "negative-first CDG must be acyclic");
         let unrestricted = build_turn_cdg(&net, None);
@@ -169,7 +172,7 @@ fn turn_model_deadlock_freedom_argument_holds_for_open_topologies() {
             "without the turn prohibition the mesh CDG has cycles"
         );
     }
-    let torus = Network::torus(8, 2).unwrap();
+    let torus = AnyTopology::torus(8, 2).unwrap();
     assert!(!build_turn_cdg(&torus, Some(TurnRule::NegativeFirst)).is_acyclic());
 }
 
@@ -207,11 +210,11 @@ fn turn_model_experiments_run_end_to_end_on_open_topologies_only() {
 fn direct_simulator_usage_with_link_faults() {
     // Link faults are supported by the fault model even though the paper's
     // experiments only use node faults.
-    let torus = Network::torus(4, 2).unwrap();
+    let torus = AnyTopology::torus(4, 2).unwrap();
     let mut faults = FaultSet::new();
     faults.fail_link(
         &torus,
-        torus.node_from_digits(&[1, 1]).unwrap(),
+        torus.grid().unwrap().node_from_digits(&[1, 1]).unwrap(),
         0,
         swbft::topology::Direction::Plus,
     );
@@ -249,7 +252,7 @@ fn four_dimensional_torus_is_supported() {
 
 #[test]
 fn random_fault_sets_preserve_connectivity_by_construction() {
-    let torus = Network::torus(8, 3).unwrap();
+    let torus = AnyTopology::torus(8, 3).unwrap();
     let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(99);
     for nf in [1, 5, 12, 20] {
         let f: FaultSet = random_node_faults(&torus, nf, &mut rng).unwrap();
