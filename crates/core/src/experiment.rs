@@ -487,6 +487,35 @@ mod tests {
     }
 
     #[test]
+    fn values_past_the_router_widths_are_sim_errors() {
+        use torus_sim::SimConfigError;
+        let point = ExperimentConfig::paper_point(4, 2, 4, 8, 0.01).quick(300, 100);
+        let mut long = point.clone();
+        long.max_cycles = 1 << 32;
+        assert!(matches!(
+            long.run(),
+            Err(ExperimentError::Sim(SimConfigError::TooManyCycles { .. }))
+        ));
+        if let Ok(depth) = usize::try_from(1u64 << 32) {
+            let mut deep = point;
+            deep.buffer_depth = depth;
+            assert!(matches!(
+                deep.run(),
+                Err(ExperimentError::Sim(SimConfigError::BufferTooDeep { .. }))
+            ));
+        }
+        // 2 * 16 384 ports of 2 VCs, the injection port's included: 65 538
+        // input VCs per router.
+        let wide = ExperimentConfig::topology_point(TopologySpec::fat_tree(16_384, 1), 2, 8, 0.01)
+            .with_routing(RoutingChoice::UpDownAdaptive)
+            .quick(300, 100);
+        assert!(matches!(
+            wide.run(),
+            Err(ExperimentError::Sim(SimConfigError::TooManySlots { .. }))
+        ));
+    }
+
+    #[test]
     fn routing_choice_all_covers_every_variant() {
         assert_eq!(RoutingChoice::ALL.len(), 6);
         assert_eq!(RoutingChoice::TurnModel.label(), "turn-model");

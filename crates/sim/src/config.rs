@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use crate::router::MAX_SLOTS;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_routing::MAX_VIRTUAL_CHANNELS;
@@ -38,6 +39,31 @@ pub enum SimConfigError {
     },
     /// Flit buffers must hold at least one flit.
     ZeroBufferDepth,
+    /// The flit-buffer depth exceeds what a credit counter holds (`u32`).
+    BufferTooDeep {
+        /// Requested depth.
+        requested: usize,
+        /// The deepest buffer a credit counter tracks.
+        maximum: usize,
+    },
+    /// The cycle cap exceeds what a router's cycle stamps hold (`u32`).
+    TooManyCycles {
+        /// Requested `max_cycles`.
+        requested: u64,
+        /// The largest cycle cap the stamps hold.
+        maximum: u64,
+    },
+    /// A router would have more input virtual channels (`(ports + 1) * V`,
+    /// the injection port included) than its switch pointers and routes
+    /// index (`u16`).
+    TooManySlots {
+        /// Network ports per router (`2n`; twice the arity on a fat-tree).
+        ports: usize,
+        /// Requested V.
+        vcs: usize,
+        /// The most input virtual channels a router indexes.
+        maximum: usize,
+    },
     /// The workload is configured with zero-length messages. A message needs
     /// at least its header flit; rather than silently clamping the length to
     /// one flit at generation time, the configuration is rejected up front.
@@ -74,6 +100,23 @@ impl fmt::Display for SimConfigError {
                 "{requested} virtual channels requested but routing decisions name at most {maximum}"
             ),
             SimConfigError::ZeroBufferDepth => write!(f, "flit buffers must hold at least one flit"),
+            SimConfigError::BufferTooDeep { requested, maximum } => write!(
+                f,
+                "buffer depth {requested} requested but credit counters hold at most {maximum}"
+            ),
+            SimConfigError::TooManyCycles { requested, maximum } => write!(
+                f,
+                "max_cycles {requested} requested but router cycle stamps hold at most {maximum}"
+            ),
+            SimConfigError::TooManySlots {
+                ports,
+                vcs,
+                maximum,
+            } => write!(
+                f,
+                "a router with {ports} network ports and {vcs} virtual channels per port has {} input virtual channels, but routers index at most {maximum}",
+                (ports + 1) * vcs
+            ),
             SimConfigError::ZeroMessageLength => write!(
                 f,
                 "the workload is configured with zero-length messages (every message needs at least its header flit)"
@@ -192,6 +235,18 @@ impl SimConfig {
         if self.buffer_depth == 0 {
             return Err(SimConfigError::ZeroBufferDepth);
         }
+        if u32::try_from(self.buffer_depth).is_err() {
+            return Err(SimConfigError::BufferTooDeep {
+                requested: self.buffer_depth,
+                maximum: u32::MAX as usize,
+            });
+        }
+        if self.max_cycles > u64::from(u32::MAX) {
+            return Err(SimConfigError::TooManyCycles {
+                requested: self.max_cycles,
+                maximum: u64::from(u32::MAX),
+            });
+        }
         if self.traffic.length == 0 {
             return Err(SimConfigError::ZeroMessageLength);
         }
@@ -211,6 +266,14 @@ impl SimConfig {
             return Err(SimConfigError::TooManyVirtualChannels {
                 requested: self.virtual_channels,
                 maximum: MAX_VIRTUAL_CHANNELS,
+            });
+        }
+        let ports = 2 * self.topology.dims();
+        if (ports + 1).saturating_mul(self.virtual_channels) > MAX_SLOTS {
+            return Err(SimConfigError::TooManySlots {
+                ports,
+                vcs: self.virtual_channels,
+                maximum: MAX_SLOTS,
             });
         }
         Ok(())
@@ -269,6 +332,45 @@ mod tests {
         c.buffer_depth = 2;
         c.topology = TopologySpec::torus(1, 2);
         assert!(matches!(c.validate(2), Err(SimConfigError::Topology(_))));
+    }
+
+    #[test]
+    fn values_past_the_router_widths_are_rejected() {
+        let base = SimConfig::paper(8, 2, 4, 32, 0.001);
+        let mut c = base.clone();
+        c.max_cycles = u64::from(u32::MAX);
+        assert!(c.validate(2).is_ok());
+        c.max_cycles += 1;
+        let e = SimConfigError::TooManyCycles {
+            requested: 1 << 32,
+            maximum: u64::from(u32::MAX),
+        };
+        assert_eq!(c.validate(2), Err(e.clone()));
+        assert!(format!("{e}").contains("max_cycles 4294967296"));
+        if let Ok(too_deep) = usize::try_from(1u64 << 32) {
+            let mut c = base.clone();
+            c.buffer_depth = too_deep;
+            let e = SimConfigError::BufferTooDeep {
+                requested: too_deep,
+                maximum: u32::MAX as usize,
+            };
+            assert_eq!(c.validate(2), Err(e.clone()));
+            assert!(format!("{e}").contains("credit counters"));
+        }
+        // A fat-tree's ports are twice its arity: 2 * 16 383 + 1 ports of 2
+        // VCs fit, one more port pair does not.
+        let mut c = base;
+        c.virtual_channels = 2;
+        c.topology = TopologySpec::fat_tree(16_383, 1);
+        assert!(c.validate(1).is_ok());
+        c.topology = TopologySpec::fat_tree(16_384, 1);
+        let e = SimConfigError::TooManySlots {
+            ports: 32_768,
+            vcs: 2,
+            maximum: MAX_SLOTS,
+        };
+        assert_eq!(c.validate(1), Err(e.clone()));
+        assert!(format!("{e}").contains("65538 input virtual channels"));
     }
 
     #[test]

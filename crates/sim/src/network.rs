@@ -79,14 +79,16 @@ use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::{Flit, MessageId, WormRun};
 use crate::message::{MessagePhase, MessageState};
 use crate::observer::{Allocation, NoObserver, Observer};
-use crate::router::{KeptDecision, ReinjectionEntry, RouteTarget, RouterState, VcRoute};
+use crate::router::{
+    stamp, KeptDecision, OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute,
+};
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use torus_faults::FaultSet;
 use torus_metrics::{MetricsCollector, SimulationReport, WarmupPolicy};
-use torus_routing::{RouteDecision, RoutingAlgorithm};
+use torus_routing::{Candidates, OutputCandidate, RouteDecision, RoutingAlgorithm};
 use torus_topology::{AnyTopology, Direction};
 use torus_workloads::TrafficSource;
 
@@ -414,7 +416,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 let msg = &mut messages[msg_id];
                 msg.header.reset_for_injection();
                 msg.note_injected(now);
-                router.inputs[slot].last_progress = now;
+                router.inputs[slot].last_progress = stamp(now);
                 if router.push_flits(slot, WormRun::whole(msg_id, msg.length)) {
                     schedule.note_router_occupied(idx);
                 }
@@ -446,115 +448,115 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         let node = router.node;
         let epoch = router.release_epoch();
         let ready_at = now + self.config.router_delay as u64;
-        // A head that failed VC allocation keeps its candidates: `route()` is
-        // a pure function of (header, node, fault set), the header of a
-        // blocked head does not change and the fault set is frozen for the
-        // run. Runtime fault schedules (ROADMAP item 2) are the event that
-        // must invalidate this cache. Debug builds re-route and compare.
-        let (candidates, must_fail) = 'decision: {
-            if let Some(kept) = router.blocked[slot].take() {
-                #[cfg(debug_assertions)]
-                {
-                    let header = &mut self.messages[msg_id].header;
-                    let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
-                    assert!(
-                        matches!(&fresh, RouteDecision::Forward(c) if *c == kept.candidates),
-                        "route() is not pure: blocked head {msg_id:?} at {node:?} kept \
-                         {:?}, now routes {fresh:?}",
-                        kept.candidates
-                    );
-                }
-                // If no output VC of this router has become claimable since
-                // the failed attempt, this one must fail too.
-                break 'decision (kept.candidates, kept.epoch == epoch);
-            }
-            let header = &mut self.messages[msg_id].header;
-            let target = match self.algo.route(&self.net, &self.faults, header, node, v) {
-                RouteDecision::Forward(candidates) => break 'decision (candidates, false),
-                RouteDecision::Deliver => RouteTarget::Deliver,
-                RouteDecision::Absorb => RouteTarget::Absorb,
-            };
-            router.bind(
-                slot,
-                VcRoute {
-                    msg: msg_id,
-                    target,
-                    ready_at,
-                },
-            );
-            return;
-        };
         // The paper's assumption (e): pick randomly among the available VCs
         // of the profitable physical channels; escape channels are only
         // considered when no adaptive candidate has a free VC. The RNG
-        // sequence is observable, so a reused decision is shuffled and drawn
+        // sequence is observable, so a kept decision is shuffled and drawn
         // from exactly like a fresh one: Fisher–Yates over the original
         // candidate order (as an index permutation), escapes stably sorted
         // last, `available` — whose lazy release is a side effect — asked of
         // the same VCs in the same order, one `choose` over the free ones.
         let order = &mut self.candidate_order;
-        order.clear();
-        order.extend(0..candidates.len());
-        order.shuffle(&mut self.rng);
-        if must_fail {
-            // An attempt that finds no VC asks `available` only of VCs it
-            // leaves untouched and `choose` only of empty lists, which draw
-            // nothing: the shuffle was all of it anyone could observe.
+        let (cand, out_vc) = if let Some(index) = router.kept_index(slot) {
+            // A head that failed VC allocation keeps its candidates: `route()`
+            // is a pure function of (header, node, fault set), the header of
+            // a blocked head does not change and the fault set is frozen for
+            // the run. Runtime fault schedules (ROADMAP item 2) are the event
+            // that must invalidate this cache. Debug builds re-route and
+            // compare.
+            let (kept, outputs) = router.kept_and_outputs(index);
+            #[cfg(debug_assertions)]
+            {
+                let header = &mut self.messages[msg_id].header;
+                let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
+                assert!(
+                    matches!(&fresh, RouteDecision::Forward(c) if *c == kept.candidates),
+                    "route() is not pure: blocked head {msg_id:?} at {node:?} kept \
+                     {:?}, now routes {fresh:?}",
+                    kept.candidates
+                );
+            }
+            shuffle_candidates(order, kept.candidates.len(), &mut self.rng);
+            if kept.epoch == epoch {
+                // No output VC of this router has become claimable since the
+                // failed attempt, so this one must fail too. An attempt that
+                // finds no VC asks `available` only of VCs it leaves untouched
+                // and `choose` only of empty lists, which draw nothing: the
+                // shuffle was all of it anyone could observe.
+                debug_assert!(
+                    kept.candidates.iter().all(|cand| {
+                        let out_port = RouterState::out_port(cand.dim(), cand.dir());
+                        cand.vcs()
+                            .range()
+                            .all(|ovc| !outputs[out_port * v + ovc].claimable(depth))
+                    }),
+                    "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
+                     {msg_id:?} at {node:?} is claimable"
+                );
+                return;
+            }
+            let Some(granted) = allocate(
+                &kept.candidates,
+                order,
+                &mut self.free_vcs,
+                outputs,
+                msg_id,
+                (v, depth),
+                &mut self.rng,
+            ) else {
+                // The retry failed again: its entry stays, at this epoch.
+                kept.epoch = epoch;
+                return;
+            };
+            granted
+        } else {
+            let header = &mut self.messages[msg_id].header;
+            let candidates = match self.algo.route(&self.net, &self.faults, header, node, v) {
+                RouteDecision::Forward(candidates) => candidates,
+                RouteDecision::Deliver => {
+                    router.bind(slot, VcRoute::new(msg_id, RouteTarget::Deliver, ready_at));
+                    return;
+                }
+                RouteDecision::Absorb => {
+                    router.bind(slot, VcRoute::new(msg_id, RouteTarget::Absorb, ready_at));
+                    return;
+                }
+            };
             debug_assert!(
                 candidates.iter().all(|cand| {
                     let out_port = RouterState::out_port(cand.dim(), cand.dir());
-                    cand.vcs()
-                        .range()
-                        .all(|ovc| !router.outputs[router.slot(out_port, ovc)].claimable(depth))
+                    router.downstream(out_port).is_some()
                 }),
-                "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
-                 {msg_id:?} at {node:?} is claimable"
-            );
-            router.blocked[slot] = Some(KeptDecision { candidates, epoch });
-            return;
-        }
-        order.sort_by_key(|&c| candidates[c].is_escape());
-        let free = &mut self.free_vcs;
-        for &c in order.iter() {
-            let cand = &candidates[c];
-            let out_port = RouterState::out_port(cand.dim(), cand.dir());
-            debug_assert!(
-                router.neighbors[out_port].is_some(),
                 "routing candidate targets an absent mesh-edge port"
             );
-            let port_vcs = &mut router.outputs[out_port * v..][..v];
-            free.clear();
-            free.extend(
-                cand.vcs()
-                    .range()
-                    .filter(|&ovc| port_vcs[ovc].available(depth)),
-            );
-            let Some(&out_vc) = free.choose(&mut self.rng) else {
-                continue;
+            shuffle_candidates(order, candidates.len(), &mut self.rng);
+            let Some(granted) = allocate(
+                &candidates,
+                order,
+                &mut self.free_vcs,
+                &mut router.outputs,
+                msg_id,
+                (v, depth),
+                &mut self.rng,
+            ) else {
+                router.keep(slot, KeptDecision { candidates, epoch });
+                return;
             };
-            port_vcs[out_vc].owner = Some(msg_id);
-            port_vcs[out_vc].draining = false;
-            router.bind(
-                slot,
-                VcRoute {
-                    msg: msg_id,
-                    target: RouteTarget::Network { out_port, out_vc },
-                    ready_at,
-                },
-            );
-            let event = Allocation {
-                cycle: now,
-                msg: msg_id,
-                node,
-                dim: cand.dim(),
-                dir: cand.dir(),
-                vc: out_vc,
-                is_escape: cand.is_escape(),
-            };
-            self.observer.on_allocate(&self.net, &event);
-            return;
-        }
-        router.blocked[slot] = Some(KeptDecision { candidates, epoch });
+            granted
+        };
+        let out_port = RouterState::out_port(cand.dim(), cand.dir());
+        let target = RouteTarget::network(out_port, out_vc);
+        router.bind(slot, VcRoute::new(msg_id, target, ready_at));
+        let event = Allocation {
+            cycle: now,
+            msg: msg_id,
+            node,
+            dim: cand.dim(),
+            dir: cand.dir(),
+            vc: out_vc,
+            is_escape: cand.is_escape(),
+        };
+        self.observer.on_allocate(&self.net, &event);
     }
 
     /// Stage 4 at router `idx`. Its moves become visible downstream only
@@ -576,19 +578,17 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 let Some(route) = ivc.route else {
                     continue;
                 };
-                if route.ready_at > now || ivc.buffer.is_empty() {
+                if u64::from(route.ready_at) > now || ivc.buffer.is_empty() {
                     continue;
                 }
-                match route.target {
-                    RouteTarget::Network { out_port, out_vc } => {
-                        if router.outputs[router.slot(out_port, out_vc)].credits > 0 {
-                            let pointer = router.sa_pointer[out_port];
+                match route.target.output() {
+                    Some((out_port, out_vc)) => {
+                        if router.outputs[router.slot(out_port, out_vc)].credits() > 0 {
+                            let pointer = router.pointer(out_port);
                             self.requests.request(out_port, slot, pointer);
                         }
                     }
-                    RouteTarget::Deliver | RouteTarget::Absorb => {
-                        self.sink_local_flit(now, idx, slot, route.target);
-                    }
+                    None => self.sink_local_flit(now, idx, slot, route.target),
                 }
             }
         }
@@ -610,12 +610,14 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         if let Some(upstream) = router.upstream_of_slot(slot) {
             self.credit_returns.push((upstream, slot));
         }
-        let (flit, emptied) = router.pop_flit(slot).expect("caller saw a flit");
+        let (flit, emptied) = router
+            .pop_flit(slot)
+            .expect("the request pass sinks only a slot whose buffer it saw non-empty");
         if emptied {
             self.schedule.note_router_empty(idx);
         }
         let ivc = &mut router.inputs[slot];
-        ivc.last_progress = now;
+        ivc.last_progress = stamp(now);
         if !flit.kind.is_tail() {
             ivc.sunk += 1;
             return;
@@ -673,7 +675,9 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                     self.in_flight -= 1;
                 }
             }
-            RouteTarget::Network { .. } => unreachable!("local sink"),
+            RouteTarget::Network { .. } => {
+                unreachable!("the request pass sinks only Deliver and Absorb targets")
+            }
         }
     }
 
@@ -685,30 +689,34 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         if let Some(upstream) = router.upstream_of_slot(slot) {
             self.credit_returns.push((upstream, slot));
         }
-        let route = router.inputs[slot].route.expect("winner has a route");
-        let RouteTarget::Network { out_port, out_vc } = route.target else {
+        let route = router.inputs[slot]
+            .route
+            .expect("a switch winner posted its request from a routed slot this cycle");
+        let Some((out_port, out_vc)) = route.target.output() else {
             unreachable!("only network-bound VCs post requests")
         };
         let out_slot = router.slot(out_port, out_vc);
-        let (flit, emptied) = router.pop_flit(slot).expect("winner has a flit");
+        let (flit, emptied) = router
+            .pop_flit(slot)
+            .expect("a switch winner posted its request with a non-empty buffer this cycle");
         if emptied {
             self.schedule.note_router_empty(idx);
         }
-        router.inputs[slot].last_progress = now;
+        router.inputs[slot].last_progress = stamp(now);
         if flit.kind.is_tail() {
             router.unbind(slot);
-            router.outputs[out_slot].draining = true;
         }
-        router.outputs[out_slot].credits -= 1;
-        router.sa_pointer[out_port] = (slot + 1) % router.inputs.len();
+        router.outputs[out_slot].send(flit.kind.is_tail());
+        router.advance_pointer(out_port, slot);
         if flit.kind.is_head() {
             let (dim, dir) = RouterState::port_dim_dir(out_port);
             let header = &mut self.messages[flit.msg].header;
             self.algo.note_hop(&self.net, header, node, dim, dir);
         }
-        let downstream = router
-            .downstream(out_port)
-            .expect("routing only targets existing channels");
+        let downstream = router.downstream(out_port).expect(
+            "a VC is granted only on a routing candidate's port, and routing names only \
+             ports whose channel exists",
+        );
         self.arrivals.push((downstream, out_slot, flit));
     }
 
@@ -728,7 +736,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 "flit arrived at a full buffer (credit accounting violated)"
             );
             if ivc.buffer.is_empty() {
-                ivc.last_progress = now;
+                ivc.last_progress = stamp(now);
             }
             if router.push_flits(slot, flit.into()) {
                 schedule.note_router_occupied(node_idx);
@@ -769,27 +777,61 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                     let Some(msg) = ivc.waiting_head() else {
                         continue;
                     };
-                    let deadline = ivc.last_progress + threshold;
+                    let deadline = u64::from(ivc.last_progress) + threshold;
                     if deadline > now {
                         next_expiry = next_expiry.min(deadline);
                         continue;
                     }
                     // The forced absorption overrides any routing decision
                     // the head was waiting on: binding drops it.
-                    router.bind(
-                        slot,
-                        VcRoute {
-                            msg,
-                            target: RouteTarget::Absorb,
-                            ready_at: now,
-                        },
-                    );
+                    router.bind(slot, VcRoute::new(msg, RouteTarget::Absorb, now));
                     self.forced_absorptions += 1;
                 }
             }
         }
         self.schedule.note_watchdog_scan(now, next_expiry);
     }
+}
+
+/// Shuffles the candidate indices `0..len` into `order`: the draws every
+/// allocation attempt, fresh or kept, makes first.
+fn shuffle_candidates(order: &mut Vec<usize>, len: usize, rng: &mut StdRng) {
+    order.clear();
+    order.extend(0..len);
+    order.shuffle(rng);
+}
+
+/// VC allocation over `candidates` in the shuffled `order`, escapes stably
+/// sorted last: the first candidate with a free VC (among `outputs`, `V` per
+/// port, of buffers `depth` deep) has `msg` claim a random one of them.
+/// Returns that candidate and VC, or `None` when no candidate has a free VC.
+fn allocate(
+    candidates: &Candidates,
+    order: &mut [usize],
+    free: &mut Vec<usize>,
+    outputs: &mut [OutputVc],
+    msg: MessageId,
+    (v, depth): (usize, usize),
+    rng: &mut StdRng,
+) -> Option<(OutputCandidate, usize)> {
+    order.sort_by_key(|&c| candidates[c].is_escape());
+    for &c in order.iter() {
+        let cand = candidates[c];
+        let out_port = RouterState::out_port(cand.dim(), cand.dir());
+        let port_vcs = &mut outputs[out_port * v..][..v];
+        free.clear();
+        free.extend(
+            cand.vcs()
+                .range()
+                .filter(|&ovc| port_vcs[ovc].available(depth)),
+        );
+        let Some(&out_vc) = free.choose(rng) else {
+            continue;
+        };
+        port_vcs[out_vc].claim(msg);
+        return Some((cand, out_vc));
+    }
+    None
 }
 
 #[cfg(test)]
@@ -1106,19 +1148,17 @@ mod tests {
                 let epoch = router.release_epoch();
                 let mut waiting = (0..router.inputs.len())
                     .filter(|&slot| router.inputs[slot].waiting_head().is_some())
-                    .map(|slot| &router.blocked[slot]);
+                    .map(|slot| router.kept(slot));
                 let Some(first) = waiting.clone().next() else {
                     return false;
                 };
-                if !waiting.all(|kept| kept.as_ref().is_some_and(|k| k.epoch == epoch)) {
+                if !waiting.all(|kept| kept.is_some_and(|k| k.epoch == epoch)) {
                     return false;
                 }
-                let cand = &first.as_ref().unwrap().candidates[0];
+                let cand = first.unwrap().candidates[0];
                 let out_port = RouterState::out_port(cand.dim(), cand.dir());
                 let out_slot = router.slot(out_port, cand.vcs().range().start);
-                let ovc = &mut router.outputs[out_slot];
-                ovc.owner = None;
-                ovc.draining = false;
+                router.outputs[out_slot].release();
                 true
             });
             if released {
@@ -1126,6 +1166,44 @@ mod tests {
                 return;
             }
         }
+    }
+
+    #[test]
+    fn the_kept_store_holds_exactly_the_blocked_heads() {
+        // The saturated adaptive pin's configuration, where most heads stay
+        // blocked. After every cycle a waiting head keeps a decision iff this
+        // cycle's routing saw it fail: it was there before routing ran.
+        // Injected heads are routed the cycle they enter, heads that crossed
+        // a link (stamped this cycle) only from the next one.
+        let mut config = quick_config(4, 2, 4, 8, 0.2);
+        config.seed = 17;
+        config.warmup_messages = 100;
+        config.stop = StopCondition::Cycles(4_000);
+        config.max_cycles = 4_000;
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
+        let mut sim = Simulation::new(config, FaultSet::new(), algo).unwrap();
+        let mut blocked = 0;
+        while sim.cycle() < 4_000 {
+            let now = sim.cycle();
+            sim.step();
+            for router in &sim.routers {
+                let words = 0..router.occupancy_words();
+                let routed_here = |slot: &usize| {
+                    router.injection_slots().contains(slot)
+                        || u64::from(router.inputs[*slot].last_progress) < now
+                };
+                let waiting: Vec<usize> = words
+                    .clone()
+                    .flat_map(|w| router.waiting_slots_in(w))
+                    .filter(routed_here)
+                    .collect();
+                let kept: Vec<usize> = words.flat_map(|w| router.kept_slots_in(w)).collect();
+                assert_eq!(kept, waiting, "cycle {now}, router {:?}", router.node);
+                assert_eq!(router.kept_decisions().len(), kept.len());
+                blocked += kept.len();
+            }
+        }
+        assert!(blocked > 10_000, "only {blocked} blocked head-cycles");
     }
 
     #[test]
@@ -1293,6 +1371,53 @@ mod tests {
             AnyRouting::adaptive(Substrate::DimensionOrder)
         )
         .is_err());
+    }
+
+    #[test]
+    fn values_past_the_router_widths_are_rejected() {
+        use crate::ReferenceSimulation;
+        use torus_topology::TopologySpec;
+        let base = quick_config(4, 2, 4, 8, 0.01);
+        let mut long = base.clone();
+        long.max_cycles = u64::from(u32::MAX) + 1;
+        let grid = Substrate::DimensionOrder;
+        let mut cases = vec![(
+            long,
+            grid,
+            SimConfigError::TooManyCycles {
+                requested: u64::from(u32::MAX) + 1,
+                maximum: u64::from(u32::MAX),
+            },
+        )];
+        if let Ok(depth) = usize::try_from(u64::from(u32::MAX) + 1) {
+            let mut deep = base.clone();
+            deep.buffer_depth = depth;
+            let error = SimConfigError::BufferTooDeep {
+                requested: depth,
+                maximum: u32::MAX as usize,
+            };
+            cases.push((deep, grid, error));
+        }
+        let mut wide = base;
+        wide.topology = TopologySpec::fat_tree(16_384, 1);
+        wide.virtual_channels = 2;
+        let error = SimConfigError::TooManySlots {
+            ports: 32_768,
+            vcs: 2,
+            maximum: u16::MAX as usize,
+        };
+        cases.push((wide, Substrate::UpDown, error));
+        for (config, substrate, expected) in cases {
+            let algo = AnyRouting::adaptive(substrate);
+            assert_eq!(
+                Simulation::new(config.clone(), FaultSet::new(), algo).err(),
+                Some(expected.clone())
+            );
+            assert_eq!(
+                ReferenceSimulation::new(config, FaultSet::new(), algo).err(),
+                Some(expected)
+            );
+        }
     }
 
     #[test]

@@ -37,18 +37,18 @@
 //! Links still carry [`Flit`]s; a buffer appends them with
 //! [`WormRun::extend`], which debug-asserts that they continue its run.
 //!
-//! Neighbour table: [`RouterState::neighbors`] holds, per network port, the
-//! index of the router over that port's channel — the **downstream** router
-//! of output port `p`, and (the topology's `neighbor` being involutive) the
-//! **upstream** router of input port `p ^ 1`
-//! ([`RouterState::downstream`], [`RouterState::upstream`]). It is read from
-//! the topology once, when the engine is built; a `None` entry is a port that
-//! does not physically exist (the outward ports at the edge of an open
-//! dimension), whose VC state is allocated but never used.
+//! Neighbour table: the router holds, per network port, the index of the
+//! router over that port's channel — the **downstream** router of output
+//! port `p`, and (the topology's `neighbor` being involutive) the
+//! **upstream** router of input port `p ^ 1` ([`RouterState::downstream`],
+//! [`RouterState::upstream`]). It is read from the topology once, when the
+//! engine is built; a port that does not physically exist (the outward ports
+//! at the edge of an open dimension) has no entry, and its VC state is
+//! allocated but never used.
 //!
-//! Slot masks: each router keeps two sets of its input slots in `u64` words
-//! sized for its slot count, stored as one `[occupied, waiting]` pair per
-//! word so that one load serves both.
+//! Slot masks: each router keeps three sets of its input slots in `u64` words
+//! sized for its slot count, stored as one `[occupied, waiting, kept]` triple
+//! per word so that one load serves all three.
 //!
 //! * The **occupancy mask** ([`RouterState::occupied_slots_in`]): bit `s` is
 //!   set iff `inputs[s].buffer` is non-empty. The engine fills and drains
@@ -63,17 +63,30 @@
 //!   the crate-private `bind` (a routing decision, a won VC, the watchdog's
 //!   forced absorption) and `unbind` (the tail flit left), never by assigning
 //!   [`InputVc::route`].
+//! * The **kept-decision mask** ([`RouterState::kept_slots_in`]): bit `s` is
+//!   set iff the waiting head of slot `s` failed VC allocation and keeps its
+//!   routing decision (below). It is a subset of the waiting-head mask.
 //!
 //! Routing and the stall watchdog visit the waiting slots only, switch
 //! requests the occupied slots that are not waiting
-//! ([`RouterState::routed_slots_in`]). The sanitizer checks both invariants
+//! ([`RouterState::routed_slots_in`]). The sanitizer checks all three masks
 //! every cycle.
 //!
 //! Kept decisions: a head that fails VC allocation keeps its routing decision
-//! ([`KeptDecision`]) in the router's table [`RouterState::blocked`], indexed
-//! by input slot like [`RouterState::inputs`]. Only blocked heads have one, so
-//! the table stays off the slot state every stage reads; `bind` clears the
-//! slot's entry.
+//! ([`KeptDecision`]) in the router's kept-decision store
+//! ([`RouterState::kept_decisions`]), a dense list in ascending slot order:
+//! the entry of slot `s` is found by its rank, the number of kept bits below
+//! `s`. Only blocked heads have an entry, so a router with none holds no
+//! store on the heap, and the store stays off the slot state every stage
+//! reads. The crate-private `keep` inserts an entry, `bind` removes the
+//! slot's, and a retry that fails again updates its entry in place.
+//!
+//! Footprint: on a 64-bit target an input slot costs 48 bytes
+//! ([`InputVc`]), an output slot 16 ([`OutputVc`]), a blocked head 48 more
+//! ([`KeptDecision`]), a network port 4 bytes of neighbour table and 2 of
+//! switch pointer, and every 64 input slots 24 bytes of masks. A router of a
+//! 3-dimensional torus with four VCs (28 input and 24 output slots) owns
+//! 1 788 bytes of heap while no head is blocked.
 //!
 //! Release epoch: [`RouterState::release_epoch`] counts the router's output
 //! VCs that became claimable. The only event that makes one claimable is a
@@ -82,6 +95,12 @@
 //! failed allocation in its [`KeptDecision`]; while the epoch is unchanged
 //! none of its candidate VCs can have become claimable, so the engine only
 //! replays the attempt's RNG draws instead of repeating it.
+//!
+//! Widths: cycle stamps are `u32`, credit counters `u32`, output ports `u16`,
+//! output VCs `u8` and switch pointers `u16`. `SimConfig::validate_parameters`
+//! rejects, with a typed error, every configuration whose values would not
+//! fit: `max_cycles` above `u32::MAX`, a buffer depth above `u32::MAX`, more
+//! than `u16::MAX` input slots per router, `V` above 255.
 
 use crate::active::WordIndices;
 use crate::flit::{Flit, MessageId, WormRun};
@@ -89,10 +108,39 @@ use std::collections::VecDeque;
 use torus_routing::Candidates;
 use torus_topology::{AnyTopology, Direction, NodeId};
 
-/// Index of the occupancy mask in a slot-mask word pair.
+/// Index of the occupancy mask in a slot-mask word triple.
 const OCCUPIED: usize = 0;
-/// Index of the waiting-head mask in a slot-mask word pair.
+/// Index of the waiting-head mask in a slot-mask word triple.
 const WAITING: usize = 1;
+/// Index of the kept-decision mask in a slot-mask word triple.
+const KEPT: usize = 2;
+
+/// The neighbour-table entry of a port that does not physically exist. No
+/// router has this index: a topology keeps its node count within `u32`, so
+/// node indices stay below `u32::MAX`.
+const NO_PORT: u32 = u32::MAX;
+
+/// The largest number of input slots a router may have: switch pointers and
+/// output ports are stored as `u16`.
+pub(crate) const MAX_SLOTS: usize = u16::MAX as usize;
+
+/// The bit of input slot `slot` within its mask word.
+#[inline]
+fn bit(slot: usize) -> u64 {
+    1 << (slot % 64)
+}
+
+/// Cycle `cycle` as an input VC stores it. A run never reaches `max_cycles`,
+/// which `SimConfig::validate_parameters` bounds by `u32::MAX`, so every
+/// cycle it stamps fits.
+#[inline]
+pub(crate) fn stamp(cycle: u64) -> u32 {
+    debug_assert!(
+        cycle <= u64::from(u32::MAX),
+        "cycle {cycle} is past the u32 stamps the configuration bounds max_cycles by"
+    );
+    cycle as u32
+}
 
 /// Where an input virtual channel is currently forwarding its flits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,9 +148,9 @@ pub enum RouteTarget {
     /// Towards a network output port and virtual channel.
     Network {
         /// Output port index (`dim * 2 + dir.index()`).
-        out_port: usize,
+        out_port: u16,
         /// Output virtual channel index.
-        out_vc: usize,
+        out_vc: u8,
     },
     /// Into the local node: deliver to the PE (final destination reached).
     Deliver,
@@ -111,16 +159,57 @@ pub enum RouteTarget {
     Absorb,
 }
 
+impl RouteTarget {
+    /// Towards virtual channel `out_vc` of network output port `out_port`.
+    /// The configuration bounds both (at most [`MAX_SLOTS`] slots and 255
+    /// VCs per port), so they fit.
+    #[inline]
+    pub(crate) fn network(out_port: usize, out_vc: usize) -> Self {
+        debug_assert!(out_port < MAX_SLOTS && out_vc <= u8::MAX as usize);
+        RouteTarget::Network {
+            out_port: out_port as u16,
+            out_vc: out_vc as u8,
+        }
+    }
+
+    /// The output port and virtual channel of a network target, `None` for a
+    /// local sink.
+    #[inline]
+    pub(crate) fn output(self) -> Option<(usize, usize)> {
+        match self {
+            RouteTarget::Network { out_port, out_vc } => {
+                Some((usize::from(out_port), usize::from(out_vc)))
+            }
+            RouteTarget::Deliver | RouteTarget::Absorb => None,
+        }
+    }
+}
+
 /// Binding of an input virtual channel to the message currently crossing it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VcRoute {
     /// The message occupying the channel.
     pub msg: MessageId,
+    /// Earliest cycle flits may start moving (models the router decision time
+    /// `Td`); see [`VcRoute::new`].
+    pub ready_at: u32,
     /// Where its flits are being forwarded.
     pub target: RouteTarget,
-    /// Earliest cycle flits may start moving (models the router decision time
-    /// `Td`).
-    pub ready_at: u64,
+}
+
+impl VcRoute {
+    /// The binding of `msg` to `target`, ready at cycle `ready_at`. A cycle
+    /// past `u32::MAX` is stored as `u32::MAX`: a run's cycles stay below
+    /// `max_cycles <= u32::MAX`, so the route is ready in none of them either
+    /// way.
+    #[inline]
+    pub fn new(msg: MessageId, target: RouteTarget, ready_at: u64) -> Self {
+        VcRoute {
+            msg,
+            ready_at: ready_at.min(u64::from(u32::MAX)) as u32,
+            target,
+        }
+    }
 }
 
 /// State of one input virtual channel.
@@ -132,7 +221,7 @@ pub struct InputVc {
     /// Current binding, `None` while idle or awaiting routing/VC allocation.
     pub route: Option<VcRoute>,
     /// Cycle of the last forward progress (used by the stall watchdog).
-    pub last_progress: u64,
+    pub last_progress: u32,
     /// Flits of the worm being delivered or absorbed here that have already
     /// drained into the local node. A worm's flits are consecutive on one
     /// input VC, so the tail flit alone completes the message; the count is
@@ -157,8 +246,8 @@ impl InputVc {
     }
 }
 
-/// A blocked head's routing decision, kept in [`RouterState::blocked`] while
-/// it waits for an output VC.
+/// A blocked head's routing decision, kept in its router's kept-decision
+/// store ([`RouterState::kept_decisions`]) while it waits for an output VC.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeptDecision {
     /// The `Forward` candidates `route()` returned.
@@ -172,23 +261,46 @@ pub struct KeptDecision {
 /// the free buffer slots of the corresponding downstream input VC).
 #[derive(Clone, Debug)]
 pub struct OutputVc {
-    /// Message currently owning the VC (set from header acceptance until the
-    /// downstream buffer has drained the tail flit).
-    pub owner: Option<MessageId>,
+    /// The owning message while `owned`; stale otherwise.
+    owner: MessageId,
+    /// Remaining credits (free downstream buffer slots).
+    credits: u32,
+    /// True from header acceptance until the VC is released.
+    owned: bool,
     /// True once the tail flit has been sent; the VC is released lazily when
     /// all credits have returned (atomic VC reallocation).
-    pub draining: bool,
-    /// Remaining credits (free downstream buffer slots).
-    pub credits: usize,
+    draining: bool,
 }
 
 impl OutputVc {
+    /// An idle VC with every credit; `RouterState::new` checks that the
+    /// depth fits the counter.
     fn new(buffer_depth: usize) -> Self {
         OutputVc {
-            owner: None,
+            owner: MessageId(0),
+            credits: buffer_depth as u32,
+            owned: false,
             draining: false,
-            credits: buffer_depth,
         }
+    }
+
+    /// Message currently owning the VC (set from header acceptance until the
+    /// downstream buffer has drained the tail flit and the VC is released).
+    #[inline]
+    pub fn owner(&self) -> Option<MessageId> {
+        self.owned.then_some(self.owner)
+    }
+
+    /// True once the owner's tail flit has been sent.
+    #[inline]
+    pub fn is_draining(&self) -> bool {
+        self.draining
+    }
+
+    /// Remaining credits (free downstream buffer slots).
+    #[inline]
+    pub fn credits(&self) -> usize {
+        self.credits as usize
     }
 
     /// True if a new message may claim this VC: it is unowned, or its last
@@ -196,9 +308,9 @@ impl OutputVc {
     #[inline]
     pub fn claimable(&self, buffer_depth: usize) -> bool {
         if self.draining {
-            self.credits == buffer_depth
+            self.credits() == buffer_depth
         } else {
-            self.owner.is_none()
+            !self.owned
         }
     }
 
@@ -208,10 +320,32 @@ impl OutputVc {
     pub fn available(&mut self, buffer_depth: usize) -> bool {
         let claimable = self.claimable(buffer_depth);
         if claimable {
-            self.owner = None;
-            self.draining = false;
+            self.release();
         }
         claimable
+    }
+
+    /// Clears the owner and the draining flag.
+    #[inline]
+    pub(crate) fn release(&mut self) {
+        self.owned = false;
+        self.draining = false;
+    }
+
+    /// Gives the VC to `msg`, whose head won it.
+    #[inline]
+    pub(crate) fn claim(&mut self, msg: MessageId) {
+        self.owner = msg;
+        self.owned = true;
+        self.draining = false;
+    }
+
+    /// Spends a credit on a flit sent downstream; the tail starts the drain.
+    #[inline]
+    pub(crate) fn send(&mut self, is_tail: bool) {
+        debug_assert!(self.credits > 0, "a flit was sent without a credit");
+        self.credits -= 1;
+        self.draining |= is_tail;
     }
 }
 
@@ -235,20 +369,19 @@ pub struct RouterState {
     /// Virtual channels per port (`V`, the slot stride).
     vcs: usize,
     /// Per network port, the index of the router over that port's channel,
-    /// or `None` where the port does not physically exist (see the module
-    /// docs).
-    pub neighbors: Vec<Option<usize>>,
+    /// or [`NO_PORT`] where the port does not physically exist (see the
+    /// module docs).
+    neighbors: Vec<u32>,
     /// Input virtual channels, slot `port * V + vc`: the `2n` network ports
     /// followed by the injection port.
     pub inputs: Vec<InputVc>,
-    /// Per input slot, the routing decision of a front head flit that failed
-    /// VC allocation, kept so the head is not re-routed every cycle it stays
-    /// blocked. `None` once it wins, is absorbed by the watchdog, or the slot
-    /// holds no waiting head.
-    pub blocked: Vec<Option<KeptDecision>>,
-    /// The occupancy and waiting-head masks, one `[OCCUPIED, WAITING]` pair
-    /// per 64-slot word (see the module docs).
-    slot_masks: Vec<[u64; 2]>,
+    /// The kept decisions of the router's blocked heads, in ascending slot
+    /// order (see the module docs).
+    kept: Vec<KeptDecision>,
+    /// The occupancy, waiting-head and kept-decision masks, one
+    /// `[OCCUPIED, WAITING, KEPT]` triple per 64-slot word (see the module
+    /// docs).
+    slot_masks: Vec<[u64; 3]>,
     /// Output virtual channels of the `2n` network output ports, slot
     /// `port * V + vc`.
     pub outputs: Vec<OutputVc>,
@@ -261,13 +394,18 @@ pub struct RouterState {
     pub reinjection_queue: VecDeque<ReinjectionEntry>,
     /// Round-robin pointers of the switch allocator, one per output port,
     /// each an input slot.
-    pub sa_pointer: Vec<usize>,
+    sa_pointer: Vec<u16>,
 }
 
 impl RouterState {
     /// Creates the router of `node` in `net` with `v` virtual channels per
     /// physical channel and the given flit-buffer depth, reading its
     /// neighbour table from the topology.
+    ///
+    /// # Panics
+    /// Panics when the router would have more than [`MAX_SLOTS`] input slots
+    /// or the depth exceeds `u32::MAX`; the engine rejects such a
+    /// configuration with a typed error first.
     pub fn new(
         net: &AnyTopology,
         node: NodeId,
@@ -276,21 +414,25 @@ impl RouterState {
         is_faulty: bool,
     ) -> Self {
         let num_net_ports = 2 * net.dims();
+        let num_slots = (num_net_ports + 1) * v;
+        assert!(
+            num_slots <= MAX_SLOTS && u32::try_from(buffer_depth).is_ok(),
+            "{num_slots} input slots or buffer depth {buffer_depth} exceed the router's widths"
+        );
         let neighbors = (0..num_net_ports)
             .map(|port| {
                 let (dim, dir) = Self::port_dim_dir(port);
-                net.neighbor(node, dim, dir).map(NodeId::index)
+                net.neighbor(node, dim, dir).map_or(NO_PORT, |n| n.0)
             })
             .collect();
-        let num_slots = (num_net_ports + 1) * v;
         RouterState {
             node,
             is_faulty,
             vcs: v,
             neighbors,
             inputs: vec![InputVc::default(); num_slots],
-            blocked: vec![None; num_slots],
-            slot_masks: vec![[0; 2]; num_slots.div_ceil(64)],
+            kept: Vec::new(),
+            slot_masks: vec![[0; 3]; num_slots.div_ceil(64)],
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
             release_epoch: 0,
             source_queue: VecDeque::new(),
@@ -329,14 +471,15 @@ impl RouterState {
     /// at, or `None` where the port does not exist.
     #[inline]
     pub fn downstream(&self, port: usize) -> Option<usize> {
-        self.neighbors[port]
+        let index = self.neighbors[port];
+        (index != NO_PORT).then_some(index as usize)
     }
 
     /// The router that feeds network input port `port` (and holds its
     /// credits): the neighbour in the opposite direction.
     #[inline]
     pub fn upstream(&self, port: usize) -> Option<usize> {
-        self.neighbors[port ^ 1]
+        self.downstream(port ^ 1)
     }
 
     /// The router owed a credit when a flit leaves input slot `slot`: the
@@ -346,9 +489,26 @@ impl RouterState {
     pub fn upstream_of_slot(&self, slot: usize) -> Option<usize> {
         let port = slot / self.vcs;
         (port != self.injection_port()).then(|| {
-            self.upstream(port)
-                .expect("flits only arrive over existing channels")
+            self.upstream(port).expect(
+                "a flit in a network input slot arrived over that port's channel, \
+                 so the port's upstream neighbour exists",
+            )
         })
+    }
+
+    /// The switch allocator's round-robin pointer of output port `port`: the
+    /// input slot that has priority there.
+    #[inline]
+    pub fn pointer(&self, port: usize) -> usize {
+        usize::from(self.sa_pointer[port])
+    }
+
+    /// Moves the pointer of output port `port` past input slot `slot`, whose
+    /// flit just crossed it.
+    #[inline]
+    pub(crate) fn advance_pointer(&mut self, port: usize, slot: usize) {
+        // `new` bounds the slot count by `MAX_SLOTS`, so the next slot fits.
+        self.sa_pointer[port] = ((slot + 1) % self.inputs.len()) as u16;
     }
 
     /// Number of 64-slot words of the slot masks.
@@ -377,20 +537,87 @@ impl RouterState {
     /// front flit is bound to a route. Ascending.
     #[inline]
     pub fn routed_slots_in(&self, w: usize) -> WordIndices {
-        let [occupied, waiting] = self.slot_masks[w];
+        let [occupied, waiting, _] = self.slot_masks[w];
         WordIndices::new(w, occupied & !waiting)
+    }
+
+    /// The input slots of mask word `w` whose blocked head keeps a routing
+    /// decision, ascending.
+    #[inline]
+    pub fn kept_slots_in(&self, w: usize) -> WordIndices {
+        WordIndices::new(w, self.slot_masks[w][KEPT])
     }
 
     /// True when input slot `slot` is in the occupancy mask.
     #[inline]
     pub fn is_occupied(&self, slot: usize) -> bool {
-        self.slot_masks[slot / 64][OCCUPIED] & (1 << (slot % 64)) != 0
+        self.slot_masks[slot / 64][OCCUPIED] & bit(slot) != 0
     }
 
     /// True when input slot `slot` is in the waiting-head mask.
     #[inline]
     pub fn is_waiting(&self, slot: usize) -> bool {
-        self.slot_masks[slot / 64][WAITING] & (1 << (slot % 64)) != 0
+        self.slot_masks[slot / 64][WAITING] & bit(slot) != 0
+    }
+
+    /// The kept decisions of the router's blocked heads, in ascending slot
+    /// order: one per bit of the kept-decision mask.
+    #[inline]
+    pub fn kept_decisions(&self) -> &[KeptDecision] {
+        &self.kept
+    }
+
+    /// The position in [`RouterState::kept_decisions`] of the decision kept
+    /// by the head of input slot `slot`, or `None` if it keeps none: the
+    /// number of kept slots below it.
+    #[inline]
+    pub(crate) fn kept_index(&self, slot: usize) -> Option<usize> {
+        let kept = self.slot_masks[slot / 64][KEPT] & bit(slot) != 0;
+        kept.then(|| self.kept_rank(slot))
+    }
+
+    /// The number of kept slots below input slot `slot`.
+    #[inline]
+    fn kept_rank(&self, slot: usize) -> usize {
+        let w = slot / 64;
+        let below: u32 = self.slot_masks[..w]
+            .iter()
+            .map(|masks| masks[KEPT].count_ones())
+            .sum();
+        let in_word = self.slot_masks[w][KEPT] & (bit(slot) - 1);
+        (below + in_word.count_ones()) as usize
+    }
+
+    /// The decision kept by the head of input slot `slot`, if any.
+    #[cfg(test)]
+    pub(crate) fn kept(&self, slot: usize) -> Option<&KeptDecision> {
+        self.kept_index(slot).map(|i| &self.kept[i])
+    }
+
+    /// Entry `index` of the kept-decision store beside the output VCs,
+    /// borrowed apart so that a retry can allocate from its candidates.
+    #[inline]
+    pub(crate) fn kept_and_outputs(
+        &mut self,
+        index: usize,
+    ) -> (&mut KeptDecision, &mut [OutputVc]) {
+        (&mut self.kept[index], &mut self.outputs)
+    }
+
+    /// The kept-decision store itself, for tests that plant a store the
+    /// mask disagrees with.
+    #[cfg(test)]
+    pub(crate) fn kept_store_mut(&mut self) -> &mut Vec<KeptDecision> {
+        &mut self.kept
+    }
+
+    /// Keeps `decision` for the waiting head of input slot `slot`, which
+    /// keeps none yet.
+    #[inline]
+    pub(crate) fn keep(&mut self, slot: usize, decision: KeptDecision) {
+        debug_assert!(self.kept_index(slot).is_none(), "slot {slot} keeps one");
+        self.kept.insert(self.kept_rank(slot), decision);
+        self.slot_masks[slot / 64][KEPT] |= bit(slot);
     }
 
     /// Output VCs of this router that have become claimable so far: a
@@ -412,11 +639,10 @@ impl RouterState {
             return false;
         }
         let was_idle = self.slot_masks.iter().all(|m| m[OCCUPIED] == 0);
-        let bit = 1 << (slot % 64);
         let masks = &mut self.slot_masks[slot / 64];
-        masks[OCCUPIED] |= bit;
+        masks[OCCUPIED] |= bit(slot);
         if ivc.waiting_head().is_some() {
-            masks[WAITING] |= bit;
+            masks[WAITING] |= bit(slot);
         }
         was_idle
     }
@@ -433,7 +659,7 @@ impl RouterState {
         if !buffer.is_empty() {
             return Some((flit, false));
         }
-        self.slot_masks[slot / 64][OCCUPIED] &= !(1 << (slot % 64));
+        self.slot_masks[slot / 64][OCCUPIED] &= !bit(slot);
         Some((flit, self.slot_masks.iter().all(|m| m[OCCUPIED] == 0)))
     }
 
@@ -442,8 +668,12 @@ impl RouterState {
     #[inline]
     pub(crate) fn bind(&mut self, slot: usize, route: VcRoute) {
         self.inputs[slot].route = Some(route);
-        self.blocked[slot] = None;
-        self.slot_masks[slot / 64][WAITING] &= !(1 << (slot % 64));
+        if let Some(index) = self.kept_index(slot) {
+            self.kept.remove(index);
+        }
+        let masks = &mut self.slot_masks[slot / 64];
+        masks[WAITING] &= !bit(slot);
+        masks[KEPT] &= !bit(slot);
     }
 
     /// Unbinds input slot `slot` once its worm's tail flit has left it.
@@ -461,10 +691,10 @@ impl RouterState {
         let ovc = &mut self.outputs[slot];
         ovc.credits += 1;
         debug_assert!(
-            ovc.credits <= buffer_depth,
+            ovc.credits() <= buffer_depth,
             "credit counter exceeded the buffer depth"
         );
-        if ovc.draining && ovc.credits == buffer_depth {
+        if ovc.draining && ovc.credits() == buffer_depth {
             self.release_epoch += 1;
         }
     }
@@ -544,7 +774,8 @@ mod tests {
         // A mesh corner lacks its two outward ports.
         let mesh = AnyTopology::mesh(4, 2).unwrap();
         let corner = router(&mesh, 0, 1, 1);
-        assert_eq!(corner.neighbors.iter().flatten().count(), 2);
+        let present = (0..corner.num_net_ports()).filter_map(|p| corner.downstream(p));
+        assert_eq!(present.count(), 2);
     }
 
     #[test]
@@ -566,22 +797,22 @@ mod tests {
     fn output_vc_lazy_release() {
         let mut vc = OutputVc::new(2);
         assert!(vc.claimable(2) && vc.available(2));
-        vc.owner = Some(MessageId(1));
+        vc.claim(MessageId(1));
         assert!(!vc.claimable(2) && !vc.available(2));
         // Tail sent, one credit still outstanding: not yet available, and
         // asking changes nothing.
-        vc.draining = true;
-        vc.credits = 1;
+        vc.send(true);
+        assert_eq!(vc.credits(), 1);
         assert!(!vc.available(2));
-        assert_eq!(vc.owner, Some(MessageId(1)));
-        assert!(vc.draining);
+        assert_eq!(vc.owner(), Some(MessageId(1)));
+        assert!(vc.is_draining());
         // All credits back: claimable, and released lazily when asked.
-        vc.credits = 2;
+        vc.credits += 1;
         assert!(vc.claimable(2));
-        assert_eq!(vc.owner, Some(MessageId(1)), "claimable() is pure");
+        assert_eq!(vc.owner(), Some(MessageId(1)), "claimable() is pure");
         assert!(vc.available(2));
-        assert_eq!(vc.owner, None);
-        assert!(!vc.draining);
+        assert_eq!(vc.owner(), None);
+        assert!(!vc.is_draining());
     }
 
     #[test]
@@ -607,17 +838,92 @@ mod tests {
 
     #[test]
     fn input_vc_stays_off_the_heap_and_small() {
-        // Every stage reads input VCs; the buffer is a fixed-size worm run and
-        // a blocked head's candidates live in the router's kept-decision
-        // table, so a slot is 80 bytes on a 64-bit target. A kept decision
-        // holds its candidates inline at six bytes each, so a router's table
-        // of them stays at 48 bytes a slot.
+        // Every stage reads input VCs; the buffer is a fixed-size worm run, a
+        // route names its output in three bytes and stamps its cycle in four,
+        // and a blocked head's candidates live in the router's kept-decision
+        // store. A kept decision holds its candidates inline at six bytes
+        // each.
         assert!(std::mem::size_of::<OutputCandidate>() <= 8);
+        assert_eq!(std::mem::size_of::<Option<VcRoute>>(), 16);
         if cfg!(target_pointer_width = "64") {
             assert_eq!(std::mem::size_of::<WormRun>(), 24);
-            assert_eq!(std::mem::size_of::<InputVc>(), 80);
-            assert!(std::mem::size_of::<Option<KeptDecision>>() <= 48);
+            assert!(std::mem::size_of::<InputVc>() <= 48);
+            assert!(std::mem::size_of::<OutputVc>() <= 16);
+            assert!(std::mem::size_of::<KeptDecision>() <= 48);
         }
+    }
+
+    /// Bytes of heap `r`'s vectors own: capacity times element size.
+    fn heap_bytes(r: &RouterState) -> usize {
+        fn owned<T>(capacity: usize) -> usize {
+            capacity * std::mem::size_of::<T>()
+        }
+        owned::<u32>(r.neighbors.capacity())
+            + owned::<InputVc>(r.inputs.capacity())
+            + owned::<KeptDecision>(r.kept.capacity())
+            + owned::<[u64; 3]>(r.slot_masks.capacity())
+            + owned::<OutputVc>(r.outputs.capacity())
+            + owned::<MessageId>(r.source_queue.capacity())
+            + owned::<ReinjectionEntry>(r.reinjection_queue.capacity())
+            + owned::<u16>(r.sa_pointer.capacity())
+    }
+
+    #[test]
+    fn a_fresh_router_owns_little_heap_and_no_kept_store() {
+        // The paper's 8-ary 3-cube with four VCs: 28 input and 24 output
+        // slots, six ports.
+        let torus = AnyTopology::torus(8, 3).unwrap();
+        let r = router(&torus, 0, 4, 2);
+        assert_eq!((r.inputs.len(), r.outputs.len()), (28, 24));
+        assert_eq!(r.kept.capacity(), 0);
+        if cfg!(target_pointer_width = "64") {
+            assert!(heap_bytes(&r) <= 1_900, "{} bytes", heap_bytes(&r));
+        }
+    }
+
+    #[test]
+    fn kept_decisions_are_ranked_by_slot_across_mask_words() {
+        // 13 ports of 8 VCs: 104 input slots, two mask words.
+        let net = AnyTopology::torus(4, 6).unwrap();
+        let mut r = router(&net, 0, 8, 2);
+        assert_eq!(r.occupancy_words(), 2);
+        let decision = |epoch: u64| KeptDecision {
+            candidates: Candidates::new(),
+            epoch,
+        };
+        let slots = [70, 3, 100, 64, 63];
+        for &slot in &slots {
+            r.push_flits(slot, WormRun::whole(MessageId(slot as u64), 2));
+            r.keep(slot, decision(slot as u64));
+        }
+        // The store is in slot order, whatever order heads blocked in.
+        let epochs: Vec<u64> = r.kept_decisions().iter().map(|k| k.epoch).collect();
+        assert_eq!(epochs, [3, 63, 64, 70, 100]);
+        for &slot in &slots {
+            assert_eq!(r.kept(slot).map(|k| k.epoch), Some(slot as u64));
+        }
+        assert_eq!(r.kept(4), None);
+        let kept: Vec<usize> = (0..2).flat_map(|w| r.kept_slots_in(w)).collect();
+        assert_eq!(kept, [3, 63, 64, 70, 100]);
+        // Binding a head drops its entry and leaves the others' ranks right.
+        let route = VcRoute::new(MessageId(64), RouteTarget::Deliver, 0);
+        r.bind(64, route);
+        assert_eq!(r.kept(64), None);
+        assert_eq!(r.kept(70).map(|k| k.epoch), Some(70));
+        assert_eq!(r.kept_decisions().len(), 4);
+        // Binding a head that keeps nothing leaves the store alone.
+        r.push_flits(5, WormRun::whole(MessageId(5), 2));
+        r.bind(5, VcRoute::new(MessageId(5), RouteTarget::Deliver, 0));
+        assert_eq!(r.kept_decisions().len(), 4);
+    }
+
+    #[test]
+    fn route_stamps_saturate_past_u32() {
+        let route = VcRoute::new(MessageId(1), RouteTarget::network(3, 2), 1 << 40);
+        assert_eq!(route.ready_at, u32::MAX);
+        assert_eq!(route.target.output(), Some((3, 2)));
+        assert_eq!(RouteTarget::Absorb.output(), None);
+        assert_eq!(stamp(u64::from(u32::MAX)), u32::MAX);
     }
 
     #[test]
@@ -697,13 +1003,13 @@ mod tests {
         let torus = AnyTopology::torus(4, 2).unwrap();
         let mut r = router(&torus, 0, 2, 2);
         let slot = r.slot(1, 1);
-        r.outputs[slot].owner = Some(MessageId(4));
-        r.outputs[slot].credits = 0;
+        r.outputs[slot].claim(MessageId(4));
+        r.outputs[slot].send(false);
         // Credits returning to an owned VC release nothing.
         r.return_credit(slot, 2);
         assert_eq!(r.release_epoch(), 0);
         // Once the tail is sent, the last credit makes the VC claimable.
-        r.outputs[slot].draining = true;
+        r.outputs[slot].send(true);
         r.return_credit(slot, 2);
         assert!(r.outputs[slot].claimable(2));
         assert_eq!(r.release_epoch(), 1);

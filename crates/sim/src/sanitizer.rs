@@ -13,11 +13,12 @@
 //!    a live message — stale generation-tagged identifiers are caught, with
 //!    the lazy `draining` owner of an already-retired message as the single
 //!    documented exception — and every router's occupancy mask marks exactly
-//!    its non-empty input buffers and its waiting-head mask exactly the
-//!    slots with an unrouted head flit at the front. Both schedulers share
-//!    the masks, so engine equivalence cannot catch a mask bug, and a stale
-//!    set bit only costs time, so no outcome pin can either: this audit is
-//!    their oracle.
+//!    its non-empty input buffers, its waiting-head mask exactly the slots
+//!    with an unrouted head flit at the front, and its kept-decision mask
+//!    only waiting heads, one bit per entry of its kept-decision store. Both
+//!    schedulers share the masks, so engine equivalence cannot catch a mask
+//!    bug, and a stale set bit only costs time, so no outcome pin can
+//!    either: this audit is their oracle.
 //! 2. **Channel-dependency-graph conformance**: the sanitizer maintains the
 //!    runtime *wait-for* state of every message — the last tracked (escape or
 //!    deterministic-layer) virtual-channel resource it was granted — and on
@@ -222,6 +223,7 @@ impl Observer for Sanitizer {
         self.check_references(cycle, routers, messages);
         self.check_in_flight(cycle, messages, in_flight);
         self.check_occupancy(cycle, routers);
+        self.check_kept_decisions(cycle, routers);
     }
 }
 
@@ -331,8 +333,8 @@ impl Sanitizer {
                     let slot = router.slot(out_port, vc);
                     let ovc = &router.outputs[slot];
                     let down_buf = routers[downstream.index()].inputs[slot].buffer.len();
-                    if ovc.credits > self.buffer_depth
-                        || ovc.credits + down_buf != self.buffer_depth
+                    if ovc.credits() > self.buffer_depth
+                        || ovc.credits() + down_buf != self.buffer_depth
                     {
                         self.record(
                             cycle,
@@ -341,14 +343,14 @@ impl Sanitizer {
                                 "{}: {} credits + {down_buf} buffered downstream != \
                                  depth {}",
                                 Self::describe(node, dim, dir, vc),
-                                ovc.credits,
+                                ovc.credits(),
                                 self.buffer_depth
                             ),
                         );
                     }
                     if faulty_channel
-                        && (ovc.owner.is_some()
-                            || ovc.credits != self.buffer_depth
+                        && (ovc.owner().is_some()
+                            || ovc.credits() != self.buffer_depth
                             || down_buf != 0)
                     {
                         self.record(
@@ -358,8 +360,8 @@ impl Sanitizer {
                                 "faulty {} is occupied (owner {:?}, {} credits, \
                                  {down_buf} downstream flits)",
                                 Self::describe(node, dim, dir, vc),
-                                ovc.owner,
-                                ovc.credits
+                                ovc.owner(),
+                                ovc.credits()
                             ),
                         );
                     }
@@ -371,8 +373,7 @@ impl Sanitizer {
     /// Every message reference held by router state resolves to a live
     /// message, with the lazily released `draining` owner as the one allowed
     /// exception; non-draining output owners are backed by a matching input
-    /// route of the same router; a kept routing decision sits only on a VC
-    /// whose head still awaits VC allocation.
+    /// route of the same router.
     fn check_references(
         &mut self,
         cycle: u64,
@@ -384,20 +385,7 @@ impl Sanitizer {
             let node = router.node;
             // Map of this router's claimed output slot -> message.
             let mut claimed: HashMap<usize, MessageId> = HashMap::new();
-            for (ivc, kept) in router.inputs.iter().zip(&router.blocked) {
-                // A kept routing decision belongs to a head still waiting for
-                // an output VC; once the VC is bound (or emptied) it is stale.
-                if kept.is_some() && ivc.waiting_head().is_none() {
-                    self.record(
-                        cycle,
-                        "stale-decision",
-                        format!(
-                            "router {node:?} keeps a blocked head's routing decision on a \
-                             VC that is not awaiting VC allocation (route {:?})",
-                            ivc.route
-                        ),
-                    );
-                }
+            for ivc in &router.inputs {
                 let Some(route) = ivc.route else { continue };
                 if !live(route.msg) {
                     self.record(
@@ -418,13 +406,13 @@ impl Sanitizer {
                         );
                     }
                 }
-                if let RouteTarget::Network { out_port, out_vc } = route.target {
+                if let Some((out_port, out_vc)) = route.target.output() {
                     claimed.insert(router.slot(out_port, out_vc), route.msg);
                 }
             }
             for (slot, ovc) in router.outputs.iter().enumerate() {
-                let Some(owner) = ovc.owner else { continue };
-                if ovc.draining {
+                let Some(owner) = ovc.owner() else { continue };
+                if ovc.is_draining() {
                     continue; // lazy release: the owner may be retired
                 }
                 let (out_port, vc) = (slot / self.v, slot % self.v);
@@ -514,6 +502,47 @@ impl Sanitizer {
                         ),
                     );
                 }
+            }
+        }
+    }
+
+    /// Every router's kept-decision mask marks only slots whose head still
+    /// awaits VC allocation (a decision left on a bound or emptied VC is
+    /// stale), and as many slots as its kept-decision store has entries (the
+    /// store is found by rank in the mask, so a count that differs hands
+    /// heads each other's candidates).
+    fn check_kept_decisions(&mut self, cycle: u64, routers: &[RouterState]) {
+        for router in routers {
+            let node = router.node;
+            let mut marked = 0;
+            for w in 0..router.occupancy_words() {
+                for slot in router.kept_slots_in(w) {
+                    marked += 1;
+                    let ivc = &router.inputs[slot];
+                    if ivc.waiting_head().is_none() {
+                        self.record(
+                            cycle,
+                            "stale-decision",
+                            format!(
+                                "router {node:?} keeps a blocked head's routing decision on \
+                                 input slot {slot}, which is not awaiting VC allocation \
+                                 (route {:?})",
+                                ivc.route
+                            ),
+                        );
+                    }
+                }
+            }
+            let stored = router.kept_decisions().len();
+            if marked != stored {
+                self.record(
+                    cycle,
+                    "kept-mask",
+                    format!(
+                        "router {node:?} marks {marked} slot(s) in its kept-decision mask \
+                         but stores {stored} kept decision(s)"
+                    ),
+                );
             }
         }
     }
@@ -639,7 +668,9 @@ mod tests {
         let ivc = &mut routers[5].inputs[0];
         ivc.route = Some(deliver);
         ivc.sunk = 1;
-        routers[4].outputs[0].credits = 1;
+        for _ in 0..3 {
+            routers[4].outputs[0].send(false);
+        }
         let audit = |routers: &[RouterState]| {
             let mut s = sanitizer(2, 4, true, None);
             s.end_of_cycle(5, &net, &FaultSet::new(), routers, &messages, 1);
@@ -668,7 +699,7 @@ mod tests {
         routers[0].push_flits(0, Flit::nth_of(MessageId(9), 0, 1).into());
         // A credit counter that lost a credit with no downstream flit
         // (port 0 = dim 0 towards +x, the one port node 0 of a mesh has).
-        routers[0].outputs[0].credits = 3;
+        routers[0].outputs[0].send(false);
         let messages: Vec<MessageState> = Vec::new();
         let mut s = sanitizer(2, 4, true, None);
         s.end_of_cycle(2, &net, &FaultSet::new(), &routers, &messages, 0);
@@ -762,8 +793,8 @@ mod tests {
 
     #[test]
     fn a_kept_decision_beside_no_waiting_head_is_stale() {
-        // The router's kept-decision table holds a blocked head's candidates
-        // at the head's own slot; an entry at any other slot is stale.
+        // The router's kept-decision store holds a blocked head's candidates
+        // under the head's own slot; an entry under any other slot is stale.
         let net = mesh();
         let mut m = message(&net, MessageId(0), 1);
         m.note_injected(0);
@@ -780,12 +811,48 @@ mod tests {
             s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
             s
         };
-        routers[5].blocked[slot] = Some(kept.clone());
+        routers[5].keep(slot, kept.clone());
         assert!(audit(&routers).is_clean());
-        routers[5].blocked[slot - 1] = Some(kept);
+        routers[5].keep(slot - 1, kept);
         let s = audit(&routers);
         assert_eq!(s.violation_count(), 1);
         assert_eq!(s.violations()[0].kind, "stale-decision");
+    }
+
+    #[test]
+    fn a_kept_store_that_disagrees_with_its_mask_is_flagged() {
+        // A blocked head's entry is found by its rank among the kept bits, so
+        // an entry more or less than the mask marks misplaces every decision
+        // ranked after it.
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 1);
+        m.note_injected(0);
+        let messages = vec![m];
+        let mut routers = routers_for(&net, 2, 4);
+        let slot = routers[5].injection_slots().start;
+        routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
+        let kept = KeptDecision {
+            candidates: Candidates::new(),
+            epoch: 0,
+        };
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        routers[5].keep(slot, kept.clone());
+        assert!(audit(&routers).is_clean());
+        for planted in [1, -1] {
+            let mut bad = routers.clone();
+            if planted > 0 {
+                bad[5].kept_store_mut().push(kept.clone());
+            } else {
+                bad[5].kept_store_mut().clear();
+            }
+            let s = audit(&bad);
+            assert_eq!(s.violation_count(), 1, "{:?}", s.violations());
+            assert_eq!(s.violations()[0].kind, "kept-mask");
+        }
     }
 
     #[test]
@@ -796,7 +863,7 @@ mod tests {
         let mut routers = routers_for(&net, 2, 4);
         let port = RouterState::out_port(0, Direction::Plus);
         let slot = routers[0].slot(port, 1);
-        routers[0].outputs[slot].owner = Some(MessageId(3));
+        routers[0].outputs[slot].claim(MessageId(3));
         let mut m = message(&net, MessageId(3), 1);
         m.note_injected(0);
         // Give the owner a matching route so only the fault check fires
@@ -804,10 +871,7 @@ mod tests {
         // tolerate here).
         routers[0].inputs[0].route = Some(VcRoute {
             msg: MessageId(3),
-            target: RouteTarget::Network {
-                out_port: port,
-                out_vc: 1,
-            },
+            target: RouteTarget::network(port, 1),
             ready_at: 0,
         });
         let messages = vec![m];
