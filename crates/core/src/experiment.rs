@@ -327,9 +327,10 @@ pub struct ExperimentOutcome {
     pub forced_absorptions: u64,
     /// Dropped messages (expected 0).
     pub dropped_messages: u64,
-    /// Peak occupancy of the simulator's message table. Bounded by the
-    /// in-flight population (the table reclaims delivered entries), so long
-    /// saturation searches no longer grow memory with delivered traffic.
+    /// Peak number of messages the simulator held at once, as message-table
+    /// entries or source-queue records: the peak in-flight population (the
+    /// table reclaims delivered entries), so long saturation searches do not
+    /// grow memory with delivered traffic.
     #[serde(default)]
     pub message_table_peak: u64,
 }

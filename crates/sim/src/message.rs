@@ -1,12 +1,17 @@
 //! The per-message state table.
 //!
 //! [`MessageState`] holds the simulator-side state of one message;
-//! [`MessageSlab`] is the table that stores them. The slab retires delivered
-//! and dropped entries (after their metrics have been folded into the
-//! collector) and reuses their slots, so table memory is bounded by the peak
-//! in-flight population rather than by the total traffic of the run.
-//! Identifiers are generation-tagged ([`MessageId`]) so a reused slot can
-//! never be confused with the message that previously occupied it.
+//! [`MessageSlab`] is the table that stores them. The table holds injected
+//! messages only: a generated message waits in its source queue as a compact
+//! [`crate::router::QueuedMessage`] record and gets its entry, its header and
+//! its [`MessageId`] when an injection VC takes it. So the table's population
+//! is bounded by what the network's buffers and re-injection queues hold,
+//! not by the offered load. The slab retires delivered and dropped entries
+//! (after their metrics have been folded into the collector) and reuses their
+//! slots, so table memory is bounded by the peak population of injected
+//! messages rather than by the total traffic of the run. Identifiers are
+//! generation-tagged ([`MessageId`]) so a reused slot can never be confused
+//! with the message that previously occupied it.
 
 use crate::flit::MessageId;
 use std::ops::{Index, IndexMut};
@@ -16,7 +21,9 @@ use torus_topology::NodeId;
 /// Lifecycle of a message inside the simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MessagePhase {
-    /// Waiting in a node's source queue (or software re-injection queue).
+    /// Absorbed, re-routed by the software layer and waiting in its node's
+    /// re-injection queue. (A message waiting in its source queue has no
+    /// table entry yet, so no phase.)
     Queued,
     /// At least one flit is currently inside the network.
     InNetwork,
@@ -50,7 +57,9 @@ pub struct MessageState {
 }
 
 impl MessageState {
-    /// Creates the state of a freshly generated message.
+    /// Creates the state of a message its source is injecting. It is
+    /// [`MessagePhase::Queued`] until [`MessageState::note_injected`], which
+    /// the engine calls at once.
     ///
     /// Zero-length messages are a configuration error and are rejected at the
     /// workload/config boundary ([`crate::config::SimConfigError::ZeroMessageLength`])
@@ -143,8 +152,10 @@ pub struct MessageSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
+    /// Peak number of simultaneously live entries, for the tests' structural
+    /// bound `capacity() <= peak_live()`.
+    #[cfg(test)]
     peak_live: usize,
-    total_allocated: u64,
 }
 
 impl MessageSlab {
@@ -161,7 +172,9 @@ impl MessageSlab {
             None => {
                 assert!(
                     self.slots.len() < u32::MAX as usize,
-                    "message table overflow"
+                    "message table overflow: a slot is added only when every slot \
+                     holds a live message, and u32::MAX live messages would be \
+                     over 500 GB of message state, which no allocation grants"
                 );
                 self.slots.push(Slot {
                     generation: 0,
@@ -177,8 +190,10 @@ impl MessageSlab {
         );
         self.slots[slot].state = Some(make(id));
         self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        self.total_allocated += 1;
+        #[cfg(test)]
+        {
+            self.peak_live = self.peak_live.max(self.live);
+        }
         id
     }
 
@@ -193,7 +208,11 @@ impl MessageSlab {
     pub fn remove(&mut self, id: MessageId) -> MessageState {
         let slot = &mut self.slots[id.slot()];
         assert_eq!(slot.generation, id.generation(), "stale message id {id:?}");
-        let state = slot.state.take().expect("double retire of a message slot");
+        let state = slot.state.take().expect(
+            "double retire of a message slot: vacating a slot moves its generation \
+             past every id it handed out, so an id whose generation matches names \
+             an occupied slot",
+        );
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.slot() as u32);
         self.live -= 1;
@@ -205,19 +224,15 @@ impl MessageSlab {
         self.live
     }
 
-    /// Peak number of simultaneously live messages observed so far.
-    pub fn peak_live(&self) -> usize {
+    /// Peak number of simultaneously live entries observed so far.
+    #[cfg(test)]
+    pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
     /// Number of slots the table has ever grown to (its memory footprint).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Total number of messages ever inserted.
-    pub fn total_allocated(&self) -> u64 {
-        self.total_allocated
     }
 
     /// Looks up a message by identifier, returning `None` for stale or
@@ -238,6 +253,11 @@ impl MessageSlab {
     }
 }
 
+/// Why an id that passed the generation check names an occupied slot.
+const VACANT: &str = "vacant message slot: vacating a slot moves its generation past \
+                      every id it handed out, so an id whose generation matches names \
+                      an occupied slot";
+
 // The generation checks below are hard asserts even in release builds: a
 // stale identifier aliasing a reused slot would silently corrupt an unrelated
 // message, and the one-compare cost is negligible next to the lookup itself.
@@ -247,7 +267,7 @@ impl Index<MessageId> for MessageSlab {
     fn index(&self, id: MessageId) -> &MessageState {
         let slot = &self.slots[id.slot()];
         assert_eq!(slot.generation, id.generation(), "stale message id {id:?}");
-        slot.state.as_ref().expect("vacant message slot")
+        slot.state.as_ref().expect(VACANT)
     }
 }
 
@@ -255,7 +275,7 @@ impl IndexMut<MessageId> for MessageSlab {
     fn index_mut(&mut self, id: MessageId) -> &mut MessageState {
         let slot = &mut self.slots[id.slot()];
         assert_eq!(slot.generation, id.generation(), "stale message id {id:?}");
-        slot.state.as_mut().expect("vacant message slot")
+        slot.state.as_mut().expect(VACANT)
     }
 }
 
@@ -376,7 +396,6 @@ mod tests {
         assert_ne!(c, a);
         assert_eq!(slab.capacity(), 2, "no growth on reuse");
         assert_eq!(slab.peak_live(), 2);
-        assert_eq!(slab.total_allocated(), 3);
         assert_eq!(slab.iter_live().count(), 2);
         // `get` resolves live ids and rejects stale ones without panicking.
         assert_eq!(slab.get(c).map(|s| s.id), Some(c));

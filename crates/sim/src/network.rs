@@ -4,9 +4,12 @@
 //! synchronously:
 //!
 //! 1. **Traffic generation** — healthy PEs draw new messages from their
-//!    Poisson sources into the node's source queue.
+//!    Poisson sources into the node's source queue, as compact records
+//!    ([`crate::router::QueuedMessage`]).
 //! 2. **Injection** — idle injection virtual channels accept the next message
 //!    from the software re-injection queue (priority) or the source queue.
+//!    A source-queue record becomes a message here: it gets its routing
+//!    header, its identifier and its message-table entry.
 //! 3. **Routing computation + virtual-channel allocation** — head flits at the
 //!    front of an input VC obtain a routing decision from the routing
 //!    algorithm and try to claim a permitted output VC. A head that finds no
@@ -80,7 +83,8 @@ use crate::flit::{Flit, MessageId, WormRun};
 use crate::message::{MessagePhase, MessageState};
 use crate::observer::{Allocation, NoObserver, Observer};
 use crate::router::{
-    stamp, KeptDecision, OutputVc, ReinjectionEntry, RouteTarget, RouterState, VcRoute,
+    stamp, KeptDecision, OutputVc, QueuedMessage, ReinjectionEntry, RouteTarget, RouterState,
+    VcRoute,
 };
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
@@ -106,10 +110,11 @@ pub struct RunOutcome {
     /// Messages dropped because no fault-free path to their destination
     /// existed (always 0 when faults preserve connectivity).
     pub dropped_messages: u64,
-    /// Peak number of entries the message table held at once. Under
-    /// [`ActiveSchedule`] that is bounded by the in-flight population (the
-    /// table reclaims retired entries); under the append-only reference table
-    /// it is the total number of messages generated.
+    /// Peak number of messages the engine held at once, as message-table
+    /// entries or source-queue records. Under [`ActiveSchedule`] that is the
+    /// peak in-flight population (the table reclaims retired entries); under
+    /// the append-only reference table it is the total number of messages
+    /// generated.
     pub message_table_peak: u64,
 }
 
@@ -130,7 +135,13 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule, O: Observer = NoObserver> {
     collector: MetricsCollector,
     rng: StdRng,
     cycle: u64,
+    /// Messages generated and not yet delivered or dropped: live table
+    /// entries plus source-queue records.
     in_flight: u64,
+    /// Records in the source queues.
+    queued: usize,
+    /// Largest `messages.held() + queued` so far ([`RunOutcome::message_table_peak`]).
+    held_peak: usize,
     dropped: u64,
     forced_absorptions: u64,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
@@ -214,6 +225,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             rng,
             cycle: 0,
             in_flight: 0,
+            queued: 0,
+            held_peak: 0,
             dropped: 0,
             forced_absorptions: 0,
             arrivals: Vec::new(),
@@ -252,7 +265,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         self.cycle
     }
 
-    /// Messages currently queued or travelling.
+    /// Messages generated and not yet delivered or dropped: queued or
+    /// travelling.
     pub fn in_flight(&self) -> u64 {
         self.in_flight
     }
@@ -267,9 +281,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         self.dropped
     }
 
-    /// Peak number of entries the message table has held at once.
+    /// Peak number of messages held at once, as table entries or
+    /// source-queue records ([`RunOutcome::message_table_peak`]).
     pub fn message_table_peak(&self) -> usize {
-        self.messages.peak()
+        self.held_peak
     }
 
     /// The current metrics report.
@@ -296,7 +311,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             hit_max_cycles,
             forced_absorptions: self.forced_absorptions,
             dropped_messages: self.dropped,
-            message_table_peak: self.messages.peak() as u64,
+            message_table_peak: self.held_peak as u64,
         }
     }
 
@@ -347,33 +362,41 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
 
     // ---------------------------------------------------------------- stages
 
+    /// Stage 1. A generated message costs a source-queue record; only
+    /// generation adds to what the engine holds, so the held peak is taken
+    /// here.
     fn generate_traffic(&mut self, now: u64) {
         let Engine {
             net,
             faults,
-            algo,
             routers,
             messages,
             sources,
             collector,
             rng,
             in_flight,
+            queued,
+            held_peak,
             schedule,
             worklist,
             ..
         } = self;
         schedule.due_sources(now, worklist);
         for &idx in worklist.iter() {
-            debug_assert!(!routers[idx].is_faulty, "faulty nodes are never scheduled");
+            let router = &mut routers[idx];
+            debug_assert!(!router.is_faulty, "faulty nodes are never scheduled");
             let source = &mut sources[idx];
             let mut queued_any = false;
             for gen in source.generate(net, faults, now, rng) {
-                let header = algo.make_header(net, gen.src, gen.dest);
+                debug_assert_eq!(gen.src, router.node, "sources are indexed by node");
                 let measured = collector.on_generated(now);
-                let id = messages
-                    .insert_with(|id| MessageState::new(id, header, gen.length, now, measured));
-                routers[idx].source_queue.push_back(id);
+                router.source_queue.push_back(QueuedMessage {
+                    dest: gen.dest,
+                    generated_at: stamp(now),
+                    measured,
+                });
                 *in_flight += 1;
+                *queued += 1;
                 queued_any = true;
             }
             if queued_any {
@@ -383,16 +406,24 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 schedule.note_next_arrival(idx, next_due.max(now + 1));
             }
         }
+        *held_peak = (*held_peak).max(messages.held() + *queued);
     }
 
+    /// Stage 2. A source-queue record taken here gets its header (built by
+    /// the pure `make_header`), its identifier and its table entry.
     fn assign_injection_vcs(&mut self, now: u64) {
         let Engine {
+            net,
+            algo,
+            config,
             routers,
             messages,
+            queued,
             schedule,
             worklist,
             ..
         } = self;
+        let length = config.traffic.length;
         schedule.injecting(worklist);
         for &idx in worklist.iter() {
             let router = &mut routers[idx];
@@ -401,17 +432,22 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                     continue;
                 }
                 // Re-injected (absorbed) messages have priority over new ones.
-                let msg_id = if router
-                    .reinjection_queue
-                    .front()
-                    .is_some_and(|e| e.ready_at <= now)
-                {
-                    router.reinjection_queue.pop_front().map(|e| e.msg)
-                } else {
-                    router.source_queue.pop_front()
-                };
-                let Some(msg_id) = msg_id else {
-                    break;
+                let msg_id = match router.reinjection_queue.front().copied() {
+                    Some(entry) if entry.ready_at <= now => {
+                        router.reinjection_queue.pop_front();
+                        entry.msg
+                    }
+                    _ => {
+                        let Some(record) = router.source_queue.pop_front() else {
+                            break;
+                        };
+                        *queued -= 1;
+                        let header = algo.make_header(net, router.node, record.dest);
+                        let generated_at = u64::from(record.generated_at);
+                        messages.insert_with(|id| {
+                            MessageState::new(id, header, length, generated_at, record.measured)
+                        })
+                    }
                 };
                 let msg = &mut messages[msg_id];
                 msg.header.reset_for_injection();
@@ -1003,8 +1039,47 @@ mod tests {
         assert_eq!(out.message_table_peak, sim.message_table_peak() as u64);
         let table = &sim.messages;
         assert!(table.capacity() <= table.peak_live());
-        assert_eq!(table.live() as u64, sim.in_flight());
+        assert_eq!(table.live() as u64 + sim.queued as u64, sim.in_flight());
         assert_eq!(table.iter_live().count(), table.live());
+    }
+
+    #[test]
+    fn the_table_holds_only_injected_messages() {
+        // The saturated adaptive pin's configuration: source queues grow for
+        // the whole run, yet a table entry exists only for a message with a
+        // flit in an input buffer (one worm per slot) or an entry in a
+        // re-injection queue. Everything else is a source-queue record.
+        let mut config = quick_config(4, 2, 4, 8, 0.2);
+        config.seed = 17;
+        config.warmup_messages = 100;
+        config.stop = StopCondition::Cycles(4_000);
+        config.max_cycles = 4_000;
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
+        let mut sim = Simulation::new(config, FaultSet::new(), algo).unwrap();
+        let (mut peak_live, mut peak_in_flight) = (0, 0);
+        while sim.cycle() < 4_000 {
+            sim.step();
+            let live = sim.messages.live();
+            let slots: usize = sim
+                .routers
+                .iter()
+                .map(|r| r.inputs.len() + r.reinjection_queue.len())
+                .sum();
+            let records: usize = sim.routers.iter().map(|r| r.source_queue.len()).sum();
+            assert!(live <= slots, "cycle {}: {live} entries", sim.cycle());
+            assert_eq!(records, sim.queued);
+            assert_eq!((live + records) as u64, sim.in_flight());
+            peak_live = peak_live.max(live);
+            peak_in_flight = peak_in_flight.max(sim.in_flight());
+        }
+        // The slab adds a slot only when every slot holds a live entry.
+        assert!(sim.messages.capacity() <= sim.messages.peak_live());
+        // The reported peak still counts the records.
+        assert_eq!(sim.message_table_peak() as u64, peak_in_flight);
+        assert!(
+            peak_in_flight > 10 * peak_live as u64,
+            "{peak_in_flight} in flight, {peak_live} entries"
+        );
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub trait Observer {
     fn on_release(&mut self, _msg: MessageId) {}
 
     /// Cycle `cycle` is complete: its arrivals and credits are applied and the
-    /// watchdog has run. `in_flight` is the engine's count of live messages.
+    /// watchdog has run. `in_flight` is the engine's count of messages
+    /// generated and not yet delivered or dropped: the live entries of
+    /// `messages` plus the records in the routers' source queues.
     #[inline]
     fn end_of_cycle(
         &mut self,

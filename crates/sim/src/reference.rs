@@ -70,7 +70,8 @@ impl Schedule for FullScan {
 }
 
 /// The append-only table: identifiers are plain sequential indices
-/// (generation 0) and finished messages stay in place, marked done.
+/// (generation 0) in injection order, and finished messages stay in place,
+/// marked done.
 impl MessageTable for Vec<MessageState> {
     #[inline]
     fn insert_with(&mut self, make: impl FnOnce(MessageId) -> MessageState) -> MessageId {
@@ -85,7 +86,7 @@ impl MessageTable for Vec<MessageState> {
     }
 
     #[inline]
-    fn peak(&self) -> usize {
+    fn held(&self) -> usize {
         self.len()
     }
 }

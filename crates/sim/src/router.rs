@@ -86,7 +86,10 @@
 //! ([`KeptDecision`]), a network port 4 bytes of neighbour table and 2 of
 //! switch pointer, and every 64 input slots 24 bytes of masks. A router of a
 //! 3-dimensional torus with four VCs (28 input and 24 output slots) owns
-//! 1 788 bytes of heap while no head is blocked.
+//! 1 788 bytes of heap while no head is blocked. A message waiting in the
+//! source queue costs 12 bytes ([`QueuedMessage`]) and no message-table
+//! entry; past saturation the source queues are what grows for the whole
+//! run.
 //!
 //! Release epoch: [`RouterState::release_epoch`] counts the router's output
 //! VCs that became claimable. The only event that makes one claimable is a
@@ -349,6 +352,21 @@ impl OutputVc {
     }
 }
 
+/// A generated message waiting in its source's queue: what the engine needs
+/// to inject it. The source is the router's node and the length is the
+/// traffic spec's, so neither is stored; the message gets its header, its
+/// [`MessageId`] and its message-table entry only when an injection VC takes
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueuedMessage {
+    /// Destination node (a healthy endpoint other than the source).
+    pub dest: NodeId,
+    /// Cycle the message was generated, as a stamp: `max_cycles` fits `u32`.
+    pub generated_at: u32,
+    /// Whether the message belongs to the measured (post-warm-up) population.
+    pub measured: bool,
+}
+
 /// An entry of the software re-injection queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReinjectionEntry {
@@ -387,8 +405,8 @@ pub struct RouterState {
     pub outputs: Vec<OutputVc>,
     /// Output VCs that have become claimable so far (see the module docs).
     release_epoch: u64,
-    /// Locally generated messages waiting to enter the network.
-    pub source_queue: VecDeque<MessageId>,
+    /// Locally generated messages waiting to enter the network, oldest first.
+    pub source_queue: VecDeque<QueuedMessage>,
     /// Absorbed messages re-routed by the software layer, waiting to re-enter
     /// the network; always served before `source_queue`.
     pub reinjection_queue: VecDeque<ReinjectionEntry>,
@@ -853,6 +871,14 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_queued_message_costs_at_most_16_bytes() {
+        // Source queues grow for the whole run past saturation; a record
+        // holds a destination, a cycle stamp and a flag, and nothing that
+        // grows with the pointer width.
+        assert!(std::mem::size_of::<QueuedMessage>() <= 16);
+    }
+
     /// Bytes of heap `r`'s vectors own: capacity times element size.
     fn heap_bytes(r: &RouterState) -> usize {
         fn owned<T>(capacity: usize) -> usize {
@@ -863,7 +889,7 @@ mod tests {
             + owned::<KeptDecision>(r.kept.capacity())
             + owned::<[u64; 3]>(r.slot_masks.capacity())
             + owned::<OutputVc>(r.outputs.capacity())
-            + owned::<MessageId>(r.source_queue.capacity())
+            + owned::<QueuedMessage>(r.source_queue.capacity())
             + owned::<ReinjectionEntry>(r.reinjection_queue.capacity())
             + owned::<u16>(r.sa_pointer.capacity())
     }

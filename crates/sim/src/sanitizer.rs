@@ -9,10 +9,14 @@
 //!    exactly `length` flits across all buffers and locally-sunk counters), every
 //!    credit counter is the exact complement of its downstream buffer
 //!    occupancy, faulty routers and faulty channels stay quiescent, every
-//!    message reference (buffers, routes, output owners, queues) resolves to
-//!    a live message — stale generation-tagged identifiers are caught, with
-//!    the lazy `draining` owner of an already-retired message as the single
-//!    documented exception — and every router's occupancy mask marks exactly
+//!    message reference (buffers, routes, output owners, re-injection
+//!    queues) resolves to a live message — stale generation-tagged
+//!    identifiers are caught, with the lazy `draining` owner of an
+//!    already-retired message as the single documented exception — every
+//!    source-queue record names a healthy endpoint other than its source and
+//!    a generation cycle no later than now, oldest first, the engine's
+//!    `in_flight` counts exactly the live messages and the records, and
+//!    every router's occupancy mask marks exactly
 //!    its non-empty input buffers, its waiting-head mask exactly the slots
 //!    with an unrouted head flit at the front, and its kept-decision mask
 //!    only waiting heads, one bit per entry of its kept-decision store. Both
@@ -90,8 +94,6 @@ pub struct Sanitizer {
     recorded: Vec<InvariantViolation>,
     /// Total violations observed (including unrecorded ones).
     total: u64,
-    /// Cycles audited so far.
-    cycles_checked: u64,
     /// Tracked allocations checked against the CDG so far.
     edges_checked: u64,
 }
@@ -116,7 +118,6 @@ impl Sanitizer {
             held: HashMap::new(),
             recorded: Vec::new(),
             total: 0,
-            cycles_checked: 0,
             edges_checked: 0,
         }
     }
@@ -136,11 +137,6 @@ impl Sanitizer {
     /// True when no invariant has been violated.
     pub fn is_clean(&self) -> bool {
         self.total == 0
-    }
-
-    /// Number of end-of-cycle audits performed.
-    pub fn cycles_checked(&self) -> u64 {
-        self.cycles_checked
     }
 
     /// Number of tracked allocations checked against the exact CDG.
@@ -217,11 +213,11 @@ impl Observer for Sanitizer {
         messages: &dyn MessageLookup,
         in_flight: u64,
     ) {
-        self.cycles_checked += 1;
         self.check_flit_conservation(cycle, routers, messages);
         self.check_credits_and_faulty_channels(cycle, net, faults, routers);
         self.check_references(cycle, routers, messages);
-        self.check_in_flight(cycle, messages, in_flight);
+        self.check_source_queues(cycle, net, faults, routers);
+        self.check_in_flight(cycle, routers, messages, in_flight);
         self.check_occupancy(cycle, routers);
         self.check_kept_decisions(cycle, routers);
     }
@@ -373,7 +369,8 @@ impl Sanitizer {
     /// Every message reference held by router state resolves to a live
     /// message, with the lazily released `draining` owner as the one allowed
     /// exception; non-draining output owners are backed by a matching input
-    /// route of the same router.
+    /// route of the same router; re-injection entries name absorbed
+    /// messages.
     fn check_references(
         &mut self,
         cycle: u64,
@@ -434,18 +431,6 @@ impl Sanitizer {
                             "router {node:?} output p{out_port} vc{vc} owned by \
                              {owner:?} without a matching input route"
                         ),
-                    );
-                }
-            }
-            for &id in &router.source_queue {
-                if !messages
-                    .lookup(id)
-                    .is_some_and(|m| m.phase == MessagePhase::Queued)
-                {
-                    self.record(
-                        cycle,
-                        "queue-mismatch",
-                        format!("router {node:?} source queue holds non-queued {id:?}"),
                     );
                 }
             }
@@ -547,15 +532,79 @@ impl Sanitizer {
         }
     }
 
-    /// The engine's `in_flight` counter equals the live message population.
-    fn check_in_flight(&mut self, cycle: u64, messages: &dyn MessageLookup, in_flight: u64) {
+    /// Every source-queue record could have been generated by its router by
+    /// now: its destination is a healthy endpoint other than the router's
+    /// node, its generation cycle is no later than `cycle`, and the queue is
+    /// oldest first (FIFO).
+    fn check_source_queues(
+        &mut self,
+        cycle: u64,
+        net: &AnyTopology,
+        faults: &FaultSet,
+        routers: &[RouterState],
+    ) {
+        for router in routers {
+            let node = router.node;
+            let mut previous = 0;
+            for (position, record) in router.source_queue.iter().enumerate() {
+                let dest = record.dest;
+                let generated_at = u64::from(record.generated_at);
+                if dest == node || !net.is_endpoint(dest) || faults.is_node_faulty(dest) {
+                    self.record(
+                        cycle,
+                        "queue-mismatch",
+                        format!(
+                            "router {node:?} source queue record {position} is bound for \
+                             {dest:?}, not a healthy endpoint other than its source"
+                        ),
+                    );
+                }
+                if generated_at > cycle {
+                    self.record(
+                        cycle,
+                        "queue-mismatch",
+                        format!(
+                            "router {node:?} source queue record {position} was generated \
+                             at cycle {generated_at}, after the audited cycle"
+                        ),
+                    );
+                }
+                if generated_at < previous {
+                    self.record(
+                        cycle,
+                        "queue-mismatch",
+                        format!(
+                            "router {node:?} source queue record {position} was generated \
+                             at cycle {generated_at}, before the record ahead of it \
+                             (cycle {previous}): the queue is not oldest first"
+                        ),
+                    );
+                }
+                previous = generated_at;
+            }
+        }
+    }
+
+    /// The engine's `in_flight` counter equals the live message population
+    /// plus the source-queue records.
+    fn check_in_flight(
+        &mut self,
+        cycle: u64,
+        routers: &[RouterState],
+        messages: &dyn MessageLookup,
+        in_flight: u64,
+    ) {
         let mut live = 0u64;
         messages.for_each_live(&mut |_| live += 1);
-        if live != in_flight {
+        let queued: u64 = routers.iter().map(|r| r.source_queue.len() as u64).sum();
+        if live + queued != in_flight {
             self.record(
                 cycle,
                 "in-flight-mismatch",
-                format!("in_flight counter is {in_flight} but {live} messages are live"),
+                format!(
+                    "in_flight counter is {in_flight} but {live} messages are live and \
+                     {queued} wait in source queues"
+                ),
             );
         }
     }
@@ -566,7 +615,7 @@ mod tests {
     use super::*;
     use crate::flit::{Flit, WormRun};
     use crate::message::MessageState;
-    use crate::router::{KeptDecision, VcRoute};
+    use crate::router::{KeptDecision, QueuedMessage, VcRoute};
     use crate::{Simulation, StopCondition};
     use torus_routing::{AnyRouting, Candidates, Substrate};
     use torus_topology::TopologySpec;
@@ -632,7 +681,70 @@ mod tests {
         let mut s = sanitizer(2, 4, true, None);
         s.end_of_cycle(0, &net, &FaultSet::new(), &routers, &messages, 0);
         assert!(s.is_clean());
-        assert_eq!(s.cycles_checked(), 1);
+    }
+
+    /// Audits `routers` at `cycle` on [`mesh`] with node 3 faulty, no table
+    /// entries and `in_flight` messages, returning the violation details.
+    fn audit_queues(routers: &[RouterState], cycle: u64, in_flight: u64) -> Vec<String> {
+        let net = mesh();
+        let mut faults = FaultSet::new();
+        faults.fail_node(NodeId(3));
+        let messages: Vec<MessageState> = Vec::new();
+        let mut s = sanitizer(2, 4, true, None);
+        s.end_of_cycle(cycle, &net, &faults, routers, &messages, in_flight);
+        s.violations()
+            .iter()
+            .map(|v| format!("{}: {}", v.kind, v.detail))
+            .collect()
+    }
+
+    /// Node 5's source queue with records for `dests` generated at `stamps`.
+    fn queued(dests: &[u32], stamps: &[u32]) -> Vec<RouterState> {
+        let mut routers = routers_for(&mesh(), 2, 4);
+        for (&dest, &generated_at) in dests.iter().zip(stamps) {
+            routers[5].source_queue.push_back(QueuedMessage {
+                dest: NodeId(dest),
+                generated_at,
+                measured: false,
+            });
+        }
+        routers
+    }
+
+    #[test]
+    fn source_queue_records_are_counted_in_flight() {
+        let routers = queued(&[0, 15], &[2, 4]);
+        assert_eq!(audit_queues(&routers, 4, 2), Vec::<String>::new());
+        let found = audit_queues(&routers, 4, 1);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("in-flight-mismatch"), "{found:?}");
+        assert!(found[0].contains("2 wait in source queues"), "{found:?}");
+    }
+
+    #[test]
+    fn a_record_bound_for_its_own_source_or_a_faulty_node_is_flagged() {
+        for dest in [5, 3] {
+            let found = audit_queues(&queued(&[0, dest], &[1, 1]), 4, 2);
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert!(found[0].starts_with("queue-mismatch"), "{found:?}");
+            assert!(found[0].contains("not a healthy endpoint"), "{found:?}");
+        }
+    }
+
+    #[test]
+    fn a_record_from_the_future_is_flagged() {
+        let found = audit_queues(&queued(&[0, 15], &[3, 5]), 4, 2);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("queue-mismatch"), "{found:?}");
+        assert!(found[0].contains("after the audited cycle"), "{found:?}");
+    }
+
+    #[test]
+    fn a_source_queue_out_of_generation_order_is_flagged() {
+        let found = audit_queues(&queued(&[0, 15, 1], &[2, 4, 3]), 4, 3);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("queue-mismatch"), "{found:?}");
+        assert!(found[0].contains("not oldest first"), "{found:?}");
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub trait MessageTable:
     /// been folded into the collector: the entry is no longer needed.
     fn retire(&mut self, id: MessageId);
 
-    /// Largest number of entries the table has held at once.
-    fn peak(&self) -> usize;
+    /// Entries the table holds now, retired ones it keeps included.
+    fn held(&self) -> usize;
 }
 
 impl MessageTable for MessageSlab {
@@ -60,8 +60,8 @@ impl MessageTable for MessageSlab {
     }
 
     #[inline]
-    fn peak(&self) -> usize {
-        self.peak_live()
+    fn held(&self) -> usize {
+        self.live()
     }
 }
 
@@ -83,7 +83,8 @@ pub trait Schedule: Sized {
     /// in the future (such a poll draws nothing from the RNG).
     fn due_sources(&mut self, now: u64, out: &mut Vec<usize>);
 
-    /// Fills `out` with the routers that may hold a queued message.
+    /// Fills `out` with the routers that may hold a queued message (a
+    /// source-queue record or a re-injection entry).
     fn injecting(&self, out: &mut Vec<usize>);
 
     /// Fills `out` with the routers that may hold an occupied input slot (a
