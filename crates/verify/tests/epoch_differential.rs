@@ -6,14 +6,14 @@
 //! pairs to `disconnected` at exactly the epoch of the cut, with a concrete
 //! witness, and a cyclic schedule must report a pinned cycle witness.
 
+mod common;
+
+use common::AllOnVcZero;
 use proptest::prelude::*;
 use swbft_verify::matrix::{matrix_routings, STATE_BUDGET};
 use swbft_verify::{verify_schedule, EpochReport, PairFate};
 use torus_faults::{FaultEvent, FaultSchedule, FaultSet};
-use torus_routing::{
-    AnyRouting, OutputCandidate, RouteDecision, RouteHeader, RoutingAlgorithm, RoutingFlavor,
-    Substrate,
-};
+use torus_routing::{AnyRouting, RoutingAlgorithm, Substrate};
 use torus_topology::{AnyTopology, Direction, FatTree, Network, NodeId, TopologySpec};
 
 /// Small mixed shapes — 1..=2-dimensional grids, wrapped or open per
@@ -204,83 +204,6 @@ fn disconnecting_schedule_flips_pairs_at_the_cut_epoch() {
             PairFate::Disconnected,
             "no pair is disconnected before the wall completes: {entry:?}"
         );
-    }
-}
-
-/// Dimension-order routing with every candidate moved to VC 0: the torus
-/// rings lose their dateline classes, so the union CDG is cyclic at every
-/// epoch.
-struct AllOnVcZero(AnyRouting);
-
-impl RoutingAlgorithm for AllOnVcZero {
-    fn flavor(&self) -> RoutingFlavor {
-        self.0.flavor()
-    }
-
-    fn min_virtual_channels(&self, net: &AnyTopology) -> usize {
-        self.0.min_virtual_channels(net)
-    }
-
-    fn supported_on(&self, net: &AnyTopology) -> Result<(), torus_routing::RoutingTopologyError> {
-        self.0.supported_on(net)
-    }
-
-    fn deterministic_output(
-        &self,
-        net: &AnyTopology,
-        header: &RouteHeader,
-        current: NodeId,
-    ) -> Option<(usize, Direction)> {
-        self.0.deterministic_output(net, header, current)
-    }
-
-    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        self.0.make_header(net, src, dest)
-    }
-
-    fn route(
-        &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
-        current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        match self.0.route(net, faults, header, current, v) {
-            RouteDecision::Forward(candidates) => RouteDecision::Forward(
-                candidates
-                    .iter()
-                    .map(|c| OutputCandidate::escape(c.dim(), c.dir(), 0))
-                    .collect(),
-            ),
-            decision => decision,
-        }
-    }
-
-    fn note_hop(
-        &self,
-        net: &AnyTopology,
-        header: &mut RouteHeader,
-        from: NodeId,
-        dim: usize,
-        dir: Direction,
-    ) {
-        self.0.note_hop(net, header, from, dim, dir);
-    }
-
-    fn reroute_on_fault(
-        &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
-        at: NodeId,
-        blocked: (usize, Direction),
-    ) -> bool {
-        self.0.reroute_on_fault(net, faults, header, at, blocked)
-    }
-
-    fn name(&self) -> String {
-        format!("{} on vc0", self.0.name())
     }
 }
 
