@@ -15,89 +15,88 @@
 //!   future runtime drop semantics will consume); when the graph *does*
 //!   still connect the pair, it is a routing failure and the epoch fails.
 //!
-//! Epoch 0 is walked in full. Every later epoch is verified
-//! *differentially*: the walk of an unaffected pair cannot change, so its
-//! CDG fragment and fate are reused, and only affected pairs are re-walked.
-//! A pair is affected when
+//! # The destination is the unit
 //!
-//! * its walk contains a re-injection — `reroute_on_fault` may install an
-//!   explicit path computed by a *global* shortest-path query over the
-//!   healthy graph, so any new fault anywhere can change the walk; or
-//! * a newly failed node is one of the walk's visited nodes or their
+//! Every proof is made one destination at a time by the loop of
+//! [`crate::sweep`]: one shared state graph per destination, one view of it
+//! per healthy source and one dependency fold. Epoch 0 sweeps every
+//! destination. A later epoch drops the destinations that failed, re-sweeps
+//! every destination with a pair *due* at it, over all its healthy sources,
+//! and reuses every other destination's record untouched.
+//!
+//! A pair's walk can change only when
+//!
+//! * it re-injects — `reroute_on_fault` may install an explicit path
+//!   computed by a *global* shortest-path query over the healthy graph, so
+//!   any new fault anywhere can change the walk; or
+//! * a newly failed node is one of the nodes its view visits or their
 //!   neighbours (routing queries are otherwise local: an algorithm at node
 //!   `x` only inspects the fault state of `x`'s own output channels and
 //!   neighbours); or
 //! * a newly failed link has a visited endpoint.
 //!
-//! Pairs whose endpoints fail are removed from the universe (fault sets only
-//! grow, so the pair universe shrinks monotonically). The per-epoch reports
-//! record pairs re-walked vs reused, so the differential speedup is itself a
-//! reported metric.
+//! So when a destination is swept at epoch `e`, each pair's record notes the
+//! epoch at which the pair is next due:
 //!
-//! The differential pass walks pair by pair, one `route()` call per state it
-//! reports: its records are per pair, and a later epoch re-walks single
-//! pairs, which a graph shared per destination has nothing to offer. The
-//! walks are [`crate::walk_pair`]'s, made by one [`PairWalker`] per epoch
-//! that gets every walk back once its record is distilled, and the
-//! dependency dataflow runs in buffers that [`verify_schedule`] owns for the
-//! whole schedule; both are cleared, not reallocated, between pairs.
-//!
-//! # What a record keeps
-//!
-//! A record keeps only what a later epoch can still change. When a pair is
-//! walked at epoch `e`, the pass works out once the epoch at which it will
-//! next look at the record again:
-//!
-//! * `e + 1` when the walk re-injects;
+//! * `e + 1` when its view re-injects;
 //! * otherwise the first later epoch with an event that touches a visited
 //!   node, by the rule above — each later epoch's touched nodes (a failed
 //!   node and its neighbours, a failed link's two endpoints) are computed
 //!   once per schedule;
-//! * or the epoch at which the pair's destination fails, if that is sooner:
-//!   a walk that dead-ends short of its destination never visits it, but the
-//!   pair leaves the universe then all the same. The source is always
-//!   visited.
+//! * or the epoch at which the destination fails, if that is sooner: a view
+//!   that dead-ends short of its destination never visits it, but the pair
+//!   leaves the universe then all the same. The source is always visited,
+//!   so a pair is due when its source fails, too.
 //!
-//! Before that epoch the loop above reuses the record unchanged; at it, the
-//! pair is re-walked or dropped. This is sound because fault sets only grow
-//! and a record changes only when its pair is re-walked: an epoch that does
-//! not touch a walk's footprint leaves the walk as it is, so the first
-//! touching epoch is the one the loop would re-walk it at, and a record
-//! with no such epoch is final. The footprint itself is dropped as soon as
-//! the rule has been evaluated.
+//! The destination is due at the earliest of its pairs' epochs. This is
+//! sound because fault sets only grow and a record changes only when its
+//! destination is re-swept: an epoch that touches no node of a view leaves
+//! the pair's walk — its states, fate and dependency edges — as it is, so
+//! until its first touching epoch a pair's record is what a fresh sweep
+//! would find, and a record with no such epoch is final. A re-swept
+//! destination re-derives its pairs that are not due as well; they come out
+//! unchanged (debug builds assert the same states, fate and next epoch, a
+//! free check of the touch rule) and count as reused. The tallies keep their
+//! per-pair meaning: `rewalked` counts the due pairs, `states` adds up their
+//! view sizes, and `reused` counts the rest.
 //!
-//! Only a record that will be re-walked or dropped keeps its CDG fragment,
-//! in one arena of 4- or 8-byte edges. Every other fragment is final and
-//! goes into one permanent, per-schedule edge table keyed by edge, which
-//! holds the lowest `(src, dest)` rank that contributed each edge. Records
-//! sit in a dense table indexed by that rank.
+//! # What a record keeps
 //!
-//! Each epoch's union CDG is built once, from the permanent table plus the
-//! kept fragments, adding edges in ascending `(lowest contributing rank,
-//! from, to)` order. That is the order in which adding every pair's sorted
-//! fragment in `(src, dest)` order first meets each edge, and the graph
-//! keeps first occurrences, so the adjacency order — and the cycle
-//! [`DependencyGraph::find_cycle`] reports — is the one a graph built from
-//! every fragment would have.
+//! Per source, the pair's state count, fate, failure verdict and next due
+//! epoch; and the destination's deduplicated dependency edges, each with the
+//! lowest source whose pair depends on it. The fold finds those labels at
+//! the cost of the shared fold: it seeds the sources one at a time in
+//! ascending order over one shared fixpoint, and an edge belongs to the
+//! source in whose phase it is first emitted. Because the transfer functions
+//! distribute over union, that source's pair depends on the edge and no
+//! lower source's pair does.
 //!
-//! The `paranoid` mode
-//! recomputes every epoch from scratch with the destination-major sweep of
-//! [`crate::sweep`] and diffs the pair universe, every pair's fate and state
-//! count, and every destination's CDG edge set against the differential
-//! result; any divergence fails the case. Since the two sides share no
-//! walker, each paranoid run also cross-checks the shared walker against the
-//! per-pair one. Its edge-set diff needs every pair's fragment, so in
-//! paranoid mode every record keeps its fragment and the permanent table
-//! stays empty; that is the only difference in what the pass retains.
+//! # The union CDG, in a fixed order
+//!
+//! Each epoch's union CDG is built once from `(lowest rank, from, to)`
+//! entries: an edge's rank is `lowest source * endpoints + destination`,
+//! minimised over the destinations, and the entries are added in sorted
+//! order. That is the order in which adding every pair's sorted dependency
+//! list in `(src, dest)` order first meets each edge, and the graph keeps
+//! first occurrences, so the adjacency order — and the cycle
+//! [`DependencyGraph::find_cycle`] reports — is the one a graph built pair by
+//! pair would have.
+//!
+//! # Paranoid mode
+//!
+//! The `paranoid` mode recomputes every epoch from scratch with
+//! [`sweep_destinations`] and diffs the pair universe, every pair's fate and
+//! state count, and every destination's labelled edge list against the
+//! records; any divergence fails the case. A touch rule that missed a change
+//! shows there as a reused record that differs from the fresh sweep.
 
-use crate::exact::{dependency_edges, resource_count, FoldScratch, Granularity};
-use crate::reach::{check_pair, PairVerdict};
-use crate::relation::{PairWalker, StateBudgetExceeded};
-use crate::sweep::{sweep_destinations, DestinationOutcome};
+use crate::exact::{resource_count, Granularity};
+use crate::reach::PairVerdict;
+use crate::relation::StateBudgetExceeded;
+use crate::sweep::{sweep_destinations, DestinationOutcome, DestinationSweep};
 use crate::witness::{describe_cycle, describe_pair_verdict};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::ops::Range;
 use std::time::Instant;
 use torus_faults::{FaultEvent, FaultSchedule, FaultScheduleError, FaultSet, ScheduleEpoch};
 use torus_routing::cdg::DependencyGraph;
@@ -139,213 +138,6 @@ pub struct PairFateEntry {
     pub fate: PairFate,
 }
 
-/// Everything remembered about one pair's walk, enabling reuse at later
-/// epochs.
-#[derive(Clone, Debug)]
-struct PairRecord {
-    /// Reachability verdict of the walk, unless it delivers (most do).
-    failure: Option<Box<PairVerdict>>,
-    /// Whether the walk contains a re-injection (software-layer recovery).
-    /// Such walks depend on a global shortest-path query and must be
-    /// re-walked on any fault change.
-    global: bool,
-    /// States enumerated by the walk.
-    states: u32,
-    /// The epoch at which the pair is next re-walked or dropped, or
-    /// [`NEVER`].
-    next_rewalk: u32,
-    /// The tracked-layer CDG edges contributed by the walk (sorted,
-    /// deduplicated), when kept in the arena; a final fragment lives in the
-    /// permanent table instead.
-    fragment: Option<Span>,
-}
-
-/// No later epoch re-walks or drops the record.
-const NEVER: u32 = u32::MAX;
-
-/// A CDG edge between two resource ids.
-type Edge = (u32, u32);
-
-/// A fragment's words in an [`Arena`].
-#[derive(Clone, Copy, Debug)]
-struct Span {
-    start: u32,
-    end: u32,
-}
-
-impl Span {
-    fn range(self) -> Range<usize> {
-        self.start as usize..self.end as usize
-    }
-}
-
-/// Kept CDG fragments, back to back in one buffer. An edge takes one word,
-/// `from * resources + to`, when every such number fits in 32 bits, and two
-/// words otherwise; either way a sorted fragment's words stay in
-/// `(from, to)` order.
-#[derive(Debug)]
-struct Arena {
-    words: Vec<u32>,
-    /// The resource count when an edge takes one word.
-    packed: Option<u32>,
-}
-
-impl Arena {
-    fn new(resources: usize) -> Self {
-        assert!(
-            u32::try_from(resources).is_ok(),
-            "{resources} CDG resources do not fit 32-bit ids"
-        );
-        Arena {
-            words: Vec::new(),
-            packed: u32::try_from(resources * resources)
-                .is_ok()
-                .then_some(resources as u32),
-        }
-    }
-
-    /// Moves the fragments out into the returned arena, leaving this one
-    /// empty, with the same edge width.
-    fn take(&mut self) -> Self {
-        Arena {
-            words: std::mem::take(&mut self.words),
-            packed: self.packed,
-        }
-    }
-
-    fn span_from(&self, start: usize) -> Span {
-        let word = |n: usize| u32::try_from(n).expect("the fragment arena fits 32-bit offsets");
-        Span {
-            start: word(start),
-            end: word(self.words.len()),
-        }
-    }
-
-    /// Appends a fragment.
-    fn push(&mut self, edges: &[(usize, usize)]) -> Span {
-        let start = self.words.len();
-        // Resource ids fit in 32 bits (checked in `new`).
-        for &(from, to) in edges {
-            let (from, to) = (from as u32, to as u32);
-            match self.packed {
-                Some(resources) => self.words.push(from * resources + to),
-                None => self.words.extend([from, to]),
-            }
-        }
-        self.span_from(start)
-    }
-
-    /// Appends a fragment of `old`, an arena of the same width.
-    fn copy(&mut self, old: &Arena, span: Span) -> Span {
-        let start = self.words.len();
-        self.words.extend_from_slice(&old.words[span.range()]);
-        self.span_from(start)
-    }
-
-    fn edges(&self, span: Span) -> impl Iterator<Item = Edge> + '_ {
-        let packed = self.packed;
-        let width = if packed.is_some() { 1 } else { 2 };
-        self.words[span.range()]
-            .chunks_exact(width)
-            .map(move |words| match packed {
-                Some(resources) => (words[0] / resources, words[0] % resources),
-                None => (words[0], words[1]),
-            })
-    }
-}
-
-/// Where a walk's CDG fragment goes: the arena when a later epoch re-walks
-/// or drops the pair (always, in paranoid mode), the permanent table
-/// otherwise.
-#[derive(Debug)]
-struct Fragments {
-    kept: Arena,
-    /// Every final fragment's edges, each with the lowest pair rank that
-    /// contributed it.
-    permanent: HashMap<Edge, u32, BuildWordHasher>,
-    keep_all: bool,
-}
-
-impl Fragments {
-    fn file(&mut self, rank: u32, next_rewalk: u32, edges: &[(usize, usize)]) -> Option<Span> {
-        if self.keep_all || next_rewalk != NEVER {
-            return Some(self.kept.push(edges));
-        }
-        for &(from, to) in edges {
-            let lowest = self
-                .permanent
-                .entry((from as u32, to as u32))
-                .or_insert(rank);
-            *lowest = (*lowest).min(rank);
-        }
-        None
-    }
-}
-
-/// Every pair's record, indexed by the pair's rank `src * endpoints + dest`
-/// (endpoints are the dense id prefix), which orders pairs as `(src, dest)`
-/// does. A slot is empty for `src == dest` and for a pair with a faulty
-/// endpoint.
-struct PairTable {
-    endpoints: usize,
-    slots: Vec<Option<PairRecord>>,
-}
-
-impl PairTable {
-    fn new(endpoints: usize) -> Self {
-        assert!(
-            u32::try_from(endpoints * endpoints).is_ok(),
-            "{endpoints} endpoints have more pairs than 32-bit ranks"
-        );
-        PairTable {
-            endpoints,
-            slots: vec![None; endpoints * endpoints],
-        }
-    }
-
-    fn rank(&self, src: NodeId, dest: NodeId) -> usize {
-        src.index() * self.endpoints + dest.index()
-    }
-
-    fn pair(&self, rank: usize) -> (NodeId, NodeId) {
-        let node = |i: usize| NodeId(i as u32);
-        (node(rank / self.endpoints), node(rank % self.endpoints))
-    }
-
-    fn get(&self, key: &(NodeId, NodeId)) -> Option<&PairRecord> {
-        self.slots[self.rank(key.0, key.1)].as_ref()
-    }
-
-    /// The records in `(src, dest)` order.
-    fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), &PairRecord)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, slot)| slot.as_ref().map(|rec| (self.pair(rank), rec)))
-    }
-}
-
-/// The fate of a pair with the given verdict whose state graph does
-/// (`reinjects`) or does not contain a re-injection.
-fn fate_of(verdict: &PairVerdict, reinjects: bool) -> PairFate {
-    match verdict {
-        PairVerdict::Delivers if reinjects => PairFate::Rerouted,
-        PairVerdict::Delivers => PairFate::Routable,
-        PairVerdict::DeadEnd { .. } | PairVerdict::Livelock { .. } => PairFate::Disconnected,
-    }
-}
-
-impl PairRecord {
-    fn verdict(&self) -> &PairVerdict {
-        static DELIVERS: PairVerdict = PairVerdict::Delivers;
-        self.failure.as_deref().unwrap_or(&DELIVERS)
-    }
-
-    fn fate(&self) -> PairFate {
-        fate_of(self.verdict(), self.global)
-    }
-}
-
 /// Report of one verified epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochReport {
@@ -367,9 +159,9 @@ pub struct EpochReport {
     pub disconnected: usize,
     /// Ordered pairs excluded because an endpoint is faulty.
     pub endpoint_faulty: usize,
-    /// Pairs re-walked at this epoch.
+    /// Pairs due at this epoch, proved again.
     pub rewalked: usize,
-    /// Pairs whose previous walk was reused unchanged.
+    /// Pairs whose previous proof was reused unchanged.
     pub reused: usize,
     /// Vertices of the per-epoch union CDG.
     pub cdg_vertices: usize,
@@ -377,7 +169,8 @@ pub struct EpochReport {
     pub cdg_edges: usize,
     /// Whether the per-epoch union CDG is acyclic.
     pub acyclic: bool,
-    /// Relation states enumerated by this epoch's re-walks.
+    /// Relation states reachable from the injection states of the pairs
+    /// proved again at this epoch, summed over those pairs.
     pub states: usize,
     /// Wall clock spent on this epoch, in milliseconds.
     pub wall_ms: u64,
@@ -436,7 +229,9 @@ impl ScheduleOutcome {
                 e.failure.as_deref().unwrap_or("")
             );
         }
-        let last = self.epochs.last().expect("schedules have at least epoch 0");
+        let last = self.epochs.last().expect(
+            "verify_schedule reports every epoch and FaultSchedule::epochs yields one at least",
+        );
         let (rewalked, reused) = self.rewalk_totals();
         format!(
             "{} epochs all acyclic; final fates {} routable / {} rerouted / {} disconnected; \
@@ -482,6 +277,12 @@ pub enum ScheduleVerifyError {
     Schedule(FaultScheduleError),
     /// A pair walk exceeded the state budget.
     Budget(StateBudgetExceeded),
+    /// The network has more CDG resources (channel slots times V) than the
+    /// records' 32-bit resource ids can name.
+    TooManyResources {
+        /// Channel slots times V.
+        resources: usize,
+    },
 }
 
 impl fmt::Display for ScheduleVerifyError {
@@ -498,6 +299,10 @@ impl fmt::Display for ScheduleVerifyError {
             ),
             ScheduleVerifyError::Schedule(e) => write!(f, "invalid fault schedule: {e}"),
             ScheduleVerifyError::Budget(e) => write!(f, "{e}"),
+            ScheduleVerifyError::TooManyResources { resources } => write!(
+                f,
+                "{resources} CDG resources do not fit 32-bit resource ids"
+            ),
         }
     }
 }
@@ -517,19 +322,19 @@ impl From<StateBudgetExceeded> for ScheduleVerifyError {
 }
 
 /// What the schedule's events mean for the records, computed once per
-/// schedule: the nodes whose visit by a walk makes each epoch re-walk it,
+/// schedule: the nodes whose visit by a view makes each epoch due for it,
 /// and the epoch each node fails at.
 struct Touches {
     /// Per epoch, the nodes its events touch (none at epoch 0).
     touched: Vec<Vec<NodeId>>,
     /// Per node, the epoch a node event fails it at, or [`NEVER`].
-    fails_at: Vec<u32>,
+    fails_at: Vec<usize>,
 }
 
 impl Touches {
     /// Routing queries are local to the visited nodes and their incident
-    /// channels, so an event can change a walk only when it fails a visited
-    /// node, a neighbour of one, or a link with a visited endpoint.
+    /// channels, so an event can change a pair's walk only when it fails a
+    /// visited node, a neighbour of one, or a link with a visited endpoint.
     fn new(net: &AnyTopology, epochs: &[ScheduleEpoch]) -> Self {
         let mut fails_at = vec![NEVER; net.num_nodes()];
         let touched = epochs
@@ -541,7 +346,7 @@ impl Touches {
                     match *event {
                         FaultEvent::Node { node } => {
                             let node = NodeId(node);
-                            fails_at[node.index()] = ei as u32;
+                            fails_at[node.index()] = ei;
                             nodes.push(node);
                             nodes.extend(net.neighbors(node).map(|(_, nb)| nb));
                         }
@@ -560,90 +365,15 @@ impl Touches {
 
     /// For each node, the first epoch after `epoch` whose events touch it,
     /// or [`NEVER`].
-    fn next_after(&self, epoch: usize) -> Vec<u32> {
+    fn next_after(&self, epoch: usize) -> Vec<usize> {
         let mut next = vec![NEVER; self.fails_at.len()];
         for (ei, nodes) in self.touched.iter().enumerate().skip(epoch + 1).rev() {
             for node in nodes {
-                next[node.index()] = ei as u32;
+                next[node.index()] = ei;
             }
         }
         next
     }
-}
-
-/// The record loop's per-pair machinery for one epoch: a [`PairWalker`]
-/// under the epoch's faults, recycling each walk's buffers, and the
-/// dependency dataflow's buffers, both cleared and reused from one pair to
-/// the next. The dataflow's buffers and the fragment store outlive the
-/// epoch: [`verify_schedule`] owns them.
-struct Recorder<'a, A> {
-    net: &'a AnyTopology,
-    v: usize,
-    granularity: Granularity,
-    state_budget: usize,
-    pairs: PairWalker<'a, A>,
-    fold: &'a mut FoldScratch,
-    fragments: &'a mut Fragments,
-    /// This epoch and the number of epochs.
-    epoch: u32,
-    epochs: u32,
-    /// [`Touches::next_after`] this epoch.
-    next_touch: Vec<u32>,
-    fails_at: &'a [u32],
-}
-
-impl<A: RoutingAlgorithm> Recorder<'_, A> {
-    /// Walks one pair under the epoch's faults and distils the record the
-    /// differential pass needs: verdict, global flag, the epoch it is next
-    /// re-walked or dropped at, and its CDG fragment, filed by that epoch.
-    fn record(
-        &mut self,
-        rank: usize,
-        src: NodeId,
-        dest: NodeId,
-    ) -> Result<PairRecord, StateBudgetExceeded> {
-        let walk = self.pairs.walk(src, dest, self.state_budget)?;
-        let global = walk.reinjects();
-        let touched = if global {
-            self.epoch + 1
-        } else {
-            walk.iter()
-                .map(|(_, state)| self.next_touch[state.node.index()])
-                .min()
-                .unwrap_or(NEVER)
-        };
-        // The source is always visited; a walk that dead-ends short of its
-        // destination may never visit it.
-        let next = touched.min(self.fails_at[dest.index()]);
-        let next_rewalk = if next < self.epochs { next } else { NEVER };
-        let edges = dependency_edges(
-            self.net,
-            walk.graph(),
-            [walk.start()],
-            self.v,
-            self.granularity,
-            self.fold,
-        );
-        let fragment = self.fragments.file(rank as u32, next_rewalk, edges);
-        let verdict = check_pair(&walk);
-        let record = PairRecord {
-            failure: (verdict != PairVerdict::Delivers).then(|| Box::new(verdict)),
-            global,
-            states: u32::try_from(walk.len()).expect("a walk's states fit in 32 bits"),
-            next_rewalk,
-            fragment,
-        };
-        self.pairs.recycle(walk);
-        Ok(record)
-    }
-}
-
-/// Pairs re-walked, pairs reused and states enumerated at one epoch.
-#[derive(Clone, Copy, Debug, Default)]
-struct Tally {
-    rewalked: usize,
-    reused: usize,
-    states: usize,
 }
 
 /// Labels each healthy node with its connected component of the epoch's
@@ -665,116 +395,272 @@ fn component_labels(net: &AnyTopology, faults: &FaultSet) -> Vec<usize> {
     labels
 }
 
-/// Walks every healthy pair of `faults`, one at a time, into the table the
-/// differential pass starts from.
-fn walk_all_pairs<A: RoutingAlgorithm>(
-    recorder: &mut Recorder<'_, A>,
-    table: &mut PairTable,
-    faults: &FaultSet,
-) -> Result<Tally, StateBudgetExceeded> {
-    let net = recorder.net;
-    let mut tally = Tally::default();
-    for src in net.endpoints() {
-        if faults.is_node_faulty(src) {
-            continue;
-        }
-        for dest in net.endpoints() {
-            if dest == src || faults.is_node_faulty(dest) {
-                continue;
-            }
-            let rank = table.rank(src, dest);
-            let rec = recorder.record(rank, src, dest)?;
-            tally.rewalked += 1;
-            tally.states += rec.states as usize;
-            table.slots[rank] = Some(rec);
-        }
-    }
-    Ok(tally)
+/// What a later epoch needs of one pair's proof.
+#[derive(Clone, Debug)]
+struct PairRecord {
+    src: NodeId,
+    /// Reachability verdict of the pair, unless it delivers (most do).
+    failure: Option<Box<PairVerdict>>,
+    /// Whether the pair's state graph contains a re-injection
+    /// (software-layer recovery). Such a pair depends on a global
+    /// shortest-path query and is due at every later epoch.
+    global: bool,
+    /// States reachable from the pair's injection state.
+    states: usize,
+    /// The epoch at which the pair is next due, or [`NEVER`].
+    next_rewalk: usize,
 }
 
-/// Brings the table to a later epoch: drops the pairs whose endpoints just
-/// failed (fault sets only grow), re-walks the pairs due at this epoch and
-/// moves every other kept fragment into a fresh arena, in rank order.
-fn rewalk_due_pairs<A: RoutingAlgorithm>(
-    recorder: &mut Recorder<'_, A>,
-    table: &mut PairTable,
-    faults: &FaultSet,
-) -> Result<Tally, StateBudgetExceeded> {
-    let old = recorder.fragments.kept.take();
-    let mut tally = Tally::default();
-    for rank in 0..table.slots.len() {
-        let (src, dest) = table.pair(rank);
-        let Some(rec) = &mut table.slots[rank] else {
-            continue;
-        };
-        if faults.is_node_faulty(src) || faults.is_node_faulty(dest) {
-            // A failing endpoint makes the pair due, so no fragment of a
-            // dropped pair is in the permanent table.
-            debug_assert_eq!(rec.next_rewalk, recorder.epoch, "dropped pair was not due");
-            table.slots[rank] = None;
-        } else if rec.next_rewalk == recorder.epoch {
-            *rec = recorder.record(rank, src, dest)?;
-            tally.rewalked += 1;
-            tally.states += rec.states as usize;
+/// No later epoch is due for the record.
+const NEVER: usize = usize::MAX;
+
+/// The fate of a pair with the given verdict whose state graph does
+/// (`reinjects`) or does not contain a re-injection.
+fn fate_of(verdict: &PairVerdict, reinjects: bool) -> PairFate {
+    match verdict {
+        PairVerdict::Delivers if reinjects => PairFate::Rerouted,
+        PairVerdict::Delivers => PairFate::Routable,
+        PairVerdict::DeadEnd { .. } | PairVerdict::Livelock { .. } => PairFate::Disconnected,
+    }
+}
+
+impl PairRecord {
+    fn verdict(&self) -> &PairVerdict {
+        static DELIVERS: PairVerdict = PairVerdict::Delivers;
+        self.failure.as_deref().unwrap_or(&DELIVERS)
+    }
+
+    fn fate(&self) -> PairFate {
+        fate_of(self.verdict(), self.global)
+    }
+}
+
+/// Everything a later epoch reuses of one destination's sweep.
+#[derive(Debug)]
+struct DestinationRecord {
+    dest: NodeId,
+    /// One record per source healthy at the sweep, ascending.
+    pairs: Vec<PairRecord>,
+    /// The dependency edges of the pairs into `dest` as `(from, to, lowest
+    /// source)`, sorted by `(from, to)`, one entry per edge.
+    edges: Box<[(u32, u32, u32)]>,
+    /// The earliest epoch at which a pair is due or the destination fails:
+    /// the epoch that re-sweeps or drops the record, or [`NEVER`].
+    next_sweep: usize,
+}
+
+impl DestinationRecord {
+    fn pair(&self, src: NodeId) -> Option<&PairRecord> {
+        let i = self.pairs.binary_search_by_key(&src, |p| p.src).ok()?;
+        Some(&self.pairs[i])
+    }
+}
+
+/// The due rule of one epoch: when each visited node is next touched, when
+/// each node fails, and how many epochs there are.
+struct DueRule<'a> {
+    epoch: usize,
+    epochs: usize,
+    /// [`Touches::next_after`] this epoch.
+    next_touch: Vec<usize>,
+    fails_at: &'a [usize],
+}
+
+impl DueRule<'_> {
+    /// The epoch at which the pair of a view into `dest` is next due, given
+    /// whether the view re-injects and the nodes it visits.
+    fn next_rewalk(
+        &self,
+        dest: NodeId,
+        reinjects: bool,
+        visited: &mut dyn Iterator<Item = NodeId>,
+    ) -> usize {
+        let touched = if reinjects {
+            self.epoch + 1
         } else {
-            tally.reused += 1;
-            if let Some(span) = rec.fragment {
-                rec.fragment = Some(recorder.fragments.kept.copy(&old, span));
-            }
+            visited
+                .map(|node| self.next_touch[node.index()])
+                .min()
+                .unwrap_or(NEVER)
+        };
+        let next = touched.min(self.fails_at[dest.index()]);
+        if next < self.epochs {
+            next
+        } else {
+            NEVER
         }
+    }
+}
+
+/// Sweeps `dest` under the epoch's faults into its record. The caller has
+/// checked that every resource id fits in 32 bits.
+fn record_destination<A: RoutingAlgorithm>(
+    sweep: &mut DestinationSweep<'_, A>,
+    rule: &DueRule<'_>,
+    dest: NodeId,
+) -> Result<DestinationRecord, StateBudgetExceeded> {
+    let mut next = Vec::new();
+    let DestinationOutcome { edges, pairs, .. } = sweep.sweep(dest, |view, visited| {
+        next.push(rule.next_rewalk(dest, view.reinjects, visited));
+    })?;
+    let pairs: Vec<PairRecord> = pairs
+        .into_iter()
+        .zip(next)
+        .map(|(pair, next_rewalk)| PairRecord {
+            src: pair.src,
+            global: pair.reinjects,
+            states: pair.states,
+            next_rewalk,
+            failure: (pair.verdict != PairVerdict::Delivers).then(|| Box::new(pair.verdict)),
+        })
+        .collect();
+    let next_sweep = pairs
+        .iter()
+        .map(|p| p.next_rewalk)
+        .chain([rule.fails_at[dest.index()]])
+        .min()
+        .unwrap_or(NEVER);
+    Ok(DestinationRecord {
+        dest,
+        pairs,
+        edges: edges
+            .into_iter()
+            .map(|(from, to, src)| (from as u32, to as u32, src.0))
+            .collect(),
+        next_sweep,
+    })
+}
+
+/// Pairs proved again, pairs reused and states enumerated at one epoch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    rewalked: usize,
+    reused: usize,
+    states: usize,
+}
+
+/// Epoch 0: sweeps every healthy destination into `records`.
+fn sweep_all<A: RoutingAlgorithm>(
+    sweep: &mut DestinationSweep<'_, A>,
+    rule: &DueRule<'_>,
+    records: &mut [Option<DestinationRecord>],
+) -> Result<Tally, StateBudgetExceeded> {
+    let mut tally = Tally::default();
+    for i in 0..sweep.endpoints().len() {
+        let dest = sweep.endpoints()[i];
+        let record = record_destination(sweep, rule, dest)?;
+        tally.rewalked += record.pairs.len();
+        tally.states += record.pairs.iter().map(|p| p.states).sum::<usize>();
+        records[dest.index()] = Some(record);
     }
     Ok(tally)
 }
 
-/// The epoch's union CDG: the permanent table's edges merged with the kept
-/// fragments, in ascending `(lowest contributing rank, from, to)` order (see
-/// the module docs). A permanent record keeps no fragment, so no rank is in
-/// both.
-fn union_cdg(resources: usize, table: &PairTable, fragments: &Fragments) -> DependencyGraph {
-    let mut permanent: Vec<(u32, Edge)> = fragments
-        .permanent
-        .iter()
-        .map(|(&edge, &rank)| (rank, edge))
-        .collect();
-    permanent.sort_unstable();
-    let mut permanent = permanent.into_iter().peekable();
-    let mut graph = DependencyGraph::new(resources);
-    let mut add = |(from, to): Edge| graph.add_edge(from as usize, to as usize);
-    for (rank, slot) in table.slots.iter().enumerate() {
-        let Some(span) = slot.as_ref().and_then(|rec| rec.fragment) else {
+/// A later epoch: drops the destinations that just failed (fault sets only
+/// grow), re-sweeps the destinations due at it and reuses every other
+/// record. Within a re-swept destination, the due pairs count as proved
+/// again and the others as reused.
+fn resweep_due<A: RoutingAlgorithm>(
+    sweep: &mut DestinationSweep<'_, A>,
+    rule: &DueRule<'_>,
+    faults: &FaultSet,
+    records: &mut [Option<DestinationRecord>],
+) -> Result<Tally, StateBudgetExceeded> {
+    let mut tally = Tally::default();
+    for slot in records.iter_mut() {
+        let Some(old) = slot else {
             continue;
         };
-        while let Some((_, edge)) = permanent.next_if(|&(lowest, _)| (lowest as usize) < rank) {
-            add(edge);
+        if old.next_sweep != rule.epoch {
+            tally.reused += old.pairs.len();
+            continue;
         }
-        fragments.kept.edges(span).for_each(&mut add);
+        if faults.is_node_faulty(old.dest) {
+            *slot = None;
+            continue;
+        }
+        let fresh = record_destination(sweep, rule, old.dest)?;
+        for pair in &fresh.pairs {
+            // A source that is healthy now was healthy at the old sweep.
+            match old.pair(pair.src) {
+                Some(kept) if kept.next_rewalk != rule.epoch => {
+                    debug_assert_eq!(
+                        (kept.states, kept.fate(), kept.next_rewalk),
+                        (pair.states, pair.fate(), pair.next_rewalk),
+                        "{:?} -> {:?} changed before its due epoch",
+                        pair.src,
+                        old.dest
+                    );
+                    tally.reused += 1;
+                }
+                _ => {
+                    tally.rewalked += 1;
+                    tally.states += pair.states;
+                }
+            }
+        }
+        *slot = Some(fresh);
     }
-    permanent.for_each(|(_, edge)| add(edge));
+    Ok(tally)
+}
+
+/// The epoch's union CDG, its edges added in ascending `(lowest rank, from,
+/// to)` order (see the module docs).
+fn union_cdg(resources: usize, records: &[Option<DestinationRecord>]) -> DependencyGraph {
+    let endpoints = records.len() as u64;
+    let mut lowest: HashMap<(u32, u32), u64, BuildWordHasher> = HashMap::default();
+    for record in records.iter().flatten() {
+        let dest = u64::from(record.dest.0);
+        for &(from, to, src) in &record.edges {
+            let rank = u64::from(src) * endpoints + dest;
+            lowest
+                .entry((from, to))
+                .and_modify(|lowest| *lowest = (*lowest).min(rank))
+                .or_insert(rank);
+        }
+    }
+    let mut entries: Vec<(u64, u32, u32)> = lowest
+        .into_iter()
+        .map(|((from, to), rank)| (rank, from, to))
+        .collect();
+    entries.sort_unstable();
+    let mut graph = DependencyGraph::new(resources);
+    for (_, from, to) in entries {
+        graph.add_edge(from as usize, to as usize);
+    }
     graph
 }
 
-/// Builds the epoch report from the record table: union CDG, fate counts,
+/// Every live pair as `(src, dest, record)`, in `(src, dest)` order.
+fn ordered_pairs(records: &[Option<DestinationRecord>]) -> Vec<(NodeId, NodeId, &PairRecord)> {
+    let mut pairs: Vec<_> = records
+        .iter()
+        .flatten()
+        .flat_map(|record| record.pairs.iter().map(|p| (p.src, record.dest, p)))
+        .collect();
+    pairs.sort_unstable_by_key(|&(src, dest, _)| (src, dest));
+    pairs
+}
+
+/// Builds the epoch report from the records: union CDG, fate counts,
 /// failure analysis (cyclic CDG, spurious dead end, livelock) and witnesses.
 /// Its `wall_ms` is left for the caller to take.
-#[allow(clippy::too_many_arguments)]
 fn epoch_report(
     net: &AnyTopology,
     v: usize,
     granularity: Granularity,
-    resources: usize,
     epoch: &ScheduleEpoch,
-    table: &PairTable,
-    fragments: &Fragments,
+    graph: &DependencyGraph,
+    pairs: &[(NodeId, NodeId, &PairRecord)],
     tally: Tally,
 ) -> EpochReport {
-    let graph = union_cdg(resources, table, fragments);
     let cdg_cycle = graph.find_cycle();
     let components = component_labels(net, &epoch.faults);
     let (mut routable, mut rerouted, mut disconnected) = (0usize, 0usize, 0usize);
     let mut failure = None;
     let mut witness = Vec::new();
-    let mut first_disconnect: Option<(NodeId, NodeId)> = None;
-    for ((src, dest), rec) in table.iter() {
+    let mut first_disconnect: Option<&PairRecord> = None;
+    for &(src, dest, rec) in pairs {
         match rec.fate() {
             PairFate::Routable => routable += 1,
             PairFate::Rerouted => rerouted += 1,
@@ -799,7 +685,7 @@ fn epoch_report(
                     ));
                     witness = describe_pair_verdict(net, rec.verdict());
                 } else if first_disconnect.is_none() {
-                    first_disconnect = Some((src, dest));
+                    first_disconnect = Some(rec);
                 }
             }
         }
@@ -811,12 +697,10 @@ fn epoch_report(
         ));
         witness = describe_cycle(net, cycle, v, granularity);
     } else if failure.is_none() {
-        if let Some(key) = first_disconnect {
+        if let Some(rec) = first_disconnect {
             // Evidence (not a violation): the first legitimately
             // disconnected pair and its dead-end path.
-            if let Some(rec) = table.get(&key) {
-                witness = describe_pair_verdict(net, rec.verdict());
-            }
+            witness = describe_pair_verdict(net, rec.verdict());
         }
     }
     let n = net.num_endpoints();
@@ -841,17 +725,6 @@ fn epoch_report(
         failure,
         witness,
     }
-}
-
-fn fates_of(table: &PairTable) -> Vec<PairFateEntry> {
-    table
-        .iter()
-        .map(|((src, dest), rec)| PairFateEntry {
-            src,
-            dest,
-            fate: rec.fate(),
-        })
-        .collect()
 }
 
 /// Verifies a fault schedule epoch by epoch: epoch 0 from scratch, later
@@ -885,53 +758,36 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
     }
     let granularity = Granularity::PerVc;
     let resources = resource_count(net, v, granularity);
+    // The records keep resource ids in 32 bits.
+    if u32::try_from(resources).is_err() {
+        return Err(ScheduleVerifyError::TooManyResources { resources });
+    }
     let epochs_spec = schedule.epochs(net)?;
-    let epoch_count =
-        u32::try_from(epochs_spec.len()).expect("a schedule has fewer than 2^32 epochs");
     let touches = Touches::new(net, &epochs_spec);
-    let mut table = PairTable::new(net.num_endpoints());
-    let mut fragments = Fragments {
-        kept: Arena::new(resources),
-        permanent: HashMap::default(),
-        keep_all: paranoid,
-    };
+    let mut records: Vec<Option<DestinationRecord>> =
+        (0..net.num_endpoints()).map(|_| None).collect();
     let mut epochs = Vec::with_capacity(epochs_spec.len());
     let mut fates = Vec::with_capacity(epochs_spec.len());
     let mut divergences = Vec::new();
-    let mut fold = FoldScratch::default();
 
     for (ei, epoch) in epochs_spec.iter().enumerate() {
         let started = Instant::now();
-        let tally = {
-            let mut recorder = Recorder {
-                net,
-                v,
-                granularity,
-                state_budget,
-                pairs: PairWalker::new(net, algo, &epoch.faults, v),
-                fold: &mut fold,
-                fragments: &mut fragments,
-                epoch: ei as u32,
-                epochs: epoch_count,
-                next_touch: touches.next_after(ei),
-                fails_at: &touches.fails_at,
-            };
-            if ei == 0 {
-                walk_all_pairs(&mut recorder, &mut table, &epoch.faults)?
-            } else {
-                rewalk_due_pairs(&mut recorder, &mut table, &epoch.faults)?
-            }
+        let mut sweep =
+            DestinationSweep::new(net, algo, &epoch.faults, v, granularity, state_budget);
+        let rule = DueRule {
+            epoch: ei,
+            epochs: epochs_spec.len(),
+            next_touch: touches.next_after(ei),
+            fails_at: &touches.fails_at,
         };
-        let mut report = epoch_report(
-            net,
-            v,
-            granularity,
-            resources,
-            epoch,
-            &table,
-            &fragments,
-            tally,
-        );
+        let tally = if ei == 0 {
+            sweep_all(&mut sweep, &rule, &mut records)?
+        } else {
+            resweep_due(&mut sweep, &rule, &epoch.faults, &mut records)?
+        };
+        let graph = union_cdg(resources, &records);
+        let pairs = ordered_pairs(&records);
+        let mut report = epoch_report(net, v, granularity, epoch, &graph, &pairs, tally);
         if paranoid {
             diff_against_scratch(
                 net,
@@ -940,8 +796,7 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
                 v,
                 state_budget,
                 granularity,
-                &table,
-                &fragments.kept,
+                &records,
                 &mut divergences,
             )?;
         }
@@ -952,7 +807,16 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
         }
         // Taken after the paranoid diff, which is part of what the epoch costs.
         report.wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        fates.push(fates_of(&table));
+        fates.push(
+            pairs
+                .iter()
+                .map(|&(src, dest, rec)| PairFateEntry {
+                    src,
+                    dest,
+                    fate: rec.fate(),
+                })
+                .collect(),
+        );
         epochs.push(report);
     }
 
@@ -965,9 +829,8 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
 }
 
 /// Recomputes `epoch` from scratch with the destination-major sweep and
-/// diffs the differential record table against it: same pair universe, same
-/// fates and state counts, same CDG edges into every destination. Paranoid
-/// mode keeps every fragment in `kept`.
+/// diffs the records against it: same pair universe, same fates and state
+/// counts, same labelled dependency edges into every destination.
 #[allow(clippy::too_many_arguments)]
 fn diff_against_scratch<A: RoutingAlgorithm>(
     net: &AnyTopology,
@@ -976,8 +839,7 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
     v: usize,
     state_budget: usize,
     granularity: Granularity,
-    differential: &PairTable,
-    kept: &Arena,
+    records: &[Option<DestinationRecord>],
     divergences: &mut Vec<String>,
 ) -> Result<(), StateBudgetExceeded> {
     let cycle = epoch.cycle;
@@ -985,22 +847,17 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
         |key: &(NodeId, NodeId)| format!("{} -> {}", net.node_label(key.0), net.node_label(key.1));
     let mut fresh: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
     let diff_destination = |scratch: DestinationOutcome| {
-        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let record = records.get(scratch.dest.index()).and_then(Option::as_ref);
         for pair in &scratch.pairs {
             let key = (pair.src, scratch.dest);
             fresh.insert(key);
-            let Some(diff) = differential.get(&key) else {
+            let Some(diff) = record.and_then(|r| r.pair(pair.src)) else {
                 divergences.push(format!(
                     "cycle {cycle}: differential lost pair {}",
                     at(&key)
                 ));
                 continue;
             };
-            let span = diff.fragment.expect("paranoid mode keeps every fragment");
-            edges.extend(
-                kept.edges(span)
-                    .map(|(from, to)| (from as usize, to as usize)),
-            );
             let fate = fate_of(&pair.verdict, pair.reinjects);
             if diff.fate() != fate {
                 divergences.push(format!(
@@ -1010,7 +867,7 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
                     fate.name()
                 ));
             }
-            if diff.states as usize != pair.states {
+            if diff.states != pair.states {
                 divergences.push(format!(
                     "cycle {cycle}: pair {} has {} states differentially but {} from scratch",
                     at(&key),
@@ -1019,13 +876,17 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
                 ));
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        if edges != scratch.edges {
+        let kept = record.map_or(&[][..], |r| &r.edges[..]);
+        let same_edges = kept.len() == scratch.edges.len()
+            && kept
+                .iter()
+                .zip(&scratch.edges)
+                .all(|(&kept, &(from, to, src))| kept == (from as u32, to as u32, src.0));
+        if !same_edges {
             divergences.push(format!(
                 "cycle {cycle}: CDG edges into {} differ ({} differentially, {} from scratch)",
                 net.node_label(scratch.dest),
-                edges.len(),
+                kept.len(),
                 scratch.edges.len()
             ));
         }
@@ -1039,44 +900,13 @@ fn diff_against_scratch<A: RoutingAlgorithm>(
         state_budget,
         diff_destination,
     )?;
-    for (key, _) in differential.iter().filter(|(key, _)| !fresh.contains(key)) {
-        divergences.push(format!(
-            "cycle {cycle}: differential kept pair {} that a scratch sweep excludes",
-            at(&key)
-        ));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Fragments come back as pushed at both edge widths, also after a copy
-    /// into the next epoch's arena. Every resource count in the test suite's
-    /// schedules packs an edge into one word, so this is the only check of
-    /// the two-word width.
-    #[test]
-    fn arena_round_trips_fragments_at_both_widths() {
-        for resources in [9_216, 70_000] {
-            let mut arena = Arena::new(resources);
-            assert_eq!(arena.packed.is_some(), resources <= 1 << 16);
-            let top = resources - 1;
-            let first = [(0, 1), (5, top), (top, 0)];
-            let second = [(1, 2), (top, top - 1)];
-            let (a, b) = (arena.push(&first), arena.push(&second));
-            let old = arena.take();
-            let copied = arena.copy(&old, b);
-            let edges = |arena: &Arena, span| -> Vec<(usize, usize)> {
-                arena
-                    .edges(span)
-                    .map(|(from, to)| (from as usize, to as usize))
-                    .collect()
-            };
-            assert_eq!(edges(&old, a), first);
-            assert_eq!(edges(&old, b), second);
-            assert_eq!(edges(&arena, copied), second);
-            assert_eq!(arena.words.len(), old.words[b.range()].len());
+    for (src, dest, _) in ordered_pairs(records) {
+        if !fresh.contains(&(src, dest)) {
+            divergences.push(format!(
+                "cycle {cycle}: differential kept pair {} that a scratch sweep excludes",
+                at(&(src, dest))
+            ));
         }
     }
+    Ok(())
 }

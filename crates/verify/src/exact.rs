@@ -120,10 +120,10 @@ struct FoldState {
 }
 
 /// The buffers of the dependency dataflow, cleared and reused from one call
-/// to the next. Their owner is the caller's loop: the destination loop of
-/// [`crate::sweep::sweep_destinations`] and the record loop of
-/// [`crate::epochs::verify_schedule`]. [`accumulate_cdg`] uses a fresh one
-/// per call.
+/// to the next. Their owner is the destination loop of [`crate::sweep`],
+/// which every static proof and every epoch of
+/// [`crate::epochs::verify_schedule`] runs. [`accumulate_cdg`] uses a fresh
+/// one per call.
 #[derive(Debug, Default)]
 pub(crate) struct FoldScratch {
     states: Vec<FoldState>,
@@ -131,7 +131,7 @@ pub(crate) struct FoldScratch {
     requested: Vec<usize>,
     /// [`dependency_edges`]' emissions, sorted and deduplicated in place
     /// into the list it lends out.
-    edges: Vec<(usize, usize)>,
+    edges: Vec<(usize, usize, usize)>,
 }
 
 /// Adds `r` to `set` unless present; true if the set grew.
@@ -145,9 +145,9 @@ fn insert(set: &mut Vec<usize>, r: usize) -> bool {
 
 /// The dependency dataflow over a state graph, seeded at `starts`: a worklist
 /// over the sets of tracked resources possibly held on arrival in each state,
-/// calling `emit(held, requested)` for every dependency it finds (repeats
-/// included). Monotone (sets only grow), so it terminates at the least
-/// fixpoint.
+/// calling `emit(phase, held, requested)` for every dependency it finds
+/// (repeats included). Monotone (sets only grow), so it terminates at the
+/// least fixpoint.
 ///
 /// Each pass over a state handles only its *delta*, the resources added to
 /// its set since the previous pass: adaptive hops propagate the delta, and
@@ -159,9 +159,14 @@ fn insert(set: &mut Vec<usize>, r: usize) -> bool {
 /// set would emit; the order of emission is a function of the state graph
 /// alone.
 ///
-/// It is a may-analysis whose transfer functions distribute over union, so
-/// seeding several start states at once yields exactly the union of the
-/// dependencies found from each alone.
+/// The starts are seeded one at a time, in the order given, each *phase*
+/// running the worklist dry before the next start is seeded; `phase` is the
+/// index of the start whose phase made the emission. It is a may-analysis
+/// whose transfer functions distribute over union, so the fixpoint after
+/// phase `i` is the union of what each of the first `i + 1` starts finds
+/// alone: an edge first emitted in phase `i` is found from start `i` and
+/// from no earlier one. A start an earlier phase already reached adds
+/// nothing.
 fn fold_dependencies(
     net: &AnyTopology,
     graph: &StateGraph,
@@ -169,7 +174,7 @@ fn fold_dependencies(
     v: usize,
     granularity: Granularity,
     scratch: &mut FoldScratch,
-    mut emit: impl FnMut(usize, usize),
+    mut emit: impl FnMut(usize, usize, usize),
 ) {
     let FoldScratch {
         states: fold,
@@ -188,65 +193,65 @@ fn fold_dependencies(
         fold.resize_with(n, FoldState::default);
     }
     work.clear();
-    for start in starts {
-        if !fold[start].queued {
-            fold[start].queued = true;
-            work.push_back(start);
+    for (phase, start) in starts.into_iter().enumerate() {
+        if fold[start].processed {
+            continue;
         }
-    }
-
-    while let Some(s) = work.pop_front() {
-        let first = !fold[s].processed;
-        let (from, to) = (fold[s].pushed, fold[s].held.len());
-        fold[s].queued = false;
-        fold[s].processed = true;
-        fold[s].pushed = to;
-        let node = graph.state(s).node;
-        for &step in graph.steps(s) {
-            let next = step.next();
-            // Whether what the message may hold on arrival in `next` grew.
-            let mut grew = false;
-            match step {
-                Step::Hop {
-                    dim,
-                    dir,
-                    vcs,
-                    tracked: true,
-                    ..
-                } => {
-                    requested.clear();
-                    requested.extend(
-                        vcs.range()
-                            .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
-                    );
-                    for i in from..to {
-                        let h = fold[s].held[i];
-                        for &r in requested.iter() {
-                            emit(h, r);
+        fold[start].queued = true;
+        work.push_back(start);
+        while let Some(s) = work.pop_front() {
+            let first = !fold[s].processed;
+            let (from, to) = (fold[s].pushed, fold[s].held.len());
+            fold[s].queued = false;
+            fold[s].processed = true;
+            fold[s].pushed = to;
+            let node = graph.state(s).node;
+            for &step in graph.steps(s) {
+                let next = step.next();
+                // Whether what the message may hold on arrival in `next` grew.
+                let mut grew = false;
+                match step {
+                    Step::Hop {
+                        dim,
+                        dir,
+                        vcs,
+                        tracked: true,
+                        ..
+                    } => {
+                        requested.clear();
+                        requested.extend(
+                            vcs.range()
+                                .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
+                        );
+                        for i in from..to {
+                            let h = fold[s].held[i];
+                            for &r in requested.iter() {
+                                emit(phase, h, r);
+                            }
+                        }
+                        // After the hop the message holds one of `requested`.
+                        if first {
+                            for &r in requested.iter() {
+                                grew |= insert(&mut fold[next].held, r);
+                            }
                         }
                     }
-                    // After the hop the message holds one of `requested`.
-                    if first {
-                        for &r in requested.iter() {
-                            grew |= insert(&mut fold[next].held, r);
+                    // Adaptive hop: the tracked resources stay held while the
+                    // head advances — Duato's indirect dependencies.
+                    Step::Hop { tracked: false, .. } => {
+                        for i in from..to {
+                            let h = fold[s].held[i];
+                            grew |= insert(&mut fold[next].held, h);
                         }
                     }
+                    // Absorption releases every held channel.
+                    Step::Reinject { .. } => {}
                 }
-                // Adaptive hop: the tracked resources stay held while the
-                // head advances — Duato's indirect dependencies.
-                Step::Hop { tracked: false, .. } => {
-                    for i in from..to {
-                        let h = fold[s].held[i];
-                        grew |= insert(&mut fold[next].held, h);
-                    }
+                let successor = &mut fold[next];
+                if (grew || !successor.processed) && !successor.queued {
+                    successor.queued = true;
+                    work.push_back(next);
                 }
-                // Absorption releases every held channel.
-                Step::Reinject { .. } => {}
-            }
-            let successor = &mut fold[next];
-            if (grew || !successor.processed) && !successor.queued {
-                successor.queued = true;
-                work.push_back(next);
             }
         }
     }
@@ -267,16 +272,18 @@ pub fn accumulate_cdg(
         v,
         granularity,
         &mut FoldScratch::default(),
-        |held, requested| graph.add_edge(held, requested),
+        |_, held, requested| graph.add_edge(held, requested),
     );
 }
 
 /// The dependencies of every message injected at one of `starts`, as a
-/// sorted, deduplicated edge list without self-loops: what
-/// [`accumulate_cdg`] would add to an empty graph for each start in turn.
-/// Adding such lists to a graph in order fixes its adjacency order — and so
-/// the cycle [`DependencyGraph::find_cycle`] reports — whatever order the
-/// dataflow happened to visit states in. The list lives in `scratch` and is
+/// list of `(from, to, first)` sorted by `(from, to)`, one entry per edge and
+/// without self-loops: what [`accumulate_cdg`] would add to an empty graph
+/// for each start in turn, each edge labelled with the index of the first
+/// start whose messages depend on it. Adding such lists to a graph in order
+/// fixes its adjacency order — and so the cycle
+/// [`DependencyGraph::find_cycle`] reports — whatever order the dataflow
+/// happened to visit states in. The list lives in `scratch` and is
 /// overwritten by the next call.
 pub(crate) fn dependency_edges<'s>(
     net: &AnyTopology,
@@ -285,7 +292,7 @@ pub(crate) fn dependency_edges<'s>(
     v: usize,
     granularity: Granularity,
     scratch: &'s mut FoldScratch,
-) -> &'s [(usize, usize)] {
+) -> &'s [(usize, usize, usize)] {
     let mut edges = std::mem::take(&mut scratch.edges);
     edges.clear();
     fold_dependencies(
@@ -295,14 +302,16 @@ pub(crate) fn dependency_edges<'s>(
         v,
         granularity,
         scratch,
-        |held, requested| {
+        |phase, held, requested| {
             if held != requested {
-                edges.push((held, requested));
+                edges.push((held, requested, phase));
             }
         },
     );
+    // Sorting by the whole triple puts each edge's first start ahead of its
+    // repeats, which `dedup_by_key` then drops.
     edges.sort_unstable();
-    edges.dedup();
+    edges.dedup_by_key(|&mut (from, to, _)| (from, to));
     scratch.edges = edges;
     &scratch.edges
 }
@@ -421,7 +430,7 @@ mod tests {
             v,
             granularity,
             scratch,
-            |h, r| {
+            |_, h, r| {
                 emitted.insert((h, r));
             },
         );
@@ -509,6 +518,39 @@ mod tests {
                     "seed {} round {}", seed, round
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Seeding the starts one phase at a time labels each edge with the
+        /// first start whose messages alone depend on it, and finds every
+        /// edge the starts together find.
+        #[test]
+        fn each_edge_is_labelled_with_its_first_start(
+            seed in any::<u64>(),
+            v in 1usize..4,
+        ) {
+            let net = net("torus:4x2");
+            let granularity = Granularity::PerVc;
+            let (graph, mut starts) = synthetic_graph(&net, v, seed);
+            starts.extend(synthetic_graph(&net, v, !seed).1.into_iter().filter(|&s| s < graph.len()));
+            let alone: Vec<BTreeSet<(usize, usize)>> = starts
+                .iter()
+                .map(|&start| reference_fold(&net, &graph, &[start], v, granularity))
+                .collect();
+            let expected: Vec<(usize, usize, usize)> = reference_fold(&net, &graph, &starts, v, granularity)
+                .into_iter()
+                .filter(|&(from, to)| from != to)
+                .map(|edge| {
+                    let first = alone.iter().position(|edges| edges.contains(&edge));
+                    (edge.0, edge.1, first.expect("some start finds every edge"))
+                })
+                .collect();
+            let mut scratch = FoldScratch::default();
+            let labelled = dependency_edges(&net, &graph, starts.iter().copied(), v, granularity, &mut scratch);
+            prop_assert_eq!(labelled, &expected[..], "seed {}", seed);
         }
     }
 

@@ -32,15 +32,14 @@
 //!   times fewer states the shared walker expands. The destination loop owns
 //!   one `SharedRelation`, reset per destination, and the dependency fold's
 //!   buffers for the whole sweep;
-//! * [`epochs`] — verifies dynamic fault schedules epoch by epoch,
-//!   differentially re-walking only pairs whose footprint a new fault
-//!   touches and classifying every pair's fate (routable / rerouted /
-//!   disconnected) per epoch. This pass stays per pair (`walk_pair`'s walk,
-//!   one `route()` call per reported state): its records and re-walks are per
-//!   pair, and it doubles as the oracle the paranoid sweep is diffed against.
-//!   Its record loop owns the reused scratch: one `PairWalker` per epoch,
-//!   handed back every walk it returns, and the fold's buffers for the whole
-//!   schedule;
+//! * [`epochs`] — verifies dynamic fault schedules epoch by epoch and
+//!   classifies every pair's fate (routable / rerouted / disconnected) per
+//!   epoch. The destination is its unit of work and of reuse: epoch 0 runs
+//!   the [`sweep`] loop over every destination, and a later epoch re-sweeps
+//!   only the destinations with a pair whose footprint a new fault touches,
+//!   reusing every other destination's record (per-pair fates and state
+//!   counts, and its dependency edges, each labelled with its lowest
+//!   source);
 //! * [`witness`] — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)

@@ -17,9 +17,8 @@
 //!   pair, nothing remembered between pairs. [`PairWalker`] is the same walk
 //!   for pair after pair, clearing its intern table between them instead of
 //!   reallocating it and refilling the buffers of the walk its caller hands
-//!   back ([`PairWalker::recycle`]); the differential pass of
-//!   [`crate::epochs`] owns one per epoch and still makes one `route()` call
-//!   per state it reports.
+//!   back ([`PairWalker::recycle`]). Both serve as oracles: no proof walks
+//!   pair by pair any more, schedule epochs included.
 //! * [`SharedRelation`] memoises the relation per (destination, fault set),
 //!   and [`SharedRelation::reset`] empties it for the next destination
 //!   without giving up its buffers.
@@ -436,8 +435,7 @@ pub fn walk_pair<A: RoutingAlgorithm>(
 /// table is cleared, not reallocated, between walks, and a walk handed back
 /// through [`PairWalker::recycle`] lends its buffers to the next. Each walk
 /// starts from an empty table, so it returns exactly what a fresh
-/// [`walk_pair`] call returns. Its owner is the caller's pair loop — the
-/// differential pass of [`crate::epochs`] keeps one per epoch.
+/// [`walk_pair`] call returns. Its owner is the caller's pair loop.
 pub struct PairWalker<'a, A> {
     walker: Walker<'a, A>,
 }
@@ -588,6 +586,12 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
             len: self.order.len(),
             reinjects,
         })
+    }
+
+    /// The node of every state the latest view reached, in discovery order.
+    pub(crate) fn viewed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let graph = &self.walker.graph;
+        self.order.iter().map(move |&id| graph.state(id).node)
     }
 
     /// Appends `id` to the view in progress unless it is already part of it.

@@ -222,9 +222,9 @@ fn sweep_equals_the_per_pair_oracle_on_every_static_smoke_case() {
     assert!(cases >= 40, "the smoke matrix has {cases} static cases");
 }
 
-/// The differential pass walks pair after pair with one `PairWalker`, whose
-/// intern table is cleared, not reallocated, between walks, and which gets
-/// every walk's buffers back to refill. Nothing may leak from one walk into
+/// A `PairWalker` walks pair after pair, its intern table cleared, not
+/// reallocated, between walks, and gets every walk's buffers back to
+/// refill. Nothing may leak from one walk into
 /// the next, whichever order the pairs come in. A state
 /// key holds the pair's source and destination, so stale entries could only
 /// surface when a pair comes round again: one walker walks every pair
