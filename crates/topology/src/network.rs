@@ -84,6 +84,44 @@ pub struct Network {
     num_nodes: u32,
     /// `strides[d] = k_0 * ... * k_{d-1}`, used for mixed-radix conversion.
     strides: Vec<u32>,
+    /// Per dimension, division by the stride (none for stride 1) and by the
+    /// radix, which [`Network::position`] does without a hardware division.
+    dividers: Vec<(Option<Divisor>, Divisor)>,
+}
+
+/// Division of 32-bit numbers by a fixed divisor `d >= 2` with multiplies
+/// instead of a hardware division. With `m = ceil(2^64 / d)`, `n / d` is the
+/// high word of `m * n`, and `n % d` the high word of `(m * n mod 2^64) * d`,
+/// for every 32-bit `n` and `d` (Lemire, Kaser and Kurz, "Faster Remainder by
+/// Direct Computation", 2019).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct Divisor {
+    m: u64,
+    d: u32,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Self {
+        debug_assert!(d >= 2, "dividing by {d} needs no multiplier");
+        // ceil(2^64 / d), which fits 64 bits for d >= 2.
+        Divisor {
+            m: u64::MAX / u64::from(d) + 1,
+            d,
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    fn quotient(self, n: u32) -> u32 {
+        ((u128::from(self.m) * u128::from(n)) >> 64) as u32
+    }
+
+    /// `n % d`.
+    #[inline]
+    fn remainder(self, n: u32) -> u32 {
+        let low = self.m.wrapping_mul(u64::from(n));
+        ((u128::from(low) * u128::from(self.d)) >> 64) as u32
+    }
 }
 
 impl Network {
@@ -119,11 +157,20 @@ impl Network {
                 return Err(NetworkError::TooManyNodes);
             }
         }
+        let dividers = strides
+            .iter()
+            .zip(&radices)
+            .map(|(&stride, &k)| {
+                let stride = (stride > 1).then(|| Divisor::new(stride));
+                (stride, Divisor::new(u32::from(k)))
+            })
+            .collect();
         Ok(Network {
             radices,
             wraps,
             num_nodes: acc as u32,
             strides,
+            dividers,
         })
     }
 
@@ -257,7 +304,9 @@ impl Network {
     /// Position of `node` along `dim`.
     #[inline]
     pub fn position(&self, node: NodeId, dim: usize) -> u16 {
-        ((node.0 / self.strides[dim]) % self.radices[dim] as u32) as u16
+        let (stride, radix) = self.dividers[dim];
+        let above = stride.map_or(node.0, |stride| stride.quotient(node.0));
+        radix.remainder(above) as u16
     }
 
     /// True if the outgoing channel of `node` along `dim`/`dir` physically
@@ -280,16 +329,16 @@ impl Network {
     pub fn neighbor(&self, node: NodeId, dim: usize, dir: Direction) -> Option<NodeId> {
         let pos = self.position(node, dim) as i32;
         let k = self.radices[dim] as i32;
-        let stepped = pos + dir.sign();
-        let next = if self.wraps[dim] {
-            stepped.rem_euclid(k)
-        } else if (0..k).contains(&stepped) {
-            stepped
-        } else {
-            return None;
-        } as u32;
+        let mut next = pos + dir.sign();
+        if !(0..k).contains(&next) {
+            if !self.wraps[dim] {
+                return None;
+            }
+            // The wrap-around link: one ring length back.
+            next -= dir.sign() * k;
+        }
         let base = node.0 - (pos as u32) * self.strides[dim];
-        Some(NodeId(base + next * self.strides[dim]))
+        Some(NodeId(base + next as u32 * self.strides[dim]))
     }
 
     /// Minimal signed offset from `src` to `dest` along dimension `dim`.
@@ -306,8 +355,11 @@ impl Network {
             return b - a;
         }
         let k = self.radices[dim] as i32;
-        let mut d = (b - a).rem_euclid(k); // 0..k, going Plus
-        if d > k / 2 {
+        let mut d = b - a;
+        if d < 0 {
+            d += k; // 0..k, going Plus
+        }
+        if 2 * d > k {
             // going Minus is strictly shorter (on a tie d == k/2 with even k we
             // keep the positive direction, the deterministic e-cube tie-break)
             d -= k;
@@ -403,6 +455,31 @@ mod tests {
 
     fn any(net: &Network) -> AnyTopology {
         AnyTopology::Grid(net.clone())
+    }
+
+    /// The multiply-high division agrees with the hardware one at the edges
+    /// of the 32-bit range, for the smallest, power-of-two and largest
+    /// divisors.
+    #[test]
+    fn divisor_matches_hardware_division_at_the_extremes() {
+        for d in [
+            2,
+            3,
+            7,
+            255,
+            256,
+            65_535,
+            65_536,
+            1 << 31,
+            (1 << 31) + 1,
+            u32::MAX,
+        ] {
+            let divisor = Divisor::new(d);
+            for n in [0, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX] {
+                assert_eq!(divisor.quotient(n), n / d, "{n} / {d}");
+                assert_eq!(divisor.remainder(n), n % d, "{n} % {d}");
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,106 @@ fn arb_topology() -> impl Strategy<Value = AnyTopology> {
     })
 }
 
+/// A network of any size the 32-bit node-id space holds: 1..=4 dimensions,
+/// each radix either small (2..10) or anywhere up to `u16::MAX`, dimensions
+/// dropped from the end until the node count fits.
+fn arb_large_network() -> impl Strategy<Value = Network> {
+    let radix = || {
+        (any::<bool>(), 2u16..10, 2u16..=u16::MAX)
+            .prop_map(|(small, k, large)| if small { k } else { large })
+    };
+    (
+        1usize..=4,
+        (radix(), radix(), radix(), radix()),
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|(n, (k0, k1, k2, k3), (w0, w1, w2, w3))| {
+            let mut radices = [k0, k1, k2, k3][..n].to_vec();
+            while radices.iter().map(|&k| u64::from(k)).product::<u64>() > u64::from(u32::MAX) {
+                radices.pop();
+            }
+            // Rings shorter than 3 are rejected as wrapped; open them.
+            let wraps = radices
+                .iter()
+                .zip([w0, w1, w2, w3])
+                .map(|(&k, w)| w && k >= 3)
+                .collect();
+            Network::new(radices, wraps).unwrap()
+        })
+}
+
+/// `position`, `neighbor` and `offset` by the division formulas they
+/// replace: `(id / stride) % k`, and `rem_euclid` for ring arithmetic.
+fn division_position(net: &Network, node: u32, dim: usize) -> u32 {
+    let stride: u32 = net.radices()[..dim].iter().map(|&k| u32::from(k)).product();
+    (node / stride) % u32::from(net.radix(dim))
+}
+
+fn division_neighbor(net: &Network, node: u32, dim: usize, dir: Direction) -> Option<u32> {
+    let stride: u32 = net.radices()[..dim].iter().map(|&k| u32::from(k)).product();
+    let k = i64::from(net.radix(dim));
+    let pos = i64::from(division_position(net, node, dim));
+    let stepped = pos + i64::from(dir.sign());
+    let next = if net.wraps(dim) {
+        stepped.rem_euclid(k)
+    } else if (0..k).contains(&stepped) {
+        stepped
+    } else {
+        return None;
+    };
+    Some((i64::from(node) + (next - pos) * i64::from(stride)) as u32)
+}
+
+fn division_offset(net: &Network, src: u32, dest: u32, dim: usize) -> i32 {
+    let a = division_position(net, src, dim) as i32;
+    let b = division_position(net, dest, dim) as i32;
+    if !net.wraps(dim) {
+        return b - a;
+    }
+    let k = i32::from(net.radix(dim));
+    let d = (b - a).rem_euclid(k);
+    if d > k / 2 {
+        d - k
+    } else {
+        d
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The division-free coordinates agree with the division formulas on
+    /// every dimension, over random shapes up to the 32-bit node-id space
+    /// and random node ids, the last id included.
+    #[test]
+    fn coordinates_match_the_division_formulas(
+        net in arb_large_network(),
+        raw in (any::<u32>(), any::<u32>(), any::<bool>()),
+    ) {
+        let n = net.num_nodes() as u32;
+        let (src, dest) = (if raw.2 { n - 1 } else { raw.0 % n }, raw.1 % n);
+        for dim in 0..net.dims() {
+            prop_assert_eq!(
+                u32::from(net.position(torus_topology::NodeId(src), dim)),
+                division_position(&net, src, dim),
+                "position of {} in dim {} of {}", src, dim, net
+            );
+            for dir in Direction::BOTH {
+                prop_assert_eq!(
+                    net.neighbor(torus_topology::NodeId(src), dim, dir).map(|nb| nb.0),
+                    division_neighbor(&net, src, dim, dir),
+                    "neighbour of {} in dim {} {:?} of {}", src, dim, dir, net
+                );
+            }
+            prop_assert_eq!(
+                net.offset(torus_topology::NodeId(src), torus_topology::NodeId(dest), dim),
+                division_offset(&net, src, dest, dim),
+                "offset {} -> {} in dim {} of {}", src, dest, dim, net
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
