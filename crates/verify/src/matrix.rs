@@ -183,7 +183,9 @@ pub fn matrix_topologies(kind: MatrixKind) -> Vec<TopologySpec> {
     }
     specs
         .into_iter()
-        .map(|s| TopologySpec::parse(s).expect("matrix topology specs are valid"))
+        .map(|s| {
+            TopologySpec::parse(s).expect("the matrix's topology specs are literals that parse")
+        })
         .collect()
 }
 
@@ -223,11 +225,13 @@ pub fn matrix_routings() -> Vec<(String, AnyRouting)> {
 /// up-links.
 pub fn matrix_fault_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String, FaultSet)> {
     let mut cases = vec![("nf=0".to_string(), FaultSet::new())];
-    if let Some(ft) = net.fat_tree() {
-        push_fat_tree_cases(net, ft, kind, &mut cases);
-        return cases;
-    }
-    let grid = net.grid().expect("direct matrix topologies are grids");
+    let grid = match net {
+        AnyTopology::FatTree(ft) => {
+            push_fat_tree_cases(net, ft, kind, &mut cases);
+            return cases;
+        }
+        AnyTopology::Grid(grid) => grid,
+    };
     let n = grid.num_nodes() as u32;
     let picks: Vec<Vec<u32>> = match kind {
         MatrixKind::Smoke => vec![vec![n / 2]],
@@ -682,7 +686,9 @@ fn enumerate_work(kind: MatrixKind) -> (Vec<AnyTopology>, Vec<WorkItem>) {
     let mut items = Vec::new();
     for spec in matrix_topologies(kind) {
         let topology = spec.to_spec_string();
-        let net = spec.build().expect("matrix topologies build");
+        let net = spec
+            .build()
+            .expect("the matrix's topologies are small literal shapes that build");
         let net_idx = nets.len();
         let fault_cases = matrix_fault_cases(&net, kind);
         let schedule_cases = matrix_schedule_cases(&net, kind);
@@ -804,7 +810,7 @@ fn run_item(nets: &[AnyTopology], item: &WorkItem) -> CaseResult {
                     let last = outcome
                         .epochs
                         .last()
-                        .expect("schedules materialise at least epoch 0");
+                        .expect("verify_schedule reports every epoch of FaultSchedule::epochs, which yields epoch 0 at least");
                     let witness = outcome
                         .epochs
                         .iter()
@@ -914,8 +920,10 @@ pub fn run_matrix(kind: MatrixKind) -> MatrixReport {
 /// the `verify` binary prints it and exits nonzero, demonstrating that the
 /// extractor actually detects deadlock-capable configurations.
 pub fn naive_torus_demo() -> CaseResult {
-    let spec = TopologySpec::parse("torus:8x2").expect("valid spec");
-    let net = spec.build().expect("torus builds");
+    let spec = TopologySpec::parse("torus:8x2").expect("a literal spec that parses");
+    let net = spec
+        .build()
+        .expect("a 64-node torus fits the node-id space");
     let algo = AnyRouting::deterministic(Substrate::DimensionOrder);
     let v = algo.min_virtual_channels(&net);
     let faults = FaultSet::new();
@@ -927,11 +935,11 @@ pub fn naive_torus_demo() -> CaseResult {
         Granularity::PerChannel,
         STATE_BUDGET,
     )
-    .expect("torus walk fits the state budget");
+    .expect("every pair of torus:8x2 fits STATE_BUDGET, as the matrix proves");
     let cycle = cdg
         .graph
         .find_cycle()
-        .expect("the dateline-free torus projection is cyclic");
+        .expect("merging the dateline classes closes every ring of the torus into a cycle");
     CaseResult {
         topology: spec.to_spec_string(),
         routing: "deterministic (VC classes merged)".to_string(),
