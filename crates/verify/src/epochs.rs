@@ -608,20 +608,21 @@ fn resweep_due<A: RoutingAlgorithm>(
 /// to)` order (see the module docs).
 fn union_cdg(resources: usize, records: &[Option<DestinationRecord>]) -> DependencyGraph {
     let endpoints = records.len() as u64;
-    let mut lowest: HashMap<(u32, u32), u64, BuildWordHasher> = HashMap::default();
+    // Keyed by `from << 32 | to`: one word to hash.
+    let mut lowest: HashMap<u64, u64, BuildWordHasher> = HashMap::default();
     for record in records.iter().flatten() {
         let dest = u64::from(record.dest.0);
         for &(from, to, src) in &record.edges {
             let rank = u64::from(src) * endpoints + dest;
             lowest
-                .entry((from, to))
+                .entry(u64::from(from) << 32 | u64::from(to))
                 .and_modify(|lowest| *lowest = (*lowest).min(rank))
                 .or_insert(rank);
         }
     }
     let mut entries: Vec<(u64, u32, u32)> = lowest
         .into_iter()
-        .map(|((from, to), rank)| (rank, from, to))
+        .map(|(edge, rank)| (rank, (edge >> 32) as u32, edge as u32))
         .collect();
     entries.sort_unstable();
     let mut graph = DependencyGraph::new(resources);
@@ -631,14 +632,21 @@ fn union_cdg(resources: usize, records: &[Option<DestinationRecord>]) -> Depende
     graph
 }
 
-/// Every live pair as `(src, dest, record)`, in `(src, dest)` order.
+/// Every live pair as `(src, dest, record)`, in `(src, dest)` order: each
+/// record lists its pairs by ascending source, so one cursor per record
+/// reads them out source by source.
 fn ordered_pairs(records: &[Option<DestinationRecord>]) -> Vec<(NodeId, NodeId, &PairRecord)> {
-    let mut pairs: Vec<_> = records
-        .iter()
-        .flatten()
-        .flat_map(|record| record.pairs.iter().map(|p| (p.src, record.dest, p)))
-        .collect();
-    pairs.sort_unstable_by_key(|&(src, dest, _)| (src, dest));
+    let live: Vec<&DestinationRecord> = records.iter().flatten().collect();
+    let mut cursors = vec![0; live.len()];
+    let mut pairs = Vec::with_capacity(live.iter().map(|r| r.pairs.len()).sum());
+    for src in (0..records.len()).map(|i| NodeId(i as u32)) {
+        for (record, cursor) in live.iter().zip(&mut cursors) {
+            if let Some(pair) = record.pairs.get(*cursor).filter(|p| p.src == src) {
+                pairs.push((src, record.dest, pair));
+                *cursor += 1;
+            }
+        }
+    }
     pairs
 }
 

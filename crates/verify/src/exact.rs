@@ -129,8 +129,12 @@ pub(crate) struct FoldScratch {
     states: Vec<FoldState>,
     work: VecDeque<StateId>,
     requested: Vec<usize>,
-    /// [`dependency_edges`]' emissions, sorted and deduplicated in place
-    /// into the list it lends out.
+    /// [`dependency_edges`]' emissions, in emission order.
+    emitted: Vec<(usize, usize, usize)>,
+    /// Per resource, where its run of emissions starts or ends.
+    ends: Vec<usize>,
+    /// The emissions ordered and deduplicated: the list
+    /// [`dependency_edges`] lends out.
     edges: Vec<(usize, usize, usize)>,
 }
 
@@ -293,8 +297,8 @@ pub(crate) fn dependency_edges<'s>(
     granularity: Granularity,
     scratch: &'s mut FoldScratch,
 ) -> &'s [(usize, usize, usize)] {
-    let mut edges = std::mem::take(&mut scratch.edges);
-    edges.clear();
+    let mut emitted = std::mem::take(&mut scratch.emitted);
+    emitted.clear();
     fold_dependencies(
         net,
         graph,
@@ -304,14 +308,40 @@ pub(crate) fn dependency_edges<'s>(
         scratch,
         |phase, held, requested| {
             if held != requested {
-                edges.push((held, requested, phase));
+                emitted.push((held, requested, phase));
             }
         },
     );
-    // Sorting by the whole triple puts each edge's first start ahead of its
-    // repeats, which `dedup_by_key` then drops.
-    edges.sort_unstable();
+    // A counting sort by `from`, then a stable sort of each `from`'s run by
+    // `to`: the repeats of an edge keep their emission order, in which
+    // phases never decrease, so the first of each run has the lowest phase,
+    // and `dedup_by_key` drops the rest.
+    let resources = resource_count(net, v, granularity);
+    let ends = &mut scratch.ends;
+    ends.clear();
+    ends.resize(resources + 1, 0);
+    for &(from, _, _) in &emitted {
+        ends[from + 1] += 1;
+    }
+    for from in 1..=resources {
+        ends[from] += ends[from - 1];
+    }
+    // `ends[from]` is where `from`'s run starts, and where it ends once
+    // every edge is placed.
+    let mut edges = std::mem::take(&mut scratch.edges);
+    edges.clear();
+    edges.resize(emitted.len(), (0, 0, 0));
+    for &edge in &emitted {
+        edges[ends[edge.0]] = edge;
+        ends[edge.0] += 1;
+    }
+    let mut start = 0;
+    for &end in &ends[..resources] {
+        edges[start..end].sort_by_key(|&(_, to, _)| to);
+        start = end;
+    }
     edges.dedup_by_key(|&mut (from, to, _)| (from, to));
+    scratch.emitted = emitted;
     scratch.edges = edges;
     &scratch.edges
 }
