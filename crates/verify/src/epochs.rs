@@ -539,57 +539,41 @@ struct Tally {
     states: usize,
 }
 
-/// Epoch 0: sweeps every healthy destination into `records`.
-fn sweep_all<A: RoutingAlgorithm>(
-    sweep: &mut DestinationSweep<'_, A>,
-    rule: &DueRule<'_>,
-    records: &mut [Option<DestinationRecord>],
-) -> Result<Tally, StateBudgetExceeded> {
-    let mut tally = Tally::default();
-    for i in 0..sweep.endpoints().len() {
-        let dest = sweep.endpoints()[i];
-        let record = record_destination(sweep, rule, dest)?;
-        tally.rewalked += record.pairs.len();
-        tally.states += record.pairs.iter().map(|p| p.states).sum::<usize>();
-        records[dest.index()] = Some(record);
-    }
-    Ok(tally)
-}
-
-/// A later epoch: drops the destinations that just failed (fault sets only
-/// grow), re-sweeps the destinations due at it and reuses every other
-/// record. Within a re-swept destination, the due pairs count as proved
-/// again and the others as reused.
-fn resweep_due<A: RoutingAlgorithm>(
+/// Brings the records to `rule.epoch`: drops the destinations that failed
+/// (fault sets only grow), sweeps every healthy destination that has no
+/// record yet (all of them at epoch 0) or a pair due now, and reuses every
+/// other record. A swept pair counts as proved again when it had no record
+/// or was due; the other pairs of a swept destination count as reused, as
+/// do all the pairs of a reused record.
+fn advance<A: RoutingAlgorithm>(
     sweep: &mut DestinationSweep<'_, A>,
     rule: &DueRule<'_>,
     faults: &FaultSet,
     records: &mut [Option<DestinationRecord>],
 ) -> Result<Tally, StateBudgetExceeded> {
-    let mut tally = Tally::default();
     for slot in records.iter_mut() {
-        let Some(old) = slot else {
-            continue;
-        };
-        if old.next_sweep != rule.epoch {
+        if slot.as_ref().is_some_and(|r| faults.is_node_faulty(r.dest)) {
+            *slot = None;
+        }
+    }
+    let mut tally = Tally::default();
+    for i in 0..sweep.endpoints().len() {
+        let dest = sweep.endpoints()[i];
+        let slot = &mut records[dest.index()];
+        if let Some(old) = slot.as_ref().filter(|old| old.next_sweep != rule.epoch) {
             tally.reused += old.pairs.len();
             continue;
         }
-        if faults.is_node_faulty(old.dest) {
-            *slot = None;
-            continue;
-        }
-        let fresh = record_destination(sweep, rule, old.dest)?;
+        let fresh = record_destination(sweep, rule, dest)?;
         for pair in &fresh.pairs {
             // A source that is healthy now was healthy at the old sweep.
-            match old.pair(pair.src) {
+            match slot.as_ref().and_then(|old| old.pair(pair.src)) {
                 Some(kept) if kept.next_rewalk != rule.epoch => {
                     debug_assert_eq!(
                         (kept.states, kept.fate(), kept.next_rewalk),
                         (pair.states, pair.fate(), pair.next_rewalk),
-                        "{:?} -> {:?} changed before its due epoch",
+                        "{:?} -> {dest:?} changed before its due epoch",
                         pair.src,
-                        old.dest
                     );
                     tally.reused += 1;
                 }
@@ -788,11 +772,7 @@ pub fn verify_schedule<A: RoutingAlgorithm>(
             next_touch: touches.next_after(ei),
             fails_at: &touches.fails_at,
         };
-        let tally = if ei == 0 {
-            sweep_all(&mut sweep, &rule, &mut records)?
-        } else {
-            resweep_due(&mut sweep, &rule, &epoch.faults, &mut records)?
-        };
+        let tally = advance(&mut sweep, &rule, &epoch.faults, &mut records)?;
         let graph = union_cdg(resources, &records);
         let pairs = ordered_pairs(&records);
         let mut report = epoch_report(net, v, granularity, epoch, &graph, &pairs, tally);
