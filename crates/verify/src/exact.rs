@@ -197,65 +197,72 @@ fn fold_dependencies(
         fold.resize_with(n, FoldState::default);
     }
     work.clear();
-    for (phase, start) in starts.into_iter().enumerate() {
-        if fold[start].processed {
-            continue;
-        }
-        fold[start].queued = true;
-        work.push_back(start);
-        while let Some(s) = work.pop_front() {
-            let first = !fold[s].processed;
-            let (from, to) = (fold[s].pushed, fold[s].held.len());
-            fold[s].queued = false;
-            fold[s].processed = true;
-            fold[s].pushed = to;
-            let node = graph.state(s).node;
-            for &step in graph.steps(s) {
-                let next = step.next();
-                // Whether what the message may hold on arrival in `next` grew.
-                let mut grew = false;
-                match step {
-                    Step::Hop {
-                        dim,
-                        dir,
-                        vcs,
-                        tracked: true,
-                        ..
-                    } => {
-                        requested.clear();
-                        requested.extend(
-                            vcs.range()
-                                .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
-                        );
-                        for i in from..to {
-                            let h = fold[s].held[i];
-                            for &r in requested.iter() {
-                                emit(phase, h, r);
-                            }
-                        }
-                        // After the hop the message holds one of `requested`.
-                        if first {
-                            for &r in requested.iter() {
-                                grew |= insert(&mut fold[next].held, r);
-                            }
+    // Each phase seeds the next start no earlier phase reached and runs
+    // the worklist dry.
+    let mut starts = starts.into_iter().enumerate();
+    let mut phase = 0;
+    loop {
+        let s = match work.pop_front() {
+            Some(s) => s,
+            None => match starts.find(|&(_, start)| !fold[start].processed) {
+                Some((next, start)) => {
+                    phase = next;
+                    start
+                }
+                None => break,
+            },
+        };
+        let first = !fold[s].processed;
+        let (from, to) = (fold[s].pushed, fold[s].held.len());
+        fold[s].queued = false;
+        fold[s].processed = true;
+        fold[s].pushed = to;
+        let node = graph.state(s).node;
+        for &step in graph.steps(s) {
+            let next = step.next();
+            // Whether what the message may hold on arrival in `next` grew.
+            let mut grew = false;
+            match step {
+                Step::Hop {
+                    dim,
+                    dir,
+                    vcs,
+                    tracked: true,
+                    ..
+                } => {
+                    requested.clear();
+                    requested.extend(
+                        vcs.range()
+                            .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
+                    );
+                    for i in from..to {
+                        let h = fold[s].held[i];
+                        for &r in requested.iter() {
+                            emit(phase, h, r);
                         }
                     }
-                    // Adaptive hop: the tracked resources stay held while the
-                    // head advances — Duato's indirect dependencies.
-                    Step::Hop { tracked: false, .. } => {
-                        for i in from..to {
-                            let h = fold[s].held[i];
-                            grew |= insert(&mut fold[next].held, h);
+                    // After the hop the message holds one of `requested`.
+                    if first {
+                        for &r in requested.iter() {
+                            grew |= insert(&mut fold[next].held, r);
                         }
                     }
-                    // Absorption releases every held channel.
-                    Step::Reinject { .. } => {}
                 }
-                let successor = &mut fold[next];
-                if (grew || !successor.processed) && !successor.queued {
-                    successor.queued = true;
-                    work.push_back(next);
+                // Adaptive hop: the tracked resources stay held while the
+                // head advances — Duato's indirect dependencies.
+                Step::Hop { tracked: false, .. } => {
+                    for i in from..to {
+                        let h = fold[s].held[i];
+                        grew |= insert(&mut fold[next].held, h);
+                    }
                 }
+                // Absorption releases every held channel.
+                Step::Reinject { .. } => {}
+            }
+            let successor = &mut fold[next];
+            if (grew || !successor.processed) && !successor.queued {
+                successor.queued = true;
+                work.push_back(next);
             }
         }
     }
