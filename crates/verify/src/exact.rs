@@ -131,8 +131,8 @@ pub(crate) struct FoldScratch {
     requested: Vec<usize>,
     /// [`dependency_edges`]' emissions, in emission order.
     emitted: Vec<(usize, usize, usize)>,
-    /// Per resource, where its run of emissions starts or ends.
-    ends: Vec<usize>,
+    /// Per resource, where [`dependency_edges`] places its next emission.
+    slots: Vec<usize>,
     /// The emissions ordered and deduplicated: the list
     /// [`dependency_edges`] lends out.
     edges: Vec<(usize, usize, usize)>,
@@ -324,28 +324,25 @@ pub(crate) fn dependency_edges<'s>(
     // phases never decrease, so the first of each run has the lowest phase,
     // and `dedup_by_key` drops the rest.
     let resources = resource_count(net, v, granularity);
-    let ends = &mut scratch.ends;
-    ends.clear();
-    ends.resize(resources + 1, 0);
+    // `slots[from]` is where the next edge from `from` goes.
+    let slots = &mut scratch.slots;
+    slots.clear();
+    slots.resize(resources + 1, 0);
     for &(from, _, _) in &emitted {
-        ends[from + 1] += 1;
+        slots[from + 1] += 1;
     }
     for from in 1..=resources {
-        ends[from] += ends[from - 1];
+        slots[from] += slots[from - 1];
     }
-    // `ends[from]` is where `from`'s run starts, and where it ends once
-    // every edge is placed.
     let mut edges = std::mem::take(&mut scratch.edges);
     edges.clear();
     edges.resize(emitted.len(), (0, 0, 0));
     for &edge in &emitted {
-        edges[ends[edge.0]] = edge;
-        ends[edge.0] += 1;
+        edges[slots[edge.0]] = edge;
+        slots[edge.0] += 1;
     }
-    let mut start = 0;
-    for &end in &ends[..resources] {
-        edges[start..end].sort_by_key(|&(_, to, _)| to);
-        start = end;
+    for run in edges.chunk_by_mut(|a, b| a.0 == b.0) {
+        run.sort_by_key(|&(_, to, _)| to);
     }
     edges.dedup_by_key(|&mut (from, to, _)| (from, to));
     scratch.emitted = emitted;
