@@ -17,8 +17,8 @@
 //!   pair, nothing remembered between pairs. [`PairWalker`] is the same walk
 //!   for pair after pair, clearing its intern table between them instead of
 //!   reallocating it and refilling the buffers of the walk its caller hands
-//!   back ([`PairWalker::recycle`]). Both serve as oracles: no proof walks
-//!   pair by pair any more, schedule epochs included.
+//!   back ([`PairWalker::recycle`]). Both serve as oracles; every proof,
+//!   schedule epochs included, runs on [`SharedRelation`].
 //! * [`SharedRelation`] memoises the relation per (destination, fault set),
 //!   and [`SharedRelation::reset`] empties it for the next destination
 //!   without giving up its buffers.
