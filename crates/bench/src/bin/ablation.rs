@@ -16,11 +16,19 @@
 //! `--jobs` fans the ablation variants over N worker threads (default: all
 //! cores); every variant owns its seed, so output is identical for any value.
 
+use std::process::ExitCode;
+use swbft_core::check_routings;
 use swbft_core::prelude::*;
+use torus_bench::Command;
 use torus_topology::TopologySpec;
 
-const USAGE: &str = "usage: ablation [--topology <spec>] \
-                     [--routing det|adaptive|turnmodel|turnmodel-det] [--jobs N|auto]";
+const ABLATION: Command = Command {
+    usage: "usage: ablation [--topology <spec>] \
+            [--routing det|adaptive|turnmodel|turnmodel-det] [--jobs N|auto]",
+    values: &["--topology", "--routing", "--jobs"],
+    switches: &[],
+    operands: 0,
+};
 
 /// Fixed operating point for the ablations: M = 32, five random node faults,
 /// a mid-load traffic rate.
@@ -87,60 +95,22 @@ fn print_section(title: &str, rows: &[Row]) {
     }
 }
 
-fn main() {
-    let mut topology = TopologySpec::torus(8, 2);
-    let mut routings: Vec<RoutingChoice> = RoutingChoice::BOTH.to_vec();
-    let mut jobs = Jobs::Auto;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--topology" => {
-                let value = iter.next().unwrap_or_default();
-                topology = match TopologySpec::parse(&value) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--routing" => {
-                let value = iter.next().unwrap_or_default();
-                routings = match RoutingChoice::parse(&value) {
-                    Ok(r) => vec![r],
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--jobs" => {
-                let value = iter.next().unwrap_or_default();
-                jobs = match Jobs::parse(&value) {
-                    Ok(j) => j,
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // Reject routing/topology mismatches once, up front, instead of printing
-    // one identical error per ablation row.
-    if let Err(e) = torus_bench::validate_topology_routings(&topology, &routings) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    ABLATION.main(|args| {
+        let opts = args.figure_options()?;
+        let topology = opts.topology.unwrap_or_else(|| TopologySpec::torus(8, 2));
+        let routings = opts
+            .routings
+            .unwrap_or_else(|| RoutingChoice::BOTH.to_vec());
+        // Reject routing/topology mismatches once, up front, instead of
+        // printing one identical error per ablation row.
+        check_routings(&topology, &routings)?;
+        run(&topology, &routings, opts.jobs);
+        Ok(())
+    })
+}
 
+fn run(topology: &TopologySpec, routings: &[RoutingChoice], jobs: Jobs) {
     println!(
         "Ablation study — {}, M=32, V=6, nf=5, lambda=0.006, 3,000 measured messages per point",
         topology.label()
@@ -148,9 +118,9 @@ fn main() {
 
     // 1. Flit-buffer depth.
     let mut variants = Vec::new();
-    for &routing in &routings {
+    for &routing in routings {
         for depth in [1usize, 2, 4, 8] {
-            let mut cfg = base(&topology, routing);
+            let mut cfg = base(topology, routing);
             cfg.buffer_depth = depth;
             variants.push((format!("{}, buffer depth {}", routing.label(), depth), cfg));
         }
@@ -162,12 +132,12 @@ fn main() {
     // (the paper fixes it to 0), so these points set it on the simulator
     // configuration.
     let mut variants: Vec<(String, u32, ExperimentConfig)> = Vec::new();
-    for &routing in &routings {
+    for &routing in routings {
         for delta in [0u32, 10, 50, 200] {
             variants.push((
                 format!("{}, reinjection delay {} cycles", routing.label(), delta),
                 delta,
-                base(&topology, routing),
+                base(topology, routing),
             ));
         }
     }
@@ -180,9 +150,9 @@ fn main() {
 
     // 3. Number of virtual channels.
     let mut variants = Vec::new();
-    for &routing in &routings {
+    for &routing in routings {
         for v in [3usize, 4, 6, 10] {
-            let mut cfg = base(&topology, routing);
+            let mut cfg = base(topology, routing);
             cfg.virtual_channels = v;
             variants.push((format!("{}, V={}", routing.label(), v), cfg));
         }

@@ -28,12 +28,17 @@
 
 use std::process::ExitCode;
 use swbft_core::prelude::*;
-use swbft_core::{estimate_saturation_rate, SaturationSearch};
-use torus_routing::RoutingAlgorithm;
-use torus_topology::TopologySpec;
+use swbft_core::{check_routings, estimate_saturation_rate, SaturationSearch};
+use torus_bench::Command;
+use torus_topology::{AnyTopology, TopologySpec};
 
-const USAGE: &str = "usage: saturation [--smoke] [--topology <spec>] \
-                     [--routing det|adaptive|turnmodel|turnmodel-det] [--jobs N|auto]";
+const SATURATION: Command = Command {
+    usage: "usage: saturation [--smoke] [--topology <spec>] \
+            [--routing det|adaptive|turnmodel|turnmodel-det] [--jobs N|auto]",
+    values: &["--topology", "--routing", "--jobs"],
+    switches: &["--smoke"],
+    operands: 0,
+};
 
 struct Grid {
     torus_vs: &'static [usize],
@@ -129,54 +134,26 @@ fn run_table(
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut topology: Option<TopologySpec> = None;
-    let mut routing: Option<RoutingChoice> = None;
-    let mut jobs = Jobs::Auto;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--topology" => {
-                let value = iter.next().unwrap_or_default();
-                match TopologySpec::parse(&value) {
-                    Ok(t) => topology = Some(t),
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--routing" => {
-                let value = iter.next().unwrap_or_default();
-                match RoutingChoice::parse(&value) {
-                    Ok(r) => routing = Some(r),
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" => {
-                let value = iter.next().unwrap_or_default();
-                jobs = match Jobs::parse(&value) {
-                    Ok(j) => j,
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    SATURATION.main(|args| {
+        let opts = args.figure_options()?;
+        let routing = opts.routings.map(|r| r[0]);
+        // A routing the requested shape cannot run is rejected before
+        // anything is printed.
+        let custom = opts
+            .topology
+            .map(|spec| check_routings(&spec, routing.as_slice()).map(|net| (spec, net)))
+            .transpose()?;
+        run(args.switch("--smoke"), custom, routing, opts.jobs);
+        Ok(())
+    })
+}
+
+fn run(
+    smoke: bool,
+    custom: Option<(TopologySpec, AnyTopology)>,
+    routing: Option<RoutingChoice>,
+    jobs: Jobs,
+) {
     let grid = if smoke { &SMOKE } else { &FULL };
     println!(
         "Estimated saturation rate (messages/node/cycle), M=32 flits, {} measured messages per probe{}\n",
@@ -184,23 +161,12 @@ fn main() -> ExitCode {
         if smoke { " (smoke)" } else { "" }
     );
 
-    if let Some(spec) = topology {
+    if let Some((spec, net)) = custom {
         // Custom-topology mode: one table on the requested shape, with either
         // the requested routing or every algorithm the shape supports.
-        let requested: Vec<RoutingChoice> = routing.into_iter().collect();
-        let net = match torus_bench::validate_topology_routings(&spec, &requested) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
         let routings: Vec<RoutingChoice> = match routing {
             Some(r) => vec![r],
-            None => RoutingChoice::ALL
-                .into_iter()
-                .filter(|r| r.algorithm().supported_on(&net).is_ok())
-                .collect(),
+            None => supported(&spec, &RoutingChoice::ALL),
         };
         // Fat-trees have no wraparound channels, so they take the open-shape
         // VC sweep alongside fully-open grids.
@@ -223,18 +189,16 @@ fn main() -> ExitCode {
             grid,
             jobs,
         );
-        return ExitCode::SUCCESS;
+        return;
     }
 
     // Default mode: the paper's torus table plus the mesh turn-model
     // comparison. `--routing` narrows both tables to one algorithm (the
     // torus table is skipped when that algorithm cannot run on a torus).
-    let torus = TopologySpec::torus(8, 2).build().expect("valid topology");
-    let torus_routings: Vec<RoutingChoice> = routing
-        .map_or_else(|| RoutingChoice::BOTH.to_vec(), |r| vec![r])
-        .into_iter()
-        .filter(|r| r.algorithm().supported_on(&torus).is_ok())
-        .collect();
+    let torus_routings = supported(
+        &TopologySpec::torus(8, 2),
+        &routing.map_or_else(|| RoutingChoice::BOTH.to_vec(), |r| vec![r]),
+    );
     let mesh_routings: Vec<RoutingChoice> = routing.map_or_else(
         || vec![RoutingChoice::Adaptive, RoutingChoice::TurnModel],
         |r| vec![r],
@@ -281,5 +245,13 @@ fn main() -> ExitCode {
     println!("full minimal adaptivity at V=2 (one escape + one adaptive channel each); they");
     println!("differ in escape substrate — dimension-ordered e-cube vs the negative-first");
     println!("turn rule — and the turn model additionally restricts its adaptive phase.");
-    ExitCode::SUCCESS
+}
+
+/// The routings among `routings` that can run on `topology`.
+fn supported(topology: &TopologySpec, routings: &[RoutingChoice]) -> Vec<RoutingChoice> {
+    routings
+        .iter()
+        .copied()
+        .filter(|&r| check_routings(topology, &[r]).is_ok())
+        .collect()
 }

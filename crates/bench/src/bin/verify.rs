@@ -31,7 +31,6 @@
 //! routing's minimum; and a schedule that parses but does not fit the
 //! topology), 2 when any case fails verification.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use swbft_core::Jobs;
 use swbft_verify::epochs::{verify_schedule, ScheduleVerifyError};
@@ -39,12 +38,27 @@ use swbft_verify::matrix::{
     matrix_routings, naive_torus_demo, run_matrix_with_options, MatrixKind, STATE_BUDGET,
 };
 use swbft_verify::report::{case_line, render_schedule_text, render_text, to_json};
+use torus_bench::{CliError, Command};
 use torus_faults::FaultSchedule;
 use torus_routing::RoutingAlgorithm;
 use torus_topology::TopologySpec;
 
-const USAGE: &str = "usage: verify [--matrix smoke|full] [--jobs N|auto] [--out <path>] [--naive-demo]\n\
-                     \x20             [--schedule <spec> [--topology T] [--routing R] [--vc N] [--paranoid]]";
+const VERIFY: Command = Command {
+    usage:
+        "usage: verify [--matrix smoke|full] [--jobs N|auto] [--out <path>] [--naive-demo]\n\
+            \x20             [--schedule <spec> [--topology T] [--routing R] [--vc N] [--paranoid]]",
+    values: &[
+        "--matrix",
+        "--jobs",
+        "--out",
+        "--schedule",
+        "--topology",
+        "--routing",
+        "--vc",
+    ],
+    switches: &["--naive-demo", "--paranoid"],
+    operands: 0,
+};
 
 /// Runs the single-schedule verification path (`--schedule`).
 fn run_schedule(
@@ -53,31 +67,22 @@ fn run_schedule(
     routing: &str,
     vc: Option<usize>,
     paranoid: bool,
-) -> ExitCode {
-    let net = match TopologySpec::parse(topology).and_then(|s| s.build().map_err(|e| e.to_string()))
-    {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("bad --topology '{topology}': {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+) -> Result<ExitCode, CliError> {
+    let net = TopologySpec::parse(topology)
+        .and_then(|s| s.build().map_err(|e| e.to_string()))
+        .map_err(|e| CliError::Input(format!("bad --topology '{topology}': {e}")))?;
     let Some((label, algo)) = matrix_routings().into_iter().find(|(l, _)| l == routing) else {
         let known = matrix_routings()
             .into_iter()
             .map(|(l, _)| l)
             .collect::<Vec<_>>()
             .join(", ");
-        eprintln!("unknown --routing '{routing}' (known: {known})");
-        return ExitCode::FAILURE;
+        return Err(CliError::Input(format!(
+            "unknown --routing '{routing}' (known: {known})"
+        )));
     };
-    let schedule = match FaultSchedule::parse(spec) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad --schedule '{spec}': {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let schedule = FaultSchedule::parse(spec)
+        .map_err(|e| CliError::Input(format!("bad --schedule '{spec}': {e}")))?;
     let v = vc.unwrap_or_else(|| algo.min_virtual_channels(&net));
     eprintln!(
         "verifying schedule '{}' on {topology} / {label} (v={v}{}):",
@@ -87,11 +92,11 @@ fn run_schedule(
     match verify_schedule(&net, &algo, &schedule, v, STATE_BUDGET, paranoid) {
         Ok(outcome) => {
             print!("{}", render_schedule_text(&outcome));
-            if outcome.failed() {
+            Ok(if outcome.failed() {
                 ExitCode::from(2)
             } else {
                 ExitCode::SUCCESS
-            }
+            })
         }
         // A configuration the simulator would reject, or a schedule that
         // does not fit the network, is a usage error.
@@ -100,127 +105,62 @@ fn run_schedule(
             | ScheduleVerifyError::TooFewVirtualChannels { .. }
             | ScheduleVerifyError::TooManyVirtualChannels { .. }
             | ScheduleVerifyError::Schedule(_)),
-        ) => {
-            eprintln!("{label} on {topology} (v={v}): {e}");
-            ExitCode::FAILURE
-        }
+        ) => Err(CliError::Input(format!(
+            "{label} on {topology} (v={v}): {e}"
+        ))),
         Err(e) => {
             eprintln!("schedule verification error: {e}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
 
 fn main() -> ExitCode {
-    let mut kind = MatrixKind::Smoke;
-    let mut jobs = 1usize;
-    let mut out_path = PathBuf::from("VERIFY.json");
-    let mut naive_demo = false;
-    let mut schedule: Option<String> = None;
-    let mut topology = "torus:4x2".to_string();
-    let mut routing = "deterministic".to_string();
-    let mut vc: Option<usize> = None;
-    let mut paranoid = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--schedule" => {
-                let Some(spec) = args.next() else {
-                    eprintln!("--schedule needs a spec like '100:node@4,200:link@2:d0+'\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                schedule = Some(spec);
-            }
-            "--topology" => {
-                let Some(t) = args.next() else {
-                    eprintln!("--topology needs a spec like torus:4x2\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                topology = t;
-            }
-            "--routing" => {
-                let Some(r) = args.next() else {
-                    eprintln!("--routing needs a matrix routing label\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                routing = r;
-            }
-            "--vc" => {
-                let parsed = args.next().and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n >= 1) else {
-                    eprintln!("--vc needs a positive integer\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                vc = Some(n);
-            }
-            "--paranoid" => paranoid = true,
-            "--matrix" => {
-                let Some(m) = args.next() else {
-                    eprintln!("--matrix needs a value (smoke|full)\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                kind = match MatrixKind::parse(&m) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--jobs" => {
-                jobs = match Jobs::parse(&args.next().unwrap_or_default()) {
-                    Ok(j) => j.effective(),
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--out" => {
-                let Some(path) = args.next() else {
-                    eprintln!("--out needs a file path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                out_path = PathBuf::from(path);
-            }
-            "--naive-demo" => naive_demo = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+    VERIFY.main(|args| {
+        let kind = args
+            .parse("--matrix", MatrixKind::parse)?
+            .unwrap_or(MatrixKind::Smoke);
+        let jobs = args
+            .parse("--jobs", Jobs::parse)?
+            .map_or(1, Jobs::effective);
+        let vc = args.parse("--vc", |n| {
+            n.parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "--vc needs a positive integer".to_string())
+        })?;
+        if let Some(spec) = args.value("--schedule") {
+            return run_schedule(
+                spec,
+                args.value("--topology").unwrap_or("torus:4x2"),
+                args.value("--routing").unwrap_or("deterministic"),
+                vc,
+                args.switch("--paranoid"),
+            );
         }
-    }
 
-    if let Some(spec) = schedule {
-        return run_schedule(&spec, &topology, &routing, vc, paranoid);
-    }
-
-    if naive_demo {
-        eprintln!("running the known-cyclic negative control (expected to fail):");
-        let case = naive_torus_demo();
-        println!("{}", case_line(&case));
-        println!("  violation: {}", case.detail);
-        for line in &case.witness {
-            println!("  {line}");
+        if args.switch("--naive-demo") {
+            eprintln!("running the known-cyclic negative control (expected to fail):");
+            let case = naive_torus_demo();
+            println!("{}", case_line(&case));
+            println!("  violation: {}", case.detail);
+            for line in &case.witness {
+                println!("  {line}");
+            }
+            return Ok(ExitCode::from(2));
         }
-        return ExitCode::from(2);
-    }
 
-    eprintln!("verifying the {} matrix on {jobs} thread(s):", kind.name());
-    let report = run_matrix_with_options(kind, jobs, |case| eprintln!("  {}", case_line(case)));
-    print!("{}", render_text(&report));
-    if let Err(e) = std::fs::write(&out_path, to_json(&report)) {
-        eprintln!("failed to write {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", out_path.display());
-    if report.violations() > 0 {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    }
+        eprintln!("verifying the {} matrix on {jobs} thread(s):", kind.name());
+        let report = run_matrix_with_options(kind, jobs, |case| eprintln!("  {}", case_line(case)));
+        print!("{}", render_text(&report));
+        let out_path = args.value("--out").unwrap_or("VERIFY.json");
+        std::fs::write(out_path, to_json(&report))
+            .map_err(|e| CliError::Input(format!("failed to write {out_path}: {e}")))?;
+        eprintln!("wrote {out_path}");
+        Ok(if report.violations() > 0 {
+            ExitCode::from(2)
+        } else {
+            ExitCode::SUCCESS
+        })
+    })
 }

@@ -11,288 +11,270 @@
 //!   on another shape or routing algorithm).
 //! * `ablation`, `saturation` and `verify` are the other binaries.
 //!
+//! Every binary, and every example that takes flags, reads its command line
+//! through one [`Command`], so they share one exit-status convention:
+//!
+//! * 0 — success, or `--help` / `-h` (the usage goes to stdout);
+//! * 1 — a usage or input error: an unknown argument, a flag missing its
+//!   value, a value that does not parse, a topology that does not build or
+//!   a routing that cannot run on it, a file that cannot be written (the
+//!   message goes to stderr, followed by the usage for a usage error);
+//! * 2 — only `verify`, when a case fails verification and for its
+//!   `--naive-demo` negative control.
+//!
 //! Performance is measured by the standalone package under `benchmark/`
 //! (see `benchmark/README.md`), not here.
 
-use std::path::PathBuf;
-use swbft_core::{Figure, FigureOptions, Jobs, RoutingChoice, Scale};
+use std::process::{ExitCode, Termination};
+use swbft_core::{FigureError, FigureOptions, Jobs, RoutingChoice, Scale};
 use torus_topology::TopologySpec;
 
-/// Command-line options of the `fig` binary.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FigureCliOptions {
-    /// Measurement scale.
-    pub scale: Scale,
-    /// Optional path to write the figure's CSV rows to.
-    pub csv: Option<PathBuf>,
-    /// Optional topology override (`None` = the figure's paper topology).
-    pub topology: Option<TopologySpec>,
-    /// Optional routing override (`None` = deterministic vs adaptive).
-    pub routing: Option<RoutingChoice>,
-    /// Worker threads for the experiment pool (default: available
-    /// parallelism). Never changes results, only wall clock.
-    pub jobs: Jobs,
+/// A program's command line: its usage text and the arguments it takes.
+#[derive(Debug)]
+pub struct Command {
+    /// Usage text, printed for `--help` and after every usage error.
+    pub usage: &'static str,
+    /// Flags that take the next argument as their value.
+    pub values: &'static [&'static str],
+    /// Flags that take no value.
+    pub switches: &'static [&'static str],
+    /// How many positional arguments (operands) the program takes.
+    pub operands: usize,
 }
 
-impl FigureCliOptions {
-    /// The figure-run options these CLI options describe.
-    pub fn figure_options(&self) -> FigureOptions {
-        let mut opts = FigureOptions::new(self.scale).with_jobs(self.jobs);
-        if let Some(t) = &self.topology {
-            opts = opts.with_topology(t.clone());
-        }
-        if let Some(r) = self.routing {
-            opts = opts.with_routing(r);
-        }
-        opts
-    }
-}
-
-impl Default for FigureCliOptions {
-    fn default() -> Self {
-        FigureCliOptions {
-            scale: Scale::Quick,
-            csv: None,
-            topology: None,
-            routing: None,
-            jobs: Jobs::Auto,
-        }
-    }
-}
-
-/// What a `fig` command line asks for.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FigureCommand {
-    /// Run this figure with these options.
-    Run(Figure, FigureCliOptions),
-    /// `--help`: print [`usage`] and exit successfully.
+/// Why a command line did not run to completion.
+#[derive(Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print the usage on stdout and exit 0.
     Help,
+    /// The arguments do not fit the program: the message and the usage on
+    /// stderr, exit 1.
+    Usage(String),
+    /// The arguments parse but the run cannot go ahead with them (a topology
+    /// that does not build, a routing it cannot run, a file that cannot be
+    /// written): the message on stderr, exit 1.
+    Input(String),
 }
 
-/// Parses the `fig` binary's command-line arguments.
-///
-/// Exactly one positional argument names the figure (`fig3` … `fig7`).
-/// Recognised flags: `--scale smoke|quick|paper` (default `quick`),
-/// `--csv <path>`, `--topology <spec>` (a [`TopologySpec::parse`] string such
-/// as `mesh:8x2`, `hc:6`, `8x8x4o` or `ft:4,2`),
-/// `--routing det|adaptive|turnmodel|turnmodel-det|updown|updown-det` and
-/// `--jobs N|auto`
-/// (worker threads, default all cores; results are identical for any value).
-/// Unknown flags produce an error string listing the usage.
-pub fn parse_figure_args<I: IntoIterator<Item = String>>(args: I) -> Result<FigureCommand, String> {
-    let mut opts = FigureCliOptions::default();
-    let mut figure = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = iter
+impl From<FigureError> for CliError {
+    fn from(e: FigureError) -> Self {
+        CliError::Input(e.to_string())
+    }
+}
+
+/// The arguments a [`Command`] read, in the order they were given.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    operands: Vec<String>,
+}
+
+impl Command {
+    /// Reads `args` (the command line without the program name) in order:
+    /// a declared value flag takes the next argument, `--help` / `-h` asks
+    /// for the usage, and any other argument that starts with `-`, or an
+    /// operand past [`Command::operands`], is unknown.
+    pub fn read<I: IntoIterator<Item = String>>(&self, args: I) -> Result<Args, CliError> {
+        let mut read = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(&flag) = self.values.iter().find(|&&f| f == arg) {
+                let value = args
                     .next()
-                    .ok_or("--scale needs a value (smoke|quick|paper)")?;
-                opts.scale = Scale::parse(&value)?;
+                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+                read.values.push((flag, value));
+            } else if let Some(&flag) = self.switches.iter().find(|&&f| f == arg) {
+                read.switches.push(flag);
+            } else if arg == "--help" || arg == "-h" {
+                return Err(CliError::Help);
+            } else if arg.starts_with('-') || read.operands.len() == self.operands {
+                return Err(CliError::Usage(format!("unknown argument '{arg}'")));
+            } else {
+                read.operands.push(arg);
             }
-            "--csv" => {
-                let value = iter.next().ok_or("--csv needs a file path")?;
-                opts.csv = Some(PathBuf::from(value));
+        }
+        Ok(read)
+    }
+
+    /// Reads the process's arguments, runs `body` on them and turns the
+    /// outcome into the exit status of the crate's convention.
+    pub fn main<T: Termination>(
+        &self,
+        body: impl FnOnce(&Args) -> Result<T, CliError>,
+    ) -> ExitCode {
+        match self
+            .read(std::env::args().skip(1))
+            .and_then(|args| body(&args))
+        {
+            Ok(outcome) => outcome.report(),
+            Err(CliError::Help) => {
+                println!("{}", self.usage);
+                ExitCode::SUCCESS
             }
-            "--topology" => {
-                let value = iter
-                    .next()
-                    .ok_or("--topology needs a spec (e.g. mesh:8x2, hc:6, 8x8x4o, ft:4,2)")?;
-                opts.topology = Some(TopologySpec::parse(&value)?);
+            Err(CliError::Usage(msg)) => {
+                eprintln!("{msg}\n{}", self.usage);
+                ExitCode::FAILURE
             }
-            "--routing" => {
-                let value = iter
-                    .next()
-                    .ok_or("--routing needs a value (det|adaptive|turnmodel|turnmodel-det|updown|updown-det)")?;
-                opts.routing = Some(RoutingChoice::parse(&value)?);
+            Err(CliError::Input(msg)) => {
+                eprintln!("{msg}");
+                ExitCode::FAILURE
             }
-            "--jobs" => {
-                let value = iter
-                    .next()
-                    .ok_or("--jobs needs a value (a positive integer or 'auto')")?;
-                opts.jobs = Jobs::parse(&value)?;
-            }
-            "--help" | "-h" => return Ok(FigureCommand::Help),
-            other => match Figure::from_id(other) {
-                Some(f) if figure.is_none() => figure = Some(f),
-                _ => return Err(format!("unknown argument '{other}'\n{}", usage())),
-            },
         }
     }
-    let figure = figure.ok_or_else(|| format!("missing figure (fig3..fig7)\n{}", usage()))?;
-    Ok(FigureCommand::Run(figure, opts))
 }
 
-/// Usage string of the `fig` binary.
-pub fn usage() -> String {
-    "usage: fig <fig3|fig4|fig5|fig6|fig7> [--scale smoke|quick|paper] [--csv <path>] \
-     [--topology <spec>] \
-     [--routing det|adaptive|turnmodel|turnmodel-det|updown|updown-det] \
-     [--jobs N|auto]\n\
-     topology specs: torus:8x2, mesh:8x2, hypercube:6 (or hc:6), mixed:8,8,4o (or 8x8x4o), \
-     fattree:4,2 (or ft:4,2)\n\
-     --jobs fans the figure's points over N worker threads (default: all \
-     cores); results are bit-identical for any value"
-        .to_string()
-}
-
-/// Builds a topology and verifies every requested routing algorithm can run
-/// on it, producing the error line the CLI binaries print before exiting.
-/// Shared by the non-figure binaries (`ablation`, `saturation`) so the
-/// rejection message stays identical everywhere.
-pub fn validate_topology_routings(
-    topology: &TopologySpec,
-    routings: &[RoutingChoice],
-) -> Result<torus_topology::AnyTopology, String> {
-    use torus_routing::RoutingAlgorithm;
-    let net = topology
-        .build()
-        .map_err(|e| format!("topology error: {e}"))?;
-    for &r in routings {
-        r.algorithm().supported_on(&net).map_err(|e| {
-            format!(
-                "routing '{}' cannot run on {}: {e}",
-                r.label(),
-                topology.label()
-            )
-        })?;
+impl Args {
+    /// The last value given for `flag`, if any.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
     }
-    Ok(net)
-}
 
-/// Runs one figure with the given options and returns the text report
-/// (writing the CSV file if requested). Figure-level errors (bad topology,
-/// routing unsupported on the requested shape) come back as `Err(String)`;
-/// individual failed points are listed inside the report text.
-pub fn run_figure(figure: Figure, opts: &FigureCliOptions) -> Result<String, String> {
-    let result = figure
-        .run_with(&opts.figure_options())
-        .map_err(|e| e.to_string())?;
-    if let Some(path) = &opts.csv {
-        std::fs::write(path, result.to_csv())
-            .map_err(|e| format!("failed to write CSV to {}: {e}", path.display()))?;
+    /// Every value given for `flag` run through `parse`, in order: the last
+    /// one's result, `None` if the flag is absent, or the first error as a
+    /// usage error.
+    pub fn parse<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        let mut last = None;
+        for (_, value) in self.values.iter().filter(|(f, _)| *f == flag) {
+            last = Some(parse(value).map_err(CliError::Usage)?);
+        }
+        Ok(last)
     }
-    Ok(result.render_text())
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// The positional arguments, in order.
+    pub fn operands(&self) -> &[String] {
+        &self.operands
+    }
+
+    /// The figure options the shared flags describe: `--scale`,
+    /// `--topology`, `--routing` and `--jobs` override
+    /// `FigureOptions::new(Scale::Quick)`.
+    pub fn figure_options(&self) -> Result<FigureOptions, CliError> {
+        let scale = self.parse("--scale", Scale::parse)?.unwrap_or(Scale::Quick);
+        let mut opts = FigureOptions::new(scale);
+        opts.topology = self.parse("--topology", TopologySpec::parse)?;
+        if let Some(routing) = self.parse("--routing", RoutingChoice::parse)? {
+            opts = opts.with_routing(routing);
+        }
+        if let Some(jobs) = self.parse("--jobs", Jobs::parse)? {
+            opts = opts.with_jobs(jobs);
+        }
+        Ok(opts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
+    const FIG_LIKE: Command = Command {
+        usage: "usage: test",
+        values: &["--scale", "--csv", "--topology", "--routing", "--jobs"],
+        switches: &["--smoke"],
+        operands: 1,
+    };
+
+    fn read(list: &[&str]) -> Result<Args, CliError> {
+        FIG_LIKE.read(list.iter().map(ToString::to_string))
     }
 
-    /// Parses `fig3` followed by `flags` and returns the options.
-    fn parse_fig3(flags: &[&str]) -> Result<FigureCliOptions, String> {
-        let mut list = vec!["fig3"];
-        list.extend_from_slice(flags);
-        match parse_figure_args(args(&list))? {
-            FigureCommand::Run(Figure::Fig3, opts) => Ok(opts),
-            other => panic!("expected a fig3 run, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn figure_is_the_one_positional_argument() {
-        for figure in Figure::ALL {
-            assert_eq!(
-                parse_figure_args(args(&["--jobs", "2", figure.id()])),
-                Ok(FigureCommand::Run(
-                    figure,
-                    FigureCliOptions {
-                        jobs: Jobs::count(2),
-                        ..FigureCliOptions::default()
-                    }
-                ))
-            );
-        }
-        assert!(parse_figure_args(args(&[])).is_err(), "figure is required");
-        assert!(parse_figure_args(args(&["fig3", "fig4"])).is_err());
-        assert!(parse_figure_args(args(&["fig8"])).is_err());
+    fn options(list: &[&str]) -> Result<FigureOptions, CliError> {
+        read(list)?.figure_options()
     }
 
     #[test]
-    fn help_is_a_command_not_an_error() {
-        for argv in [&["--help"][..], &["fig3", "-h"]] {
-            assert_eq!(parse_figure_args(args(argv)), Ok(FigureCommand::Help));
-        }
+    fn defaults_are_the_paper_figure() {
+        assert_eq!(options(&[]), Ok(FigureOptions::new(Scale::Quick)));
     }
 
     #[test]
-    fn default_options() {
-        let o = parse_fig3(&[]).unwrap();
-        assert_eq!(o.scale, Scale::Quick);
-        assert!(o.csv.is_none());
-        assert!(o.topology.is_none());
-        assert!(o.routing.is_none());
-        assert_eq!(o.figure_options(), FigureOptions::new(Scale::Quick));
-    }
-
-    #[test]
-    fn parses_scale_and_csv() {
-        let o = parse_fig3(&["--scale", "paper", "--csv", "/tmp/out.csv"]).unwrap();
+    fn shared_flags_parse_into_figure_options() {
+        let o = options(&["--scale", "paper", "--jobs", "4"]).unwrap();
         assert_eq!(o.scale, Scale::Paper);
-        assert_eq!(o.csv, Some(PathBuf::from("/tmp/out.csv")));
-        let o = parse_fig3(&["--scale", "smoke"]).unwrap();
-        assert_eq!(o.scale, Scale::Smoke);
-    }
-
-    #[test]
-    fn parses_topology_and_routing() {
-        let o = parse_fig3(&["--topology", "mesh:8x2", "--routing", "turnmodel-det"]).unwrap();
+        assert_eq!(o.jobs, Jobs::count(4));
+        let o = options(&["--topology", "mesh:8x2", "--routing", "turnmodel-det"]).unwrap();
         assert_eq!(o.topology, Some(TopologySpec::mesh(8, 2)));
-        assert_eq!(o.routing, Some(RoutingChoice::TurnModelDeterministic));
-        let fo = o.figure_options();
-        assert_eq!(fo.topology, Some(TopologySpec::mesh(8, 2)));
         assert_eq!(
-            fo.routings,
+            o.routings,
             Some(vec![RoutingChoice::TurnModelDeterministic])
         );
-        // The CLI shorthands go straight through the spec parser.
-        let o = parse_fig3(&["--topology", "hc:6"]).unwrap();
-        assert_eq!(o.topology, Some(TopologySpec::hypercube(6)));
-        let o = parse_fig3(&["--topology", "8x8x4o"]).unwrap();
+        // The shorthands go straight through the spec parser.
+        let o = options(&["--topology", "8x8x4o"]).unwrap();
         assert_eq!(
             o.topology,
             Some(TopologySpec::mixed(vec![8, 8, 4], vec![true, true, false]))
         );
+        assert_eq!(options(&["--jobs", "auto"]).unwrap().jobs, Jobs::Auto);
     }
 
     #[test]
-    fn parses_jobs() {
-        let o = parse_fig3(&["--jobs", "4"]).unwrap();
-        assert_eq!(o.jobs, Jobs::count(4));
-        assert_eq!(o.figure_options().jobs, Jobs::count(4));
-        let o = parse_fig3(&["--jobs", "auto"]).unwrap();
-        assert_eq!(o.jobs, Jobs::Auto);
-        assert!(parse_fig3(&["--jobs", "0"]).is_err());
-        assert!(parse_fig3(&["--jobs", "lots"]).is_err());
-        assert!(parse_fig3(&["--jobs"]).is_err());
+    fn the_last_value_wins_but_every_value_must_parse() {
+        let o = options(&["--scale", "paper", "--scale", "smoke"]).unwrap();
+        assert_eq!(o.scale, Scale::Smoke);
+        assert!(options(&["--jobs", "0", "--jobs", "2"]).is_err());
+        let args = read(&["--csv", "a.csv", "--csv", "b.csv"]).unwrap();
+        assert_eq!(args.value("--csv"), Some("b.csv"));
+        assert_eq!(args.value("--topology"), None);
     }
 
     #[test]
-    fn rejects_unknown_arguments() {
-        assert!(parse_fig3(&["--bogus"]).is_err());
-        assert!(parse_fig3(&["--scale", "huge"]).is_err());
-        assert!(parse_fig3(&["--scale"]).is_err());
-        assert!(parse_fig3(&["--topology", "ring:9"]).is_err());
-        assert!(parse_fig3(&["--topology"]).is_err());
-        assert!(parse_fig3(&["--routing", "magic"]).is_err());
-        assert!(parse_fig3(&["--routing"]).is_err());
+    fn operands_and_switches_are_kept_in_order() {
+        let args = read(&["--smoke", "fig3", "--jobs", "2"]).unwrap();
+        assert!(args.switch("--smoke"));
+        assert_eq!(args.operands(), ["fig3"]);
+        assert!(!read(&[]).unwrap().switch("--smoke"));
     }
 
     #[test]
-    fn figure_level_errors_are_strings_not_panics() {
-        // Turn-model routing on the default torus topology: rejected with a
-        // readable message before any simulation runs.
-        let o = FigureCliOptions {
-            scale: Scale::Smoke,
-            routing: Some(RoutingChoice::TurnModel),
-            ..FigureCliOptions::default()
-        };
-        let err = run_figure(Figure::Fig3, &o).unwrap_err();
-        assert!(err.contains("turn-model"), "{err}");
+    fn help_is_read_in_order() {
+        assert_eq!(read(&["--help"]), Err(CliError::Help));
+        assert_eq!(read(&["fig3", "-h"]), Err(CliError::Help));
+        // An unknown argument before it is the error; a value flag takes it
+        // as its value.
+        assert!(matches!(
+            read(&["--bogus", "--help"]),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            options(&["--scale", "--help"]),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn usage_errors() {
+        for argv in [
+            &["--bogus"][..],
+            &["-x"],
+            &["fig3", "fig4"],
+            &["--scale"],
+            &["--topology"],
+            &["--routing"],
+            &["--jobs"],
+        ] {
+            assert!(matches!(read(argv), Err(CliError::Usage(_))), "{argv:?}");
+        }
+        for argv in [
+            &["--scale", "huge"][..],
+            &["--topology", "ring:9"],
+            &["--routing", "magic"],
+            &["--jobs", "0"],
+            &["--jobs", "lots"],
+        ] {
+            assert!(matches!(options(argv), Err(CliError::Usage(_))), "{argv:?}");
+        }
     }
 }

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use torus_faults::{FaultRegion, FaultScenario, RegionShape};
 use torus_routing::RoutingAlgorithm;
-use torus_topology::{Network, TopologySpec};
+use torus_topology::{AnyTopology, Network, TopologySpec};
 
 /// Measurement scale of a figure run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,6 +224,26 @@ impl fmt::Display for FigureError {
 
 impl std::error::Error for FigureError {}
 
+/// Builds `topology` and checks that every one of `routings` can run on it:
+/// the check [`Figure::run_with`] makes before it simulates anything, for
+/// every caller that takes a topology and a routing from its user.
+pub fn check_routings(
+    topology: &TopologySpec,
+    routings: &[RoutingChoice],
+) -> Result<AnyTopology, FigureError> {
+    let net = topology.build().map_err(FigureError::Topology)?;
+    for &routing in routings {
+        routing.algorithm().supported_on(&net).map_err(|error| {
+            FigureError::UnsupportedRouting {
+                routing,
+                topology: topology.clone(),
+                error,
+            }
+        })?;
+    }
+    Ok(net)
+}
+
 /// The figures of the paper's evaluation section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Figure {
@@ -344,24 +364,15 @@ impl Figure {
             .topology
             .clone()
             .unwrap_or_else(|| self.default_topology());
-        let net = topology.build().map_err(FigureError::Topology)?;
         let routings = opts
             .routings
             .clone()
             .unwrap_or_else(|| RoutingChoice::BOTH.to_vec());
-        if routings.is_empty() {
-            return Err(FigureError::NoRoutings);
-        }
         // Reject routing/topology mismatches up front with one typed error
         // instead of one identical failure per point.
-        for &routing in &routings {
-            routing.algorithm().supported_on(&net).map_err(|error| {
-                FigureError::UnsupportedRouting {
-                    routing,
-                    topology: topology.clone(),
-                    error,
-                }
-            })?;
+        let net = check_routings(&topology, &routings)?;
+        if routings.is_empty() {
+            return Err(FigureError::NoRoutings);
         }
         Ok(match self {
             Figure::Fig3 => latency_figure(

@@ -54,16 +54,6 @@ impl ThroughputMeter {
         self.delivered_messages
     }
 
-    /// Flits delivered during the window.
-    pub fn delivered_flits(&self) -> u64 {
-        self.delivered_flits
-    }
-
-    /// Messages offered (generated) during the window.
-    pub fn offered_messages(&self) -> u64 {
-        self.offered_messages
-    }
-
     /// Length of the measurement window in cycles, up to `now`.
     pub fn window_cycles(&self, now: u64) -> u64 {
         self.window_start.map_or(0, |s| now.saturating_sub(s))
@@ -113,7 +103,6 @@ mod tests {
         }
         // 100 messages over 1000 cycles and 64 nodes
         assert_eq!(m.delivered_messages(), 100);
-        assert_eq!(m.delivered_flits(), 3200);
         let thr = m.message_throughput(64, 2000);
         assert!((thr - 100.0 / (1000.0 * 64.0)).abs() < 1e-12);
         let fthr = m.flit_throughput(64, 2000);

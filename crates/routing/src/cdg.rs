@@ -23,10 +23,8 @@
 //! channel.
 
 use crate::ecube::{ecube_output, ecube_vc_class};
-use crate::hash::BuildWordHasher;
 use crate::header::{RouteHeader, RoutingFlavor};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use torus_topology::{
     AnyTopology, ChannelId, DirectedChannel, Direction, Network, NodeId, VcClass,
 };
@@ -37,12 +35,10 @@ pub struct DependencyGraph {
     /// Number of resource vertices.
     num_vertices: usize,
     /// Adjacency list: `edges[a]` holds every `b` such that a message can hold
-    /// resource `a` while requesting resource `b`, in insertion order (which
-    /// fixes the cycle [`DependencyGraph::find_cycle`] reports).
+    /// resource `a` while requesting resource `b`, once each, in first-insertion
+    /// order (which fixes the cycle [`DependencyGraph::find_cycle`] reports).
     edges: Vec<Vec<usize>>,
     num_edges: usize,
-    /// Dedup set so repeated [`DependencyGraph::add_edge`] calls are idempotent.
-    seen: HashSet<(usize, usize), BuildWordHasher>,
 }
 
 impl DependencyGraph {
@@ -52,14 +48,13 @@ impl DependencyGraph {
             num_vertices,
             edges: vec![Vec::new(); num_vertices],
             num_edges: 0,
-            seen: HashSet::default(),
         }
     }
 
     /// Records the dependency `from -> to`. Duplicate edges and self-loops
     /// (a worm re-requesting the resource it already holds) are ignored.
     pub fn add_edge(&mut self, from: usize, to: usize) {
-        if from != to && self.seen.insert((from, to)) {
+        if from != to && !self.edges[from].contains(&to) {
             self.edges[from].push(to);
             self.num_edges += 1;
         }
@@ -77,7 +72,9 @@ impl DependencyGraph {
 
     /// Whether the dependency `from -> to` has been recorded.
     pub fn has_edge(&self, from: usize, to: usize) -> bool {
-        self.seen.contains(&(from, to))
+        self.edges
+            .get(from)
+            .is_some_and(|succs| succs.contains(&to))
     }
 
     /// Iterates over every recorded `(from, to)` dependency edge.
@@ -293,6 +290,7 @@ pub fn build_turn_cdg(net: &AnyTopology, rule: Option<TurnRule>) -> DependencyGr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn ecube_with_dateline_classes_is_acyclic() {

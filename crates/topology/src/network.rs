@@ -367,18 +367,10 @@ impl Network {
         d
     }
 
-    /// Per-dimension minimal offsets from `src` to `dest`.
-    pub fn offsets(&self, src: NodeId, dest: NodeId) -> Vec<i32> {
-        (0..self.dims())
-            .map(|d| self.offset(src, dest, d))
-            .collect()
-    }
-
     /// Minimal hop distance between two nodes.
     pub fn distance(&self, src: NodeId, dest: NodeId) -> u32 {
-        self.offsets(src, dest)
-            .iter()
-            .map(|o| o.unsigned_abs())
+        (0..self.dims())
+            .map(|d| self.offset(src, dest, d).unsigned_abs())
             .sum()
     }
 

@@ -11,11 +11,10 @@
 //!   absorb/reroute/re-inject loop under a fault set. A state graph is flat:
 //!   states in one vector, every state's `Copy` transitions a span of one
 //!   step arena. Two walkers: `walk_pair` for one (source, destination) pair
-//!   from scratch (`PairWalker` is the same walk for pair after pair, reusing
-//!   its intern table and the buffers of each walk handed back to it), and
-//!   `SharedRelation`, which memoises the relation per destination (no
-//!   routing function reads the header's source) and serves each pair as a
-//!   breadth-first *view* that numbers states exactly as `walk_pair` does;
+//!   from scratch, and `SharedRelation`, which memoises the relation per
+//!   destination (no routing function reads the header's source) and serves
+//!   each pair as a breadth-first *view* that numbers states exactly as
+//!   `walk_pair` does;
 //! * [`exact`] — folds state graphs into an exact per-VC channel dependency
 //!   graph (escape-layer resources only for adaptive algorithms, with
 //!   Duato-style indirect dependencies), whose acyclicity proves deadlock

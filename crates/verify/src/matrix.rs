@@ -899,19 +899,9 @@ pub fn run_matrix_with_options(
     }
 }
 
-/// Runs the whole matrix single-threaded, calling `progress` with a short
-/// line per case as it completes (pass a closure that prints, or one that
-/// ignores).
-pub fn run_matrix_with_progress(
-    kind: MatrixKind,
-    progress: impl FnMut(&CaseResult),
-) -> MatrixReport {
-    run_matrix_with_options(kind, 1, progress)
-}
-
-/// Runs the whole matrix without progress output.
+/// Runs the whole matrix single-threaded without progress output.
 pub fn run_matrix(kind: MatrixKind) -> MatrixReport {
-    run_matrix_with_progress(kind, |_| {})
+    run_matrix_with_options(kind, 1, |_| {})
 }
 
 /// The known-cyclic negative control: dimension-order routing on a torus

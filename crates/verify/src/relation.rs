@@ -14,11 +14,8 @@
 //!
 //! * [`walk_pair`] walks one (source, destination) pair from scratch. It is
 //!   the slow, obviously-correct oracle: one `route()` call per state of the
-//!   pair, nothing remembered between pairs. [`PairWalker`] is the same walk
-//!   for pair after pair, clearing its intern table between them instead of
-//!   reallocating it and refilling the buffers of the walk its caller hands
-//!   back ([`PairWalker::recycle`]). Both serve as oracles; every proof,
-//!   schedule epochs included, runs on [`SharedRelation`].
+//!   pair, nothing remembered between pairs. It serves as the oracle; every
+//!   proof, schedule epochs included, runs on [`SharedRelation`].
 //! * [`SharedRelation`] memoises the relation per (destination, fault set),
 //!   and [`SharedRelation::reset`] empties it for the next destination
 //!   without giving up its buffers.
@@ -428,58 +425,22 @@ pub fn walk_pair<A: RoutingAlgorithm>(
     dest: NodeId,
     state_budget: usize,
 ) -> Result<RelationWalk, StateBudgetExceeded> {
-    PairWalker::new(net, algo, faults, v).walk(src, dest, state_budget)
-}
-
-/// [`walk_pair`] for many pairs in a row under one fault set: the intern
-/// table is cleared, not reallocated, between walks, and a walk handed back
-/// through [`PairWalker::recycle`] lends its buffers to the next. Each walk
-/// starts from an empty table, so it returns exactly what a fresh
-/// [`walk_pair`] call returns. Its owner is the caller's pair loop.
-pub struct PairWalker<'a, A> {
-    walker: Walker<'a, A>,
-}
-
-impl<'a, A: RoutingAlgorithm> PairWalker<'a, A> {
-    /// A walker of `algo`'s relation on `net` under `faults` with `v`
-    /// virtual channels per physical channel.
-    pub fn new(net: &'a AnyTopology, algo: &'a A, faults: &'a FaultSet, v: usize) -> Self {
-        PairWalker {
-            walker: Walker::new(net, algo, faults, v, project_counters),
+    let mut walker = Walker::new(net, algo, faults, v, project_counters);
+    let start = walker.intern(src, algo.make_header(net, src, dest));
+    let mut cursor = 0;
+    while cursor < walker.graph.len() {
+        if walker.graph.len() > state_budget {
+            return Err(StateBudgetExceeded {
+                limit: state_budget,
+            });
         }
+        walker.expand(cursor);
+        cursor += 1;
     }
-
-    /// Walks the pair `(src, dest)`: what [`walk_pair`] returns for it.
-    pub fn walk(
-        &mut self,
-        src: NodeId,
-        dest: NodeId,
-        state_budget: usize,
-    ) -> Result<RelationWalk, StateBudgetExceeded> {
-        let walker = &mut self.walker;
-        walker.clear();
-        let start = walker.intern(src, walker.algo.make_header(walker.net, src, dest));
-        let mut cursor = 0;
-        while cursor < walker.graph.len() {
-            if walker.graph.len() > state_budget {
-                return Err(StateBudgetExceeded {
-                    limit: state_budget,
-                });
-            }
-            walker.expand(cursor);
-            cursor += 1;
-        }
-        Ok(RelationWalk {
-            graph: std::mem::take(&mut walker.graph),
-            start,
-        })
-    }
-
-    /// Takes back a walk this walker returned, so the next walk fills its
-    /// buffers instead of allocating new ones.
-    pub fn recycle(&mut self, walk: RelationWalk) {
-        self.walker.graph = walk.graph;
-    }
+    Ok(RelationWalk {
+        graph: walker.graph,
+        start,
+    })
 }
 
 /// What one ordered pair's view of a [`SharedRelation`] found.

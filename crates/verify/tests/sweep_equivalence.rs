@@ -14,7 +14,7 @@ use swbft_verify::matrix::{
     matrix_fault_cases, matrix_routings, matrix_topologies, MatrixKind, STATE_BUDGET,
 };
 use swbft_verify::reach::{record_pair, PairVerdict, ReachReport};
-use swbft_verify::relation::{PairWalker, RelationWalk, SharedRelation, StateBudgetExceeded};
+use swbft_verify::relation::{RelationWalk, SharedRelation, StateBudgetExceeded};
 use swbft_verify::sweep::sweep_case;
 use swbft_verify::walk_pair;
 use torus_faults::FaultSet;
@@ -220,57 +220,6 @@ fn sweep_equals_the_per_pair_oracle_on_every_static_smoke_case() {
         }
     }
     assert!(cases >= 40, "the smoke matrix has {cases} static cases");
-}
-
-/// A `PairWalker` walks pair after pair, its intern table cleared, not
-/// reallocated, between walks, and gets every walk's buffers back to
-/// refill. Nothing may leak from one walk into
-/// the next, whichever order the pairs come in. A state
-/// key holds the pair's source and destination, so stale entries could only
-/// surface when a pair comes round again: one walker walks every pair
-/// forward, then every pair again in reverse.
-#[test]
-fn a_reused_pair_walker_walks_every_pair_like_a_fresh_walk() {
-    let n = net("torus:4x2");
-    let mut walks = 0;
-    let mut reinjecting = 0;
-    for (fault_label, faults) in matrix_fault_cases(&n, MatrixKind::Smoke) {
-        if faults.num_faulty_nodes() + faults.num_faulty_links() == 0 {
-            continue;
-        }
-        let endpoints = healthy_endpoints(&n, &faults);
-        let pairs: Vec<(NodeId, NodeId)> = endpoints
-            .iter()
-            .flat_map(|&src| {
-                endpoints
-                    .iter()
-                    .filter(move |&&dest| dest != src)
-                    .map(move |&dest| (src, dest))
-            })
-            .collect();
-        for algo in [
-            AnyRouting::deterministic(Substrate::DimensionOrder),
-            AnyRouting::adaptive(Substrate::DimensionOrder),
-        ] {
-            let v = algo.min_virtual_channels(&n);
-            let mut walker = PairWalker::new(&n, &algo, &faults, v);
-            for order in [pairs.clone(), pairs.iter().rev().copied().collect()] {
-                for (src, dest) in order {
-                    let label =
-                        format!("torus:4x2/{}/{fault_label} {src:?}->{dest:?}", algo.name());
-                    let reused = walker.walk(src, dest, STATE_BUDGET).expect("fits");
-                    let fresh =
-                        walk_pair(&n, &algo, &faults, v, src, dest, STATE_BUDGET).expect("fits");
-                    assert_same_walk(&label, &reused, &fresh);
-                    walker.recycle(reused);
-                    walks += 1;
-                    reinjecting += usize::from(fresh.reinjects());
-                }
-            }
-        }
-    }
-    assert!(walks > 500, "{walks} walks");
-    assert!(reinjecting > 0, "the faulted cases re-inject somewhere");
 }
 
 #[test]

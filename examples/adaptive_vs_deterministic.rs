@@ -14,19 +14,8 @@
 //! cargo run --release --example adaptive_vs_deterministic
 //! ```
 
+use swbft::core::check_routings;
 use swbft::prelude::*;
-use swbft::routing::RoutingAlgorithm;
-
-/// Every routing choice the shape accepts, in `RoutingChoice::ALL` order —
-/// the up*/down* columns only appear when the topology is a fat-tree.
-fn supported_routings(topology: &TopologySpec) -> Vec<RoutingChoice> {
-    let net = topology.build().expect("valid topology");
-    RoutingChoice::ALL
-        .iter()
-        .copied()
-        .filter(|r| r.algorithm().supported_on(&net).is_ok())
-        .collect()
-}
 
 fn run_row(topology: TopologySpec, routings: &[RoutingChoice], nf: usize, rate: f64) -> String {
     let mut row = format!("{nf:>4} |");
@@ -75,14 +64,17 @@ fn main() {
     }
 
     let mesh_rate = 0.004; // meshes saturate earlier: no wrap-around shortcuts
-    let mesh_routings = supported_routings(&TopologySpec::mesh(8, 2));
+    let mesh = TopologySpec::mesh(8, 2);
+    // Every routing the mesh accepts, in `RoutingChoice::ALL` order: the
+    // up*/down* columns only appear on a fat-tree.
+    let mesh_routings: Vec<RoutingChoice> = RoutingChoice::ALL
+        .into_iter()
+        .filter(|&r| check_routings(&mesh, &[r]).is_ok())
+        .collect();
     println!("\n8-ary 2-mesh, M=32, V=6, lambda={mesh_rate} messages/node/cycle, 4,000 measured messages per point\n");
     header(&mesh_routings);
     for &nf in &fault_counts {
-        println!(
-            "{}",
-            run_row(TopologySpec::mesh(8, 2), &mesh_routings, nf, mesh_rate)
-        );
+        println!("{}", run_row(mesh.clone(), &mesh_routings, nf, mesh_rate));
     }
 
     println!();

@@ -27,49 +27,34 @@
 //!     [-- --topology 8x8x4o] [-- --routing turnmodel]
 //! ```
 
-use swbft::core::{estimate_saturation_rate, SaturationSearch};
+use std::process::ExitCode;
+use swbft::core::{check_routings, estimate_saturation_rate, FigureError, SaturationSearch};
 use swbft::prelude::*;
-use swbft::routing::RoutingAlgorithm;
 use swbft::topology::TopologySpec;
+use torus_bench::Command;
 
-fn main() {
-    let mut routing = RoutingChoice::Adaptive;
-    let mut custom: Option<TopologySpec> = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--topology" => match TopologySpec::parse(&iter.next().unwrap_or_default()) {
-                Ok(t) => custom = Some(t),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            "--routing" => match RoutingChoice::parse(&iter.next().unwrap_or_default()) {
-                Ok(r) => routing = r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: dimensionality_sweep [--topology <spec>] [--routing <choice>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+const SWEEP: Command = Command {
+    usage: "usage: dimensionality_sweep [--topology <spec>] [--routing <choice>]",
+    values: &["--topology", "--routing"],
+    switches: &[],
+    operands: 0,
+};
 
+fn main() -> ExitCode {
+    SWEEP.main(|args| {
+        let opts = args.figure_options()?;
+        let routing = opts.routings.map_or(RoutingChoice::Adaptive, |r| r[0]);
+        sweep(routing, opts.topology);
+        Ok(())
+    })
+}
+
+fn sweep(routing: RoutingChoice, custom: Option<TopologySpec>) {
     // ---- axis 1: dimensionality (tori of comparable size) ----
     // Skipped when the chosen routing cannot run on tori (the turn models).
     let networks: [(u16, u32); 3] = [(8, 2), (4, 3), (4, 4)];
     let rate = 0.004;
-    let torus_capable = routing
-        .algorithm()
-        .supported_on(&TopologySpec::torus(8, 2).build().expect("valid topology"))
-        .is_ok();
-    if torus_capable {
+    if check_routings(&TopologySpec::torus(8, 2), &[routing]).is_ok() {
         println!(
             "Software-Based {} routing, M=32, V=6, lambda={rate}, 3 random node faults\n",
             routing.label()
@@ -134,21 +119,22 @@ fn main() {
         ..SaturationSearch::default()
     };
     for spec in specs {
-        let net = match spec.build() {
+        let net = match check_routings(&spec, &[routing]) {
             Ok(n) => n,
-            Err(e) => {
+            Err(FigureError::UnsupportedRouting { error, .. }) => {
+                println!(
+                    "{:>16} routing '{}' rejected: {error}",
+                    spec.label(),
+                    routing.label()
+                );
+                continue;
+            }
+            Err(FigureError::Topology(e)) => {
                 println!("{:>16} error: {e}", spec.label());
                 continue;
             }
+            Err(e) => unreachable!("check_routings only builds and checks routings: {e}"),
         };
-        if let Err(e) = routing.algorithm().supported_on(&net) {
-            println!(
-                "{:>16} routing '{}' rejected: {e}",
-                spec.label(),
-                routing.label()
-            );
-            continue;
-        }
         let Some(grid) = net.grid() else {
             println!("{:>16} fault regions are grid-only; skipped", spec.label());
             continue;

@@ -9,40 +9,30 @@
 //!     [-- --topology mesh:8x2] [-- --routing turnmodel]
 //! ```
 
+use std::process::ExitCode;
+use swbft::core::check_routings;
 use swbft::faults::{classify_region, RegionClass, RegionShape};
 use swbft::prelude::*;
-use swbft::routing::RoutingAlgorithm;
 use swbft::topology::TopologySpec;
+use torus_bench::{CliError, Command};
 
-fn main() {
-    let mut topology = TopologySpec::torus(8, 2);
-    let mut routing = RoutingChoice::Deterministic;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--topology" => match TopologySpec::parse(&iter.next().unwrap_or_default()) {
-                Ok(t) => topology = t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            "--routing" => match RoutingChoice::parse(&iter.next().unwrap_or_default()) {
-                Ok(r) => routing = r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: fault_regions [--topology <spec>] [--routing <choice>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+const REGIONS: Command = Command {
+    usage: "usage: fault_regions [--topology <spec>] [--routing <choice>]",
+    values: &["--topology", "--routing"],
+    switches: &[],
+    operands: 0,
+};
 
+fn main() -> ExitCode {
+    REGIONS.main(|args| {
+        let opts = args.figure_options()?;
+        let topology = opts.topology.unwrap_or_else(|| TopologySpec::torus(8, 2));
+        let routing = opts.routings.map_or(RoutingChoice::Deterministic, |r| r[0]);
+        compare(&topology, routing)
+    })
+}
+
+fn compare(topology: &TopologySpec, routing: RoutingChoice) -> Result<(), CliError> {
     println!("Fault-region shapes used in the paper (Fig. 1 / Fig. 5):\n");
     let shapes: Vec<(RegionShape, &str)> = vec![
         (RegionShape::Bar { length: 5 }, "| (bar)"),
@@ -72,28 +62,14 @@ fn main() {
         println!();
     }
 
-    let net = match topology.build() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("topology error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = routing.algorithm().supported_on(&net) {
-        eprintln!(
-            "routing '{}' cannot run on {}: {e}",
-            routing.label(),
-            topology.label()
-        );
-        std::process::exit(2);
-    }
+    let net = check_routings(topology, &[routing])?;
     let Some(grid) = net.grid() else {
         println!(
             "fault regions are defined by grid coordinates; {} has none, \
              so the region comparison is skipped",
             topology.label()
         );
-        return;
+        return Ok(());
     };
 
     // Latency comparison: convex vs concave region of similar size, identical
@@ -162,4 +138,5 @@ fn main() {
             Err(e) => println!("  {label:<30} error: {e}"),
         }
     }
+    Ok(())
 }

@@ -2,7 +2,9 @@
 //! `--topology`, `--schedule`, `--routing`, `--jobs`, `--scale` or
 //! `--matrix` comes back as `Ok` or `Err`. Topologies that parse are also
 //! built, and schedules that parse are validated against a torus, a mesh and
-//! a fat-tree, since the binaries do both with user input.
+//! a fat-tree, since the binaries do both with user input. The shared flag
+//! reader gets the same strings as whole argument vectors, mixed with the
+//! flags it knows.
 //!
 //! The strings are seeded and built from the parsers' own vocabulary: digits
 //! (including numbers too large for any id type), the separators
@@ -16,6 +18,7 @@ use swbft::core::{Jobs, RoutingChoice, Scale};
 use swbft::faults::FaultSchedule;
 use swbft::topology::TopologySpec;
 use swbft::verify::MatrixKind;
+use torus_bench::Command;
 
 const STRINGS: usize = 4_000;
 
@@ -181,5 +184,64 @@ fn flag_values_parse_without_panicking() {
         let _ = Scale::parse(s);
         let _ = MatrixKind::parse(s);
     });
+    assert!(bad.is_empty(), "panicked on {bad:?}");
+}
+
+#[test]
+fn argument_vectors_read_without_panicking() {
+    const READER: Command = Command {
+        usage: "usage: test",
+        values: &["--scale", "--topology", "--routing", "--jobs"],
+        switches: &["--smoke"],
+        operands: 1,
+    };
+    const FLAGS: &[&str] = &[
+        "--scale",
+        "--topology",
+        "--routing",
+        "--jobs",
+        "--smoke",
+        "--help",
+        "-h",
+        "--bogus",
+        "-",
+    ];
+    let strings = inputs(0xa265, soup);
+    let mut rng = StdRng::seed_from_u64(0xa266);
+    let vectors: Vec<Vec<String>> = (0..STRINGS)
+        .map(|_| {
+            (0..rng.gen_range(0..8usize))
+                .map(|_| match rng.gen_range(0..2u32) {
+                    0 => pick(&mut rng, FLAGS).to_string(),
+                    _ => strings[rng.gen_range(0..strings.len())].clone(),
+                })
+                .collect()
+        })
+        .collect();
+    let read = vectors
+        .iter()
+        .filter(|v| {
+            READER
+                .read(v.iter().cloned())
+                .is_ok_and(|a| a.figure_options().is_ok())
+        })
+        .count();
+    assert!(read > 100, "only {read} vectors gave figure options");
+    let bad: Vec<&Vec<String>> = vectors
+        .iter()
+        .filter(|v| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if let Ok(args) = READER.read(v.iter().cloned()) {
+                    let _ = args.figure_options();
+                    let _ = (
+                        args.value("--scale"),
+                        args.switch("--smoke"),
+                        args.operands(),
+                    );
+                }
+            }))
+            .is_err()
+        })
+        .collect();
     assert!(bad.is_empty(), "panicked on {bad:?}");
 }
