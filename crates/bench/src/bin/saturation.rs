@@ -28,7 +28,7 @@
 
 use std::process::ExitCode;
 use swbft_core::prelude::*;
-use swbft_core::{check_routings, estimate_saturation_rate, SaturationSearch};
+use swbft_core::{check_routings, estimate_saturation_rate, supported_routings, SaturationSearch};
 use torus_bench::Command;
 use torus_topology::{AnyTopology, TopologySpec};
 
@@ -166,7 +166,7 @@ fn run(
         // the requested routing or every algorithm the shape supports.
         let routings: Vec<RoutingChoice> = match routing {
             Some(r) => vec![r],
-            None => supported(&spec, &RoutingChoice::ALL),
+            None => supported_routings(&spec, &RoutingChoice::ALL),
         };
         // Fat-trees have no wraparound channels, so they take the open-shape
         // VC sweep alongside fully-open grids.
@@ -195,7 +195,7 @@ fn run(
     // Default mode: the paper's torus table plus the mesh turn-model
     // comparison. `--routing` narrows both tables to one algorithm (the
     // torus table is skipped when that algorithm cannot run on a torus).
-    let torus_routings = supported(
+    let torus_routings = supported_routings(
         &TopologySpec::torus(8, 2),
         &routing.map_or_else(|| RoutingChoice::BOTH.to_vec(), |r| vec![r]),
     );
@@ -245,13 +245,4 @@ fn run(
     println!("full minimal adaptivity at V=2 (one escape + one adaptive channel each); they");
     println!("differ in escape substrate — dimension-ordered e-cube vs the negative-first");
     println!("turn rule — and the turn model additionally restricts its adaptive phase.");
-}
-
-/// The routings among `routings` that can run on `topology`.
-fn supported(topology: &TopologySpec, routings: &[RoutingChoice]) -> Vec<RoutingChoice> {
-    routings
-        .iter()
-        .copied()
-        .filter(|&r| check_routings(topology, &[r]).is_ok())
-        .collect()
 }

@@ -244,6 +244,19 @@ pub fn check_routings(
     Ok(net)
 }
 
+/// The routings among `routings` that [`check_routings`] accepts on
+/// `topology`, in order.
+pub fn supported_routings(
+    topology: &TopologySpec,
+    routings: &[RoutingChoice],
+) -> Vec<RoutingChoice> {
+    routings
+        .iter()
+        .copied()
+        .filter(|&r| check_routings(topology, &[r]).is_ok())
+        .collect()
+}
+
 /// The figures of the paper's evaluation section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Figure {
@@ -914,7 +927,9 @@ mod tests {
         assert_eq!(Figure::from_id("fig6"), Some(Figure::Fig6));
         assert_eq!(Figure::from_id("nope"), None);
         assert_eq!(Figure::ALL.len(), 5);
+        // Every id is the `fig` binary's operand for its figure.
         for f in Figure::ALL {
+            assert_eq!(Figure::from_id(f.id()), Some(f));
             assert!(!f.title().is_empty());
         }
     }
@@ -1093,6 +1108,26 @@ mod tests {
         let err = Figure::Fig5.plan(&opts).err().expect("must be rejected");
         assert!(matches!(err, FigureError::RegionsNeedGrid { .. }));
         assert!(format!("{err}").contains("indirect"));
+    }
+
+    #[test]
+    fn supported_routings_keep_the_accepted_ones_in_order() {
+        use RoutingChoice::*;
+        assert_eq!(
+            supported_routings(&TopologySpec::torus(8, 2), &RoutingChoice::ALL),
+            [Deterministic, Adaptive]
+        );
+        assert_eq!(
+            supported_routings(
+                &TopologySpec::mesh(8, 2),
+                &[TurnModel, Adaptive, UpDownAdaptive]
+            ),
+            [TurnModel, Adaptive]
+        );
+        assert_eq!(
+            supported_routings(&TopologySpec::fat_tree(4, 2), &RoutingChoice::ALL),
+            [UpDownDeterministic, UpDownAdaptive]
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod results;
 pub mod saturation;
 
 pub use experiment::{ExperimentConfig, ExperimentError, ExperimentOutcome, RoutingChoice};
-pub use figures::{check_routings, Figure, FigureError, FigureOptions, Scale};
+pub use figures::{check_routings, supported_routings, Figure, FigureError, FigureOptions, Scale};
 pub use pool::{run_pool, Jobs};
 pub use results::{CurveResult, FigureResult, PanelResult, PointFailure, PointResult};
 pub use saturation::{estimate_saturation_rate, SaturationEstimate, SaturationSearch};

@@ -14,7 +14,7 @@
 //! cargo run --release --example adaptive_vs_deterministic
 //! ```
 
-use swbft::core::check_routings;
+use swbft::core::supported_routings;
 use swbft::prelude::*;
 
 fn run_row(topology: TopologySpec, routings: &[RoutingChoice], nf: usize, rate: f64) -> String {
@@ -67,10 +67,7 @@ fn main() {
     let mesh = TopologySpec::mesh(8, 2);
     // Every routing the mesh accepts, in `RoutingChoice::ALL` order: the
     // up*/down* columns only appear on a fat-tree.
-    let mesh_routings: Vec<RoutingChoice> = RoutingChoice::ALL
-        .into_iter()
-        .filter(|&r| check_routings(&mesh, &[r]).is_ok())
-        .collect();
+    let mesh_routings = supported_routings(&mesh, &RoutingChoice::ALL);
     println!("\n8-ary 2-mesh, M=32, V=6, lambda={mesh_rate} messages/node/cycle, 4,000 measured messages per point\n");
     header(&mesh_routings);
     for &nf in &fault_counts {

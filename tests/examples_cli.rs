@@ -3,8 +3,13 @@
 //! flag missing its value exits 1 with the usage on stderr, and a routing
 //! `fault_regions` cannot run on its topology exits 1 with the typed
 //! rejection.
+//!
+//! The test runs the examples a plain `cargo test` (or `cargo test
+//! --workspace`) builds beside it; `cargo test --test examples_cli` alone
+//! builds none, so there it fails, and it fails too on an example binary
+//! older than a source file it was built from.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The built example `name`. Integration tests run from
@@ -12,15 +17,26 @@ use std::process::{Command, Output};
 /// into `target/<profile>/examples` before it runs any test.
 fn example(name: &str) -> PathBuf {
     let exe = std::env::current_exe().expect("test executable path");
-    let path = exe
+    let dir = exe
         .parent()
         .and_then(|deps| deps.parent())
         .expect("target/<profile>/deps")
-        .join("examples")
-        .join(name);
+        .join("examples");
+    let path = dir.join(name);
+    let modified = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
+    let built = modified(&path);
+    // Cargo's dep-info file lists every source the example was built from.
+    let dep_info = std::fs::read_to_string(dir.join(format!("{name}.d"))).unwrap_or_default();
+    let fresh = built.is_some()
+        && dep_info.split_once(": ").is_some_and(|(_, sources)| {
+            sources
+                .replace("\\ ", "\0")
+                .split_whitespace()
+                .all(|source| modified(source.replace('\0', " ").as_ref()) <= built)
+        });
     assert!(
-        path.exists(),
-        "{} is not built: run the tests with `cargo test`, which builds the examples",
+        fresh,
+        "{} is missing or older than its sources: run the tests with `cargo test`, which builds it",
         path.display()
     );
     path
