@@ -26,7 +26,8 @@
 //! ```
 //!
 //! Exit status: 0 when every case is proved or rejected, 1 on a usage or
-//! I/O error (including a `--schedule` configuration the simulator would
+//! I/O error (including `--topology`, `--routing`, `--vc` or `--paranoid`
+//! without `--schedule`; a `--schedule` configuration the simulator would
 //! reject: a routing the topology does not support, or `--vc` below the
 //! routing's minimum; and a schedule that parses but does not fit the
 //! topology), 2 when any case fails verification.
@@ -59,6 +60,9 @@ const VERIFY: Command = Command {
     switches: &["--naive-demo", "--paranoid"],
     operands: 0,
 };
+
+/// The flags that configure `--schedule` and nothing else.
+const SCHEDULE_ONLY: [&str; 4] = ["--topology", "--routing", "--vc", "--paranoid"];
 
 /// Runs the single-schedule verification path (`--schedule`).
 fn run_schedule(
@@ -137,6 +141,17 @@ fn main() -> ExitCode {
                 vc,
                 args.switch("--paranoid"),
             );
+        }
+
+        // The schedule's flags mean nothing to the matrix or the negative
+        // control: name the first one given rather than ignore it.
+        if let Some(flag) = SCHEDULE_ONLY
+            .iter()
+            .find(|&&flag| args.value(flag).is_some() || args.switch(flag))
+        {
+            return Err(CliError::Usage(format!(
+                "{flag} applies only to --schedule"
+            )));
         }
 
         if args.switch("--naive-demo") {

@@ -102,6 +102,38 @@ fn a_routing_the_topology_cannot_run_is_rejected_with_exit_1() {
 }
 
 #[test]
+fn verify_rejects_schedule_flags_without_a_schedule() {
+    // Without `--schedule`, verify runs the matrix (or the negative control),
+    // which none of these flags configures: each is a usage error naming it,
+    // and nothing is verified or written.
+    let out_path =
+        std::env::temp_dir().join(format!("verify-schedule-only-{}.json", std::process::id()));
+    let out = out_path.to_str().expect("a UTF-8 temporary path");
+    for (flag, value) in [
+        ("--topology", Some("torus:8x2")),
+        ("--routing", Some("adaptive")),
+        ("--vc", Some("4")),
+        ("--paranoid", None),
+    ] {
+        for mode in [&["--out", out][..], &["--naive-demo"]] {
+            let mut args = mode.to_vec();
+            args.push(flag);
+            args.extend(value);
+            let result = run(env!("CARGO_BIN_EXE_verify"), &args);
+            let stderr = text(&result.stderr);
+            assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} applies only to --schedule")),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains("usage: verify"), "{args:?}");
+            assert!(result.stdout.is_empty(), "{args:?}");
+            assert!(!out_path.exists(), "{args:?} wrote a report");
+        }
+    }
+}
+
+#[test]
 fn only_a_failed_proof_exits_2() {
     let out = run(env!("CARGO_BIN_EXE_verify"), &["--naive-demo"]);
     assert_eq!(out.status.code(), Some(2));

@@ -53,10 +53,11 @@
 //!
 //! The engine's second static seam is its [`Observer`] ([`observer`]):
 //! `Engine::new` builds it under [`NoObserver`], which costs nothing;
-//! `Engine::with_observer` takes any other. The one that ships is the
-//! invariant-checking [`sanitizer::Sanitizer`], which audits conservation
-//! invariants every cycle and checks the runtime wait-for graph against a
-//! statically extracted exact channel-dependency graph.
+//! `Engine::with_observer` takes any other. Two ship: the invariant-checking
+//! [`sanitizer::Sanitizer`], which audits conservation invariants every cycle
+//! and checks the runtime wait-for graph against a statically extracted exact
+//! channel-dependency graph, and the [`StageTimer`], which accumulates host
+//! time per pipeline [`Stage`].
 
 pub mod active;
 pub mod arbiter;
@@ -74,7 +75,7 @@ pub use config::{SimConfig, SimConfigError, StopCondition};
 pub use flit::{Flit, FlitKind, MessageId, WormRun};
 pub use message::{MessageLookup, MessageSlab, MessageState};
 pub use network::{Engine, RunOutcome, Simulation};
-pub use observer::{Allocation, NoObserver, Observer};
+pub use observer::{Allocation, NoObserver, Observer, Stage, StageTimer};
 pub use reference::{FullScan, ReferenceSimulation};
 pub use sanitizer::{InvariantViolation, Sanitizer};
 pub use schedule::{ActiveSchedule, MessageTable, Schedule};

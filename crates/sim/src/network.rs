@@ -17,9 +17,10 @@
 //!    and the frozen fault set) and retries each cycle until it wins. It
 //!    repeats the full allocation — shuffle, availability checks, random
 //!    choice — only once an output VC of its router has become claimable
-//!    since its last attempt (the router's release epoch moved); otherwise
-//!    the attempt must fail again, and the head makes only the shuffle's
-//!    draws, so the RNG sequence is the same.
+//!    since the router's last routing pass (its release epoch moved past
+//!    the kept epoch, see [`crate::router`]). Otherwise the attempt must fail
+//!    again: the head is neither re-routed nor permuted, and makes only the
+//!    draws its shuffle would have made, so the RNG sequence is the same.
 //! 4. **Switch allocation + traversal** — each output physical channel moves
 //!    at most one flit per cycle (round-robin among requesting input VCs with
 //!    downstream credit): one pass over a router's input VCs, in ascending
@@ -60,7 +61,9 @@
 //! either scheduler, so skipping them changes no RNG draw or recording.
 //!
 //! Stages 3 and 4 run per router: `step` walks the busy routers once, and at
-//! each one routes the waiting heads, then switches. That is the order of two
+//! each one routes the waiting heads, then switches. (So an observer sees
+//! one boundary before the walk and one after it, and
+//! [`crate::observer::StageTimer`] reports the two stages together.) That is the order of two
 //! full passes — every router routed, then every router switched — because
 //! neither stage at one router can see the other at another:
 //!
@@ -81,7 +84,7 @@ use crate::arbiter::SwitchRequests;
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::{Flit, MessageId, WormRun};
 use crate::message::{MessagePhase, MessageState};
-use crate::observer::{Allocation, NoObserver, Observer};
+use crate::observer::{Allocation, NoObserver, Observer, Stage};
 use crate::router::{
     stamp, KeptDecision, OutputVc, QueuedMessage, ReinjectionEntry, RouteTarget, RouterState,
     VcRoute,
@@ -89,7 +92,7 @@ use crate::router::{
 use crate::schedule::{ActiveSchedule, MessageTable, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use torus_faults::FaultSet;
 use torus_metrics::{MetricsCollector, SimulationReport, WarmupPolicy};
 use torus_routing::{Candidates, OutputCandidate, RouteDecision, RoutingAlgorithm};
@@ -163,6 +166,9 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule, O: Observer = NoObserver> {
     candidate_order: Vec<usize>,
     free_vcs: Vec<usize>,
     observer: O,
+    /// Kept-head retries the replay path handled.
+    #[cfg(test)]
+    replayed: u64,
 }
 
 impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
@@ -237,6 +243,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             candidate_order: Vec::new(),
             free_vcs: Vec::with_capacity(v),
             observer,
+            #[cfg(test)]
+            replayed: 0,
         })
     }
 
@@ -325,8 +333,11 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
         let now = self.cycle;
+        self.observer.begin_stage(now, Stage::Generate);
         self.generate_traffic(now);
+        self.observer.begin_stage(now, Stage::Inject);
         self.assign_injection_vcs(now);
+        self.observer.begin_stage(now, Stage::Walk);
         // One snapshot of the busy routers serves the rest of the cycle.
         // Routing fills or drains no buffer, switching drains only the router
         // it visits and arrivals wait until every router has been visited, so
@@ -343,8 +354,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             self.route_and_allocate(now, idx);
             self.switch_and_traverse(now, idx);
         }
+        self.observer.begin_stage(now, Stage::ArrivalsCredits);
         self.apply_arrivals(now);
         self.apply_credit_returns();
+        self.observer.begin_stage(now, Stage::Watchdog);
         if self.config.stall_absorb_threshold > 0 && self.schedule.watchdog_due(now) {
             self.stall_watchdog(now, &busy);
         }
@@ -464,25 +477,105 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     }
 
     /// Stage 3 at router `idx`: every waiting head, in ascending slot order.
+    ///
+    /// Every kept decision failed at the router's kept epoch (see
+    /// [`crate::router`]). While the release epoch still equals it, a kept
+    /// head's retry must fail again. An attempt that finds no VC asks
+    /// `available` only of VCs it leaves untouched and `choose` only of empty
+    /// lists, which draw nothing, so the shuffle's draws are all anyone could
+    /// observe of it: the retry replays them over its candidate count and is
+    /// neither re-routed nor permuted (debug builds still re-route it and
+    /// check that no candidate VC is claimable). The walk finds a kept head's
+    /// entry in the dense store with a cursor, `rank`: the number of entries
+    /// of the slots it has passed.
     fn route_and_allocate(&mut self, now: u64, idx: usize) {
+        let router = &self.routers[idx];
+        let must_fail = router.kept_epoch() == router.release_epoch();
+        let mut rank = 0;
         for w in 0..self.routers[idx].occupancy_words() {
             for slot in self.routers[idx].waiting_slots_in(w) {
-                if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
-                    self.route_head(now, idx, slot, msg_id);
+                let keeps = self.routers[idx].is_kept(slot);
+                if keeps && must_fail {
+                    #[cfg(debug_assertions)]
+                    self.check_kept(idx, slot, rank, true);
+                    let len = self.routers[idx].kept_decisions()[rank].candidates.len();
+                    shuffle_draws(len, &mut self.rng);
+                    #[cfg(test)]
+                    {
+                        self.replayed += 1;
+                    }
+                    rank += 1;
+                    continue;
                 }
+                if let Some(msg_id) = self.routers[idx].inputs[slot].waiting_head() {
+                    self.route_head(now, idx, slot, msg_id, keeps.then_some(rank));
+                }
+                rank += usize::from(self.routers[idx].is_kept(slot));
             }
+        }
+        self.routers[idx].end_routing_pass();
+    }
+
+    /// Debug builds' audit of kept decision `rank` of router `idx`, whose
+    /// head waits in input slot `slot`. `route()` must still return the kept
+    /// candidates: it is a pure function of (header, node, fault set), the
+    /// header of a blocked head does not change and the fault set is frozen
+    /// for the run. Runtime fault schedules (ROADMAP item 2) are the event
+    /// that must drop every kept decision. And when the retry is skipped as
+    /// `must_fail`, no candidate VC may be claimable: a release the epoch
+    /// missed would let the skipped attempt win.
+    #[cfg(debug_assertions)]
+    fn check_kept(&mut self, idx: usize, slot: usize, rank: usize, must_fail: bool) {
+        let v = self.config.virtual_channels;
+        let depth = self.config.buffer_depth;
+        let router = &self.routers[idx];
+        let node = router.node;
+        let msg_id = router.inputs[slot]
+            .waiting_head()
+            .expect("a kept decision's slot holds a waiting head (the sanitizer's stale-decision)");
+        let kept = &router.kept_decisions()[rank].candidates;
+        let header = &mut self.messages[msg_id].header;
+        let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
+        assert!(
+            matches!(&fresh, RouteDecision::Forward(c) if c == kept),
+            "route() is not pure: blocked head {msg_id:?} at {node:?} kept {kept:?}, now \
+             routes {fresh:?}"
+        );
+        if must_fail {
+            let epoch = router.release_epoch();
+            assert!(
+                kept.iter().all(|cand| {
+                    let out_port = RouterState::out_port(cand.dim(), cand.dir());
+                    cand.vcs()
+                        .range()
+                        .all(|ovc| !router.outputs[out_port * v + ovc].claimable(depth))
+                }),
+                "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
+                 {msg_id:?} at {node:?} is claimable"
+            );
         }
     }
 
     /// Routing computation and VC allocation for message `msg_id`, whose
     /// unrouted head flit is at the front of input slot `slot` of router
-    /// `idx`.
-    fn route_head(&mut self, now: u64, idx: usize, slot: usize, msg_id: MessageId) {
+    /// `idx`. `kept` is the position of the head's kept decision in the
+    /// router's store, if it keeps one: a retry after a release.
+    fn route_head(
+        &mut self,
+        now: u64,
+        idx: usize,
+        slot: usize,
+        msg_id: MessageId,
+        kept: Option<usize>,
+    ) {
+        #[cfg(debug_assertions)]
+        if let Some(rank) = kept {
+            self.check_kept(idx, slot, rank, false);
+        }
         let v = self.config.virtual_channels;
         let depth = self.config.buffer_depth;
         let router = &mut self.routers[idx];
         let node = router.node;
-        let epoch = router.release_epoch();
         let ready_at = now + self.config.router_delay as u64;
         // The paper's assumption (e): pick randomly among the available VCs
         // of the profitable physical channels; escape channels are only
@@ -493,44 +586,9 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
         // last, `available` — whose lazy release is a side effect — asked of
         // the same VCs in the same order, one `choose` over the free ones.
         let order = &mut self.candidate_order;
-        let (cand, out_vc) = if let Some(index) = router.kept_index(slot) {
-            // A head that failed VC allocation keeps its candidates: `route()`
-            // is a pure function of (header, node, fault set), the header of
-            // a blocked head does not change and the fault set is frozen for
-            // the run. Runtime fault schedules (ROADMAP item 2) are the event
-            // that must invalidate this cache. Debug builds re-route and
-            // compare.
+        let (cand, out_vc) = if let Some(index) = kept {
             let (kept, outputs) = router.kept_and_outputs(index);
-            #[cfg(debug_assertions)]
-            {
-                let header = &mut self.messages[msg_id].header;
-                let fresh = self.algo.route(&self.net, &self.faults, header, node, v);
-                assert!(
-                    matches!(&fresh, RouteDecision::Forward(c) if *c == kept.candidates),
-                    "route() is not pure: blocked head {msg_id:?} at {node:?} kept \
-                     {:?}, now routes {fresh:?}",
-                    kept.candidates
-                );
-            }
             shuffle_candidates(order, kept.candidates.len(), &mut self.rng);
-            if kept.epoch == epoch {
-                // No output VC of this router has become claimable since the
-                // failed attempt, so this one must fail too. An attempt that
-                // finds no VC asks `available` only of VCs it leaves untouched
-                // and `choose` only of empty lists, which draw nothing: the
-                // shuffle was all of it anyone could observe.
-                debug_assert!(
-                    kept.candidates.iter().all(|cand| {
-                        let out_port = RouterState::out_port(cand.dim(), cand.dir());
-                        cand.vcs()
-                            .range()
-                            .all(|ovc| !outputs[out_port * v + ovc].claimable(depth))
-                    }),
-                    "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
-                     {msg_id:?} at {node:?} is claimable"
-                );
-                return;
-            }
             let Some(granted) = allocate(
                 &kept.candidates,
                 order,
@@ -540,8 +598,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 (v, depth),
                 &mut self.rng,
             ) else {
-                // The retry failed again: its entry stays, at this epoch.
-                kept.epoch = epoch;
+                // The retry failed again: its entry stays, and it failed at
+                // the epoch the pass ends at.
                 return;
             };
             granted
@@ -575,7 +633,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 (v, depth),
                 &mut self.rng,
             ) else {
-                router.keep(slot, KeptDecision { candidates, epoch });
+                router.keep(slot, KeptDecision { candidates });
                 return;
             };
             granted
@@ -837,6 +895,16 @@ fn shuffle_candidates(order: &mut Vec<usize>, len: usize, rng: &mut StdRng) {
     order.shuffle(rng);
 }
 
+/// Makes the draws [`shuffle_candidates`] makes for `len` candidates, and no
+/// permutation: `SliceRandom::shuffle`'s Fisher–Yates calls
+/// `gen_range(0..=i)` once for each `i` from `len - 1` down to 1.
+#[inline]
+fn shuffle_draws(len: usize, rng: &mut StdRng) {
+    for i in (1..len).rev() {
+        let _: usize = rng.gen_range(0..=i);
+    }
+}
+
 /// VC allocation over `candidates` in the shuffled `order`, escapes stably
 /// sorted last: the first candidate with a free VC (among `outputs`, `V` per
 /// port, of buffers `depth` deep) has `msg` claim a random one of them.
@@ -873,6 +941,7 @@ fn allocate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use torus_faults::{random_node_faults, FaultScenario};
     use torus_routing::{AnyRouting, Substrate};
     use torus_workloads::TrafficSpec;
@@ -1208,10 +1277,10 @@ mod tests {
     #[should_panic(expected = "yet a candidate VC of blocked head")]
     fn debug_builds_catch_a_release_the_epoch_missed() {
         // Saturate a 4x2 torus until some router's waiting heads all keep a
-        // decision from its current release epoch. Make a candidate VC of the
-        // first one claimable without advancing the epoch, then step: that
-        // head is the router's first to retry, and the skipped attempt could
-        // now win.
+        // decision and its release epoch still equals its kept epoch. Make a
+        // candidate VC of the first one claimable without advancing the
+        // epoch, then step: that head is the router's first to retry, and the
+        // skipped attempt could now win.
         let mut config = quick_config(4, 2, 4, 8, 0.9);
         config.max_cycles = 2_000;
         config.stop = StopCondition::MeasuredMessages(u64::MAX);
@@ -1220,14 +1289,16 @@ mod tests {
         for _ in 0..2_000 {
             sim.step();
             let released = sim.routers.iter_mut().any(|router| {
-                let epoch = router.release_epoch();
+                if router.kept_epoch() != router.release_epoch() {
+                    return false;
+                }
                 let mut waiting = (0..router.inputs.len())
                     .filter(|&slot| router.inputs[slot].waiting_head().is_some())
                     .map(|slot| router.kept(slot));
                 let Some(first) = waiting.clone().next() else {
                     return false;
                 };
-                if !waiting.all(|kept| kept.is_some_and(|k| k.epoch == epoch)) {
+                if !waiting.all(|kept| kept.is_some()) {
                     return false;
                 }
                 let cand = first.unwrap().candidates[0];
@@ -1279,6 +1350,58 @@ mod tests {
             }
         }
         assert!(blocked > 10_000, "only {blocked} blocked head-cycles");
+    }
+
+    #[test]
+    fn shuffle_draws_leave_the_rng_where_a_shuffle_does() {
+        // A must-fail retry replays its shuffle's draws without permuting:
+        // the generator must end where `SliceRandom::shuffle` leaves it, or
+        // every later draw of the run moves.
+        for seed in 0..64 {
+            for len in 0..=8 {
+                let mut shuffled = StdRng::seed_from_u64(seed);
+                let mut replayed = shuffled.clone();
+                shuffle_candidates(&mut Vec::new(), len, &mut shuffled);
+                shuffle_draws(len, &mut replayed);
+                let next = |rng: &mut StdRng| [rng.next_u64(), rng.next_u64()];
+                assert_eq!(
+                    next(&mut shuffled),
+                    next(&mut replayed),
+                    "seed {seed}, {len} candidates"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kept_heads_at_an_unmoved_epoch_only_replay_their_draws() {
+        // The saturated adaptive pin's configuration. Before each cycle, a
+        // kept head at a router whose release epoch still equals its kept
+        // epoch must fail again; every such head, and no other, takes the
+        // replay path, and past the knee most retries are of this kind.
+        let mut config = quick_config(4, 2, 4, 8, 0.2);
+        config.seed = 17;
+        config.warmup_messages = 100;
+        config.stop = StopCondition::Cycles(4_000);
+        config.max_cycles = 4_000;
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
+        let mut sim = Simulation::new(config, FaultSet::new(), algo).unwrap();
+        let (mut must_fail, mut kept) = (0, 0);
+        while sim.cycle() < 4_000 {
+            for router in &sim.routers {
+                let entries = router.kept_decisions().len() as u64;
+                kept += entries;
+                if router.kept_epoch() == router.release_epoch() {
+                    must_fail += entries;
+                }
+            }
+            sim.step();
+            assert_eq!(sim.replayed, must_fail, "cycle {}", sim.cycle());
+        }
+        assert!(
+            must_fail > kept / 2 && must_fail > 10_000,
+            "{must_fail} of {kept} kept-head retries replayed"
+        );
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!    only waiting heads, one bit per entry of its kept-decision store. Both
 //!    schedulers share the masks, so engine equivalence cannot catch a mask
 //!    bug, and a stale set bit only costs time, so no outcome pin can
-//!    either: this audit is their oracle.
+//!    either: this audit is their oracle. While a router's kept epoch equals
+//!    its release epoch, no candidate VC of its kept decisions is claimable
+//!    (a release the epoch missed would have the engine skip a retry that
+//!    could win).
 //! 2. **Channel-dependency-graph conformance**: the sanitizer maintains the
 //!    runtime *wait-for* state of every message — the last tracked (escape or
 //!    deterministic-layer) virtual-channel resource it was granted — and on
@@ -51,7 +54,7 @@ use crate::config::SimConfig;
 use crate::flit::MessageId;
 use crate::message::{MessageLookup, MessagePhase};
 use crate::observer::{Allocation, Observer};
-use crate::router::{RouteTarget, RouterState};
+use crate::router::{KeptDecision, RouteTarget, RouterState};
 use std::collections::HashMap;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
@@ -495,13 +498,23 @@ impl Sanitizer {
     /// awaits VC allocation (a decision left on a bound or emptied VC is
     /// stale), and as many slots as its kept-decision store has entries (the
     /// store is found by rank in the mask, so a count that differs hands
-    /// heads each other's candidates).
+    /// heads each other's candidates). While the router's kept epoch equals
+    /// its release epoch, no candidate VC of a kept decision is claimable:
+    /// the engine skips those heads' next attempts as bound to fail, so a VC
+    /// made claimable without moving the release epoch would keep a head
+    /// from a VC it could win.
     fn check_kept_decisions(&mut self, cycle: u64, routers: &[RouterState]) {
         for router in routers {
             let node = router.node;
+            let must_fail = router.kept_epoch() == router.release_epoch();
             let mut marked = 0;
             for w in 0..router.occupancy_words() {
                 for slot in router.kept_slots_in(w) {
+                    if must_fail {
+                        if let Some(kept) = router.kept_decisions().get(marked) {
+                            self.check_must_fail(cycle, router, slot, kept);
+                        }
+                    }
                     marked += 1;
                     let ivc = &router.inputs[slot];
                     if ivc.waiting_head().is_none() {
@@ -528,6 +541,35 @@ impl Sanitizer {
                          but stores {stored} kept decision(s)"
                     ),
                 );
+            }
+        }
+    }
+
+    /// No candidate VC of `kept`, the decision of the blocked head in input
+    /// slot `slot` of `router`, is claimable.
+    fn check_must_fail(
+        &mut self,
+        cycle: u64,
+        router: &RouterState,
+        slot: usize,
+        kept: &KeptDecision,
+    ) {
+        for cand in &kept.candidates {
+            let port = RouterState::out_port(cand.dim(), cand.dir());
+            for vc in cand.vcs().range() {
+                if router.outputs[port * self.v + vc].claimable(self.buffer_depth) {
+                    let channel = Self::describe(router.node, cand.dim(), cand.dir(), vc);
+                    self.record(
+                        cycle,
+                        "missed-release",
+                        format!(
+                            "router {:?} has released no output VC since epoch {}, yet {channel}, \
+                             a candidate of the blocked head in input slot {slot}, is claimable",
+                            router.node,
+                            router.kept_epoch()
+                        ),
+                    );
+                }
             }
         }
     }
@@ -615,9 +657,9 @@ mod tests {
     use super::*;
     use crate::flit::{Flit, WormRun};
     use crate::message::MessageState;
-    use crate::router::{KeptDecision, QueuedMessage, VcRoute};
+    use crate::router::{QueuedMessage, VcRoute};
     use crate::{Simulation, StopCondition};
-    use torus_routing::{AnyRouting, Candidates, Substrate};
+    use torus_routing::{AnyRouting, Candidates, OutputCandidate, Substrate};
     use torus_topology::TopologySpec;
 
     fn mesh() -> AnyTopology {
@@ -916,7 +958,6 @@ mod tests {
         routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
         let kept = KeptDecision {
             candidates: Candidates::new(),
-            epoch: 0,
         };
         let audit = |routers: &[RouterState]| {
             let mut s = sanitizer(2, 4, true, None);
@@ -945,7 +986,6 @@ mod tests {
         routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
         let kept = KeptDecision {
             candidates: Candidates::new(),
-            epoch: 0,
         };
         let audit = |routers: &[RouterState]| {
             let mut s = sanitizer(2, 4, true, None);
@@ -965,6 +1005,43 @@ mod tests {
             assert_eq!(s.violation_count(), 1, "{:?}", s.violations());
             assert_eq!(s.violations()[0].kind, "kept-mask");
         }
+    }
+
+    #[test]
+    fn a_claimable_candidate_at_an_unmoved_epoch_is_a_missed_release() {
+        // A kept head whose router's release epoch still equals its kept
+        // epoch is skipped as bound to fail. A fresh router's output VCs are
+        // all free, so a decision naming one of them, at epoch 0, is a
+        // release the epoch missed; once a VC's return makes the epoch move,
+        // the head will retry in full and nothing is missed.
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 1);
+        m.note_injected(0);
+        let messages = vec![m];
+        let mut routers = routers_for(&net, 2, 4);
+        let slot = routers[5].injection_slots().start;
+        routers[5].push_flits(slot, WormRun::whole(MessageId(0), 1));
+        let kept = KeptDecision {
+            candidates: [OutputCandidate::new(0, Direction::Plus, 0..2)]
+                .into_iter()
+                .collect(),
+        };
+        routers[5].keep(slot, kept);
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 4, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        let s = audit(&routers);
+        assert_eq!(s.violation_count(), 2, "{:?}", s.violations());
+        assert!(s.violations().iter().all(|v| v.kind == "missed-release"));
+        assert!(s.violations()[1].detail.contains("d0+ vc1"));
+        let out = routers[5].slot(RouterState::out_port(0, Direction::Plus), 0);
+        routers[5].outputs[out].claim(MessageId(0));
+        routers[5].outputs[out].send(true);
+        routers[5].return_credit(out, 4);
+        assert_eq!(routers[5].release_epoch(), 1);
+        assert!(audit(&routers).is_clean());
     }
 
     #[test]

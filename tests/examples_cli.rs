@@ -1,4 +1,4 @@
-//! The two examples that take flags keep the exit-status convention of the
+//! The three examples that take flags keep the exit-status convention of the
 //! binaries: `--help` exits 0 with the usage on stdout, an unknown flag or a
 //! flag missing its value exits 1 with the usage on stderr, and a routing
 //! `fault_regions` cannot run on its topology exits 1 with the typed
@@ -51,7 +51,7 @@ fn run(name: &str, args: &[&str]) -> Output {
 
 #[test]
 fn flag_taking_examples_keep_the_exit_status_convention() {
-    for name in ["dimensionality_sweep", "fault_regions"] {
+    for name in ["dimensionality_sweep", "fault_regions", "stage_split"] {
         let usage = format!("usage: {name}");
         let out = run(name, &["--help"]);
         assert_eq!(out.status.code(), Some(0), "{name}");
