@@ -17,8 +17,8 @@
 //!    and the frozen fault set) and retries each cycle until it wins. It
 //!    repeats the full allocation — shuffle, availability checks, random
 //!    choice — only once an output VC of its router has become claimable
-//!    since the router's last routing pass (its release epoch moved past
-//!    the kept epoch, see [`crate::router`]). Otherwise the attempt must fail
+//!    since the router's last routing pass (its release flag is set, see
+//!    [`crate::router`]). Otherwise the attempt must fail
 //!    again: the head is neither re-routed nor permuted, and makes only the
 //!    draws its shuffle would have made, so the RNG sequence is the same.
 //! 4. **Switch allocation + traversal** — each output physical channel moves
@@ -478,9 +478,9 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
 
     /// Stage 3 at router `idx`: every waiting head, in ascending slot order.
     ///
-    /// Every kept decision failed at the router's kept epoch (see
-    /// [`crate::router`]). While the release epoch still equals it, a kept
-    /// head's retry must fail again. An attempt that finds no VC asks
+    /// Every kept decision failed after the router's last release (see
+    /// [`crate::router`]). While the router has released no output VC since
+    /// its last pass, a kept head's retry must fail again. An attempt that finds no VC asks
     /// `available` only of VCs it leaves untouched and `choose` only of empty
     /// lists, which draw nothing, so the shuffle's draws are all anyone could
     /// observe of it: the retry replays them over its candidate count and is
@@ -490,7 +490,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// of the slots it has passed.
     fn route_and_allocate(&mut self, now: u64, idx: usize) {
         let router = &self.routers[idx];
-        let must_fail = router.kept_epoch() == router.release_epoch();
+        let must_fail = !router.released();
         let mut rank = 0;
         for w in 0..self.routers[idx].occupancy_words() {
             for slot in self.routers[idx].waiting_slots_in(w) {
@@ -522,7 +522,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// header of a blocked head does not change and the fault set is frozen
     /// for the run. Runtime fault schedules (ROADMAP item 2) are the event
     /// that must drop every kept decision. And when the retry is skipped as
-    /// `must_fail`, no candidate VC may be claimable: a release the epoch
+    /// `must_fail`, no candidate VC may be claimable: a release the flag
     /// missed would let the skipped attempt win.
     #[cfg(debug_assertions)]
     fn check_kept(&mut self, idx: usize, slot: usize, rank: usize, must_fail: bool) {
@@ -542,7 +542,6 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
              routes {fresh:?}"
         );
         if must_fail {
-            let epoch = router.release_epoch();
             assert!(
                 kept.iter().all(|cand| {
                     let out_port = RouterState::out_port(cand.dim(), cand.dir());
@@ -550,7 +549,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                         .range()
                         .all(|ovc| !router.outputs[out_port * v + ovc].claimable(depth))
                 }),
-                "release epoch {epoch} unchanged, yet a candidate VC of blocked head \
+                "no output VC released since the last routing pass, yet a candidate VC \
+                 of blocked head \
                  {msg_id:?} at {node:?} is claimable"
             );
         }
@@ -598,8 +598,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 (v, depth),
                 &mut self.rng,
             ) else {
-                // The retry failed again: its entry stays, and it failed at
-                // the epoch the pass ends at.
+                // The retry failed again: its entry stays, and it failed
+                // after the router's last release.
                 return;
             };
             granted
@@ -1277,10 +1277,10 @@ mod tests {
     #[should_panic(expected = "yet a candidate VC of blocked head")]
     fn debug_builds_catch_a_release_the_epoch_missed() {
         // Saturate a 4x2 torus until some router's waiting heads all keep a
-        // decision and its release epoch still equals its kept epoch. Make a
-        // candidate VC of the first one claimable without advancing the
-        // epoch, then step: that head is the router's first to retry, and the
-        // skipped attempt could now win.
+        // decision and it has released no output VC since its last routing
+        // pass. Make a candidate VC of the first one claimable without
+        // setting the release flag, then step: that head is the router's
+        // first to retry, and the skipped attempt could now win.
         let mut config = quick_config(4, 2, 4, 8, 0.9);
         config.max_cycles = 2_000;
         config.stop = StopCondition::MeasuredMessages(u64::MAX);
@@ -1289,7 +1289,7 @@ mod tests {
         for _ in 0..2_000 {
             sim.step();
             let released = sim.routers.iter_mut().any(|router| {
-                if router.kept_epoch() != router.release_epoch() {
+                if router.released() {
                     return false;
                 }
                 let mut waiting = (0..router.inputs.len())
@@ -1374,11 +1374,12 @@ mod tests {
     }
 
     #[test]
-    fn kept_heads_at_an_unmoved_epoch_only_replay_their_draws() {
+    fn kept_heads_at_a_router_that_released_nothing_only_replay_their_draws() {
         // The saturated adaptive pin's configuration. Before each cycle, a
-        // kept head at a router whose release epoch still equals its kept
-        // epoch must fail again; every such head, and no other, takes the
-        // replay path, and past the knee most retries are of this kind.
+        // kept head at a router that has released no output VC since its
+        // last routing pass must fail again; every such head, and no other,
+        // takes the replay path, and past the knee most retries are of this
+        // kind.
         let mut config = quick_config(4, 2, 4, 8, 0.2);
         config.seed = 17;
         config.warmup_messages = 100;
@@ -1391,7 +1392,7 @@ mod tests {
             for router in &sim.routers {
                 let entries = router.kept_decisions().len() as u64;
                 kept += entries;
-                if router.kept_epoch() == router.release_epoch() {
+                if !router.released() {
                     must_fail += entries;
                 }
             }

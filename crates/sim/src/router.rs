@@ -93,30 +93,24 @@
 //! ([`QueuedMessage`]) and no message-table entry; past saturation the source
 //! queues are what grows for the whole run.
 //!
-//! Release epoch: [`RouterState::release_epoch`] counts the router's output
-//! VCs that became claimable. The only event that makes one claimable is a
-//! draining VC getting its last credit back (`return_credit`); claiming one,
-//! or failing to, releases none. The router stamps one epoch for all its kept
-//! decisions, [`RouterState::kept_epoch`]: the release epoch at the end of its
-//! last routing pass. That is exact, with no stamp per decision:
+//! Release flag: [`RouterState::released`] tells whether an output VC of the
+//! router has become claimable since the router's last routing pass. The
+//! only event that makes one claimable is a draining VC getting its last
+//! credit back (`return_credit`, which sets the flag); claiming one, or
+//! failing to, releases none. The end of each routing pass clears the flag.
+//! That is exact for every kept decision, with no stamp per decision:
 //!
 //! * a router with a waiting head is occupied, so the engine visits it every
 //!   cycle, and its routing pass visits every waiting slot;
-//! * the release epoch moves only in `return_credit`, which runs after every
+//! * the flag is set only in `return_credit`, which runs after every
 //!   router's pass, so it is constant during a pass;
-//! * so every decision that survives a pass failed at that pass's epoch — a
-//!   new one just failed, and a kept one either failed again or was skipped
-//!   because the epoch equalled the kept epoch, at which it had failed.
+//! * so every decision that survives a pass failed after the router's last
+//!   release — a new one just failed, and a kept one either failed again or
+//!   was skipped because nothing had been released since it failed.
 //!
-//! While the release epoch equals the kept epoch, none of the kept heads'
-//! candidate VCs can have become claimable, so the engine only replays each
-//! attempt's RNG draws instead of repeating it.
-//!
-//! Both epochs are `u32` counters that wrap, and share the word one `u64`
-//! counter took (a router state 8 bytes wider measured 15–20 % slower on a
-//! fat-tree, in the walk and in the arrivals alike). Equality stays exact:
-//! the two are compared one cycle's credit returns apart, and a cycle
-//! returns at most one credit per output VC, far fewer than 2^32.
+//! While the flag is clear, none of the kept heads' candidate VCs can have
+//! become claimable, so the engine only replays each attempt's RNG draws
+//! instead of repeating it.
 //!
 //! Widths: cycle stamps are `u32`, credit counters `u32`, output ports `u16`,
 //! output VCs `u8` and switch pointers `u16`. `SimConfig::validate_parameters`
@@ -270,7 +264,8 @@ impl InputVc {
 
 /// A blocked head's routing decision, kept in its router's kept-decision
 /// store ([`RouterState::kept_decisions`]) while it waits for an output VC.
-/// It failed VC allocation at the router's [`RouterState::kept_epoch`].
+/// It failed VC allocation after the router's last release (see
+/// [`RouterState::released`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeptDecision {
     /// The `Forward` candidates `route()` returned.
@@ -420,12 +415,9 @@ pub struct RouterState {
     /// Output virtual channels of the `2n` network output ports, slot
     /// `port * V + vc`.
     pub outputs: Vec<OutputVc>,
-    /// Output VCs that have become claimable so far, wrapping (see the
-    /// module docs).
-    release_epoch: u32,
-    /// The release epoch at the end of the router's last routing pass, at
-    /// which every kept decision failed (see the module docs).
-    kept_epoch: u32,
+    /// Whether an output VC has become claimable since the router's last
+    /// routing pass (see the module docs).
+    released: bool,
     /// Locally generated messages waiting to enter the network, oldest first.
     pub source_queue: VecDeque<QueuedMessage>,
     /// Absorbed messages re-routed by the software layer, waiting to re-enter
@@ -473,8 +465,7 @@ impl RouterState {
             kept: Vec::new(),
             slot_masks: vec![[0; 3]; num_slots.div_ceil(64)],
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
-            release_epoch: 0,
-            kept_epoch: 0,
+            released: false,
             source_queue: VecDeque::new(),
             reinjection_queue: VecDeque::new(),
             sa_pointer: vec![0; num_net_ports],
@@ -665,28 +656,19 @@ impl RouterState {
         self.slot_masks[slot / 64][KEPT] |= bit(slot);
     }
 
-    /// Output VCs of this router that have become claimable so far, modulo
-    /// 2^32: a blocked head whose failed attempt saw the same count cannot
-    /// win.
+    /// Whether an output VC of this router has become claimable since its
+    /// last routing pass. Every kept decision failed after the last release,
+    /// so while this is false every kept head must fail again.
     #[inline]
-    pub fn release_epoch(&self) -> u32 {
-        self.release_epoch
+    pub fn released(&self) -> bool {
+        self.released
     }
 
-    /// The release epoch at the end of the router's last routing pass: every
-    /// kept decision failed VC allocation at it, so while
-    /// [`RouterState::release_epoch`] still equals it, every kept head must
-    /// fail again.
-    #[inline]
-    pub fn kept_epoch(&self) -> u32 {
-        self.kept_epoch
-    }
-
-    /// Ends a routing pass: every decision the store still holds failed at
-    /// the current release epoch, which no pass moves.
+    /// Ends a routing pass: every decision the store still holds failed
+    /// after the router's last release.
     #[inline]
     pub(crate) fn end_routing_pass(&mut self) {
-        self.kept_epoch = self.release_epoch;
+        self.released = false;
     }
 
     /// Appends `flits` to the buffer of input slot `slot`, keeping the slot
@@ -747,7 +729,7 @@ impl RouterState {
     }
 
     /// Returns one credit to output slot `slot`. A draining VC that gets its
-    /// last credit back has become claimable: the release epoch advances.
+    /// last credit back has become claimable: the router has released one.
     #[inline]
     pub(crate) fn return_credit(&mut self, slot: usize, buffer_depth: usize) {
         let ovc = &mut self.outputs[slot];
@@ -757,7 +739,7 @@ impl RouterState {
             "credit counter exceeded the buffer depth"
         );
         if ovc.draining && ovc.credits() == buffer_depth {
-            self.release_epoch = self.release_epoch.wrapping_add(1);
+            self.released = true;
         }
     }
 
@@ -912,8 +894,8 @@ mod tests {
             assert!(std::mem::size_of::<InputVc>() <= 48);
             assert!(std::mem::size_of::<OutputVc>() <= 16);
             assert!(std::mem::size_of::<KeptDecision>() <= 40);
-            // The two release epochs share one word: a router state 8 bytes
-            // wider measured 15-20 % slower on a fat-tree, in every stage.
+            // A router state 8 bytes wider measured 15-20 % slower on a
+            // fat-tree, in every stage.
             assert!(std::mem::size_of::<RouterState>() <= 240);
         }
     }
@@ -1075,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn release_epoch_counts_vcs_that_become_claimable() {
+    fn released_is_set_only_when_a_draining_vc_gets_its_last_credit() {
         let torus = AnyTopology::torus(4, 2).unwrap();
         let mut r = router(&torus, 0, 2, 2);
         let slot = r.slot(1, 1);
@@ -1083,12 +1065,18 @@ mod tests {
         r.outputs[slot].send(false);
         // Credits returning to an owned VC release nothing.
         r.return_credit(slot, 2);
-        assert_eq!(r.release_epoch(), 0);
-        // Once the tail is sent, the last credit makes the VC claimable.
+        assert!(!r.released());
+        // Once the tail is sent, only the last credit makes the VC claimable.
+        r.outputs[slot].send(false);
         r.outputs[slot].send(true);
         r.return_credit(slot, 2);
+        assert!(!r.outputs[slot].claimable(2) && !r.released());
+        r.return_credit(slot, 2);
         assert!(r.outputs[slot].claimable(2));
-        assert_eq!(r.release_epoch(), 1);
+        assert!(r.released());
+        // The end of a routing pass clears the flag.
+        r.end_routing_pass();
+        assert!(!r.released());
     }
 
     #[test]

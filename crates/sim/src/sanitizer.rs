@@ -22,10 +22,10 @@
 //!    only waiting heads, one bit per entry of its kept-decision store. Both
 //!    schedulers share the masks, so engine equivalence cannot catch a mask
 //!    bug, and a stale set bit only costs time, so no outcome pin can
-//!    either: this audit is their oracle. While a router's kept epoch equals
-//!    its release epoch, no candidate VC of its kept decisions is claimable
-//!    (a release the epoch missed would have the engine skip a retry that
-//!    could win).
+//!    either: this audit is their oracle. While a router has released no
+//!    output VC since its last routing pass, no candidate VC of its kept
+//!    decisions is claimable (a release the flag missed would have the
+//!    engine skip a retry that could win).
 //! 2. **Channel-dependency-graph conformance**: the sanitizer maintains the
 //!    runtime *wait-for* state of every message — the last tracked (escape or
 //!    deterministic-layer) virtual-channel resource it was granted — and on
@@ -498,15 +498,15 @@ impl Sanitizer {
     /// awaits VC allocation (a decision left on a bound or emptied VC is
     /// stale), and as many slots as its kept-decision store has entries (the
     /// store is found by rank in the mask, so a count that differs hands
-    /// heads each other's candidates). While the router's kept epoch equals
-    /// its release epoch, no candidate VC of a kept decision is claimable:
-    /// the engine skips those heads' next attempts as bound to fail, so a VC
-    /// made claimable without moving the release epoch would keep a head
-    /// from a VC it could win.
+    /// heads each other's candidates). While the router has released no
+    /// output VC since its last routing pass, no candidate VC of a kept
+    /// decision is claimable: the engine skips those heads' next attempts as
+    /// bound to fail, so a VC made claimable without setting the release
+    /// flag would keep a head from a VC it could win.
     fn check_kept_decisions(&mut self, cycle: u64, routers: &[RouterState]) {
         for router in routers {
             let node = router.node;
-            let must_fail = router.kept_epoch() == router.release_epoch();
+            let must_fail = !router.released();
             let mut marked = 0;
             for w in 0..router.occupancy_words() {
                 for slot in router.kept_slots_in(w) {
@@ -563,10 +563,10 @@ impl Sanitizer {
                         cycle,
                         "missed-release",
                         format!(
-                            "router {:?} has released no output VC since epoch {}, yet {channel}, \
-                             a candidate of the blocked head in input slot {slot}, is claimable",
-                            router.node,
-                            router.kept_epoch()
+                            "router {:?} has released no output VC since its last routing \
+                             pass, yet {channel}, a candidate of the blocked head in input \
+                             slot {slot}, is claimable",
+                            router.node
                         ),
                     );
                 }
@@ -1009,11 +1009,12 @@ mod tests {
 
     #[test]
     fn a_claimable_candidate_at_an_unmoved_epoch_is_a_missed_release() {
-        // A kept head whose router's release epoch still equals its kept
-        // epoch is skipped as bound to fail. A fresh router's output VCs are
-        // all free, so a decision naming one of them, at epoch 0, is a
-        // release the epoch missed; once a VC's return makes the epoch move,
-        // the head will retry in full and nothing is missed.
+        // A kept head at a router that has released no output VC since its
+        // last routing pass is skipped as bound to fail. A fresh router's
+        // output VCs are all free, so a decision naming one of them, with
+        // the release flag clear, is a release the flag missed; once a VC's
+        // return sets the flag, the head will retry in full and nothing is
+        // missed.
         let net = mesh();
         let mut m = message(&net, MessageId(0), 1);
         m.note_injected(0);
@@ -1040,7 +1041,7 @@ mod tests {
         routers[5].outputs[out].claim(MessageId(0));
         routers[5].outputs[out].send(true);
         routers[5].return_credit(out, 4);
-        assert_eq!(routers[5].release_epoch(), 1);
+        assert!(routers[5].released());
         assert!(audit(&routers).is_clean());
     }
 

@@ -3,7 +3,7 @@
 //! package (`benchmark/src/workloads.rs`, `SIM_SPECS`; copied here, not
 //! imported, so the example builds without that package).
 //!
-//! Each workload is built as the benchmark builds it at `--seed`, stepped
+//! Each workload is built as the benchmark builds it at `--seed 1`, stepped
 //! through its warm-up untimed and then through its timed cycles under the
 //! timer. The table gives microseconds per timed cycle for each stage, the
 //! best of `--reps` repetitions, and `step` is the best repetition's sum.
@@ -12,11 +12,11 @@
 //! `route+switch`. The timer reads the clock six times a cycle, which the
 //! unobserved engine does not pay. The last column is the FNV-1a digest of
 //! the end-of-run report: at the default cycle counts it equals the digest
-//! the benchmark prints for the workload at the same seed.
+//! the benchmark prints for the workload at seed 1.
 //!
 //! ```text
 //! cargo run --release --example stage_split
-//!     [-- --cycles N] [-- --reps N] [-- --seed S]
+//!     [-- --cycles N] [-- --reps N]
 //! ```
 
 use rand::rngs::StdRng;
@@ -29,11 +29,10 @@ use swbft::topology::TopologySpec;
 use torus_bench::{CliError, Command};
 
 const SPLIT: Command = Command {
-    usage: "usage: stage_split [--cycles N] [--reps N] [--seed S]\n\
+    usage: "usage: stage_split [--cycles N] [--reps N]\n\
             \x20 --cycles N  timed cycles of every workload (default: each workload's own)\n\
-            \x20 --reps N    repetitions per workload; each stage reports its best (default: 5)\n\
-            \x20 --seed S    the benchmark's --seed (default: 1)",
-    values: &["--cycles", "--reps", "--seed"],
+            \x20 --reps N    repetitions per workload; each stage reports its best (default: 5)",
+    values: &["--cycles", "--reps"],
     switches: &[],
     operands: 0,
 };
@@ -99,6 +98,9 @@ const WORKLOADS: [Workload; 4] = [
     },
 ];
 
+/// The benchmark's `--seed`.
+const SEED: u64 = 1;
+
 /// The benchmark's seed derivation (SplitMix64 finaliser).
 fn mix_seed(seed: u64, salt: u64) -> u64 {
     let mut z = seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -116,20 +118,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// One repetition of `w`: its stage timer over `cycles` timed cycles and the
 /// digest of the report at the end.
-fn repetition(w: &Workload, seed: u64, cycles: u64) -> Result<(StageTimer, u64), String> {
+fn repetition(w: &Workload, cycles: u64) -> Result<(StageTimer, u64), String> {
     let topology = TopologySpec::parse(w.topology)?;
     let faults = if w.faulted {
         let net = topology.build().map_err(|e| e.to_string())?;
         let grid = net.grid().ok_or("fault regions need a grid topology")?;
         FaultScenario::centered_region(grid, RegionShape::paper_u_8())
-            .realize(&net, &mut StdRng::seed_from_u64(seed))
+            .realize(&net, &mut StdRng::seed_from_u64(SEED))
             .map_err(|e| e.to_string())?
     } else {
         FaultSet::new()
     };
     let mut config =
         SimConfig::paper_topology(topology, w.virtual_channels, w.message_length, w.rate);
-    config.seed = mix_seed(seed, 1);
+    config.seed = mix_seed(SEED, 1);
     let algo = RoutingChoice::parse(w.routing)?.algorithm();
     let timer = StageTimer::from_cycle(w.warmup_cycles);
     let mut sim =
@@ -154,13 +156,7 @@ fn main() -> ExitCode {
     SPLIT.main(|args| {
         let cycles = args.parse("--cycles", positive("--cycles"))?;
         let reps = args.parse("--reps", positive("--reps"))?.unwrap_or(5);
-        let seed = args
-            .parse("--seed", |s| {
-                s.parse::<u64>()
-                    .map_err(|_| format!("--seed needs an integer, not '{s}'"))
-            })?
-            .unwrap_or(1);
-        println!("µs per timed cycle, best of {reps} repetitions, seed {seed}");
+        println!("µs per timed cycle, best of {reps} repetitions, seed {SEED}");
         print!("{:<12} {:>7}", "workload", "cycles");
         for stage in Stage::ALL {
             print!(" {:>16}", stage.label());
@@ -172,7 +168,7 @@ fn main() -> ExitCode {
             let mut best_step = f64::INFINITY;
             let mut digest = 0;
             for _ in 0..reps {
-                let (timer, d) = repetition(w, seed, cycles).map_err(CliError::Input)?;
+                let (timer, d) = repetition(w, cycles).map_err(CliError::Input)?;
                 let split = Stage::ALL.map(|stage| timer.micros_per_cycle(stage));
                 for (best, us) in best.iter_mut().zip(split) {
                     *best = best.min(us);
