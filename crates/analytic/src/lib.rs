@@ -40,8 +40,3 @@
 pub mod model;
 
 pub use model::{AnalyticConfig, AnalyticModel, LatencyBreakdown};
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::model::{AnalyticConfig, AnalyticModel, LatencyBreakdown};
-}

@@ -1,10 +1,9 @@
 //! The analytical latency model.
 
-use serde::{Deserialize, Serialize};
 use torus_topology::TopologySpec;
 
 /// Parameters of the analytical model (mirrors the simulator's configuration).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AnalyticConfig {
     /// The network topology (torus / mesh / hypercube / mixed-radix).
     pub topology: TopologySpec,
@@ -58,7 +57,7 @@ impl AnalyticConfig {
 }
 
 /// Break-down of the predicted mean latency into its additive components.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyBreakdown {
     /// Header routing time: `d̄ · (1 + Td)` cycles.
     pub routing: f64,
@@ -78,7 +77,7 @@ impl LatencyBreakdown {
 }
 
 /// The analytical mean-latency model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AnalyticModel {
     config: AnalyticConfig,
     avg_distance: f64,

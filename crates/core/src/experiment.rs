@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_faults::{FaultScenario, FaultScenarioError};
 use torus_metrics::SimulationReport;
@@ -11,7 +10,7 @@ use torus_sim::{SimConfig, SimConfigError, Simulation, StopCondition};
 use torus_topology::TopologySpec;
 
 /// Which routing algorithm an experiment uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RoutingChoice {
     /// Deterministic Software-Based routing (e-cube in the fault-free case).
     Deterministic,
@@ -141,7 +140,7 @@ impl From<SimConfigError> for ExperimentError {
 }
 
 /// One fully described simulation point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentConfig {
     /// The network topology (torus / mesh / hypercube / mixed-radix shape).
     pub topology: TopologySpec,
@@ -162,7 +161,6 @@ pub struct ExperimentConfig {
     /// this to keep the same random fault placement for every traffic-rate
     /// point of a curve (the paper's methodology), while still giving every
     /// point its own traffic seed.
-    #[serde(default)]
     pub fault_seed: Option<u64>,
     /// Messages discarded as warm-up.
     pub warmup_messages: u64,
@@ -313,7 +311,7 @@ impl ExperimentConfig {
 }
 
 /// Result of one experiment point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentOutcome {
     /// The configuration that produced this outcome.
     pub config: ExperimentConfig,
@@ -331,7 +329,6 @@ pub struct ExperimentOutcome {
     /// entries or source-queue records: the peak in-flight population (the
     /// table reclaims delivered entries), so long saturation searches do not
     /// grow memory with delivered traffic.
-    #[serde(default)]
     pub message_table_peak: u64,
 }
 
@@ -645,9 +642,8 @@ mod tests {
 
     #[test]
     fn topology_spec_round_trips_through_its_string_form() {
-        // The serde derives are compile-checked; the spec-string round trip
-        // is the runtime-verifiable serialisation this workspace ships
-        // (the vendored serde has no concrete format backend).
+        // The spec string is the serialised form of a topology: CLI
+        // arguments and result tables carry it.
         for cfg in [
             ExperimentConfig::paper_point(8, 2, 4, 16, 0.004),
             ExperimentConfig::mesh_point(4, 3, 2, 8, 0.002),

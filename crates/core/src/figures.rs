@@ -25,7 +25,6 @@
 use crate::experiment::{ExperimentConfig, ExperimentOutcome, RoutingChoice};
 use crate::pool::{run_pool, Jobs};
 use crate::results::{CurveResult, FigureResult, Metric, PanelResult, PointFailure, PointResult};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use torus_faults::{FaultRegion, FaultScenario, RegionShape};
@@ -33,7 +32,7 @@ use torus_routing::RoutingAlgorithm;
 use torus_topology::{AnyTopology, Network, TopologySpec};
 
 /// Measurement scale of a figure run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny budget and grid: figure smoke tests finish in seconds.
     Smoke,
@@ -258,7 +257,7 @@ pub fn supported_routings(
 }
 
 /// The figures of the paper's evaluation section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Figure {
     /// Fig. 3 — mean latency vs traffic rate, 8-ary 2-cube, deterministic and
     /// adaptive routing, M = 32/64, V = 4/6/10, nf = 0/3/5 random node faults.
@@ -433,11 +432,11 @@ struct FigurePlan {
 }
 
 impl FigurePlan {
-    /// Runs every point on the work-stealing pool and assembles the figure,
-    /// collecting failed points instead of aborting. The pool streams
-    /// per-point results back in completion order and reassembles them into
-    /// grid-enumeration order, so the assembled figure — failed points
-    /// included — is bit-identical at any `jobs` value.
+    /// Runs every point on the shared-cursor pool and assembles the figure,
+    /// collecting failed points instead of aborting. The pool reassembles
+    /// per-point results into grid-enumeration order, so the assembled
+    /// figure — failed points included — is bit-identical at any `jobs`
+    /// value.
     fn execute(self, jobs: Jobs) -> FigureResult {
         let outcomes = run_pool(self.tagged, jobs, |(panel, curve, x, cfg)| {
             (*panel, *curve, *x, cfg.run())

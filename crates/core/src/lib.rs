@@ -8,10 +8,10 @@
 //!   virtual channels, message length, traffic rate, routing flavour, fault
 //!   scenario, seed, measurement budget) and [`ExperimentConfig::run`] to
 //!   execute it;
-//! * [`pool`] — the work-stealing experiment pool: deterministic parallel
-//!   execution of many experiment points across a caller-controlled number of
-//!   worker threads ([`Jobs`], the binaries' `--jobs N`), with results
-//!   reassembled into input order so any thread count is bit-identical;
+//! * [`pool`] — the shared-cursor experiment pool: worker threads
+//!   ([`Jobs`], the binaries' `--jobs N`) take experiment points off one
+//!   atomic cursor, and the results are reassembled into input order so any
+//!   thread count is bit-identical;
 //! * [`figures`] — the exact parameter grids of Figs. 3–7 of Safaei et al.
 //!   (IPDPS 2006), at `Scale::Quick` (reduced message budget, default) or
 //!   `Scale::Paper` (the full 100,000-message methodology);

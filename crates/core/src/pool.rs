@@ -1,4 +1,4 @@
-//! Work-stealing experiment pool.
+//! Shared-cursor experiment pool.
 //!
 //! Every figure grid cell, ablation variant and saturation probe is an
 //! independent fixed-seed simulation, so a whole figure suite is
@@ -7,25 +7,18 @@
 //! come back **in input order** so parallel output is bit-identical to
 //! sequential output at any thread count.
 //!
-//! The pool shards the index space into one contiguous range per worker.
-//! Each worker claims items off the *front* of its own shard; when its shard
-//! drains it steals the *back half* of the fullest remaining shard and
-//! installs the stolen range as its new shard (itself stealable, so a single
-//! long-tailed shard keeps every worker fed). A shard is a single packed
-//! `(cursor, end)` word, so claims and steals race through CAS — no locks, no
-//! `unsafe`. Simulation points vary by orders of magnitude in cost (a
-//! saturated 16-ary 2-cube point runs ~100× longer than an unloaded 4-ary
-//! point), which is exactly the imbalance stealing absorbs and a fixed
-//! upfront partition does not.
-//!
-//! Finished results stream back over a channel as `(index, result)` pairs and
-//! are reassembled into input order by the collector, so the failure-tolerant
-//! collection paths downstream observe the same sequence regardless of
-//! scheduling.
+//! Workers take the next unclaimed index from one shared atomic cursor, so an
+//! idle worker always picks up the next item and the pool stays balanced to
+//! within one item however unevenly the costs fall (a saturated 16-ary 2-cube
+//! point runs ~100× longer than an unloaded 4-ary point). Items cost
+//! milliseconds to seconds, so one `fetch_add` per item is all the scheduling
+//! they need. Each worker keeps its `(index, result)` pairs; after the join
+//! they are put back into input order, so the failure-tolerant collection
+//! paths downstream observe the same sequence regardless of scheduling.
 
-use crossbeam::channel;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Worker-thread count for a parallel sweep: a fixed count or the machine's
@@ -82,174 +75,60 @@ impl std::fmt::Display for Jobs {
     }
 }
 
-/// One worker's claimable range of the index space, packed as
-/// `(cursor << 32) | end` in a single atomic word. The owner claims `cursor`
-/// off the front, thieves CAS `end` down to take the back half; both
-/// revalidate the whole word, and a word always means "indices
-/// `cursor..end` are unclaimed and live here" (indices are globally unique
-/// and never re-enter any shard once claimed), so stale reads can never
-/// double-claim an item.
-struct Shard(AtomicU64);
-
-impl Shard {
-    fn new(cursor: u32, end: u32) -> Shard {
-        Shard(AtomicU64::new(Self::pack(cursor, end)))
-    }
-
-    fn pack(cursor: u32, end: u32) -> u64 {
-        (u64::from(cursor) << 32) | u64::from(end)
-    }
-
-    fn unpack(word: u64) -> (u32, u32) {
-        ((word >> 32) as u32, word as u32)
-    }
-
-    /// Claims the front index, or `None` when the shard is empty.
-    fn claim_front(&self) -> Option<usize> {
-        let mut word = self.0.load(Ordering::Acquire);
-        loop {
-            let (cursor, end) = Self::unpack(word);
-            if cursor >= end {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                word,
-                Self::pack(cursor + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(cursor as usize),
-                Err(now) => word = now,
-            }
-        }
-    }
-
-    /// Steals the back half (rounded up, so even a single remaining item is
-    /// stealable from a busy owner) and returns the stolen range.
-    fn steal_back_half(&self) -> Option<(u32, u32)> {
-        let mut word = self.0.load(Ordering::Acquire);
-        loop {
-            let (cursor, end) = Self::unpack(word);
-            let remaining = end.saturating_sub(cursor);
-            if remaining == 0 {
-                return None;
-            }
-            let split = end - remaining.div_ceil(2);
-            match self.0.compare_exchange_weak(
-                word,
-                Self::pack(cursor, split),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((split, end)),
-                Err(now) => word = now,
-            }
-        }
-    }
-
-    /// Unclaimed items currently in the shard (a racy snapshot, used only to
-    /// pick steal victims and to detect completion).
-    fn remaining(&self) -> u32 {
-        let (cursor, end) = Self::unpack(self.0.load(Ordering::Acquire));
-        end.saturating_sub(cursor)
-    }
-
-    /// Installs a stolen range as the new shard contents. Only the owning
-    /// worker installs, and only while its shard is empty.
-    fn install(&self, cursor: u32, end: u32) {
-        self.0.store(Self::pack(cursor, end), Ordering::Release);
-    }
-}
-
-/// Runs `work` over every item of `inputs` on a work-stealing pool of
-/// `jobs` threads and returns the results in input order.
+/// Runs `work` over every item of `inputs` on a pool of `jobs` threads
+/// sharing one cursor and returns the results in input order.
 ///
 /// The closure must be deterministic per item; the output is then
 /// bit-identical for every `jobs` value (including `Jobs::Auto` on any
 /// machine), because results are reassembled by input index. The thread
 /// count never exceeds the number of items, and one item (or one thread)
-/// degenerates to a plain sequential map on the calling thread.
+/// degenerates to a plain sequential map on the calling thread. A panic in
+/// `work` reaches the caller with its own payload once every worker has
+/// stopped.
 pub fn run_pool<T, R, F>(inputs: Vec<T>, jobs: Jobs, work: F) -> Vec<R>
 where
     T: Send + Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = inputs.len();
-    assert!(
-        n <= u32::MAX as usize,
-        "experiment pool supports at most 2^32-1 work items"
-    );
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = jobs.effective().min(n);
+    let threads = jobs.effective().min(inputs.len());
     if threads <= 1 {
         return inputs.iter().map(&work).collect();
     }
 
-    let shards: Vec<Shard> = (0..threads)
-        .map(|w| Shard::new((n * w / threads) as u32, (n * (w + 1) / threads) as u32))
-        .collect();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-
-    thread::scope(|scope| {
-        for w in 0..threads {
-            let shards = &shards;
-            let inputs = &inputs;
-            let work = &work;
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                loop {
-                    // Drain the own shard front-to-back.
-                    while let Some(idx) = shards[w].claim_front() {
-                        let r = work(&inputs[idx]);
-                        if result_tx.send((idx, r)).is_err() {
-                            return;
-                        }
-                    }
-                    // Steal the back half of the fullest other shard and make
-                    // it the new own shard (stealable in turn). When every
-                    // shard is empty the sweep is complete. (A range can be
-                    // in a thief's hands between the steal and the install —
-                    // a worker scanning in exactly that window exits early
-                    // and merely leaves a little parallelism on the table;
-                    // the thief itself still processes the range.)
-                    let victim = (0..shards.len())
-                        .filter(|&v| v != w)
-                        .max_by_key(|&v| shards[v].remaining());
-                    match victim.and_then(|v| shards[v].steal_back_half()) {
-                        Some((start, end)) => shards[w].install(start, end),
-                        None => {
-                            if shards.iter().all(|s| s.remaining() == 0) {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            });
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = inputs.get(idx) else {
+                return done;
+            };
+            done.push((idx, work(item)));
         }
-        drop(result_tx);
-        // Streamed results arrive in completion order; reassembling by index
-        // restores input order no matter how the shards were carved up.
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        while let Ok((idx, r)) = result_rx.recv() {
-            debug_assert!(results[idx].is_none(), "index {idx} claimed twice");
-            results[idx] = Some(r);
-        }
-        results
+    };
+    let mut pairs: Vec<(usize, R)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
             .into_iter()
-            .map(|r| r.expect("every index is claimed and produces exactly one result"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            })
             .collect()
-    })
+    });
+    pairs.sort_unstable_by_key(|&(idx, _)| idx);
+    debug_assert!(
+        pairs.iter().enumerate().all(|(i, &(idx, _))| i == idx),
+        "every index is claimed exactly once"
+    );
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
     #[test]
@@ -291,9 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn every_item_processed_exactly_once_under_stealing() {
-        // Skewed costs force the later shards to finish first and steal from
-        // the slow front shard; every index must still be claimed exactly
+    fn every_item_processed_exactly_once_under_skewed_costs() {
+        // Skewed costs keep some workers on the slow front items while the
+        // others take the rest; every index must still be claimed exactly
         // once.
         let claimed = Mutex::new(HashSet::new());
         let inputs: Vec<usize> = (0..257).collect();
@@ -337,27 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_claim_and_steal_protocol() {
-        let s = Shard::new(0, 10);
-        assert_eq!(s.remaining(), 10);
-        assert_eq!(s.claim_front(), Some(0));
-        // Stealing takes the back half, rounded up.
-        assert_eq!(s.steal_back_half(), Some((5, 10)));
-        assert_eq!(s.remaining(), 4);
-        // Draining the rest off the front.
-        for want in 1..5 {
-            assert_eq!(s.claim_front(), Some(want));
-        }
-        assert_eq!(s.claim_front(), None);
-        assert_eq!(s.steal_back_half(), None);
-        // A single remaining item is stealable (a busy owner cannot strand
-        // its last unclaimed item).
-        let s = Shard::new(7, 8);
-        assert_eq!(s.steal_back_half(), Some((7, 8)));
-        assert_eq!(s.remaining(), 0);
-        // Installing a stolen range re-arms the shard.
-        s.install(7, 8);
-        assert_eq!(s.claim_front(), Some(7));
-        assert_eq!(s.claim_front(), None);
+    #[should_panic(expected = "item 13 failed")]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let inputs: Vec<u32> = (0..40).collect();
+        run_pool(inputs, Jobs::count(4), |&x| {
+            assert_ne!(x, 13, "item {x} failed");
+            x
+        });
     }
 }

@@ -1,11 +1,10 @@
 //! Structured figure results and their text/CSV rendering.
 
-use serde::{Deserialize, Serialize};
 use torus_metrics::SimulationReport;
 
 /// One point of a curve: an x value (traffic rate or number of faults) and the
 /// simulation report measured there.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PointResult {
     /// The x coordinate (traffic rate in messages/node/cycle, or number of
     /// faulty nodes, depending on the figure).
@@ -28,7 +27,7 @@ impl PointResult {
 }
 
 /// The metric a figure plots on its y axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// Mean message latency in cycles (Figs. 3, 4, 5).
     MeanLatency,
@@ -50,7 +49,7 @@ impl Metric {
 }
 
 /// One curve of a figure panel (for example "M=32, nf=5").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CurveResult {
     /// Legend label of the curve.
     pub label: String,
@@ -59,7 +58,7 @@ pub struct CurveResult {
 }
 
 /// One panel of a figure (one sub-plot, e.g. "Deterministic routing, V=4").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PanelResult {
     /// Panel title.
     pub title: String,
@@ -76,7 +75,7 @@ pub struct PanelResult {
 /// incompatible point (for example a fault region that does not fit the
 /// requested topology) leaves a hole in its curve rather than killing the
 /// whole figure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PointFailure {
     /// Title of the panel the point belongs to.
     pub panel: String,
@@ -89,7 +88,7 @@ pub struct PointFailure {
 }
 
 /// A complete reproduced figure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FigureResult {
     /// Identifier, e.g. "fig3".
     pub id: String,
@@ -98,7 +97,6 @@ pub struct FigureResult {
     /// Panels of the figure.
     pub panels: Vec<PanelResult>,
     /// Points that failed to run (empty on a fully successful figure).
-    #[serde(default)]
     pub failures: Vec<PointFailure>,
 }
 

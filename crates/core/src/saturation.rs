@@ -35,10 +35,9 @@
 //! present a bound.
 
 use crate::experiment::{ExperimentConfig, ExperimentError};
-use serde::{Deserialize, Serialize};
 
 /// Result of a saturation search. Every rate was actually probed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SaturationEstimate {
     /// Highest probed offered load (messages/node/cycle) at which the network
     /// was still stable, or `None` when even the base rate saturated.
@@ -89,7 +88,7 @@ impl SaturationEstimate {
 }
 
 /// Options controlling the saturation search.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SaturationSearch {
     /// Low-load reference rate used to measure the unloaded latency.
     pub base_rate: f64,

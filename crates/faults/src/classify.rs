@@ -7,11 +7,10 @@
 //! shows higher latency for them.
 
 use crate::regions::RegionShape;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Classification of a coalesced fault region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegionClass {
     /// The region completely fills its bounding rectangle (a block fault).
     Convex,

@@ -47,13 +47,3 @@ pub use plan::{FaultScenario, FaultScenarioError};
 pub use random::{random_node_faults, random_switch_faults, RandomFaultError};
 pub use regions::{FaultRegion, RegionPlacementError, RegionShape};
 pub use schedule::{FaultEvent, FaultSchedule, FaultScheduleError, ScheduleEpoch, ScheduledFault};
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::classify::{classify_region, RegionClass};
-    pub use crate::model::{FaultKind, FaultSet};
-    pub use crate::plan::FaultScenario;
-    pub use crate::random::random_node_faults;
-    pub use crate::regions::{FaultRegion, RegionShape};
-    pub use crate::schedule::{FaultEvent, FaultSchedule};
-}

@@ -1,12 +1,11 @@
 //! The fault set: which nodes and channels are faulty.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
 /// The two kinds of permanent static component failure considered by the
 /// paper (Section 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The entire PE and its associated router fail. All links incident on the
     /// node are also unusable.
@@ -31,7 +30,7 @@ pub enum FaultKind {
 /// answers are dense lookups: faulty nodes are a bitset indexed by [`NodeId`], grown
 /// as nodes fail, and link faults a sorted list searched by bisection.
 /// Equality compares the faults, not how the storage grew.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct FaultSet {
     /// Bit `n % 64` of word `n / 64` is set iff node `n` is faulty.
     faulty_nodes: Vec<u64>,
@@ -341,23 +340,5 @@ mod tests {
             vec![NodeId(3), NodeId(9), NodeId(27)]
         );
         let _ = &t;
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = torus8x8();
-        let mut f = FaultSet::new();
-        f.fail_node(NodeId(7));
-        f.fail_link(&t, NodeId(12), 1, Direction::Plus);
-        let json = serde_json_like(&f);
-        assert!(json.contains("faulty_nodes"));
-    }
-
-    /// Minimal check that the type is serialisable without pulling serde_json
-    /// into the dependency set: serialise through the `serde` test shim.
-    fn serde_json_like(f: &FaultSet) -> String {
-        // Use the Debug representation as a stand-in; the derive compiles the
-        // Serialize/Deserialize impls which is what this test guards.
-        format!("faulty_nodes={:?}", f.faulty_nodes_sorted())
     }
 }

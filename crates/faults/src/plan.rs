@@ -14,7 +14,6 @@ use crate::random::{
 };
 use crate::regions::{FaultRegion, RegionPlacementError, RegionShape};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_topology::{AnyTopology, Coord, Network, NodeId};
 
@@ -64,7 +63,7 @@ impl From<RegionPlacementError> for FaultScenarioError {
 }
 
 /// A declarative fault configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultScenario {
     /// No faulty components (the fault-free baseline, nf = 0).
     None,

@@ -14,7 +14,6 @@
 //! open (mesh) dimension — is rejected instead of being wrapped silently.
 
 use crate::model::FaultSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_topology::{Coord, Network, NetworkError, NodeId};
 
@@ -22,7 +21,7 @@ use torus_topology::{Coord, Network, NetworkError, NodeId};
 ///
 /// Cell sets are expressed as `(x, y)` offsets with `x` along the first plane
 /// dimension and `y` along the second. All lengths are in nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegionShape {
     /// `□`-shaped block fault of `width × height` nodes (convex).
     Rect {
@@ -418,7 +417,7 @@ impl From<NetworkError> for RegionPlacementError {
 
 /// A fault-region shape placed onto a network: anchored at a coordinate,
 /// lying in the plane spanned by two dimensions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultRegion {
     /// The shape of the region.
     pub shape: RegionShape,

@@ -17,12 +17,11 @@
 //! destination) pair's fate as faults accumulate.
 
 use crate::model::FaultSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_topology::{AnyTopology, Direction, NodeId};
 
 /// One scheduled component failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
     /// The node (PE + router) fails; all incident channels fail with it.
     Node {
@@ -61,7 +60,7 @@ impl FaultEvent {
 }
 
 /// One event of a schedule with its injection cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduledFault {
     /// Simulation cycle the component fails at.
     pub cycle: u64,
@@ -183,7 +182,7 @@ pub struct ScheduleEpoch {
 }
 
 /// An ordered, serialisable list of scheduled fault injections.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     events: Vec<ScheduledFault>,
 }

@@ -3,10 +3,9 @@
 use crate::histogram::Histogram;
 use crate::stats::StreamingStats;
 use crate::throughput::ThroughputMeter;
-use serde::{Deserialize, Serialize};
 
 /// When statistics gathering begins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WarmupPolicy {
     /// Measure from the very first message.
     None,
@@ -185,7 +184,7 @@ impl MetricsCollector {
 }
 
 /// Summary of one simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimulationReport {
     /// Number of nodes in the network (healthy + faulty).
     pub num_nodes: usize,

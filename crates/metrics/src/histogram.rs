@@ -1,11 +1,9 @@
 //! Fixed-bin-width histogram for latency distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over non-negative values with uniform bin width and an overflow
 /// bucket. Latencies in the simulator are cycle counts, so integer-valued bins
 /// (width 1 or a small multiple) capture the distribution exactly.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
     bins: Vec<u64>,

@@ -27,11 +27,3 @@ pub use collector::{MetricsCollector, SimulationReport, WarmupPolicy};
 pub use histogram::Histogram;
 pub use stats::StreamingStats;
 pub use throughput::ThroughputMeter;
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::collector::{MetricsCollector, SimulationReport, WarmupPolicy};
-    pub use crate::histogram::Histogram;
-    pub use crate::stats::StreamingStats;
-    pub use crate::throughput::ThroughputMeter;
-}

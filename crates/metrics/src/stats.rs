@@ -1,10 +1,8 @@
 //! Streaming (single-pass) summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean / variance / extrema (Welford's
 /// algorithm). Used for message latencies, hop counts and queue occupancies.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,

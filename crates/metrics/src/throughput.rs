@@ -6,10 +6,8 @@
 //! [`ThroughputMeter`] counts delivered messages and flits over the
 //! measurement window and normalises them per node per cycle.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts deliveries over a measurement window.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThroughputMeter {
     window_start: Option<u64>,
     delivered_messages: u64,

@@ -24,7 +24,6 @@
 
 use crate::ecube::{ecube_output, ecube_vc_class};
 use crate::header::{RouteHeader, RoutingFlavor};
-use serde::{Deserialize, Serialize};
 use torus_topology::{
     AnyTopology, ChannelId, DirectedChannel, Direction, Network, NodeId, VcClass,
 };
@@ -210,7 +209,7 @@ pub fn build_ecube_cdg(net: &Network, model: VcModel) -> DependencyGraph {
 /// first direction is Minus; west-first flips dimension 0. Any such rule is a
 /// reflection (per-dimension relabelling of Plus/Minus) of negative-first, so
 /// its turn CDG is acyclic on open shapes for exactly the same reason.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TurnRule {
     /// Negative-first: a hop in the Minus direction may never follow a hop in
     /// the Plus direction. Breaks every dependency cycle on open dimensions.

@@ -6,7 +6,6 @@
 //! every set the dateline rule can produce — and [`Candidates`] keeps up to
 //! [`CANDIDATES_INLINE`] of them inline, spilling to a vector beyond that.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Deref, DerefMut, Range};
 use torus_topology::Direction;
@@ -25,7 +24,7 @@ pub const CANDIDATES_INLINE: usize = 6;
 
 /// A contiguous, ascending set of virtual-channel indices on one physical
 /// channel, `start..end`, with `end <= MAX_VIRTUAL_CHANNELS`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VcRange {
     start: u8,
     end: u8,
@@ -60,7 +59,7 @@ impl fmt::Debug for VcRange {
 
 /// One admissible output for a header flit: a physical output port plus the
 /// set of virtual channels the deadlock-avoidance scheme permits on it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutputCandidate {
     dim: u16,
     dir: Direction,
@@ -119,10 +118,10 @@ impl OutputCandidate {
 /// The candidates of a [`RouteDecision::Forward`], in routing-function
 /// order: inline up to [`CANDIDATES_INLINE`], on the heap beyond. Equality
 /// and `Debug` see only the listed candidates, whatever the storage.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Candidates(List);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum List {
     /// `items[..len]`.
     Inline {
@@ -229,7 +228,7 @@ impl fmt::Debug for Candidates {
 }
 
 /// Decision taken by the routing function for a header flit at a node.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Forward the message over one of the listed candidates (in decreasing
     /// preference order between groups; within a group the VC allocator picks

@@ -1,6 +1,5 @@
 //! Per-message routing state carried in the message header.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use torus_topology::{AnyTopology, Direction, NodeId};
@@ -10,7 +9,7 @@ use torus_topology::{AnyTopology, Direction, NodeId};
 /// In a fault-free network the deterministic flavour is identical to
 /// dimension-order (e-cube) routing and the adaptive flavour is identical to
 /// Duato's Protocol fully adaptive routing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RoutingFlavor {
     /// Deterministic (e-cube based) Software-Based routing.
     Deterministic,
@@ -81,7 +80,7 @@ const FORCED_MINUS: u64 = 0b10;
 /// Equality and hashing follow the via chain as a sequence, not its storage:
 /// a chain that spilled and shrank back equals, and hashes as, the same chain
 /// that never spilled. The verifier's intern table keys states on this.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RouteHeader {
     /// Node that generated the message.
     pub source: NodeId,
@@ -278,7 +277,7 @@ impl RouteHeader {
 }
 
 /// The via chain: never empty, because its front is a field of its own.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct ViaChain {
     /// The current routing target.
     front: NodeId,
@@ -300,7 +299,7 @@ impl ViaChain {
 /// A stack of nodes that holds [`REST_INLINE`] of them inline and moves to
 /// the heap on overflow. Equality, hashing and `Debug` see only the stacked
 /// nodes, whatever the storage and whatever an inline slot held before.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Stack {
     /// `nodes[..len]`, bottom first.
     Inline {

@@ -68,11 +68,3 @@ pub use decision::{
 };
 pub use header::{RouteHeader, RoutingFlavor};
 pub use swbased::{AnyRouting, RoutingAlgorithm, RoutingTopologyError, Substrate};
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::cdg::{DependencyGraph, TurnRule};
-    pub use crate::decision::{Candidates, OutputCandidate, RouteDecision, VcRange};
-    pub use crate::header::{RouteHeader, RoutingFlavor};
-    pub use crate::swbased::{AnyRouting, RoutingAlgorithm, RoutingTopologyError, Substrate};
-}

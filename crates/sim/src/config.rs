@@ -1,14 +1,13 @@
 //! Simulation configuration.
 
 use crate::router::MAX_SLOTS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use torus_routing::MAX_VIRTUAL_CHANNELS;
 use torus_topology::TopologySpec;
 use torus_workloads::TrafficSpec;
 
 /// When a simulation run stops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopCondition {
     /// Stop once this many *measured* (post-warm-up) messages have been
     /// delivered, the paper's methodology (100,000 messages of which the
@@ -147,7 +146,7 @@ impl std::error::Error for SimConfigError {}
 /// The defaults reproduce the paper's assumptions: router decision time
 /// `Td = 0`, re-injection overhead `Δ = 0`, fixed-length messages, Poisson
 /// arrivals, uniform destinations.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// The network topology (torus / mesh / hypercube / mixed-radix).
     pub topology: TopologySpec,

@@ -1,6 +1,5 @@
 //! Flits — the flow-control units of wormhole switching.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a message within one simulation run.
@@ -12,7 +11,7 @@ use std::fmt;
 /// never silently alias a newer message. Identifiers produced by an
 /// append-only table (generation 0) are plain sequential integers, which
 /// keeps `MessageId(n)` literals in tests meaningful.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
 
 impl MessageId {
@@ -55,7 +54,7 @@ impl fmt::Display for MessageId {
 }
 
 /// Kind of a flit within its message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlitKind {
     /// Header flit: carries the routing information and allocates channels.
     Head,
@@ -82,7 +81,7 @@ impl FlitKind {
 }
 
 /// One flow-control unit travelling through the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// The message this flit belongs to.
     pub msg: MessageId,

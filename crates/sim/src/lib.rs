@@ -79,10 +79,3 @@ pub use observer::{Allocation, NoObserver, Observer, Stage, StageTimer};
 pub use reference::{FullScan, ReferenceSimulation};
 pub use sanitizer::{InvariantViolation, Sanitizer};
 pub use schedule::{ActiveSchedule, MessageTable, Schedule};
-
-/// Convenience prelude re-exporting the most frequently used items.
-pub mod prelude {
-    pub use crate::config::{SimConfig, StopCondition};
-    pub use crate::flit::{Flit, FlitKind, MessageId};
-    pub use crate::network::{RunOutcome, Simulation};
-}

@@ -6,11 +6,10 @@
 //! integer [`ChannelId`] suitable for indexing simulator state tables.
 
 use crate::coords::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Direction of travel along a dimension of the torus.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// Increasing coordinate (wrapping from k-1 back to 0).
     Plus,
@@ -83,7 +82,7 @@ impl fmt::Display for Direction {
 
 /// A unidirectional physical channel identified by its source node, the
 /// dimension it traverses and the direction of travel.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DirectedChannel {
     /// Node the channel leaves from.
     pub from: NodeId,
@@ -114,7 +113,7 @@ impl fmt::Display for DirectedChannel {
 /// slot; slots of channels that do not physically exist (mesh edges,
 /// endpoint down-ports) are simply never used, and
 /// [`crate::AnyTopology::channels`] never yields them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {

@@ -5,7 +5,6 @@
 //! [`NodeId`] in mixed-radix order (digit 0 is the least significant), which
 //! makes table lookups in the simulator O(1) array indexing.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense node identifier, `0 <= id < k^n`.
@@ -13,7 +12,7 @@ use std::fmt;
 /// `NodeId` is a thin newtype over `u32`; a k-ary n-cube with more than
 /// 2^32 nodes is far beyond anything the simulator targets (the paper uses at
 /// most 16^2 = 256 and 8^3 = 512 nodes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -51,7 +50,7 @@ impl From<u32> for NodeId {
 /// Mixed-radix coordinate of a node: one digit per dimension, each in `0..k`.
 ///
 /// Digit `i` is the position of the node along dimension `i`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Coord {
     digits: Vec<u16>,
 }

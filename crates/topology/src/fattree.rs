@@ -34,7 +34,6 @@
 use crate::channel::Direction;
 use crate::coords::NodeId;
 use crate::network::NetworkError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -56,7 +55,7 @@ pub enum FatTreeNode {
 ///
 /// Like [`Network`](crate::Network), the topology owns no per-node state; it
 /// is a pure description of the id space and channel structure.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FatTree {
     arity: u16,
     levels: u32,

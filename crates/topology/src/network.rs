@@ -14,7 +14,6 @@
 
 use crate::channel::{DirectedChannel, Direction};
 use crate::coords::{Coord, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when constructing or querying a [`Network`].
@@ -77,7 +76,7 @@ impl std::error::Error for NetworkError {}
 /// The topology owns no per-node state; it is a pure description of the
 /// address space and channel structure, cheap to clone around. Dimension `d`
 /// has `radices[d]` positions and wraps around iff `wraps[d]` is true.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Network {
     radices: Vec<u16>,
     wraps: Vec<bool>,
@@ -94,7 +93,7 @@ pub struct Network {
 /// high word of `m * n`, and `n % d` the high word of `(m * n mod 2^64) * d`,
 /// for every 32-bit `n` and `d` (Lemire, Kaser and Kurz, "Faster Remainder by
 /// Direct Computation", 2019).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Divisor {
     m: u64,
     d: u32,

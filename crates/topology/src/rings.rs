@@ -25,10 +25,8 @@
 use crate::network::Network;
 use crate::topo::AnyTopology;
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual-channel class required by the dateline scheme on a given hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VcClass {
     /// Before crossing the ring's dateline.
     BeforeDateline,

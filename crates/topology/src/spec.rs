@@ -2,7 +2,7 @@
 //!
 //! A [`TopologySpec`] names a network shape without constructing it: the
 //! experiment harness and the simulator configuration carry a spec (it is
-//! `Clone + Eq + Serialize` and cheap to compare/log) and call
+//! `Clone + Eq` and cheap to compare/log) and call
 //! [`TopologySpec::build`] when they need the concrete [`Network`].
 //!
 //! Every spec also round-trips through a compact human-readable string form
@@ -20,11 +20,10 @@
 use crate::fattree::FatTree;
 use crate::network::{Network, NetworkError};
 use crate::topo::AnyTopology;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A declarative description of a network topology.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TopologySpec {
     /// k-ary n-cube: uniform radix, every dimension wraps.
     Torus {

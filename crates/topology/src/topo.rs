@@ -25,11 +25,10 @@ use crate::channel::{ChannelId, DirectedChannel, Direction};
 use crate::coords::NodeId;
 use crate::fattree::FatTree;
 use crate::network::{Network, NetworkError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Either topology backend behind one dispatchable value.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnyTopology {
     /// A direct mixed-radix grid (torus / mesh / hypercube / mixed).
     Grid(Network),

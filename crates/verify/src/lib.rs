@@ -62,16 +62,6 @@ pub use matrix::{run_matrix, CaseResult, MatrixKind, MatrixReport, Verdict};
 pub use reach::{check_reachability, PairVerdict, ReachReport};
 pub use relation::{walk_pair, RelationWalk, StateBudgetExceeded};
 
-/// Convenience re-exports for `use swbft_verify::prelude::*;`.
-pub mod prelude {
-    pub use crate::epochs::{verify_schedule, EpochReport, PairFate, ScheduleOutcome};
-    pub use crate::exact::{extract_exact_cdg, ExactCdg, Granularity};
-    pub use crate::matrix::{run_matrix, MatrixKind, MatrixReport, Verdict};
-    pub use crate::reach::{check_reachability, PairVerdict, ReachReport};
-    pub use crate::relation::{walk_pair, RelationWalk};
-    pub use crate::report::{render_text, to_json};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

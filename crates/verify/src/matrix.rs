@@ -861,7 +861,7 @@ fn run_item(nets: &[AnyTopology], item: &WorkItem) -> CaseResult {
 /// a short line per case.
 ///
 /// The case list is enumerated up front and, for `jobs > 1`, fanned over
-/// the work-stealing experiment pool ([`swbft_core::run_pool`]); results are
+/// the shared-cursor experiment pool ([`swbft_core::run_pool`]); results are
 /// reassembled into enumeration order, so the case list (and every per-case
 /// field of `VERIFY.json`) is identical for any thread count — only the
 /// recorded wall clock and job count differ. With multiple jobs, `progress`

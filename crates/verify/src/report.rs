@@ -1,9 +1,9 @@
 //! Rendering of matrix runs: machine-readable `VERIFY.json` and the
 //! human-readable console summary.
 //!
-//! The JSON is hand-rolled (the workspace's vendored `serde` is a derive
-//! stub without a format backend), matching the idiom of the figure and
-//! bench reports. Strings that can carry arbitrary error text are escaped.
+//! The JSON is hand-rolled (the workspace has no serialisation
+//! dependency), matching the idiom of the figure and bench reports.
+//! Strings that can carry arbitrary error text are escaped.
 
 use crate::epochs::{EpochReport, ScheduleOutcome};
 use crate::matrix::{CaseResult, MatrixReport, Verdict};

@@ -7,12 +7,11 @@
 
 use crate::arrival::PoissonArrivals;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use torus_faults::FaultSet;
 use torus_topology::{AnyTopology, NodeId};
 
 /// Declarative description of the workload applied to every node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrafficSpec {
     /// Mean generation rate λ in messages/node/cycle (Poisson process).
     pub rate: f64,
