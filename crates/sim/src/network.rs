@@ -28,6 +28,8 @@
 //!    arrive ([`crate::arbiter`]); each requested port then moves its
 //!    winner's flit. Flits routed to the local node (delivery or absorption)
 //!    drain in the same pass without bandwidth limit (paper assumption (d)).
+//!    A worm whose output VC has no credit is not visited at all: the
+//!    router's credit mask leaves its slot out until a credit comes back.
 //! 5. **Arrival application / credit return** — movements become visible to
 //!    the downstream routers at the start of the next cycle.
 //! 6. **Stall watchdog** — a safety valve that never fires with the
@@ -55,10 +57,12 @@
 //! (the router's slot masks, see [`crate::router`]): stages 3 and 6 the
 //! slots whose front head flit awaits routing (the waiting-head mask), the
 //! request pass of stage 4 the occupied slots whose front flit is bound to a
-//! route, and its grant loop only the output ports with a request. An empty
-//! slot, a waiting head in the switch or a bound one in routing has nothing
-//! for the stage. Slots and ports are still visited in ascending order, under
-//! either scheduler, so skipping them changes no RNG draw or recording.
+//! local sink or to an output VC with a credit (the credit mask), and its
+//! grant loop only the output ports with a request. An empty slot, a waiting
+//! head or a worm with no credit in the switch, or a bound head in routing,
+//! has nothing for the stage. Slots and ports are still visited in ascending
+//! order, under either scheduler, so skipping them changes no RNG draw or
+//! recording.
 //!
 //! Stages 3 and 4 run per router: `step` walks the busy routers once, and at
 //! each one routes the waiting heads, then switches. (So an observer sees
@@ -169,6 +173,23 @@ pub struct Engine<A: RoutingAlgorithm, S: Schedule, O: Observer = NoObserver> {
     /// Kept-head retries the replay path handled.
     #[cfg(test)]
     replayed: u64,
+    /// What the switch pass did with the slots it visited and skipped.
+    #[cfg(test)]
+    switch_tally: SwitchTally,
+}
+
+/// The switch pass's slot visits by outcome (`not_ready` counts a route
+/// whose decision time has not passed, or an empty buffer the occupancy
+/// mask let through), and the occupied slots it skipped because their
+/// output VC had no credit.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct SwitchTally {
+    visited: u64,
+    requested: u64,
+    sunk: u64,
+    not_ready: u64,
+    skipped: u64,
 }
 
 impl<A: RoutingAlgorithm, S: Schedule> Engine<A, S> {
@@ -245,6 +266,8 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             observer,
             #[cfg(test)]
             replayed: 0,
+            #[cfg(test)]
+            switch_tally: SwitchTally::default(),
         })
     }
 
@@ -488,9 +511,32 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// check that no candidate VC is claimable). The walk finds a kept head's
     /// entry in the dense store with a cursor, `rank`: the number of entries
     /// of the slots it has passed.
+    ///
+    /// A router whose every waiting head keeps a decision and that has
+    /// released nothing is all replays: the store is in slot order, so one
+    /// loop over it makes the walk's draws in the walk's order, with no mask
+    /// walk and no cursor.
     fn route_and_allocate(&mut self, now: u64, idx: usize) {
         let router = &self.routers[idx];
         let must_fail = !router.released();
+        if must_fail && router.every_waiting_head_keeps() {
+            #[cfg(debug_assertions)]
+            for w in 0..self.routers[idx].occupancy_words() {
+                for slot in self.routers[idx].kept_slots_in(w) {
+                    let rank = self.routers[idx].kept_index(slot).expect("a kept slot");
+                    self.check_kept(idx, slot, rank, true);
+                }
+            }
+            let kept = self.routers[idx].kept_decisions();
+            for decision in kept {
+                shuffle_draws(decision.candidates.len(), &mut self.rng);
+            }
+            #[cfg(test)]
+            {
+                self.replayed += kept.len() as u64;
+            }
+            return;
+        }
         let mut rank = 0;
         for w in 0..self.routers[idx].occupancy_words() {
             for slot in self.routers[idx].waiting_slots_in(w) {
@@ -594,7 +640,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 order,
                 &mut self.free_vcs,
                 outputs,
-                msg_id,
+                (msg_id, slot),
                 (v, depth),
                 &mut self.rng,
             ) else {
@@ -629,7 +675,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 order,
                 &mut self.free_vcs,
                 &mut router.outputs,
-                msg_id,
+                (msg_id, slot),
                 (v, depth),
                 &mut self.rng,
             ) else {
@@ -657,22 +703,41 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
     /// when the cycle's arrivals and credits are applied.
     fn switch_and_traverse(&mut self, now: u64, idx: usize) {
         // One pass over the router's routed input VCs (occupied, head not
-        // waiting), in ascending slot order: local sinks drain (unbounded
-        // bandwidth), network-bound VCs that could move a flit post a
-        // request for their output port, which settles the port's winner
-        // against its pointer. An input VC is bound to one output port and a
-        // traversal touches only its own VC pair, so the winners are what a
-        // probe per port would have found. A sink empties at most its own
-        // slot, which the walk has passed, and moves no pointer.
+        // waiting, output VC not out of credit), in ascending slot order:
+        // local sinks drain (unbounded bandwidth), network-bound VCs that
+        // could move a flit post a request for their output port, which
+        // settles the port's winner against its pointer. The checks below
+        // stay: the credit mask only filters, and a slot it let through
+        // that cannot move costs one visit. An input VC is bound to one
+        // output port and a traversal touches only its own VC pair, so the
+        // winners are what a probe per port would have found. A sink empties
+        // at most its own slot, which the walk has passed, and moves no
+        // pointer.
         self.requests.clear();
         for w in 0..self.routers[idx].occupancy_words() {
+            #[cfg(test)]
+            {
+                let router = &self.routers[idx];
+                let skipped = router
+                    .creditless_slots_in(w)
+                    .filter(|&s| router.is_occupied(s));
+                self.switch_tally.skipped += skipped.count() as u64;
+            }
             for slot in self.routers[idx].routed_slots_in(w) {
+                #[cfg(test)]
+                {
+                    self.switch_tally.visited += 1;
+                }
                 let router = &self.routers[idx];
                 let ivc = &router.inputs[slot];
                 let Some(route) = ivc.route else {
                     continue;
                 };
                 if u64::from(route.ready_at) > now || ivc.buffer.is_empty() {
+                    #[cfg(test)]
+                    {
+                        self.switch_tally.not_ready += 1;
+                    }
                     continue;
                 }
                 match route.target.output() {
@@ -680,9 +745,19 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                         if router.outputs[router.slot(out_port, out_vc)].credits() > 0 {
                             let pointer = router.pointer(out_port);
                             self.requests.request(out_port, slot, pointer);
+                            #[cfg(test)]
+                            {
+                                self.switch_tally.requested += 1;
+                            }
                         }
                     }
-                    None => self.sink_local_flit(now, idx, slot, route.target),
+                    None => {
+                        self.sink_local_flit(now, idx, slot, route.target);
+                        #[cfg(test)]
+                        {
+                            self.switch_tally.sunk += 1;
+                        }
+                    }
                 }
             }
         }
@@ -797,10 +872,10 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
             self.schedule.note_router_empty(idx);
         }
         router.inputs[slot].last_progress = stamp(now);
+        router.send(slot, out_slot, flit.kind.is_tail());
         if flit.kind.is_tail() {
             router.unbind(slot);
         }
-        router.outputs[out_slot].send(flit.kind.is_tail());
         router.advance_pointer(out_port, slot);
         if flit.kind.is_head() {
             let (dim, dir) = RouterState::port_dim_dir(out_port);
@@ -907,14 +982,15 @@ fn shuffle_draws(len: usize, rng: &mut StdRng) {
 
 /// VC allocation over `candidates` in the shuffled `order`, escapes stably
 /// sorted last: the first candidate with a free VC (among `outputs`, `V` per
-/// port, of buffers `depth` deep) has `msg` claim a random one of them.
-/// Returns that candidate and VC, or `None` when no candidate has a free VC.
+/// port, of buffers `depth` deep) has `msg`, whose head waits in input slot
+/// `slot`, claim a random one of them. Returns that candidate and VC, or
+/// `None` when no candidate has a free VC.
 fn allocate(
     candidates: &Candidates,
     order: &mut [usize],
     free: &mut Vec<usize>,
     outputs: &mut [OutputVc],
-    msg: MessageId,
+    (msg, slot): (MessageId, usize),
     (v, depth): (usize, usize),
     rng: &mut StdRng,
 ) -> Option<(OutputCandidate, usize)> {
@@ -932,7 +1008,7 @@ fn allocate(
         let Some(&out_vc) = free.choose(rng) else {
             continue;
         };
-        port_vcs[out_vc].claim(msg);
+        port_vcs[out_vc].claim(msg, slot);
         return Some((cand, out_vc));
     }
     None
@@ -1275,7 +1351,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "yet a candidate VC of blocked head")]
-    fn debug_builds_catch_a_release_the_epoch_missed() {
+    fn debug_builds_catch_a_release_the_release_flag_missed() {
         // Saturate a 4x2 torus until some router's waiting heads all keep a
         // decision and it has released no output VC since its last routing
         // pass. Make a candidate VC of the first one claimable without
@@ -1403,6 +1479,29 @@ mod tests {
             must_fail > kept / 2 && must_fail > 10_000,
             "{must_fail} of {kept} kept-head retries replayed"
         );
+    }
+
+    #[test]
+    fn the_switch_pass_visits_only_slots_that_can_act() {
+        // The saturated adaptive pin's configuration, where most routed worms
+        // wait on a downstream credit. Every slot the request pass visits
+        // posts a request, sinks a flit or is not ready yet: a slot bound to
+        // an output VC with no credit is left out of the walk.
+        let mut config = quick_config(4, 2, 4, 8, 0.2);
+        config.seed = 17;
+        config.warmup_messages = 100;
+        config.stop = StopCondition::Cycles(4_000);
+        config.max_cycles = 4_000;
+        let algo = AnyRouting::adaptive(Substrate::DimensionOrder);
+        let mut sim = Simulation::new(config, FaultSet::new(), algo).unwrap();
+        sim.run();
+        let tally = sim.switch_tally;
+        assert_eq!(
+            tally.visited,
+            tally.requested + tally.sunk + tally.not_ready,
+            "{tally:?}"
+        );
+        assert!(tally.skipped > 10_000, "{tally:?}");
     }
 
     #[test]

@@ -46,9 +46,9 @@
 //! at the edge of an open dimension) has no entry, and its VC state is
 //! allocated but never used.
 //!
-//! Slot masks: each router keeps three sets of its input slots in `u64` words
-//! sized for its slot count, stored as one `[occupied, waiting, kept]` triple
-//! per word so that one load serves all three.
+//! Slot masks: each router keeps four sets of its input slots in `u64` words
+//! sized for its slot count, stored as one `[occupied, waiting, kept,
+//! creditless]` quadruple per word so that one load serves all four.
 //!
 //! * The **occupancy mask** ([`RouterState::occupied_slots_in`]): bit `s` is
 //!   set iff `inputs[s].buffer` is non-empty. The engine fills and drains
@@ -66,11 +66,24 @@
 //! * The **kept-decision mask** ([`RouterState::kept_slots_in`]): bit `s` is
 //!   set iff the waiting head of slot `s` failed VC allocation and keeps its
 //!   routing decision (below). It is a subset of the waiting-head mask.
+//! * The **credit mask** (the crate-private `is_creditless`): bit `s` is
+//!   set iff slot `s` is bound to a network output VC whose credit count is
+//!   0: its worm is blocked downstream. Credits change only through the
+//!   crate-private `send` (a flit crossed the switch) and `return_credit`
+//!   (the downstream buffer freed a slot). `send` sets the bit when a flit
+//!   other than the tail spends the last credit; after the tail the slot
+//!   unbinds, and `unbind` clears it. `return_credit` clears it when the
+//!   first credit comes back to an owned VC that is not draining. That bit
+//!   is the VC's **feeder**'s: the input slot whose head claimed the VC
+//!   ([`OutputVc`] stores it), which stays bound to the VC until its tail
+//!   leaves. The credits coming back to a draining VC are no longer any
+//!   slot's business: its old feeder has unbound, and may be bound elsewhere.
+//!   A claimed VC starts with every credit, so `bind` leaves the bit clear.
 //!
 //! Routing and the stall watchdog visit the waiting slots only, switch
-//! requests the occupied slots that are not waiting
-//! ([`RouterState::routed_slots_in`]). The sanitizer checks all three masks
-//! every cycle.
+//! requests the occupied slots that are neither waiting nor creditless
+//! ([`RouterState::routed_slots_in`]): a blocked worm costs the switch pass
+//! nothing. The sanitizer checks all four masks every cycle.
 //!
 //! Kept decisions: a head that fails VC allocation keeps its routing decision
 //! ([`KeptDecision`]) in the router's kept-decision store
@@ -87,8 +100,8 @@
 //! ([`InputVc`]), an output slot 16 ([`OutputVc`]), a blocked head 40 more
 //! ([`KeptDecision`]: its candidates alone, inline up to six), a network port
 //! 4 bytes of neighbour table and 2 of switch pointer, and every 64 input
-//! slots 24 bytes of masks. A router of a 3-dimensional torus with four VCs
-//! (28 input and 24 output slots) owns 1 788 bytes of heap while no head is
+//! slots 32 bytes of masks. A router of a 3-dimensional torus with four VCs
+//! (28 input and 24 output slots) owns 1 796 bytes of heap while no head is
 //! blocked. A message waiting in the source queue costs 12 bytes
 //! ([`QueuedMessage`]) and no message-table entry; past saturation the source
 //! queues are what grows for the whole run.
@@ -110,13 +123,15 @@
 //!
 //! While the flag is clear, none of the kept heads' candidate VCs can have
 //! become claimable, so the engine only replays each attempt's RNG draws
-//! instead of repeating it.
+//! instead of repeating it. When, besides, every waiting head keeps a
+//! decision, the routing pass is one loop over the store.
 //!
 //! Widths: cycle stamps are `u32`, credit counters `u32`, output ports `u16`,
-//! output VCs `u8` and switch pointers `u16`. `SimConfig::validate_parameters`
-//! rejects, with a typed error, every configuration whose values would not
-//! fit: `max_cycles` above `u32::MAX`, a buffer depth above `u32::MAX`, more
-//! than `u16::MAX` input slots per router, `V` above 255.
+//! output VCs `u8`, switch pointers and feeder slots `u16`.
+//! `SimConfig::validate_parameters` rejects, with a typed error, every
+//! configuration whose values would not fit: `max_cycles` above `u32::MAX`,
+//! a buffer depth above `u32::MAX`, more than `u16::MAX` input slots per
+//! router, `V` above 255.
 
 use crate::active::WordIndices;
 use crate::flit::{Flit, MessageId, WormRun};
@@ -124,12 +139,14 @@ use std::collections::VecDeque;
 use torus_routing::Candidates;
 use torus_topology::{AnyTopology, Direction, NodeId};
 
-/// Index of the occupancy mask in a slot-mask word triple.
+/// Index of the occupancy mask in a slot-mask word quadruple.
 const OCCUPIED: usize = 0;
-/// Index of the waiting-head mask in a slot-mask word triple.
+/// Index of the waiting-head mask in a slot-mask word quadruple.
 const WAITING: usize = 1;
-/// Index of the kept-decision mask in a slot-mask word triple.
+/// Index of the kept-decision mask in a slot-mask word quadruple.
 const KEPT: usize = 2;
+/// Index of the credit mask in a slot-mask word quadruple.
+const CREDITLESS: usize = 3;
 
 /// The neighbour-table entry of a port that does not physically exist. No
 /// router has this index: a topology keeps its node count within `u32`, so
@@ -280,6 +297,10 @@ pub struct OutputVc {
     owner: MessageId,
     /// Remaining credits (free downstream buffer slots).
     credits: u32,
+    /// The input slot whose head claimed the VC, its feeder while `owned`
+    /// and not `draining`; stale otherwise. It fits the padding after the
+    /// counter.
+    feeder: u16,
     /// True from header acceptance until the VC is released.
     owned: bool,
     /// True once the tail flit has been sent; the VC is released lazily when
@@ -294,6 +315,7 @@ impl OutputVc {
         OutputVc {
             owner: MessageId(0),
             credits: buffer_depth as u32,
+            feeder: 0,
             owned: false,
             draining: false,
         }
@@ -347,10 +369,14 @@ impl OutputVc {
         self.draining = false;
     }
 
-    /// Gives the VC to `msg`, whose head won it.
+    /// Gives the VC to `msg`, whose head in input slot `feeder` won it. A
+    /// claimable VC has every credit back, so the feeder starts with credit.
     #[inline]
-    pub(crate) fn claim(&mut self, msg: MessageId) {
+    pub(crate) fn claim(&mut self, msg: MessageId, feeder: usize) {
+        debug_assert!(self.credits > 0, "a claimable VC has every credit back");
         self.owner = msg;
+        // `RouterState::new` bounds the slot count by `MAX_SLOTS`.
+        self.feeder = feeder as u16;
         self.owned = true;
         self.draining = false;
     }
@@ -408,10 +434,10 @@ pub struct RouterState {
     /// The kept decisions of the router's blocked heads, in ascending slot
     /// order (see the module docs).
     kept: Vec<KeptDecision>,
-    /// The occupancy, waiting-head and kept-decision masks, one
-    /// `[OCCUPIED, WAITING, KEPT]` triple per 64-slot word (see the module
-    /// docs).
-    slot_masks: Vec<[u64; 3]>,
+    /// The occupancy, waiting-head, kept-decision and credit masks, one
+    /// `[OCCUPIED, WAITING, KEPT, CREDITLESS]` quadruple per 64-slot word
+    /// (see the module docs).
+    slot_masks: Vec<[u64; 4]>,
     /// Output virtual channels of the `2n` network output ports, slot
     /// `port * V + vc`.
     pub outputs: Vec<OutputVc>,
@@ -463,7 +489,7 @@ impl RouterState {
             neighbors,
             inputs: vec![InputVc::default(); num_slots],
             kept: Vec::new(),
-            slot_masks: vec![[0; 3]; num_slots.div_ceil(64)],
+            slot_masks: vec![[0; 4]; num_slots.div_ceil(64)],
             outputs: vec![OutputVc::new(buffer_depth); num_net_ports * v],
             released: false,
             source_queue: VecDeque::new(),
@@ -564,12 +590,20 @@ impl RouterState {
         WordIndices::new(w, self.slot_masks[w][WAITING])
     }
 
-    /// The occupied input slots of mask word `w` that are not waiting: their
-    /// front flit is bound to a route. Ascending.
+    /// The occupied input slots of mask word `w` that are not waiting and
+    /// not creditless: their front flit is bound to a local sink or to an
+    /// output VC with a credit. Ascending.
     #[inline]
     pub fn routed_slots_in(&self, w: usize) -> WordIndices {
-        let [occupied, waiting, _] = self.slot_masks[w];
-        WordIndices::new(w, occupied & !waiting)
+        let [occupied, waiting, _, creditless] = self.slot_masks[w];
+        WordIndices::new(w, occupied & !waiting & !creditless)
+    }
+
+    /// The input slots of mask word `w` bound to an output VC with no
+    /// credit, ascending.
+    #[cfg(test)]
+    pub(crate) fn creditless_slots_in(&self, w: usize) -> WordIndices {
+        WordIndices::new(w, self.slot_masks[w][CREDITLESS])
     }
 
     /// The input slots of mask word `w` whose blocked head keeps a routing
@@ -589,6 +623,12 @@ impl RouterState {
     #[inline]
     pub fn is_waiting(&self, slot: usize) -> bool {
         self.slot_masks[slot / 64][WAITING] & bit(slot) != 0
+    }
+
+    /// True when input slot `slot` is in the credit mask.
+    #[inline]
+    pub(crate) fn is_creditless(&self, slot: usize) -> bool {
+        self.slot_masks[slot / 64][CREDITLESS] & bit(slot) != 0
     }
 
     /// The kept decisions of the router's blocked heads, in ascending slot
@@ -664,6 +704,13 @@ impl RouterState {
         self.released
     }
 
+    /// True when every waiting head keeps a decision: the waiting-head and
+    /// kept-decision masks are equal.
+    #[inline]
+    pub(crate) fn every_waiting_head_keeps(&self) -> bool {
+        self.slot_masks.iter().all(|m| m[WAITING] == m[KEPT])
+    }
+
     /// Ends a routing pass: every decision the store still holds failed
     /// after the router's last release.
     #[inline]
@@ -720,16 +767,33 @@ impl RouterState {
         masks[KEPT] &= !bit(slot);
     }
 
-    /// Unbinds input slot `slot` once its worm's tail flit has left it.
+    /// Unbinds input slot `slot` once its worm's tail flit has left it: the
+    /// slot leaves the credit mask with its route.
     #[inline]
     pub(crate) fn unbind(&mut self, slot: usize) {
         let ivc = &mut self.inputs[slot];
         debug_assert!(ivc.buffer.is_empty(), "the tail is its worm's last flit");
         ivc.route = None;
+        self.slot_masks[slot / 64][CREDITLESS] &= !bit(slot);
     }
 
-    /// Returns one credit to output slot `slot`. A draining VC that gets its
-    /// last credit back has become claimable: the router has released one.
+    /// Spends a credit of output slot `out_slot` on a flit of input slot
+    /// `slot`, its feeder. A flit other than the tail that spends the last
+    /// credit puts the slot in the credit mask; after the tail the slot
+    /// unbinds, which leaves it out.
+    #[inline]
+    pub(crate) fn send(&mut self, slot: usize, out_slot: usize, is_tail: bool) {
+        let ovc = &mut self.outputs[out_slot];
+        ovc.send(is_tail);
+        if ovc.credits == 0 && !is_tail {
+            self.slot_masks[slot / 64][CREDITLESS] |= bit(slot);
+        }
+    }
+
+    /// Returns one credit to output slot `slot`. The first credit back to an
+    /// owned VC that is not draining takes its feeder out of the credit mask.
+    /// A draining VC that gets its last credit back has become claimable: the
+    /// router has released one.
     #[inline]
     pub(crate) fn return_credit(&mut self, slot: usize, buffer_depth: usize) {
         let ovc = &mut self.outputs[slot];
@@ -738,8 +802,13 @@ impl RouterState {
             ovc.credits() <= buffer_depth,
             "credit counter exceeded the buffer depth"
         );
-        if ovc.draining && ovc.credits() == buffer_depth {
-            self.released = true;
+        if ovc.draining {
+            if ovc.credits() == buffer_depth {
+                self.released = true;
+            }
+        } else if ovc.credits == 1 && ovc.owned {
+            let feeder = usize::from(ovc.feeder);
+            self.slot_masks[feeder / 64][CREDITLESS] &= !bit(feeder);
         }
     }
 
@@ -841,7 +910,7 @@ mod tests {
     fn output_vc_lazy_release() {
         let mut vc = OutputVc::new(2);
         assert!(vc.claimable(2) && vc.available(2));
-        vc.claim(MessageId(1));
+        vc.claim(MessageId(1), 0);
         assert!(!vc.claimable(2) && !vc.available(2));
         // Tail sent, one credit still outstanding: not yet available, and
         // asking changes nothing.
@@ -892,11 +961,12 @@ mod tests {
         if cfg!(target_pointer_width = "64") {
             assert_eq!(std::mem::size_of::<WormRun>(), 24);
             assert!(std::mem::size_of::<InputVc>() <= 48);
-            assert!(std::mem::size_of::<OutputVc>() <= 16);
+            // The feeder slot fills the padding after the credit counter.
+            assert_eq!(std::mem::size_of::<OutputVc>(), 16);
             assert!(std::mem::size_of::<KeptDecision>() <= 40);
             // A router state 8 bytes wider measured 15-20 % slower on a
-            // fat-tree, in every stage.
-            assert!(std::mem::size_of::<RouterState>() <= 240);
+            // fat-tree, in every stage; the slot masks live on the heap.
+            assert!(std::mem::size_of::<RouterState>() <= 224);
         }
     }
 
@@ -916,7 +986,7 @@ mod tests {
         owned::<u32>(r.neighbors.capacity())
             + owned::<InputVc>(r.inputs.capacity())
             + owned::<KeptDecision>(r.kept.capacity())
-            + owned::<[u64; 3]>(r.slot_masks.capacity())
+            + owned::<[u64; 4]>(r.slot_masks.capacity())
             + owned::<OutputVc>(r.outputs.capacity())
             + owned::<QueuedMessage>(r.source_queue.capacity())
             + owned::<ReinjectionEntry>(r.reinjection_queue.capacity())
@@ -1061,7 +1131,7 @@ mod tests {
         let torus = AnyTopology::torus(4, 2).unwrap();
         let mut r = router(&torus, 0, 2, 2);
         let slot = r.slot(1, 1);
-        r.outputs[slot].claim(MessageId(4));
+        r.outputs[slot].claim(MessageId(4), 0);
         r.outputs[slot].send(false);
         // Credits returning to an owned VC release nothing.
         r.return_credit(slot, 2);
@@ -1077,6 +1147,65 @@ mod tests {
         // The end of a routing pass clears the flag.
         r.end_routing_pass();
         assert!(!r.released());
+    }
+
+    #[test]
+    fn the_credit_mask_holds_the_slots_whose_output_vc_has_no_credit() {
+        let torus = AnyTopology::torus(4, 2).unwrap();
+        let mut r = router(&torus, 0, 2, 2);
+        let routed = |r: &RouterState| r.routed_slots_in(0).collect::<Vec<usize>>();
+        let creditless = |r: &RouterState| r.creditless_slots_in(0).collect::<Vec<usize>>();
+        // Moves the front flit of `slot` through output slot `out`.
+        let send = |r: &mut RouterState, slot: usize, out: usize| {
+            let (flit, _) = r.pop_flit(slot).unwrap();
+            r.send(slot, out, flit.kind.is_tail());
+            if flit.kind.is_tail() {
+                r.unbind(slot);
+            }
+        };
+        // Input slot 3 holds a three-flit worm bound to output slot 5.
+        let (slot, out) = (3, r.slot(2, 1));
+        let msg = MessageId(7);
+        r.push_flits(slot, WormRun::whole(msg, 3));
+        r.outputs[out].claim(msg, slot);
+        r.bind(slot, VcRoute::new(msg, RouteTarget::network(2, 1), 0));
+        assert_eq!(routed(&r), [slot]);
+        // A flit that leaves a credit changes nothing; the head and body
+        // spend the last one, which takes the slot out of the switch's walk.
+        send(&mut r, slot, out);
+        assert!(!r.is_creditless(slot));
+        send(&mut r, slot, out);
+        assert_eq!(creditless(&r), [slot]);
+        assert!(routed(&r).is_empty() && r.is_occupied(slot));
+        // The first credit back brings it back.
+        r.return_credit(out, 2);
+        assert!(creditless(&r).is_empty());
+        assert_eq!(routed(&r), [slot]);
+        // The tail spends the last credit without marking the slot, and the
+        // slot unbinds.
+        send(&mut r, slot, out);
+        assert_eq!(r.outputs[out].credits(), 0);
+        assert!(creditless(&r).is_empty() && r.inputs[slot].is_idle());
+        // The slot takes a new worm bound elsewhere and runs out of credit
+        // there. The draining VC's credits coming back leave it marked:
+        // that VC is no longer its route.
+        let (next, other) = (MessageId(8), r.slot(0, 0));
+        r.push_flits(slot, WormRun::whole(next, 3));
+        r.outputs[other].claim(next, slot);
+        r.bind(slot, VcRoute::new(next, RouteTarget::network(0, 0), 0));
+        send(&mut r, slot, other);
+        send(&mut r, slot, other);
+        assert_eq!(creditless(&r), [slot]);
+        r.return_credit(out, 2);
+        r.return_credit(out, 2);
+        assert!(r.released() && r.outputs[out].claimable(2));
+        assert_eq!(creditless(&r), [slot]);
+        // Unbinding takes the slot out of the credit mask, whatever the
+        // credits of the VC it was bound to.
+        r.pop_flit(slot);
+        r.unbind(slot);
+        assert_eq!(r.outputs[other].credits(), 0);
+        assert!(creditless(&r).is_empty());
     }
 
     #[test]

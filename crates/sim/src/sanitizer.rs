@@ -18,10 +18,11 @@
 //!    `in_flight` counts exactly the live messages and the records, and
 //!    every router's occupancy mask marks exactly
 //!    its non-empty input buffers, its waiting-head mask exactly the slots
-//!    with an unrouted head flit at the front, and its kept-decision mask
-//!    only waiting heads, one bit per entry of its kept-decision store. Both
-//!    schedulers share the masks, so engine equivalence cannot catch a mask
-//!    bug, and a stale set bit only costs time, so no outcome pin can
+//!    with an unrouted head flit at the front, its kept-decision mask only
+//!    waiting heads, one bit per entry of its kept-decision store, and its
+//!    credit mask exactly the slots bound to an output VC with no credit.
+//!    Both schedulers share the masks, so engine equivalence cannot catch a
+//!    mask bug, and a stale set bit only costs time, so no outcome pin can
 //!    either: this audit is their oracle. While a router has released no
 //!    output VC since its last routing pass, no candidate VC of its kept
 //!    decisions is claimable (a release the flag missed would have the
@@ -456,8 +457,10 @@ impl Sanitizer {
     }
 
     /// Every router's occupancy mask holds exactly the input slots whose
-    /// buffer is non-empty, and its waiting-head mask exactly the slots with
-    /// an unrouted head flit at the front.
+    /// buffer is non-empty, its waiting-head mask exactly the slots with an
+    /// unrouted head flit at the front, and its credit mask exactly the slots
+    /// bound to an output VC with no credit (the switch pass skips those, so
+    /// a bit left set would keep a flit from a credit it has).
     fn check_occupancy(&mut self, cycle: u64, routers: &[RouterState]) {
         let state = |set: bool| if set { "set" } else { "clear" };
         for router in routers {
@@ -487,6 +490,20 @@ impl Sanitizer {
                             router.node,
                             ivc.route,
                             state(waiting.is_none())
+                        ),
+                    );
+                }
+                let output = ivc.route.and_then(|route| route.target.output());
+                let credits = output.map(|(port, vc)| router.outputs[port * self.v + vc].credits());
+                if router.is_creditless(slot) != (credits == Some(0)) {
+                    self.record(
+                        cycle,
+                        "credit-mask",
+                        format!(
+                            "router {:?} input slot {slot} is bound to output {output:?} \
+                             with {credits:?} credit(s) but its credit bit is {}",
+                            router.node,
+                            state(credits != Some(0))
                         ),
                     );
                 }
@@ -946,6 +963,67 @@ mod tests {
     }
 
     #[test]
+    fn credit_mask_mismatch_is_detected_in_both_directions() {
+        // A two-flit worm on node 5's injection slot, bound to output VC 1 of
+        // port d0+ with buffers one flit deep: clean while the credit bit
+        // agrees, flagged when the bit outlives the VC's last credit (the
+        // switch would skip a flit that could move) and when a slot bound to
+        // a VC with no credit has a clear bit (the switch would visit it
+        // for nothing).
+        let net = mesh();
+        let mut m = message(&net, MessageId(0), 2);
+        m.note_injected(0);
+        let messages = vec![m];
+        let audit = |routers: &[RouterState]| {
+            let mut s = sanitizer(2, 1, true, None);
+            s.end_of_cycle(7, &net, &FaultSet::new(), routers, &messages, 1);
+            s
+        };
+        let mut routers = routers_for(&net, 2, 1);
+        let slot = routers[5].injection_slots().start;
+        let port = RouterState::out_port(0, Direction::Plus);
+        let out = routers[5].slot(port, 1);
+        let route = VcRoute::new(MessageId(0), RouteTarget::network(port, 1), 0);
+        routers[5].push_flits(slot, WormRun::whole(MessageId(0), 2));
+        routers[5].outputs[out].claim(MessageId(0), slot);
+        routers[5].bind(slot, route);
+        assert!(audit(&routers).is_clean());
+        // Its head crosses to node 6, which delivers it, and the VC's one
+        // credit goes with it: through the router, which sets the bit, or
+        // behind its back, which does not.
+        let cross = |through_router: bool| {
+            let mut routers = routers.clone();
+            let (head, _) = routers[5].pop_flit(slot).unwrap();
+            routers[6].push_flits(out, head.into());
+            let deliver = VcRoute::new(MessageId(0), RouteTarget::Deliver, 0);
+            routers[6].bind(out, deliver);
+            if through_router {
+                routers[5].send(slot, out, false);
+            } else {
+                routers[5].outputs[out].send(false);
+            }
+            routers
+        };
+        let sent = cross(true);
+        assert!(sent[5].is_creditless(slot));
+        assert!(audit(&sent).is_clean(), "{:?}", audit(&sent).violations());
+        let s = audit(&cross(false));
+        assert_eq!(s.violation_count(), 1, "{:?}", s.violations());
+        assert_eq!(s.violations()[0].kind, "credit-mask");
+        assert!(s.violations()[0].detail.contains("bit is clear"));
+        // Node 6 sinks the head and the credit comes back behind the
+        // router's back: the bit outlives the credit's absence.
+        let mut early = sent;
+        early[6].pop_flit(out);
+        early[6].inputs[out].sunk = 1;
+        early[5].outputs[out] = routers[5].outputs[out].clone();
+        let s = audit(&early);
+        assert_eq!(s.violation_count(), 1, "{:?}", s.violations());
+        assert_eq!(s.violations()[0].kind, "credit-mask");
+        assert!(s.violations()[0].detail.contains("bit is set"));
+    }
+
+    #[test]
     fn a_kept_decision_beside_no_waiting_head_is_stale() {
         // The router's kept-decision store holds a blocked head's candidates
         // under the head's own slot; an entry under any other slot is stale.
@@ -1008,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn a_claimable_candidate_at_an_unmoved_epoch_is_a_missed_release() {
+    fn a_claimable_candidate_at_a_router_that_released_nothing_is_a_missed_release() {
         // A kept head at a router that has released no output VC since its
         // last routing pass is skipped as bound to fail. A fresh router's
         // output VCs are all free, so a decision naming one of them, with
@@ -1038,7 +1116,7 @@ mod tests {
         assert!(s.violations().iter().all(|v| v.kind == "missed-release"));
         assert!(s.violations()[1].detail.contains("d0+ vc1"));
         let out = routers[5].slot(RouterState::out_port(0, Direction::Plus), 0);
-        routers[5].outputs[out].claim(MessageId(0));
+        routers[5].outputs[out].claim(MessageId(0), slot);
         routers[5].outputs[out].send(true);
         routers[5].return_credit(out, 4);
         assert!(routers[5].released());
@@ -1053,7 +1131,7 @@ mod tests {
         let mut routers = routers_for(&net, 2, 4);
         let port = RouterState::out_port(0, Direction::Plus);
         let slot = routers[0].slot(port, 1);
-        routers[0].outputs[slot].claim(MessageId(3));
+        routers[0].outputs[slot].claim(MessageId(3), 0);
         let mut m = message(&net, MessageId(3), 1);
         m.note_injected(0);
         // Give the owner a matching route so only the fault check fires
