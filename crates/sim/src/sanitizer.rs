@@ -22,8 +22,8 @@
 //!    waiting heads, one bit per entry of its kept-decision store, and its
 //!    credit mask exactly the slots bound to an output VC with no credit.
 //!    Both schedulers share the masks, so engine equivalence cannot catch a
-//!    mask bug, and a stale set bit only costs time, so no outcome pin can
-//!    either: this audit is their oracle. While a router has released no
+//!    mask bug, and a stale set bit of the first three only costs time, so
+//!    no outcome pin can either: this audit is their oracle. While a router has released no
 //!    output VC since its last routing pass, no candidate VC of its kept
 //!    decisions is claimable (a release the flag missed would have the
 //!    engine skip a retry that could win).
