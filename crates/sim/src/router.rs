@@ -123,8 +123,7 @@
 //!
 //! While the flag is clear, none of the kept heads' candidate VCs can have
 //! become claimable, so the engine only replays each attempt's RNG draws
-//! instead of repeating it. When, besides, every waiting head keeps a
-//! decision, the routing pass is one loop over the store.
+//! instead of repeating it.
 //!
 //! Widths: cycle stamps are `u32`, credit counters `u32`, output ports `u16`,
 //! output VCs `u8`, switch pointers and feeder slots `u16`.
@@ -702,13 +701,6 @@ impl RouterState {
     #[inline]
     pub fn released(&self) -> bool {
         self.released
-    }
-
-    /// True when every waiting head keeps a decision: the waiting-head and
-    /// kept-decision masks are equal.
-    #[inline]
-    pub(crate) fn every_waiting_head_keeps(&self) -> bool {
-        self.slot_masks.iter().all(|m| m[WAITING] == m[KEPT])
     }
 
     /// Ends a routing pass: every decision the store still holds failed
