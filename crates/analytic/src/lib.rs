@@ -37,6 +37,6 @@
 //! growing with `V` and shrinking with `M` and with the number of faults) and
 //! serves as an independent cross-check of the simulation results.
 
-pub mod model;
+mod model;
 
-pub use model::{AnalyticConfig, AnalyticModel, LatencyBreakdown};
+pub use model::{AnalyticConfig, AnalyticModel};

@@ -58,7 +58,7 @@ impl AnalyticConfig {
 
 /// Break-down of the predicted mean latency into its additive components.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencyBreakdown {
+pub(crate) struct LatencyBreakdown {
     /// Header routing time: `d̄ · (1 + Td)` cycles.
     pub routing: f64,
     /// Message serialisation time: `M` cycles.
@@ -71,7 +71,7 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Total predicted mean latency in cycles.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.routing + self.serialization + self.contention + self.fault_penalty
     }
 }
@@ -112,7 +112,7 @@ impl AnalyticModel {
 
     /// Utilisation `ρ` of a network channel at offered load `rate`
     /// (messages/node/cycle).
-    pub fn channel_utilization(&self, rate: f64) -> f64 {
+    pub(crate) fn channel_utilization(&self, rate: f64) -> f64 {
         rate * self.avg_distance * self.config.message_length as f64 / self.channels_per_node
     }
 
@@ -125,7 +125,7 @@ impl AnalyticModel {
     /// Probability that a message encounters at least one faulty router among
     /// the intermediate nodes of its (average-length) path, with faults
     /// scattered uniformly.
-    pub fn fault_encounter_probability(&self) -> f64 {
+    pub(crate) fn fault_encounter_probability(&self) -> f64 {
         if self.config.faulty_nodes == 0 {
             return 0.0;
         }
@@ -138,7 +138,7 @@ impl AnalyticModel {
     /// Predicted mean latency break-down at offered load `rate`; `None` when
     /// the load is at or beyond the model's saturation estimate (the M/D/1
     /// waiting time diverges there).
-    pub fn latency_breakdown(&self, rate: f64) -> Option<LatencyBreakdown> {
+    pub(crate) fn latency_breakdown(&self, rate: f64) -> Option<LatencyBreakdown> {
         assert!(rate >= 0.0 && rate.is_finite(), "rate must be non-negative");
         let m = self.config.message_length as f64;
         let rho = self.channel_utilization(rate);

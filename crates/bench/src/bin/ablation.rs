@@ -1,8 +1,10 @@
 //! Ablation study over the simulator parameters the paper fixes or leaves
-//! unreported: flit-buffer depth, the software re-injection overhead Δ, the
-//! router decision time Td, and the number of virtual channels. The paper fixes
-//! Td = Δ = 0 and does not report a buffer depth; this binary quantifies how
-//! sensitive the headline latency results are to those choices.
+//! unreported: flit-buffer depth, the software re-injection overhead Δ and
+//! the number of virtual channels V. The paper fixes Δ = 0 and does not
+//! report a buffer depth; this binary quantifies how sensitive the headline
+//! latency results are to those choices. The paper also fixes the router
+//! decision time Td = 0, which is `SimConfig`'s default and is not varied
+//! here.
 //!
 //! By default the ablations run on the paper's 8-ary 2-cube comparing the two
 //! Software-Based flavours; `--topology`/`--routing` re-run them on any shape

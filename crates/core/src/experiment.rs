@@ -245,7 +245,7 @@ impl ExperimentConfig {
     }
 
     /// Sets the traffic rate.
-    pub fn with_rate(mut self, rate: f64) -> Self {
+    pub(crate) fn with_rate(mut self, rate: f64) -> Self {
         self.rate = rate;
         self
     }

@@ -1,12 +1,12 @@
 //! The exact experiment grids of Figs. 3–7 of the paper, parameterised over
 //! topology and routing.
 //!
-//! Every figure is a set of independent simulation points; [`Figure::run`]
-//! executes them in parallel (deterministically, each point owns its seed) and
-//! returns a [`FigureResult`] whose text rendering reproduces the series the
-//! paper plots. By default each figure runs on its paper topology (a k-ary
-//! n-cube torus) comparing deterministic against adaptive Software-Based
-//! routing; [`Figure::run_with`] regenerates the same grid on any
+//! Every figure is a set of independent simulation points;
+//! [`Figure::run_with`] executes them in parallel (deterministically, each
+//! point owns its seed) and returns a [`FigureResult`] whose text rendering
+//! reproduces the series the paper plots. By default each figure runs on its
+//! paper topology (a k-ary n-cube torus) comparing deterministic against
+//! adaptive Software-Based routing; the options regenerate the same grid on any
 //! [`TopologySpec`] (meshes, hypercubes, mixed-radix shapes) and any set of
 //! [`RoutingChoice`]s — the scenario-diversity axis of the evaluation.
 //!
@@ -324,17 +324,12 @@ impl Figure {
     }
 
     /// The topology the paper measures this figure on.
-    pub fn default_topology(&self) -> TopologySpec {
+    pub(crate) fn default_topology(&self) -> TopologySpec {
         match self {
             Figure::Fig3 | Figure::Fig5 => TopologySpec::torus(8, 2),
             Figure::Fig4 | Figure::Fig7 => TopologySpec::torus(8, 3),
             Figure::Fig6 => TopologySpec::torus(16, 2),
         }
-    }
-
-    /// Runs the whole figure at the given scale on its paper topology.
-    pub fn run(&self, scale: Scale) -> Result<FigureResult, FigureError> {
-        self.run_with(&FigureOptions::new(scale))
     }
 
     /// Runs the figure with topology/routing overrides, fanning the grid's
@@ -840,7 +835,7 @@ fn fig7(scale: Scale, topology: &TopologySpec, routings: &[RoutingChoice]) -> Fi
 /// Field-wise average of several simulation reports (used by Fig. 6 to average
 /// over independent random fault placements; averaging a single report
 /// reproduces it bit-identically).
-pub fn average_reports(
+pub(crate) fn average_reports(
     reports: &[torus_metrics::SimulationReport],
 ) -> torus_metrics::SimulationReport {
     assert!(!reports.is_empty(), "cannot average zero reports");

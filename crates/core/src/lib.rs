@@ -8,16 +8,16 @@
 //!   virtual channels, message length, traffic rate, routing flavour, fault
 //!   scenario, seed, measurement budget) and [`ExperimentConfig::run`] to
 //!   execute it;
-//! * [`pool`] — the shared-cursor experiment pool: worker threads
+//! * `pool` — the shared-cursor experiment pool: worker threads
 //!   ([`Jobs`], the binaries' `--jobs N`) take experiment points off one
 //!   atomic cursor, and the results are reassembled into input order so any
 //!   thread count is bit-identical;
-//! * [`figures`] — the exact parameter grids of Figs. 3–7 of Safaei et al.
+//! * `figures` — the exact parameter grids of Figs. 3–7 of Safaei et al.
 //!   (IPDPS 2006), at `Scale::Quick` (reduced message budget, default) or
 //!   `Scale::Paper` (the full 100,000-message methodology);
 //! * [`results`] — structured figure results with text-table and CSV
 //!   rendering, used by the `fig3`..`fig7` binaries in `torus-bench`;
-//! * [`saturation`] — direct estimation of a configuration's saturation rate
+//! * `saturation` — direct estimation of a configuration's saturation rate
 //!   (doubling + bisection), used by the `saturation` binary to tabulate how
 //!   the saturation point moves with V, the routing flavour and the fault
 //!   count.
@@ -33,11 +33,11 @@
 //! assert!(outcome.report.mean_latency > 0.0);
 //! ```
 
-pub mod experiment;
-pub mod figures;
-pub mod pool;
+mod experiment;
+mod figures;
+mod pool;
 pub mod results;
-pub mod saturation;
+mod saturation;
 
 pub use experiment::{ExperimentConfig, ExperimentError, ExperimentOutcome, RoutingChoice};
 pub use figures::{check_routings, supported_routings, Figure, FigureError, FigureOptions, Scale};

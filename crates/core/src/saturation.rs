@@ -30,7 +30,7 @@
 //!   operating point).
 //!
 //! [`SaturationEstimate::rate`] returns the bracket midpoint only when the
-//! bracket is real ([`SaturationEstimate::bracketed`]); callers that need a
+//! bracket is real (both ends probed); callers that need a
 //! headline number for an unbracketed search must decide explicitly how to
 //! present a bound.
 
@@ -57,15 +57,9 @@ pub struct SaturationEstimate {
 }
 
 impl SaturationEstimate {
-    /// True when both ends of the bracket were probed: `stable_rate` is
-    /// stable, `saturated_rate` saturated, and the midpoint is meaningful.
-    pub fn bracketed(&self) -> bool {
-        self.stable_rate.is_some() && self.saturated_rate.is_some()
-    }
-
     /// Midpoint of the bracket — the reported saturation rate. `None` unless
-    /// the search actually bracketed the saturation point
-    /// ([`SaturationEstimate::bracketed`]).
+    /// the search actually bracketed the saturation point: both ends were
+    /// probed, `stable_rate` stable and `saturated_rate` saturated.
     pub fn rate(&self) -> Option<f64> {
         match (self.stable_rate, self.saturated_rate) {
             (Some(stable), Some(saturated)) => Some((stable + saturated) / 2.0),
@@ -218,7 +212,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(est.bracketed());
+        assert!(est.rate().is_some());
         let stable = est.stable_rate.unwrap();
         let saturated = est.saturated_rate.unwrap();
         let rate = est.rate().unwrap();
@@ -250,7 +244,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.simulations, 2);
-        assert!(!est.bracketed());
+        assert!(est.rate().is_none());
         assert_eq!(est.saturated_rate, None, "no saturated probe ever ran");
         assert_eq!(est.rate(), None, "no bracket, no midpoint");
         // The stable end is real: base 0.001 plus one stable doubling probe.
@@ -304,7 +298,7 @@ mod tests {
             "must not report a latency measured at an unstable point"
         );
         assert_eq!(est.saturated_rate, Some(0.9), "the base probe did run");
-        assert!(!est.bracketed());
+        assert!(est.rate().is_none());
         assert_eq!(est.rate(), None);
         assert!(est.display_rate().contains("saturated at base"));
     }
@@ -369,7 +363,7 @@ mod tests {
                 .unwrap();
         let turn =
             estimate_saturation_rate(&base.with_routing(RoutingChoice::TurnModel), search).unwrap();
-        assert!(duato.bracketed() && turn.bracketed());
+        assert!(duato.rate().is_some() && turn.rate().is_some());
         let (d, t) = (duato.rate().unwrap(), turn.rate().unwrap());
         assert!(
             t > d * 0.3 && t < d * 3.0,

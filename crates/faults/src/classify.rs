@@ -22,7 +22,7 @@ pub enum RegionClass {
 /// concave.
 ///
 /// An empty region is (vacuously) convex.
-pub fn classify_cells(cells: &[(u16, u16)]) -> RegionClass {
+pub(crate) fn classify_cells(cells: &[(u16, u16)]) -> RegionClass {
     if cells.is_empty() {
         return RegionClass::Convex;
     }

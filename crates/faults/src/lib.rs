@@ -18,14 +18,14 @@
 //!
 //! * [`FaultSet`] — the queryable set of faulty nodes and channels used by the
 //!   routers and the routing algorithms, with the queries over the healthy
-//!   subgraph it leaves ([`healthy`]: connectivity, BFS distances and the
+//!   subgraph it leaves (`healthy`: connectivity, BFS distances and the
 //!   shortest fault-free path of the software layer's rule 3).
 //! * [`RegionShape`] / [`FaultRegion`] — parametric generators for the shaped
 //!   fault regions evaluated in Fig. 5 of the paper, with placement validated
 //!   against the per-dimension radices (regions may wrap around rings but are
 //!   rejected — not silently wrapped — when they exceed a dimension's extent
 //!   or overhang a mesh edge).
-//! * [`random`] — uniform random node-fault injection that preserves network
+//! * `random` — uniform random node-fault injection that preserves network
 //!   connectivity (paper assumption (h)).
 //! * [`FaultScenario`] — a serialisable description of a fault configuration
 //!   (used by the experiment harness and the CLI binaries).
@@ -33,17 +33,17 @@
 //!   validated and materialised into cumulative per-epoch fault sets (the
 //!   input of the static fault-schedule verifier in `swbft-verify`).
 
-pub mod classify;
-pub mod healthy;
-pub mod model;
-pub mod plan;
-pub mod random;
-pub mod regions;
-pub mod schedule;
+mod classify;
+mod healthy;
+mod model;
+mod plan;
+mod random;
+mod regions;
+mod schedule;
 
 pub use classify::{classify_region, RegionClass};
-pub use model::{FaultKind, FaultSet};
+pub use model::FaultSet;
 pub use plan::{FaultScenario, FaultScenarioError};
-pub use random::{random_node_faults, random_switch_faults, RandomFaultError};
+pub use random::{random_node_faults, RandomFaultError};
 pub use regions::{FaultRegion, RegionPlacementError, RegionShape};
 pub use schedule::{FaultEvent, FaultSchedule, FaultScheduleError, ScheduleEpoch, ScheduledFault};

@@ -3,24 +3,13 @@
 use std::fmt;
 use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
-/// The two kinds of permanent static component failure considered by the
-/// paper (Section 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// The entire PE and its associated router fail. All links incident on the
-    /// node are also unusable.
-    Node,
-    /// A single physical link fails (both directions of the channel pair).
-    Link,
-}
-
 /// The set of faulty components of a network.
 ///
 /// A `FaultSet` answers the queries the routers and routing algorithms need:
 /// is this node faulty, is this outgoing channel usable, does this message
 /// destination still exist. The queries over the healthy subgraph those
 /// answers define (connectivity, BFS distances, shortest fault-free paths)
-/// are methods too, in [`crate::healthy`].
+/// are methods too, in `crate::healthy`.
 ///
 /// Channels that do not physically exist (the outward channels of mesh edge
 /// nodes) are reported as unusable by every query, so routing layers can

@@ -15,7 +15,7 @@ use crate::random::{
 use crate::regions::{FaultRegion, RegionPlacementError, RegionShape};
 use rand::Rng;
 use std::fmt;
-use torus_topology::{AnyTopology, Coord, Network, NodeId};
+use torus_topology::{AnyTopology, Coord, Network};
 
 /// Errors produced when resolving a [`FaultScenario`] on a concrete network.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,11 +98,6 @@ pub enum FaultScenario {
         /// The two dimensions spanning the region's plane.
         plane: (usize, usize),
     },
-    /// An explicit list of faulty node ids.
-    ExplicitNodes {
-        /// The faulty nodes.
-        nodes: Vec<u32>,
-    },
     /// `count` random *switch* faults on an indirect topology, sampled
     /// uniformly from the switches at level 1 and above while preserving
     /// connectivity (leaf switches are the single attachment point of their
@@ -140,7 +135,6 @@ impl FaultScenario {
             FaultScenario::RandomNodes { count } => *count,
             FaultScenario::ClusteredNodes { count, .. } => *count,
             FaultScenario::Region { shape, .. } => shape.node_count(),
-            FaultScenario::ExplicitNodes { nodes } => nodes.len(),
             FaultScenario::RandomSwitches { count } => *count,
         }
     }
@@ -157,7 +151,6 @@ impl FaultScenario {
             FaultScenario::Region { shape, .. } => {
                 format!("{} (nf={})", shape.name(), shape.node_count())
             }
-            FaultScenario::ExplicitNodes { nodes } => format!("explicit nf={}", nodes.len()),
             FaultScenario::RandomSwitches { count } => format!("nsf={count}"),
         }
     }
@@ -199,11 +192,6 @@ impl FaultScenario {
                     plane: *plane,
                 };
                 Ok(region.to_fault_set(grid)?)
-            }
-            FaultScenario::ExplicitNodes { nodes } => {
-                let mut f = FaultSet::new();
-                f.fail_nodes(nodes.iter().map(|&id| NodeId(id)));
-                Ok(f)
             }
             FaultScenario::RandomSwitches { count } => Ok(random_switch_faults(net, *count, rng)?),
         }
@@ -322,18 +310,6 @@ mod tests {
             bad.realize(&any, &mut rng).unwrap_err(),
             FaultScenarioError::Random(crate::random::RandomFaultError::SlabOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn explicit_scenario() {
-        let t = AnyTopology::torus(4, 2).unwrap();
-        let s = FaultScenario::ExplicitNodes {
-            nodes: vec![3, 7, 11],
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let f = s.realize(&t, &mut rng).unwrap();
-        assert_eq!(f.num_faulty_nodes(), 3);
-        assert!(f.is_node_faulty(NodeId(7)));
     }
 
     #[test]

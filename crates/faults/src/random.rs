@@ -126,8 +126,9 @@ fn sample_connected<R: Rng + ?Sized>(
 /// "Node" here means a processing element: faults are drawn from the
 /// topology's endpoints. On grids every node is an endpoint, so this is the
 /// paper's uniform sampler; on a fat-tree only the compute endpoints below
-/// the leaf switches are candidates (use [`random_switch_faults`] to fail
-/// the switch fabric).
+/// the leaf switches are candidates (use
+/// [`FaultScenario::RandomSwitches`](crate::FaultScenario::RandomSwitches)
+/// to fail the switch fabric).
 ///
 /// Passing `nf == 0` returns an empty fault set. The placement is a function
 /// of the supplied RNG only, so experiments are reproducible from their seed.
@@ -169,7 +170,7 @@ pub fn random_node_faults<R: Rng + ?Sized>(
 /// switch fabric (grids), with `TooManyFaults` if `nf` is not smaller than
 /// the number of candidate switches, or with `NoConnectedPlacement` when the
 /// retry budget runs out.
-pub fn random_switch_faults<R: Rng + ?Sized>(
+pub(crate) fn random_switch_faults<R: Rng + ?Sized>(
     net: &AnyTopology,
     nf: usize,
     rng: &mut R,

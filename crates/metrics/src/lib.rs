@@ -18,12 +18,9 @@
 //! The crate is simulator-agnostic: the simulator reports events to a
 //! [`MetricsCollector`] and reads a [`SimulationReport`] at the end.
 
-pub mod collector;
-pub mod histogram;
-pub mod stats;
-pub mod throughput;
+mod collector;
+mod histogram;
+mod stats;
+mod throughput;
 
 pub use collector::{MetricsCollector, SimulationReport, WarmupPolicy};
-pub use histogram::Histogram;
-pub use stats::StreamingStats;
-pub use throughput::ThroughputMeter;

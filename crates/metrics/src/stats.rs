@@ -1,45 +1,43 @@
 //! Streaming (single-pass) summary statistics.
 
-/// Numerically stable streaming mean / variance / extrema (Welford's
+/// Numerically stable streaming mean / variance / maximum (Welford's
 /// algorithm). Used for message latencies, hop counts and queue occupancies.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct StreamingStats {
+pub(crate) struct StreamingStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
     max: f64,
 }
 
 impl StreamingStats {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StreamingStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
 
     /// Adds one observation.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -48,7 +46,7 @@ impl StreamingStats {
     }
 
     /// Population variance of the observations (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -64,12 +62,12 @@ impl StreamingStats {
     /// delivered-message population of the run, not a sample from a larger
     /// one, and the derived standard error / confidence intervals inherit the
     /// same convention. Pinned by `std_dev_uses_population_convention`.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -77,42 +75,15 @@ impl StreamingStats {
         }
     }
 
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// Half-width of the ~95 % normal-approximation confidence interval of the
     /// mean.
-    pub fn ci95_half_width(&self) -> f64 {
+    pub(crate) fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
-    }
-
-    /// Merges another accumulator into this one (parallel sweep aggregation).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -126,7 +97,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.std_error(), 0.0);
     }
@@ -141,7 +111,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
 
@@ -173,48 +142,7 @@ mod tests {
         s.record(42.0);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), Some(42.0));
         assert_eq!(s.max(), Some(42.0));
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let values: Vec<f64> = (0..1000)
-            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 50.0)
-            .collect();
-        let mut all = StreamingStats::new();
-        for &v in &values {
-            all.record(v);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for (i, &v) in values.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = StreamingStats::new();
-        a.record(1.0);
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&StreamingStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = StreamingStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 /// Counts deliveries over a measurement window.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct ThroughputMeter {
+pub(crate) struct ThroughputMeter {
     window_start: Option<u64>,
     delivered_messages: u64,
     delivered_flits: u64,
@@ -17,13 +17,13 @@ pub struct ThroughputMeter {
 
 impl ThroughputMeter {
     /// Creates an idle meter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Marks the beginning of the measurement window, which stays open for
     /// the rest of the run.
-    pub fn start_window(&mut self, cycle: u64) {
+    pub(crate) fn start_window(&mut self, cycle: u64) {
         self.window_start = Some(cycle);
         self.delivered_messages = 0;
         self.delivered_flits = 0;
@@ -31,14 +31,14 @@ impl ThroughputMeter {
     }
 
     /// Records a message offered to the network during the window.
-    pub fn record_offered(&mut self) {
+    pub(crate) fn record_offered(&mut self) {
         if self.window_start.is_some() {
             self.offered_messages += 1;
         }
     }
 
     /// Records a delivered message of `flits` flits at `cycle`.
-    pub fn record_delivery(&mut self, cycle: u64, flits: u32) {
+    pub(crate) fn record_delivery(&mut self, cycle: u64, flits: u32) {
         if let Some(start) = self.window_start {
             if cycle >= start {
                 self.delivered_messages += 1;
@@ -48,17 +48,18 @@ impl ThroughputMeter {
     }
 
     /// Messages delivered during the window.
-    pub fn delivered_messages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delivered_messages(&self) -> u64 {
         self.delivered_messages
     }
 
     /// Length of the measurement window in cycles, up to `now`.
-    pub fn window_cycles(&self, now: u64) -> u64 {
+    pub(crate) fn window_cycles(&self, now: u64) -> u64 {
         self.window_start.map_or(0, |s| now.saturating_sub(s))
     }
 
     /// Delivered messages per node per cycle.
-    pub fn message_throughput(&self, num_nodes: usize, now: u64) -> f64 {
+    pub(crate) fn message_throughput(&self, num_nodes: usize, now: u64) -> f64 {
         let cycles = self.window_cycles(now);
         if cycles == 0 || num_nodes == 0 {
             return 0.0;
@@ -67,7 +68,7 @@ impl ThroughputMeter {
     }
 
     /// Delivered flits per node per cycle (channel utilisation view).
-    pub fn flit_throughput(&self, num_nodes: usize, now: u64) -> f64 {
+    pub(crate) fn flit_throughput(&self, num_nodes: usize, now: u64) -> f64 {
         let cycles = self.window_cycles(now);
         if cycles == 0 || num_nodes == 0 {
             return 0.0;
@@ -77,7 +78,7 @@ impl ThroughputMeter {
 
     /// Fraction of offered messages that were delivered inside the window
     /// (1.0 when nothing was offered).
-    pub fn acceptance_ratio(&self) -> f64 {
+    pub(crate) fn acceptance_ratio(&self) -> f64 {
         if self.offered_messages == 0 {
             1.0
         } else {

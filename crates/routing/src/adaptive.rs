@@ -23,7 +23,7 @@ use torus_topology::{Direction, Network, NodeId};
 /// one `(dim, dir)` pair per dimension with a non-zero offset, in increasing
 /// dimension order. Minimal hops never leave an open dimension's extent, so
 /// every productive output is an existing channel on meshes too.
-pub fn productive_outputs<'a>(
+pub(crate) fn productive_outputs<'a>(
     net: &'a Network,
     header: &RouteHeader,
     current: NodeId,

@@ -228,7 +228,7 @@ pub enum TurnRule {
 impl TurnRule {
     /// The direction `dim` routes during the first phase.
     #[inline]
-    pub fn first_direction(self, dim: usize) -> Direction {
+    pub(crate) fn first_direction(self, dim: usize) -> Direction {
         match self {
             TurnRule::NegativeFirst => Direction::Minus,
             TurnRule::WestFirst if dim == 0 => Direction::Minus,
@@ -242,7 +242,7 @@ impl TurnRule {
     /// direction) may next request a channel along `next` under this rule: a
     /// second-phase hop may never be followed by a first-phase hop.
     #[inline]
-    pub fn permits(self, held: (usize, Direction), next: (usize, Direction)) -> bool {
+    pub(crate) fn permits(self, held: (usize, Direction), next: (usize, Direction)) -> bool {
         !(held.1 != self.first_direction(held.0) && next.1 == self.first_direction(next.0))
     }
 }

@@ -234,7 +234,7 @@ impl RouteHeader {
 
     /// Whether the message must currently be routed deterministically: either
     /// it was injected deterministic, or it has already encountered a fault.
-    pub fn is_deterministic(&self) -> bool {
+    pub(crate) fn is_deterministic(&self) -> bool {
         self.faulted || self.flavor == RoutingFlavor::Deterministic
     }
 
@@ -252,7 +252,7 @@ impl RouteHeader {
     /// The grid-specific part of [`RouteHeader::note_hop`], usable directly by
     /// analyses that walk a [`Network`](torus_topology::Network) (the CDG
     /// builders). Does **not** advance the hop counter.
-    pub fn note_grid_bookkeeping(
+    pub(crate) fn note_grid_bookkeeping(
         &mut self,
         grid: &torus_topology::Network,
         from: NodeId,
@@ -392,7 +392,7 @@ impl fmt::Debug for Stack {
 /// the fault patterns of the paper ever require, yet small enough to bound
 /// worst-case livelock tightly. (On a fat-tree `n` is the switch arity, so
 /// the budget scales with the number of alternate parents.)
-pub fn default_misroute_budget(dims: usize) -> u32 {
+pub(crate) fn default_misroute_budget(dims: usize) -> u32 {
     4 + 2 * dims as u32
 }
 

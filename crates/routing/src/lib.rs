@@ -4,7 +4,7 @@
 //! hypercubes and mixed-radix shapes, plus k-ary l-level fat-trees —
 //! implementing the algorithms evaluated by Safaei et al. (IPDPS 2006).
 //!
-//! The crate's routing function is [`AnyRouting`] ([`swbased`]): the paper's
+//! The crate's routing function is [`AnyRouting`] (`swbased`): the paper's
 //! **Software-Based** fault-tolerant scheme, extended from 2-D (Suh et al.,
 //! IEEE TPDS 2000) to n dimensions, as one software layer over a
 //! deadlock-free [`Substrate`]. In the absence of faults it routes exactly
@@ -21,14 +21,14 @@
 //!   baseline (Dally & Seitz) on every grid, made deadlock-free on wrapped
 //!   dimensions with two dateline virtual-channel classes; open (mesh)
 //!   dimensions need no split and may use the whole VC pool. Its adaptive
-//!   flavour is **Duato's Protocol (DP)** ([`adaptive`]): minimal adaptive
+//!   flavour is **Duato's Protocol (DP)** (`adaptive`): minimal adaptive
 //!   routing over the adaptive virtual channels with an e-cube escape layer.
-//! * **Turn-model routing** ([`turnmodel`]) — the classic low-VC alternative
+//! * **Turn-model routing** (`turnmodel`) — the classic low-VC alternative
 //!   on open (non-wrap) grids: deadlock freedom via prohibited turns instead
 //!   of dateline channel classes, under one of three [`TurnRule`]s
 //!   (negative-first, west-first or north-last); one VC suffices
 //!   deterministic, two adaptive.
-//! * **Up*/down* routing** ([`updown`]) — the standard deadlock-free scheme
+//! * **Up*/down* routing** (`updown`) — the standard deadlock-free scheme
 //!   for the indirect fat-trees the topology crate also models: climb to a
 //!   common ancestor, then descend; the adaptive flavour takes any live
 //!   parent. On a fat-tree a dead up-link re-ascends through an alternate
@@ -50,17 +50,17 @@
 //! `note_hop` for header bookkeeping as flits advance, and `reroute_on_fault`
 //! for the software layer's header rewrite at absorption time.
 
-pub mod adaptive;
+mod adaptive;
 pub mod cdg;
-pub mod decision;
+mod decision;
 pub mod ecube;
 pub mod hash;
 pub mod header;
-pub mod swbased;
+mod swbased;
 #[cfg(test)]
 mod testkit;
-pub mod turnmodel;
-pub mod updown;
+mod turnmodel;
+mod updown;
 
 pub use cdg::{DependencyGraph, TurnRule};
 pub use decision::{

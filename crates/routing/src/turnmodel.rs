@@ -39,7 +39,7 @@ use torus_topology::{Direction, Network, NodeId};
 /// Forced-direction overrides are never consulted: they are only installed
 /// by software rule 1, which requires a wrapped dimension, and this model
 /// runs exclusively on open topologies.
-pub fn turn_rule_output(
+pub(crate) fn turn_rule_output(
     net: &Network,
     rule: TurnRule,
     header: &RouteHeader,

@@ -56,7 +56,7 @@ pub(crate) fn down_port_towards(ft: &FatTree, current: NodeId, target: NodeId) -
 /// the unique down-port while `current` is an ancestor of the target, the
 /// destination-aligned up-port otherwise. Returns `None` when the message is
 /// already at its current routing target.
-pub fn updown_output(
+pub(crate) fn updown_output(
     ft: &FatTree,
     header: &RouteHeader,
     current: NodeId,

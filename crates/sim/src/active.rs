@@ -15,13 +15,13 @@
 
 /// A set of indices with deterministic ascending iteration.
 #[derive(Clone, Debug)]
-pub struct ActiveSet {
+pub(crate) struct ActiveSet {
     words: Vec<u64>,
 }
 
 impl ActiveSet {
     /// Creates an empty set able to hold indices `0..capacity`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ActiveSet {
             words: vec![0; capacity.div_ceil(64)],
         }
@@ -29,25 +29,25 @@ impl ActiveSet {
 
     /// Adds `index` to the set (no-op if already present).
     #[inline]
-    pub fn insert(&mut self, index: usize) {
+    pub(crate) fn insert(&mut self, index: usize) {
         self.words[index / 64] |= 1u64 << (index % 64);
     }
 
     /// Removes `index` from the set (no-op if absent).
     #[inline]
-    pub fn remove(&mut self, index: usize) {
+    pub(crate) fn remove(&mut self, index: usize) {
         self.words[index / 64] &= !(1u64 << (index % 64));
     }
 
     /// True when `index` is in the set.
     #[inline]
-    pub fn contains(&self, index: usize) -> bool {
+    pub(crate) fn contains(&self, index: usize) -> bool {
         self.words[index / 64] & (1u64 << (index % 64)) != 0
     }
 
     /// Number of 64-index words the set spans.
     #[inline]
-    pub fn num_words(&self) -> usize {
+    pub(crate) fn num_words(&self) -> usize {
         self.words.len()
     }
 
@@ -59,7 +59,7 @@ impl ActiveSet {
     /// the set in ascending order; a change the body makes to the word being
     /// walked is not seen, to later words it is.
     #[inline]
-    pub fn word_indices(&self, w: usize) -> WordIndices {
+    pub(crate) fn word_indices(&self, w: usize) -> WordIndices {
         WordIndices::new(w, self.words[w])
     }
 
@@ -67,7 +67,7 @@ impl ActiveSet {
     /// allocator clears its port set for every router it visits, usually a
     /// single word, so this skips the `memset` call a fill would make.
     #[inline]
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for word in &mut self.words {
             if *word != 0 {
                 *word = 0;
@@ -80,7 +80,7 @@ impl ActiveSet {
     /// Stages snapshot the set before processing it so that insertions and
     /// removals made *during* the stage (downstream arrivals, queues draining)
     /// take effect from the next stage onwards, exactly like a full scan.
-    pub fn collect_into(&self, out: &mut Vec<usize>) {
+    pub(crate) fn collect_into(&self, out: &mut Vec<usize>) {
         out.clear();
         for w in 0..self.num_words() {
             out.extend(self.word_indices(w));
@@ -91,7 +91,7 @@ impl ActiveSet {
 /// The indices of one word of an [`ActiveSet`], ascending
 /// ([`ActiveSet::word_indices`]).
 #[derive(Clone, Copy, Debug)]
-pub struct WordIndices {
+pub(crate) struct WordIndices {
     base: usize,
     bits: u64,
 }

@@ -26,7 +26,7 @@ use crate::active::{ActiveSet, WordIndices};
 /// The switch requests of one router: the requested output ports and each
 /// one's winner. Built once per engine and reused for every router and cycle.
 #[derive(Clone, Debug)]
-pub struct SwitchRequests {
+pub(crate) struct SwitchRequests {
     /// The ports with at least one request.
     ports: ActiveSet,
     /// Per port, the winning input slot so far; meaningful for requested
@@ -39,7 +39,7 @@ pub struct SwitchRequests {
 
 impl SwitchRequests {
     /// No requests, for `num_ports` output ports.
-    pub fn new(num_ports: usize) -> Self {
+    pub(crate) fn new(num_ports: usize) -> Self {
         SwitchRequests {
             ports: ActiveSet::new(num_ports),
             winners: vec![0; num_ports],
@@ -50,7 +50,7 @@ impl SwitchRequests {
 
     /// Withdraws every request.
     #[inline]
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ports.clear();
         #[cfg(debug_assertions)]
         {
@@ -61,7 +61,7 @@ impl SwitchRequests {
     /// Input slot `slot` requests output port `port`, whose round-robin
     /// pointer is `pointer`. Slots must request in ascending order.
     #[inline]
-    pub fn request(&mut self, port: usize, slot: usize, pointer: usize) {
+    pub(crate) fn request(&mut self, port: usize, slot: usize, pointer: usize) {
         #[cfg(debug_assertions)]
         {
             assert!(
@@ -82,14 +82,14 @@ impl SwitchRequests {
 
     /// Number of 64-port words of the requested-port set.
     #[inline]
-    pub fn port_words(&self) -> usize {
+    pub(crate) fn port_words(&self) -> usize {
         self.ports.num_words()
     }
 
     /// The requested ports of word `w` of the port set, ascending; the grant
     /// loop walks every word (see [`ActiveSet::word_indices`]).
     #[inline]
-    pub fn requested_ports_in(&self, w: usize) -> WordIndices {
+    pub(crate) fn requested_ports_in(&self, w: usize) -> WordIndices {
         self.ports.word_indices(w)
     }
 
@@ -97,7 +97,7 @@ impl SwitchRequests {
     /// after the pointer it was requested with, wrapping around to the slots
     /// below it.
     #[inline]
-    pub fn winner(&self, port: usize) -> usize {
+    pub(crate) fn winner(&self, port: usize) -> usize {
         debug_assert!(self.ports.contains(port), "port {port} has no request");
         self.winners[port]
     }

@@ -20,7 +20,7 @@ impl MessageId {
 
     /// Builds an identifier from a table slot index and a generation tag.
     #[inline]
-    pub fn from_parts(slot: u32, generation: u32) -> Self {
+    pub(crate) fn from_parts(slot: u32, generation: u32) -> Self {
         MessageId(((generation as u64) << Self::SLOT_BITS) | slot as u64)
     }
 
@@ -69,13 +69,13 @@ pub enum FlitKind {
 impl FlitKind {
     /// True for flits that carry the header (and therefore trigger routing).
     #[inline]
-    pub fn is_head(self) -> bool {
+    pub(crate) fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::HeadTail)
     }
 
     /// True for flits that terminate the message (and release resources).
     #[inline]
-    pub fn is_tail(self) -> bool {
+    pub(crate) fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
 }
@@ -93,7 +93,8 @@ pub struct Flit {
 
 impl Flit {
     /// Builds the `seq`-th flit of a message of `length` flits.
-    pub fn nth_of(msg: MessageId, seq: u32, length: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn nth_of(msg: MessageId, seq: u32, length: u32) -> Self {
         debug_assert!(length >= 1 && seq < length);
         let kind = match (seq, length) {
             (0, 1) => FlitKind::HeadTail,

@@ -37,21 +37,21 @@
 //!
 //! # One pipeline, two schedulers
 //!
-//! [`Engine`] ([`network`]) defines the pipeline — the seven stages, the
+//! [`Engine`] (`network`) defines the pipeline — the seven stages, the
 //! constructor and `run`/`step` — exactly once, generic over a [`Schedule`]
-//! ([`schedule`]) that decides *which routers each stage visits* and *how
+//! (`schedule`) that decides *which routers each stage visits* and *how
 //! messages are stored*:
 //!
 //! * [`Simulation`] = `Engine` under [`ActiveSchedule`]: an arrival calendar,
 //!   active-set worklists keyed on each router's input-occupancy mask, a
 //!   deadline-driven watchdog and a message table that reclaims retired
 //!   entries;
-//! * [`ReferenceSimulation`] = `Engine` under [`FullScan`] ([`reference`]):
+//! * [`ReferenceSimulation`] = `Engine` under [`FullScan`] (`reference`):
 //!   every healthy source and router every cycle, an append-only table. It is
 //!   the executable specification of what the active schedule may change, and
 //!   the equivalence suite holds the two to bit-identical reports.
 //!
-//! The engine's second static seam is its [`Observer`] ([`observer`]):
+//! The engine's second static seam is its [`Observer`] (`observer`):
 //! `Engine::new` builds it under [`NoObserver`], which costs nothing;
 //! `Engine::with_observer` takes any other. Two ship: the invariant-checking
 //! [`sanitizer::Sanitizer`], which audits conservation invariants every cycle
@@ -59,17 +59,17 @@
 //! channel-dependency graph, and the [`StageTimer`], which accumulates host
 //! time per pipeline [`Stage`].
 
-pub mod active;
-pub mod arbiter;
-pub mod config;
-pub mod flit;
-pub mod message;
-pub mod network;
-pub mod observer;
-pub mod reference;
+mod active;
+mod arbiter;
+mod config;
+mod flit;
+mod message;
+mod network;
+mod observer;
+mod reference;
 pub mod router;
-pub mod sanitizer;
-pub mod schedule;
+mod sanitizer;
+mod schedule;
 
 pub use config::{SimConfig, SimConfigError, StopCondition};
 pub use flit::{Flit, FlitKind, MessageId, WormRun};

@@ -58,7 +58,7 @@ pub struct MessageState {
 
 impl MessageState {
     /// Creates the state of a message its source is injecting. It is
-    /// [`MessagePhase::Queued`] until [`MessageState::note_injected`], which
+    /// `MessagePhase::Queued` until `MessageState::note_injected`, which
     /// the engine calls at once.
     ///
     /// Zero-length messages are a configuration error and are rejected at the
@@ -99,7 +99,7 @@ impl MessageState {
     }
 
     /// True once the message has left the simulator (delivered or dropped).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         matches!(self.phase, MessagePhase::Delivered | MessagePhase::Dropped)
     }
 
@@ -107,7 +107,7 @@ impl MessageState {
     /// first injection is recorded; re-injections after absorption keep the
     /// original timestamp, since the paper's latency is measured from
     /// generation).
-    pub fn note_injected(&mut self, cycle: u64) {
+    pub(crate) fn note_injected(&mut self, cycle: u64) {
         if self.first_injected_at.is_none() {
             self.first_injected_at = Some(cycle);
         }
@@ -115,13 +115,13 @@ impl MessageState {
     }
 
     /// Marks the message delivered at `cycle`.
-    pub fn note_delivered(&mut self, cycle: u64) {
+    pub(crate) fn note_delivered(&mut self, cycle: u64) {
         self.delivered_at = Some(cycle);
         self.phase = MessagePhase::Delivered;
     }
 
     /// Marks the message dropped.
-    pub fn note_dropped(&mut self) {
+    pub(crate) fn note_dropped(&mut self) {
         self.phase = MessagePhase::Dropped;
     }
 
@@ -144,7 +144,7 @@ struct Slot {
 ///
 /// Slots of delivered/dropped messages are pushed onto a free list and reused
 /// by later insertions; each reuse bumps the slot's generation so identifiers
-/// remain stable and unambiguous ([`MessageId::from_parts`]). Peak occupancy
+/// remain stable and unambiguous (`MessageId::from_parts`). Peak occupancy
 /// is therefore bounded by the in-flight population, not by the total number
 /// of messages a run generates.
 #[derive(Clone, Debug, Default)]
@@ -166,7 +166,10 @@ impl MessageSlab {
 
     /// Inserts a new message, handing the chosen identifier to the `make`
     /// closure that builds its state. Returns the identifier.
-    pub fn insert_with(&mut self, make: impl FnOnce(MessageId) -> MessageState) -> MessageId {
+    pub(crate) fn insert_with(
+        &mut self,
+        make: impl FnOnce(MessageId) -> MessageState,
+    ) -> MessageId {
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
@@ -205,7 +208,7 @@ impl MessageSlab {
     ///
     /// Panics if the identifier is stale (its slot was already retired, or
     /// retired and reused by a later message).
-    pub fn remove(&mut self, id: MessageId) -> MessageState {
+    pub(crate) fn remove(&mut self, id: MessageId) -> MessageState {
         let slot = &mut self.slots[id.slot()];
         assert_eq!(slot.generation, id.generation(), "stale message id {id:?}");
         let state = slot.state.take().expect(
@@ -231,7 +234,8 @@ impl MessageSlab {
     }
 
     /// Number of slots the table has ever grown to (its memory footprint).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
@@ -248,7 +252,7 @@ impl MessageSlab {
     }
 
     /// Iterates over the live messages in slot order.
-    pub fn iter_live(&self) -> impl Iterator<Item = &MessageState> {
+    pub(crate) fn iter_live(&self) -> impl Iterator<Item = &MessageState> {
         self.slots.iter().filter_map(|s| s.state.as_ref())
     }
 }

@@ -17,7 +17,7 @@ use torus_topology::{AnyTopology, Direction, NodeId};
 /// Routing plus VC allocation and switch allocation plus traversal are one
 /// stage, [`Stage::Walk`]: the engine runs both in one walk over the busy
 /// routers, routing each router and then switching it (see
-/// [`crate::network`]), so no boundary falls between them.
+/// `crate::network`), so no boundary falls between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Traffic generation into the source queues.
@@ -150,7 +150,7 @@ impl StageTimer {
     }
 
     /// Nanoseconds spent in `stage` over the timed cycles.
-    pub fn nanos(&self, stage: Stage) -> u64 {
+    pub(crate) fn nanos(&self, stage: Stage) -> u64 {
         self.nanos[stage as usize]
     }
 

@@ -8,7 +8,7 @@
 //!   the flits that travelled in direction `dir` (i.e. sent by the neighbour
 //!   in direction `dir.opposite()`);
 //! * the **injection** port is the extra input port with index `2 * n`
-//!   ([`RouterState::injection_port`]); ejection/absorption is not a port but
+//!   (`RouterState::injection_port`); ejection/absorption is not a port but
 //!   an unconstrained local sink (paper assumption (d): messages are
 //!   transferred to the PE as soon as they arrive).
 //!
@@ -40,8 +40,8 @@
 //! Neighbour table: the router holds, per network port, the index of the
 //! router over that port's channel — the **downstream** router of output
 //! port `p`, and (the topology's `neighbor` being involutive) the
-//! **upstream** router of input port `p ^ 1` ([`RouterState::downstream`],
-//! [`RouterState::upstream`]). It is read from the topology once, when the
+//! **upstream** router of input port `p ^ 1` (`RouterState::downstream`,
+//! `RouterState::upstream`). It is read from the topology once, when the
 //! engine is built; a port that does not physically exist (the outward ports
 //! at the edge of an open dimension) has no entry, and its VC state is
 //! allocated but never used.
@@ -50,12 +50,12 @@
 //! sized for its slot count, stored as one `[occupied, waiting, kept,
 //! creditless]` quadruple per word so that one load serves all four.
 //!
-//! * The **occupancy mask** ([`RouterState::occupied_slots_in`]): bit `s` is
+//! * The **occupancy mask**: bit `s` is
 //!   set iff `inputs[s].buffer` is non-empty. The engine fills and drains
 //!   buffers only through the crate-private `push_flits` (injection, link
 //!   arrival) and `pop_flit` (switch traversal, local sink), which keep it
 //!   and report when the router's first slot fills or its last drains.
-//! * The **waiting-head mask** ([`RouterState::waiting_slots_in`]): bit `s`
+//! * The **waiting-head mask** (`RouterState::waiting_slots_in`): bit `s`
 //!   is set iff `inputs[s].waiting_head()` is `Some` — an unrouted head flit
 //!   at the front. It is set when a head lands in an empty slot (a VC
 //!   carries one worm at a time, so such a slot has no route) and cleared
@@ -63,7 +63,7 @@
 //!   the crate-private `bind` (a routing decision, a won VC, the watchdog's
 //!   forced absorption) and `unbind` (the tail flit left), never by assigning
 //!   [`InputVc::route`].
-//! * The **kept-decision mask** ([`RouterState::kept_slots_in`]): bit `s` is
+//! * The **kept-decision mask** (`RouterState::kept_slots_in`): bit `s` is
 //!   set iff the waiting head of slot `s` failed VC allocation and keeps its
 //!   routing decision (below). It is a subset of the waiting-head mask.
 //! * The **credit mask** (the crate-private `is_creditless`): bit `s` is
@@ -82,12 +82,12 @@
 //!
 //! Routing and the stall watchdog visit the waiting slots only, switch
 //! requests the occupied slots that are neither waiting nor creditless
-//! ([`RouterState::routed_slots_in`]): a blocked worm costs the switch pass
+//! (`RouterState::routed_slots_in`): a blocked worm costs the switch pass
 //! nothing. The sanitizer checks all four masks every cycle.
 //!
 //! Kept decisions: a head that fails VC allocation keeps its routing decision
 //! ([`KeptDecision`]) in the router's kept-decision store
-//! ([`RouterState::kept_decisions`]), a dense list in ascending slot order:
+//! (`RouterState::kept_decisions`), a dense list in ascending slot order:
 //! the entry of slot `s` is found by its rank, the number of kept bits below
 //! `s`. Only blocked heads have an entry, so a router with none holds no
 //! store on the heap, and the store stays off the slot state every stage
@@ -106,7 +106,7 @@
 //! ([`QueuedMessage`]) and no message-table entry; past saturation the source
 //! queues are what grows for the whole run.
 //!
-//! Release flag: [`RouterState::released`] tells whether an output VC of the
+//! Release flag: `RouterState::released` tells whether an output VC of the
 //! router has become claimable since the router's last routing pass. The
 //! only event that makes one claimable is a draining VC getting its last
 //! credit back (`return_credit`, which sets the flag); claiming one, or
@@ -263,14 +263,14 @@ pub struct InputVc {
 
 impl InputVc {
     /// True when the channel holds no flits and is not bound to a message.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.buffer.is_empty() && self.route.is_none()
     }
 
     /// The message whose head flit sits at the front of this channel still
     /// awaiting routing / VC allocation, if there is one.
     #[inline]
-    pub fn waiting_head(&self) -> Option<MessageId> {
+    pub(crate) fn waiting_head(&self) -> Option<MessageId> {
         match (self.route, self.buffer.front()) {
             (None, Some(front)) if front.kind.is_head() => Some(front.msg),
             _ => None,
@@ -279,9 +279,9 @@ impl InputVc {
 }
 
 /// A blocked head's routing decision, kept in its router's kept-decision
-/// store ([`RouterState::kept_decisions`]) while it waits for an output VC.
+/// store (`RouterState::kept_decisions`) while it waits for an output VC.
 /// It failed VC allocation after the router's last release (see
-/// [`RouterState::released`]).
+/// `RouterState::released`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeptDecision {
     /// The `Forward` candidates `route()` returned.
@@ -323,26 +323,26 @@ impl OutputVc {
     /// Message currently owning the VC (set from header acceptance until the
     /// downstream buffer has drained the tail flit and the VC is released).
     #[inline]
-    pub fn owner(&self) -> Option<MessageId> {
+    pub(crate) fn owner(&self) -> Option<MessageId> {
         self.owned.then_some(self.owner)
     }
 
     /// True once the owner's tail flit has been sent.
     #[inline]
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining
     }
 
     /// Remaining credits (free downstream buffer slots).
     #[inline]
-    pub fn credits(&self) -> usize {
+    pub(crate) fn credits(&self) -> usize {
         self.credits as usize
     }
 
     /// True if a new message may claim this VC: it is unowned, or its last
     /// owner's tail has been sent and every credit has come back.
     #[inline]
-    pub fn claimable(&self, buffer_depth: usize) -> bool {
+    pub(crate) fn claimable(&self, buffer_depth: usize) -> bool {
         if self.draining {
             self.credits() == buffer_depth
         } else {
@@ -353,7 +353,7 @@ impl OutputVc {
     /// [`OutputVc::claimable`], releasing a drained VC lazily. A VC that is
     /// not claimable is left untouched.
     #[inline]
-    pub fn available(&mut self, buffer_depth: usize) -> bool {
+    pub(crate) fn available(&mut self, buffer_depth: usize) -> bool {
         let claimable = self.claimable(buffer_depth);
         if claimable {
             self.release();
@@ -459,7 +459,7 @@ impl RouterState {
     /// neighbour table from the topology.
     ///
     /// # Panics
-    /// Panics when the router would have more than [`MAX_SLOTS`] input slots
+    /// Panics when the router would have more than `u16::MAX` input slots
     /// or the depth exceeds `u32::MAX`; the engine rejects such a
     /// configuration with a typed error first.
     pub fn new(
@@ -498,12 +498,12 @@ impl RouterState {
     }
 
     /// Number of network ports (`2n`).
-    pub fn num_net_ports(&self) -> usize {
+    pub(crate) fn num_net_ports(&self) -> usize {
         self.neighbors.len()
     }
 
     /// Index of the injection input port.
-    pub fn injection_port(&self) -> usize {
+    pub(crate) fn injection_port(&self) -> usize {
         self.num_net_ports()
     }
 
@@ -519,14 +519,14 @@ impl RouterState {
     }
 
     /// The slots of the injection port's virtual channels.
-    pub fn injection_slots(&self) -> std::ops::Range<usize> {
+    pub(crate) fn injection_slots(&self) -> std::ops::Range<usize> {
         self.injection_port() * self.vcs..self.inputs.len()
     }
 
     /// The router a flit leaving through network output port `port` arrives
     /// at, or `None` where the port does not exist.
     #[inline]
-    pub fn downstream(&self, port: usize) -> Option<usize> {
+    pub(crate) fn downstream(&self, port: usize) -> Option<usize> {
         let index = self.neighbors[port];
         (index != NO_PORT).then_some(index as usize)
     }
@@ -534,7 +534,7 @@ impl RouterState {
     /// The router that feeds network input port `port` (and holds its
     /// credits): the neighbour in the opposite direction.
     #[inline]
-    pub fn upstream(&self, port: usize) -> Option<usize> {
+    pub(crate) fn upstream(&self, port: usize) -> Option<usize> {
         self.downstream(port ^ 1)
     }
 
@@ -542,7 +542,7 @@ impl RouterState {
     /// slot's upstream router, or `None` for an injection slot, which no
     /// link feeds.
     #[inline]
-    pub fn upstream_of_slot(&self, slot: usize) -> Option<usize> {
+    pub(crate) fn upstream_of_slot(&self, slot: usize) -> Option<usize> {
         let port = slot / self.vcs;
         (port != self.injection_port()).then(|| {
             self.upstream(port).expect(
@@ -555,7 +555,7 @@ impl RouterState {
     /// The switch allocator's round-robin pointer of output port `port`: the
     /// input slot that has priority there.
     #[inline]
-    pub fn pointer(&self, port: usize) -> usize {
+    pub(crate) fn pointer(&self, port: usize) -> usize {
         usize::from(self.sa_pointer[port])
     }
 
@@ -569,7 +569,7 @@ impl RouterState {
 
     /// Number of 64-slot words of the slot masks.
     #[inline]
-    pub fn occupancy_words(&self) -> usize {
+    pub(crate) fn occupancy_words(&self) -> usize {
         self.slot_masks.len()
     }
 
@@ -577,15 +577,15 @@ impl RouterState {
     /// word visits the occupied slots in ascending slot order, like a scan
     /// of every slot; the iterator borrows nothing (see
     /// [`crate::active::ActiveSet::word_indices`]).
-    #[inline]
-    pub fn occupied_slots_in(&self, w: usize) -> WordIndices {
+    #[cfg(test)]
+    pub(crate) fn occupied_slots_in(&self, w: usize) -> WordIndices {
         WordIndices::new(w, self.slot_masks[w][OCCUPIED])
     }
 
     /// The input slots of mask word `w` whose front head flit awaits routing
     /// and VC allocation, ascending.
     #[inline]
-    pub fn waiting_slots_in(&self, w: usize) -> WordIndices {
+    pub(crate) fn waiting_slots_in(&self, w: usize) -> WordIndices {
         WordIndices::new(w, self.slot_masks[w][WAITING])
     }
 
@@ -593,7 +593,7 @@ impl RouterState {
     /// not creditless: their front flit is bound to a local sink or to an
     /// output VC with a credit. Ascending.
     #[inline]
-    pub fn routed_slots_in(&self, w: usize) -> WordIndices {
+    pub(crate) fn routed_slots_in(&self, w: usize) -> WordIndices {
         let [occupied, waiting, _, creditless] = self.slot_masks[w];
         WordIndices::new(w, occupied & !waiting & !creditless)
     }
@@ -608,19 +608,19 @@ impl RouterState {
     /// The input slots of mask word `w` whose blocked head keeps a routing
     /// decision, ascending.
     #[inline]
-    pub fn kept_slots_in(&self, w: usize) -> WordIndices {
+    pub(crate) fn kept_slots_in(&self, w: usize) -> WordIndices {
         WordIndices::new(w, self.slot_masks[w][KEPT])
     }
 
     /// True when input slot `slot` is in the occupancy mask.
     #[inline]
-    pub fn is_occupied(&self, slot: usize) -> bool {
+    pub(crate) fn is_occupied(&self, slot: usize) -> bool {
         self.slot_masks[slot / 64][OCCUPIED] & bit(slot) != 0
     }
 
     /// True when input slot `slot` is in the waiting-head mask.
     #[inline]
-    pub fn is_waiting(&self, slot: usize) -> bool {
+    pub(crate) fn is_waiting(&self, slot: usize) -> bool {
         self.slot_masks[slot / 64][WAITING] & bit(slot) != 0
     }
 
@@ -633,7 +633,7 @@ impl RouterState {
     /// The kept decisions of the router's blocked heads, in ascending slot
     /// order: one per bit of the kept-decision mask.
     #[inline]
-    pub fn kept_decisions(&self) -> &[KeptDecision] {
+    pub(crate) fn kept_decisions(&self) -> &[KeptDecision] {
         &self.kept
     }
 
@@ -699,7 +699,7 @@ impl RouterState {
     /// last routing pass. Every kept decision failed after the last release,
     /// so while this is false every kept head must fail again.
     #[inline]
-    pub fn released(&self) -> bool {
+    pub(crate) fn released(&self) -> bool {
         self.released
     }
 
@@ -805,18 +805,18 @@ impl RouterState {
     }
 
     /// Output port index for a hop along `dim` in direction `dir`.
-    pub fn out_port(dim: usize, dir: Direction) -> usize {
+    pub(crate) fn out_port(dim: usize, dir: Direction) -> usize {
         dim * 2 + dir.index()
     }
 
     /// `(dim, dir)` of an output (or network input) port index.
-    pub fn port_dim_dir(port: usize) -> (usize, Direction) {
+    pub(crate) fn port_dim_dir(port: usize) -> (usize, Direction) {
         (port / 2, Direction::from_index(port % 2))
     }
 
     /// True when the router holds no flits, no queued messages and no worm
     /// part-way into the local node.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.inputs
             .iter()
             .all(|vc| vc.buffer.is_empty() && vc.sunk == 0)

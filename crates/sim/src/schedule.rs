@@ -130,8 +130,8 @@ pub trait Schedule: Sized {
 /// * Injection visits only routers with a non-empty source or re-injection
 ///   queue.
 /// * Routing, switching and the stall watchdog visit only routers with at
-///   least one occupied input slot: the routers whose occupancy mask
-///   ([`RouterState::occupied_slots_in`]) is non-empty, kept current by the
+///   least one occupied input slot: the routers whose occupancy mask (see
+///   [`crate::router`]) is non-empty, kept current by the
 ///   engine's notifications when a mask becomes non-empty or empty.
 /// * The watchdog sleeps until the earliest cycle a stall deadline can expire
 ///   at, so the configured threshold is honored to the cycle.

@@ -64,7 +64,8 @@ impl OutcomePin {
         (active_peak, reference_peak)
     }
 
-    /// Legacy SW-Based entry point used by the torus/mesh baseline cases.
+    /// The Software-Based routing over dimension order, deterministic or
+    /// adaptive: the torus/mesh baseline cases.
     fn equivalent(&mut self, config: SimConfig, faults: FaultSet, adaptive: bool) -> (u64, u64) {
         if adaptive {
             self.equivalent_with(

@@ -1,9 +1,10 @@
 //! k-ary l-level fat-tree (indirect) topology.
 //!
 //! A [`FatTree`] is the classical k-ary l-tree: `k^l` endpoints at the bottom
-//! and `l` levels of `k^(l-1)` switches each. Unlike the direct [`Network`]
-//! grid, compute endpoints and switches are distinct node roles — traffic is
-//! injected and delivered only at endpoints, while switches merely forward.
+//! and `l` levels of `k^(l-1)` switches each. Unlike the direct
+//! [`Network`](crate::Network) grid, compute endpoints and switches are
+//! distinct node roles — traffic is injected and delivered only at
+//! endpoints, while switches merely forward.
 //!
 //! # Identifier layout
 //!

@@ -32,9 +32,9 @@
 //! * [`Coord`] / [`NodeId`] — mixed-radix node addresses and their conversions.
 //! * [`Direction`], [`DirectedChannel`], [`ChannelId`] — identification of
 //!   unidirectional physical channels and their dense slot encoding.
-//! * [`path`] — dimension-order path construction and hop counting
+//! * `path` — dimension-order path construction
 //!   (shortest fault-free paths are `torus_faults::FaultSet::shortest_path`).
-//! * [`rings`] — dateline bookkeeping used for deadlock-free virtual-channel
+//! * `rings` — dateline bookkeeping used for deadlock-free virtual-channel
 //!   class assignment on wrapped dimensions (open dimensions need no dateline
 //!   split, which [`DatelinePolicy`] encodes).
 //!
@@ -57,20 +57,20 @@
 //! assert_eq!(m.neighbor(origin, 0, Direction::Minus), None);
 //! ```
 
-pub mod channel;
-pub mod coords;
-pub mod fattree;
-pub mod network;
-pub mod path;
-pub mod rings;
-pub mod spec;
-pub mod topo;
+mod channel;
+mod coords;
+mod fattree;
+mod network;
+mod path;
+mod rings;
+mod spec;
+mod topo;
 
 pub use channel::{ChannelId, DirectedChannel, Direction};
 pub use coords::{Coord, NodeId};
 pub use fattree::{FatTree, FatTreeNode};
 pub use network::{Network, NetworkError};
-pub use path::{dimension_order_path, hop_count, Path};
+pub use path::{dimension_order_path, Path};
 pub use rings::{DatelinePolicy, VcClass};
 pub use spec::TopologySpec;
 pub use topo::AnyTopology;
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::coords::{Coord, NodeId};
     pub use crate::fattree::{FatTree, FatTreeNode};
     pub use crate::network::{Network, NetworkError};
-    pub use crate::path::{dimension_order_path, hop_count};
+    pub use crate::path::dimension_order_path;
     pub use crate::rings::{DatelinePolicy, VcClass};
     pub use crate::spec::TopologySpec;
     pub use crate::topo::AnyTopology;

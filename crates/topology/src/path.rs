@@ -87,13 +87,6 @@ pub fn dimension_order_path(net: &Network, src: NodeId, dest: NodeId) -> Path {
     Path { src, dest, hops }
 }
 
-/// Number of hops of a minimal path between two nodes (equals
-/// [`Network::distance`]; provided for readability at call sites that think
-/// in terms of paths).
-pub fn hop_count(net: &Network, src: NodeId, dest: NodeId) -> u32 {
-    net.distance(src, dest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +155,7 @@ mod tests {
                 for dest in any.nodes() {
                     let p = dimension_order_path(net, src, dest);
                     assert!(p.is_well_formed(&any));
-                    assert_eq!(p.len() as u32, hop_count(net, src, dest));
+                    assert_eq!(p.len() as u32, net.distance(src, dest));
                 }
             }
         }

@@ -87,7 +87,7 @@ impl<'a> DatelinePolicy<'a> {
     /// Number of dateline classes the deterministic / escape layer needs:
     /// 2 when any dimension wraps, 1 on a pure mesh (the dateline VC is
     /// provably unnecessary when no dimension wraps).
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         if self.any_wrap() {
             2
         } else {
@@ -114,7 +114,7 @@ impl<'a> DatelinePolicy<'a> {
     /// class 1 (when `v` is odd the extra channel goes to class 0).
     ///
     /// Returns the half-open index ranges `(class0, class1)`.
-    pub fn deterministic_partition(
+    pub(crate) fn deterministic_partition(
         &self,
         v: usize,
     ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
@@ -130,7 +130,7 @@ impl<'a> DatelinePolicy<'a> {
     /// the given dateline class.
     ///
     /// Wrapped dimensions use the dateline split of
-    /// [`DatelinePolicy::deterministic_partition`]; open dimensions have no
+    /// `DatelinePolicy::deterministic_partition`; open dimensions have no
     /// dateline and may use the whole VC pool.
     pub fn deterministic_range(
         &self,
@@ -158,7 +158,10 @@ impl<'a> DatelinePolicy<'a> {
     /// fully adaptive.
     ///
     /// Returns `(escape, adaptive)` index ranges.
-    pub fn adaptive_partition(&self, v: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    pub(crate) fn adaptive_partition(
+        &self,
+        v: usize,
+    ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         let escapes = self.num_classes();
         assert!(
             v > escapes,

@@ -85,7 +85,7 @@
 //! # Paranoid mode
 //!
 //! The `paranoid` mode recomputes every epoch from scratch with
-//! [`sweep_destinations`] and diffs the pair universe, every pair's fate and
+//! `sweep_destinations` and diffs the pair universe, every pair's fate and
 //! state count, and every destination's labelled edge list against the
 //! records; any divergence fails the case. A touch rule that missed a change
 //! shows there as a reused record that differs from the fresh sweep.

@@ -23,7 +23,7 @@
 //! * [`reach`] — proves deliver-under-every-schedule per pair, or produces a
 //!   dead-end / livelock witness path;
 //! * [`sweep`] — the from-scratch loop behind `verify_case`,
-//!   `extract_exact_cdg`, `check_reachability` and the paranoid epoch
+//!   `extract_exact_cdg` and the paranoid epoch
 //!   recomputation: per destination one shared graph, one multi-source
 //!   dependency dataflow and one dead-end/cycle pass, with per-pair
 //!   traversals only where that pass finds something. Reported `states` stay
@@ -39,7 +39,7 @@
 //!   reusing every other destination's record (per-pair fates and state
 //!   counts, and its dependency edges, each labelled with its lowest
 //!   source);
-//! * [`witness`] — renders cycle and path witnesses as concrete channels and
+//! * `witness` — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)
 //!   matrix and collects verdicts;
@@ -54,12 +54,12 @@ pub mod reach;
 pub mod relation;
 pub mod report;
 pub mod sweep;
-pub mod witness;
+mod witness;
 
 pub use epochs::{verify_schedule, EpochReport, PairFate, ScheduleOutcome, ScheduleVerifyError};
 pub use exact::{extract_exact_cdg, ExactCdg, Granularity};
 pub use matrix::{run_matrix, CaseResult, MatrixKind, MatrixReport, Verdict};
-pub use reach::{check_reachability, PairVerdict, ReachReport};
+pub use reach::{PairVerdict, ReachReport};
 pub use relation::{walk_pair, RelationWalk, StateBudgetExceeded};
 
 #[cfg(test)]
@@ -71,6 +71,21 @@ mod tests {
         TurnRule,
     };
     use torus_topology::{AnyTopology, Direction, NodeId, TopologySpec};
+
+    /// Checks every ordered pair of healthy endpoints fault-free, proving
+    /// delivery or collecting the first witnessed failure.
+    fn check_reachability(n: &AnyTopology, algo: &AnyRouting, v: usize) -> ReachReport {
+        sweep::sweep_case(
+            n,
+            algo,
+            &FaultSet::new(),
+            v,
+            Granularity::PerVc,
+            matrix::STATE_BUDGET,
+        )
+        .expect("walk fits budget")
+        .1
+    }
 
     fn net(spec: &str) -> AnyTopology {
         TopologySpec::parse(spec)
@@ -161,9 +176,7 @@ mod tests {
                     continue;
                 }
                 let v = algo.min_virtual_channels(&n);
-                let report =
-                    check_reachability(&n, &algo, &FaultSet::new(), v, matrix::STATE_BUDGET)
-                        .expect("walk fits budget");
+                let report = check_reachability(&n, &algo, v);
                 assert_eq!(
                     report.delivered, report.pairs,
                     "{spec}/{label}: every pair must deliver fault-free"
@@ -370,9 +383,7 @@ mod tests {
                     e * (e - 1),
                     "{spec}/{label}: only endpoint pairs are walked"
                 );
-                let report =
-                    check_reachability(&n, &algo, &FaultSet::new(), v, matrix::STATE_BUDGET)
-                        .expect("walk fits budget");
+                let report = check_reachability(&n, &algo, v);
                 assert_eq!(report.delivered, report.pairs);
                 assert!(report.first_failure.is_none());
             }

@@ -21,12 +21,8 @@
 //! acyclic state graph whose sinks are all deliveries *proves* progress for
 //! the pair.
 
-use crate::exact::Granularity;
-use crate::relation::{RelationWalk, StateBudgetExceeded, StateGraph, StateId, Step, Terminal};
-use crate::sweep::sweep_case;
-use torus_faults::FaultSet;
-use torus_routing::RoutingAlgorithm;
-use torus_topology::{AnyTopology, NodeId};
+use crate::relation::{RelationWalk, StateGraph, StateId, Step, Terminal};
+use torus_topology::NodeId;
 
 /// Typed verdict for one (source, destination) pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -131,7 +127,7 @@ pub(crate) fn find_state_cycle(
 /// Classifies one pair's state graph. Dead ends take precedence over
 /// livelocks in the verdict (both are reported in sweep counts via separate
 /// pairs, but a single pair gets its most actionable witness).
-pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
+pub(crate) fn check_pair(walk: &RelationWalk) -> PairVerdict {
     // Breadth-first search with parents: find a dead terminal.
     let mut parent: Vec<Option<usize>> = vec![None; walk.len()];
     let mut seen = vec![false; walk.len()];
@@ -166,19 +162,6 @@ pub fn check_pair(walk: &RelationWalk) -> PairVerdict {
         },
         None => PairVerdict::Delivers,
     }
-}
-
-/// Checks every ordered pair of healthy endpoints (on a grid every node is
-/// an endpoint; on a fat-tree switches neither inject nor consume), proving
-/// delivery or collecting the first witnessed failure.
-pub fn check_reachability<A: RoutingAlgorithm>(
-    net: &AnyTopology,
-    algo: &A,
-    faults: &FaultSet,
-    v: usize,
-    state_budget: usize,
-) -> Result<ReachReport, StateBudgetExceeded> {
-    sweep_case(net, algo, faults, v, Granularity::PerVc, state_budget).map(|(_, reach)| reach)
 }
 
 /// Folds one walked pair's verdict into a sweep report.

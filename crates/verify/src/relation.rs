@@ -17,7 +17,7 @@
 //!   pair, nothing remembered between pairs. It serves as the oracle; every
 //!   proof, schedule epochs included, runs on [`SharedRelation`].
 //! * [`SharedRelation`] memoises the relation per (destination, fault set),
-//!   and [`SharedRelation::reset`] empties it for the next destination
+//!   and `SharedRelation::reset` empties it for the next destination
 //!   without giving up its buffers.
 //!   No routing function reads `header.source` (nor the hop and absorption
 //!   counters), so every source's walk to one destination re-derives the
@@ -26,7 +26,7 @@
 //!   most once. An ordered pair is then a breadth-first *view* of the shared
 //!   graph from the pair's injection state. The view discovers states in
 //!   exactly the order `walk_pair` numbers them, so per-pair state counts,
-//!   the state budget and the witnesses [`crate::reach::check_pair`] reads
+//!   the state budget and the witnesses `crate::reach::check_pair` reads
 //!   off a materialised view ([`SharedRelation::walk`]) are those of the
 //!   per-pair walk.
 //!
@@ -459,7 +459,7 @@ pub struct PairView {
 
 /// The routing relation towards one destination under one fault set, shared
 /// by every source: each state is expanded (one `route()` call) at most once,
-/// whichever pair's view reaches it first. [`SharedRelation::reset`] turns
+/// whichever pair's view reaches it first. `SharedRelation::reset` turns
 /// it towards another destination, keeping every buffer's capacity.
 pub struct SharedRelation<'a, A> {
     walker: Walker<'a, A>,
@@ -491,7 +491,7 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
 
     /// Empties the relation and points it at `dest`: what
     /// [`SharedRelation::new`] returns for `dest`, in the buffers of this one.
-    pub fn reset(&mut self, dest: NodeId) {
+    pub(crate) fn reset(&mut self, dest: NodeId) {
         self.walker.clear();
         self.dest = dest;
         self.seen.clear();

@@ -9,7 +9,7 @@ use crate::epochs::{EpochReport, ScheduleOutcome};
 use crate::matrix::{CaseResult, MatrixReport, Verdict};
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -161,7 +161,7 @@ pub fn case_line(c: &CaseResult) -> String {
 /// One console line per epoch of a schedule case, e.g.
 /// `epoch@100 [node@8] 110 pairs: 98 routable / 8 rerouted / 4 disconnected
 /// (12 re-walked, 98 reused), acyclic`.
-pub fn epoch_line(e: &EpochReport) -> String {
+pub(crate) fn epoch_line(e: &EpochReport) -> String {
     format!(
         "epoch@{} [{}] {} pairs: {} routable / {} rerouted / {} disconnected \
          ({} re-walked, {} reused), {}",

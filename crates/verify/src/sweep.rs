@@ -16,17 +16,17 @@
 //! * **reachability** is decided by one pass over the shared graph: with no
 //!   dead state and no cycle in it, every view is acyclic with delivering
 //!   sinks only. Only a destination where that pass finds something pays for
-//!   the per-pair [`check_pair`] traversals, which then yield the same
+//!   the per-pair `check_pair` traversals, which then yield the same
 //!   witnesses as per-pair walks because the views number states alike.
 //!
 //! The graph is emptied before the next destination starts, so memory stays
 //! that of the largest destination: the destination loop owns one
-//! [`SharedRelation`] and [`SharedRelation::reset`]s it per destination,
+//! [`SharedRelation`] and `SharedRelation::reset`s it per destination,
 //! which clears its intern table, states, step arena and view marks but
 //! keeps their capacity. The dataflow's buffers live as long: the loop hands
 //! them to every destination's dataflow, which clears them first.
-//! [`crate::matrix::verify_case`], [`crate::exact::extract_exact_cdg`],
-//! [`crate::reach::check_reachability`] and every epoch of
+//! [`crate::matrix::verify_case`], [`crate::exact::extract_exact_cdg`]
+//! and every epoch of
 //! [`crate::epochs::verify_schedule`], its paranoid recomputation included,
 //! are all this one loop; the per-pair
 //! `walk_pair → accumulate_cdg → record_pair` pipeline survives as the oracle
@@ -171,7 +171,7 @@ impl<'a, A: RoutingAlgorithm> DestinationSweep<'a, A> {
 /// under `faults`, destination-major, handing each destination's outcome to
 /// `visit` as soon as it is complete. Fails when any pair has more than
 /// `state_budget` reachable states.
-pub fn sweep_destinations<A: RoutingAlgorithm>(
+pub(crate) fn sweep_destinations<A: RoutingAlgorithm>(
     net: &AnyTopology,
     algo: &A,
     faults: &FaultSet,

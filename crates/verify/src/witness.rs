@@ -14,7 +14,7 @@ use torus_topology::{AnyTopology, ChannelId, Direction, NodeId};
 
 /// Renders one resource id of an extracted graph, e.g.
 /// `(3,0) -d0+-> (0,0) vc1`.
-pub fn describe_resource(
+pub(crate) fn describe_resource(
     net: &AnyTopology,
     id: usize,
     v: usize,
@@ -44,7 +44,7 @@ pub fn describe_resource(
 /// Renders a cycle witness (as returned by
 /// `DependencyGraph::find_cycle`) one channel per line, closing the loop
 /// back to the first resource.
-pub fn describe_cycle(
+pub(crate) fn describe_cycle(
     net: &AnyTopology,
     cycle: &[usize],
     v: usize,
@@ -62,7 +62,7 @@ pub fn describe_cycle(
 }
 
 /// Renders a node path (dead-end or livelock witness) as node labels.
-pub fn describe_node_path(net: &AnyTopology, path: &[NodeId]) -> String {
+pub(crate) fn describe_node_path(net: &AnyTopology, path: &[NodeId]) -> String {
     path.iter()
         .map(|&n| net.node_label(n))
         .collect::<Vec<_>>()
@@ -70,7 +70,7 @@ pub fn describe_node_path(net: &AnyTopology, path: &[NodeId]) -> String {
 }
 
 /// Renders a pair verdict's witness, if any, as display lines.
-pub fn describe_pair_verdict(net: &AnyTopology, verdict: &PairVerdict) -> Vec<String> {
+pub(crate) fn describe_pair_verdict(net: &AnyTopology, verdict: &PairVerdict) -> Vec<String> {
     match verdict {
         PairVerdict::Delivers => Vec::new(),
         PairVerdict::DeadEnd { path } => vec![format!(

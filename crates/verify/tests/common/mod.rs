@@ -9,7 +9,7 @@ use torus_topology::{AnyTopology, Direction, NodeId};
 /// Dimension-order routing with every candidate moved to VC 0: the torus
 /// rings lose their dateline classes, so the union CDG is cyclic at every
 /// epoch.
-pub struct AllOnVcZero(pub AnyRouting);
+pub(crate) struct AllOnVcZero(pub AnyRouting);
 
 impl RoutingAlgorithm for AllOnVcZero {
     fn flavor(&self) -> RoutingFlavor {

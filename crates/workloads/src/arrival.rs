@@ -10,7 +10,7 @@ use rand::Rng;
 /// exponential inter-arrival gaps (so several messages may arrive in one cycle
 /// when λ is large).
 #[derive(Clone, Debug)]
-pub struct PoissonArrivals {
+pub(crate) struct PoissonArrivals {
     lambda: f64,
     /// Absolute time of the next arrival, in (fractional) cycles.
     next_arrival: f64,
@@ -21,7 +21,7 @@ impl PoissonArrivals {
     /// Creates a Poisson arrival process with rate `lambda` messages/cycle.
     ///
     /// A rate of zero produces no arrivals at all.
-    pub fn new(lambda: f64) -> Self {
+    pub(crate) fn new(lambda: f64) -> Self {
         assert!(
             lambda >= 0.0 && lambda.is_finite(),
             "rate must be finite and non-negative"
@@ -47,7 +47,7 @@ impl PoissonArrivals {
     /// from the RNG*, so an event-driven scheduler may skip those cycles
     /// without perturbing the random stream. An uninitialised process (never
     /// polled) reports cycle 0: its first poll draws the initial gap.
-    pub fn next_due_cycle(&self) -> Option<u64> {
+    pub(crate) fn next_due_cycle(&self) -> Option<u64> {
         if self.lambda <= 0.0 {
             return None;
         }
@@ -60,7 +60,7 @@ impl PoissonArrivals {
     }
 
     /// Number of messages generated in `cycle`.
-    pub fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, rng: &mut R) -> u32 {
+    pub(crate) fn arrivals_in_cycle<R: Rng + ?Sized>(&mut self, cycle: u64, rng: &mut R) -> u32 {
         if self.lambda <= 0.0 {
             return 0;
         }

@@ -13,8 +13,7 @@
 //! [`TrafficSpec::source_for`] builds a [`TrafficSource`], one per node, which
 //! the simulator polls at the cycles its arrival process is due.
 
-pub mod arrival;
-pub mod source;
+mod arrival;
+mod source;
 
-pub use arrival::PoissonArrivals;
 pub use source::{GeneratedMessage, TrafficSource, TrafficSpec};

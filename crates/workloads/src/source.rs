@@ -68,7 +68,7 @@ impl TrafficSource {
     /// Calling [`TrafficSource::generate`] for any earlier cycle is a no-op
     /// that draws nothing from the RNG, so a simulator may skip straight to
     /// the returned cycle without changing the random stream (see
-    /// [`PoissonArrivals::next_due_cycle`]).
+    /// `PoissonArrivals::next_due_cycle`).
     pub fn next_due_cycle(&self) -> Option<u64> {
         self.arrivals.next_due_cycle()
     }
