@@ -67,14 +67,6 @@ const SMOKE: Grid = Grid {
     max_simulations: 6,
 };
 
-fn faults_for(nf: usize) -> FaultScenario {
-    if nf == 0 {
-        FaultScenario::None
-    } else {
-        FaultScenario::RandomNodes { count: nf }
-    }
-}
-
 fn run_table(
     title: &str,
     topology: TopologySpec,
@@ -106,7 +98,7 @@ fn run_table(
     let results = run_pool(jobs, pool_jobs, |&(routing, v, nf)| {
         let cfg = ExperimentConfig::topology_point(topology.clone(), v, 32, 0.001)
             .with_routing(routing)
-            .with_faults(faults_for(nf))
+            .with_faults(FaultScenario::random_nodes(nf))
             .with_fault_seed(2006 + nf as u64)
             .quick(grid.measured, grid.warmup);
         let est = estimate_saturation_rate(&cfg, search).map_err(|e| e.to_string());

@@ -507,17 +507,34 @@ impl FigurePlan {
     }
 }
 
-/// Cycle cap for one experiment point: the scale's base cap, extended so that
-/// a lightly loaded (far-from-saturation) point always has enough cycles to
-/// generate and deliver its whole message budget — otherwise the lowest-rate
-/// points would be mislabelled as saturated simply because the cycle budget
-/// expired before the message budget.
-fn budgeted_max_cycles(scale: Scale, cfg: &ExperimentConfig) -> u64 {
+/// One figure point at `(v, m, rate)` under the scale's message budget. Its
+/// cycle cap is the scale's base cap, extended so that a lightly loaded
+/// (far-from-saturation) point always has enough cycles to generate and
+/// deliver its whole message budget — otherwise the lowest-rate points would
+/// be mislabelled as saturated simply because the cycle budget expired before
+/// the message budget.
+fn point(
+    scale: Scale,
+    topology: &TopologySpec,
+    (v, m, rate): (usize, u32, f64),
+    routing: RoutingChoice,
+    faults: FaultScenario,
+    seed: u64,
+) -> ExperimentConfig {
+    let cfg = ExperimentConfig::topology_point(topology.clone(), v, m, rate)
+        .with_routing(routing)
+        .with_faults(faults)
+        .with_seed(seed)
+        .quick(scale.measured(), scale.warmup());
+    let nodes = cfg.num_nodes();
     let generation_cycles =
-        (cfg.warmup_messages + cfg.measured_messages) as f64 / (cfg.rate * cfg.num_nodes() as f64);
-    scale
-        .max_cycles(cfg.num_nodes())
-        .max((4.0 * generation_cycles).ceil() as u64)
+        (cfg.warmup_messages + cfg.measured_messages) as f64 / (rate * nodes as f64);
+    ExperimentConfig {
+        max_cycles: scale
+            .max_cycles(nodes)
+            .max((4.0 * generation_cycles).ceil() as u64),
+        ..cfg
+    }
 }
 
 /// Per-(routing, V) saturation-aware maximum traffic rate of the sweep grids,
@@ -593,23 +610,17 @@ fn latency_figure(
                 for &nf in fault_counts {
                     curve_labels.push(format!("M={m}, nf={nf}"));
                     for (pi, &rate) in rates.iter().enumerate() {
-                        let faults = if nf == 0 {
-                            FaultScenario::None
-                        } else {
-                            FaultScenario::RandomNodes { count: nf }
-                        };
-                        let cfg = ExperimentConfig::topology_point(topology.clone(), v, m, rate)
-                            .with_routing(routing)
-                            .with_faults(faults)
-                            .with_seed(point_seed(id, panel_idx, curve_idx, pi))
-                            // One fault placement per curve (the paper sweeps
-                            // the traffic rate against a fixed set of faults).
-                            .with_fault_seed(point_seed(id, panel_idx, curve_idx, 255))
-                            .quick(scale.measured(), scale.warmup());
-                        let cfg = ExperimentConfig {
-                            max_cycles: budgeted_max_cycles(scale, &cfg),
-                            ..cfg
-                        };
+                        let cfg = point(
+                            scale,
+                            topology,
+                            (v, m, rate),
+                            routing,
+                            FaultScenario::random_nodes(nf),
+                            point_seed(id, panel_idx, curve_idx, pi),
+                        )
+                        // One fault placement per curve (the paper sweeps the
+                        // traffic rate against a fixed set of faults).
+                        .with_fault_seed(point_seed(id, panel_idx, curve_idx, 255));
                         tagged.push((panel_idx, curve_idx, rate, cfg));
                     }
                     curve_idx += 1;
@@ -695,15 +706,14 @@ fn fig5(
             ));
             let rates = rate_grid(max_rate(routing, v), scale.rate_points());
             for (pi, &rate) in rates.iter().enumerate() {
-                let cfg = ExperimentConfig::topology_point(topology.clone(), v, m, rate)
-                    .with_routing(routing)
-                    .with_faults(FaultScenario::centered_region(net, shape))
-                    .with_seed(point_seed("fig5", 0, curve_idx, pi))
-                    .quick(scale.measured(), scale.warmup());
-                let cfg = ExperimentConfig {
-                    max_cycles: budgeted_max_cycles(scale, &cfg),
-                    ..cfg
-                };
+                let cfg = point(
+                    scale,
+                    topology,
+                    (v, m, rate),
+                    routing,
+                    FaultScenario::centered_region(net, shape),
+                    point_seed("fig5", 0, curve_idx, pi),
+                );
                 tagged.push((0usize, curve_idx, rate, cfg));
             }
             curve_idx += 1;
@@ -741,20 +751,14 @@ fn fig6(scale: Scale, topology: &TopologySpec, routings: &[RoutingChoice]) -> Fi
         curve_labels.push(routing.label().to_string());
         for (pi, &nf) in fault_counts.iter().enumerate() {
             for rep in 0..reps {
-                let faults = if nf == 0 {
-                    FaultScenario::None
-                } else {
-                    FaultScenario::RandomNodes { count: nf }
-                };
-                let cfg = ExperimentConfig::topology_point(topology.clone(), v, m, offered)
-                    .with_routing(routing)
-                    .with_faults(faults)
-                    .with_seed(point_seed("fig6", rep as usize, curve_idx, pi))
-                    .quick(scale.measured(), scale.warmup());
-                let cfg = ExperimentConfig {
-                    max_cycles: budgeted_max_cycles(scale, &cfg),
-                    ..cfg
-                };
+                let cfg = point(
+                    scale,
+                    topology,
+                    (v, m, offered),
+                    routing,
+                    FaultScenario::random_nodes(nf),
+                    point_seed("fig6", rep as usize, curve_idx, pi),
+                );
                 tagged.push((0usize, curve_idx, nf as f64, cfg));
             }
         }
@@ -796,23 +800,17 @@ fn fig7(scale: Scale, topology: &TopologySpec, routings: &[RoutingChoice]) -> Fi
                 label
             ));
             for (pi, &nf) in fault_counts.iter().enumerate() {
-                let faults = if nf == 0 {
-                    FaultScenario::None
-                } else {
-                    FaultScenario::RandomNodes { count: nf }
-                };
-                let cfg = ExperimentConfig::topology_point(topology.clone(), v, m, rate)
-                    .with_routing(routing)
-                    .with_faults(faults)
-                    .with_seed(point_seed("fig7", 0, curve_idx, pi))
-                    // The same placement of `nf` faults is shared by all four
-                    // curves so they are directly comparable at each x.
-                    .with_fault_seed(point_seed("fig7-faults", 0, 0, pi))
-                    .quick(scale.measured(), scale.warmup());
-                let cfg = ExperimentConfig {
-                    max_cycles: budgeted_max_cycles(scale, &cfg),
-                    ..cfg
-                };
+                let cfg = point(
+                    scale,
+                    topology,
+                    (v, m, rate),
+                    routing,
+                    FaultScenario::random_nodes(nf),
+                    point_seed("fig7", 0, curve_idx, pi),
+                )
+                // The same placement of `nf` faults is shared by all four
+                // curves so they are directly comparable at each x.
+                .with_fault_seed(point_seed("fig7-faults", 0, 0, pi));
                 tagged.push((0usize, curve_idx, nf as f64, cfg));
             }
             curve_idx += 1;

@@ -198,14 +198,9 @@ fn saturation_searches_are_identical_at_jobs_1_and_4() {
     };
     let run = |jobs| {
         run_pool(cells.clone(), jobs, |&(routing, nf)| {
-            let faults = if nf == 0 {
-                FaultScenario::None
-            } else {
-                FaultScenario::RandomNodes { count: nf }
-            };
             let mut cfg = ExperimentConfig::paper_point(4, 2, 4, 8, 0.001)
                 .with_routing(routing)
-                .with_faults(faults)
+                .with_faults(FaultScenario::random_nodes(nf))
                 .with_fault_seed(2006 + nf as u64)
                 .quick(400, 100);
             cfg.max_cycles = 150_000;

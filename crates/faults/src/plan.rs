@@ -110,6 +110,16 @@ pub enum FaultScenario {
 }
 
 impl FaultScenario {
+    /// `count` random node faults: [`FaultScenario::None`] at 0, so a
+    /// fault-count sweep starts at the fault-free baseline.
+    pub fn random_nodes(count: usize) -> Self {
+        if count == 0 {
+            FaultScenario::None
+        } else {
+            FaultScenario::RandomNodes { count }
+        }
+    }
+
     /// A shaped region placed in the (0, 1) plane roughly at the centre of the
     /// network, the placement used for the Fig. 5 experiments. Centring keeps
     /// the region inside the extent of both plane dimensions, so the same
@@ -224,21 +234,28 @@ mod tests {
     fn none_scenario() {
         let t = AnyTopology::torus(8, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = FaultScenario::None.realize(&t, &mut rng).unwrap();
-        assert!(f.is_empty());
-        assert_eq!(FaultScenario::None.fault_count(), 0);
-        assert_eq!(FaultScenario::None.label(), "nf=0");
+        for s in [FaultScenario::None, FaultScenario::random_nodes(0)] {
+            assert_eq!(s, FaultScenario::None);
+            assert!(s.realize(&t, &mut rng).unwrap().is_empty());
+            assert_eq!(s.fault_count(), 0);
+            assert_eq!(s.label(), "nf=0");
+        }
     }
 
     #[test]
     fn random_scenario_matches_count() {
         let t = AnyTopology::torus(8, 2).unwrap();
-        let s = FaultScenario::RandomNodes { count: 5 };
-        let mut rng = StdRng::seed_from_u64(9);
-        let f = s.realize(&t, &mut rng).unwrap();
-        assert_eq!(f.num_faulty_nodes(), 5);
-        assert_eq!(s.fault_count(), 5);
-        assert_eq!(s.label(), "nf=5");
+        for (s, count) in [
+            (FaultScenario::RandomNodes { count: 5 }, 5),
+            (FaultScenario::random_nodes(3), 3),
+        ] {
+            assert_eq!(s, FaultScenario::RandomNodes { count });
+            let mut rng = StdRng::seed_from_u64(9);
+            let f = s.realize(&t, &mut rng).unwrap();
+            assert_eq!(f.num_faulty_nodes(), count);
+            assert_eq!(s.fault_count(), count);
+            assert_eq!(s.label(), format!("nf={count}"));
+        }
     }
 
     #[test]

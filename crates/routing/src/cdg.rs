@@ -90,50 +90,68 @@ impl DependencyGraph {
     }
 
     /// Returns a directed cycle as a witness, or `None` if the graph is
-    /// acyclic (iterative three-colour DFS). The returned vertices
-    /// `v0, v1, .., vk` are a closed walk: every consecutive pair
+    /// acyclic: [`find_cycle`] from every vertex in turn. The returned
+    /// vertices `v0, v1, .., vk` are a closed walk: every consecutive pair
     /// `(vi, vi+1)` is a recorded edge, as is `(vk, v0)`.
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour = vec![Colour::White; self.num_vertices];
-        for start in 0..self.num_vertices {
-            if colour[start] != Colour::White {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = Colour::Grey;
-            while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-                if *idx < self.edges[v].len() {
-                    let child = self.edges[v][*idx];
-                    *idx += 1;
-                    match colour[child] {
-                        Colour::Grey => {
-                            // The DFS stack from `child` up to `v` is the cycle.
-                            let pos = stack
-                                .iter()
-                                .position(|&(u, _)| u == child)
-                                .expect("grey vertices are always on the DFS stack");
-                            return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
-                        }
-                        Colour::White => {
-                            colour[child] = Colour::Grey;
-                            stack.push((child, 0));
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour[v] = Colour::Black;
-                    stack.pop();
-                }
-            }
-        }
-        None
+        find_cycle(self.num_vertices, 0..self.num_vertices, |v, i| {
+            self.edges[v].get(i).copied()
+        })
     }
+}
+
+/// Three-colour depth-first search over the vertices `0..len` from `roots`
+/// in turn (colours shared between them), where `successor(v, i)` is the
+/// `i`-th successor of `v` (`None` past the last): the first cycle met among
+/// the vertices reachable from a root, as the run of vertices on the search
+/// stack that the closing edge re-enters. A cycle reachable only from
+/// vertices outside `roots` is not reported. The channel dependency graph's
+/// deadlock check and the verifier's per-pair livelock check both run it.
+pub fn find_cycle(
+    len: usize,
+    roots: impl IntoIterator<Item = usize>,
+    mut successor: impl FnMut(usize, usize) -> Option<usize>,
+) -> Option<Vec<usize>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Colour {
+        White,
+        Grey,
+        Black,
+    }
+    let mut colour = vec![Colour::White; len];
+    // Stack of (vertex, next-successor-index).
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in roots {
+        if colour[root] != Colour::White {
+            continue;
+        }
+        colour[root] = Colour::Grey;
+        stack.push((root, 0));
+        while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
+            let Some(child) = successor(v, *idx) else {
+                colour[v] = Colour::Black;
+                stack.pop();
+                continue;
+            };
+            *idx += 1;
+            match colour[child] {
+                Colour::Grey => {
+                    // The DFS stack from `child` up to `v` is the cycle.
+                    let pos = stack
+                        .iter()
+                        .position(|&(u, _)| u == child)
+                        .expect("grey vertices are always on the DFS stack");
+                    return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
+                }
+                Colour::White => {
+                    colour[child] = Colour::Grey;
+                    stack.push((child, 0));
+                }
+                Colour::Black => {}
+            }
+        }
+    }
+    None
 }
 
 /// Resource granularity used when building the dependency graph.
@@ -576,6 +594,26 @@ mod tests {
         d.add_edge(1, 3);
         d.add_edge(2, 3);
         assert!(d.is_acyclic(), "diamond reconvergence is not a cycle");
+    }
+
+    #[test]
+    fn find_cycle_reports_only_cycles_its_roots_reach() {
+        // 0 -> 1 is acyclic; 2 -> 3 -> 4 -> 2 is a cycle that only 2, 3, 4
+        // and 5 (5 -> 3) reach.
+        let succ: [&[usize]; 6] = [&[1], &[], &[3], &[4], &[2], &[3]];
+        let search = |roots: &[usize]| {
+            find_cycle(succ.len(), roots.iter().copied(), |v, i| {
+                succ[v].get(i).copied()
+            })
+        };
+        assert_eq!(search(&[0, 1]), None);
+        let witness = search(&[5]).expect("5 reaches the cycle");
+        assert_eq!(witness, [3, 4, 2]);
+        for (i, &from) in witness.iter().enumerate() {
+            let to = witness[(i + 1) % witness.len()];
+            assert!(succ[from].contains(&to), "{from} -> {to} is no edge");
+        }
+        assert_eq!(search(&[0, 1, 2, 3, 4, 5]), Some(vec![2, 3, 4]));
     }
 
     #[test]

@@ -25,12 +25,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::IndexMut;
 
-/// Legacy scan stride of the stall watchdog, kept as an upper bound on the
-/// interval between scans. Within a stride the watchdog wakes exactly at the
-/// earliest pending stall deadline, so `stall_absorb_threshold` is honored to
-/// the cycle instead of being quantized to the stride.
-const WATCHDOG_STRIDE: u64 = 128;
-
 /// The message table of an engine: insertion, lookup by identifier, and
 /// retirement of finished messages.
 pub trait MessageTable:
@@ -223,7 +217,7 @@ impl Schedule for ActiveSchedule {
     }
 
     #[inline]
-    fn note_watchdog_scan(&mut self, now: u64, next_expiry: u64) {
-        self.watchdog_next = next_expiry.min(now + WATCHDOG_STRIDE);
+    fn note_watchdog_scan(&mut self, _now: u64, next_expiry: u64) {
+        self.watchdog_next = next_expiry;
     }
 }

@@ -274,9 +274,9 @@ fn message_table_stays_bounded_under_sustained_traffic() {
 
 #[test]
 fn tiny_stall_threshold_matches() {
-    // A threshold far below the legacy 128-cycle watchdog stride: the
-    // deadline-driven scans must reproduce the reference's every-cycle checks
-    // exactly (including when the watchdog never needs to fire).
+    // A threshold far below the default: the deadline-driven scans must
+    // reproduce the reference's every-cycle checks exactly (including when
+    // the watchdog never needs to fire).
     let mut pin = OutcomePin::new();
     let mut config = quick(4, 2, 4, 8, 0.02, 6);
     config.stall_absorb_threshold = 37;

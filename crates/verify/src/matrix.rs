@@ -20,7 +20,7 @@
 //!   witness (the dependency cycle's channels, or the path to a dead
 //!   end/livelock).
 
-use crate::epochs::{verify_schedule, EpochReport};
+use crate::epochs::{verify_schedule, EpochReport, ScheduleOutcome};
 use crate::exact::{ExactCdg, Granularity};
 use crate::reach::ReachReport;
 use crate::sweep::sweep_case;
@@ -119,6 +119,28 @@ pub struct CaseResult {
     /// Per-epoch reports for fault-schedule (`sched@...`) cases; empty for
     /// static fault cases.
     pub epochs: Vec<EpochReport>,
+}
+
+impl CaseResult {
+    /// A `failed` case with no counts, detail, witness or epochs: the shape
+    /// every case result starts from, filled in by struct update.
+    fn new(topology: &str, routing: &str, virtual_channels: usize, faults: &str) -> Self {
+        CaseResult {
+            topology: topology.to_string(),
+            routing: routing.to_string(),
+            virtual_channels,
+            faults: faults.to_string(),
+            verdict: Verdict::Failed,
+            cdg_vertices: 0,
+            cdg_edges: 0,
+            pairs: 0,
+            delivered: 0,
+            states: 0,
+            detail: String::new(),
+            witness: Vec::new(),
+            epochs: Vec::new(),
+        }
+    }
 }
 
 /// A complete matrix run.
@@ -245,9 +267,6 @@ pub fn matrix_fault_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String, F
         for &id in &uniq {
             faults.fail_node(NodeId(id));
         }
-        if faults.num_faulty_nodes() == 0 || !faults.preserves_connectivity(net) {
-            continue;
-        }
         let label = format!(
             "nodes@{}",
             uniq.iter()
@@ -255,9 +274,7 @@ pub fn matrix_fault_cases(net: &AnyTopology, kind: MatrixKind) -> Vec<(String, F
                 .collect::<Vec<_>>()
                 .join("+")
         );
-        if !cases.iter().any(|(l, _)| *l == label) {
-            cases.push((label, faults));
-        }
+        push_case(net, label, faults, &mut cases);
     }
     push_link_cases(net, kind, &mut cases);
     push_region_cases(net, grid, kind, &mut cases);
@@ -359,7 +376,7 @@ fn push_fat_tree_cases(
 /// Adds link-fault cases: one mid-network failed link always, plus a
 /// two-link set on the full matrix. `fail_link` silently ignores channels
 /// that do not exist (open-mesh edges), so a pick that lands on a missing
-/// channel produces no faults and is dropped by the `num_faulty_links`
+/// channel produces no faults and is dropped by [`push_case`]'s non-empty
 /// guard rather than mislabelled as fault-free.
 fn push_link_cases(net: &AnyTopology, kind: MatrixKind, cases: &mut Vec<(String, FaultSet)>) {
     let n = net.num_nodes() as u32;
@@ -385,13 +402,7 @@ fn push_link_cases(net: &AnyTopology, kind: MatrixKind, cases: &mut Vec<(String,
             };
             parts.push(format!("{id}:d{dim}{sign}"));
         }
-        if faults.num_faulty_links() == 0 || !faults.preserves_connectivity(net) {
-            continue;
-        }
-        let label = format!("links@{}", parts.join("+"));
-        if !cases.iter().any(|(l, _)| *l == label) {
-            cases.push((label, faults));
-        }
+        push_case(net, format!("links@{}", parts.join("+")), faults, cases);
     }
 }
 
@@ -599,12 +610,10 @@ pub fn verify_case<A: RoutingAlgorithm>(
     sweep_case(net, algo, faults, v, Granularity::PerVc, STATE_BUDGET)
 }
 
+/// Fills `case` in from the two static checks of [`verify_case`].
 fn case_from_checks(
     net: &AnyTopology,
-    topology: &str,
-    routing: &str,
-    v: usize,
-    fault_label: &str,
+    case: CaseResult,
     cdg: &ExactCdg,
     reach: &ReachReport,
 ) -> CaseResult {
@@ -617,7 +626,7 @@ fn case_from_checks(
             "escape-layer channel dependency graph has a cycle of {} resources",
             cycle.len()
         );
-        witness = describe_cycle(net, &cycle, v, cdg.granularity);
+        witness = describe_cycle(net, &cycle, case.virtual_channels, cdg.granularity);
     } else if let Some(failure) = &reach.first_failure {
         verdict = Verdict::Failed;
         detail = format!(
@@ -638,10 +647,6 @@ fn case_from_checks(
         );
     }
     CaseResult {
-        topology: topology.to_string(),
-        routing: routing.to_string(),
-        virtual_channels: v,
-        faults: fault_label.to_string(),
         verdict,
         cdg_vertices: cdg.graph.num_vertices(),
         cdg_edges: cdg.graph.num_edges(),
@@ -650,33 +655,58 @@ fn case_from_checks(
         states: cdg.states_explored,
         detail,
         witness,
-        epochs: Vec::new(),
+        ..case
+    }
+}
+
+/// Fills `case` in from a schedule proof: the last epoch's counts, the first
+/// failing epoch's witness and every epoch's report.
+fn case_from_schedule(case: CaseResult, outcome: ScheduleOutcome) -> CaseResult {
+    let last = outcome.epochs.last().expect(
+        "verify_schedule reports every epoch of FaultSchedule::epochs, which yields epoch 0 at least",
+    );
+    let witness = outcome
+        .epochs
+        .iter()
+        .find(|e| e.failure.is_some())
+        .map(|e| e.witness.clone())
+        .unwrap_or_default();
+    CaseResult {
+        verdict: if outcome.failed() {
+            Verdict::Failed
+        } else {
+            Verdict::Proved
+        },
+        cdg_vertices: last.cdg_vertices,
+        cdg_edges: last.cdg_edges,
+        pairs: last.pairs,
+        delivered: last.routable + last.rerouted,
+        states: outcome.total_states(),
+        detail: outcome.summary(),
+        witness,
+        epochs: outcome.epochs,
+        ..case
     }
 }
 
 /// One enumerated unit of matrix work: a case resolved during enumeration
-/// (routing rejections are instantaneous), a pending (topology, routing, V,
-/// faults) combination, or a pending fault-schedule case.
+/// (routing rejections are instantaneous), or a pending case — `case` holds
+/// its labels — and the proof it waits for.
 enum WorkItem {
     Resolved(CaseResult),
     Pending {
         net_idx: usize,
-        topology: String,
-        routing: String,
+        case: CaseResult,
         algo: AnyRouting,
-        v: usize,
-        fault_label: String,
-        faults: FaultSet,
+        proof: Proof,
     },
-    PendingSchedule {
-        net_idx: usize,
-        topology: String,
-        routing: String,
-        algo: AnyRouting,
-        v: usize,
-        label: String,
-        schedule: FaultSchedule,
-    },
+}
+
+/// What a pending case proves: a static fault set, or a fault schedule
+/// epoch by epoch.
+enum Proof {
+    Static(FaultSet),
+    Schedule(FaultSchedule),
 }
 
 /// Enumerates every work item of the matrix in deterministic sweep order,
@@ -695,59 +725,37 @@ fn enumerate_work(kind: MatrixKind) -> (Vec<AnyTopology>, Vec<WorkItem>) {
         for (routing, algo) in matrix_routings() {
             if let Err(e) = algo.supported_on(&net) {
                 items.push(WorkItem::Resolved(CaseResult {
-                    topology: topology.clone(),
-                    routing,
-                    virtual_channels: 0,
-                    faults: "-".to_string(),
                     verdict: Verdict::Rejected,
-                    cdg_vertices: 0,
-                    cdg_edges: 0,
-                    pairs: 0,
-                    delivered: 0,
-                    states: 0,
                     detail: e.to_string(),
-                    witness: Vec::new(),
-                    epochs: Vec::new(),
+                    ..CaseResult::new(&topology, &routing, 0, "-")
                 }));
                 continue;
             }
             let min_v = algo.min_virtual_channels(&net);
-            let vc_configs = match kind {
-                MatrixKind::Smoke => vec![min_v],
-                MatrixKind::Full => vec![min_v, min_v + 1],
+            let vcs = min_v..=match kind {
+                MatrixKind::Smoke => min_v,
+                MatrixKind::Full => min_v + 1,
             };
-            for v in vc_configs {
-                for (fault_label, faults) in &fault_cases {
-                    items.push(WorkItem::Pending {
-                        net_idx,
-                        topology: topology.clone(),
-                        routing: routing.clone(),
-                        algo,
-                        v,
-                        fault_label: fault_label.clone(),
-                        faults: faults.clone(),
-                    });
+            let mut push = |v, label: &str, proof| {
+                items.push(WorkItem::Pending {
+                    net_idx,
+                    case: CaseResult::new(&topology, &routing, v, label),
+                    algo,
+                    proof,
+                });
+            };
+            for v in vcs.clone() {
+                for (label, faults) in &fault_cases {
+                    push(v, label, Proof::Static(faults.clone()));
                 }
             }
             // Schedule cases sweep the same VC configs as the static cases:
             // the full matrix re-proves every epoch at min_v + 1 as well, so
             // the differential machinery is exercised off the minimal
             // dateline layout too.
-            let sched_vcs = match kind {
-                MatrixKind::Smoke => vec![min_v],
-                MatrixKind::Full => vec![min_v, min_v + 1],
-            };
-            for v in sched_vcs {
+            for v in vcs {
                 for (label, schedule) in &schedule_cases {
-                    items.push(WorkItem::PendingSchedule {
-                        net_idx,
-                        topology: topology.clone(),
-                        routing: routing.clone(),
-                        algo,
-                        v,
-                        label: label.clone(),
-                        schedule: schedule.clone(),
-                    });
+                    push(v, label, Proof::Schedule(schedule.clone()));
                 }
             }
         }
@@ -758,103 +766,31 @@ fn enumerate_work(kind: MatrixKind) -> (Vec<AnyTopology>, Vec<WorkItem>) {
 
 /// Resolves one work item to its case result.
 fn run_item(nets: &[AnyTopology], item: &WorkItem) -> CaseResult {
-    match item {
-        WorkItem::Resolved(case) => case.clone(),
+    let (net, case, algo, proof) = match item {
+        WorkItem::Resolved(case) => return case.clone(),
         WorkItem::Pending {
             net_idx,
-            topology,
-            routing,
+            case,
             algo,
-            v,
-            fault_label,
-            faults,
-        } => {
-            let net = &nets[*net_idx];
-            match verify_case(net, algo, faults, *v) {
-                Ok((cdg, reach)) => {
-                    case_from_checks(net, topology, routing, *v, fault_label, &cdg, &reach)
-                }
-                Err(e) => CaseResult {
-                    topology: topology.clone(),
-                    routing: routing.clone(),
-                    virtual_channels: *v,
-                    faults: fault_label.clone(),
-                    verdict: Verdict::Failed,
-                    cdg_vertices: 0,
-                    cdg_edges: 0,
-                    pairs: 0,
-                    delivered: 0,
-                    states: 0,
-                    detail: e.to_string(),
-                    witness: Vec::new(),
-                    epochs: Vec::new(),
-                },
-            }
-        }
-        WorkItem::PendingSchedule {
-            net_idx,
-            topology,
-            routing,
-            algo,
-            v,
-            label,
-            schedule,
-        } => {
-            let net = &nets[*net_idx];
-            // Matrix schedule cases always run the paranoid from-scratch
-            // cross-check: a divergence between the differential and the
-            // scratch result is itself a verification failure.
-            match verify_schedule(net, algo, schedule, *v, STATE_BUDGET, true) {
-                Ok(outcome) => {
-                    let failed = outcome.failed();
-                    let last = outcome
-                        .epochs
-                        .last()
-                        .expect("verify_schedule reports every epoch of FaultSchedule::epochs, which yields epoch 0 at least");
-                    let witness = outcome
-                        .epochs
-                        .iter()
-                        .find(|e| e.failure.is_some())
-                        .map(|e| e.witness.clone())
-                        .unwrap_or_default();
-                    CaseResult {
-                        topology: topology.clone(),
-                        routing: routing.clone(),
-                        virtual_channels: *v,
-                        faults: label.clone(),
-                        verdict: if failed {
-                            Verdict::Failed
-                        } else {
-                            Verdict::Proved
-                        },
-                        cdg_vertices: last.cdg_vertices,
-                        cdg_edges: last.cdg_edges,
-                        pairs: last.pairs,
-                        delivered: last.routable + last.rerouted,
-                        states: outcome.total_states(),
-                        detail: outcome.summary(),
-                        witness,
-                        epochs: outcome.epochs,
-                    }
-                }
-                Err(e) => CaseResult {
-                    topology: topology.clone(),
-                    routing: routing.clone(),
-                    virtual_channels: *v,
-                    faults: label.clone(),
-                    verdict: Verdict::Failed,
-                    cdg_vertices: 0,
-                    cdg_edges: 0,
-                    pairs: 0,
-                    delivered: 0,
-                    states: 0,
-                    detail: e.to_string(),
-                    witness: Vec::new(),
-                    epochs: Vec::new(),
-                },
-            }
-        }
-    }
+            proof,
+        } => (&nets[*net_idx], case, algo, proof),
+    };
+    let v = case.virtual_channels;
+    let proved = match proof {
+        Proof::Static(faults) => verify_case(net, algo, faults, v)
+            .map(|(cdg, reach)| case_from_checks(net, case.clone(), &cdg, &reach))
+            .map_err(|e| e.to_string()),
+        // Matrix schedule cases always run the paranoid from-scratch
+        // cross-check: a divergence between the differential and the
+        // scratch result is itself a verification failure.
+        Proof::Schedule(schedule) => verify_schedule(net, algo, schedule, v, STATE_BUDGET, true)
+            .map(|outcome| case_from_schedule(case.clone(), outcome))
+            .map_err(|e| e.to_string()),
+    };
+    proved.unwrap_or_else(|detail| CaseResult {
+        detail,
+        ..case.clone()
+    })
 }
 
 /// Runs the whole matrix on `jobs` worker threads, calling `progress` with
@@ -931,21 +867,20 @@ pub fn naive_torus_demo() -> CaseResult {
         .find_cycle()
         .expect("merging the dateline classes closes every ring of the torus into a cycle");
     CaseResult {
-        topology: spec.to_spec_string(),
-        routing: "deterministic (VC classes merged)".to_string(),
-        virtual_channels: v,
-        faults: "nf=0".to_string(),
-        verdict: Verdict::Failed,
         cdg_vertices: cdg.graph.num_vertices(),
         cdg_edges: cdg.graph.num_edges(),
         pairs: cdg.pairs,
-        delivered: 0,
         states: cdg.states_explored,
         detail: format!(
             "without dateline VC classes the exact CDG closes a cycle of {} channels",
             cycle.len()
         ),
         witness: describe_cycle(&net, &cycle, v, Granularity::PerChannel),
-        epochs: Vec::new(),
+        ..CaseResult::new(
+            &spec.to_spec_string(),
+            "deterministic (VC classes merged)",
+            v,
+            "nf=0",
+        )
     }
 }

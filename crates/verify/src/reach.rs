@@ -22,6 +22,7 @@
 //! the pair.
 
 use crate::relation::{RelationWalk, StateGraph, StateId, Step, Terminal};
+use torus_routing::cdg::find_cycle;
 use torus_topology::NodeId;
 
 /// Typed verdict for one (source, destination) pair.
@@ -74,54 +75,15 @@ pub struct ReachReport {
     pub first_failure: Option<PairFailure>,
 }
 
-/// Three-colour depth-first search from `roots` in turn (colours shared
-/// between them): the first cycle met among the states reachable from a root,
-/// as the run of states on the search stack that the closing transition
-/// re-enters.
+/// [`torus_routing::cdg::find_cycle`] over the transitions of `graph`: the
+/// first cycle met among the states reachable from `roots`.
 pub(crate) fn find_state_cycle(
     graph: &StateGraph,
     roots: impl IntoIterator<Item = StateId>,
 ) -> Option<Vec<StateId>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
-    }
-    let mut colour = vec![Colour::White; graph.len()];
-    // Stack of (state, next-step-index).
-    let mut stack: Vec<(StateId, usize)> = Vec::new();
-    for root in roots {
-        if colour[root] != Colour::White {
-            continue;
-        }
-        colour[root] = Colour::Grey;
-        stack.push((root, 0));
-        while let Some(&mut (s, ref mut idx)) = stack.last_mut() {
-            let Some(step) = graph.steps(s).get(*idx) else {
-                colour[s] = Colour::Black;
-                stack.pop();
-                continue;
-            };
-            *idx += 1;
-            let child = step.next();
-            match colour[child] {
-                Colour::Grey => {
-                    let pos = stack
-                        .iter()
-                        .position(|&(u, _)| u == child)
-                        .expect("grey states are always on the DFS stack");
-                    return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
-                }
-                Colour::White => {
-                    colour[child] = Colour::Grey;
-                    stack.push((child, 0));
-                }
-                Colour::Black => {}
-            }
-        }
-    }
-    None
+    find_cycle(graph.len(), roots, |s, i| {
+        graph.steps(s).get(i).map(Step::next)
+    })
 }
 
 /// Classifies one pair's state graph. Dead ends take precedence over

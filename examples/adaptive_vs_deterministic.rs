@@ -22,11 +22,7 @@ fn run_row(topology: TopologySpec, routings: &[RoutingChoice], nf: usize, rate: 
     for &routing in routings {
         let cfg = ExperimentConfig::topology_point(topology.clone(), 6, 32, rate)
             .with_routing(routing)
-            .with_faults(if nf == 0 {
-                FaultScenario::None
-            } else {
-                FaultScenario::RandomNodes { count: nf }
-            })
+            .with_faults(FaultScenario::random_nodes(nf))
             .with_seed(40 + nf as u64)
             .quick(4_000, 500);
         let out = cfg.run().expect("experiment runs");

@@ -27,11 +27,7 @@ fn main() {
         for rate in [0.002, 0.004, 0.006, 0.008] {
             let sim = ExperimentConfig::paper_point(k, n, v, m, rate)
                 .with_routing(RoutingChoice::Deterministic)
-                .with_faults(if nf == 0 {
-                    FaultScenario::None
-                } else {
-                    FaultScenario::RandomNodes { count: nf }
-                })
+                .with_faults(FaultScenario::random_nodes(nf))
                 .quick(3_000, 500)
                 .run()
                 .expect("simulation runs");

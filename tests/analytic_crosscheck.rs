@@ -10,11 +10,7 @@ use swbft::prelude::*;
 fn simulate(v: usize, m: u32, nf: usize, rate: f64) -> SimulationReport {
     ExperimentConfig::paper_point(8, 2, v, m, rate)
         .with_routing(RoutingChoice::Deterministic)
-        .with_faults(if nf == 0 {
-            FaultScenario::None
-        } else {
-            FaultScenario::RandomNodes { count: nf }
-        })
+        .with_faults(FaultScenario::random_nodes(nf))
         .with_seed(3111)
         .quick(1_500, 300)
         .run()

@@ -49,11 +49,7 @@ fn all_messages_delivered_under_faults_deterministic_and_adaptive() {
 fn latency_increases_with_fault_count() {
     let run = |nf: usize| {
         quick(8, 2, 4, 0.006)
-            .with_faults(if nf == 0 {
-                FaultScenario::None
-            } else {
-                FaultScenario::RandomNodes { count: nf }
-            })
+            .with_faults(FaultScenario::random_nodes(nf))
             .with_seed(400)
             .run()
             .expect("runs")
