@@ -110,48 +110,79 @@ impl DependencyGraph {
 pub fn find_cycle(
     len: usize,
     roots: impl IntoIterator<Item = usize>,
-    mut successor: impl FnMut(usize, usize) -> Option<usize>,
+    successor: impl FnMut(usize, usize) -> Option<usize>,
 ) -> Option<Vec<usize>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
-    }
-    let mut colour = vec![Colour::White; len];
-    // Stack of (vertex, next-successor-index).
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in roots {
-        if colour[root] != Colour::White {
-            continue;
-        }
-        colour[root] = Colour::Grey;
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-            let Some(child) = successor(v, *idx) else {
-                colour[v] = Colour::Black;
-                stack.pop();
+    DepthFirst::default().run(len, roots, successor, |_| {})
+}
+
+/// The search behind [`find_cycle`], with its colour and stack buffers kept
+/// between runs. `DepthFirst::run` also reports every vertex as it finishes,
+/// so a run that meets no cycle yields a postorder: every edge leads from a
+/// vertex to one finished before it. The verifier's topological pass over a
+/// destination's state graph runs it once per destination.
+#[derive(Clone, Debug, Default)]
+pub struct DepthFirst {
+    colour: Vec<Colour>,
+    /// Stack of (vertex, next-successor-index).
+    stack: Vec<(usize, usize)>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Colour {
+    White,
+    Grey,
+    Black,
+}
+
+impl DepthFirst {
+    /// [`find_cycle`], calling `finished(v)` for each vertex `v` as the
+    /// search leaves it for good. The search stops at the first cycle, so
+    /// only a run that returns `None` has finished every vertex the roots
+    /// reach.
+    pub fn run(
+        &mut self,
+        len: usize,
+        roots: impl IntoIterator<Item = usize>,
+        mut successor: impl FnMut(usize, usize) -> Option<usize>,
+        mut finished: impl FnMut(usize),
+    ) -> Option<Vec<usize>> {
+        let DepthFirst { colour, stack } = self;
+        colour.clear();
+        colour.resize(len, Colour::White);
+        stack.clear();
+        for root in roots {
+            if colour[root] != Colour::White {
                 continue;
-            };
-            *idx += 1;
-            match colour[child] {
-                Colour::Grey => {
-                    // The DFS stack from `child` up to `v` is the cycle.
-                    let pos = stack
-                        .iter()
-                        .position(|&(u, _)| u == child)
-                        .expect("grey vertices are always on the DFS stack");
-                    return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
+            }
+            colour[root] = Colour::Grey;
+            stack.push((root, 0));
+            while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
+                let Some(child) = successor(v, *idx) else {
+                    colour[v] = Colour::Black;
+                    finished(v);
+                    stack.pop();
+                    continue;
+                };
+                *idx += 1;
+                match colour[child] {
+                    Colour::Grey => {
+                        // The DFS stack from `child` up to `v` is the cycle.
+                        let pos = stack
+                            .iter()
+                            .position(|&(u, _)| u == child)
+                            .expect("grey vertices are always on the DFS stack");
+                        return Some(stack[pos..].iter().map(|&(u, _)| u).collect());
+                    }
+                    Colour::White => {
+                        colour[child] = Colour::Grey;
+                        stack.push((child, 0));
+                    }
+                    Colour::Black => {}
                 }
-                Colour::White => {
-                    colour[child] = Colour::Grey;
-                    stack.push((child, 0));
-                }
-                Colour::Black => {}
             }
         }
+        None
     }
-    None
 }
 
 /// Resource granularity used when building the dependency graph.
@@ -614,6 +645,29 @@ mod tests {
             assert!(succ[from].contains(&to), "{from} -> {to} is no edge");
         }
         assert_eq!(search(&[0, 1, 2, 3, 4, 5]), Some(vec![2, 3, 4]));
+    }
+
+    #[test]
+    fn an_acyclic_search_finishes_every_vertex_in_postorder() {
+        // A diamond 0 -> {1, 2} -> 3, plus 4 -> 2 and an isolated 5.
+        let succ: [&[usize]; 6] = [&[1, 2], &[3], &[3], &[], &[2], &[]];
+        let mut search = DepthFirst::default();
+        for _ in 0..2 {
+            // The buffers are dirty on the second run.
+            let mut postorder = Vec::new();
+            let cycle = search.run(
+                succ.len(),
+                0..succ.len(),
+                |v, i| succ[v].get(i).copied(),
+                |v| postorder.push(v),
+            );
+            assert_eq!(cycle, None);
+            assert_eq!(postorder, [3, 1, 2, 0, 4, 5]);
+            let rank = |v: usize| postorder.iter().position(|&u| u == v).unwrap();
+            for (from, tos) in succ.iter().enumerate() {
+                assert!(tos.iter().all(|&to| rank(to) < rank(from)));
+            }
+        }
     }
 
     #[test]

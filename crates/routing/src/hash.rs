@@ -5,9 +5,9 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-rotate word hash (the "Fx" function rustc uses for its own
-/// tables). Its keys are a handful of machine words: a header is about a
-/// dozen, since the per-dimension fields are bitmasks and the via chain
-/// hashes as its logical sequence, and a dependency edge is two. Under the
+/// tables). Its keys are a handful of machine words: a header is five, its
+/// fields packed, plus one per two via-chain entries after the front, and a
+/// dependency edge is two. Under the
 /// default SipHash, hashing headers measured a fifth of a verifier walk. The
 /// keys are produced by the routing functions, not read from outside the
 /// program, so collision resistance buys nothing here.

@@ -80,7 +80,7 @@ const FORCED_MINUS: u64 = 0b10;
 /// Equality and hashing follow the via chain as a sequence, not its storage:
 /// a chain that spilled and shrank back equals, and hashes as, the same chain
 /// that never spilled. The verifier's intern table keys states on this.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteHeader {
     /// Node that generated the message.
     pub source: NodeId,
@@ -276,8 +276,30 @@ impl RouteHeader {
     }
 }
 
+/// Hashes every field the derived `Eq` compares, packed into five words, then
+/// the via chain after its front two nodes to a word: headers that compare
+/// equal write the same words. The verifier hashes a header per transition it
+/// interns, and one write per word is what a word hasher pays for.
+impl Hash for RouteHeader {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let rest = self.via.rest.as_slice();
+        let flags = u64::from(self.flavor == RoutingFlavor::Adaptive)
+            | u64::from(self.faulted) << 1
+            | u64::from(self.escorted) << 2;
+        state.write_u64(u64::from(self.source.0) | u64::from(self.final_dest.0) << 32);
+        state.write_u64(u64::from(self.via.front.0) | flags << 32 | (rest.len() as u64) << 35);
+        state.write_u64(self.forced);
+        state.write_u64(u64::from(self.crossed) | u64::from(self.absorptions) << 32);
+        state.write_u64(u64::from(self.misroute_budget) | u64::from(self.hops) << 32);
+        for pair in rest.chunks(2) {
+            let high = pair.get(1).map_or(0, |node| u64::from(node.0) << 32);
+            state.write_u64(u64::from(pair[0].0) | high);
+        }
+    }
+}
+
 /// The via chain: never empty, because its front is a field of its own.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ViaChain {
     /// The current routing target.
     front: NodeId,
@@ -297,8 +319,9 @@ impl ViaChain {
 }
 
 /// A stack of nodes that holds [`REST_INLINE`] of them inline and moves to
-/// the heap on overflow. Equality, hashing and `Debug` see only the stacked
-/// nodes, whatever the storage and whatever an inline slot held before.
+/// the heap on overflow. Equality and `Debug` see only the stacked nodes,
+/// whatever the storage and whatever an inline slot held before, and so does
+/// `RouteHeader`'s hash.
 #[derive(Clone)]
 enum Stack {
     /// `nodes[..len]`, bottom first.
@@ -373,12 +396,6 @@ impl PartialEq for Stack {
 }
 
 impl Eq for Stack {}
-
-impl Hash for Stack {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
 
 impl fmt::Debug for Stack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

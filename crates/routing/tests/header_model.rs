@@ -7,12 +7,14 @@
 //! directions, dateline flags, re-injection and hops. After every operation
 //! the two must agree on everything routing reads, and the header must equal
 //! and hash like a header built directly from the model's state, whatever
-//! its own history (spilled and shrunk back, stale inline slots).
+//! its own history (spilled and shrunk back, stale inline slots), under both
+//! SipHash and the verifier's word hasher.
 
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use torus_routing::hash::WordHasher;
 use torus_routing::header::VIA_INLINE;
 use torus_routing::{RouteHeader, RoutingFlavor};
 use torus_topology::{AnyTopology, Direction, Network, NodeId};
@@ -111,10 +113,19 @@ impl Ops {
     }
 }
 
-fn hash_of(header: &RouteHeader) -> u64 {
-    let mut hasher = DefaultHasher::new();
+fn hash_with<H: Hasher + Default>(header: &RouteHeader) -> u64 {
+    let mut hasher = H::default();
     header.hash(&mut hasher);
     hasher.finish()
+}
+
+/// The header's hash under the standard library's SipHash and under the
+/// word hasher the verifier's intern table uses.
+fn hash_of(header: &RouteHeader) -> (u64, u64) {
+    (
+        hash_with::<DefaultHasher>(header),
+        hash_with::<WordHasher>(header),
+    )
 }
 
 fn shapes() -> [Network; 4] {
@@ -204,5 +215,49 @@ proptest! {
             prop_assert_eq!(previous == &header, unchanged, "{}", context);
             before = (header.clone(), model.clone());
         }
+    }
+}
+
+#[test]
+fn equal_headers_hash_equal_under_both_hashers() {
+    let net = AnyTopology::torus(8, 2).unwrap();
+    let (source, dest) = (NodeId(3), NodeId(60));
+    let via = [NodeId(17), NodeId(42)];
+    let fresh = |flavor| {
+        let mut header = RouteHeader::new(net.dims(), source, dest, flavor);
+        header.set_via_chain(&via);
+        header
+    };
+    for flavor in [RoutingFlavor::Deterministic, RoutingFlavor::Adaptive] {
+        let mut variants = vec![fresh(flavor)];
+        // A chain that spilled to the heap and shrank back to `via`.
+        let mut shrunk = RouteHeader::new(net.dims(), source, dest, flavor);
+        let long: Vec<NodeId> = (0..2 * VIA_INLINE as u32).map(NodeId).chain(via).collect();
+        shrunk.set_via_chain(&long);
+        for _ in 0..2 * VIA_INLINE {
+            assert!(!shrunk.advance_target(shrunk.target()));
+        }
+        variants.push(shrunk);
+        // An inline chain that grew past `via` and came back, leaving stale
+        // inline slots.
+        let mut stale = fresh(flavor);
+        stale.push_intermediate(NodeId(5));
+        assert!(!stale.advance_target(NodeId(5)));
+        variants.push(stale);
+        // Every field the hash packs, set the same way on each variant.
+        for header in &mut variants {
+            header.faulted = true;
+            header.escorted = true;
+            header.set_forced_dir(1, Some(Direction::Minus));
+            header.set_crossed_dateline(0);
+            header.absorptions = 2;
+            header.misroute_budget = 5;
+            header.hops = 11;
+        }
+        for header in &variants[1..] {
+            assert_eq!(header, &variants[0]);
+            assert_eq!(hash_of(header), hash_of(&variants[0]), "{header:?}");
+        }
+        assert_eq!(variants[0].pending_via(), via.len());
     }
 }

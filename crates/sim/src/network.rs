@@ -911,7 +911,7 @@ impl<A: RoutingAlgorithm, S: Schedule, O: Observer> Engine<A, S, O> {
                 }
             }
         }
-        self.schedule.note_watchdog_scan(now, next_expiry);
+        self.schedule.note_watchdog_scan(next_expiry);
     }
 }
 

@@ -111,10 +111,10 @@ pub trait Schedule: Sized {
     #[inline]
     fn note_router_empty(&mut self, _idx: usize) {}
 
-    /// The watchdog scanned at cycle `now`; no stalled head flit can reach its
-    /// deadline before cycle `next_expiry`.
+    /// The watchdog scanned; no stalled head flit can reach its deadline
+    /// before cycle `next_expiry`.
     #[inline]
-    fn note_watchdog_scan(&mut self, _now: u64, _next_expiry: u64) {}
+    fn note_watchdog_scan(&mut self, _next_expiry: u64) {}
 }
 
 /// Active-set scheduling: every stage visits live state only.
@@ -217,7 +217,7 @@ impl Schedule for ActiveSchedule {
     }
 
     #[inline]
-    fn note_watchdog_scan(&mut self, _now: u64, next_expiry: u64) {
+    fn note_watchdog_scan(&mut self, next_expiry: u64) {
         self.watchdog_next = next_expiry;
     }
 }

@@ -18,8 +18,10 @@
 //! # The destination is the unit
 //!
 //! Every proof is made one destination at a time by the loop of
-//! [`crate::sweep`]: one shared state graph per destination, one view of it
-//! per healthy source and one dependency fold. Epoch 0 sweeps every
+//! [`crate::sweep`]: one shared state graph per destination, every healthy
+//! source's view of it counted from one topological order (one view per
+//! source where the graph has a cycle or outgrows the state budget) and one
+//! dependency fold. Epoch 0 sweeps every
 //! destination. A later epoch drops the destinations that failed, re-sweeps
 //! every destination with a pair *due* at it, over all its healthy sources,
 //! and reuses every other destination's record untouched.
@@ -42,7 +44,8 @@
 //! * otherwise the first later epoch with an event that touches a visited
 //!   node, by the rule above — each later epoch's touched nodes (a failed
 //!   node and its neighbours, a failed link's two endpoints) are computed
-//!   once per schedule;
+//!   once per schedule, and the sweep hands each pair the minimum of that
+//!   per-node epoch over its view's nodes;
 //! * or the epoch at which the destination fails, if that is sooner: a view
 //!   that dead-ends short of its destination never visits it, but the pair
 //!   leaves the universe then all the same. The source is always visited,
@@ -65,11 +68,14 @@
 //! Per source, the pair's state count, fate, failure verdict and next due
 //! epoch; and the destination's deduplicated dependency edges, each with the
 //! lowest source whose pair depends on it. The fold finds those labels at
-//! the cost of the shared fold: it seeds the sources one at a time in
-//! ascending order over one shared fixpoint, and an edge belongs to the
-//! source in whose phase it is first emitted. Because the transfer functions
-//! distribute over union, that source's pair depends on the edge and no
-//! lower source's pair does.
+//! the cost of the shared fold. On an acyclic graph it visits each state
+//! once in topological order, each held resource labelled with the lowest
+//! source that can hold it, and an edge keeps the lowest label it is emitted
+//! with. Otherwise it seeds the sources one at a time in ascending order over
+//! one shared fixpoint, and an edge belongs to the source in whose phase it
+//! is first emitted. Because the transfer functions distribute over union,
+//! either way that source's pair depends on the edge and no lower source's
+//! pair does.
 //!
 //! # The union CDG, in a fixed order
 //!
@@ -468,21 +474,10 @@ struct DueRule<'a> {
 
 impl DueRule<'_> {
     /// The epoch at which the pair of a view into `dest` is next due, given
-    /// whether the view re-injects and the nodes it visits.
-    fn next_rewalk(
-        &self,
-        dest: NodeId,
-        reinjects: bool,
-        visited: &mut dyn Iterator<Item = NodeId>,
-    ) -> usize {
-        let touched = if reinjects {
-            self.epoch + 1
-        } else {
-            visited
-                .map(|node| self.next_touch[node.index()])
-                .min()
-                .unwrap_or(NEVER)
-        };
+    /// whether the view re-injects and `touched`, the smallest
+    /// [`DueRule::next_touch`] over the nodes it visits.
+    fn next_rewalk(&self, dest: NodeId, reinjects: bool, touched: usize) -> usize {
+        let touched = if reinjects { self.epoch + 1 } else { touched };
         let next = touched.min(self.fails_at[dest.index()]);
         if next < self.epochs {
             next
@@ -500,9 +495,10 @@ fn record_destination<A: RoutingAlgorithm>(
     dest: NodeId,
 ) -> Result<DestinationRecord, StateBudgetExceeded> {
     let mut next = Vec::new();
-    let DestinationOutcome { edges, pairs, .. } = sweep.sweep(dest, |view, visited| {
-        next.push(rule.next_rewalk(dest, view.reinjects, visited));
-    })?;
+    let DestinationOutcome { edges, pairs, .. } =
+        sweep.sweep(dest, Some(&rule.next_touch), |view, touched| {
+            next.push(rule.next_rewalk(dest, view.reinjects, touched));
+        })?;
     let pairs: Vec<PairRecord> = pairs
         .into_iter()
         .zip(next)

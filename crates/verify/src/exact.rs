@@ -25,12 +25,16 @@
 //! every channel before re-injection — exactly why the paper's Section 4
 //! argument survives faults).
 //!
-//! The dataflow propagates *deltas*: a state's set only ever grows, so when
-//! it grows the state passes on, and emits edges for, only the resources
-//! added since it was last processed. Every transfer function distributes
-//! over union, so the edges emitted over all deltas are exactly the
-//! `held × requested` of the final sets. Emission order is still a function
-//! of the state graph alone.
+//! On an acyclic state graph (every relation that delivers all its pairs)
+//! the dataflow visits each state once, in topological order, when its set
+//! is complete (`dependency_edges_topological`). On any other graph it is
+//! a worklist that propagates *deltas*: a state's set only ever grows, so
+//! when it grows the state passes on, and emits edges for, only the
+//! resources added since it was last processed. Every transfer function
+//! distributes over union, so the edges emitted over all deltas are exactly
+//! the `held × requested` of the final sets. Either way the edges come out
+//! deduplicated and sorted, each labelled with the lowest start whose
+//! messages depend on it, whatever order the states were visited in.
 //!
 //! With [`Granularity::PerChannel`] the same walk is projected onto whole
 //! physical channels, ignoring the virtual-channel split. On a torus this
@@ -42,7 +46,7 @@ use crate::sweep::sweep_case;
 use std::collections::VecDeque;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
-use torus_routing::RoutingAlgorithm;
+use torus_routing::{RoutingAlgorithm, VcRange};
 use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
 /// Resource granularity of the extracted graph.
@@ -97,6 +101,11 @@ pub fn resource_id(
     granularity: Granularity,
 ) -> usize {
     let slot = net.channel_id(DirectedChannel::new(node, dim, dir)).index();
+    slot_resource(slot, vc, v, granularity)
+}
+
+/// The resource id of virtual channel `vc` on the channel in slot `slot`.
+fn slot_resource(slot: usize, vc: usize, v: usize, granularity: Granularity) -> usize {
     match granularity {
         Granularity::PerVc => slot * v + vc,
         Granularity::PerChannel => slot,
@@ -129,13 +138,117 @@ pub(crate) struct FoldScratch {
     states: Vec<FoldState>,
     work: VecDeque<StateId>,
     requested: Vec<usize>,
-    /// [`dependency_edges`]' emissions, in emission order.
-    emitted: Vec<(usize, usize, usize)>,
-    /// Per resource, where [`dependency_edges`] places its next emission.
-    slots: Vec<usize>,
-    /// The emissions ordered and deduplicated: the list
-    /// [`dependency_edges`] lends out.
-    edges: Vec<(usize, usize, usize)>,
+    /// The topological fold's record of each state: per resource a message
+    /// may hold on arrival, `resource << 32 | label`, the label being the
+    /// lowest start whose messages may hold it there; sorted. A record is
+    /// recycled into `spare` once its state is visited, so only the records
+    /// of the states between visited and unvisited ones hold memory.
+    records: Vec<Vec<u64>>,
+    spare: Vec<Vec<u64>>,
+    /// Where the topological fold merges two records.
+    merged: Vec<u64>,
+    /// The labelled edges found so far.
+    edges: LabelledEdges,
+}
+
+/// The labelled dependency edges `(from, to, label)` a fold emits, repeats
+/// included, and a counting sort by `from` over the `from`s they use, which
+/// yields each edge once with the lowest label it was emitted with.
+#[derive(Debug, Default)]
+struct LabelledEdges {
+    emitted: Vec<(u32, u32, u32)>,
+    /// Per resource, how many emissions leave it, then where the next one
+    /// goes in `sorted`.
+    counts: Vec<u32>,
+    /// Bit `from % 64` of word `from / 64` is set iff an emission leaves
+    /// `from`.
+    froms: Vec<u64>,
+    /// The emissions ordered by `from`, then the deduplicated list
+    /// [`LabelledEdges::drain_sorted`] lends out.
+    sorted: Vec<(usize, usize, usize)>,
+}
+
+impl LabelledEdges {
+    /// Empties the set, with room for resources `0..resources`.
+    fn clear(&mut self, resources: usize) {
+        self.emitted.clear();
+        for from in set_bits(&self.froms) {
+            self.counts[from] = 0;
+        }
+        self.froms.fill(0);
+        if self.counts.len() < resources {
+            self.counts.resize(resources, 0);
+            self.froms.resize(resources.div_ceil(64), 0);
+        }
+    }
+
+    /// Records the emission of `from -> to` with `label`; self-loops are
+    /// dropped.
+    fn insert(&mut self, from: usize, to: usize, label: usize) {
+        if from != to {
+            let id = |x: usize| u32::try_from(x).expect("resource ids and labels fit in 32 bits");
+            self.emitted.push((id(from), id(to), id(label)));
+            self.counts[from] += 1;
+            self.froms[from / 64] |= 1 << (from % 64);
+        }
+    }
+
+    /// Every emitted edge once, sorted by `(from, to)`, with the lowest
+    /// label it was emitted with; the set is empty afterwards.
+    fn drain_sorted(&mut self) -> &[(usize, usize, usize)] {
+        // Each `from` used gets the run of `sorted` after the previous one's.
+        let mut end = 0;
+        for from in set_bits(&self.froms) {
+            let count = self.counts[from];
+            self.counts[from] = end;
+            end += count;
+        }
+        let sorted = &mut self.sorted;
+        sorted.clear();
+        sorted.resize(self.emitted.len(), (0, 0, 0));
+        for &(from, to, label) in &self.emitted {
+            let at = &mut self.counts[from as usize];
+            sorted[*at as usize] = (from as usize, to as usize, label as usize);
+            *at += 1;
+        }
+        for run in sorted.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable();
+        }
+        sorted.dedup_by_key(|&mut (from, to, _)| (from, to));
+        self.clear(0);
+        &self.sorted
+    }
+}
+
+/// The positions of the set bits of a bitmap, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |bits| i * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
+/// The resources a tracked hop out of `node` along `(dim, dir)` on the VCs
+/// `vcs` requests, into `out`, ascending and each once: one per VC, or the
+/// one physical channel.
+fn requested_resources(
+    net: &AnyTopology,
+    node: NodeId,
+    (dim, dir, vcs): (usize, Direction, VcRange),
+    v: usize,
+    granularity: Granularity,
+    out: &mut Vec<usize>,
+) {
+    let slot = net.channel_id(DirectedChannel::new(node, dim, dir)).index();
+    out.clear();
+    out.extend(
+        vcs.range()
+            .map(|vc| slot_resource(slot, vc, v, granularity)),
+    );
+    out.dedup();
 }
 
 /// Adds `r` to `set` unless present; true if the set grew.
@@ -230,11 +343,7 @@ fn fold_dependencies(
                     tracked: true,
                     ..
                 } => {
-                    requested.clear();
-                    requested.extend(
-                        vcs.range()
-                            .map(|vc| resource_id(net, node, dim, dir, vc, v, granularity)),
-                    );
+                    requested_resources(net, node, (dim, dir, vcs), v, granularity, requested);
                     for i in from..to {
                         let h = fold[s].held[i];
                         for &r in requested.iter() {
@@ -304,8 +413,8 @@ pub(crate) fn dependency_edges<'s>(
     granularity: Granularity,
     scratch: &'s mut FoldScratch,
 ) -> &'s [(usize, usize, usize)] {
-    let mut emitted = std::mem::take(&mut scratch.emitted);
-    emitted.clear();
+    let mut edges = std::mem::take(&mut scratch.edges);
+    edges.clear(resource_count(net, v, granularity));
     fold_dependencies(
         net,
         graph,
@@ -313,41 +422,137 @@ pub(crate) fn dependency_edges<'s>(
         v,
         granularity,
         scratch,
-        |phase, held, requested| {
-            if held != requested {
-                emitted.push((held, requested, phase));
-            }
-        },
+        |phase, held, requested| edges.insert(held, requested, phase),
     );
-    // A counting sort by `from`, then a stable sort of each `from`'s run by
-    // `to`: the repeats of an edge keep their emission order, in which
-    // phases never decrease, so the first of each run has the lowest phase,
-    // and `dedup_by_key` drops the rest.
-    let resources = resource_count(net, v, granularity);
-    // `slots[from]` is where the next edge from `from` goes.
-    let slots = &mut scratch.slots;
-    slots.clear();
-    slots.resize(resources + 1, 0);
-    for &(from, _, _) in &emitted {
-        slots[from + 1] += 1;
-    }
-    for from in 1..=resources {
-        slots[from] += slots[from - 1];
-    }
-    let mut edges = std::mem::take(&mut scratch.edges);
-    edges.clear();
-    edges.resize(emitted.len(), (0, 0, 0));
-    for &edge in &emitted {
-        edges[slots[edge.0]] = edge;
-        slots[edge.0] += 1;
-    }
-    for run in edges.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_by_key(|&(_, to, _)| to);
-    }
-    edges.dedup_by_key(|&mut (from, to, _)| (from, to));
-    scratch.emitted = emitted;
     scratch.edges = edges;
-    &scratch.edges
+    scratch.edges.drain_sorted()
+}
+
+/// [`dependency_edges`] over an acyclic state graph, from a topological
+/// `order` of its states, where `lowest(s)` is the lowest start whose
+/// messages reach state `s` (`None` when no start does). The same list, in
+/// one visit per state instead of one phase per start.
+///
+/// Each state's record maps every resource a message may hold on arrival to
+/// the lowest start whose messages may hold it there. Visiting the states in
+/// topological order finds each record complete: a tracked hop out of `s`
+/// acquires its resources with `lowest(s)`, since every start reaching `s`
+/// takes the hop, and an adaptive hop passes each held resource on with its
+/// label, keeping the lower one where two paths merge. A tracked hop emits
+/// `(held, requested, label of held)`; the lowest label an edge is emitted
+/// with is the first start whose messages depend on it, the phase in which
+/// the phased fold first emits it.
+pub(crate) fn dependency_edges_topological<'s>(
+    net: &AnyTopology,
+    graph: &StateGraph,
+    order: impl IntoIterator<Item = StateId>,
+    lowest: impl Fn(StateId) -> Option<usize>,
+    v: usize,
+    granularity: Granularity,
+    scratch: &'s mut FoldScratch,
+) -> &'s [(usize, usize, usize)] {
+    let FoldScratch {
+        records,
+        spare,
+        merged,
+        requested,
+        edges,
+        ..
+    } = scratch;
+    for record in records.iter_mut().filter(|record| record.capacity() > 0) {
+        record.clear();
+        spare.push(std::mem::take(record));
+    }
+    if records.len() < graph.len() {
+        records.resize_with(graph.len(), Vec::new);
+    }
+    edges.clear(resource_count(net, v, granularity));
+    for s in order {
+        // No transition of an acyclic graph leads back to `s`.
+        let mut held = std::mem::take(&mut records[s]);
+        if let Some(low) = lowest(s) {
+            let node = graph.state(s).node;
+            for &step in graph.steps(s) {
+                let into = &mut records[step.next()];
+                match step {
+                    Step::Hop {
+                        dim,
+                        dir,
+                        vcs,
+                        tracked: true,
+                        ..
+                    } => {
+                        requested_resources(net, node, (dim, dir, vcs), v, granularity, requested);
+                        for &entry in &held {
+                            let (h, label) = unpack(entry);
+                            for &r in requested.iter() {
+                                edges.insert(h, r, label);
+                            }
+                        }
+                        let acquired = requested.iter().map(|&r| pack(r, low));
+                        merge_lowest(into, acquired, merged, spare);
+                    }
+                    Step::Hop { tracked: false, .. } => {
+                        merge_lowest(into, held.iter().copied(), merged, spare);
+                    }
+                    Step::Reinject { .. } => {}
+                }
+            }
+        }
+        if held.capacity() > 0 {
+            held.clear();
+            spare.push(held);
+        }
+    }
+    edges.drain_sorted()
+}
+
+/// A topological-fold record entry: `resource` held, with `label`.
+fn pack(resource: usize, label: usize) -> u64 {
+    let part =
+        |x: usize| u64::from(u32::try_from(x).expect("resource ids and labels fit in 32 bits"));
+    part(resource) << 32 | part(label)
+}
+
+/// The `(resource, label)` of a record entry.
+fn unpack(entry: u64) -> (usize, usize) {
+    (
+        (entry >> 32) as usize,
+        (entry & u64::from(u32::MAX)) as usize,
+    )
+}
+
+/// Merges the entries of `add` into the record `into`, both sorted, keeping
+/// the lower label of a resource in both. `merged` is scratch space; an
+/// empty record takes a buffer from `spare`.
+fn merge_lowest(
+    into: &mut Vec<u64>,
+    add: impl Iterator<Item = u64>,
+    merged: &mut Vec<u64>,
+    spare: &mut Vec<Vec<u64>>,
+) {
+    if into.is_empty() {
+        if into.capacity() == 0 {
+            *into = spare.pop().unwrap_or_default();
+        }
+        into.extend(add);
+        return;
+    }
+    merged.clear();
+    let mut old = into.iter().copied().peekable();
+    for entry in add {
+        let resource = entry >> 32;
+        while let Some(kept) = old.next_if(|&kept| kept >> 32 < resource) {
+            merged.push(kept);
+        }
+        // Equal resources order by label, so the lower entry is the min.
+        match old.next_if(|&kept| kept >> 32 == resource) {
+            Some(kept) => merged.push(kept.min(entry)),
+            None => merged.push(entry),
+        }
+    }
+    merged.extend(old);
+    std::mem::swap(into, merged);
 }
 
 /// Extracts the exact dependency graph of `algo` on `net` under `faults`
@@ -496,6 +701,21 @@ mod tests {
     /// self-loops and cycles, and one to three start states. Which headers
     /// the states carry does not matter to the dataflow.
     fn synthetic_graph(net: &AnyTopology, v: usize, seed: u64) -> (StateGraph, Vec<StateId>) {
+        synthetic(net, v, seed, false)
+    }
+
+    /// [`synthetic_graph`] with every transition leading to a higher state,
+    /// so that the ids are a topological order.
+    fn synthetic_dag(net: &AnyTopology, v: usize, seed: u64) -> (StateGraph, Vec<StateId>) {
+        synthetic(net, v, seed, true)
+    }
+
+    fn synthetic(
+        net: &AnyTopology,
+        v: usize,
+        seed: u64,
+        acyclic: bool,
+    ) -> (StateGraph, Vec<StateId>) {
         let mut rng = SplitMix(seed);
         let header = AnyRouting::deterministic(Substrate::DimensionOrder).make_header(
             net,
@@ -504,10 +724,19 @@ mod tests {
         );
         let n = 1 + rng.below(24);
         let mut graph = StateGraph::default();
-        for _ in 0..n {
-            let steps: Vec<Step> = (0..rng.below(4))
+        for id in 0..n {
+            let fanout = if acyclic && id + 1 == n {
+                0
+            } else {
+                rng.below(4)
+            };
+            let steps: Vec<Step> = (0..fanout)
                 .map(|_| {
-                    let next = rng.below(n);
+                    let next = if acyclic {
+                        id + 1 + rng.below(n - id - 1)
+                    } else {
+                        rng.below(n)
+                    };
                     if rng.below(6) == 0 {
                         return Step::Reinject { next };
                     }
@@ -585,6 +814,51 @@ mod tests {
             let mut scratch = FoldScratch::default();
             let labelled = dependency_edges(&net, &graph, starts.iter().copied(), v, granularity, &mut scratch);
             prop_assert_eq!(labelled, &expected[..], "seed {}", seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On acyclic graphs one visit per state in topological order gives
+        /// the phased fold's labelled list, with its buffers dirty from the
+        /// previous graph.
+        #[test]
+        fn the_topological_fold_matches_the_phased_fold_on_synthetic_dags(
+            seed in any::<u64>(),
+            v in 1usize..4,
+            per_vc in any::<bool>(),
+        ) {
+            let net = net("torus:4x2");
+            let granularity = if per_vc { Granularity::PerVc } else { Granularity::PerChannel };
+            let mut scratch = FoldScratch::default();
+            for round in 0..2u64 {
+                let (graph, starts) = synthetic_dag(&net, v, seed.wrapping_add(round));
+                // The first start that reaches each state.
+                let mut lowest = vec![None; graph.len()];
+                for (i, &start) in starts.iter().enumerate() {
+                    let mut work = vec![start];
+                    while let Some(s) = work.pop() {
+                        if lowest[s].is_none() {
+                            lowest[s] = Some(i);
+                            work.extend(graph.steps(s).iter().map(Step::next));
+                        }
+                    }
+                }
+                let phased =
+                    dependency_edges(&net, &graph, starts.iter().copied(), v, granularity, &mut scratch)
+                        .to_vec();
+                let topological = dependency_edges_topological(
+                    &net,
+                    &graph,
+                    0..graph.len(),
+                    |s| lowest[s],
+                    v,
+                    granularity,
+                    &mut scratch,
+                );
+                prop_assert_eq!(topological, &phased[..], "seed {} round {}", seed, round);
+            }
         }
     }
 

@@ -12,25 +12,34 @@
 //!   states in one vector, every state's `Copy` transitions a span of one
 //!   step arena. Two walkers: `walk_pair` for one (source, destination) pair
 //!   from scratch, and `SharedRelation`, which memoises the relation per
-//!   destination (no routing function reads the header's source) and serves
-//!   each pair as a breadth-first *view* that numbers states exactly as
-//!   `walk_pair` does;
+//!   destination (no routing function reads the header's source), expands
+//!   the union of every source's walk at once, and serves each pair as a
+//!   breadth-first *view* that numbers states exactly as `walk_pair` does.
+//!   Its `TopologicalViews` reads every view's size and summaries off one
+//!   topological order of an acyclic union instead;
 //! * [`exact`] — folds state graphs into an exact per-VC channel dependency
 //!   graph (escape-layer resources only for adaptive algorithms, with
 //!   Duato-style indirect dependencies), whose acyclicity proves deadlock
-//!   freedom. The fold propagates only what each state's held set gained
-//!   since its last pass, in buffers its caller's loop owns and reuses;
+//!   freedom. On an acyclic graph the fold visits each state once in
+//!   topological order, each held resource labelled with the lowest source
+//!   that can hold it; otherwise it seeds the sources one at a time and
+//!   propagates only what each state's held set gained since its last pass.
+//!   Both label each edge with its lowest source, in buffers its caller's
+//!   loop owns and reuses;
 //! * [`reach`] — proves deliver-under-every-schedule per pair, or produces a
 //!   dead-end / livelock witness path;
 //! * [`sweep`] — the from-scratch loop behind `verify_case`,
 //!   `extract_exact_cdg` and the paranoid epoch
-//!   recomputation: per destination one shared graph, one multi-source
-//!   dependency dataflow and one dead-end/cycle pass, with per-pair
-//!   traversals only where that pass finds something. Reported `states` stay
-//!   Σ over pairs of each pair's reachable states (its view), not the several
+//!   recomputation: per destination one shared graph and, when it is
+//!   acyclic and within the state budget, one topological pass and one
+//!   fold visit per state, with per-pair walks only for pairs that can dead
+//!   end. A union over budget or with a state cycle falls back to one view
+//!   per source and the phased fold, which trip the budget and find the
+//!   witnesses exactly as per-pair walks do. Reported `states` stay Σ over
+//!   pairs of each pair's reachable states (its view), not the several
 //!   times fewer states the shared walker expands. The destination loop owns
-//!   one `SharedRelation`, reset per destination, and the dependency fold's
-//!   buffers for the whole sweep;
+//!   one `SharedRelation`, reset per destination, and the topological
+//!   pass's and the folds' buffers for the whole sweep;
 //! * [`epochs`] — verifies dynamic fault schedules epoch by epoch and
 //!   classifies every pair's fate (routable / rerouted / disconnected) per
 //!   epoch. The destination is its unit of work and of reuse: epoch 0 runs
@@ -38,7 +47,8 @@
 //!   only the destinations with a pair whose footprint a new fault touches,
 //!   reusing every other destination's record (per-pair fates and state
 //!   counts, and its dependency edges, each labelled with its lowest
-//!   source);
+//!   source). The sweep hands each pair the earliest later epoch that
+//!   touches a node of its view, from the same topological pass;
 //! * `witness` — renders cycle and path witnesses as concrete channels and
 //!   coordinates;
 //! * [`matrix`] — sweeps the supported (topology × routing × VC × fault)
@@ -231,7 +241,7 @@ mod tests {
     /// A deliberately broken algorithm that always forwards along dimension
     /// 0 Plus: on a ring it spins forever, exercising livelock detection.
     #[derive(Clone, Debug)]
-    struct SpinForever;
+    pub(crate) struct SpinForever;
 
     impl RoutingAlgorithm for SpinForever {
         fn name(&self) -> String {

@@ -30,6 +30,15 @@
 //!   off a materialised view ([`SharedRelation::walk`]) are those of the
 //!   per-pair walk.
 //!
+//!   The sweep's topological path does not view pair by pair:
+//!   `SharedRelation::expand_union` expands every source's view at once,
+//!   and, when that union fits the state budget and has no cycle,
+//!   `TopologicalViews` reads every view's size, re-injection, dead ends
+//!   and touch minimum off one topological order. Views remain the path of
+//!   a union over budget or with a cycle (where they trip the budget and
+//!   find the livelock witnesses as per-pair walks do) and of every
+//!   materialised walk.
+//!
 //! A walk's states are one flat [`StateGraph`]: a vector of [`StateNode`]s
 //! and one arena of `Copy` [`Step`]s in which each state owns a contiguous
 //! span, so expanding a state appends to two buffers and allocates nothing
@@ -43,6 +52,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 use torus_faults::FaultSet;
+use torus_routing::cdg::DepthFirst;
 use torus_routing::hash::BuildWordHasher;
 use torus_routing::{RouteDecision, RouteHeader, RoutingAlgorithm, VcRange};
 use torus_topology::{AnyTopology, Direction, NodeId};
@@ -498,10 +508,44 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
         self.order.clear();
     }
 
-    /// Every state any view has discovered so far. Each is reachable from
-    /// some viewed source, and expanded once its view returned `Ok`.
+    /// Every state any view or [`SharedRelation::expand_union`] has
+    /// discovered so far. Each is reachable from some viewed source, and
+    /// expanded once its view returned `Ok`.
     pub(crate) fn graph(&self) -> &StateGraph {
         &self.walker.graph
+    }
+
+    /// Expands the union of every view from `sources` at once, breadth-first
+    /// from their injection states, which are interned first and in order:
+    /// source `i`'s injection state is state `i`. Returns `false`, with the
+    /// expansion cut short, as soon as the union holds more than
+    /// `state_budget` states; views then finish the expansion and trip the
+    /// budget exactly where per-pair walks would. On `true` every state is
+    /// expanded and no view can exceed the budget.
+    pub(crate) fn expand_union(
+        &mut self,
+        sources: impl IntoIterator<Item = NodeId>,
+        state_budget: usize,
+    ) -> bool {
+        debug_assert!(self.walker.graph.is_empty(), "reset before expanding");
+        for (i, src) in sources.into_iter().enumerate() {
+            let header = self
+                .walker
+                .algo
+                .make_header(self.walker.net, src, self.dest);
+            // Each source sits at its own node, so the states are distinct.
+            let start = self.walker.intern(src, header);
+            debug_assert_eq!(start, i);
+        }
+        let mut cursor = 0;
+        while cursor < self.walker.graph.len() {
+            if self.walker.graph.len() > state_budget {
+                return false;
+            }
+            self.walker.expand(cursor);
+            cursor += 1;
+        }
+        true
     }
 
     /// Views the pair `(src, dest)`: a breadth-first traversal from its
@@ -593,5 +637,185 @@ impl<'a, A: RoutingAlgorithm> SharedRelation<'a, A> {
             graph.push_expanded(state.node, state.header.clone(), steps, state.terminal);
         }
         Ok(RelationWalk { graph, start: 0 })
+    }
+}
+
+/// What the states reachable from one state hold, as the views of an acyclic
+/// graph need it: folded from the successors' summaries, in postorder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Reachable {
+    /// The smallest per-node key over the nodes of the reachable states
+    /// (`usize::MAX` without a key).
+    pub(crate) touch: usize,
+    /// Whether a reachable state absorbs and re-injects the message.
+    pub(crate) reinjects: bool,
+    /// Whether a reachable state is a dead end.
+    pub(crate) dead: bool,
+}
+
+impl Reachable {
+    /// The summary of no state at all.
+    const NOTHING: Reachable = Reachable {
+        touch: usize::MAX,
+        reinjects: false,
+        dead: false,
+    };
+}
+
+/// Every view of an acyclic [`SharedRelation`] graph, read off one
+/// topological order instead of one traversal per source. The buffers are
+/// kept from one destination to the next.
+///
+/// Source `i`'s injection state is state `i` (see
+/// [`SharedRelation::expand_union`]). One forward pass in topological order
+/// per block of 64 sources gives every state a word of the sources in the
+/// block that reach it and adds each finished word to bit-sliced per-source
+/// counters, so source `i`'s view size is the count of states whose bit `i`
+/// is set. The depth-first search that finds the order gives every state its
+/// [`Reachable`] summary as the state finishes, which for an injection state
+/// is its whole view's.
+#[derive(Debug, Default)]
+pub(crate) struct TopologicalViews {
+    search: DepthFirst,
+    /// The states in postorder: every transition leads to an earlier entry.
+    postorder: Vec<StateId>,
+    /// Per state, a word of a bitset over one block of 64 sources: those
+    /// whose injection state reaches the state. Reused block by block.
+    reached_by: Vec<u64>,
+    /// Per state, the lowest source that reaches it (`u32::MAX` for none).
+    lowest: Vec<u32>,
+    /// Bits per counter: enough for the number of states.
+    planes: usize,
+    /// Per block, `planes` words: bit `j` of the per-source counters of the
+    /// block's 64 sources.
+    counters: Vec<u64>,
+    /// Per state, what the states it reaches hold.
+    reachable: Vec<Reachable>,
+}
+
+impl TopologicalViews {
+    /// Orders `graph`, whose first `sources` states are the injection
+    /// states, and counts every view of it, with `key` (indexed by node) as
+    /// the per-node key of [`Reachable::touch`]. Returns `false` when the
+    /// graph has a cycle: there is then no topological order, and nothing is
+    /// counted.
+    pub(crate) fn count(
+        &mut self,
+        graph: &StateGraph,
+        sources: usize,
+        key: Option<&[usize]>,
+    ) -> bool {
+        let n = graph.len();
+        let TopologicalViews {
+            search,
+            postorder,
+            reachable,
+            ..
+        } = self;
+        postorder.clear();
+        reachable.clear();
+        reachable.resize(n, Reachable::NOTHING);
+        // A state finishes after every state it leads to, so its summary
+        // can be folded as it finishes: the backward pass.
+        let cycle = search.run(
+            n,
+            0..n,
+            |s, i| graph.steps(s).get(i).map(Step::next),
+            |s| {
+                postorder.push(s);
+                let state = graph.state(s);
+                let mut here = Reachable {
+                    touch: key.map_or(usize::MAX, |key| key[state.node.index()]),
+                    reinjects: false,
+                    dead: state.terminal == Some(Terminal::Dead),
+                };
+                for step in graph.steps(s) {
+                    let next = reachable[step.next()];
+                    here.touch = here.touch.min(next.touch);
+                    here.reinjects |= next.reinjects || matches!(step, Step::Reinject { .. });
+                    here.dead |= next.dead;
+                }
+                reachable[s] = here;
+            },
+        );
+        if cycle.is_some() {
+            return false;
+        }
+        self.count_forward(graph, sources);
+        true
+    }
+
+    /// The states in topological order: every transition leads to a later
+    /// entry.
+    pub(crate) fn topological_order(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.postorder.iter().rev().copied()
+    }
+
+    /// The lowest source whose view contains state `s`.
+    pub(crate) fn lowest_source(&self, s: StateId) -> Option<usize> {
+        let lowest = self.lowest[s];
+        (lowest != u32::MAX).then_some(lowest as usize)
+    }
+
+    /// Number of states in source `i`'s view.
+    pub(crate) fn view_len(&self, i: usize) -> usize {
+        let counter = &self.counters[i / 64 * self.planes..][..self.planes];
+        let bit = i % 64;
+        counter
+            .iter()
+            .enumerate()
+            .map(|(j, &plane)| (((plane >> bit) & 1) as usize) << j)
+            .sum()
+    }
+
+    /// What the states reachable from state `s` hold.
+    pub(crate) fn reachable(&self, s: StateId) -> Reachable {
+        self.reachable[s]
+    }
+
+    /// Forward passes, one per block of 64 sources: propagate the block's
+    /// bitsets in topological order, counting each state's once it is
+    /// complete. A state no source of the block reaches is skipped.
+    fn count_forward(&mut self, graph: &StateGraph, sources: usize) {
+        let n = graph.len();
+        let planes = (usize::BITS - n.leading_zeros()) as usize;
+        self.planes = planes;
+        self.counters.clear();
+        self.counters.resize(sources.div_ceil(64) * planes, 0);
+        self.lowest.clear();
+        self.lowest.resize(n, u32::MAX);
+        let reached_by = &mut self.reached_by;
+        for (block, counter) in self.counters.chunks_mut(planes.max(1)).enumerate() {
+            reached_by.clear();
+            reached_by.resize(n, 0);
+            let first = block * 64;
+            let block_sources = &mut reached_by[first..sources.min(first + 64)];
+            for (bit, word) in block_sources.iter_mut().enumerate() {
+                *word = 1 << bit;
+            }
+            for s in self.postorder.iter().rev().copied() {
+                let word = reached_by[s];
+                if word == 0 {
+                    continue;
+                }
+                if self.lowest[s] == u32::MAX {
+                    let lowest = first + word.trailing_zeros() as usize;
+                    self.lowest[s] = u32::try_from(lowest).expect("source indices fit in 32 bits");
+                }
+                // A ripple-carry add of one to the counter of every set bit.
+                let mut carry = word;
+                for plane in counter.iter_mut() {
+                    if carry == 0 {
+                        break;
+                    }
+                    let next = *plane & carry;
+                    *plane ^= carry;
+                    carry = next;
+                }
+                for step in graph.steps(s) {
+                    reached_by[step.next()] |= word;
+                }
+            }
+        }
     }
 }
